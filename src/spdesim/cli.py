@@ -6,8 +6,9 @@ Subcommands:
   JSON (plus optionally the terminal value as CSV).
 * ``converge`` - run the configured resolution ladder and write the CSV
   report.  The CSV is deterministic for a fixed config and seed; measured
-  per-rung wall times go to stderr and enter the CSV only with
-  ``timing = on`` in the [run] section.
+  per-rung run times go to stderr and enter the CSV only with
+  ``timing = on`` in the [run] section.  Per-rung blow-up and solver
+  failure counts and the reference run time go to stderr as well.
 * ``check-conditions`` - run the structural-condition suite; exit status 0
   when every check passes, 1 otherwise.
 * ``stability`` - print the explicit-scheme stability margin table over
@@ -73,7 +74,15 @@ def _cmd_converge(args):
     ladder = cfg.parse_ladder(settings, seed=seed)
     workers = args.workers or settings.getint("run", "workers", 1)
     started = time.perf_counter()
-    report = convergence_study(space, triple, marks, ladder, scheme_config, workers)
+    report = convergence_study(
+        space,
+        triple,
+        marks,
+        ladder,
+        scheme_config,
+        workers,
+        cfg.quadrature_spec(settings),
+    )
     elapsed = time.perf_counter() - started
     timing = settings.getbool("run", "timing", False)
     text = report.to_csv(timing=timing)
@@ -85,9 +94,12 @@ def _cmd_converge(args):
     for row in report.rows:
         print(
             f"rung ({row.n},{row.m},{row.l}): {_fmt(row.estimate)} "
-            f"+/- {_fmt(row.half_width)} [{row.seconds:.2f}s]",
+            f"+/- {_fmt(row.half_width)} [{row.seconds:.2f}s] "
+            f"blowups {row.blowups} failures {row.failures}",
             file=sys.stderr,
         )
+    n, m, l = ladder.reference
+    print(f"reference ({n},{m},{l}): [{report.reference_seconds:.2f}s]", file=sys.stderr)
     print(
         f"verdict: {report.verdict} (total {elapsed:.2f}s, workers {workers})",
         file=sys.stderr,

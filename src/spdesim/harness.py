@@ -6,11 +6,12 @@ results only, and aggregation always runs single-threaded in path order
 with compensated summation, so the output is byte-identical no matter how
 many workers computed it.
 
-Strong errors are estimated at the terminal time only: per path one
-bundle at the finest resolution drives both the coarse and the fine run,
-and the squared H-distance of the terminal values (embedded into shared
-coordinates by zero-padding) is averaged with a normal-approximation
-confidence interval.
+One path loop serves both drivers: per path one bundle at the finest
+resolution drives every configuration once, so a ladder runs each path's
+reference once for all of its rungs.  Strong errors are estimated at the
+terminal time only: the squared H-distance of each rung's terminal value
+to the reference's (embedded into shared coordinates by zero-padding) is
+averaged with a normal-approximation confidence interval.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .averaging import DEFAULT_QUADRATURE
 from .coefficients import (
     BoxSampler,
     MarkIntegral,
@@ -32,7 +34,7 @@ from .coefficients import (
 )
 from .noise import TimeGrid, sample_bundle
 from .rng import TAG_PATH, TAG_TRIAL, derive_key, make_generator
-from .schemes import EXPLICIT, run_scheme
+from .schemes import EXPLICIT, ImplicitStepError, run_scheme
 from .space import c_b, embed, restrict
 
 Z95 = 1.959963984540054
@@ -62,28 +64,75 @@ class MCStats:
     final_var: float
     paths: int
     blowups: int
+    failures: int
 
 
 def _path_seed(master_seed, j):
     return derive_key(master_seed, TAG_PATH, j)
 
 
-def _mc_paths(space, triple, config, marks, master_seed, path_range):
-    """Squared-H-norm rows for a contiguous range of path indices."""
-    grid = TimeGrid(triple.constants.horizon, config.m)
-    modes = min(config.l, triple.wiener_modes)
+# Outcome of one scheme run on one path; where a row combines runs, the
+# larger outcome wins, so a blow-up of either run outranks a solver failure.
+COMPLETED, FAILED, BLOWN_UP = 0, 1, 2
+
+
+def _run_paths(space, triple, configs, marks, master_seed, quad, reduce, path_range):
+    """Rows for a contiguous range of path indices, and run seconds per config.
+
+    Path j samples one bundle at the finest configuration (the last one)
+    and drives every configuration with it.  `reduce` maps the path's
+    ``(outcome, trajectory)`` runs to its row, a list of ``(outcome,
+    value)`` columns whose value is None unless the outcome is COMPLETED.
+    A run whose implicit solver fails is FAILED instead of aborting the
+    study.
+    """
+    finest = configs[-1]
+    grid = TimeGrid(triple.constants.horizon, finest.m)
+    modes = min(finest.l, triple.wiener_modes)
+    seconds = np.zeros(len(configs))
     rows = []
-    blow = []
     for j in path_range:
-        bundle = sample_bundle(_path_seed(master_seed, j), grid, modes, marks, config.l)
-        traj = run_scheme(space, triple, config, bundle)
-        if traj.blow_up_step is None:
-            rows.append(np.einsum("ij,ij->i", traj.values, traj.values))
-            blow.append(False)
-        else:
-            rows.append(np.full(config.m + 1, np.nan))
-            blow.append(True)
-    return np.asarray(rows), np.asarray(blow)
+        bundle = sample_bundle(_path_seed(master_seed, j), grid, modes, marks, finest.l)
+        runs = []
+        for k, config in enumerate(configs):
+            started = time.perf_counter()
+            try:
+                traj = run_scheme(space, triple, config, bundle, quad)
+            except ImplicitStepError:
+                runs.append((FAILED, None))
+            else:
+                runs.append((COMPLETED if traj.blow_up_step is None else BLOWN_UP, traj))
+            seconds[k] += time.perf_counter() - started
+        rows.append(reduce(runs))
+    return rows, seconds
+
+
+def _knot_energies(runs):
+    """Monte Carlo row: the squared H-norm at every knot of the one run."""
+    ((outcome, traj),) = runs
+    if outcome != COMPLETED:
+        return [(outcome, None)]
+    return [(COMPLETED, np.einsum("ij,ij->i", traj.values, traj.values))]
+
+
+def _terminal_gaps(runs):
+    """Ladder row: squared terminal H-distance of each run to the last one.
+
+    Terminal values are embedded into shared coordinates by zero-padding.
+    A rung counts as blown up when it or the reference blew up, otherwise
+    as failed when it or the reference failed.
+    """
+    ref_outcome, ref = runs[-1]
+    row = []
+    for outcome, traj in runs[:-1]:
+        outcome = max(outcome, ref_outcome)
+        if outcome != COMPLETED:
+            row.append((outcome, None))
+            continue
+        dim = max(traj.n, ref.n)
+        diff = embed(traj.final, dim) - embed(ref.final, dim)
+        row.append((COMPLETED, float(diff @ diff)))
+    return row
 
 
 def _chunk_ranges(total, workers):
@@ -97,32 +146,48 @@ def _chunk_ranges(total, workers):
     return ranges
 
 
-def _run_chunked(fn, args, paths, workers):
-    if workers <= 1:
-        return [fn(*args, range(paths))]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(fn, *args, rng) for rng in _chunk_ranges(paths, workers)
-        ]
-        return [f.result() for f in futures]
-
-
-def monte_carlo(space, triple, config, marks, paths, master_seed, workers=1):
-    """Path statistics of one scheme configuration.
-
-    Blown-up paths are counted and excluded from the moment aggregation.
-    """
+def _path_study(space, triple, configs, marks, paths, master_seed, workers, quad, reduce):
+    """Row columns over all paths in path order, and run seconds per config."""
     if paths < 1:
         raise ValueError("need at least one path")
-    parts = _run_chunked(
-        _mc_paths, (space, triple, config, marks, master_seed), paths, workers
+    args = (space, triple, tuple(configs), marks, master_seed, quad, reduce)
+    if workers <= 1:
+        parts = [_run_paths(*args, range(paths))]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_run_paths, *args, rng)
+                for rng in _chunk_ranges(paths, workers)
+            ]
+            parts = [f.result() for f in futures]
+    rows = [row for part_rows, _ in parts for row in part_rows]
+    seconds = sum(part_seconds for _, part_seconds in parts)
+    return list(zip(*rows)), seconds
+
+
+def _completed(column):
+    """Values of the completed paths in path order, blow-ups and failures."""
+    values = np.asarray([value for outcome, value in column if outcome == COMPLETED])
+    blowups = sum(outcome == BLOWN_UP for outcome, _ in column)
+    failures = sum(outcome == FAILED for outcome, _ in column)
+    return values, blowups, failures
+
+
+def monte_carlo(
+    space, triple, config, marks, paths, master_seed, workers=1, quad=DEFAULT_QUADRATURE
+):
+    """Path statistics of one scheme configuration.
+
+    Blown-up paths and paths whose implicit solver failed are counted and
+    excluded from the moment aggregation.
+    """
+    (column,), _ = _path_study(
+        space, triple, [config], marks, paths, master_seed, workers, quad, _knot_energies
     )
-    rows = np.concatenate([p[0] for p in parts], axis=0)
-    blow = np.concatenate([p[1] for p in parts])
-    ok = rows[~blow]
+    ok, blowups, failures = _completed(column)
     if ok.size == 0:
         nan = np.full(config.m + 1, np.nan)
-        return MCStats(nan, nan, float("nan"), float("nan"), paths, int(blow.sum()))
+        return MCStats(nan, nan, float("nan"), float("nan"), paths, blowups, failures)
     count = ok.shape[0]
     mean = neumaier_sum(ok) / count
     if count > 1:
@@ -135,33 +200,24 @@ def monte_carlo(space, triple, config, marks, paths, master_seed, workers=1):
         final_mean=float(mean[-1]),
         final_var=float(var[-1]),
         paths=paths,
-        blowups=int(blow.sum()),
+        blowups=blowups,
+        failures=failures,
     )
 
 
-def _coupled_paths(
-    space, triple, config_coarse, config_fine, marks, master_seed, path_range
-):
-    """Squared terminal gaps for a contiguous range of coupled paths."""
-    grid = TimeGrid(triple.constants.horizon, config_fine.m)
-    modes = min(config_fine.l, triple.wiener_modes)
-    dim = max(config_coarse.n, config_fine.n)
-    gaps = []
-    blow = []
-    for j in path_range:
-        bundle = sample_bundle(
-            _path_seed(master_seed, j), grid, modes, marks, config_fine.l
-        )
-        coarse = run_scheme(space, triple, config_coarse, bundle)
-        fine = run_scheme(space, triple, config_fine, bundle)
-        if coarse.blow_up_step is None and fine.blow_up_step is None:
-            diff = embed(coarse.final, dim) - embed(fine.final, dim)
-            gaps.append(float(diff @ diff))
-            blow.append(False)
-        else:
-            gaps.append(float("nan"))
-            blow.append(True)
-    return np.asarray(gaps), np.asarray(blow)
+def _error_stats(column):
+    """Mean, 95% half-width, blow-ups and failures of one gap column."""
+    gaps, blowups, failures = _completed(column)
+    if gaps.size == 0:
+        return float("nan"), float("nan"), blowups, failures
+    count = gaps.size
+    mean = float(neumaier_sum(gaps) / count)
+    if count > 1:
+        var = float(neumaier_sum((gaps - mean) ** 2) / (count - 1))
+        half = float(Z95 * np.sqrt(var / count))
+    else:
+        half = float("nan")
+    return mean, half, blowups, failures
 
 
 def _validate_coupling(config_coarse, config_fine):
@@ -176,39 +232,33 @@ def _validate_coupling(config_coarse, config_fine):
 
 
 def coupled_error(
-    space, triple, config_coarse, config_fine, marks, paths, master_seed, workers=1
+    space,
+    triple,
+    config_coarse,
+    config_fine,
+    marks,
+    paths,
+    master_seed,
+    workers=1,
 ):
-    """Mean and 95% half-width of ‖u_coarse(T) − u_fine(T)‖_H² over paths."""
-    est, half, _, _ = coupled_error_stats(
-        space, triple, config_coarse, config_fine, marks, paths, master_seed, workers
-    )
-    return est, half
+    """Statistics of ‖u_coarse(T) − u_fine(T)‖_H² over coupled paths.
 
-
-def coupled_error_stats(
-    space, triple, config_coarse, config_fine, marks, paths, master_seed, workers=1
-):
+    Returns the mean and 95% half-width over the completed paths, the
+    number of blown-up paths and the number whose implicit solver failed.
+    """
     _validate_coupling(config_coarse, config_fine)
-    parts = _run_chunked(
-        _coupled_paths,
-        (space, triple, config_coarse, config_fine, marks, master_seed),
+    (column,), _ = _path_study(
+        space,
+        triple,
+        [config_coarse, config_fine],
+        marks,
         paths,
+        master_seed,
         workers,
+        DEFAULT_QUADRATURE,
+        _terminal_gaps,
     )
-    gaps = np.concatenate([p[0] for p in parts])
-    blow = np.concatenate([p[1] for p in parts])
-    ok = gaps[~blow]
-    blowups = int(blow.sum())
-    if ok.size == 0:
-        return float("nan"), float("nan"), blowups, paths
-    count = ok.size
-    mean = float(neumaier_sum(ok) / count)
-    if count > 1:
-        var = float(neumaier_sum((ok - mean) ** 2) / (count - 1))
-        half = Z95 * np.sqrt(var / count)
-    else:
-        half = float("nan")
-    return mean, half, blowups, paths
+    return _error_stats(column)
 
 
 @dataclass(frozen=True)
@@ -275,16 +325,22 @@ class ConvergenceRow:
     estimate: float
     half_width: float
     blowups: int
+    failures: int
     seconds: float
 
 
 @dataclass
 class ConvergenceReport:
-    """Per-rung strong-error estimates against the reference resolution."""
+    """Per-rung strong-error estimates against the reference resolution.
+
+    A row's `seconds` sums that rung's scheme runs over all paths;
+    `reference_seconds` sums the reference runs.
+    """
 
     rows: list
     monotone: bool
     separated: bool
+    reference_seconds: float
 
     @property
     def verdict(self):
@@ -301,39 +357,47 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def convergence_study(space, triple, marks, ladder, config_template, workers=1):
+def convergence_study(
+    space, triple, marks, ladder, config_template, workers=1, quad=DEFAULT_QUADRATURE
+):
     """Coupled strong-error ladder against the reference resolution.
 
-    The verdict is "pass" when the estimates decrease monotonically and
-    the 95% intervals of the first and last rung do not overlap.
+    Every path runs each rung and the reference once on one bundle.  The
+    verdict is "pass" when the estimates decrease monotonically and the
+    95% intervals of the first and last rung do not overlap.
     """
     validate_ladder(ladder, lambda n: restrict(space, n))
-    ref_n, ref_m, ref_l = ladder.reference
-    ref_config = replace(config_template, kind=ladder.kind, n=ref_n, m=ref_m, l=ref_l)
+    configs = [
+        replace(config_template, kind=ladder.kind, n=n, m=m, l=l)
+        for n, m, l in ladder.rungs + (ladder.reference,)
+    ]
+    for rung_config in configs[:-1]:
+        _validate_coupling(rung_config, configs[-1])
+    columns, seconds = _path_study(
+        space,
+        triple,
+        configs,
+        marks,
+        ladder.paths,
+        ladder.master_seed,
+        workers,
+        quad,
+        _terminal_gaps,
+    )
     rows = []
-    for n, m, l in ladder.rungs:
-        rung_config = replace(config_template, kind=ladder.kind, n=n, m=m, l=l)
-        started = time.perf_counter()
-        est, half, blowups, _ = coupled_error_stats(
-            space,
-            triple,
-            rung_config,
-            ref_config,
-            marks,
-            ladder.paths,
-            ladder.master_seed,
-            workers,
-        )
+    for config, column, rung_seconds in zip(configs[:-1], columns, seconds):
+        est, half, blowups, failures = _error_stats(column)
         rows.append(
             ConvergenceRow(
-                n=n,
-                m=m,
-                l=l,
-                cb_over_m=c_b(restrict(space, n)) / m,
+                n=config.n,
+                m=config.m,
+                l=config.l,
+                cb_over_m=c_b(restrict(space, config.n)) / config.m,
                 estimate=est,
                 half_width=half,
                 blowups=blowups,
-                seconds=time.perf_counter() - started,
+                failures=failures,
+                seconds=float(rung_seconds),
             )
         )
     estimates = [r.estimate for r in rows]
@@ -345,7 +409,12 @@ def convergence_study(space, triple, marks, ladder, config_template, workers=1):
         )
     else:
         separated = True
-    return ConvergenceReport(rows=rows, monotone=monotone, separated=separated)
+    return ConvergenceReport(
+        rows=rows,
+        monotone=monotone,
+        separated=separated,
+        reference_seconds=float(seconds[-1]),
+    )
 
 
 @dataclass(frozen=True)

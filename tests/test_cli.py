@@ -166,3 +166,30 @@ def test_converge_reproducible_across_workers(ladder_config, tmp_path):
     assert header == (
         "rung_n,rung_m,rung_l,cb_over_m,est_sq_error,ci_half_width,blowups,seconds"
     )
+
+
+def test_converge_passes_quadrature_and_reports_failures(tmp_path, monkeypatch, capsys):
+    import inspect
+
+    from spdesim import cli, harness
+    from spdesim.averaging import QuadratureSpec
+
+    seen = {}
+
+    def fake(*args, **kwargs):
+        bound = inspect.signature(harness.convergence_study).bind(*args, **kwargs)
+        seen.update(bound.arguments)
+        row = harness.ConvergenceRow(
+            n=2, m=16, l=1, cb_over_m=1.0, estimate=0.5, half_width=0.25,
+            blowups=1, failures=2, seconds=0.0,
+        )
+        return harness.ConvergenceReport(
+            rows=[row], monotone=True, separated=True, reference_seconds=0.0
+        )
+
+    monkeypatch.setattr(cli, "convergence_study", fake)
+    path = tmp_path / "quad.cfg"
+    path.write_text(BASE_CONFIG + LADDER_SECTION + "\n[quadrature]\npoints_per_step = 1\n")
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path / "q.csv")]) == 0
+    assert seen.get("quad") == QuadratureSpec(1)
+    assert "blowups 1 failures 2" in capsys.readouterr().err

@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spdesim.fixtures import additive_multimode, heat_jump, zero_triple
+from spdesim import harness
+from spdesim.averaging import QuadratureSpec
+from spdesim.coefficients import exponential_transform
+from spdesim.fixtures import additive_multimode, heat_jump, semilinear, zero_triple
 from spdesim.harness import (
     LadderSpec,
     SuiteConfig,
     convergence_study,
     coupled_error,
-    coupled_error_stats,
     monte_carlo,
     neumaier_sum,
     run_condition_suite,
@@ -69,7 +71,7 @@ def test_monte_carlo_counts_blowups():
 
 def test_coupled_error_identical_configs_zero():
     triple = heat_jump(SPACE, MARKS)
-    est, half = coupled_error(SPACE, triple, _cfg(), _cfg(), MARKS, 8, 17)
+    est, half, _, _ = coupled_error(SPACE, triple, _cfg(), _cfg(), MARKS, 8, 17)
     assert est == 0.0
     assert half == 0.0
 
@@ -78,7 +80,7 @@ def test_coupled_error_zero_noise_matches_deterministic_gap():
     triple = heat_jump(SPACE, MARKS, theta=0.0, lipschitz=0.0, lambda_const=0.5)
     coarse = _cfg(kind="implicit_projected", n=8, m=16, l=2)
     fine = _cfg(kind="implicit_projected", n=8, m=256, l=2)
-    est, half = coupled_error(SPACE, triple, coarse, fine, MARKS, 5, 23)
+    est, half, _, _ = coupled_error(SPACE, triple, coarse, fine, MARKS, 5, 23)
     k = np.arange(1, 9)
     zc = ZETA[:8] / (1 + (1 / 16) * k**2 * np.pi**2 / 2) ** 16
     zf = ZETA[:8] / (1 + (1 / 256) * k**2 * np.pi**2 / 2) ** 256
@@ -98,7 +100,7 @@ def test_coupled_coarse_run_is_bitwise_standalone():
         derive_key(seed, TAG_PATH, 0), TimeGrid(1.0, 64), 1, MARKS, 2
     )
     alone = run_scheme(SPACE, triple, coarse, bundle)
-    est, _ = coupled_error(SPACE, triple, coarse, fine, MARKS, 1, seed)
+    est, _, _, _ = coupled_error(SPACE, triple, coarse, fine, MARKS, 1, seed)
     fine_run = run_scheme(SPACE, triple, fine, bundle)
     gap = np.concatenate([alone.final, np.zeros(4)]) - fine_run.final
     assert est == float(gap @ gap)
@@ -122,9 +124,7 @@ def test_half_width_shrinks_with_paths():
     fine = _cfg(n=4, m=64, l=2)
     widths = []
     for paths in (100, 400, 1600):
-        _, half, _, _ = coupled_error_stats(
-            SPACE, triple, coarse, fine, MARKS, paths, 41
-        )
+        _, half, _, _ = coupled_error(SPACE, triple, coarse, fine, MARKS, paths, 41)
         widths.append(half)
     for a, b in zip(widths, widths[1:]):
         assert a / b == pytest.approx(2.0, rel=0.2)
@@ -218,3 +218,112 @@ def test_condition_suite_shapes():
     )
     assert [r.condition_id for r in reports] == ["C1", "C2", "C3", "C4", "PropBF"]
     assert all(r.passed for r in reports)
+
+
+def _rung_configs(ladder, template=TEMPLATE):
+    return [
+        dataclasses.replace(template, kind=ladder.kind, n=n, m=m, l=l)
+        for n, m, l in ladder.rungs + (ladder.reference,)
+    ]
+
+
+def test_solver_failures_are_counted_per_path():
+    # one damped iteration cannot solve the nonlinear step equation, so
+    # every path fails; the study reports that instead of raising
+    triple = semilinear(SPACE, MARKS)
+    cfg = SchemeConfig(
+        kind="implicit_projected", n=4, m=8, l=1, initial=ZETA, max_iter=1
+    )
+    stats = monte_carlo(SPACE, triple, cfg, MARKS, 3, 5)
+    assert (stats.paths, stats.blowups, stats.failures) == (3, 0, 3)
+    assert np.isnan(stats.final_mean)
+    ladder = LadderSpec(
+        rungs=((2, 8, 1),),
+        reference=(4, 32, 2),
+        paths=3,
+        master_seed=5,
+        kind="implicit_projected",
+    )
+    report = convergence_study(SPACE, triple, MARKS, ladder, cfg)
+    row = report.rows[0]
+    assert (row.blowups, row.failures) == (0, 3)
+    assert np.isnan(row.estimate)
+
+
+def test_blowup_outranks_solver_failure_in_a_ladder_row():
+    # one path, one rung: whichever of the rung and the reference blew up
+    # while the other failed, the rung counts a blow-up and no failure
+    blown = (harness.BLOWN_UP, None)
+    failed = (harness.FAILED, None)
+    for runs in ([blown, failed], [failed, blown]):
+        (column,) = zip(harness._terminal_gaps(runs))
+        est, half, blowups, failures = harness._error_stats(column)
+        assert (blowups, failures) == (1, 0)
+        assert np.isnan(est) and np.isnan(half)
+
+
+def test_convergence_study_honours_quadrature():
+    # a time-dependent triple, so the rule per window changes the means
+    triple = exponential_transform(heat_jump(SPACE, MARKS), 2.0)
+    ladder = LadderSpec(
+        rungs=((2, 16, 1),), reference=(4, 64, 2), paths=3, master_seed=29
+    )
+    quad = QuadratureSpec(1)
+    rung, ref = _rung_configs(ladder)
+    grid = TimeGrid(1.0, ref.m)
+    modes = min(ref.l, triple.wiener_modes)
+    gaps = []
+    for j in range(ladder.paths):
+        bundle = sample_bundle(derive_key(29, TAG_PATH, j), grid, modes, MARKS, ref.l)
+        coarse = run_scheme(SPACE, triple, rung, bundle, quad)
+        fine = run_scheme(SPACE, triple, ref, bundle, quad)
+        diff = np.concatenate([coarse.final, np.zeros(2)]) - fine.final
+        gaps.append(float(diff @ diff))
+    want = float(neumaier_sum(np.asarray(gaps)) / len(gaps))
+    got = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE, quad=quad)
+    default = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE)
+    assert got.rows[0].estimate == want
+    assert default.rows[0].estimate != want
+
+
+def test_ladder_runs_each_config_once_per_path(monkeypatch):
+    calls = []
+    original = harness.run_scheme
+
+    def counting(space, triple, config, *args, **kwargs):
+        calls.append((config.n, config.m, config.l))
+        return original(space, triple, config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_scheme", counting)
+    ladder = LadderSpec(
+        rungs=((2, 16, 1), (4, 64, 2)), reference=(8, 256, 3), paths=3, master_seed=7
+    )
+    convergence_study(SPACE, heat_jump(SPACE, MARKS), MARKS, ladder, TEMPLATE)
+    assert len(calls) == ladder.paths * (len(ladder.rungs) + 1)
+    assert calls.count(ladder.reference) == ladder.paths
+
+
+def test_ladder_rows_equal_standalone_coupled_errors():
+    triple = heat_jump(SPACE, MARKS)
+    ladder = LadderSpec(
+        rungs=((2, 16, 1), (4, 64, 2)), reference=(8, 256, 3), paths=6, master_seed=71
+    )
+    report = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE)
+    *rungs, ref = _rung_configs(ladder)
+    for row, rung in zip(report.rows, rungs):
+        alone = coupled_error(SPACE, triple, rung, ref, MARKS, 6, 71)
+        assert (row.estimate, row.half_width, row.blowups, row.failures) == alone
+
+
+def test_implicit_ladder_csv_worker_invariant():
+    triple = heat_jump(SPACE, MARKS)
+    ladder = LadderSpec(
+        rungs=((2, 16, 1), (4, 64, 2)),
+        reference=(8, 256, 3),
+        paths=10,
+        master_seed=83,
+        kind="implicit_projected",
+    )
+    one = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE, workers=1)
+    two = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE, workers=2)
+    assert one.to_csv() == two.to_csv()

@@ -43,15 +43,20 @@ def _unit_rule(points):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def time_mean(fn, t0, t1, autonomous, quad=DEFAULT_QUADRATURE):
-    """Average of fn over [t0, t1]; a single evaluation when autonomous."""
+def time_mean(fn, x, t0, t1, autonomous, quad=DEFAULT_QUADRATURE):
+    """Average of t ↦ fn(t, x) over [t0, t1]; a single evaluation when autonomous.
+
+    The state is passed through rather than closed over so that callers
+    stepping a trajectory hand in a bound evaluator without building a
+    closure per step.
+    """
     if autonomous:
-        return np.asarray(fn(0.5 * (t0 + t1)), dtype=float)
+        return np.asarray(fn(0.5 * (t0 + t1), x), dtype=float)
     nodes, weights = _unit_rule(quad.points_per_step)
     ts = t0 + (t1 - t0) * nodes
-    acc = weights[0] * np.asarray(fn(ts[0]), dtype=float)
+    acc = weights[0] * np.asarray(fn(ts[0], x), dtype=float)
     for w, t in zip(weights[1:], ts[1:]):
-        acc = acc + w * np.asarray(fn(t), dtype=float)
+        acc = acc + w * np.asarray(fn(t, x), dtype=float)
     return acc
 
 
@@ -72,7 +77,7 @@ def tilde_A(triple, grid, i, x, quad=DEFAULT_QUADRATURE):
     if i < 2:
         return np.zeros(x.size)
     t0, t1 = _lagged_window(grid, i)
-    return time_mean(lambda s: triple.eval_A(s, x), t0, t1, triple.autonomous, quad)
+    return time_mean(triple.eval_A, x, t0, t1, triple.autonomous, quad)
 
 
 def tilde_B(triple, grid, i, x, modes=None, quad=DEFAULT_QUADRATURE):
@@ -86,7 +91,7 @@ def tilde_B(triple, grid, i, x, modes=None, quad=DEFAULT_QUADRATURE):
     if i < 2:
         return np.zeros((x.size, width))
     t0, t1 = _lagged_window(grid, i)
-    full = time_mean(lambda s: triple.eval_B(s, x), t0, t1, triple.autonomous, quad)
+    full = time_mean(triple.eval_B, x, t0, t1, triple.autonomous, quad)
     return full[:, :width]
 
 
@@ -115,7 +120,7 @@ def tilde_F(triple, grid, partition, i, x, quad=DEFAULT_QUADRATURE, points_per_c
     if triple.jump_profile is not None:
         ratio, _ = cell_weight_means(triple, partition)
         profile = time_mean(
-            lambda s: triple.jump_profile(s, x), t0, t1, triple.autonomous, quad
+            triple.jump_profile, x, t0, t1, triple.autonomous, quad
         )
         return np.multiply.outer(profile, ratio)
 
@@ -123,12 +128,12 @@ def tilde_F(triple, grid, partition, i, x, quad=DEFAULT_QUADRATURE, points_per_c
         partition.lo, partition.hi, points_per_cell
     )
 
-    def cell_integrals(s):
+    def cell_integrals(s, x):
         vals = np.asarray(triple.eval_F(s, x, nodes.ravel()), dtype=float)
         vals = vals.reshape(x.size, partition.size, -1)
         return np.einsum("dcq,cq->dc", vals, weights)
 
-    integrals = time_mean(cell_integrals, t0, t1, triple.autonomous, quad)
+    integrals = time_mean(cell_integrals, x, t0, t1, triple.autonomous, quad)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(partition.nu > 0, integrals / partition.nu, 0.0)
 
@@ -141,4 +146,4 @@ def impl_A(triple, grid, i, x, quad=DEFAULT_QUADRATURE):
         return np.zeros(x.size)
     knots = grid.knots
     t0, t1 = float(knots[i - 1]), float(knots[i])
-    return time_mean(lambda s: triple.eval_A(s, x), t0, t1, triple.autonomous, quad)
+    return time_mean(triple.eval_A, x, t0, t1, triple.autonomous, quad)

@@ -14,6 +14,10 @@ Subcommands:
 * ``stability`` - print the explicit-scheme stability margin table over
   the configured (n, m) grid.
 
+A bad config, an unreadable or unwritable file and an implicit step that
+cannot be solved end every command with one ``spdesim: error: ...`` line
+on stderr and exit status 2.
+
 All numeric output is printed with 17 significant digits.
 """
 
@@ -26,7 +30,7 @@ import time
 from . import config as cfg
 from .harness import convergence_study, run_condition_suite
 from .noise import TimeGrid, sample_bundle
-from .schemes import run_scheme, stability_margin
+from .schemes import ImplicitStepError, run_scheme, stability_margin
 from .space import c_b, restrict
 
 
@@ -168,7 +172,11 @@ def main(argv=None):
     p_stab.set_defaults(fn=_cmd_stability)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, ImplicitStepError, OSError) as exc:
+        print(f"spdesim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ _KNOWN_KEYS = {
     },
     "noise": {"family", "beta", "l_modes", "l_level", "master_seed",
               "atom_positions", "atom_weights"},
-    "scheme": {"kind", "n", "m", "l", "gamma", "initial"},
+    "scheme": {"kind", "n", "m", "l", "initial"},
     "run": {"paths", "workers", "timing", "trials"},
     "ladder": {"rungs", "reference", "strict_gate"},
     "stability": {"n_values", "m_values", "gamma", "alpha"},
@@ -195,7 +195,6 @@ def build_scheme_config(settings):
         n=n,
         m=settings.getint("scheme", "m", 64),
         l=settings.getint("scheme", "l", 2),
-        gamma=settings.getfloat("scheme", "gamma", 0.5),
         initial=initial,
     )
 

@@ -442,17 +442,42 @@ def bundle_to_json(bundle):
 
 
 def bundle_from_json(text):
+    """Inverse of `bundle_to_json`; a malformed field raises ValueError naming it."""
     payload = json.loads(text)
-    if payload["marks_family"] == PowerLawMarks.support_id:
+    family = payload.get("marks_family")
+    if family == PowerLawMarks.support_id:
         marks = PowerLawMarks(beta=payload["beta"])
-    else:
+    elif family == AtomMarks.support_id:
         marks = AtomMarks(
             positions=tuple(payload["atom_positions"]),
             weights=tuple(payload["atom_weights"]),
         )
-    wiener = np.frombuffer(
-        base64.b64decode(payload["wiener_b64"]), dtype=np.float64
-    ).reshape(payload["l_modes"], payload["m"])
+    else:
+        raise ValueError(f"bundle field marks_family: unknown mark family {family!r}")
+    shape = (payload["l_modes"], payload["m"])
+    raw = base64.b64decode(payload["wiener_b64"])
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ValueError(
+            f"bundle field wiener_b64: {len(raw)} bytes do not hold "
+            f"{shape[0]} x {shape[1]} float64 increments"
+        )
+    wiener = np.frombuffer(raw, dtype=np.float64).reshape(shape)
+    jump_times = np.asarray(payload["jump_times"], dtype=float)
+    jump_marks = np.asarray(payload["jump_marks"], dtype=float)
+    if jump_times.ndim != 1:
+        raise ValueError("bundle field jump_times: not a flat list of times")
+    if jump_marks.shape != jump_times.shape:
+        raise ValueError(
+            f"bundle field jump_marks: {jump_marks.size} marks for "
+            f"{jump_times.size} jump times"
+        )
+    for name, values in (
+        ("wiener_b64", wiener),
+        ("jump_times", jump_times),
+        ("jump_marks", jump_marks),
+    ):
+        if not np.isfinite(values).all():
+            raise ValueError(f"bundle field {name}: non-finite values")
     return NoiseBundle(
         T=payload["T"],
         m=payload["m"],
@@ -460,7 +485,7 @@ def bundle_from_json(text):
         l_level=payload["l_level"],
         master_seed=payload["master_seed"],
         wiener=wiener.copy(),
-        jump_times=np.asarray(payload["jump_times"], dtype=float),
-        jump_marks=np.asarray(payload["jump_marks"], dtype=float),
+        jump_times=jump_times,
+        jump_marks=jump_marks,
         marks=marks,
     )

@@ -1,15 +1,17 @@
 """Explicit and implicit Galerkin time-stepping schemes.
 
-The explicit scheme starts from zero, injects the projected initial
-condition at the first knot, and advances with lagged-window coefficient
-means; its stability is governed by the product of the step size with the
-basis constant of the space.  The implicit schemes start from the
-(projected) initial condition and solve a monotone step equation in which
-the drift is averaged over the current window while the noise
-coefficients keep their lagged windows.  "Unprojected" runs are realized
-at the ambient resolution of the experiment: a truly infinite-dimensional
-state is not representable, and the two variants differ only through the
-projection dimension.
+All three scheme kinds run through one stepping loop and differ only in
+the drift update.  The explicit scheme starts from zero, injects the
+projected initial condition at the first knot, and adds δ times the
+lagged-window drift mean; its stability is governed by the product of the
+step size with the basis constant of the space.  The implicit schemes
+start from the (projected) initial condition and solve a monotone step
+equation in which the drift is averaged over the current window.  In
+every kind the noise coefficients are averaged over the lagged window.
+"Unprojected" runs are realized at the ambient resolution of the
+experiment: a truly infinite-dimensional state is not representable, so
+the plain and projected implicit kinds are one code path and differ only
+through the projection dimension.
 
 Explicit trajectories that leave double-precision range record the first
 non-finite step and stop instead of raising: instability outside the
@@ -25,14 +27,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .averaging import (
-    DEFAULT_QUADRATURE,
-    cell_weight_means,
-    impl_A,
-    tilde_B,
-    tilde_F,
-    time_mean,
-)
+from .averaging import DEFAULT_QUADRATURE, cell_weight_means, impl_A, tilde_F, time_mean
 from .noise import TimeGrid, build_partition, coarsen_wiener, compensated_cell_increments
 from .rng import TAG_INITIAL, derive_key, make_generator
 from .space import c_b, project, restrict, smooth_profile
@@ -61,7 +56,6 @@ class SchemeConfig:
     n: int
     m: int
     l: int
-    gamma: float = 0.5
     initial: object = None
     tol: float = 1e-10
     max_iter: int = 200
@@ -201,7 +195,32 @@ def run_explicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
         raise ValueError("the explicit scheme requires p = 2")
     if triple.constants.lambda_max() > 1.0 + 1e-12:
         raise ValueError("the explicit scheme requires the coercivity weight <= 1")
+    return _run_steps(space, triple, config, bundle, quad)
+
+
+def run_implicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
+    """Implicit scheme (plain or projected) driven by one noise bundle.
+
+    The plain variant runs at the ambient resolution of the supplied
+    space, the projected variant at config.n; within the nested basis the
+    two share one code path since projection is coordinate truncation.
+    """
+    if config.kind not in (IMPLICIT, IMPLICIT_PROJECTED):
+        raise ValueError(f"config kind {config.kind!r} is not implicit")
+    return _run_steps(space, triple, config, bundle, quad)
+
+
+def _run_steps(space, triple, config, bundle, quad):
+    """The stepping loop shared by every scheme kind.
+
+    Step i adds to the previous value, in this order, δ times the lagged
+    drift mean (explicit only), the Wiener term and the compensated jump
+    term; the implicit schemes then solve the step equation with the
+    result as right-hand side.  The explicit scheme starts at knot 1, the
+    implicit ones at knot 0, and the noise terms vanish before knot 2.
+    """
     _check_bundle(config, bundle)
+    explicit = config.kind == EXPLICIT
     n, m, l = config.n, config.m, config.l
     space = restrict(space, n)
     grid = TimeGrid(bundle.T, m)
@@ -209,48 +228,36 @@ def run_explicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
     modes = min(l, triple.wiener_modes)
     dw = coarsen_wiener(bundle, m, modes)
     partition = build_partition(bundle.marks, l)
-    zeta = _resolve_initial(config, space, bundle.master_seed)
-
+    first = 1 if explicit else 0
     values = np.zeros((m + 1, n))
-    values[1] = zeta
+    values[first] = _resolve_initial(config, space, bundle.master_seed)
     factorized = triple.jump_profile is not None
     if factorized:
         scalars = _jump_scalars(triple, grid, partition, bundle)
     traj = Trajectory(
         kind=config.kind, n=n, m=m, l=l, knots=grid.knots, values=values
     )
-    knots = grid.knots
+    lu = None
+    if not explicit and triple.linear_A is not None and triple.autonomous:
+        lu = scipy.linalg.lu_factor(np.eye(n) - delta * triple.linear_A[:n, :n])
+    knots = grid.knots.tolist()
     autonomous = triple.autonomous
-    x = values[1]
-    # overflow is reported through the blow-up marker, not warnings
+    x = values[first]
+    # explicit overflow is reported through the blow-up marker, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(2, m + 1):
-            if autonomous:
-                tmid = 0.5 * (knots[i - 2] + knots[i - 1])
-                drift = np.asarray(triple.eval_A(tmid, x), dtype=float)
-                new = x + delta * drift
+        for i in range(first + 1, m + 1):
+            new = x
+            if i >= 2:
+                t0, t1 = knots[i - 2], knots[i - 1]
+                if explicit:
+                    drift = time_mean(triple.eval_A, x, t0, t1, autonomous, quad)
+                    new = x + delta * drift
                 if modes:
-                    bmat = np.asarray(triple.eval_B(tmid, x), dtype=float)[:, :modes]
-                    new = new + bmat @ dw[:, i - 1]
-                if factorized:
-                    new = new + scalars[i] * np.asarray(
-                        triple.jump_profile(tmid, x), dtype=float
-                    )
-                else:
-                    cols = tilde_F(triple, grid, partition, i, x, quad)
-                    new = new + cols @ compensated_cell_increments(
-                        bundle, partition, grid, i
-                    )
-            else:
-                t0, t1 = float(knots[i - 2]), float(knots[i - 1])
-                drift = time_mean(lambda s: triple.eval_A(s, x), t0, t1, False, quad)
-                new = x + delta * drift
-                if modes:
-                    bmat = tilde_B(triple, grid, i, x, modes, quad)
-                    new = new + bmat @ dw[:, i - 1]
+                    bmat = time_mean(triple.eval_B, x, t0, t1, autonomous, quad)
+                    new = new + bmat[:, :modes] @ dw[:, i - 1]
                 if factorized:
                     profile = time_mean(
-                        lambda s: triple.jump_profile(s, x), t0, t1, False, quad
+                        triple.jump_profile, x, t0, t1, autonomous, quad
                     )
                     new = new + scalars[i] * profile
                 else:
@@ -258,10 +265,25 @@ def run_explicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
                     new = new + cols @ compensated_cell_increments(
                         bundle, partition, grid, i
                     )
-            if not np.isfinite(new).all():
-                traj.blow_up_step = i
-                values[i:] = np.nan
-                break
+            if explicit:
+                if not np.isfinite(new).all():
+                    traj.blow_up_step = i
+                    values[i:] = np.nan
+                    break
+            else:
+                new, report = solve_implicit_step(
+                    space,
+                    triple,
+                    grid,
+                    i,
+                    new,
+                    tol=config.tol,
+                    max_iter=config.max_iter,
+                    quad=quad,
+                    _lu=lu,
+                )
+                traj.solver_iterations.append(report.iterations)
+                traj.solver_residuals.append(report.residual)
             values[i] = new
             x = new
     _diagnose(traj, space, triple.constants, grid)
@@ -274,7 +296,6 @@ def solve_implicit_step(
     grid,
     i,
     y,
-    projected=True,
     tol=1e-10,
     max_iter=200,
     x0=None,
@@ -367,90 +388,6 @@ def solve_implicit_step(
         f"implicit step did not converge within {max_iter} iterations "
         f"(residual {rn:.3e} > {target:.3e}); increase the number of time steps m"
     )
-
-
-def run_implicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
-    """Implicit scheme (plain or projected) driven by one noise bundle.
-
-    The plain variant runs at the ambient resolution of the supplied
-    space, the projected variant at config.n; within the nested basis the
-    two share one code path since projection is coordinate truncation.
-    """
-    if config.kind not in (IMPLICIT, IMPLICIT_PROJECTED):
-        raise ValueError(f"config kind {config.kind!r} is not implicit")
-    _check_bundle(config, bundle)
-    n, m, l = config.n, config.m, config.l
-    space = restrict(space, n)
-    grid = TimeGrid(bundle.T, m)
-    delta = grid.delta
-    modes = min(l, triple.wiener_modes)
-    dw = coarsen_wiener(bundle, m, modes)
-    partition = build_partition(bundle.marks, l)
-    zeta = _resolve_initial(config, space, bundle.master_seed)
-
-    values = np.zeros((m + 1, n))
-    values[0] = zeta
-    factorized = triple.jump_profile is not None
-    if factorized:
-        scalars = _jump_scalars(triple, grid, partition, bundle)
-    traj = Trajectory(
-        kind=config.kind, n=n, m=m, l=l, knots=grid.knots, values=values
-    )
-    lu = None
-    if triple.linear_A is not None and triple.autonomous:
-        lu = scipy.linalg.lu_factor(np.eye(n) - delta * triple.linear_A[:n, :n])
-    knots = grid.knots
-    autonomous = triple.autonomous
-    x = values[0]
-    for i in range(1, m + 1):
-        y = x
-        if i >= 2:
-            if autonomous:
-                tmid = 0.5 * (knots[i - 2] + knots[i - 1])
-                if modes:
-                    bmat = np.asarray(triple.eval_B(tmid, x), dtype=float)[:, :modes]
-                    y = y + bmat @ dw[:, i - 1]
-                if factorized:
-                    y = y + scalars[i] * np.asarray(
-                        triple.jump_profile(tmid, x), dtype=float
-                    )
-                else:
-                    cols = tilde_F(triple, grid, partition, i, x, quad)
-                    y = y + cols @ compensated_cell_increments(
-                        bundle, partition, grid, i
-                    )
-            else:
-                if modes:
-                    bmat = tilde_B(triple, grid, i, x, modes, quad)
-                    y = y + bmat @ dw[:, i - 1]
-                t0, t1 = float(knots[i - 2]), float(knots[i - 1])
-                if factorized:
-                    profile = time_mean(
-                        lambda s: triple.jump_profile(s, x), t0, t1, False, quad
-                    )
-                    y = y + scalars[i] * profile
-                else:
-                    cols = tilde_F(triple, grid, partition, i, x, quad)
-                    y = y + cols @ compensated_cell_increments(
-                        bundle, partition, grid, i
-                    )
-        x, report = solve_implicit_step(
-            space,
-            triple,
-            grid,
-            i,
-            y,
-            projected=config.kind == IMPLICIT_PROJECTED,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            quad=quad,
-            _lu=lu,
-        )
-        values[i] = x
-        traj.solver_iterations.append(report.iterations)
-        traj.solver_residuals.append(report.residual)
-    _diagnose(traj, space, triple.constants, grid)
-    return traj
 
 
 def run_scheme(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):

@@ -29,7 +29,6 @@ kind = explicit
 n = 4
 m = 32
 l = 2
-gamma = 0.5
 initial = smooth
 """
 
@@ -60,9 +59,38 @@ def ladder_config(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("[scheme]\nkindd = explicit\n")
-    with pytest.raises(ConfigError, match="kindd"):
-        load_settings(path)
+    for section, key in (("scheme", "kindd"), ("scheme", "gamma")):
+        path.write_text(f"[{section}]\n{key} = explicit\n")
+        with pytest.raises(ConfigError, match=key):
+            load_settings(path)
+
+
+def test_errors_exit_with_one_line(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing.cfg"
+    bad_key = tmp_path / "bad.cfg"
+    bad_key.write_text(BASE_CONFIG.replace("initial = smooth", "gamma = 0.5"))
+    for command in ("simulate", "converge", "check-conditions", "stability"):
+        for path in (missing, bad_key):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("spdesim: error: ") and err.count("\n") == 1
+    unwritable = tmp_path / "no-such-dir" / "traj.json"
+    config = tmp_path / "run.cfg"
+    config.write_text(BASE_CONFIG)
+    assert main(["simulate", "--config", str(config), "--out", str(unwritable)]) == 2
+    assert "no-such-dir" in capsys.readouterr().err
+
+    from spdesim import cli
+    from spdesim.schemes import ImplicitStepError
+
+    def unsolvable(*args, **kwargs):
+        raise ImplicitStepError("implicit step did not converge")
+
+    monkeypatch.setattr(cli, "run_scheme", unsolvable)
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "spdesim: error: implicit step did not converge\n"
+    )
 
 
 def test_env_seed_override(config_file, monkeypatch):

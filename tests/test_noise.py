@@ -1,5 +1,10 @@
+import base64
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdesim.noise import (
     AtomMarks,
@@ -273,3 +278,64 @@ def test_bundle_json_roundtrip():
     assert np.array_equal(clone.jump_times, bundle.jump_times)
     assert np.array_equal(clone.jump_marks, bundle.jump_marks)
     assert clone.marks.beta == MARKS.beta
+
+
+ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    m=st.integers(2, 16),
+    modes=st.integers(0, 3),
+    level=st.integers(1, 3),
+    marks=st.sampled_from([MARKS, PowerLawMarks(beta=1.2), ATOMS]),
+)
+def test_bundle_json_roundtrip_is_bit_exact(seed, m, modes, level, marks):
+    bundle = sample_bundle(seed, TimeGrid(1.5, m), modes, marks, level)
+    clone = bundle_from_json(bundle_to_json(bundle))
+    for name in ("wiener", "jump_times", "jump_marks"):
+        got, want = getattr(clone, name), getattr(bundle, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for name in ("T", "m", "l_modes", "l_level", "master_seed", "marks"):
+        assert getattr(clone, name) == getattr(bundle, name)
+
+
+def _bundle_payload(marks=ATOMS):
+    bundle = sample_bundle(5, TimeGrid(1.0, 8), 2, marks, 2)
+    payload = json.loads(bundle_to_json(bundle))
+    assert len(payload["jump_times"]) >= 2
+    return payload
+
+
+def test_bundle_json_rejects_unknown_mark_family():
+    payload = _bundle_payload()
+    payload["marks_family"] = "gaussian"
+    with pytest.raises(ValueError, match="marks_family"):
+        bundle_from_json(json.dumps(payload))
+
+
+def test_bundle_json_rejects_missing_marks():
+    payload = _bundle_payload()
+    payload["jump_marks"] = payload["jump_marks"][:-1]
+    with pytest.raises(ValueError, match="jump_marks"):
+        bundle_from_json(json.dumps(payload))
+
+
+def test_bundle_json_rejects_wrong_wiener_length():
+    payload = _bundle_payload()
+    raw = base64.b64decode(payload["wiener_b64"])
+    payload["wiener_b64"] = base64.b64encode(raw[:-8]).decode("ascii")
+    with pytest.raises(ValueError, match="wiener_b64"):
+        bundle_from_json(json.dumps(payload))
+
+
+def test_bundle_json_rejects_nested_times_and_non_finite_marks():
+    payload = _bundle_payload()
+    payload["jump_times"] = [payload["jump_times"]]
+    with pytest.raises(ValueError, match="jump_times"):
+        bundle_from_json(json.dumps(payload))
+    payload = _bundle_payload()
+    payload["jump_marks"][0] = float("nan")
+    with pytest.raises(ValueError, match="jump_marks"):
+        bundle_from_json(json.dumps(payload))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from spdesim.fixtures import heat_jump, semilinear, zero_triple
-from spdesim.noise import NoiseBundle, PowerLawMarks, TimeGrid, sample_bundle
+from spdesim.noise import AtomMarks, NoiseBundle, PowerLawMarks, TimeGrid, sample_bundle
 from spdesim.schemes import (
     ImplicitStepError,
     SchemeConfig,
     run_explicit,
     run_implicit,
+    run_scheme,
     solve_implicit_step,
     stability_margin,
     step_energy_bound,
@@ -284,6 +285,27 @@ def test_explicit_reads_only_lagged_coefficients():
         runs[0].values[: cut_index + 1], runs[1].values[: cut_index + 1]
     )
     assert not np.array_equal(runs[0].values[m], runs[1].values[m])
+
+
+@pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])
+def test_generic_and_non_autonomous_triples_match_fast_paths(kind):
+    # the generic jump quadrature and the non-autonomous time means (with
+    # the nonlinear solver for the implicit kind) must reproduce the
+    # factorized, autonomous, directly solved run on atom marks
+    marks = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
+    space = build_sine_space(4)
+    triple = heat_jump(space, marks)
+    bundle = sample_bundle(18, TimeGrid(1.0, 256), 1, marks, 3)
+    cfg = SchemeConfig(kind=kind, n=4, m=256, l=3)
+    base = run_scheme(space, triple, cfg, bundle).values
+    scale = np.abs(base).max()
+    assert bundle.jump_times.size and scale > 0
+    generic = dataclasses.replace(triple, jump_profile=None)
+    got = run_scheme(space, generic, cfg, bundle).values
+    assert np.abs(got - base).max() <= 1e-12 * scale
+    non_autonomous = dataclasses.replace(triple, linear_A=None, autonomous=False)
+    got = run_scheme(space, non_autonomous, cfg, bundle).values
+    assert np.abs(got - base).max() <= 1e-8 * scale
 
 
 def test_stability_margin_examples():

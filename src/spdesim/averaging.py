@@ -95,7 +95,7 @@ def tilde_B(triple, grid, i, x, modes=None, quad=DEFAULT_QUADRATURE):
     return full[:, :width]
 
 
-def cell_weight_means(triple, partition):
+def cell_weight_means(partition):
     """Per-cell ratio ∫ weight ν / ν for a factorized jump coefficient."""
     wmass = np.asarray(
         partition.marks.weight_mass(partition.lo, partition.hi), dtype=float
@@ -118,7 +118,7 @@ def tilde_F(triple, grid, partition, i, x, quad=DEFAULT_QUADRATURE, points_per_c
         return np.zeros((x.size, partition.size))
     t0, t1 = _lagged_window(grid, i)
     if triple.jump_profile is not None:
-        ratio, _ = cell_weight_means(triple, partition)
+        ratio, _ = cell_weight_means(partition)
         profile = time_mean(
             triple.jump_profile, x, t0, t1, triple.autonomous, quad
         )

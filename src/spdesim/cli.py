@@ -52,9 +52,11 @@ def _cmd_simulate(args):
     seed = cfg.master_seed(settings)
     grid = TimeGrid(triple.constants.horizon, scheme_config.m)
     modes = settings.getint(
-        "noise", "l_modes", min(scheme_config.l, triple.wiener_modes)
+        "noise", "l_modes", fallback=min(scheme_config.l, triple.wiener_modes)
     )
-    level = max(settings.getint("noise", "l_level", scheme_config.l), scheme_config.l)
+    level = max(
+        settings.getint("noise", "l_level", fallback=scheme_config.l), scheme_config.l
+    )
     bundle = sample_bundle(seed, grid, modes, marks, level)
     traj = run_scheme(space, triple, scheme_config, bundle, cfg.quadrature_spec(settings))
     payload = traj.to_json()
@@ -74,9 +76,8 @@ def _cmd_simulate(args):
 def _cmd_converge(args):
     settings, marks, space, triple = _load(args)
     scheme_config = cfg.build_scheme_config(settings)
-    seed = cfg.master_seed(settings)
-    ladder = cfg.parse_ladder(settings, seed=seed)
-    workers = args.workers or settings.getint("run", "workers", 1)
+    ladder = cfg.parse_ladder(settings)
+    workers = args.workers or settings.getint("run", "workers", fallback=1)
     started = time.perf_counter()
     report = convergence_study(
         space,
@@ -88,7 +89,7 @@ def _cmd_converge(args):
         cfg.quadrature_spec(settings),
     )
     elapsed = time.perf_counter() - started
-    timing = settings.getbool("run", "timing", False)
+    timing = settings.getboolean("run", "timing", fallback=False)
     text = report.to_csv(timing=timing)
     if args.out:
         with open(args.out, "w") as fh:
@@ -128,10 +129,10 @@ def _cmd_check_conditions(args):
 
 def _cmd_stability(args):
     settings, marks, space, triple = _load(args)
-    gamma = settings.getfloat("stability", "gamma", 0.5)
-    alpha = settings.getfloat("stability", "alpha", triple.constants.alpha)
-    n_values = settings.get("stability", "n_values", "4, 8, 16")
-    m_values = settings.get("stability", "m_values", "64, 256, 1024, 4096")
+    gamma = settings.getfloat("stability", "gamma", fallback=0.5)
+    alpha = settings.getfloat("stability", "alpha", fallback=triple.constants.alpha)
+    n_values = settings.get("stability", "n_values", fallback="4, 8, 16")
+    m_values = settings.get("stability", "m_values", fallback="64, 256, 1024, 4096")
     horizon = triple.constants.horizon
     print("n,m,c_b,rho,in_I_gamma")
     for n in cfg._int_list(n_values):

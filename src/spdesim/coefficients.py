@@ -442,33 +442,15 @@ class _TransformedA:
 
 
 @dataclass(frozen=True)
-class _TransformedB:
+class _Transformed:
+    """γ⁻¹·base(t, γx, *marks) for B, F and the jump profile."""
+
     base: object
     gamma: _GammaEvaluator
 
-    def __call__(self, t, x):
+    def __call__(self, t, x, *marks):
         g = self.gamma(t)
-        return np.asarray(self.base(t, g * np.asarray(x))) / g
-
-
-@dataclass(frozen=True)
-class _TransformedF:
-    base: object
-    gamma: _GammaEvaluator
-
-    def __call__(self, t, x, xi):
-        g = self.gamma(t)
-        return np.asarray(self.base(t, g * np.asarray(x), xi)) / g
-
-
-@dataclass(frozen=True)
-class _TransformedProfile:
-    base: object
-    gamma: _GammaEvaluator
-
-    def __call__(self, t, x):
-        g = self.gamma(t)
-        return np.asarray(self.base(t, g * np.asarray(x))) / g
+        return np.asarray(self.base(t, g * np.asarray(x), *marks)) / g
 
 
 def exponential_transform(triple, k_fn):
@@ -496,15 +478,15 @@ def exponential_transform(triple, k_fn):
         k2_fn=ScaledFn(inflate, triple.constants.k2_fn),
     )
     profile = (
-        _TransformedProfile(triple.jump_profile, gamma)
+        _Transformed(triple.jump_profile, gamma)
         if triple.jump_profile is not None
         else None
     )
     return replace(
         triple,
         eval_A=_TransformedA(triple.eval_A, k_fn, gamma),
-        eval_B=_TransformedB(triple.eval_B, gamma),
-        eval_F=_TransformedF(triple.eval_F, gamma),
+        eval_B=_Transformed(triple.eval_B, gamma),
+        eval_F=_Transformed(triple.eval_F, gamma),
         jump_profile=profile,
         constants=constants,
         autonomous=False,

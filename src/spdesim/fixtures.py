@@ -117,13 +117,6 @@ class ZeroNoise:
 
 
 @dataclass(frozen=True)
-class ZeroJump:
-    def __call__(self, t, x, xi):
-        w = np.asarray(xi, dtype=float)
-        return np.multiply.outer(np.zeros(np.asarray(x).size), w)
-
-
-@dataclass(frozen=True)
 class SemilinearDrift:
     """A(x) = -1/2 Δx + pointwise g(u) integrated against the basis.
 

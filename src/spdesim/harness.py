@@ -371,8 +371,6 @@ def convergence_study(
         replace(config_template, kind=ladder.kind, n=n, m=m, l=l)
         for n, m, l in ladder.rungs + (ladder.reference,)
     ]
-    for rung_config in configs[:-1]:
-        _validate_coupling(rung_config, configs[-1])
     columns, seconds = _path_study(
         space,
         triple,

@@ -157,7 +157,7 @@ def _jump_scalars(triple, grid, partition, bundle):
     profile(x) times (sum of per-cell weight means at the observed jumps
     minus δ times the total weight mass of the level set).
     """
-    ratio, wmass = cell_weight_means(triple, partition)
+    ratio, wmass = cell_weight_means(partition)
     scalars = np.zeros(grid.m + 1)
     if bundle.jump_times.size:
         steps = np.searchsorted(grid.knots, bundle.jump_times, side="left")
@@ -272,7 +272,6 @@ def _run_steps(space, triple, config, bundle, quad):
                     break
             else:
                 new, report = solve_implicit_step(
-                    space,
                     triple,
                     grid,
                     i,
@@ -291,7 +290,6 @@ def _run_steps(space, triple, config, bundle, quad):
 
 
 def solve_implicit_step(
-    space,
     triple,
     grid,
     i,

@@ -139,7 +139,7 @@ def test_criterion_04_implicit_step_oracle():
                 grid = TimeGrid(1.0, m)
                 for _ in range(25):
                     y = rng.uniform(-5, 5, n)
-                    x, report = solve_implicit_step(space, triple, grid, 1, y)
+                    x, report = solve_implicit_step(triple, grid, 1, y)
                     want = y / (1.0 + delta * (k * np.pi) ** 2 / 2.0)
                     assert np.abs(x - want).max() <= 1e-10
                     assert report.converged
@@ -148,8 +148,8 @@ def test_criterion_04_implicit_step_oracle():
         grid = TimeGrid(1.0, 10)
         for trial in range(10):
             y = rng.uniform(-2, 2, 8)
-            xa, ra = solve_implicit_step(space, sem, grid, 2, y, x0=np.zeros(8))
-            xb, rb = solve_implicit_step(space, sem, grid, 2, y, x0=y)
+            xa, ra = solve_implicit_step(sem, grid, 2, y, x0=np.zeros(8))
+            xb, rb = solve_implicit_step(sem, grid, 2, y, x0=y)
             bound = 1e-10 * (1 + np.linalg.norm(y))
             assert ra.residual <= bound and rb.residual <= bound
             assert np.abs(xa - xb).max() <= 1e-8

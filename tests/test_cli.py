@@ -1,11 +1,26 @@
+import importlib.util
+import inspect
 import json
 import os
+from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spdesim.cli import main
-from spdesim.config import ConfigError, load_settings, master_seed
+from spdesim.config import (
+    FIXTURES,
+    ConfigError,
+    build_marks,
+    build_space,
+    build_triple,
+    load_settings,
+    master_seed,
+)
+from spdesim.noise import PowerLawMarks
+from spdesim.space import build_sine_space
 
 BASE_CONFIG = """
 [space]
@@ -221,3 +236,132 @@ def test_converge_passes_quadrature_and_reports_failures(tmp_path, monkeypatch, 
     assert main(["converge", "--config", str(path), "--out", str(tmp_path / "q.csv")]) == 0
     assert seen.get("quad") == QuadratureSpec(1)
     assert "blowups 1 failures 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixture, keys, honoured, foreign",
+    [
+        (
+            "additive_multimode",
+            "k1 = 5.0\nlambda_const = 0.9\nmodes = 3",
+            lambda tr: (tr.constants.k1_fn(0) == 5.0
+                        and tr.constants.lambda_fn(0) == 0.9
+                        and tr.wiener_modes == 3),
+            "theta",
+        ),
+        (
+            "semilinear",
+            "amplitude = 0.25\nk2 = 3.0",
+            lambda tr: tr.eval_A.amplitude == 0.25 and tr.constants.k2_fn(0) == 3.0,
+            "theta",
+        ),
+        ("zero", "horizon = 2.0", lambda tr: tr.constants.horizon == 2.0, "k1"),
+    ],
+    ids=["additive_multimode", "semilinear", "zero"],
+)
+def test_coefficient_keys_reach_the_fixture_and_foreign_keys_exit_2(
+    tmp_path, capsys, fixture, keys, honoured, foreign
+):
+    good = tmp_path / "good.cfg"
+    good.write_text(f"[coefficients]\nfixture = {fixture}\n{keys}\n")
+    settings = load_settings(good)
+    marks = build_marks(settings)
+    assert honoured(build_triple(settings, build_space(settings), marks))
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(
+        f"[coefficients]\nfixture = {fixture}\n{foreign} = 0.9\n\n[run]\ntrials = 10\n"
+    )
+    settings = load_settings(bad)
+    with pytest.raises(ConfigError, match=rf"{foreign} .*'{fixture}'"):
+        build_triple(settings, build_space(settings), marks)
+    assert main(["check-conditions", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spdesim: error: ") and err.count("\n") == 1
+    assert foreign in err
+
+
+# valid values for every keyword parameter of the shipped fixtures
+_VALID = {
+    "theta": st.floats(-0.9, 0.9),
+    "lipschitz": st.floats(0.0, 1.0),
+    "reaction": st.floats(0.0, 2.0),
+    "lambda_const": st.floats(0.1, 2.0),
+    "alpha": st.floats(1.0, 8.0),
+    "k1": st.floats(0.0, 5.0),
+    "k1bar": st.floats(0.0, 5.0),
+    "k2": st.floats(0.0, 5.0),
+    "horizon": st.floats(0.25, 4.0),
+    "amplitude": st.floats(0.0, 2.0),
+    "modes": st.integers(1, 6),
+}
+
+
+@st.composite
+def _fixture_and_keywords(draw):
+    name = draw(st.sampled_from(sorted(FIXTURES)))
+    params = list(inspect.signature(FIXTURES[name]).parameters)[2:]
+    keys = draw(st.lists(st.sampled_from(params), unique=True))
+    return name, {key: draw(_VALID[key]) for key in keys}
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(case=_fixture_and_keywords())
+def test_build_triple_equals_a_direct_fixture_call(tmp_path_factory, case):
+    name, kwargs = case
+    path = tmp_path_factory.getbasetemp() / "coefficients.cfg"
+    lines = [f"{key} = {value!r}" for key, value in kwargs.items()]
+    path.write_text("[coefficients]\nfixture = " + "\n".join([name] + lines) + "\n")
+    space = build_sine_space(4)
+    marks = PowerLawMarks(beta=1.5)
+    got = build_triple(load_settings(path), space, marks)
+    want = FIXTURES[name](space, marks, **kwargs)
+
+    assert (got.dim, got.wiener_modes) == (want.dim, want.wiener_modes)
+    for attr in ("p", "alpha", "horizon"):
+        assert getattr(got.constants, attr) == getattr(want.constants, attr)
+    for t in (0.0, 0.2, 1.0):
+        for fn in ("lambda_fn", "k1_fn", "k1bar_fn", "k2_fn"):
+            assert getattr(got.constants, fn)(t) == getattr(want.constants, fn)(t)
+    t, x, xi = 0.2, np.array([0.5, -1.0, 0.25, 2.0]), np.array([0.1, 0.7])
+    np.testing.assert_array_equal(got.eval_A(t, x), want.eval_A(t, x))
+    np.testing.assert_array_equal(got.eval_B(t, x), want.eval_B(t, x))
+    np.testing.assert_array_equal(got.eval_F(t, x, xi), want.eval_F(t, x, xi))
+    np.testing.assert_array_equal(got.jump_profile(t, x), want.jump_profile(t, x))
+
+
+def _benchmark_tracing():
+    path = Path(__file__).resolve().parents[1] / "spdebench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("spdebench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "kind, steps, evals", [("explicit", 666, 1998), ("implicit_projected", 672, 2004)]
+)
+def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, steps, evals):
+    """The benchmark tracer hooks parameter and function names of the package."""
+    tracing = _benchmark_tracing()
+    path = tmp_path / "trace.cfg"
+    path.write_text(
+        BASE_CONFIG.replace("kind = explicit", f"kind = {kind}")
+        + "\n[run]\npaths = 2\n\n[ladder]\nrungs = 2:16:1, 4:64:2\nreference = 8:256:3\n"
+    )
+    tracer = tracing.Tracer(reference=(8, 256, 3))
+    tracer.install()
+    try:
+        code = main(
+            ["converge", "--config", str(path), "--out", str(tmp_path / "t.csv"),
+             "--workers", "1"]
+        )
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    counts = tracing.exact_counts(tracer, 2)
+    assert counts["harness.reference_runs_per_path"] == 1.0
+    # per run: m - 1 explicit steps of 3 evaluations each, or m implicit
+    # solves of which the first evaluates only the drift
+    assert counts["schemes.steps"] == steps
+    assert counts["fixtures.evals_per_step"] == evals / steps

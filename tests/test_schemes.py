@@ -133,7 +133,7 @@ def test_implicit_step_affine_closed_form(n, delta):
     k = np.arange(1, n + 1)
     for _ in range(20):
         y = rng.uniform(-5, 5, n)
-        x, report = solve_implicit_step(space, triple, grid, 1, y)
+        x, report = solve_implicit_step(triple, grid, 1, y)
         want = y / (1.0 + delta * k**2 * np.pi**2 / 2.0)
         assert np.abs(x - want).max() < 1e-10
         assert report.converged
@@ -143,7 +143,7 @@ def test_implicit_step_documented_example():
     space = build_sine_space(2)
     triple = _quiet_heat(space)
     grid = TimeGrid(0.2, 2)  # delta = 0.1
-    x, _ = solve_implicit_step(space, triple, grid, 1, np.array([1.0, 1.0]))
+    x, _ = solve_implicit_step(triple, grid, 1, np.array([1.0, 1.0]))
     assert x[0] == pytest.approx(1.0 / (1.0 + 0.1 * np.pi**2 / 2.0), abs=1e-4)
     assert x[1] == pytest.approx(1.0 / (1.0 + 0.1 * 4 * np.pi**2 / 2.0), abs=1e-4)
     assert x[0] == pytest.approx(0.6696, abs=2e-4)
@@ -155,7 +155,7 @@ def test_implicit_step_zero_drift_is_identity():
     triple = zero_triple(space, MARKS)
     grid = TimeGrid(1.0, 4)
     y = np.array([0.5, -1.0, 2.0])
-    x, report = solve_implicit_step(space, triple, grid, 2, y)
+    x, report = solve_implicit_step(triple, grid, 2, y)
     assert np.allclose(x, y, atol=1e-14)
     assert report.converged
 
@@ -167,9 +167,9 @@ def test_implicit_step_semilinear_unique_root():
     rng = np.random.default_rng(21)
     y = rng.uniform(-2, 2, 6)
     x_from_zero, rep0 = solve_implicit_step(
-        space, triple, grid, 3, y, x0=np.zeros(6)
+        triple, grid, 3, y, x0=np.zeros(6)
     )
-    x_from_y, rep1 = solve_implicit_step(space, triple, grid, 3, y, x0=y)
+    x_from_y, rep1 = solve_implicit_step(triple, grid, 3, y, x0=y)
     assert rep0.converged and rep1.converged
     assert rep0.residual <= 1e-10 * (1 + np.linalg.norm(y))
     assert np.abs(x_from_zero - x_from_y).max() < 1e-8
@@ -346,7 +346,7 @@ def test_solver_failure_advises_more_steps():
     grid = TimeGrid(1.0, 2)
     with pytest.raises(ImplicitStepError, match="increase"):
         solve_implicit_step(
-            space, triple, grid, 1, np.full(4, 3.0), max_iter=25
+            triple, grid, 1, np.full(4, 3.0), max_iter=25
         )
 
 

@@ -31,6 +31,8 @@ from .rng import TAG_TRIAL, derive_key, make_generator
 from .space import norms, pairing
 
 DEFAULT_TOLERANCE = 1e-8
+# Half-width of the coordinate box the statistical checks sample states from.
+SAMPLE_BOX = 5.0
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class CoefficientTriple:
 
 @dataclass(frozen=True)
 class BoxSampler:
-    """Uniform coordinates in [−box, box]^dim and t uniform on [0, horizon].
+    """Coordinates uniform in [−SAMPLE_BOX, SAMPLE_BOX]^dim, t in [0, horizon].
 
     Pair draws mix independent box samples with single-mode bumps of one
     argument: conditions that fail only along individual basis directions
@@ -129,46 +131,46 @@ class BoxSampler:
     """
 
     dim: int
-    box: float = 5.0
     horizon: float = 1.0
-    normalize: bool = False
 
     def draw_t(self, rng):
         return float(rng.uniform(0.0, self.horizon))
 
     def draw_x(self, rng):
-        x = rng.uniform(-self.box, self.box, self.dim)
-        if self.normalize:
-            n = np.linalg.norm(x)
-            if n > 0:
-                x /= n
-        return x
+        return rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, self.dim)
 
-    def draw_pair(self, rng):
+    def point(self, rng, trial):
+        """(t, x) with x the origin at trial 0 and a box sample after it."""
+        t = self.draw_t(rng)
+        return t, np.zeros(self.dim) if trial == 0 else self.draw_x(rng)
+
+    def pair(self, rng, trial):
+        """(t, x, y) with y an independent box sample or x bumped in one mode."""
+        t = self.draw_t(rng)
         x = self.draw_x(rng)
         if rng.random() < 0.5:
-            return x, self.draw_x(rng)
+            return t, x, self.draw_x(rng)
         y = x.copy()
         mode = int(rng.integers(self.dim))
-        y[mode] += rng.uniform(-2.0 * self.box, 2.0 * self.box)
-        return x, y
+        y[mode] += rng.uniform(-2.0 * SAMPLE_BOX, 2.0 * SAMPLE_BOX)
+        return t, x, y
 
 
 class MarkIntegral:
     """Quadrature for ∫ ‖G(ξ)‖² ν(dξ) over the full mark space.
 
-    Integrates over the level-l exhaustion set cell by cell and adds the
-    analytic tail mass, extrapolated through the family's mark weight: the
-    tail term is exact whenever G(ξ) = weight(ξ)·v, which covers the
-    shipped coefficient families; otherwise it is the declared truncation
-    estimate.
+    Integrates over the level-l exhaustion set cell by cell, 4 points per
+    cell, and adds the analytic tail mass, extrapolated through the
+    family's mark weight: the tail term is exact whenever G(ξ) = weight(ξ)·v,
+    which covers the shipped coefficient families; otherwise it is the
+    declared truncation estimate.
     """
 
-    def __init__(self, marks, level=2, points_per_cell=4):
+    def __init__(self, marks, level=2):
         self.marks = marks
         self.level = level
         partition = build_partition(marks, level)
-        nodes, weights = marks.cell_rule(partition.lo, partition.hi, points_per_cell)
+        nodes, weights = marks.cell_rule(partition.lo, partition.hi, 4)
         self.nodes = nodes.ravel()
         self.weights = weights.ravel()
         self.tail_sq = marks.tail_mass_sq(level)
@@ -197,7 +199,6 @@ class ConditionReport:
     worst_violation: float
     witness: dict
     passed: bool
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __str__(self):
         state = "passed" if self.passed else "FAILED"
@@ -207,23 +208,13 @@ class ConditionReport:
         )
 
 
-def _report(condition_id, trials, worst, witness, tolerance):
-    return ConditionReport(
-        condition_id=condition_id,
-        trials=trials,
-        worst_violation=worst,
-        witness=witness,
-        passed=bool(worst <= tolerance),
-        tolerance=tolerance,
-    )
-
-
-def _scan(condition_id, trials, seed, draw, evaluate, tolerance):
+def _scan(condition_id, trials, seed, draw, evaluate):
+    """Worst of `evaluate(*draw(rng, trial))` over keyed per-trial generators."""
     worst = -math.inf
     witness = {}
     for trial in range(trials):
         rng = make_generator(derive_key(seed, TAG_TRIAL, trial))
-        sample = draw(rng)
+        sample = draw(rng, trial)
         value = evaluate(*sample)
         if not np.isfinite(value):
             raise ValueError(
@@ -236,22 +227,22 @@ def _scan(condition_id, trials, seed, draw, evaluate, tolerance):
                 "trial": trial,
                 "sample": [np.asarray(s).tolist() for s in sample],
             }
-    return _report(condition_id, trials, worst, witness, tolerance)
+    return ConditionReport(
+        condition_id=condition_id,
+        trials=trials,
+        worst_violation=worst,
+        witness=witness,
+        passed=bool(worst <= DEFAULT_TOLERANCE),
+    )
 
 
-def check_monotonicity(
-    triple, space, sampler, trials, mark_quadrature, tolerance=DEFAULT_TOLERANCE, seed=0
-):
+def check_monotonicity(triple, space, sampler, trials, mark_quadrature, seed=0):
     """Worst sampled value of the one-sided dissipativity inequality.
 
     Evaluates 2⟨A(x)−A(y), x−y⟩ + ‖B(x)−B(y)‖₂² + ∫‖F(x,ξ)−F(y,ξ)‖² ν(dξ),
-    which must stay non-positive.
+    which must stay non-positive.  `space` is unused; it keeps the
+    signature shared by the sampled checks.
     """
-
-    def draw(rng):
-        t = sampler.draw_t(rng)
-        x, y = sampler.draw_pair(rng)
-        return t, x, y
 
     def evaluate(t, x, y):
         d = x - y
@@ -264,23 +255,15 @@ def check_monotonicity(
         )
         return drift + noise + jump
 
-    return _scan("C1", trials, seed, draw, evaluate, tolerance)
+    return _scan("C1", trials, seed, sampler.pair, evaluate)
 
 
-def check_coercivity(
-    triple, space, sampler, trials, mark_quadrature, tolerance=DEFAULT_TOLERANCE, seed=0
-):
+def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
     """Worst sampled violation of the energy-dissipation inequality.
 
     The origin is always probed first; random box samples follow.
     """
     c = triple.constants
-    origin = {"left": True}
-
-    def draw(rng):
-        if origin.pop("left", False):
-            return sampler.draw_t(rng), np.zeros(sampler.dim)
-        return sampler.draw_t(rng), sampler.draw_x(rng)
 
     def evaluate(t, x):
         _, v, _ = norms(space, x)
@@ -291,24 +274,17 @@ def check_coercivity(
         lhs += c.lambda_fn(t) * v**c.p
         return lhs - c.k1_fn(t) - c.k1bar_fn(t) * h2
 
-    return _scan("C2", trials, seed, draw, evaluate, tolerance)
+    return _scan("C2", trials, seed, sampler.point, evaluate)
 
 
-def check_growth(
-    triple, space, sampler, trials, mark_quadrature=None, tolerance=DEFAULT_TOLERANCE, seed=0
-):
+def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
     """Worst sampled violation of the dual-norm growth bound on the drift.
 
     The origin is always probed first: affine offsets with no additive
-    allowance fail exactly there.
+    allowance fail exactly there.  `mark_quadrature` is unused; it keeps
+    the signature shared by the sampled checks.
     """
     c = triple.constants
-    origin = {"left": True}
-
-    def draw(rng):
-        if origin.pop("left", False):
-            return sampler.draw_t(rng), np.zeros(sampler.dim)
-        return sampler.draw_t(rng), sampler.draw_x(rng)
 
     def evaluate(t, x):
         _, v, _ = norms(space, x)
@@ -317,23 +293,14 @@ def check_growth(
         lam = c.lambda_fn(t)
         return dual**c.q - c.alpha * lam**c.q * v**c.p - c.k2_fn(t) * lam ** (c.q - 1.0)
 
-    return _scan("C3", trials, seed, draw, evaluate, tolerance)
+    return _scan("C3", trials, seed, sampler.point, evaluate)
 
 
-def probe_hemicontinuity(
-    triple,
-    space,
-    x,
-    y,
-    z,
-    t,
-    epsilons=None,
-    tolerance=DEFAULT_TOLERANCE,
-):
+def probe_hemicontinuity(triple, x, y, z, t, epsilons=None):
     """Gap |⟨A(x+εy), z⟩ − ⟨A(x), z⟩| along a vanishing ε ladder.
 
-    Passes when the gap at the smallest ε is below tolerance and the gap
-    sequence is eventually decreasing.
+    Passes when the gap at the smallest ε is below DEFAULT_TOLERANCE and
+    the gap sequence is eventually decreasing.
     """
     if epsilons is None:
         epsilons = 2.0 ** -np.arange(1, 21)
@@ -357,14 +324,11 @@ def probe_hemicontinuity(
         trials=epsilons.size,
         worst_violation=worst,
         witness={"gaps": gaps.tolist(), "eventually_decreasing": decreasing},
-        passed=bool(worst <= tolerance and decreasing),
-        tolerance=tolerance,
+        passed=bool(worst <= DEFAULT_TOLERANCE and decreasing),
     )
 
 
-def check_bf_bounds(
-    triple, space, sampler, trials, mark_quadrature, tolerance=DEFAULT_TOLERANCE, seed=0
-):
+def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
     """Worst sampled violation of the two derived bounds on (B, F).
 
     The difference bound uses the constant (3α + 2/p)·λ(t) against
@@ -372,11 +336,6 @@ def check_bf_bounds(
     2α·λ(t)‖x‖_V^p + K̄1(t)‖x‖_H² + K3(t).
     """
     c = triple.constants
-
-    def draw(rng):
-        t = sampler.draw_t(rng)
-        x, y = sampler.draw_pair(rng)
-        return t, x, y
 
     def evaluate(t, x, y):
         _, vx, _ = norms(space, x)
@@ -401,7 +360,7 @@ def check_bf_bounds(
         )
         return max(diff_lhs - diff_rhs, abs_lhs - abs_rhs)
 
-    return _scan("PropBF", trials, seed, draw, evaluate, tolerance)
+    return _scan("PropBF", trials, seed, sampler.pair, evaluate)
 
 
 class _GammaEvaluator:

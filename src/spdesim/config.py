@@ -33,16 +33,47 @@ _FIXTURE_KEYS = {
     name: tuple(inspect.signature(fn).parameters)[2:] for name, fn in FIXTURES.items()
 }
 
+
+def _float_list(raw):
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _int_list(raw):
+    return [int(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _boolean(raw):
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _rung(token):
+    return tuple(int(v) for v in token.split(":"))
+
+
+def _rungs(raw):
+    return [_rung(token) for token in raw.split(",") if token.strip()]
+
+
+# The parser of every known key, by section.
 _KNOWN_KEYS = {
-    "space": {"family", "n"},
-    "coefficients": {"fixture"}.union(*_FIXTURE_KEYS.values()),
-    "noise": {"family", "beta", "l_modes", "l_level", "master_seed",
-              "atom_positions", "atom_weights"},
-    "scheme": {"kind", "n", "m", "l", "initial"},
-    "run": {"paths", "workers", "timing", "trials"},
-    "ladder": {"rungs", "reference", "strict_gate"},
-    "stability": {"n_values", "m_values", "gamma", "alpha"},
-    "quadrature": {"points_per_step"},
+    "space": {"family": str, "n": int},
+    "coefficients": {"fixture": str} | {
+        key: int if key == "modes" else float
+        for keys in _FIXTURE_KEYS.values()
+        for key in keys
+    },
+    "noise": {"family": str, "beta": float, "l_modes": int, "l_level": int,
+              "master_seed": int, "atom_positions": _float_list,
+              "atom_weights": _float_list},
+    "scheme": {"kind": str, "n": int, "m": int, "l": int,
+               "initial": lambda raw: raw in ("smooth", "zero") or _float_list(raw)},
+    "run": {"paths": int, "workers": int, "timing": _boolean, "trials": int},
+    "ladder": {"rungs": _rungs, "reference": _rung, "strict_gate": _boolean},
+    "stability": {"n_values": _int_list, "m_values": _int_list, "gamma": float,
+                  "alpha": float},
+    "quadrature": {"points_per_step": int},
 }
 
 
@@ -51,7 +82,11 @@ class ConfigError(ValueError):
 
 
 def load_settings(path):
-    """The parsed config, with unknown sections and keys rejected."""
+    """The parsed config; unknown sections and keys and bad values are rejected.
+
+    A value that does not parse, or an SPDE_SEED that is not an integer,
+    raises a ConfigError naming its `[section] key` or the variable.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(path)
     if not read:
@@ -59,10 +94,21 @@ def load_settings(path):
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser.options(section):
+        for key, raw in parser.items(section):
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            _parse(f"[{section}] {key}", _KNOWN_KEYS[section][key], raw)
+    env = os.environ.get("SPDE_SEED")
+    if env is not None:
+        _parse("SPDE_SEED", int, env)
     return parser
+
+
+def _parse(where, parse, raw):
+    try:
+        parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def master_seed(settings):
@@ -85,14 +131,6 @@ def build_marks(settings):
         )
         return AtomMarks(positions=tuple(positions), weights=tuple(weights))
     raise ConfigError(f"unknown mark family {family!r}")
-
-
-def _float_list(raw):
-    return [float(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _int_list(raw):
-    return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
 def ambient_dim(settings):
@@ -130,7 +168,7 @@ def build_triple(settings, space, marks):
                     f"[coefficients] {key} is not a parameter of fixture {name!r}; "
                     f"it takes {', '.join(_FIXTURE_KEYS[name])}"
                 )
-            kwargs[key] = int(raw) if key == "modes" else float(raw)
+            kwargs[key] = _KNOWN_KEYS["coefficients"][key](raw)
     return FIXTURES[name](space, marks, **kwargs)
 
 
@@ -155,17 +193,9 @@ def build_scheme_config(settings):
 def parse_ladder(settings):
     if not settings.has_section("ladder"):
         raise ConfigError("config has no [ladder] section")
-    rungs = []
-    for token in settings.get("ladder", "rungs", fallback="").split(","):
-        token = token.strip()
-        if token:
-            rungs.append(tuple(int(v) for v in token.split(":")))
-    reference = tuple(
-        int(v) for v in settings.get("ladder", "reference", fallback="").split(":")
-    )
     return LadderSpec(
-        rungs=tuple(rungs),
-        reference=reference,
+        rungs=tuple(_rungs(settings.get("ladder", "rungs", fallback=""))),
+        reference=_rung(settings.get("ladder", "reference", fallback="")),
         paths=settings.getint("run", "paths", fallback=100),
         master_seed=master_seed(settings),
         kind=settings.get("scheme", "kind", fallback="explicit"),

@@ -220,17 +220,6 @@ def _error_stats(column):
     return mean, half, blowups, failures
 
 
-def _validate_coupling(config_coarse, config_fine):
-    if config_fine.m % config_coarse.m != 0:
-        raise ValueError(
-            f"coarse m = {config_coarse.m} does not divide fine m = {config_fine.m}"
-        )
-    if config_coarse.l > config_fine.l:
-        raise ValueError("coarse level exceeds fine level")
-    if config_coarse.n > config_fine.n:
-        raise ValueError("coarse dimension exceeds fine dimension")
-
-
 def coupled_error(
     space,
     triple,
@@ -246,7 +235,12 @@ def coupled_error(
     Returns the mean and 95% half-width over the completed paths, the
     number of blown-up paths and the number whose implicit solver failed.
     """
-    _validate_coupling(config_coarse, config_fine)
+    LadderSpec(
+        rungs=((config_coarse.n, config_coarse.m, config_coarse.l),),
+        reference=(config_fine.n, config_fine.m, config_fine.l),
+        paths=paths,
+        master_seed=master_seed,
+    )
     (column,), _ = _path_study(
         space,
         triple,
@@ -302,11 +296,12 @@ class LadderSpec:
                 raise ValueError(f"rung {r} exceeds the reference {ref}")
 
 
-def validate_ladder(ladder, space_builder):
+def validate_ladder(ladder, space):
     """Explicit-mode stability gate: C_B(n)/m must decrease when strict."""
     if ladder.kind == EXPLICIT and ladder.strict_gate:
         quotients = [
-            c_b(space_builder(n)) / m for (n, m, _) in ladder.rungs + (ladder.reference,)
+            c_b(restrict(space, n)) / m
+            for (n, m, _) in ladder.rungs + (ladder.reference,)
         ]
         diffs = np.diff(quotients)
         if not (diffs < 0).all():
@@ -366,7 +361,7 @@ def convergence_study(
     verdict is "pass" when the estimates decrease monotonically and the
     95% intervals of the first and last rung do not overlap.
     """
-    validate_ladder(ladder, lambda n: restrict(space, n))
+    validate_ladder(ladder, space)
     configs = [
         replace(config_template, kind=ladder.kind, n=n, m=m, l=l)
         for n, m, l in ladder.rungs + (ladder.reference,)
@@ -417,56 +412,38 @@ def convergence_study(
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Trial counts and sampling ranges for the structural-condition suite."""
+    """Trial count and master seed of the structural-condition suite."""
 
     trials: int = 10_000
     seed: int = 2024
-    box: float = 5.0
-    level: int = 2
-    points_per_cell: int = 4
-    tolerance: float = 1e-8
 
 
 def run_condition_suite(triple, space, marks, config=SuiteConfig()):
-    """All structural checks on one triple; returns the five reports."""
-    sampler = BoxSampler(
-        dim=space.dim, box=config.box, horizon=triple.constants.horizon
-    )
-    quadrature = MarkIntegral(marks, config.level, config.points_per_cell)
+    """All structural checks on one triple; returns the five reports.
+
+    States are sampled from the box of half-width SAMPLE_BOX, mark integrals
+    use the level-2 partition with 4 points per cell, and a check passes
+    when its worst violation is at most DEFAULT_TOLERANCE.
+    """
+    sampler = BoxSampler(dim=space.dim, horizon=triple.constants.horizon)
+    quadrature = MarkIntegral(marks)
+    # built per call so that names patched into this module are the ones run
+    checks = (check_monotonicity, check_coercivity, check_growth)
     reports = [
-        check_monotonicity(
-            triple, space, sampler, config.trials, quadrature,
-            tolerance=config.tolerance, seed=config.seed,
-        ),
-        check_coercivity(
-            triple, space, sampler, config.trials, quadrature,
-            tolerance=config.tolerance, seed=config.seed + 1,
-        ),
-        check_growth(
-            triple, space, sampler, config.trials, quadrature,
-            tolerance=config.tolerance, seed=config.seed + 2,
-        ),
+        check(triple, space, sampler, config.trials, quadrature, seed=config.seed + k)
+        for k, check in enumerate(checks)
     ]
     probe_rng = make_generator(derive_key(config.seed, TAG_TRIAL, 3))
-    unit = BoxSampler(
-        dim=space.dim, box=config.box, horizon=triple.constants.horizon, normalize=True
-    )
+    directions = [sampler.draw_x(probe_rng) for _ in range(3)]
+    x, y, z = (v / np.linalg.norm(v) for v in directions)
     reports.append(
         probe_hemicontinuity(
-            triple,
-            space,
-            unit.draw_x(probe_rng),
-            unit.draw_x(probe_rng),
-            unit.draw_x(probe_rng),
-            unit.draw_t(probe_rng),
-            epsilons=2.0 ** -np.arange(1, 41),
-            tolerance=config.tolerance,
+            triple, x, y, z, sampler.draw_t(probe_rng), 2.0 ** -np.arange(1, 41)
         )
     )
     reports.append(
         check_bf_bounds(
-            triple, space, sampler, config.trials, quadrature,
-            tolerance=config.tolerance, seed=config.seed + 4,
+            triple, space, sampler, config.trials, quadrature, seed=config.seed + 4
         )
     )
     return reports

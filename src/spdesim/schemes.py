@@ -36,6 +36,8 @@ EXPLICIT = "explicit"
 IMPLICIT = "implicit"
 IMPLICIT_PROJECTED = "implicit_projected"
 SCHEME_KINDS = (EXPLICIT, IMPLICIT, IMPLICIT_PROJECTED)
+# The implicit step is solved to a residual of SOLVER_TOL·(1 + ‖y‖).
+SOLVER_TOL = 1e-10
 
 
 class ImplicitStepError(RuntimeError):
@@ -57,7 +59,6 @@ class SchemeConfig:
     m: int
     l: int
     initial: object = None
-    tol: float = 1e-10
     max_iter: int = 200
 
     def __post_init__(self):
@@ -276,7 +277,6 @@ def _run_steps(space, triple, config, bundle, quad):
                     grid,
                     i,
                     new,
-                    tol=config.tol,
                     max_iter=config.max_iter,
                     quad=quad,
                     _lu=lu,
@@ -294,7 +294,6 @@ def solve_implicit_step(
     grid,
     i,
     y,
-    tol=1e-10,
     max_iter=200,
     x0=None,
     quad=DEFAULT_QUADRATURE,
@@ -310,7 +309,7 @@ def solve_implicit_step(
     y = np.asarray(y, dtype=float)
     n = y.size
     delta = grid.delta
-    target = tol * (1.0 + float(np.linalg.norm(y)))
+    target = SOLVER_TOL * (1.0 + float(np.linalg.norm(y)))
 
     if triple.linear_A is not None and triple.autonomous:
         try:

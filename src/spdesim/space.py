@@ -28,7 +28,6 @@ class GalerkinSpace:
     dim: int
     v_gram: np.ndarray
     basis_id: str
-    p_exponent: float = 2.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -41,8 +40,6 @@ class GalerkinSpace:
         if not np.allclose(gram, gram.T, rtol=1e-12, atol=1e-12):
             raise ValueError("v_gram must be symmetric")
         object.__setattr__(self, "v_gram", gram)
-        if self.p_exponent < 2.0:
-            raise ValueError("p exponent must be >= 2")
 
     @cached_property
     def _v_chol(self):
@@ -53,7 +50,7 @@ class GalerkinSpace:
             raise ValueError("v_gram is not positive definite") from exc
 
 
-def build_sine_space(n, p_exponent=2.0):
+def build_sine_space(n):
     """Span of sqrt(2)·sin(kπx), k = 1..n, on (0,1) with Dirichlet ends.
 
     H is L²(0,1); the V-norm is the L² norm of the derivative, whose Gram
@@ -66,7 +63,6 @@ def build_sine_space(n, p_exponent=2.0):
         dim=int(n),
         v_gram=np.diag((k * np.pi) ** 2),
         basis_id=SINE_FAMILY,
-        p_exponent=p_exponent,
     )
 
 
@@ -80,7 +76,6 @@ def restrict(space, n):
         dim=int(n),
         v_gram=space.v_gram[:n, :n],
         basis_id=space.basis_id,
-        p_exponent=space.p_exponent,
     )
 
 

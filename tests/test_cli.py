@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import hypothesis
@@ -106,6 +107,30 @@ def test_errors_exit_with_one_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "spdesim: error: implicit step did not converge\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, seed, where",
+    [
+        (BASE_CONFIG.replace("n = 4", "n = six"), None, "[scheme] n"),
+        (BASE_CONFIG.replace("theta = 0.5", "theta = half"), None, "[coefficients] theta"),
+        (BASE_CONFIG + LADDER_SECTION.replace("2:16:1, 4:64:2", "2:8:x"), None,
+         "[ladder] rungs"),
+        (BASE_CONFIG, "abc", "SPDE_SEED"),
+    ],
+    ids=["scheme-n", "coefficients-theta", "ladder-rungs", "SPDE_SEED"],
+)
+def test_unparsable_value_exits_2_naming_its_key(
+    tmp_path, capsys, monkeypatch, text, seed, where
+):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    if seed is not None:
+        monkeypatch.setenv("SPDE_SEED", seed)
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spdesim: error: ") and err.count("\n") == 1
+    assert where in err
 
 
 def test_env_seed_override(config_file, monkeypatch):
@@ -365,3 +390,24 @@ def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, steps, evals):
     # solves of which the first evaluates only the drift
     assert counts["schemes.steps"] == steps
     assert counts["fixtures.evals_per_step"] == evals / steps
+
+
+def test_benchmark_tracer_counts_a_condition_suite(tmp_path):
+    """Each check is one span under the name the benchmark reads."""
+    tracing = _benchmark_tracing()
+    path = tmp_path / "trace.cfg"
+    path.write_text(BASE_CONFIG + "\n[run]\ntrials = 20\n")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main(["check-conditions", "--config", str(path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    spans = Counter(tracer.labels[i] for i in tracer.arrays()["name"])
+    for check in ("C1", "C2", "C3", "C4", "PropBF"):
+        assert spans[f"coefficients.{check}"] == 1
+    # one integral in C1 and C2, none in C3 and two in PropBF per trial
+    assert spans["coefficients.integral_sq"] == 4 * 20
+    # one generator per trial of the four sampled checks, one for the probe
+    assert tracing.exact_counts(tracer, 0)["rng.make_generator.calls"] == 4 * 20 + 1

@@ -32,7 +32,7 @@ TRIALS = 800
 
 @pytest.fixture(scope="module")
 def quadrature():
-    return MarkIntegral(MARKS, level=2, points_per_cell=4)
+    return MarkIntegral(MARKS, level=2)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +155,7 @@ def test_hemicontinuity_linear_decay(base):
     y = np.full(8, -0.25)
     z = np.linspace(0.1, 0.8, 8)
     eps = 2.0 ** -np.arange(1, 21)
-    report = probe_hemicontinuity(base, SPACE, x, y, z, 0.0, epsilons=eps)
+    report = probe_hemicontinuity(base, x, y, z, 0.0, epsilons=eps)
     gaps = np.asarray(report.witness["gaps"])
     # linear drift: gap(eps) = eps * |<A(y), z>| exactly
     scale = abs(z @ np.asarray(base.eval_A(0.0, y)))
@@ -164,7 +164,7 @@ def test_hemicontinuity_linear_decay(base):
 
 def test_hemicontinuity_zero_direction(base):
     report = probe_hemicontinuity(
-        base, SPACE, np.ones(8), np.zeros(8), np.ones(8), 0.2
+        base, np.ones(8), np.zeros(8), np.ones(8), 0.2
     )
     assert report.passed
     assert report.worst_violation == 0.0
@@ -177,7 +177,7 @@ def test_hemicontinuity_semilinear(base):
     y = rng.normal(size=8) / 4
     z = rng.normal(size=8) / 4
     report = probe_hemicontinuity(
-        sem, SPACE, x, y, z, 0.0, epsilons=2.0 ** -np.arange(1, 41)
+        sem, x, y, z, 0.0, epsilons=2.0 ** -np.arange(1, 41)
     )
     assert report.passed
     assert report.worst_violation < 1e-8
@@ -186,7 +186,7 @@ def test_hemicontinuity_semilinear(base):
 def test_hemicontinuity_rejects_bad_ladder(base):
     with pytest.raises(ValueError):
         probe_hemicontinuity(
-            base, SPACE, np.ones(8), np.ones(8), np.ones(8), 0.0,
+            base, np.ones(8), np.ones(8), np.ones(8), 0.0,
             epsilons=np.array([0.5, 0.5]),
         )
 

@@ -150,9 +150,9 @@ def test_strict_gate_rejects_growing_quotient():
         strict_gate=True,
     )
     with pytest.raises(ValueError, match="stability gate"):
-        validate_ladder(ladder, lambda n: restrict(SPACE, n))
+        validate_ladder(ladder, SPACE)
     relaxed = dataclasses.replace(ladder, strict_gate=False)
-    validate_ladder(relaxed, lambda n: restrict(SPACE, n))
+    validate_ladder(relaxed, SPACE)
 
 
 def test_strict_gate_accepts_decreasing_quotient():
@@ -163,7 +163,7 @@ def test_strict_gate_accepts_decreasing_quotient():
         master_seed=0,
         strict_gate=True,
     )
-    validate_ladder(ladder, lambda n: restrict(SPACE, n))
+    validate_ladder(ladder, SPACE)
 
 
 def test_single_rung_equal_to_reference():

@@ -19,8 +19,10 @@ from spdesim.noise import (
     kappa,
     sample_bundle,
 )
+from spdesim.rng import derive_key
 
 MARKS = PowerLawMarks()
+ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
 
 
 def test_grid_knots_cover_horizon():
@@ -176,6 +178,59 @@ def test_coarsen_rejects_non_divisor():
         coarsen_wiener(bundle, 2, 5)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    tag=st.integers(0, 255),
+    indices=st.lists(st.integers(0, 2**63), min_size=1, max_size=16),
+    data=st.data(),
+)
+def test_derive_key_over_an_index_array_equals_scalar_calls(seed, tag, indices, data):
+    keys = derive_key(seed, tag, np.array(indices, dtype=np.uint64))
+    assert keys.tolist() == [derive_key(seed, tag, i) for i in indices]
+    order = data.draw(st.permutations(range(len(indices))))
+    permuted = derive_key(seed, tag, np.array(indices, dtype=np.uint64)[order])
+    assert np.array_equal(permuted, keys[order])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    m_coarse=st.sampled_from([1, 2, 64, 512, 4096]),
+    modes=st.integers(1, 2),
+)
+def test_coarse_increments_are_bit_exact_sums_of_fine_ones(seed, m_coarse, modes):
+    bundle = sample_bundle(seed, TimeGrid(1.0, 4096), 2, MARKS, 1)
+    factor = 4096 // m_coarse
+    want = [
+        [bundle.wiener[j, i * factor : (i + 1) * factor].sum() for i in range(m_coarse)]
+        for j in range(modes)
+    ]
+    got = coarsen_wiener(bundle, m_coarse, modes)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    level=st.integers(2, 4),
+    marks=st.sampled_from([MARKS, PowerLawMarks(beta=1.2), ATOMS]),
+)
+def test_cell_counts_aggregate_through_parent(seed, level, marks):
+    # a bundle large enough to put jumps in most cells
+    bundle = sample_bundle(seed, TimeGrid(8.0, 2), 0, marks, level)
+    fine = build_partition(marks, level)
+    coarse = build_partition(marks, level - 1)
+    fine_counts = np.bincount(fine.locate(bundle.jump_marks), minlength=fine.size)
+    inside = fine.parent >= 0
+    summed = np.bincount(
+        fine.parent[inside], weights=fine_counts[inside], minlength=coarse.size
+    )
+    cells = coarse.locate(bundle.jump_marks)
+    want = np.bincount(cells[cells >= 0], minlength=coarse.size)
+    assert np.array_equal(summed, want)
+
+
 def test_coarse_increment_variance():
     grid = TimeGrid(1.0, 8)
     vals = [
@@ -278,9 +333,6 @@ def test_bundle_json_roundtrip():
     assert np.array_equal(clone.jump_times, bundle.jump_times)
     assert np.array_equal(clone.jump_marks, bundle.jump_marks)
     assert clone.marks.beta == MARKS.beta
-
-
-ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
 
 
 @settings(max_examples=25, deadline=None)

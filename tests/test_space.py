@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdesim.space import (
     build_sine_space,
@@ -56,6 +58,18 @@ def test_project_identity_on_own_space():
     space = build_sine_space(4)
     x = np.array([0.3, -1.2, 4.0, 0.01])
     assert np.array_equal(project(space, x), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), extra=st.integers(0, 8), data=st.data())
+def test_project_undoes_embed(n, extra, data):
+    x = np.array(
+        data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)),
+        dtype=float,
+    )
+    space = build_sine_space(n + extra)
+    got = project(restrict(space, n), embed(x, n + extra))
+    assert got.tobytes() == x.tobytes()
 
 
 def test_project_truncates_coordinates():

@@ -1,6 +1,6 @@
 """Galerkin time stepping for stochastic evolution equations with jumps."""
 
-from .averaging import QuadratureSpec, impl_A, tilde_A, tilde_B, tilde_F
+from .averaging import QuadratureSpec, impl_A, tilde_F
 from .coefficients import (
     BoxSampler,
     CoefficientTriple,
@@ -36,7 +36,6 @@ from .noise import (
     bundle_to_json,
     coarsen_wiener,
     compensated_cell_increments,
-    kappa,
     sample_bundle,
 )
 from .schemes import (

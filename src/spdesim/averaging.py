@@ -65,36 +65,6 @@ def _check_step(grid, i):
         raise ValueError(f"step index {i} outside 0..{grid.m}")
 
 
-def _lagged_window(grid, i):
-    knots = grid.knots
-    return float(knots[i - 2]), float(knots[i - 1])
-
-
-def tilde_A(triple, grid, i, x, quad=DEFAULT_QUADRATURE):
-    """Drift averaged over the previous subinterval; zero at the first two knots."""
-    _check_step(grid, i)
-    x = np.asarray(x, dtype=float)
-    if i < 2:
-        return np.zeros(x.size)
-    t0, t1 = _lagged_window(grid, i)
-    return time_mean(triple.eval_A, x, t0, t1, triple.autonomous, quad)
-
-
-def tilde_B(triple, grid, i, x, modes=None, quad=DEFAULT_QUADRATURE):
-    """Wiener coefficient averaged over the previous subinterval.
-
-    Columns beyond `modes` (the Wiener truncation level) are dropped.
-    """
-    _check_step(grid, i)
-    x = np.asarray(x, dtype=float)
-    width = triple.wiener_modes if modes is None else min(modes, triple.wiener_modes)
-    if i < 2:
-        return np.zeros((x.size, width))
-    t0, t1 = _lagged_window(grid, i)
-    full = time_mean(triple.eval_B, x, t0, t1, triple.autonomous, quad)
-    return full[:, :width]
-
-
 def cell_weight_means(partition):
     """Per-cell ratio ∫ weight ν / ν for a factorized jump coefficient."""
     wmass = np.asarray(
@@ -105,34 +75,28 @@ def cell_weight_means(partition):
     return ratio, wmass
 
 
-def tilde_F(triple, grid, partition, i, x, quad=DEFAULT_QUADRATURE, points_per_cell=4):
+def tilde_F(triple, grid, partition, i, x, rule, quad=DEFAULT_QUADRATURE):
     """Jump coefficient averaged in time and over each partition cell.
 
     Returns a (dim, cells) matrix whose column j is the mean of F over
-    [t_{i−2}, t_{i−1}] × cell_j against the normalized cell mass; columns
-    are zero at the first two knots and for massless cells.
+    [t_{i−2}, t_{i−1}] × cell_j against the normalized cell mass, with the
+    cell integrals taken by `rule`, the (nodes, weights) of
+    `partition.marks.cell_rule`; columns are zero at the first two knots
+    and for massless cells.  Factorized jump coefficients need no cell
+    quadrature: their cell means are `cell_weight_means`.
     """
     _check_step(grid, i)
     x = np.asarray(x, dtype=float)
     if i < 2:
         return np.zeros((x.size, partition.size))
-    t0, t1 = _lagged_window(grid, i)
-    if triple.jump_profile is not None:
-        ratio, _ = cell_weight_means(partition)
-        profile = time_mean(
-            triple.jump_profile, x, t0, t1, triple.autonomous, quad
-        )
-        return np.multiply.outer(profile, ratio)
-
-    nodes, weights = partition.marks.cell_rule(
-        partition.lo, partition.hi, points_per_cell
-    )
+    nodes, weights = rule
 
     def cell_integrals(s, x):
         vals = np.asarray(triple.eval_F(s, x, nodes.ravel()), dtype=float)
         vals = vals.reshape(x.size, partition.size, -1)
         return np.einsum("dcq,cq->dc", vals, weights)
 
+    t0, t1 = float(grid.knots[i - 2]), float(grid.knots[i - 1])
     integrals = time_mean(cell_integrals, x, t0, t1, triple.autonomous, quad)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(partition.nu > 0, integrals / partition.nu, 0.0)

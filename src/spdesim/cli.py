@@ -27,6 +27,8 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from . import config as cfg
 from .harness import convergence_study, run_condition_suite
 from .noise import TimeGrid, sample_bundle
@@ -46,6 +48,15 @@ def _load(args):
     return settings, marks, space, triple
 
 
+def _vnorm_weighted(traj, space, constants, grid):
+    """δ·Σ_i λ(t_i)·‖u(t_i)‖_V^p over the knots before any blow-up."""
+    last = traj.m if traj.blow_up_step is None else traj.blow_up_step - 1
+    vals = traj.values[: last + 1]
+    vsq = ((vals @ restrict(space, traj.n).v_gram) * vals).sum(1)
+    lam = np.array([constants.lambda_fn(t) for t in traj.knots[: last + 1]])
+    return float(np.sum(grid.delta * lam * vsq ** (constants.p / 2.0)))
+
+
 def _cmd_simulate(args):
     settings, marks, space, triple = _load(args)
     scheme_config = cfg.build_scheme_config(settings)
@@ -59,7 +70,9 @@ def _cmd_simulate(args):
     )
     bundle = sample_bundle(seed, grid, modes, marks, level)
     traj = run_scheme(space, triple, scheme_config, bundle, cfg.quadrature_spec(settings))
-    payload = traj.to_json()
+    payload = traj.to_json(
+        vnorm_weighted=_vnorm_weighted(traj, space, triple.constants, grid)
+    )
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)

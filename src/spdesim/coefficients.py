@@ -363,8 +363,18 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
     return _scan("PropBF", trials, seed, sampler.pair, evaluate)
 
 
+# Values of γ kept per transformed triple: every quadrature node of a
+# 4096-step reference run and its rungs, so the paths of a ladder share them,
+# while condition-suite trials at random times cannot grow the cache further.
+GAMMA_CACHE_SIZE = 1 << 15
+
+
 class _GammaEvaluator:
-    """exp(−½∫₀ᵗ K) with adaptive quadrature and per-knot caching."""
+    """exp(−½∫₀ᵗ K) with adaptive quadrature and a bounded per-time cache.
+
+    The cache is a plain dict (oldest entry evicted first) so that
+    transformed triples still pickle for worker processes.
+    """
 
     def __init__(self, k_fn):
         self.k_fn = k_fn
@@ -383,6 +393,8 @@ class _GammaEvaluator:
                 self._k, 0.0, t, epsabs=0.0, epsrel=1e-10, limit=200
             )
             got = math.exp(-0.5 * integral)
+            if len(self._cache) >= GAMMA_CACHE_SIZE:
+                del self._cache[next(iter(self._cache))]
             self._cache[t] = got
         return got
 

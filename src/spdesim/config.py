@@ -193,9 +193,12 @@ def build_scheme_config(settings):
 def parse_ladder(settings):
     if not settings.has_section("ladder"):
         raise ConfigError("config has no [ladder] section")
+    for key in ("rungs", "reference"):
+        if not settings.has_option("ladder", key):
+            raise ConfigError(f"[ladder] {key}: missing")
     return LadderSpec(
-        rungs=tuple(_rungs(settings.get("ladder", "rungs", fallback=""))),
-        reference=_rung(settings.get("ladder", "reference", fallback="")),
+        rungs=tuple(_rungs(settings.get("ladder", "rungs"))),
+        reference=_rung(settings.get("ladder", "reference")),
         paths=settings.getint("run", "paths", fallback=100),
         master_seed=master_seed(settings),
         kind=settings.get("scheme", "kind", fallback="explicit"),

@@ -48,21 +48,6 @@ class TimeGrid:
         return np.arange(self.m + 1) * (self.T / self.m)
 
 
-def kappa(grid, t):
-    """Grid knots bracketing t with left-open windows: t in (κ1, κ2].
-
-    At t = 0 both values are 0 by convention.
-    """
-    if t < 0 or t > grid.T:
-        raise ValueError(f"time {t} outside [0, {grid.T}]")
-    if t <= 0:
-        return 0.0, 0.0
-    knots = grid.knots
-    idx = int(np.searchsorted(knots, t, side="left"))
-    idx = max(idx, 1)
-    return float(knots[idx - 1]), float(knots[idx])
-
-
 class MarkSpace:
     """Common interface of the shipped jump-mark families."""
 
@@ -243,17 +228,13 @@ class AtomMarks(MarkSpace):
 class MarkPartition:
     """Cells of diameter < ε_level covering E^level, with ν-masses.
 
-    Cells are ordered by position.  `shell[j]` is the exhaustion shell the
-    cell lies in; `parent[j]` indexes the containing cell one level down
-    (−1 for cells outside E^{level−1}).
+    Cells are ordered by position.
     """
 
     level: int
     lo: np.ndarray
     hi: np.ndarray
     nu: np.ndarray
-    shell: np.ndarray
-    parent: np.ndarray | None
     marks: MarkSpace
 
     @property
@@ -263,6 +244,19 @@ class MarkPartition:
     @cached_property
     def _edges(self):
         return np.append(self.lo, self.hi[-1])
+
+    @cached_property
+    def parent(self):
+        """Containing cell one level down per cell (−1 outside E^{level−1}).
+
+        None at level 1.
+        """
+        if self.level == 1:
+            return None
+        if isinstance(self.marks, AtomMarks):
+            return np.arange(self.size)
+        coarse = build_partition(self.marks, self.level - 1)
+        return np.asarray(coarse.locate(0.5 * (self.lo + self.hi)))
 
     def locate(self, xi):
         """Cell index per mark; −1 for marks outside E^level.
@@ -289,33 +283,13 @@ def build_partition(marks, level):
     if isinstance(marks, AtomMarks):
         pos = np.asarray(marks.positions)
         w = np.asarray(marks.weights)
-        parent = None if level == 1 else np.arange(pos.size)
         return MarkPartition(
-            level=level,
-            lo=pos.copy(),
-            hi=pos.copy(),
-            nu=w.copy(),
-            shell=np.ones(pos.size, dtype=int),
-            parent=parent,
-            marks=marks,
+            level=level, lo=pos.copy(), hi=pos.copy(), nu=w.copy(), marks=marks
         )
     edges = marks.cell_edges(level)
     lo, hi = edges[:-1], edges[1:]
     nu = np.asarray(marks.mass(lo, hi), dtype=float)
-    shell = np.empty(lo.size, dtype=int)
-    # shell k spans marks in [eps_k, eps_{k-1})
-    for k in range(1, level + 1):
-        inside = (lo >= marks.epsilon(k) - 1e-15) & (lo < marks.epsilon(k - 1))
-        shell[inside] = k
-    if level == 1:
-        parent = None
-    else:
-        coarse = build_partition(marks, level - 1)
-        centers = 0.5 * (lo + hi)
-        parent = np.asarray(coarse.locate(centers))
-    return MarkPartition(
-        level=level, lo=lo, hi=hi, nu=nu, shell=shell, parent=parent, marks=marks
-    )
+    return MarkPartition(level=level, lo=lo, hi=hi, nu=nu, marks=marks)
 
 
 @dataclass(frozen=True)

@@ -88,13 +88,13 @@ class Trajectory:
     blow_up_step: int | None = None
     solver_iterations: list = field(default_factory=list)
     solver_residuals: list = field(default_factory=list)
-    vnorm_weighted: float = 0.0
 
     @property
     def final(self):
         return self.values[self.m]
 
-    def to_json(self):
+    def to_json(self, **extra):
+        """The trajectory as one JSON object; `extra` keys follow its own."""
         return json.dumps(
             {
                 "kind": self.kind,
@@ -106,7 +106,7 @@ class Trajectory:
                 "blow_up_step": self.blow_up_step,
                 "solver_iterations": list(self.solver_iterations),
                 "solver_residuals": list(self.solver_residuals),
-                "vnorm_weighted": self.vnorm_weighted,
+                **extra,
             }
         )
 
@@ -177,17 +177,6 @@ def _check_bundle(config, bundle):
         raise ValueError(f"bundle level {bundle.l_level} < requested l = {config.l}")
 
 
-def _diagnose(traj, space, constants, grid):
-    last = traj.m if traj.blow_up_step is None else traj.blow_up_step - 1
-    vals = traj.values[: last + 1]
-    gram = space.v_gram
-    vsq = np.einsum("ij,jk,ik->i", vals, gram, vals)
-    lam = np.array([constants.lambda_fn(t) for t in grid.knots[: last + 1]])
-    traj.vnorm_weighted = float(
-        np.sum(grid.delta * lam * vsq ** (constants.p / 2.0))
-    )
-
-
 def run_explicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
     """Projected explicit scheme driven by one noise bundle."""
     if config.kind != EXPLICIT:
@@ -235,12 +224,15 @@ def _run_steps(space, triple, config, bundle, quad):
     factorized = triple.jump_profile is not None
     if factorized:
         scalars = _jump_scalars(triple, grid, partition, bundle)
+    else:
+        rule = partition.marks.cell_rule(partition.lo, partition.hi, 4)
     traj = Trajectory(
         kind=config.kind, n=n, m=m, l=l, knots=grid.knots, values=values
     )
-    lu = None
+    direct = None
     if not explicit and triple.linear_A is not None and triple.autonomous:
-        lu = scipy.linalg.lu_factor(np.eye(n) - delta * triple.linear_A[:n, :n])
+        mat = np.eye(n) - delta * triple.linear_A[:n, :n]
+        direct = (mat, scipy.linalg.lu_factor(mat))
     knots = grid.knots.tolist()
     autonomous = triple.autonomous
     x = values[first]
@@ -262,7 +254,7 @@ def _run_steps(space, triple, config, bundle, quad):
                     )
                     new = new + scalars[i] * profile
                 else:
-                    cols = tilde_F(triple, grid, partition, i, x, quad)
+                    cols = tilde_F(triple, grid, partition, i, x, rule, quad)
                     new = new + cols @ compensated_cell_increments(
                         bundle, partition, grid, i
                     )
@@ -279,13 +271,12 @@ def _run_steps(space, triple, config, bundle, quad):
                     new,
                     max_iter=config.max_iter,
                     quad=quad,
-                    _lu=lu,
+                    _direct=direct,
                 )
                 traj.solver_iterations.append(report.iterations)
                 traj.solver_residuals.append(report.residual)
             values[i] = new
             x = new
-    _diagnose(traj, space, triple.constants, grid)
     return traj
 
 
@@ -297,35 +288,37 @@ def solve_implicit_step(
     max_iter=200,
     x0=None,
     quad=DEFAULT_QUADRATURE,
-    _lu=None,
+    _direct=None,
 ):
     """Solve x − δ·(Π_n)A^m_i(x) = y for the implicit step.
 
-    Affine drifts are solved directly; otherwise a damped residual
-    iteration runs first and a finite-difference Newton step takes over
-    when it stalls.  Non-convergence signals that the step equation has
-    left the strongly monotone regime, i.e. the time step is too large.
+    Affine autonomous drifts are solved directly through the LU factor of
+    I − δA (`_direct` passes the matrix and its factor in, built once per
+    run); otherwise a damped residual iteration runs first and a
+    finite-difference Newton step takes over when it stalls.
+    Non-convergence signals that the step equation has left the strongly
+    monotone regime, i.e. the time step is too large.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     delta = grid.delta
-    target = SOLVER_TOL * (1.0 + float(np.linalg.norm(y)))
 
     if triple.linear_A is not None and triple.autonomous:
         try:
-            if _lu is None:
+            if _direct is None:
                 mat = np.eye(n) - delta * triple.linear_A[:n, :n]
-                _lu = scipy.linalg.lu_factor(mat)
-            x = scipy.linalg.lu_solve(_lu, y)
+                _direct = (mat, scipy.linalg.lu_factor(mat))
+            mat, lu = _direct
+            x = scipy.linalg.lu_solve(lu, y)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise ImplicitStepError(
                 "implicit step matrix is singular; increase the number of "
                 "time steps m"
             ) from exc
-        residual = float(
-            np.linalg.norm(x - delta * impl_A(triple, grid, i, x, quad) - y)
-        )
+        residual = float(np.linalg.norm(mat @ x - y))
         return x, SolveReport(iterations=0, residual=residual, converged=True)
+
+    target = SOLVER_TOL * (1.0 + float(np.linalg.norm(y)))
 
     def residual_vec(x):
         return x - delta * impl_A(triple, grid, i, x, quad) - y

@@ -3,10 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spdesim.averaging import QuadratureSpec, impl_A, tilde_A, tilde_B, tilde_F
+from spdesim.averaging import (
+    DEFAULT_QUADRATURE,
+    QuadratureSpec,
+    cell_weight_means,
+    impl_A,
+    tilde_F,
+    time_mean,
+)
 from spdesim.coefficients import CoefficientTriple, ConditionConstants
 from spdesim.fixtures import additive_multimode, heat_jump
-from spdesim.noise import PowerLawMarks, TimeGrid, build_partition
+from spdesim.noise import PowerLawMarks, TimeGrid, build_partition, sample_bundle
+from spdesim.schemes import SchemeConfig, run_scheme
 from spdesim.space import build_sine_space
 
 MARKS = PowerLawMarks()
@@ -56,61 +64,69 @@ class CellConstantJump:
 
 
 def _time_scaled_triple(drift):
+    """Non-autonomous one-mode triple with a generic jump coefficient t·x·ξ."""
     return CoefficientTriple(
         dim=4,
         eval_A=drift,
         eval_B=TimeScaledNoise(),
-        eval_F=lambda t, x, xi: np.multiply.outer(
-            np.zeros(np.asarray(x).size), np.asarray(xi, dtype=float)
+        eval_F=lambda t, x, xi: t * np.multiply.outer(
+            np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
         ),
         constants=_constants(),
         autonomous=False,
-        wiener_modes=2,
+        wiener_modes=1,
     )
 
 
+def _run(triple, kind, m, bundle, l=2):
+    cfg = SchemeConfig(kind=kind, n=4, m=m, l=l, initial=np.ones(4))
+    return run_scheme(SPACE, triple, cfg, bundle)
+
+
+def _bundle(m, modes=1, level=2):
+    return sample_bundle(21, TimeGrid(1.0, m), modes, MARKS, level)
+
+
 def test_tilde_A_zero_at_first_two_knots():
-    triple = _time_scaled_triple(RecordingDrift())
-    grid = TimeGrid(1.0, 4)
-    x = np.ones(4)
-    assert np.array_equal(tilde_A(triple, grid, 0, x), np.zeros(4))
-    assert np.array_equal(tilde_A(triple, grid, 1, x), np.zeros(4))
+    # the explicit scheme queries the lagged drift mean from step 2 on only
+    m = 8
+    drift = RecordingDrift()
+    traj = _run(_time_scaled_triple(drift), "explicit", m, _bundle(m))
+    assert len(drift.queries) == DEFAULT_QUADRATURE.points_per_step * (m - 1)
+    assert np.array_equal(traj.values[0], np.zeros(4))
+    assert np.array_equal(traj.values[1], np.ones(4))
 
 
-def test_tilde_A_linear_integrand_exact():
-    # mean of s*L*x over [0, 0.25] is 0.125*L*x
-    triple = _time_scaled_triple(RecordingDrift())
-    grid = TimeGrid(1.0, 4)
+def test_time_mean_linear_integrand_exact():
+    # mean of s*x over [0, 0.25] is 0.125*x
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    got = tilde_A(triple, grid, 2, x)
+    got = time_mean(RecordingDrift(), x, 0.0, 0.25, autonomous=False)
     assert np.allclose(got, 0.125 * x, rtol=1e-14)
 
 
-def test_tilde_A_autonomous_shortcut():
-    triple = heat_jump(SPACE, MARKS)
-    grid = TimeGrid(1.0, 8)
+def test_time_mean_autonomous_single_evaluation():
+    drift = RecordingDrift()
     x = np.array([0.4, 0.2, -0.1, 1.0])
-    want = np.asarray(triple.eval_A(0.0, x))
-    assert np.allclose(tilde_A(triple, grid, 5, x), want, rtol=1e-15)
-
-
-def test_tilde_A_index_range():
-    triple = heat_jump(SPACE, MARKS)
-    grid = TimeGrid(1.0, 4)
-    with pytest.raises(ValueError):
-        tilde_A(triple, grid, 5, np.ones(4))
-    with pytest.raises(ValueError):
-        tilde_A(triple, grid, -1, np.ones(4))
+    time_mean(drift, x, 0.5, 0.625, autonomous=True)
+    assert drift.queries == [0.5625]
+    for fn in (heat_jump(SPACE, MARKS).eval_A, additive_multimode(SPACE, MARKS).eval_B):
+        want = np.asarray(fn(0.0, x))
+        assert np.allclose(time_mean(fn, x, 0.5, 0.625, True), want, rtol=1e-15)
 
 
 def test_window_discipline_lagged():
+    # explicit step i queries the drift and the noise only on [t_{i-2}, t_{i-1}]
+    m = 8
+    grid = TimeGrid(1.0, m)
     drift = RecordingDrift()
     triple = _time_scaled_triple(drift)
-    grid = TimeGrid(1.0, 8)
-    tilde_A(triple, grid, 5, np.ones(4))
-    t0, t1 = grid.knots[3], grid.knots[4]
-    assert drift.queries
-    assert all(t0 <= q <= t1 for q in drift.queries)
+    _run(triple, "explicit", m, _bundle(m))
+    points = DEFAULT_QUADRATURE.points_per_step
+    for fn in (drift, triple.eval_B):
+        steps = np.reshape(fn.queries, (m - 1, points))
+        for i, queries in enumerate(steps, start=2):
+            assert (grid.knots[i - 2] <= queries).all()
+            assert (queries <= grid.knots[i - 1]).all()
 
 
 def test_window_discipline_current():
@@ -142,54 +158,65 @@ def test_impl_A_autonomous():
 
 
 def test_tilde_B_zero_convention_and_truncation():
-    triple = _time_scaled_triple(RecordingDrift())
-    grid = TimeGrid(1.0, 4)
-    x = np.ones(4)
-    assert np.array_equal(tilde_B(triple, grid, 0, x), np.zeros((4, 2)))
-    assert np.array_equal(tilde_B(triple, grid, 1, x), np.zeros((4, 2)))
-    got = tilde_B(triple, grid, 2, x, modes=1)
-    assert got.shape == (4, 1)
-    assert np.allclose(got[:, 0], 0.125 * x, rtol=1e-14)
+    # without any noise a run agrees up to knot 1 and not at knot 2
+    m = 8
+    bundle = _bundle(m)
+    quiet = dataclasses.replace(
+        bundle,
+        wiener=np.zeros_like(bundle.wiener),
+        jump_times=bundle.jump_times[:0],
+        jump_marks=bundle.jump_marks[:0],
+    )
+    for kind in ("explicit", "implicit_projected"):
+        loud = _run(_time_scaled_triple(RecordingDrift()), kind, m, bundle)
+        calm = _run(_time_scaled_triple(RecordingDrift()), kind, m, quiet)
+        assert np.array_equal(loud.values[:2], calm.values[:2])
+        assert not np.array_equal(loud.values[2], calm.values[2])
+    # only the first min(l, wiener_modes) increment rows move the trajectory
+    triple = additive_multimode(SPACE, MARKS, modes=2)
+    bundle = _bundle(16, modes=3, level=3)
+    for l, used in ((1, 1), (3, 2)):
+        base = _run(triple, "explicit", 16, bundle, l).values
+        for k in range(3):
+            wiener = bundle.wiener.copy()
+            wiener[k] *= 2.0
+            moved = dataclasses.replace(bundle, wiener=wiener)
+            got = _run(triple, "explicit", 16, moved, l).values
+            assert np.array_equal(got, base) == (k >= used)
 
 
-def test_tilde_B_autonomous_matches_evaluator():
-    triple = additive_multimode(SPACE, MARKS)
-    grid = TimeGrid(1.0, 4)
-    x = np.ones(4)
-    want = np.asarray(triple.eval_B(0.0, x))
-    assert np.allclose(tilde_B(triple, grid, 3, x), want, rtol=1e-15)
-    assert tilde_B(triple, grid, 3, x, modes=2).shape == (4, 2)
+def _rule(part, points):
+    return part.marks.cell_rule(part.lo, part.hi, points)
 
 
 def test_tilde_F_zero_at_first_two_knots():
     triple = heat_jump(SPACE, MARKS)
     part = build_partition(MARKS, 2)
     grid = TimeGrid(1.0, 4)
-    cols = tilde_F(triple, grid, part, 1, np.ones(4))
+    cols = tilde_F(triple, grid, part, 1, np.ones(4), _rule(part, 4))
     assert np.array_equal(cols, np.zeros((4, part.size)))
 
 
 def test_tilde_F_power_law_cell_average_closed_form():
     # cell means of F = xi * f(x) against the power-law density are
-    # sqrt(lo * hi) * f(x)
+    # sqrt(lo * hi) * f(x); the factorized F takes them from cell_weight_means
     triple = heat_jump(SPACE, MARKS, lipschitz=0.3)
     part = build_partition(MARKS, 2)
-    grid = TimeGrid(1.0, 4)
     x = np.array([0.7, -0.3, 0.1, 0.0])
-    cols = tilde_F(triple, grid, part, 3, x)
-    profile = 0.3 * np.sin(x)
-    want = np.multiply.outer(profile, np.sqrt(part.lo * part.hi))
+    profile = time_mean(triple.jump_profile, x, 0.25, 0.5, triple.autonomous)
+    cols = np.multiply.outer(profile, cell_weight_means(part)[0])
+    want = np.multiply.outer(0.3 * np.sin(x), np.sqrt(part.lo * part.hi))
     assert np.allclose(cols, want, rtol=1e-12)
 
 
 def test_tilde_F_generic_quadrature_matches_factorized():
     factorized = heat_jump(SPACE, MARKS, lipschitz=0.2)
-    generic = dataclasses.replace(factorized, jump_profile=None)
     part = build_partition(MARKS, 2)
     grid = TimeGrid(1.0, 4)
     x = np.array([2.0, 1.0, -0.5, 0.25])
-    fast = tilde_F(factorized, grid, part, 2, x)
-    slow = tilde_F(generic, grid, part, 2, x, points_per_cell=8)
+    profile = time_mean(factorized.jump_profile, x, 0.0, 0.25, True)
+    fast = np.multiply.outer(profile, cell_weight_means(part)[0])
+    slow = tilde_F(factorized, grid, part, 2, x, _rule(part, 8))
     assert np.allclose(fast, slow, rtol=1e-10, atol=1e-13)
 
 
@@ -206,7 +233,7 @@ def test_tilde_F_cell_constant_fixed_point():
     )
     grid = TimeGrid(1.0, 4)
     x = np.zeros(4)
-    once = tilde_F(triple, grid, part, 2, x, points_per_cell=6)
+    once = tilde_F(triple, grid, part, 2, x, _rule(part, 6))
     assert np.allclose(once, values, rtol=1e-9, atol=1e-12)
     again = tilde_F(
         dataclasses.replace(triple, eval_F=CellConstantJump(part, once)),
@@ -214,7 +241,7 @@ def test_tilde_F_cell_constant_fixed_point():
         part,
         2,
         x,
-        points_per_cell=6,
+        _rule(part, 6),
     )
     assert np.allclose(again, once, rtol=1e-9, atol=1e-12)
 
@@ -231,6 +258,6 @@ def test_tilde_F_massless_cell_column_is_zero():
     part = build_partition(atoms, 1)
     triple = heat_jump(SPACE, atoms)
     grid = TimeGrid(1.0, 4)
-    cols = tilde_F(triple, grid, part, 2, np.ones(4))
+    cols = tilde_F(triple, grid, part, 2, np.ones(4), _rule(part, 4))
     assert np.array_equal(cols[:, 1], np.zeros(4))
     assert np.abs(cols[:, 0]).max() > 0

@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -110,24 +111,30 @@ def test_errors_exit_with_one_line(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text, seed, where",
+    "command, text, seed, where",
     [
-        (BASE_CONFIG.replace("n = 4", "n = six"), None, "[scheme] n"),
-        (BASE_CONFIG.replace("theta = 0.5", "theta = half"), None, "[coefficients] theta"),
-        (BASE_CONFIG + LADDER_SECTION.replace("2:16:1, 4:64:2", "2:8:x"), None,
-         "[ladder] rungs"),
-        (BASE_CONFIG, "abc", "SPDE_SEED"),
+        ("simulate", BASE_CONFIG.replace("n = 4", "n = six"), None, "[scheme] n"),
+        ("simulate", BASE_CONFIG.replace("theta = 0.5", "theta = half"), None,
+         "[coefficients] theta"),
+        ("simulate", BASE_CONFIG + LADDER_SECTION.replace("2:16:1, 4:64:2", "2:8:x"),
+         None, "[ladder] rungs"),
+        ("simulate", BASE_CONFIG, "abc", "SPDE_SEED"),
+        ("converge", BASE_CONFIG + LADDER_SECTION.replace("reference = 8:256:3", ""),
+         None, "[ladder] reference"),
+        ("converge", BASE_CONFIG + LADDER_SECTION.replace("rungs = 2:16:1, 4:64:2", ""),
+         None, "[ladder] rungs"),
     ],
-    ids=["scheme-n", "coefficients-theta", "ladder-rungs", "SPDE_SEED"],
+    ids=["scheme-n", "coefficients-theta", "ladder-rungs", "SPDE_SEED",
+         "ladder-reference-missing", "ladder-rungs-missing"],
 )
 def test_unparsable_value_exits_2_naming_its_key(
-    tmp_path, capsys, monkeypatch, text, seed, where
+    tmp_path, capsys, monkeypatch, command, text, seed, where
 ):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     if seed is not None:
         monkeypatch.setenv("SPDE_SEED", seed)
-    assert main(["simulate", "--config", str(path)]) == 2
+    assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("spdesim: error: ") and err.count("\n") == 1
     assert where in err
@@ -159,6 +166,20 @@ def test_simulate_writes_trajectory(config_file, tmp_path, capsys):
     assert payload["kind"] == "explicit"
     assert payload["m"] == 32
     assert len(payload["values"]) == 33
+    assert list(payload) == [
+        "kind", "n", "m", "l", "knots", "values", "blow_up_step",
+        "solver_iterations", "solver_residuals", "vnorm_weighted",
+    ]
+    # delta * sum_i lambda(t_i) * ||u(t_i)||_V^p over the knots
+    settings = load_settings(config_file)
+    space = build_space(settings)
+    constants = build_triple(settings, space, build_marks(settings)).constants
+    n, vals = payload["n"], np.asarray(payload["values"])
+    want = sum(
+        constants.lambda_fn(t) * (v @ space.v_gram[:n, :n] @ v) ** (constants.p / 2)
+        for t, v in zip(payload["knots"], vals)
+    ) * (payload["knots"][-1] / payload["m"])
+    assert payload["vnorm_weighted"] == pytest.approx(want, rel=1e-12)
     lines = final.read_text().splitlines()
     assert lines[0] == "mode,value"
     assert len(lines) == 5
@@ -355,16 +376,33 @@ def test_build_triple_equals_a_direct_fixture_call(tmp_path_factory, case):
     np.testing.assert_array_equal(got.jump_profile(t, x), want.jump_profile(t, x))
 
 
-def _benchmark_tracing():
-    path = Path(__file__).resolve().parents[1] / "spdebench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("spdebench_tracing", path)
+BENCH_DIR = Path(__file__).resolve().parents[1] / "spdebench"
+
+
+def _load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _benchmark_tracing():
+    return _load_by_path("spdebench_tracing", BENCH_DIR / "tracing.py")
+
+
+def test_benchmark_selftest_passes(monkeypatch):
+    """The benchmark's span arithmetic and metric-name checks hold."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    had_tracing = "tracing" in sys.modules
+    try:
+        _load_by_path("spdebench_selftest", BENCH_DIR / "selftest.py").run()
+    finally:
+        if not had_tracing:
+            sys.modules.pop("tracing", None)
+
+
 @pytest.mark.parametrize(
-    "kind, steps, evals", [("explicit", 666, 1998), ("implicit_projected", 672, 2004)]
+    "kind, steps, evals", [("explicit", 666, 1998), ("implicit_projected", 672, 1332)]
 )
 def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, steps, evals):
     """The benchmark tracer hooks parameter and function names of the package."""
@@ -387,9 +425,11 @@ def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, steps, evals):
     counts = tracing.exact_counts(tracer, 2)
     assert counts["harness.reference_runs_per_path"] == 1.0
     # per run: m - 1 explicit steps of 3 evaluations each, or m implicit
-    # solves of which the first evaluates only the drift
+    # solves, the drift taken by LU and two noise evaluations from knot 2 on
     assert counts["schemes.steps"] == steps
     assert counts["fixtures.evals_per_step"] == evals / steps
+    # one mark partition per scheme run: 2 paths of 3 runs each
+    assert counts["noise.build_partition.calls"] == 6
 
 
 def test_benchmark_tracer_counts_a_condition_suite(tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spdesim import coefficients
 from spdesim.coefficients import (
     BoxSampler,
     ConditionConstants,
@@ -235,6 +236,21 @@ def test_transform_gamma_closed_form(base):
     x = np.linspace(0.2, 0.9, 8)
     want = np.asarray(base.eval_A(0.5, x)) - x
     assert np.allclose(np.asarray(moved.eval_A(0.5, x)), want, rtol=1e-9)
+
+
+def test_transform_gamma_cache_is_bounded(base, monkeypatch):
+    times = np.linspace(0.0, 1.0, 25)
+    unbounded = exponential_transform(base, 2.0).eval_A.gamma
+    want = [unbounded(t) for t in times]
+    # constant rate K = 2: gamma_t = exp(-t)
+    assert np.allclose(want, np.exp(-times), rtol=1e-12)
+    monkeypatch.setattr(coefficients, "GAMMA_CACHE_SIZE", 8)
+    gamma = exponential_transform(base, 2.0).eval_A.gamma
+    assert [gamma(t) for t in times] == want
+    assert len(gamma._cache) == 8
+    # evicted times are recomputed to the same values
+    assert [gamma(t) for t in times] == want
+    assert len(gamma._cache) == 8
 
 
 def test_transform_restores_monotonicity(quadrature):

@@ -16,7 +16,6 @@ from spdesim.noise import (
     bundle_to_json,
     coarsen_wiener,
     compensated_cell_increments,
-    kappa,
     sample_bundle,
 )
 from spdesim.rng import derive_key
@@ -38,31 +37,6 @@ def test_grid_rejects_degenerate():
         TimeGrid(1.0, 1)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 4)
-
-
-def test_kappa_examples():
-    grid = TimeGrid(1.0, 4)
-    assert kappa(grid, 0.6) == (0.5, 0.75)
-    assert kappa(grid, 0.0) == (0.0, 0.0)
-    # windows are left-open, right-closed
-    assert kappa(grid, 0.5) == (0.25, 0.5)
-
-
-def test_kappa_brackets_time():
-    grid = TimeGrid(1.0, 7)
-    rng = np.random.default_rng(3)
-    for t in rng.uniform(1e-9, 1.0, 200):
-        k1, k2 = kappa(grid, t)
-        assert k1 < t <= k2
-        assert k2 - k1 == pytest.approx(grid.delta, rel=1e-12)
-
-
-def test_kappa_rejects_outside_horizon():
-    grid = TimeGrid(1.0, 4)
-    with pytest.raises(ValueError):
-        kappa(grid, -0.1)
-    with pytest.raises(ValueError):
-        kappa(grid, 1.1)
 
 
 @pytest.mark.parametrize("level,mass", [(1, 2.0), (2, 6.0), (3, 14.0)])
@@ -101,10 +75,11 @@ def test_partition_level_two_refines_level_one():
 
 
 def test_partition_cells_fit_shells():
+    # shell k spans marks in [eps_k, eps_{k-1}); each cell lies in the first
+    # shell whose inner cutoff is at or below its left end
     part = build_partition(MARKS, 3)
     for j in range(part.size):
-        k = part.shell[j]
-        assert MARKS.epsilon(k) - 1e-15 <= part.lo[j]
+        k = next(k for k in range(1, 4) if MARKS.epsilon(k) - 1e-15 <= part.lo[j])
         assert part.hi[j] <= MARKS.epsilon(k - 1) + 1e-15
 
 

@@ -225,6 +225,22 @@ def test_implicit_residual_contract():
         assert resid <= 1e-10 * (1 + y_norm) + 1e-12
 
 
+def test_direct_solve_does_not_evaluate_the_drift(monkeypatch):
+    # the LU path reads its residual off the factorized matrix
+    from spdesim import schemes
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drift evaluated on the direct path")
+
+    monkeypatch.setattr(schemes, "impl_A", forbidden)
+    space = build_sine_space(4)
+    triple = heat_jump(space, MARKS)
+    cfg = SchemeConfig(kind="implicit_projected", n=4, m=16, l=2)
+    traj = run_implicit(space, triple, cfg, _bundle(19, 16))
+    assert traj.solver_iterations == [0] * 16
+    assert max(traj.solver_residuals) <= 1e-14
+
+
 def test_adaptedness_prefix():
     # zeroing all bundle data after t_i leaves the trajectory prefix intact
     space = build_sine_space(6)

@@ -104,14 +104,25 @@ def test_time_mean_linear_integrand_exact():
     assert np.allclose(got, 0.125 * x, rtol=1e-14)
 
 
-def test_time_mean_autonomous_single_evaluation():
+def test_tilde_A_autonomous_shortcut():
+    # the averaged drift of an autonomous coefficient is one evaluation
     drift = RecordingDrift()
     x = np.array([0.4, 0.2, -0.1, 1.0])
     time_mean(drift, x, 0.5, 0.625, autonomous=True)
     assert drift.queries == [0.5625]
-    for fn in (heat_jump(SPACE, MARKS).eval_A, additive_multimode(SPACE, MARKS).eval_B):
-        want = np.asarray(fn(0.0, x))
-        assert np.allclose(time_mean(fn, x, 0.5, 0.625, True), want, rtol=1e-15)
+    eval_A = heat_jump(SPACE, MARKS).eval_A
+    want = np.asarray(eval_A(0.0, x))
+    assert np.allclose(time_mean(eval_A, x, 0.5, 0.625, True), want, rtol=1e-15)
+
+
+def test_tilde_B_autonomous_matches_evaluator():
+    triple = additive_multimode(SPACE, MARKS)
+    eval_B = triple.eval_B
+    x = np.ones(4)
+    want = np.asarray(eval_B(0.0, x))
+    got = time_mean(eval_B, x, 0.5, 0.75, autonomous=True)
+    assert got.shape == (4, triple.wiener_modes)
+    assert np.allclose(got, want, rtol=1e-15)
 
 
 def test_window_discipline_lagged():

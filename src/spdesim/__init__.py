@@ -39,10 +39,12 @@ from .noise import (
     sample_bundle,
 )
 from .schemes import (
+    BlockRun,
     ImplicitStepError,
     SchemeConfig,
     SolveReport,
     Trajectory,
+    run_block,
     run_explicit,
     run_implicit,
     run_scheme,

@@ -78,23 +78,24 @@ def cell_weight_means(partition):
 def tilde_F(triple, grid, partition, i, x, rule, quad=DEFAULT_QUADRATURE):
     """Jump coefficient averaged in time and over each partition cell.
 
-    Returns a (dim, cells) matrix whose column j is the mean of F over
-    [t_{i−2}, t_{i−1}] × cell_j against the normalized cell mass, with the
-    cell integrals taken by `rule`, the (nodes, weights) of
-    `partition.marks.cell_rule`; columns are zero at the first two knots
-    and for massless cells.  Factorized jump coefficients need no cell
-    quadrature: their cell means are `cell_weight_means`.
+    Returns a (..., dim, cells) array for states of shape (..., dim) whose
+    column j is the mean of F over [t_{i−2}, t_{i−1}] × cell_j against the
+    normalized cell mass, with the cell integrals taken by `rule`, the
+    (nodes, weights) of `partition.marks.cell_rule`; columns are zero at
+    the first two knots and for massless cells.  Factorized jump
+    coefficients need no cell quadrature: their cell means are
+    `cell_weight_means`.
     """
     _check_step(grid, i)
     x = np.asarray(x, dtype=float)
     if i < 2:
-        return np.zeros((x.size, partition.size))
+        return np.zeros(x.shape + (partition.size,))
     nodes, weights = rule
 
     def cell_integrals(s, x):
         vals = np.asarray(triple.eval_F(s, x, nodes.ravel()), dtype=float)
-        vals = vals.reshape(x.size, partition.size, -1)
-        return np.einsum("dcq,cq->dc", vals, weights)
+        vals = vals.reshape(x.shape + (partition.size, -1))
+        return np.einsum("...dcq,cq->...dc", vals, weights)
 
     t0, t1 = float(grid.knots[i - 2]), float(grid.knots[i - 1])
     integrals = time_mean(cell_integrals, x, t0, t1, triple.autonomous, quad)
@@ -103,11 +104,14 @@ def tilde_F(triple, grid, partition, i, x, rule, quad=DEFAULT_QUADRATURE):
 
 
 def impl_A(triple, grid, i, x, quad=DEFAULT_QUADRATURE):
-    """Drift averaged over the current subinterval; zero at the origin knot."""
+    """Drift averaged over the current subinterval; zero at the origin knot.
+
+    `x` is one state (dim,) or a batch (..., dim).
+    """
     _check_step(grid, i)
     x = np.asarray(x, dtype=float)
     if i == 0:
-        return np.zeros(x.size)
+        return np.zeros(x.shape)
     knots = grid.knots
     t0, t1 = float(knots[i - 1]), float(knots[i])
     return time_mean(triple.eval_A, x, t0, t1, triple.autonomous, quad)

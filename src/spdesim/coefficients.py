@@ -11,6 +11,13 @@ called with a shorter coordinate vector they must return the projection of
 the operator value onto that leading subspace.  This lets a single triple
 drive simulations at every resolution of a coupled study.
 
+All evaluators also take a *batch of states*: `x` has shape (..., n), the
+trailing axis holding the coordinates, and the value gains the same leading
+axes - A and the jump profile return (..., n), B returns (..., n, modes)
+and F returns (..., n, k) for k marks.  Each row is evaluated as if it were
+passed alone (matrices act as ``x @ M[:n, :n].T``), so a block of paths is
+stepped with one call per coefficient.
+
 The structural conditions (dissipativity, coercivity, growth,
 hemicontinuity, and the derived bounds on the noise coefficients) quantify
 over the whole space, so the checkers here are statistical: they sample

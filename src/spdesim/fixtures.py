@@ -17,7 +17,9 @@ Three fixtures cover the regimes the schemes need to exercise:
 Evaluator classes are module level and stateless so triples can cross
 process pools, and all are dimension polymorphic: called with the first n
 coordinates they return the leading-subspace projection of the operator
-value, consistently with the nested basis.
+value, consistently with the nested basis.  They take one state of shape
+(n,) or a batch of shape (..., n) and act row by row, so matrices apply as
+``x @ M[:n, :n].T``.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class LinearDrift:
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
-        n = x.size
-        return self.matrix[:n, :n] @ x
+        n = x.shape[-1]
+        return x @ self.matrix[:n, :n].T
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class MatrixNoise:
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
-        n = x.size
-        return (self.theta * (self.matrix[:n, :n] @ x))[:, None]
+        n = x.shape[-1]
+        return (self.theta * (x @ self.matrix[:n, :n].T))[..., None]
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,9 @@ class ConstantNoise:
     matrix: np.ndarray
 
     def __call__(self, t, x):
-        n = np.asarray(x).size
-        return self.matrix[:n, :]
+        shape = np.shape(x)
+        b = self.matrix[: shape[-1]]
+        return np.broadcast_to(b, shape[:-1] + b.shape)
 
 
 @dataclass(frozen=True)
@@ -81,15 +84,15 @@ class FirstModeProfile:
     """Constant profile pointing along the first basis vector."""
 
     def __call__(self, t, x):
-        out = np.zeros(np.asarray(x).size)
-        out[0] = 1.0
+        out = np.zeros(np.shape(x))
+        out[..., 0] = 1.0
         return out
 
 
 @dataclass(frozen=True)
 class ZeroProfile:
     def __call__(self, t, x):
-        return np.zeros(np.asarray(x).size)
+        return np.zeros(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ class WeightedJump:
 @dataclass(frozen=True)
 class ZeroNoise:
     def __call__(self, t, x):
-        return np.zeros((np.asarray(x).size, 1))
+        return np.zeros(np.shape(x) + (1,))
 
 
 @dataclass(frozen=True)
@@ -133,10 +136,11 @@ class SemilinearDrift:
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
-        n = x.size
-        u_nodes = self.basis[:n].T @ x
+        n = x.shape[-1]
+        u_nodes = x @ self.basis[:n]
         g_nodes = -self.amplitude * np.tanh(u_nodes)
-        return self.laplace_diag[:n] * x + self.basis[:n] @ (self.quad_weights * g_nodes)
+        spread = (self.quad_weights * g_nodes) @ self.basis[:n].T
+        return self.laplace_diag[:n] * x + spread
 
 
 def _sine_quadrature(dim, points_per_halfwave=4):

@@ -1,24 +1,30 @@
 """Monte Carlo driver, coupled strong-error estimation, and suites.
 
-Paths are embarrassingly parallel: path j draws its bundle from a key
-derived from (master_seed, path tag, j), workers return completed per-path
-results only, and aggregation always runs single-threaded in path order
-with compensated summation, so the output is byte-identical no matter how
-many workers computed it.
+Paths run in fixed blocks of BLOCK_PATHS consecutive path indices: path j
+draws its bundle from a key derived from (master_seed, path tag, j), each
+configuration steps a whole block at once, workers take whole blocks and
+return per-path results only, and aggregation always runs single-threaded
+in path order with compensated summation.  The block layout does not
+depend on the worker count, so the output is byte-identical no matter how
+many workers computed it; batched arithmetic can make it differ from
+one-path runs in the last bits.
 
-One path loop serves both drivers: per path one bundle at the finest
-resolution drives every configuration once, so a ladder runs each path's
-reference once for all of its rungs.  Strong errors are estimated at the
-terminal time only: the squared H-distance of each rung's terminal value
-to the reference's (embedded into shared coordinates by zero-padding) is
-averaged with a normal-approximation confidence interval.
+One path loop serves both drivers: per block one bundle per path at the
+finest resolution drives every configuration once, so a ladder runs each
+path's reference once for all of its rungs.  Strong errors are estimated
+at the terminal time only: the squared H-distance of each rung's terminal
+value to the reference's (embedded into shared coordinates by
+zero-padding) is averaged with a normal-approximation confidence
+interval.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from .coefficients import (
 )
 from .noise import TimeGrid, sample_bundle
 from .rng import TAG_PATH, TAG_TRIAL, derive_key, make_generator
-from .schemes import EXPLICIT, ImplicitStepError, run_scheme
+from .schemes import EXPLICIT, run_block
 from .space import c_b, embed, restrict
 
 Z95 = 1.959963984540054
@@ -71,95 +77,103 @@ def _path_seed(master_seed, j):
     return derive_key(master_seed, TAG_PATH, j)
 
 
+# Paths run in fixed blocks of path indices [64k, 64k + 64), whatever the
+# worker count, so every path meets the same batched arithmetic.
+BLOCK_PATHS = 64
+
 # Outcome of one scheme run on one path; where a row combines runs, the
 # larger outcome wins, so a blow-up of either run outranks a solver failure.
 COMPLETED, FAILED, BLOWN_UP = 0, 1, 2
 
 
-def _run_paths(space, triple, configs, marks, master_seed, quad, reduce, path_range):
-    """Rows for a contiguous range of path indices, and run seconds per config.
+def _outcomes(run):
+    """Per-path outcome of one `BlockRun`."""
+    return [
+        BLOWN_UP if step is not None else FAILED if failure is not None else COMPLETED
+        for step, failure in zip(run.blow_up_steps, run.failures)
+    ]
 
-    Path j samples one bundle at the finest configuration (the last one)
-    and drives every configuration with it.  `reduce` maps the path's
-    ``(outcome, trajectory)`` runs to its row, a list of ``(outcome,
-    value)`` columns whose value is None unless the outcome is COMPLETED.
-    A run whose implicit solver fails is FAILED instead of aborting the
-    study.
+
+def _run_paths(space, triple, configs, marks, master_seed, quad, reduce, block):
+    """Rows for one block of path indices, and run seconds per config.
+
+    Path j samples one bundle at the finest configuration (the last one),
+    and every configuration steps the whole block once through
+    `run_block`.  `reduce` maps the block's runs, one `BlockRun` per
+    configuration, to one row per path: a list of ``(outcome, value)``
+    columns whose value is None unless the outcome is COMPLETED.
     """
     finest = configs[-1]
     grid = TimeGrid(triple.constants.horizon, finest.m)
     modes = min(finest.l, triple.wiener_modes)
+    bundles = [
+        sample_bundle(_path_seed(master_seed, j), grid, modes, marks, finest.l)
+        for j in block
+    ]
     seconds = np.zeros(len(configs))
-    rows = []
-    for j in path_range:
-        bundle = sample_bundle(_path_seed(master_seed, j), grid, modes, marks, finest.l)
-        runs = []
-        for k, config in enumerate(configs):
-            started = time.perf_counter()
-            try:
-                traj = run_scheme(space, triple, config, bundle, quad)
-            except ImplicitStepError:
-                runs.append((FAILED, None))
-            else:
-                runs.append((COMPLETED if traj.blow_up_step is None else BLOWN_UP, traj))
-            seconds[k] += time.perf_counter() - started
-        rows.append(reduce(runs))
-    return rows, seconds
+    runs = []
+    for k, config in enumerate(configs):
+        started = time.perf_counter()
+        runs.append(run_block(space, triple, config, bundles, quad))
+        seconds[k] = time.perf_counter() - started
+    return reduce(runs), seconds
 
 
 def _knot_energies(runs):
-    """Monte Carlo row: the squared H-norm at every knot of the one run."""
-    ((outcome, traj),) = runs
-    if outcome != COMPLETED:
-        return [(outcome, None)]
-    return [(COMPLETED, np.einsum("ij,ij->i", traj.values, traj.values))]
+    """Monte Carlo rows: the squared H-norm at every knot of the one run."""
+    (run,) = runs
+    return [
+        [(outcome, run.energies[:, p] if outcome == COMPLETED else None)]
+        for p, outcome in enumerate(_outcomes(run))
+    ]
 
 
 def _terminal_gaps(runs):
-    """Ladder row: squared terminal H-distance of each run to the last one.
+    """Ladder rows: squared terminal H-distance of each run to the last one.
 
     Terminal values are embedded into shared coordinates by zero-padding.
     A rung counts as blown up when it or the reference blew up, otherwise
     as failed when it or the reference failed.
     """
-    ref_outcome, ref = runs[-1]
-    row = []
-    for outcome, traj in runs[:-1]:
-        outcome = max(outcome, ref_outcome)
-        if outcome != COMPLETED:
-            row.append((outcome, None))
-            continue
-        dim = max(traj.n, ref.n)
-        diff = embed(traj.final, dim) - embed(ref.final, dim)
-        row.append((COMPLETED, float(diff @ diff)))
-    return row
-
-
-def _chunk_ranges(total, workers):
-    sizes = [total // workers + (1 if r < total % workers else 0) for r in range(workers)]
-    ranges = []
-    start = 0
-    for s in sizes:
-        if s:
-            ranges.append(range(start, start + s))
-        start += s
-    return ranges
+    ref = runs[-1]
+    outcomes = [_outcomes(run) for run in runs]
+    rows = []
+    for p, ref_outcome in enumerate(outcomes[-1]):
+        row = []
+        for run, run_outcomes in zip(runs[:-1], outcomes):
+            outcome = max(run_outcomes[p], ref_outcome)
+            if outcome != COMPLETED:
+                row.append((outcome, None))
+                continue
+            dim = max(run.final.shape[1], ref.final.shape[1])
+            diff = embed(run.final[p], dim) - embed(ref.final[p], dim)
+            row.append((COMPLETED, float(diff @ diff)))
+        rows.append(row)
+    return rows
 
 
 def _path_study(space, triple, configs, marks, paths, master_seed, workers, quad, reduce):
-    """Row columns over all paths in path order, and run seconds per config."""
+    """Row columns over all paths in path order, and run seconds per config.
+
+    Workers take whole blocks; no more workers start than there are
+    blocks, and a single block runs in this process.
+    """
     if paths < 1:
         raise ValueError("need at least one path")
-    args = (space, triple, tuple(configs), marks, master_seed, quad, reduce)
+    blocks = [
+        range(start, min(start + BLOCK_PATHS, paths))
+        for start in range(0, paths, BLOCK_PATHS)
+    ]
+    run = partial(
+        _run_paths, space, triple, tuple(configs), marks, master_seed, quad, reduce
+    )
+    workers = min(workers, len(blocks))
     if workers <= 1:
-        parts = [_run_paths(*args, range(paths))]
+        parts = [run(block) for block in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_paths, *args, rng)
-                for rng in _chunk_ranges(paths, workers)
-            ]
-            parts = [f.result() for f in futures]
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            parts = list(pool.map(run, blocks))
     rows = [row for part_rows, _ in parts for row in part_rows]
     seconds = sum(part_seconds for _, part_seconds in parts)
     return list(zip(*rows)), seconds

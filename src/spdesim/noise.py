@@ -359,14 +359,22 @@ def sample_bundle(master_seed, grid, l_modes, marks, l_level):
     )
 
 
-def coarsen_wiener(bundle, m_coarse, modes):
-    """Increments on a coarser grid as exact sums of fine increments."""
+def coarsen_wiener(bundle, m_coarse, modes, start=0, stop=None):
+    """Increments on a coarser grid as exact sums of fine increments.
+
+    Returns the (modes, stop − start) increments of coarse steps
+    start + 1 .. stop, by default all m_coarse of them.
+    """
     if modes > bundle.l_modes:
         raise ValueError(f"bundle has {bundle.l_modes} modes, need {modes}")
     if m_coarse < 1 or bundle.m % m_coarse != 0:
         raise ValueError(f"{m_coarse} does not divide finest m = {bundle.m}")
+    stop = m_coarse if stop is None else stop
+    if not 0 <= start <= stop <= m_coarse:
+        raise ValueError(f"coarse steps {start}..{stop} outside 0..{m_coarse}")
     factor = bundle.m // m_coarse
-    return bundle.wiener[:modes].reshape(modes, m_coarse, factor).sum(axis=2)
+    fine = bundle.wiener[:modes, start * factor : stop * factor]
+    return fine.reshape(modes, stop - start, factor).sum(axis=2)
 
 
 def compensated_cell_increments(bundle, partition, grid, i):

@@ -1,21 +1,26 @@
 """Explicit and implicit Galerkin time-stepping schemes.
 
 All three scheme kinds run through one stepping loop and differ only in
-the drift update.  The explicit scheme starts from zero, injects the
-projected initial condition at the first knot, and adds δ times the
-lagged-window drift mean; its stability is governed by the product of the
-step size with the basis constant of the space.  The implicit schemes
-start from the (projected) initial condition and solve a monotone step
-equation in which the drift is averaged over the current window.  In
-every kind the noise coefficients are averaged over the lagged window.
-"Unprojected" runs are realized at the ambient resolution of the
-experiment: a truly infinite-dimensional state is not representable, so
-the plain and projected implicit kinds are one code path and differ only
-through the projection dimension.
+the drift update.  The loop steps a block of paths together: the state is
+a (paths, n) array, row p driven by its own noise bundle, and each
+coefficient is evaluated once per step for the whole block (`run_block`);
+a one-path run (`run_scheme`) is a block of one.  The explicit scheme
+starts from zero, injects the projected initial condition at the first
+knot, and adds δ times the lagged-window drift mean; its stability is
+governed by the product of the step size with the basis constant of the
+space.  The implicit schemes start from the (projected) initial condition
+and solve a monotone step equation in which the drift is averaged over
+the current window.  In every kind the noise coefficients are averaged
+over the lagged window.  "Unprojected" runs are realized at the ambient
+resolution of the experiment: a truly infinite-dimensional state is not
+representable, so the plain and projected implicit kinds are one code
+path and differ only through the projection dimension.
 
 Explicit trajectories that leave double-precision range record the first
 non-finite step and stop instead of raising: instability outside the
-stability region is a legitimate, reportable outcome.
+stability region is a legitimate, reportable outcome.  In a block such a
+path, like an implicit path whose step equation cannot be solved, is
+marked and set to NaN while the other paths go on.
 """
 
 from __future__ import annotations
@@ -70,9 +75,13 @@ class SchemeConfig:
 
 @dataclass
 class SolveReport:
+    """Implicit-step outcome: scalars for one right-hand side, arrays over
+    the rows of a block, where `reasons` gives each failed row's cause."""
+
     iterations: int
     residual: float
     converged: bool
+    reasons: list | None = None
 
 
 @dataclass
@@ -151,41 +160,119 @@ def _resolve_initial(config, space, master_seed):
     return project(space, zeta)
 
 
-def _jump_scalars(triple, grid, partition, bundle):
-    """Per-step jump-term scalars for factorized jump coefficients.
+# Steps of per-path noise built at a time, so that a block holds no
+# (m, paths) array of Wiener increments or jump data.
+NOISE_CHUNK = 512
+
+
+def _jump_events(grid, partition, bundles):
+    """The jumps of a block as they enter a factorized jump coefficient.
 
     The compensated integral against a factorized F collapses to
-    profile(x) times (sum of per-cell weight means at the observed jumps
-    minus δ times the total weight mass of the level set).
+    profile(x) times (the sum of the per-cell weight means at the observed
+    jumps minus δ times the total weight mass of the level set).  Returns
+    the (step, path, weight mean) of every jump with a mark in a cell,
+    sorted by step and, within a path, by time, and the compensator
+    δ·Σ weight mass.
     """
     ratio, wmass = cell_weight_means(partition)
-    scalars = np.zeros(grid.m + 1)
-    if bundle.jump_times.size:
-        steps = np.searchsorted(grid.knots, bundle.jump_times, side="left")
+    steps, paths, values = [], [], []
+    for p, bundle in enumerate(bundles):
         cells = np.asarray(partition.locate(bundle.jump_marks))
         valid = cells >= 0
-        np.add.at(scalars, steps[valid], ratio[cells[valid]])
-    scalars[1:] -= grid.delta * float(wmass.sum())
-    scalars[0] = 0.0
-    return scalars
+        steps.append(np.searchsorted(grid.knots, bundle.jump_times[valid], side="left"))
+        paths.append(np.full(steps[-1].size, p))
+        values.append(ratio[cells[valid]])
+    steps = np.concatenate(steps)
+    order = np.argsort(steps, kind="stable")
+    events = (steps[order], np.concatenate(paths)[order], np.concatenate(values)[order])
+    return events, grid.delta * float(wmass.sum())
 
 
-def _check_bundle(config, bundle):
-    if bundle.m % config.m != 0:
-        raise ValueError(f"bundle grid {bundle.m} not divisible by m = {config.m}")
-    if config.l > bundle.l_level:
-        raise ValueError(f"bundle level {bundle.l_level} < requested l = {config.l}")
+def _noise_rows(bundles, grid, partition, modes, jumps, start):
+    """The per-path noise of steps start..m of a block, step by step.
+
+    Yields the (paths, modes) coarsened Wiener increments of each step and
+    its jump data: with `jumps`, the `_jump_events` of a factorized jump
+    coefficient, the (paths,) jump scalars, otherwise the (paths, cells)
+    compensated cell increments.  Rows are built NOISE_CHUNK steps at a
+    time.
+    """
+    m = grid.m
+    for lo in range(start - 1, m, NOISE_CHUNK):
+        hi = min(lo + NOISE_CHUNK, m)
+        dw = np.empty((hi - lo, len(bundles), modes))
+        for p, bundle in enumerate(bundles):
+            dw[:, p] = coarsen_wiener(bundle, m, modes, lo, hi).T
+        if jumps is None:
+            for i in range(lo + 1, hi + 1):
+                increments = [
+                    compensated_cell_increments(b, partition, grid, i) for b in bundles
+                ]
+                yield dw[i - lo - 1], np.stack(increments)
+            continue
+        (steps, paths, values), compensator = jumps
+        here = slice(*np.searchsorted(steps, [lo + 1, hi + 1]))
+        scalars = np.zeros((hi - lo, len(bundles)))
+        np.add.at(scalars, (steps[here] - lo - 1, paths[here]), values[here])
+        scalars -= compensator
+        yield from zip(dw, scalars)
+
+
+def _check_bundles(config, bundles):
+    if not bundles:
+        raise ValueError("a block needs at least one bundle")
+    first = bundles[0]
+    for bundle in bundles:
+        if (bundle.T, bundle.m, bundle.marks) != (first.T, first.m, first.marks):
+            raise ValueError("a block's bundles must share horizon, grid and marks")
+        if bundle.m % config.m != 0:
+            raise ValueError(f"bundle grid {bundle.m} not divisible by m = {config.m}")
+        if config.l > bundle.l_level:
+            raise ValueError(f"bundle level {bundle.l_level} < requested l = {config.l}")
+
+
+def _row_norms(x):
+    """H-norm of every row, each a dot product as `np.linalg.norm` takes it."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+@dataclass
+class BlockRun:
+    """What a study reads of one block of P paths stepped together.
+
+    `final` holds the terminal states (P, n) and `energies` the squared
+    H-norms at every knot (m+1, P); a path's entries are NaN from the step
+    at which it blew up or its solver failed.  Per path, `blow_up_steps`
+    gives the first non-finite explicit step and `failures` the implicit
+    solver failure as "step i: reason", None where there is none.
+    `solver_iterations` and `solver_residuals` are (m, P) for the implicit
+    kinds and empty for the explicit one.
+    """
+
+    final: np.ndarray
+    energies: np.ndarray
+    blow_up_steps: list
+    failures: list
+    solver_iterations: np.ndarray
+    solver_residuals: np.ndarray
+
+
+def run_block(space, triple, config, bundles, quad=DEFAULT_QUADRATURE):
+    """Step one block of paths together, path p driven by ``bundles[p]``.
+
+    Returns a `BlockRun`.  A block's arithmetic is batched, so its rows may
+    differ from one-path runs (`run_scheme`) in the last bits; a block of
+    one equals `run_scheme` bit for bit.
+    """
+    return _run_steps(space, triple, config, bundles, quad)[0]
 
 
 def run_explicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
     """Projected explicit scheme driven by one noise bundle."""
     if config.kind != EXPLICIT:
         raise ValueError(f"config kind {config.kind!r} is not explicit")
-    if triple.constants.p != 2.0:
-        raise ValueError("the explicit scheme requires p = 2")
-    if triple.constants.lambda_max() > 1.0 + 1e-12:
-        raise ValueError("the explicit scheme requires the coercivity weight <= 1")
-    return _run_steps(space, triple, config, bundle, quad)
+    return _trajectory(space, triple, config, bundle, quad)
 
 
 def run_implicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
@@ -197,48 +284,92 @@ def run_implicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
     """
     if config.kind not in (IMPLICIT, IMPLICIT_PROJECTED):
         raise ValueError(f"config kind {config.kind!r} is not implicit")
-    return _run_steps(space, triple, config, bundle, quad)
+    return _trajectory(space, triple, config, bundle, quad)
 
 
-def _run_steps(space, triple, config, bundle, quad):
-    """The stepping loop shared by every scheme kind.
+def _trajectory(space, triple, config, bundle, quad):
+    """One path as a block of one, keeping the value at every knot."""
+    run, values = _run_steps(space, triple, config, [bundle], quad, keep_values=True)
+    if run.failures[0] is not None:
+        raise ImplicitStepError(run.failures[0])
+    return Trajectory(
+        kind=config.kind,
+        n=config.n,
+        m=config.m,
+        l=config.l,
+        knots=TimeGrid(bundle.T, config.m).knots,
+        values=values[:, 0],
+        blow_up_step=run.blow_up_steps[0],
+        solver_iterations=run.solver_iterations[:, 0].tolist(),
+        solver_residuals=run.solver_residuals[:, 0].tolist(),
+    )
 
-    Step i adds to the previous value, in this order, δ times the lagged
-    drift mean (explicit only), the Wiener term and the compensated jump
-    term; the implicit schemes then solve the step equation with the
-    result as right-hand side.  The explicit scheme starts at knot 1, the
-    implicit ones at knot 0, and the noise terms vanish before knot 2.
+
+def _run_steps(space, triple, config, bundles, quad, keep_values=False):
+    """The stepping loop shared by every scheme kind and every block size.
+
+    Row p of the state steps path p.  Step i adds to the previous value,
+    in this order, δ times the lagged drift mean (explicit only), the
+    Wiener term and the compensated jump term; the implicit schemes then
+    solve the step equation with the result as right-hand side.  The
+    explicit scheme starts at knot 1, the implicit ones at knot 0, and the
+    noise terms vanish before knot 2.  Grid, partition, jump cell data and
+    LU factor are built once for the block.
+
+    A row that leaves double-precision range (explicit) or whose step
+    equation cannot be solved (implicit) becomes NaN and is recorded; the
+    other rows go on, and the loop stops once none is left.  Every row is
+    evaluated at every step, so no row's arithmetic depends on the values
+    of the others.  Returns the `BlockRun` and, with `keep_values`, the
+    (m+1, P, n) knot values.
     """
-    _check_bundle(config, bundle)
+    _check_bundles(config, bundles)
     explicit = config.kind == EXPLICIT
+    if explicit and triple.constants.p != 2.0:
+        raise ValueError("the explicit scheme requires p = 2")
+    if explicit and triple.constants.lambda_max() > 1.0 + 1e-12:
+        raise ValueError("the explicit scheme requires the coercivity weight <= 1")
     n, m, l = config.n, config.m, config.l
+    paths = len(bundles)
     space = restrict(space, n)
-    grid = TimeGrid(bundle.T, m)
+    grid = TimeGrid(bundles[0].T, m)
     delta = grid.delta
     modes = min(l, triple.wiener_modes)
-    dw = coarsen_wiener(bundle, m, modes)
-    partition = build_partition(bundle.marks, l)
-    first = 1 if explicit else 0
-    values = np.zeros((m + 1, n))
-    values[first] = _resolve_initial(config, space, bundle.master_seed)
+    partition = build_partition(bundles[0].marks, l)
     factorized = triple.jump_profile is not None
     if factorized:
-        scalars = _jump_scalars(triple, grid, partition, bundle)
+        jumps = _jump_events(grid, partition, bundles)
     else:
+        jumps = None
         rule = partition.marks.cell_rule(partition.lo, partition.hi, 4)
-    traj = Trajectory(
-        kind=config.kind, n=n, m=m, l=l, knots=grid.knots, values=values
-    )
     direct = None
     if not explicit and triple.linear_A is not None and triple.autonomous:
-        mat = np.eye(n) - delta * triple.linear_A[:n, :n]
-        direct = (mat, scipy.linalg.lu_factor(mat))
+        direct = _factor(triple, n, delta)
+    first = 1 if explicit else 0
+    x = np.array([_resolve_initial(config, space, b.master_seed) for b in bundles])
+    energies = np.full((m + 1, paths), np.nan)
+    values = np.full((m + 1, paths, n), np.nan) if keep_values else None
+
+    def record(i, state):
+        energies[i] = np.einsum("pj,pj->p", state, state)
+        if keep_values:
+            values[i] = state
+
+    if explicit:
+        record(0, np.zeros((paths, n)))
+    record(first, x)
+    blow_up = np.zeros(paths, dtype=int)
+    failures = [None] * paths
+    solver_steps = 0 if explicit else m
+    iterations = np.zeros((solver_steps, paths), dtype=int)
+    residuals = np.full((solver_steps, paths), np.nan)
+    live = np.ones(paths, dtype=bool)
     knots = grid.knots.tolist()
     autonomous = triple.autonomous
-    x = values[first]
     # explicit overflow is reported through the blow-up marker, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(first + 1, m + 1):
+        noise = _noise_rows(bundles, grid, partition, modes, jumps, first + 1)
+        for i, (dw, jump) in zip(range(first + 1, m + 1), noise):
             new = x
             if i >= 2:
                 t0, t1 = knots[i - 2], knots[i - 1]
@@ -247,22 +378,19 @@ def _run_steps(space, triple, config, bundle, quad):
                     new = x + delta * drift
                 if modes:
                     bmat = time_mean(triple.eval_B, x, t0, t1, autonomous, quad)
-                    new = new + bmat[:, :modes] @ dw[:, i - 1]
+                    new = new + np.matmul(bmat[..., :modes], dw[..., None])[..., 0]
                 if factorized:
                     profile = time_mean(
                         triple.jump_profile, x, t0, t1, autonomous, quad
                     )
-                    new = new + scalars[i] * profile
+                    new = new + jump[:, None] * profile
                 else:
                     cols = tilde_F(triple, grid, partition, i, x, rule, quad)
-                    new = new + cols @ compensated_cell_increments(
-                        bundle, partition, grid, i
-                    )
+                    new = new + np.matmul(cols, jump[..., None])[..., 0]
             if explicit:
-                if not np.isfinite(new).all():
-                    traj.blow_up_step = i
-                    values[i:] = np.nan
-                    break
+                lost = live & ~np.isfinite(new).all(axis=1)
+                new[lost] = np.nan
+                blow_up[lost] = i
             else:
                 new, report = solve_implicit_step(
                     triple,
@@ -273,11 +401,26 @@ def _run_steps(space, triple, config, bundle, quad):
                     quad=quad,
                     _direct=direct,
                 )
-                traj.solver_iterations.append(report.iterations)
-                traj.solver_residuals.append(report.residual)
-            values[i] = new
+                iterations[i - 1] = report.iterations
+                residuals[i - 1] = report.residual
+                lost = live & ~report.converged
+                if lost.any():
+                    for p in np.flatnonzero(lost):
+                        failures[p] = f"step {i}: {report.reasons[p]}"
+            live &= ~lost
+            record(i, new)
             x = new
-    return traj
+            if not live.any():
+                break
+    run = BlockRun(
+        final=x,
+        energies=energies,
+        blow_up_steps=[int(step) if step else None for step in blow_up],
+        failures=failures,
+        solver_iterations=iterations,
+        solver_residuals=residuals,
+    )
+    return run, values
 
 
 def solve_implicit_step(
@@ -292,96 +435,146 @@ def solve_implicit_step(
 ):
     """Solve x − δ·(Π_n)A^m_i(x) = y for the implicit step.
 
-    Affine autonomous drifts are solved directly through the LU factor of
-    I − δA (`_direct` passes the matrix and its factor in, built once per
-    run); otherwise a damped residual iteration runs first and a
-    finite-difference Newton step takes over when it stalls.
+    `y` is one right-hand side (n,) or a block of them (P, n).  Affine
+    autonomous drifts are solved directly through the LU factor of I − δA
+    (`_direct` passes the matrix and its factor in, built once per run),
+    one solve for the whole block; otherwise a damped residual iteration
+    runs first and a finite-difference Newton step takes over when it
+    stalls, with damping, stall count and convergence kept per row.
     Non-convergence signals that the step equation has left the strongly
-    monotone regime, i.e. the time step is too large.
+    monotone regime, i.e. the time step is too large.  One right-hand side
+    that cannot be solved raises ImplicitStepError; in a block the row is
+    marked instead (NaN in x, False in ``report.converged``, its cause in
+    ``report.reasons``) and the other rows are solved regardless.
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    delta = grid.delta
-
+    block = np.atleast_2d(y)
     if triple.linear_A is not None and triple.autonomous:
-        try:
-            if _direct is None:
-                mat = np.eye(n) - delta * triple.linear_A[:n, :n]
-                _direct = (mat, scipy.linalg.lu_factor(mat))
-            mat, lu = _direct
-            x = scipy.linalg.lu_solve(lu, y)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise ImplicitStepError(
-                "implicit step matrix is singular; increase the number of "
-                "time steps m"
-            ) from exc
-        residual = float(np.linalg.norm(mat @ x - y))
-        return x, SolveReport(iterations=0, residual=residual, converged=True)
+        x, report = _solve_direct(triple, grid, block, _direct)
+    else:
+        start = None if x0 is None else np.broadcast_to(x0, block.shape)
+        x, report = _solve_iterative(triple, grid, i, block, max_iter, start, quad)
+    if y.ndim == 2:
+        return x, report
+    if not report.converged[0]:
+        raise ImplicitStepError(report.reasons[0])
+    return x[0], SolveReport(
+        iterations=int(report.iterations[0]),
+        residual=float(report.residual[0]),
+        converged=True,
+    )
 
-    target = SOLVER_TOL * (1.0 + float(np.linalg.norm(y)))
+
+NO_FINITE_SOLUTION = (
+    "implicit step has no finite solution; increase the number of time steps m"
+)
+
+
+def _factor(triple, n, delta):
+    """The matrix I − δA of an affine autonomous drift and its LU factor."""
+    mat = np.eye(n) - delta * triple.linear_A[:n, :n]
+    return mat, scipy.linalg.lu_factor(mat)
+
+
+def _solve_direct(triple, grid, y, direct):
+    """All rows through the LU factor of I − δA, one solve with P right-hand sides."""
+    mat, lu = _factor(triple, y.shape[1], grid.delta) if direct is None else direct
+    x = scipy.linalg.lu_solve(lu, y.T, check_finite=False).T
+    residual = _row_norms(x @ mat.T - y)
+    solved = np.isfinite(x).all(axis=1)
+    x[~solved] = np.nan
+    reasons = [None] * len(y)
+    for p in np.flatnonzero(~solved):
+        reasons[p] = NO_FINITE_SOLUTION
+    return x, SolveReport(np.zeros(len(y), dtype=int), residual, solved, reasons)
+
+
+def _solve_iterative(triple, grid, i, y, max_iter, x0, quad):
+    """Damped residual iteration with a Newton fallback, row by row."""
+    delta = grid.delta
+    rows, n = y.shape
 
     def residual_vec(x):
         return x - delta * impl_A(triple, grid, i, x, quad) - y
 
-    x = y.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+    target = SOLVER_TOL * (1.0 + _row_norms(y))
+    x = y.copy() if x0 is None else np.array(x0, dtype=float)
     r = residual_vec(x)
-    rn = float(np.linalg.norm(r))
-    omega = 1.0
-    stall = 0
+    rn = _row_norms(r)
+    omega = np.ones(rows)
+    stall = np.zeros(rows, dtype=int)
+    iterations = np.full(rows, max_iter)
+    reasons = [None] * rows
+    live = np.isfinite(y).all(axis=1)
+    for p in np.flatnonzero(~live):
+        reasons[p] = NO_FINITE_SOLUTION
     for iteration in range(1, max_iter + 1):
-        if rn <= target:
-            return x, SolveReport(iterations=iteration - 1, residual=rn, converged=True)
-        if stall >= 3 or omega < 1e-3:
+        done = live & (rn <= target)
+        iterations[done] = iteration - 1
+        live &= ~done
+        if not live.any():
+            break
+        newton = live & ((stall >= 3) | (omega < 1e-3))
+        damped = live & ~newton
+        if newton.any():
             # finite-difference Newton on the residual map
-            jac = np.eye(n)
+            jac = np.broadcast_to(np.eye(n), (rows, n, n)).copy()
             h = 1e-7 * (1.0 + np.abs(x))
             base = delta * impl_A(triple, grid, i, x, quad)
             for k in range(n):
                 xk = x.copy()
-                xk[k] += h[k]
-                jac[:, k] -= (delta * impl_A(triple, grid, i, xk, quad) - base) / h[k]
-            try:
-                dx = np.linalg.solve(jac, r)
-            except np.linalg.LinAlgError as exc:
-                raise ImplicitStepError(
-                    "implicit step linearization is singular; increase m"
-                ) from exc
-            step = 1.0
+                xk[:, k] += h[:, k]
+                jac[:, :, k] -= (
+                    delta * impl_A(triple, grid, i, xk, quad) - base
+                ) / h[:, k, None]
+            dx = np.zeros_like(x)
+            for p in np.flatnonzero(newton):
+                try:
+                    dx[p] = np.linalg.solve(jac[p], r[p])
+                except np.linalg.LinAlgError:
+                    newton[p] = live[p] = False
+                    reasons[p] = "implicit step linearization is singular; increase m"
+            step = np.ones(rows)
             for _ in range(30):
-                xn = x - step * dx
-                r_new = residual_vec(xn)
-                rn_new = float(np.linalg.norm(r_new))
-                if rn_new < rn:
-                    x, r, rn = xn, r_new, rn_new
+                if not newton.any():
                     break
-                step *= 0.5
-            else:
-                raise ImplicitStepError(
+                xn = x - step[:, None] * dx
+                r_new = residual_vec(xn)
+                rn_new = _row_norms(r_new)
+                better = newton & (rn_new < rn)
+                x[better], r[better] = xn[better], r_new[better]
+                rn[better], omega[better], stall[better] = rn_new[better], 1.0, 0
+                newton &= ~better
+                step[newton] *= 0.5
+            for p in np.flatnonzero(newton):
+                live[p] = False
+                reasons[p] = (
                     "implicit step iteration cannot reduce the residual; increase m"
                 )
-            omega, stall = 1.0, 0
-            continue
-        xn = x - omega * r
-        r_new = residual_vec(xn)
-        rn_new = float(np.linalg.norm(r_new))
-        if rn_new < rn:
-            if rn_new > 0.5 * rn:
-                stall += 1
-            x, r, rn = xn, r_new, rn_new
-            omega = min(1.0, omega * 1.5)
-        else:
-            omega *= 0.5
-            stall += 1
-    if rn <= target:
-        return x, SolveReport(iterations=max_iter, residual=rn, converged=True)
-    raise ImplicitStepError(
-        f"implicit step did not converge within {max_iter} iterations "
-        f"(residual {rn:.3e} > {target:.3e}); increase the number of time steps m"
-    )
+        if damped.any():
+            xn = x - omega[:, None] * r
+            r_new = residual_vec(xn)
+            rn_new = _row_norms(r_new)
+            better = damped & (rn_new < rn)
+            worse = damped & ~better
+            stall += better & (rn_new > 0.5 * rn)
+            x[better], r[better], rn[better] = xn[better], r_new[better], rn_new[better]
+            omega[better] = np.minimum(1.0, omega[better] * 1.5)
+            omega[worse] *= 0.5
+            stall += worse
+    for p in np.flatnonzero(live & ~(rn <= target)):
+        reasons[p] = (
+            f"implicit step did not converge within {max_iter} iterations "
+            f"(residual {rn[p]:.3e} > {target[p]:.3e}); "
+            "increase the number of time steps m"
+        )
+    solved = np.array([reason is None for reason in reasons])
+    x[~solved] = np.nan
+    return x, SolveReport(iterations, rn, solved, reasons)
 
 
 def run_scheme(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
-    """Dispatch on the configured scheme kind."""
+    """Dispatch on the configured scheme kind: one path, a block of one."""
     if config.kind == EXPLICIT:
         return run_explicit(space, triple, config, bundle, quad)
     return run_implicit(space, triple, config, bundle, quad)

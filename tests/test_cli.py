@@ -401,35 +401,43 @@ def test_benchmark_selftest_passes(monkeypatch):
             sys.modules.pop("tracing", None)
 
 
-@pytest.mark.parametrize(
-    "kind, steps, evals", [("explicit", 666, 1998), ("implicit_projected", 672, 1332)]
-)
-def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, steps, evals):
+@pytest.mark.parametrize("kind, evals", [("explicit", 999), ("implicit_projected", 666)])
+def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, evals):
     """The benchmark tracer hooks parameter and function names of the package."""
     tracing = _benchmark_tracing()
-    path = tmp_path / "trace.cfg"
-    path.write_text(
-        BASE_CONFIG.replace("kind = explicit", f"kind = {kind}")
-        + "\n[run]\npaths = 2\n\n[ladder]\nrungs = 2:16:1, 4:64:2\nreference = 8:256:3\n"
-    )
-    tracer = tracing.Tracer(reference=(8, 256, 3))
-    tracer.install()
-    try:
-        code = main(
-            ["converge", "--config", str(path), "--out", str(tmp_path / "t.csv"),
-             "--workers", "1"]
+    for paths in (2, 5):
+        path = tmp_path / "trace.cfg"
+        path.write_text(
+            BASE_CONFIG.replace("kind = explicit", f"kind = {kind}")
+            + f"\n[run]\npaths = {paths}\n\n[ladder]\nrungs = 2:16:1, 4:64:2\n"
+            "reference = 8:256:3\n"
         )
-    finally:
-        tracer.uninstall()
-    assert code == 0
-    counts = tracing.exact_counts(tracer, 2)
-    assert counts["harness.reference_runs_per_path"] == 1.0
-    # per run: m - 1 explicit steps of 3 evaluations each, or m implicit
-    # solves, the drift taken by LU and two noise evaluations from knot 2 on
-    assert counts["schemes.steps"] == steps
-    assert counts["fixtures.evals_per_step"] == evals / steps
-    # one mark partition per scheme run: 2 paths of 3 runs each
-    assert counts["noise.build_partition.calls"] == 6
+        tracer = tracing.Tracer(reference=(8, 256, 3))
+        tracer.install()
+        try:
+            code = main(
+                ["converge", "--config", str(path), "--out", str(tmp_path / "t.csv"),
+                 "--workers", "1"]
+            )
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        counts = tracing.exact_counts(tracer, paths)
+        spans = Counter(tracer.labels[i] for i in tracer.arrays()["name"])
+        # the paths are one block, which each configuration steps once through
+        # run_block; the tracer tags reference runs only on run_scheme calls
+        # and counts steps only off one-path Trajectory results, so it sees
+        # neither for a study
+        assert spans["schemes.run_block"] == 3
+        assert counts["harness.reference_runs_per_path"] == 0.0
+        assert counts["schemes.steps"] == 0
+        assert counts["fixtures.evals_per_step"] == 0.0
+        # per block, whatever its path count: m - 1 explicit steps of 3
+        # evaluations each, or m implicit solves with the drift taken by LU
+        # and two noise evaluations from knot 2 on
+        assert sum(spans[f"fixtures.{e}"] for e in tracing.EVALUATORS) == evals
+        # one mark partition per configuration per block
+        assert counts["noise.build_partition.calls"] == 3
 
 
 def test_benchmark_tracer_counts_a_condition_suite(tmp_path):

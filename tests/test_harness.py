@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdesim import harness
 from spdesim.averaging import QuadratureSpec
@@ -19,7 +21,7 @@ from spdesim.harness import (
 )
 from spdesim.noise import PowerLawMarks, TimeGrid, sample_bundle
 from spdesim.rng import TAG_PATH, derive_key
-from spdesim.schemes import SchemeConfig, run_scheme
+from spdesim.schemes import BlockRun, SchemeConfig, run_block, run_scheme
 from spdesim.space import build_sine_space, restrict, smooth_profile
 
 MARKS = PowerLawMarks()
@@ -250,13 +252,24 @@ def test_solver_failures_are_counted_per_path():
     assert np.isnan(row.estimate)
 
 
+def _one_path_run(blow_up_step=None, failure=None):
+    return BlockRun(
+        final=np.full((1, 2), np.nan),
+        energies=np.full((3, 1), np.nan),
+        blow_up_steps=[blow_up_step],
+        failures=[failure],
+        solver_iterations=np.zeros((0, 1), dtype=int),
+        solver_residuals=np.zeros((0, 1)),
+    )
+
+
 def test_blowup_outranks_solver_failure_in_a_ladder_row():
     # one path, one rung: whichever of the rung and the reference blew up
     # while the other failed, the rung counts a blow-up and no failure
-    blown = (harness.BLOWN_UP, None)
-    failed = (harness.FAILED, None)
+    blown = _one_path_run(blow_up_step=2)
+    failed = _one_path_run(failure="step 1: implicit step did not converge")
     for runs in ([blown, failed], [failed, blown]):
-        (column,) = zip(harness._terminal_gaps(runs))
+        (column,) = zip(*harness._terminal_gaps(runs))
         est, half, blowups, failures = harness._error_stats(column)
         assert (blowups, failures) == (1, 0)
         assert np.isnan(est) and np.isnan(half)
@@ -272,12 +285,15 @@ def test_convergence_study_honours_quadrature():
     rung, ref = _rung_configs(ladder)
     grid = TimeGrid(1.0, ref.m)
     modes = min(ref.l, triple.wiener_modes)
+    bundles = [
+        sample_bundle(derive_key(29, TAG_PATH, j), grid, modes, MARKS, ref.l)
+        for j in range(ladder.paths)
+    ]
+    coarse = run_block(SPACE, triple, rung, bundles, quad)
+    fine = run_block(SPACE, triple, ref, bundles, quad)
     gaps = []
-    for j in range(ladder.paths):
-        bundle = sample_bundle(derive_key(29, TAG_PATH, j), grid, modes, MARKS, ref.l)
-        coarse = run_scheme(SPACE, triple, rung, bundle, quad)
-        fine = run_scheme(SPACE, triple, ref, bundle, quad)
-        diff = np.concatenate([coarse.final, np.zeros(2)]) - fine.final
+    for coarse_final, fine_final in zip(coarse.final, fine.final):
+        diff = np.concatenate([coarse_final, np.zeros(2)]) - fine_final
         gaps.append(float(diff @ diff))
     want = float(neumaier_sum(np.asarray(gaps)) / len(gaps))
     got = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE, quad=quad)
@@ -286,21 +302,22 @@ def test_convergence_study_honours_quadrature():
     assert default.rows[0].estimate != want
 
 
-def test_ladder_runs_each_config_once_per_path(monkeypatch):
+def test_ladder_runs_each_config_once_per_block(monkeypatch):
     calls = []
-    original = harness.run_scheme
+    original = harness.run_block
 
-    def counting(space, triple, config, *args, **kwargs):
-        calls.append((config.n, config.m, config.l))
-        return original(space, triple, config, *args, **kwargs)
+    def counting(space, triple, config, bundles, *args, **kwargs):
+        calls.append(((config.n, config.m, config.l), len(bundles)))
+        return original(space, triple, config, bundles, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "run_scheme", counting)
+    monkeypatch.setattr(harness, "run_block", counting)
+    # 65 paths are a block of 64 and a block of one
     ladder = LadderSpec(
-        rungs=((2, 16, 1), (4, 64, 2)), reference=(8, 256, 3), paths=3, master_seed=7
+        rungs=((2, 16, 1), (4, 64, 2)), reference=(8, 256, 3), paths=65, master_seed=7
     )
     convergence_study(SPACE, heat_jump(SPACE, MARKS), MARKS, ladder, TEMPLATE)
-    assert len(calls) == ladder.paths * (len(ladder.rungs) + 1)
-    assert calls.count(ladder.reference) == ladder.paths
+    configs = ladder.rungs + (ladder.reference,)
+    assert calls == [(c, 64) for c in configs] + [(c, 1) for c in configs]
 
 
 def test_ladder_rows_equal_standalone_coupled_errors():
@@ -327,3 +344,66 @@ def test_implicit_ladder_csv_worker_invariant():
     one = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE, workers=1)
     two = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE, workers=2)
     assert one.to_csv() == two.to_csv()
+
+
+class RecordingPool:
+    """Stands in for the process pool: records its size and the blocks it
+    is handed, and maps in-process."""
+
+    sizes = []
+    blocks = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        self.blocks.extend(items)
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "paths, workers, started",
+    [(40, 8, []), (64, 3, []), (65, 8, [2]), (130, 2, [2]), (130, 8, [3])],
+)
+def test_workers_never_outnumber_blocks(monkeypatch, paths, workers, started):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "blocks", [])
+    triple = heat_jump(SPACE, MARKS)
+    monte_carlo(SPACE, triple, _cfg(n=2, m=8, l=1), MARKS, paths, 3, workers=workers)
+    assert RecordingPool.sizes == started
+    if started:
+        # whole fixed blocks of 64 path indices, whatever the worker count
+        want = [range(s, min(s + 64, paths)) for s in range(0, paths, 64)]
+        assert RecordingPool.blocks == want
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    paths=st.sampled_from([1, 63, 64, 65, 130]),
+    workers=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_results_do_not_depend_on_workers_or_block_edges(paths, workers, seed):
+    # blocks are fixed path ranges, so every worker count computes every
+    # path in the same block with the same batched arithmetic
+    triple = heat_jump(SPACE, MARKS)
+    ladder = LadderSpec(
+        rungs=((2, 8, 1), (4, 16, 2)), reference=(8, 32, 2), paths=paths, master_seed=seed
+    )
+    cfg = _cfg(kind="implicit_projected", n=4, m=16, l=2)
+
+    def results(w):
+        report = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE, workers=w)
+        stats = monte_carlo(SPACE, triple, cfg, MARKS, paths, seed, workers=w)
+        moments = (stats.knot_mean.tobytes(), stats.knot_var.tobytes())
+        return report.to_csv(), moments, (stats.paths, stats.blowups, stats.failures)
+
+    assert results(workers) == results(1)

@@ -153,6 +153,18 @@ def test_coarsen_rejects_non_divisor():
         coarsen_wiener(bundle, 2, 5)
 
 
+def test_coarsen_a_step_range_is_a_slice_of_the_whole():
+    bundle = sample_bundle(5, TimeGrid(1.0, 64), 2, MARKS, 1)
+    whole = coarsen_wiener(bundle, 16, 2)
+    for start, stop in ((0, 16), (0, 5), (5, 16), (7, 7)):
+        part = coarsen_wiener(bundle, 16, 2, start, stop)
+        assert part.tobytes() == whole[:, start:stop].tobytes()
+    with pytest.raises(ValueError, match="outside"):
+        coarsen_wiener(bundle, 16, 2, 4, 17)
+    with pytest.raises(ValueError, match="outside"):
+        coarsen_wiener(bundle, 16, 2, 5, 4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),

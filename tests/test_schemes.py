@@ -3,11 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spdesim.fixtures import heat_jump, semilinear, zero_triple
+from spdesim.coefficients import exponential_transform
+from spdesim.fixtures import additive_multimode, heat_jump, semilinear, zero_triple
 from spdesim.noise import AtomMarks, NoiseBundle, PowerLawMarks, TimeGrid, sample_bundle
+from spdesim.rng import TAG_INITIAL, derive_key, make_generator
 from spdesim.schemes import (
+    SOLVER_TOL,
     ImplicitStepError,
     SchemeConfig,
+    run_block,
     run_explicit,
     run_implicit,
     run_scheme,
@@ -387,3 +391,186 @@ def test_trajectory_export_roundtrip():
     csv = traj.final_csv()
     assert csv.splitlines()[0] == "mode,value"
     assert len(csv.splitlines()) == 4
+
+
+ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
+
+
+class RandomInitial:
+    """Initial data drawn from the path's own generator."""
+
+    def __call__(self, rng):
+        return rng.normal(size=6)
+
+
+def _block_cases():
+    space = build_sine_space(6)
+    base = heat_jump(space, MARKS)
+    triples = {
+        "factorized": (base, MARKS),
+        "generic": (dataclasses.replace(base, jump_profile=None), MARKS),
+        "non_autonomous": (
+            dataclasses.replace(base, linear_A=None, autonomous=False), MARKS
+        ),
+        "transformed": (
+            exponential_transform(heat_jump(space, MARKS, reaction=2.0), 4.5), MARKS
+        ),
+        "semilinear": (semilinear(space, MARKS, amplitude=5.0), MARKS),
+        "additive": (additive_multimode(space, MARKS), MARKS),
+        "atoms": (heat_jump(space, ATOMS), ATOMS),
+    }
+    for name, (triple, marks) in triples.items():
+        for kind in ("explicit", "implicit", "implicit_projected"):
+            yield pytest.param(space, triple, marks, kind, id=f"{name}-{kind}")
+
+
+def _bundles(count, marks=MARKS, seed=100):
+    return [sample_bundle(seed + j, TimeGrid(1.0, 64), 3, marks, 3) for j in range(count)]
+
+
+def _config(kind):
+    n = 6 if kind == "implicit" else 4
+    return SchemeConfig(kind=kind, n=n, m=32, l=3, initial=RandomInitial())
+
+
+@pytest.mark.parametrize("space, triple, marks, kind", _block_cases())
+def test_block_of_one_equals_run_scheme_bitwise(space, triple, marks, kind):
+    cfg = _config(kind)
+    for bundle in _bundles(2, marks):
+        traj = run_scheme(space, triple, cfg, bundle)
+        run = run_block(space, triple, cfg, [bundle])
+        assert run.final.tobytes() == traj.final.tobytes()
+        energies = np.einsum("ij,ij->i", traj.values, traj.values)
+        assert run.energies[:, 0].tobytes() == energies.tobytes()
+        assert run.blow_up_steps == [traj.blow_up_step]
+        assert run.failures == [None]
+        assert run.solver_iterations[:, 0].tolist() == traj.solver_iterations
+        assert run.solver_residuals[:, 0].tolist() == traj.solver_residuals
+
+
+@pytest.mark.parametrize("space, triple, marks, kind", _block_cases())
+def test_block_rows_match_one_path_runs(space, triple, marks, kind):
+    # batched arithmetic moves the last bits, nothing more; where the step
+    # equation is solved iteratively, a moved bit may cost or save one
+    # iteration, so rows agree to the solver tolerance summed over the steps
+    cfg = _config(kind)
+    iterative = kind != "explicit" and (triple.linear_A is None or not triple.autonomous)
+    rtol = cfg.m * SOLVER_TOL if iterative else 1e-12
+    bundles = _bundles(5, marks)
+    run = run_block(space, triple, cfg, bundles)
+    assert run.final.shape == (5, cfg.n)
+    assert run.energies.shape == (cfg.m + 1, 5)
+    for p, bundle in enumerate(bundles):
+        traj = run_scheme(space, triple, cfg, bundle)
+        scale = np.abs(traj.final).max()
+        assert np.abs(run.final[p] - traj.final).max() <= rtol * scale
+        energies = np.einsum("ij,ij->i", traj.values, traj.values)
+        assert np.abs(run.energies[:, p] - energies).max() <= rtol * energies.max()
+
+
+def test_explicit_blowup_leaves_the_other_paths_unchanged():
+    space = build_sine_space(8)
+    triple = heat_jump(space, MARKS)
+    cfg = SchemeConfig(kind="explicit", n=8, m=64, l=2, initial=smooth_profile(8))
+    calm = _bundles(5)
+    loud = list(calm)
+    # one path's Wiener increments overflow the noise term
+    loud[2] = dataclasses.replace(calm[2], wiener=calm[2].wiener * 1e305)
+    want = run_block(space, triple, cfg, calm)
+    got = run_block(space, triple, cfg, loud)
+    assert want.blow_up_steps == [None] * 5
+    step = got.blow_up_steps[2]
+    assert step is not None
+    assert got.blow_up_steps == [None, None, step, None, None]
+    assert np.isnan(got.final[2]).all() and np.isnan(got.energies[step:, 2]).all()
+    assert not np.isnan(got.energies[:step, 2]).any()
+    others = [0, 1, 3, 4]
+    assert got.final[others].tobytes() == want.final[others].tobytes()
+    assert got.energies[:, others].tobytes() == want.energies[:, others].tobytes()
+    assert run_explicit(space, triple, cfg, loud[2]).blow_up_step == step
+
+
+class QuietOrLoud:
+    """Initial data of order one on some paths and of order 1e-13 on the rest."""
+
+    def __call__(self, rng):
+        return smooth_profile(4) * (1.0 if rng.random() < 0.3 else 1e-13)
+
+
+def test_solver_failure_leaves_the_other_paths_unchanged():
+    # one damped iteration solves the step equation only for states so small
+    # that the residual starts below the tolerance; an order-one state fails
+    space = build_sine_space(4)
+    triple = semilinear(space, MARKS)
+    initial = QuietOrLoud()
+    cfg = SchemeConfig(kind="implicit_projected", n=4, m=8, l=1, initial=initial, max_iter=1)
+
+    def loud(seed):
+        return initial(make_generator(derive_key(seed, TAG_INITIAL)))[0] > 1e-6
+
+    seeds = range(200, 260)
+    quiet = [s for s in seeds if not loud(s)][:5]
+    noisy = next(s for s in seeds if loud(s))
+    grid = TimeGrid(1.0, 8)
+    calm = [sample_bundle(s, grid, 0, MARKS, 1) for s in quiet]
+    mixed = calm[:2] + [sample_bundle(noisy, grid, 0, MARKS, 1)] + calm[3:]
+    want = run_block(space, triple, cfg, calm)
+    got = run_block(space, triple, cfg, mixed)
+    assert want.failures == [None] * 5
+    assert got.failures[2].startswith("step 1: implicit step did not converge")
+    assert [f is None for f in got.failures] == [True, True, False, True, True]
+    assert np.isnan(got.final[2]).all() and np.isnan(got.energies[1:, 2]).all()
+    others = [0, 1, 3, 4]
+    assert got.final[others].tobytes() == want.final[others].tobytes()
+    assert got.energies[:, others].tobytes() == want.energies[:, others].tobytes()
+    assert (got.solver_iterations[:, others] == want.solver_iterations[:, others]).all()
+    with pytest.raises(ImplicitStepError, match="step 1: implicit step did not converge"):
+        run_implicit(space, triple, cfg, mixed[2])
+
+
+def test_block_rejects_mismatched_bundles():
+    space = build_sine_space(4)
+    cfg = SchemeConfig(kind="explicit", n=4, m=8, l=1)
+    triple = heat_jump(space, MARKS)
+    with pytest.raises(ValueError, match="at least one bundle"):
+        run_block(space, triple, cfg, [])
+    with pytest.raises(ValueError, match="share"):
+        run_block(space, triple, cfg, [_bundle(1, 8), _bundle(2, 16)])
+
+
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])
+def test_noise_chunks_do_not_change_a_block(monkeypatch, kind, generic):
+    from spdesim import schemes
+
+    space = build_sine_space(6)
+    triple = heat_jump(space, MARKS)
+    if generic:
+        triple = dataclasses.replace(triple, jump_profile=None)
+    cfg = _config(kind)
+    bundles = _bundles(3)
+    whole = run_block(space, triple, cfg, bundles)
+    monkeypatch.setattr(schemes, "NOISE_CHUNK", 5)
+    chunked = run_block(space, triple, cfg, bundles)
+    assert chunked.final.tobytes() == whole.final.tobytes()
+    assert chunked.energies.tobytes() == whole.energies.tobytes()
+
+
+@pytest.mark.parametrize("direct", [True, False])
+def test_block_solve_marks_rows_without_a_finite_solution(direct):
+    space = build_sine_space(4)
+    triple = _quiet_heat(space)
+    if not direct:
+        triple = dataclasses.replace(triple, linear_A=None)
+    grid = TimeGrid(1.0, 16)
+    rows = np.random.default_rng(3).uniform(-2.0, 2.0, (3, 4))
+    rows[1, 2] = np.nan
+    x, report = solve_implicit_step(triple, grid, 2, rows)
+    assert report.converged.tolist() == [True, False, True]
+    assert report.reasons[1].startswith("implicit step has no finite solution")
+    assert np.isnan(x[1]).all()
+    for p in (0, 2):
+        alone, _ = solve_implicit_step(triple, grid, 2, rows[p])
+        np.testing.assert_allclose(x[p], alone, rtol=1e-14, atol=1e-15)
+    with pytest.raises(ImplicitStepError, match="no finite solution"):
+        solve_implicit_step(triple, grid, 2, rows[1])

@@ -22,7 +22,15 @@ The structural conditions (dissipativity, coercivity, growth,
 hemicontinuity, and the derived bounds on the noise coefficients) quantify
 over the whole space, so the checkers here are statistical: they sample
 random inputs, evaluate the defining inequality, and report the worst
-violation with a witness.
+violation with a witness.  Trial j of a check with seed s draws its sample
+from the Philox stream keyed derive_key(s, TAG_TRIAL, j), read through one
+re-keyed generator (`rng.keyed_generators`), so its draws are those of
+``make_generator`` for that key.  Trials are evaluated SCAN_CHUNK at a time
+as one array: times of shape (P,), states of shape (P, n), the norms and
+pairings of `space` row by row, and mark integrals of (P, n, k) values
+through `MarkIntegral.integral_sq`.  Autonomous coefficients are called
+once per chunk; the others row by row at each trial's time.  Witnesses and
+verdicts do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -34,12 +42,15 @@ import numpy as np
 import scipy.integrate
 
 from .noise import build_partition
-from .rng import TAG_TRIAL, derive_key, make_generator
+from .rng import TAG_TRIAL, derive_key, keyed_generators
 from .space import norms, pairing
 
 DEFAULT_TOLERANCE = 1e-8
 # Half-width of the coordinate box the statistical checks sample states from.
 SAMPLE_BOX = 5.0
+# Trials a sampled check draws and evaluates as one array; with at most a
+# few hundred mark nodes this bounds the (P, n, k) jump values near 1 MB.
+SCAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -186,15 +197,17 @@ class MarkIntegral:
         self.ref_scale = self.tail_sq / ref_w**2 if self.tail_sq > 0 else 0.0
 
     def integral_sq(self, g):
-        """∫ ‖g(ξ)‖² ν(dξ); g maps a mark vector to a (dim, k) matrix."""
-        vals = np.asarray(g(self.nodes), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[None, :]
-        total = float(np.einsum("ik,k->", vals**2, self.weights))
+        """∫ ‖g(ξ)‖² ν(dξ); g maps a vector of k marks to a (..., dim, k) array.
+
+        Leading axes are a batch with one integral each, returned as an
+        array of that shape; a single (dim, k) value gives a Python float.
+        """
+        vals = np.atleast_2d(np.asarray(g(self.nodes), dtype=float))
+        total = np.einsum("...ik,k->...", vals**2, self.weights)
         if self.ref_scale:
-            ref = np.asarray(g(np.array([self.ref_mark])), dtype=float)
-            total += self.ref_scale * float(np.sum(ref**2))
-        return total
+            ref = np.atleast_2d(np.asarray(g(np.array([self.ref_mark])), dtype=float))
+            total = total + self.ref_scale * np.sum(ref**2, axis=(-2, -1))
+        return float(total) if total.ndim == 0 else total
 
 
 @dataclass
@@ -216,23 +229,33 @@ class ConditionReport:
 
 
 def _scan(condition_id, trials, seed, draw, evaluate):
-    """Worst of `evaluate(*draw(rng, trial))` over keyed per-trial generators."""
+    """Worst of `evaluate` over keyed per-trial draws, SCAN_CHUNK trials at once.
+
+    Trial j draws `draw(rng, j)` from its own keyed stream.  A chunk's
+    samples are stacked column by column (times (P,), states (P, n)) and
+    `evaluate` returns their P values.  The witness is the first trial that
+    reaches the largest value, and a non-finite value raises with the
+    sample of the first such trial.
+    """
+    rngs = keyed_generators(derive_key(seed, TAG_TRIAL, np.arange(trials)))
     worst = -math.inf
     witness = {}
-    for trial in range(trials):
-        rng = make_generator(derive_key(seed, TAG_TRIAL, trial))
-        sample = draw(rng, trial)
-        value = evaluate(*sample)
-        if not np.isfinite(value):
+    for lo in range(0, trials, SCAN_CHUNK):
+        chunk = range(lo, min(lo + SCAN_CHUNK, trials))
+        samples = [draw(rng, trial) for trial, rng in zip(chunk, rngs)]
+        values = np.asarray(evaluate(*map(np.array, zip(*samples))), dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
             raise ValueError(
                 f"{condition_id}: non-finite evaluation at witness "
-                f"{[np.asarray(s).tolist() for s in sample]}"
+                f"{[np.asarray(s).tolist() for s in samples[int(np.argmin(finite))]]}"
             )
-        if value > worst:
-            worst = value
+        best = int(np.argmax(values))
+        if values[best] > worst:
+            worst = float(values[best])
             witness = {
-                "trial": trial,
-                "sample": [np.asarray(s).tolist() for s in sample],
+                "trial": lo + best,
+                "sample": [np.asarray(s).tolist() for s in samples[best]],
             }
     return ConditionReport(
         condition_id=condition_id,
@@ -241,6 +264,30 @@ def _scan(condition_id, trials, seed, draw, evaluate):
         witness=witness,
         passed=bool(worst <= DEFAULT_TOLERANCE),
     )
+
+
+def _on_chunk(triple, t):
+    """Evaluate a coefficient of `triple` on a (P, n) chunk, row p at time t[p].
+
+    An autonomous coefficient does not read the time (`time_mean` relies on
+    the same rule), so it is called once on the whole chunk; otherwise row
+    by row, because evaluators take a scalar time.
+    """
+    if triple.autonomous:
+        return lambda fn, x, *marks: np.asarray(fn(t[0], x, *marks), dtype=float)
+    return lambda fn, x, *marks: np.stack(
+        [np.asarray(fn(s, row, *marks), dtype=float) for s, row in zip(t, x)]
+    )
+
+
+def _at_times(fn, t):
+    """A scalar function of time at every trial time, shape (P,)."""
+    return np.array([fn(s) for s in t], dtype=float)
+
+
+def _sq_sum(b):
+    """Squared Hilbert-Schmidt norm of each (n, modes) matrix in a batch."""
+    return np.sum(b**2, axis=(-2, -1))
 
 
 def check_monotonicity(triple, space, sampler, trials, mark_quadrature, seed=0):
@@ -252,13 +299,11 @@ def check_monotonicity(triple, space, sampler, trials, mark_quadrature, seed=0):
     """
 
     def evaluate(t, x, y):
-        d = x - y
-        drift = 2.0 * pairing(d, np.asarray(triple.eval_A(t, x)) - triple.eval_A(t, y))
-        bdiff = np.asarray(triple.eval_B(t, x)) - np.asarray(triple.eval_B(t, y))
-        noise = float(np.sum(bdiff**2))
+        on = _on_chunk(triple, t)
+        drift = 2.0 * pairing(x - y, on(triple.eval_A, x) - on(triple.eval_A, y))
+        noise = _sq_sum(on(triple.eval_B, x) - on(triple.eval_B, y))
         jump = mark_quadrature.integral_sq(
-            lambda xi: np.asarray(triple.eval_F(t, x, xi))
-            - np.asarray(triple.eval_F(t, y, xi))
+            lambda xi: on(triple.eval_F, x, xi) - on(triple.eval_F, y, xi)
         )
         return drift + noise + jump
 
@@ -273,13 +318,13 @@ def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
     c = triple.constants
 
     def evaluate(t, x):
+        on = _on_chunk(triple, t)
         _, v, _ = norms(space, x)
-        h2 = float(x @ x)
-        lhs = 2.0 * pairing(x, np.asarray(triple.eval_A(t, x)))
-        lhs += float(np.sum(np.asarray(triple.eval_B(t, x)) ** 2))
-        lhs += mark_quadrature.integral_sq(lambda xi: triple.eval_F(t, x, xi))
-        lhs += c.lambda_fn(t) * v**c.p
-        return lhs - c.k1_fn(t) - c.k1bar_fn(t) * h2
+        lhs = 2.0 * pairing(x, on(triple.eval_A, x))
+        lhs += _sq_sum(on(triple.eval_B, x))
+        lhs += mark_quadrature.integral_sq(lambda xi: on(triple.eval_F, x, xi))
+        lhs += _at_times(c.lambda_fn, t) * v**c.p
+        return lhs - _at_times(c.k1_fn, t) - _at_times(c.k1bar_fn, t) * pairing(x, x)
 
     return _scan("C2", trials, seed, sampler.point, evaluate)
 
@@ -295,10 +340,13 @@ def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
 
     def evaluate(t, x):
         _, v, _ = norms(space, x)
-        a = np.asarray(triple.eval_A(t, x))
-        _, _, dual = norms(space, a)
-        lam = c.lambda_fn(t)
-        return dual**c.q - c.alpha * lam**c.q * v**c.p - c.k2_fn(t) * lam ** (c.q - 1.0)
+        _, _, dual = norms(space, _on_chunk(triple, t)(triple.eval_A, x))
+        lam = _at_times(c.lambda_fn, t)
+        return (
+            dual**c.q
+            - c.alpha * lam**c.q * v**c.p
+            - _at_times(c.k2_fn, t) * lam ** (c.q - 1.0)
+        )
 
     return _scan("C3", trials, seed, sampler.point, evaluate)
 
@@ -306,6 +354,7 @@ def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
 def probe_hemicontinuity(triple, x, y, z, t, epsilons=None):
     """Gap |⟨A(x+εy), z⟩ − ⟨A(x), z⟩| along a vanishing ε ladder.
 
+    The shifted states x + εy are evaluated as one (len(ε), n) batch.
     Passes when the gap at the smallest ε is below DEFAULT_TOLERANCE and
     the gap sequence is eventually decreasing.
     """
@@ -315,12 +364,8 @@ def probe_hemicontinuity(triple, x, y, z, t, epsilons=None):
     if epsilons.ndim != 1 or epsilons.size < 2 or not (np.diff(epsilons) < 0).all():
         raise ValueError("epsilons must decrease strictly to 0")
     base = pairing(z, np.asarray(triple.eval_A(t, x)))
-    gaps = np.array(
-        [
-            abs(pairing(z, np.asarray(triple.eval_A(t, x + eps * y))) - base)
-            for eps in epsilons
-        ]
-    )
+    shifted = np.asarray(x) + epsilons[:, None] * np.asarray(y)
+    gaps = np.abs(pairing(z, np.asarray(triple.eval_A(t, shifted))) - base)
     if not np.isfinite(gaps).all():
         raise ValueError("non-finite drift evaluation in hemicontinuity probe")
     tail = gaps[-min(10, gaps.size) :]
@@ -345,27 +390,27 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
     c = triple.constants
 
     def evaluate(t, x, y):
+        on = _on_chunk(triple, t)
         _, vx, _ = norms(space, x)
         _, vy, _ = norms(space, y)
-        lam = c.lambda_fn(t)
-        bx = np.asarray(triple.eval_B(t, x))
-        by = np.asarray(triple.eval_B(t, y))
-        diff_lhs = float(np.sum((bx - by) ** 2)) + mark_quadrature.integral_sq(
-            lambda xi: np.asarray(triple.eval_F(t, x, xi))
-            - np.asarray(triple.eval_F(t, y, xi))
+        lam = _at_times(c.lambda_fn, t)
+        bx = on(triple.eval_B, x)
+        by = on(triple.eval_B, y)
+        diff_lhs = _sq_sum(bx - by) + mark_quadrature.integral_sq(
+            lambda xi: on(triple.eval_F, x, xi) - on(triple.eval_F, y, xi)
         )
         diff_rhs = (3.0 * c.alpha + 2.0 / c.p) * lam * (
             vx**c.p + vy**c.p
-        ) + (4.0 / c.q) * c.k2_fn(t)
-        abs_lhs = float(np.sum(bx**2)) + mark_quadrature.integral_sq(
-            lambda xi: triple.eval_F(t, x, xi)
+        ) + (4.0 / c.q) * _at_times(c.k2_fn, t)
+        abs_lhs = _sq_sum(bx) + mark_quadrature.integral_sq(
+            lambda xi: on(triple.eval_F, x, xi)
         )
         abs_rhs = (
             2.0 * c.alpha * lam * vx**c.p
-            + c.k1bar_fn(t) * float(x @ x)
-            + c.k3_fn(t)
+            + _at_times(c.k1bar_fn, t) * pairing(x, x)
+            + _at_times(c.k3_fn, t)
         )
-        return max(diff_lhs - diff_rhs, abs_lhs - abs_rhs)
+        return np.maximum(diff_lhs - diff_rhs, abs_lhs - abs_rhs)
 
     return _scan("PropBF", trials, seed, sampler.pair, evaluate)
 

@@ -6,6 +6,13 @@ scrambling.  Keys depend only on their inputs, never on generation order,
 so paths, modes and steps can be produced in parallel and still match a
 serial run bit for bit.  The mixing function below is the fixed,
 documented construction; changing it breaks stored-seed reproducibility.
+
+Generators are Philox, a counter-based bit generator (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11): its whole state is a
+key, a counter and an output buffer, so re-keying one generator with key k,
+a zero counter and an empty buffer gives draw for draw the stream of a fresh
+``Philox(key=k)``.  ``keyed_generators`` does that for a run of keys and
+saves building (and seeding) a generator per key.
 """
 
 from __future__ import annotations
@@ -66,3 +73,25 @@ def normals_from_keys(keys):
 def make_generator(key):
     """Counter-based numpy Generator for a derived key (Poisson, uniforms)."""
     return np.random.Generator(np.random.Philox(key=int(key)))
+
+
+def keyed_generators(keys):
+    """One Generator re-keyed before each yield: ``make_generator(k)`` per key.
+
+    Before yielding for key k the Philox state is set to key [k, 0], counter
+    0, an empty buffer (``buffer_pos`` 4) and no stored 32-bit half, which is
+    exactly the state ``Philox(key=k)`` starts in.  The same object is
+    yielded each time, so draw from it before advancing the iterator.
+    """
+    bitgen = np.random.Philox(0)
+    generator = np.random.Generator(bitgen)
+    state = bitgen.state
+    state["state"]["counter"][:] = 0
+    state["buffer"][:] = 0
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    key = state["state"]["key"]
+    key[1] = 0
+    for k in np.asarray(keys, dtype=np.uint64).ravel():
+        key[0] = k
+        bitgen.state = state
+        yield generator

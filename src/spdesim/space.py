@@ -118,30 +118,52 @@ def c_b(space):
     return float(np.trace(space.v_gram))
 
 
-def norms(space, x):
-    """(H-norm, V-norm, dual norm) of a coordinate vector in the space.
+def _as_rows(x):
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        raise ValueError("expected coordinate vectors, got a scalar")
+    return x
 
+
+def _scalar_or_rows(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def norms(space, x):
+    """(H-norm, V-norm, dual norm) of coordinate vectors in the space.
+
+    `x` has shape (..., dim) and each row is one vector; a single vector
+    of shape (dim,) gives Python floats, a batch gives arrays of shape (...).
     The dual norm is the exact V*-norm of the functional restricted to the
-    subspace, i.e. the Gram-inverse quadratic form.
+    subspace, i.e. the Gram-inverse quadratic form, taken for every row with
+    one Cholesky solve.
     """
-    x = _as_vector(x)
-    if x.size != space.dim:
-        raise ValueError(f"vector of length {x.size} not in dim-{space.dim} space")
+    x = _as_rows(x)
+    if x.shape[-1] != space.dim:
+        raise ValueError(
+            f"vector of length {x.shape[-1]} not in dim-{space.dim} space"
+        )
     if not np.isfinite(x).all():
         raise ValueError("non-finite coordinates")
-    h = float(np.linalg.norm(x))
-    v = float(np.sqrt(x @ (space.v_gram @ x)))
-    dual = float(np.sqrt(x @ scipy.linalg.cho_solve(space._v_chol, x)))
-    return h, v, dual
+    h = np.sqrt(np.vecdot(x, x))
+    v = np.sqrt(np.vecdot(x, x @ space.v_gram.T))
+    rows = x.reshape(-1, space.dim)
+    solved = scipy.linalg.cho_solve(space._v_chol, rows.T, check_finite=False)
+    dual = np.sqrt(np.vecdot(x, solved.T.reshape(x.shape)))
+    return _scalar_or_rows(h), _scalar_or_rows(v), _scalar_or_rows(dual)
 
 
 def pairing(x, phi):
-    """Duality pairing of coordinates with functional actions."""
-    x = _as_vector(x)
-    phi = _as_vector(phi)
-    if x.size != phi.size:
-        raise ValueError(f"dimension mismatch: {x.size} vs {phi.size}")
-    return float(x @ phi)
+    """Duality pairing of coordinates with functional actions, row by row.
+
+    Shapes (..., n) broadcast against each other; two single vectors give a
+    Python float.
+    """
+    x = _as_rows(x)
+    phi = _as_rows(phi)
+    if x.shape[-1] != phi.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {phi.shape[-1]}")
+    return _scalar_or_rows(np.vecdot(x, phi))
 
 
 def sine_basis_matrix(n, points):

@@ -245,11 +245,14 @@ def test_console_script_entry_point():
     assert "simulate" in out.stdout and "converge" in out.stdout
 
 
-def test_converge_reproducible_across_workers(ladder_config, tmp_path):
+def test_converge_reproducible_across_workers(tmp_path):
+    # 65 paths are two blocks, so the 8-worker run starts worker processes
+    config = tmp_path / "ladder.cfg"
+    config.write_text(BASE_CONFIG + LADDER_SECTION.replace("paths = 30", "paths = 65"))
     out1 = tmp_path / "r1.csv"
     out8 = tmp_path / "r8.csv"
-    main(["converge", "--config", str(ladder_config), "--out", str(out1), "--workers", "1"])
-    main(["converge", "--config", str(ladder_config), "--out", str(out8), "--workers", "8"])
+    main(["converge", "--config", str(config), "--out", str(out1), "--workers", "1"])
+    main(["converge", "--config", str(config), "--out", str(out8), "--workers", "8"])
     assert out1.read_bytes() == out8.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == (
@@ -441,7 +444,8 @@ def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, evals):
 
 
 def test_benchmark_tracer_counts_a_condition_suite(tmp_path):
-    """Each check is one span under the name the benchmark reads."""
+    """Each check is one span under the name the benchmark reads, and each
+    chunk of trials one span per mark integral."""
     tracing = _benchmark_tracing()
     path = tmp_path / "trace.cfg"
     path.write_text(BASE_CONFIG + "\n[run]\ntrials = 20\n")
@@ -455,7 +459,10 @@ def test_benchmark_tracer_counts_a_condition_suite(tmp_path):
     spans = Counter(tracer.labels[i] for i in tracer.arrays()["name"])
     for check in ("C1", "C2", "C3", "C4", "PropBF"):
         assert spans[f"coefficients.{check}"] == 1
-    # one integral in C1 and C2, none in C3 and two in PropBF per trial
-    assert spans["coefficients.integral_sq"] == 4 * 20
-    # one generator per trial of the four sampled checks, one for the probe
-    assert tracing.exact_counts(tracer, 0)["rng.make_generator.calls"] == 4 * 20 + 1
+    # the 20 trials are one chunk: one integral in C1 and C2, none in C3 and
+    # two in PropBF per chunk
+    assert spans["coefficients.integral_sq"] == 4
+    # each sampled check re-keys one generator per trial; only the probe
+    # builds its own
+    assert spans["rng.keyed_generators"] == 4
+    assert tracing.exact_counts(tracer, 0)["rng.make_generator.calls"] == 1

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdesim import coefficients
 from spdesim.coefficients import (
@@ -22,7 +24,9 @@ from spdesim.fixtures import (
     heat_jump,
     semilinear,
 )
+from spdesim.harness import SuiteConfig, run_condition_suite
 from spdesim.noise import AtomMarks, PowerLawMarks
+from spdesim.rng import TAG_TRIAL, derive_key, make_generator
 from spdesim.space import build_sine_space
 
 MARKS = PowerLawMarks()
@@ -52,6 +56,90 @@ def test_mark_integral_atoms():
     mq = MarkIntegral(atoms, level=1)
     got = mq.integral_sq(lambda xi: np.asarray(xi, dtype=float)[None, :])
     assert got == pytest.approx(2.0 * 0.25 + 1.0, rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(1,), (5,), (2, 3)]),
+    atoms=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_mark_integral_rows_equal_single_calls(shape, atoms, seed):
+    marks = AtomMarks(positions=(0.5, 1.0), weights=(2.0, 1.0)) if atoms else MARKS
+    mq = MarkIntegral(marks, level=2)
+    triple = heat_jump(SPACE, marks, lipschitz=0.7)
+    x = np.random.default_rng(seed).uniform(-5, 5, shape + (8,))
+    batched = mq.integral_sq(lambda xi: triple.eval_F(0.3, x, xi))
+    assert batched.shape == shape
+    for idx in np.ndindex(shape):
+        single = mq.integral_sq(lambda xi: triple.eval_F(0.3, x[idx], xi))
+        assert type(single) is float
+        assert batched[idx] == pytest.approx(single, rel=1e-13)
+
+
+def _suite_triples():
+    base = heat_jump(SPACE, MARKS)
+    return {
+        "base": base,
+        "theta": heat_jump(SPACE, MARKS, theta=1.2, lambda_const=0.375),
+        "anti": dataclasses.replace(
+            base, eval_A=LinearDrift(-base.linear_A), linear_A=-base.linear_A
+        ),
+        "transformed": exponential_transform(heat_jump(SPACE, MARKS, reaction=0.3), 0.6),
+        "semilinear": semilinear(SPACE, MARKS),
+    }
+
+
+@pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
+@settings(max_examples=2, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_suite_triples())),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reports_do_not_depend_on_the_scan_chunk(trials, name, seed):
+    triple = _suite_triples()[name]
+    config = SuiteConfig(trials=trials, seed=seed)
+    chunked = run_condition_suite(triple, SPACE, MARKS, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coefficients, "SCAN_CHUNK", 1)
+        one_by_one = run_condition_suite(triple, SPACE, MARKS, config)
+    for got, want in zip(chunked, one_by_one):
+        assert (got.condition_id, got.trials, got.passed) == (
+            want.condition_id, want.trials, want.passed
+        )
+        assert got.witness.get("trial") == want.witness.get("trial")
+        assert got.witness.get("sample") == want.witness.get("sample")
+        assert got.worst_violation == pytest.approx(want.worst_violation, rel=1e-12)
+
+
+class PatchyDrift:
+    """The base drift, NaN wherever the first coordinate exceeds 4."""
+
+    def __init__(self, drift):
+        self.drift = drift
+
+    def __call__(self, t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x[..., :1] > 4.0, np.nan, self.drift(t, x))
+
+
+@pytest.mark.parametrize(
+    "check, draw", [(check_monotonicity, "pair"), (check_coercivity, "point")]
+)
+def test_first_non_finite_trial_is_the_witness(base, quadrature, check, draw):
+    patchy = dataclasses.replace(base, eval_A=PatchyDrift(base.eval_A), linear_A=None)
+    trials, seed = 600, 21
+    # the same draws, one fresh generator per trial
+    samples = [
+        getattr(SAMPLER, draw)(make_generator(derive_key(seed, TAG_TRIAL, j)), j)
+        for j in range(trials)
+    ]
+    bad = [j for j, sample in enumerate(samples) if any(s[0] > 4.0 for s in sample[1:])]
+    assert bad and bad[-1] >= coefficients.SCAN_CHUNK  # a later chunk has one too
+    witness = [np.asarray(s).tolist() for s in samples[bad[0]]]
+    with pytest.raises(ValueError) as err:
+        check(patchy, SPACE, SAMPLER, trials, quadrature, seed=seed)
+    assert str(err.value).endswith(f"non-finite evaluation at witness {witness}")
 
 
 def test_monotonicity_passes_on_base(base, quadrature):
@@ -138,7 +226,7 @@ def test_growth_fails_for_affine_offset_without_allowance(quadrature):
         def __call__(self, t, x):
             x = np.asarray(x, dtype=float)
             out = base.eval_A(t, x).copy()
-            out[0] += 1.0
+            out[..., 0] += 1.0
             return out
 
     affine = dataclasses.replace(

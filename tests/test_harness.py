@@ -53,9 +53,10 @@ def test_monte_carlo_zero_triple_degenerate():
 
 
 def test_monte_carlo_worker_invariance():
+    # 65 paths are two blocks, so the many-worker run starts worker processes
     triple = heat_jump(SPACE, MARKS)
-    one = monte_carlo(SPACE, triple, _cfg(), MARKS, 24, 99, workers=1)
-    many = monte_carlo(SPACE, triple, _cfg(), MARKS, 24, 99, workers=8)
+    one = monte_carlo(SPACE, triple, _cfg(), MARKS, 65, 99, workers=1)
+    many = monte_carlo(SPACE, triple, _cfg(), MARKS, 65, 99, workers=8)
     assert np.array_equal(one.knot_mean, many.knot_mean)
     assert np.array_equal(one.knot_var, many.knot_var)
     assert one.final_mean == many.final_mean
@@ -333,11 +334,12 @@ def test_ladder_rows_equal_standalone_coupled_errors():
 
 
 def test_implicit_ladder_csv_worker_invariant():
+    # 65 paths are two blocks, so the two-worker run starts worker processes
     triple = heat_jump(SPACE, MARKS)
     ladder = LadderSpec(
         rungs=((2, 16, 1), (4, 64, 2)),
         reference=(8, 256, 3),
-        paths=10,
+        paths=65,
         master_seed=83,
         kind="implicit_projected",
     )

@@ -18,7 +18,7 @@ from spdesim.noise import (
     compensated_cell_increments,
     sample_bundle,
 )
-from spdesim.rng import derive_key
+from spdesim.rng import derive_key, keyed_generators, make_generator
 
 MARKS = PowerLawMarks()
 ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
@@ -178,6 +178,34 @@ def test_derive_key_over_an_index_array_equals_scalar_calls(seed, tag, indices, 
     order = data.draw(st.permutations(range(len(indices))))
     permuted = derive_key(seed, tag, np.array(indices, dtype=np.uint64)[order])
     assert np.array_equal(permuted, keys[order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+    patterns=st.lists(
+        st.sampled_from(["uniform", "uniform-vector", "random", "integers"]),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_keyed_generators_draw_as_fresh_generators(keys, patterns):
+    # the draw calls of BoxSampler.point and pair, in any order and number
+    def draws(rng):
+        out = []
+        for pattern in patterns:
+            if pattern == "uniform":
+                out.append(rng.uniform(0.0, 1.0))
+            elif pattern == "uniform-vector":
+                out.extend(rng.uniform(-5.0, 5.0, 7))
+            elif pattern == "random":
+                out.append(rng.random())
+            else:
+                out.append(int(rng.integers(9)))
+        return np.array(out, dtype=float).tobytes()
+
+    got = [draws(rng) for rng in keyed_generators(np.array(keys, dtype=np.uint64))]
+    assert got == [draws(make_generator(k)) for k in keys]
 
 
 @settings(max_examples=200, deadline=None)

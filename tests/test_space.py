@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdesim.space import (
+    GalerkinSpace,
     build_sine_space,
     c_b,
     embed,
@@ -165,6 +166,35 @@ def test_norms_rejects_nonfinite():
     space = build_sine_space(2)
     with pytest.raises(ValueError):
         norms(space, np.array([1.0, np.nan]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    shape=st.sampled_from([(1,), (7,), (3, 4)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_norms_and_pairing_rows_equal_single_calls(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(n, n))
+    gram = root @ root.T + n * np.eye(n)
+    space = GalerkinSpace(dim=n, v_gram=(gram + gram.T) / 2, basis_id="x")
+    x = rng.uniform(-5, 5, shape + (n,))
+    phi = rng.normal(size=shape + (n,))
+    batched = norms(space, x)
+    paired = pairing(x, phi)
+    assert all(np.shape(b) == shape for b in batched) and paired.shape == shape
+    for idx in np.ndindex(shape):
+        single = norms(space, x[idx])
+        assert all(type(value) is float for value in single)
+        for got, want in zip(batched, single):
+            assert got[idx] == pytest.approx(want, rel=1e-13)
+        assert paired[idx] == pairing(x[idx], phi[idx])
+    # one vector against a batch broadcasts row by row
+    rows = pairing(phi.reshape(-1, n)[0], x)
+    assert rows.shape == shape
+    with pytest.raises(ValueError, match="non-finite"):
+        norms(space, np.where(np.arange(n) == n - 1, np.nan, x))
 
 
 def test_norm_inequalities_random():

@@ -21,7 +21,6 @@ from .harness import (
     MCStats,
     SuiteConfig,
     convergence_study,
-    coupled_error,
     monte_carlo,
     run_condition_suite,
 )
@@ -45,8 +44,6 @@ from .schemes import (
     SolveReport,
     Trajectory,
     run_block,
-    run_explicit,
-    run_implicit,
     run_scheme,
     solve_implicit_step,
     stability_margin,

@@ -39,9 +39,9 @@ from .coefficients import (
     probe_hemicontinuity,
 )
 from .noise import TimeGrid, sample_bundle
-from .rng import TAG_PATH, TAG_TRIAL, derive_key, make_generator
+from .rng import TAG_PATH, TAG_PROBE, derive_key, make_generator
 from .schemes import EXPLICIT, run_block
-from .space import c_b, embed, restrict
+from .space import c_b, restrict
 
 Z95 = 1.959963984540054
 
@@ -87,21 +87,22 @@ COMPLETED, FAILED, BLOWN_UP = 0, 1, 2
 
 
 def _outcomes(run):
-    """Per-path outcome of one `BlockRun`."""
-    return [
-        BLOWN_UP if step is not None else FAILED if failure is not None else COMPLETED
-        for step, failure in zip(run.blow_up_steps, run.failures)
-    ]
+    """Per-path outcome of one `BlockRun`, as a (paths,) array."""
+    blown = np.array([step is not None for step in run.blow_up_steps])
+    failed = np.array([failure is not None for failure in run.failures])
+    return np.where(blown, BLOWN_UP, np.where(failed, FAILED, COMPLETED))
 
 
 def _run_paths(space, triple, configs, marks, master_seed, quad, reduce, block):
-    """Rows for one block of path indices, and run seconds per config.
+    """Outcome and value columns of one block of path indices, and run
+    seconds per config.
 
     Path j samples one bundle at the finest configuration (the last one),
     and every configuration steps the whole block once through
     `run_block`.  `reduce` maps the block's runs, one `BlockRun` per
-    configuration, to one row per path: a list of ``(outcome, value)``
-    columns whose value is None unless the outcome is COMPLETED.
+    configuration, to the arrays ``(outcomes, values)`` of shape
+    (columns, paths) and (columns, paths, ...); a value is read only where
+    its outcome is COMPLETED.
     """
     finest = configs[-1]
     grid = TimeGrid(triple.constants.horizon, finest.m)
@@ -116,44 +117,32 @@ def _run_paths(space, triple, configs, marks, master_seed, quad, reduce, block):
         started = time.perf_counter()
         runs.append(run_block(space, triple, config, bundles, quad))
         seconds[k] = time.perf_counter() - started
-    return reduce(runs), seconds
+    return (*reduce(runs), seconds)
 
 
 def _knot_energies(runs):
-    """Monte Carlo rows: the squared H-norm at every knot of the one run."""
+    """Monte Carlo columns: the squared H-norm at every knot of the one run."""
     (run,) = runs
-    return [
-        [(outcome, run.energies[:, p] if outcome == COMPLETED else None)]
-        for p, outcome in enumerate(_outcomes(run))
-    ]
+    return _outcomes(run)[None], run.energies.T[None]
 
 
 def _terminal_gaps(runs):
-    """Ladder rows: squared terminal H-distance of each run to the last one.
+    """Ladder columns: squared terminal H-distance of each run to the last one.
 
     Terminal values are embedded into shared coordinates by zero-padding.
     A rung counts as blown up when it or the reference blew up, otherwise
     as failed when it or the reference failed.
     """
-    ref = runs[-1]
-    outcomes = [_outcomes(run) for run in runs]
-    rows = []
-    for p, ref_outcome in enumerate(outcomes[-1]):
-        row = []
-        for run, run_outcomes in zip(runs[:-1], outcomes):
-            outcome = max(run_outcomes[p], ref_outcome)
-            if outcome != COMPLETED:
-                row.append((outcome, None))
-                continue
-            dim = max(run.final.shape[1], ref.final.shape[1])
-            diff = embed(run.final[p], dim) - embed(ref.final[p], dim)
-            row.append((COMPLETED, float(diff @ diff)))
-        rows.append(row)
-    return rows
+    dim = max(run.final.shape[1] for run in runs)
+    finals = [np.pad(run.final, ((0, 0), (0, dim - run.final.shape[1]))) for run in runs]
+    diffs = np.array([final - finals[-1] for final in finals[:-1]])
+    outcomes = np.maximum([_outcomes(run) for run in runs[:-1]], _outcomes(runs[-1]))
+    return outcomes, np.vecdot(diffs, diffs)
 
 
 def _path_study(space, triple, configs, marks, paths, master_seed, workers, quad, reduce):
-    """Row columns over all paths in path order, and run seconds per config.
+    """Outcome and value columns over all paths in path order, and run
+    seconds per config.
 
     Workers take whole blocks; no more workers start than there are
     blocks, and a single block runs in this process.
@@ -174,17 +163,28 @@ def _path_study(space, triple, configs, marks, paths, master_seed, workers, quad
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             parts = list(pool.map(run, blocks))
-    rows = [row for part_rows, _ in parts for row in part_rows]
-    seconds = sum(part_seconds for _, part_seconds in parts)
-    return list(zip(*rows)), seconds
+    outcomes, values, seconds = zip(*parts)
+    return np.concatenate(outcomes, axis=1), np.concatenate(values, axis=1), sum(seconds)
 
 
-def _completed(column):
-    """Values of the completed paths in path order, blow-ups and failures."""
-    values = np.asarray([value for outcome, value in column if outcome == COMPLETED])
-    blowups = sum(outcome == BLOWN_UP for outcome, _ in column)
-    failures = sum(outcome == FAILED for outcome, _ in column)
-    return values, blowups, failures
+def _completed(outcomes, values):
+    """Values of the completed paths of one column in path order, blow-ups
+    and failures."""
+    return (
+        values[outcomes == COMPLETED],
+        int(np.count_nonzero(outcomes == BLOWN_UP)),
+        int(np.count_nonzero(outcomes == FAILED)),
+    )
+
+
+def _mean_var(values):
+    """Compensated mean and sample variance over the leading axis; the
+    variance is None for a single value."""
+    count = values.shape[0]
+    mean = neumaier_sum(values) / count
+    if count < 2:
+        return mean, None
+    return mean, neumaier_sum((values - mean) ** 2) / (count - 1)
 
 
 def monte_carlo(
@@ -195,18 +195,15 @@ def monte_carlo(
     Blown-up paths and paths whose implicit solver failed are counted and
     excluded from the moment aggregation.
     """
-    (column,), _ = _path_study(
+    outcomes, values, _ = _path_study(
         space, triple, [config], marks, paths, master_seed, workers, quad, _knot_energies
     )
-    ok, blowups, failures = _completed(column)
+    ok, blowups, failures = _completed(outcomes[0], values[0])
     if ok.size == 0:
         nan = np.full(config.m + 1, np.nan)
         return MCStats(nan, nan, float("nan"), float("nan"), paths, blowups, failures)
-    count = ok.shape[0]
-    mean = neumaier_sum(ok) / count
-    if count > 1:
-        var = neumaier_sum((ok - mean) ** 2) / (count - 1)
-    else:
+    mean, var = _mean_var(ok)
+    if var is None:
         var = np.zeros_like(mean)
     return MCStats(
         knot_mean=mean,
@@ -219,54 +216,14 @@ def monte_carlo(
     )
 
 
-def _error_stats(column):
+def _error_stats(outcomes, gaps):
     """Mean, 95% half-width, blow-ups and failures of one gap column."""
-    gaps, blowups, failures = _completed(column)
+    gaps, blowups, failures = _completed(outcomes, gaps)
     if gaps.size == 0:
         return float("nan"), float("nan"), blowups, failures
-    count = gaps.size
-    mean = float(neumaier_sum(gaps) / count)
-    if count > 1:
-        var = float(neumaier_sum((gaps - mean) ** 2) / (count - 1))
-        half = float(Z95 * np.sqrt(var / count))
-    else:
-        half = float("nan")
-    return mean, half, blowups, failures
-
-
-def coupled_error(
-    space,
-    triple,
-    config_coarse,
-    config_fine,
-    marks,
-    paths,
-    master_seed,
-    workers=1,
-):
-    """Statistics of ‖u_coarse(T) − u_fine(T)‖_H² over coupled paths.
-
-    Returns the mean and 95% half-width over the completed paths, the
-    number of blown-up paths and the number whose implicit solver failed.
-    """
-    LadderSpec(
-        rungs=((config_coarse.n, config_coarse.m, config_coarse.l),),
-        reference=(config_fine.n, config_fine.m, config_fine.l),
-        paths=paths,
-        master_seed=master_seed,
-    )
-    (column,), _ = _path_study(
-        space,
-        triple,
-        [config_coarse, config_fine],
-        marks,
-        paths,
-        master_seed,
-        workers,
-        DEFAULT_QUADRATURE,
-        _terminal_gaps,
-    )
-    return _error_stats(column)
+    mean, var = _mean_var(gaps)
+    half = float("nan") if var is None else float(Z95 * np.sqrt(var / gaps.size))
+    return float(mean), half, blowups, failures
 
 
 @dataclass(frozen=True)
@@ -380,7 +337,7 @@ def convergence_study(
         replace(config_template, kind=ladder.kind, n=n, m=m, l=l)
         for n, m, l in ladder.rungs + (ladder.reference,)
     ]
-    columns, seconds = _path_study(
+    outcomes, gaps, seconds = _path_study(
         space,
         triple,
         configs,
@@ -392,8 +349,8 @@ def convergence_study(
         _terminal_gaps,
     )
     rows = []
-    for config, column, rung_seconds in zip(configs[:-1], columns, seconds):
-        est, half, blowups, failures = _error_stats(column)
+    for k, config in enumerate(configs[:-1]):
+        est, half, blowups, failures = _error_stats(outcomes[k], gaps[k])
         rows.append(
             ConvergenceRow(
                 n=config.n,
@@ -404,7 +361,7 @@ def convergence_study(
                 half_width=half,
                 blowups=blowups,
                 failures=failures,
-                seconds=float(rung_seconds),
+                seconds=float(seconds[k]),
             )
         )
     estimates = [r.estimate for r in rows]
@@ -447,7 +404,7 @@ def run_condition_suite(triple, space, marks, config=SuiteConfig()):
         check(triple, space, sampler, config.trials, quadrature, seed=config.seed + k)
         for k, check in enumerate(checks)
     ]
-    probe_rng = make_generator(derive_key(config.seed, TAG_TRIAL, 3))
+    probe_rng = make_generator(derive_key(config.seed, TAG_PROBE))
     directions = [sampler.draw_x(probe_rng) for _ in range(3)]
     x, y, z = (v / np.linalg.norm(v) for v in directions)
     reports.append(

@@ -30,6 +30,7 @@ TAG_JUMP = 0x4A
 TAG_PATH = 0x50
 TAG_TRIAL = 0x54
 TAG_INITIAL = 0x49
+TAG_PROBE = 0x48
 
 
 def splitmix64(x):

@@ -41,8 +41,10 @@ EXPLICIT = "explicit"
 IMPLICIT = "implicit"
 IMPLICIT_PROJECTED = "implicit_projected"
 SCHEME_KINDS = (EXPLICIT, IMPLICIT, IMPLICIT_PROJECTED)
-# The implicit step is solved to a residual of SOLVER_TOL·(1 + ‖y‖).
+# The implicit step is solved to a residual of SOLVER_TOL·(1 + ‖y‖) within
+# SOLVER_MAX_ITER iterations.
 SOLVER_TOL = 1e-10
+SOLVER_MAX_ITER = 200
 
 
 class ImplicitStepError(RuntimeError):
@@ -64,7 +66,6 @@ class SchemeConfig:
     m: int
     l: int
     initial: object = None
-    max_iter: int = 200
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -268,27 +269,12 @@ def run_block(space, triple, config, bundles, quad=DEFAULT_QUADRATURE):
     return _run_steps(space, triple, config, bundles, quad)[0]
 
 
-def run_explicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
-    """Projected explicit scheme driven by one noise bundle."""
-    if config.kind != EXPLICIT:
-        raise ValueError(f"config kind {config.kind!r} is not explicit")
-    return _trajectory(space, triple, config, bundle, quad)
+def run_scheme(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
+    """One path as a block of one, keeping the value at every knot.
 
-
-def run_implicit(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
-    """Implicit scheme (plain or projected) driven by one noise bundle.
-
-    The plain variant runs at the ambient resolution of the supplied
-    space, the projected variant at config.n; within the nested basis the
-    two share one code path since projection is coordinate truncation.
+    Returns a `Trajectory`; an implicit step that cannot be solved raises
+    ImplicitStepError.
     """
-    if config.kind not in (IMPLICIT, IMPLICIT_PROJECTED):
-        raise ValueError(f"config kind {config.kind!r} is not implicit")
-    return _trajectory(space, triple, config, bundle, quad)
-
-
-def _trajectory(space, triple, config, bundle, quad):
-    """One path as a block of one, keeping the value at every knot."""
     run, values = _run_steps(space, triple, config, [bundle], quad, keep_values=True)
     if run.failures[0] is not None:
         raise ImplicitStepError(run.failures[0])
@@ -393,13 +379,7 @@ def _run_steps(space, triple, config, bundles, quad, keep_values=False):
                 blow_up[lost] = i
             else:
                 new, report = solve_implicit_step(
-                    triple,
-                    grid,
-                    i,
-                    new,
-                    max_iter=config.max_iter,
-                    quad=quad,
-                    _direct=direct,
+                    triple, grid, i, new, quad=quad, _direct=direct
                 )
                 iterations[i - 1] = report.iterations
                 residuals[i - 1] = report.residual
@@ -424,14 +404,7 @@ def _run_steps(space, triple, config, bundles, quad, keep_values=False):
 
 
 def solve_implicit_step(
-    triple,
-    grid,
-    i,
-    y,
-    max_iter=200,
-    x0=None,
-    quad=DEFAULT_QUADRATURE,
-    _direct=None,
+    triple, grid, i, y, x0=None, quad=DEFAULT_QUADRATURE, _direct=None
 ):
     """Solve x − δ·(Π_n)A^m_i(x) = y for the implicit step.
 
@@ -453,7 +426,7 @@ def solve_implicit_step(
         x, report = _solve_direct(triple, grid, block, _direct)
     else:
         start = None if x0 is None else np.broadcast_to(x0, block.shape)
-        x, report = _solve_iterative(triple, grid, i, block, max_iter, start, quad)
+        x, report = _solve_iterative(triple, grid, i, block, start, quad)
     if y.ndim == 2:
         return x, report
     if not report.converged[0]:
@@ -489,8 +462,9 @@ def _solve_direct(triple, grid, y, direct):
     return x, SolveReport(np.zeros(len(y), dtype=int), residual, solved, reasons)
 
 
-def _solve_iterative(triple, grid, i, y, max_iter, x0, quad):
+def _solve_iterative(triple, grid, i, y, x0, quad):
     """Damped residual iteration with a Newton fallback, row by row."""
+    max_iter = SOLVER_MAX_ITER
     delta = grid.delta
     rows, n = y.shape
 
@@ -571,10 +545,3 @@ def _solve_iterative(triple, grid, i, y, max_iter, x0, quad):
     solved = np.array([reason is None for reason in reasons])
     x[~solved] = np.nan
     return x, SolveReport(iterations, rn, solved, reasons)
-
-
-def run_scheme(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
-    """Dispatch on the configured scheme kind: one path, a block of one."""
-    if config.kind == EXPLICIT:
-        return run_explicit(space, triple, config, bundle, quad)
-    return run_implicit(space, triple, config, bundle, quad)

@@ -28,8 +28,7 @@ from spdesim.noise import (
 )
 from spdesim.schemes import (
     SchemeConfig,
-    run_explicit,
-    run_implicit,
+    run_scheme,
     solve_implicit_step,
     stability_margin,
 )
@@ -169,9 +168,9 @@ def test_criterion_05_zero_noise_scheme_oracles():
         imp_factor = 1.0 / (1.0 + grid.delta * (k * np.pi) ** 2 / 2.0)
 
         cfg_e = SchemeConfig(kind="explicit", n=n, m=m, l=2, initial=zeta)
-        traj_e = run_explicit(space, triple, cfg_e, bundle)
+        traj_e = run_scheme(space, triple, cfg_e, bundle)
         cfg_i = SchemeConfig(kind="implicit_projected", n=n, m=m, l=2, initial=zeta)
-        traj_i = run_implicit(space, triple, cfg_i, bundle)
+        traj_i = run_scheme(space, triple, cfg_i, bundle)
         for i in range(1, m + 1):
             want_e = zeta * exp_factor ** (i - 1)
             want_i = zeta * imp_factor**i

@@ -428,9 +428,9 @@ def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, evals):
         counts = tracing.exact_counts(tracer, paths)
         spans = Counter(tracer.labels[i] for i in tracer.arrays()["name"])
         # the paths are one block, which each configuration steps once through
-        # run_block; the tracer tags reference runs only on run_scheme calls
-        # and counts steps only off one-path Trajectory results, so it sees
-        # neither for a study
+        # run_block; the tracer tags reference runs only on harness.run_scheme
+        # calls and counts steps only off run_explicit/run_implicit results,
+        # names the package no longer has, so it sees neither for a study
         assert spans["schemes.run_block"] == 3
         assert counts["harness.reference_runs_per_path"] == 0.0
         assert counts["schemes.steps"] == 0

@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 
 from spdesim import harness
 from spdesim.averaging import QuadratureSpec
-from spdesim.coefficients import exponential_transform
+from spdesim.coefficients import BoxSampler, exponential_transform, probe_hemicontinuity
 from spdesim.fixtures import additive_multimode, heat_jump, semilinear, zero_triple
 from spdesim.harness import (
     LadderSpec,
     SuiteConfig,
     convergence_study,
-    coupled_error,
     monte_carlo,
     neumaier_sum,
     run_condition_suite,
     validate_ladder,
 )
 from spdesim.noise import PowerLawMarks, TimeGrid, sample_bundle
-from spdesim.rng import TAG_PATH, derive_key
+from spdesim.rng import TAG_PATH, TAG_PROBE, TAG_TRIAL, derive_key, make_generator
 from spdesim.schemes import BlockRun, SchemeConfig, run_block, run_scheme
 from spdesim.space import build_sine_space, restrict, smooth_profile
 
@@ -32,6 +31,20 @@ TEMPLATE = SchemeConfig(kind="explicit", n=1, m=2, l=1, initial=ZETA)
 
 def _cfg(kind="explicit", n=4, m=64, l=2):
     return SchemeConfig(kind=kind, n=n, m=m, l=l, initial=ZETA)
+
+
+def _one_rung(triple, coarse, fine, paths, seed):
+    """Estimate, half-width, blow-ups and failures of the ladder with the
+    single rung `coarse` against the reference `fine`."""
+    ladder = LadderSpec(
+        rungs=((coarse.n, coarse.m, coarse.l),),
+        reference=(fine.n, fine.m, fine.l),
+        paths=paths,
+        master_seed=seed,
+        kind=coarse.kind,
+    )
+    (row,) = convergence_study(SPACE, triple, MARKS, ladder, coarse).rows
+    return row.estimate, row.half_width, row.blowups, row.failures
 
 
 def test_neumaier_matches_fsum():
@@ -74,7 +87,7 @@ def test_monte_carlo_counts_blowups():
 
 def test_coupled_error_identical_configs_zero():
     triple = heat_jump(SPACE, MARKS)
-    est, half, _, _ = coupled_error(SPACE, triple, _cfg(), _cfg(), MARKS, 8, 17)
+    est, half, _, _ = _one_rung(triple, _cfg(), _cfg(), 8, 17)
     assert est == 0.0
     assert half == 0.0
 
@@ -83,7 +96,7 @@ def test_coupled_error_zero_noise_matches_deterministic_gap():
     triple = heat_jump(SPACE, MARKS, theta=0.0, lipschitz=0.0, lambda_const=0.5)
     coarse = _cfg(kind="implicit_projected", n=8, m=16, l=2)
     fine = _cfg(kind="implicit_projected", n=8, m=256, l=2)
-    est, half, _, _ = coupled_error(SPACE, triple, coarse, fine, MARKS, 5, 23)
+    est, half, _, _ = _one_rung(triple, coarse, fine, 5, 23)
     k = np.arange(1, 9)
     zc = ZETA[:8] / (1 + (1 / 16) * k**2 * np.pi**2 / 2) ** 16
     zf = ZETA[:8] / (1 + (1 / 256) * k**2 * np.pi**2 / 2) ** 256
@@ -93,8 +106,8 @@ def test_coupled_error_zero_noise_matches_deterministic_gap():
 
 
 def test_coupled_coarse_run_is_bitwise_standalone():
-    # the coarse leg inside a coupled pair equals a standalone run driven
-    # by the same bundle
+    # the rung of a one-path ladder equals a standalone run driven by the
+    # same bundle
     triple = heat_jump(SPACE, MARKS)
     coarse = _cfg(n=4, m=16, l=1)
     fine = _cfg(n=8, m=64, l=2)
@@ -103,20 +116,10 @@ def test_coupled_coarse_run_is_bitwise_standalone():
         derive_key(seed, TAG_PATH, 0), TimeGrid(1.0, 64), 1, MARKS, 2
     )
     alone = run_scheme(SPACE, triple, coarse, bundle)
-    est, _, _, _ = coupled_error(SPACE, triple, coarse, fine, MARKS, 1, seed)
+    est, _, _, _ = _one_rung(triple, coarse, fine, 1, seed)
     fine_run = run_scheme(SPACE, triple, fine, bundle)
     gap = np.concatenate([alone.final, np.zeros(4)]) - fine_run.final
     assert est == float(gap @ gap)
-
-
-def test_coupled_error_validation():
-    triple = heat_jump(SPACE, MARKS)
-    with pytest.raises(ValueError):
-        coupled_error(SPACE, triple, _cfg(m=48), _cfg(m=64), MARKS, 2, 1)
-    with pytest.raises(ValueError):
-        coupled_error(SPACE, triple, _cfg(l=3), _cfg(l=2), MARKS, 2, 1)
-    with pytest.raises(ValueError):
-        coupled_error(SPACE, triple, _cfg(n=8), _cfg(n=4), MARKS, 2, 1)
 
 
 def test_half_width_shrinks_with_paths():
@@ -127,7 +130,7 @@ def test_half_width_shrinks_with_paths():
     fine = _cfg(n=4, m=64, l=2)
     widths = []
     for paths in (100, 400, 1600):
-        _, half, _, _ = coupled_error(SPACE, triple, coarse, fine, MARKS, paths, 41)
+        _, half, _, _ = _one_rung(triple, coarse, fine, paths, 41)
         widths.append(half)
     for a, b in zip(widths, widths[1:]):
         assert a / b == pytest.approx(2.0, rel=0.2)
@@ -142,6 +145,8 @@ def test_ladder_validation_rules():
         LadderSpec(rungs=((2, 48, 1),), reference=(4, 64, 2), paths=1, master_seed=0)
     with pytest.raises(ValueError, match="exceeds"):
         LadderSpec(rungs=((8, 32, 1),), reference=(4, 64, 2), paths=1, master_seed=0)
+    with pytest.raises(ValueError, match="exceeds"):
+        LadderSpec(rungs=((4, 32, 3),), reference=(4, 64, 2), paths=1, master_seed=0)
 
 
 def test_strict_gate_rejects_growing_quotient():
@@ -214,6 +219,29 @@ def test_monte_carlo_moment_bound():
     assert peak <= bound + 4.0 * np.sqrt(stats.knot_var[idx] / 200)
 
 
+def test_hemicontinuity_probe_has_its_own_stream(monkeypatch):
+    # the probe's directions come from the TAG_PROBE stream, not from the
+    # stream of any sampled trial (here trial 3 of the first check)
+    probed = []
+
+    def recording(triple, x, y, z, t, eps):
+        probed.append(x)
+        return probe_hemicontinuity(triple, x, y, z, t, eps)
+
+    monkeypatch.setattr(harness, "probe_hemicontinuity", recording)
+    space = restrict(SPACE, 8)
+    config = SuiteConfig(trials=8, seed=2024)
+    run_condition_suite(heat_jump(SPACE, MARKS), space, MARKS, config)
+    sampler = BoxSampler(dim=8, horizon=heat_jump(SPACE, MARKS).constants.horizon)
+
+    def first_direction(key):
+        v = sampler.draw_x(make_generator(key))
+        return v / np.linalg.norm(v)
+
+    assert np.array_equal(probed[0], first_direction(derive_key(2024, TAG_PROBE)))
+    assert not np.allclose(probed[0], first_direction(derive_key(2024, TAG_TRIAL, 3)))
+
+
 def test_condition_suite_shapes():
     triple = heat_jump(SPACE, MARKS)
     reports = run_condition_suite(
@@ -230,13 +258,14 @@ def _rung_configs(ladder, template=TEMPLATE):
     ]
 
 
-def test_solver_failures_are_counted_per_path():
+def test_solver_failures_are_counted_per_path(monkeypatch):
     # one damped iteration cannot solve the nonlinear step equation, so
     # every path fails; the study reports that instead of raising
+    from spdesim import schemes
+
+    monkeypatch.setattr(schemes, "SOLVER_MAX_ITER", 1)
     triple = semilinear(SPACE, MARKS)
-    cfg = SchemeConfig(
-        kind="implicit_projected", n=4, m=8, l=1, initial=ZETA, max_iter=1
-    )
+    cfg = SchemeConfig(kind="implicit_projected", n=4, m=8, l=1, initial=ZETA)
     stats = monte_carlo(SPACE, triple, cfg, MARKS, 3, 5)
     assert (stats.paths, stats.blowups, stats.failures) == (3, 0, 3)
     assert np.isnan(stats.final_mean)
@@ -270,8 +299,8 @@ def test_blowup_outranks_solver_failure_in_a_ladder_row():
     blown = _one_path_run(blow_up_step=2)
     failed = _one_path_run(failure="step 1: implicit step did not converge")
     for runs in ([blown, failed], [failed, blown]):
-        (column,) = zip(*harness._terminal_gaps(runs))
-        est, half, blowups, failures = harness._error_stats(column)
+        outcomes, gaps = harness._terminal_gaps(runs)
+        est, half, blowups, failures = harness._error_stats(outcomes[0], gaps[0])
         assert (blowups, failures) == (1, 0)
         assert np.isnan(est) and np.isnan(half)
 
@@ -329,7 +358,7 @@ def test_ladder_rows_equal_standalone_coupled_errors():
     report = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE)
     *rungs, ref = _rung_configs(ladder)
     for row, rung in zip(report.rows, rungs):
-        alone = coupled_error(SPACE, triple, rung, ref, MARKS, 6, 71)
+        alone = _one_rung(triple, rung, ref, 6, 71)
         assert (row.estimate, row.half_width, row.blowups, row.failures) == alone
 
 

@@ -12,8 +12,6 @@ from spdesim.schemes import (
     ImplicitStepError,
     SchemeConfig,
     run_block,
-    run_explicit,
-    run_implicit,
     run_scheme,
     solve_implicit_step,
     stability_margin,
@@ -59,7 +57,7 @@ def test_explicit_zero_triple_transports_initial():
     triple = zero_triple(space, MARKS)
     e1 = np.array([1.0, 0.0, 0.0])
     cfg = SchemeConfig(kind="explicit", n=3, m=8, l=1, initial=e1)
-    traj = run_explicit(space, triple, cfg, _bundle(3, 8))
+    traj = run_scheme(space, triple, cfg, _bundle(3, 8))
     assert np.array_equal(traj.values[0], np.zeros(3))
     for i in range(1, 9):
         assert np.array_equal(traj.values[i], e1)
@@ -70,7 +68,7 @@ def test_explicit_matches_mode_recursion():
     zeta = smooth_profile(8)
     m = 256
     cfg = SchemeConfig(kind="explicit", n=8, m=m, l=2, initial=zeta)
-    traj = run_explicit(space, _quiet_heat(space), cfg, _bundle(4, m))
+    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(4, m))
     oracle = explicit_mode_recursion(zeta, m, 8)
     assert np.abs(traj.values - oracle).max() < 1e-10
 
@@ -79,7 +77,7 @@ def test_explicit_initial_convention():
     space = build_sine_space(4)
     zeta = np.array([1.0, 2.0, 3.0, 4.0])
     cfg = SchemeConfig(kind="explicit", n=4, m=4, l=1, initial=zeta)
-    traj = run_explicit(space, _quiet_heat(space), cfg, _bundle(5, 4))
+    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(5, 4))
     assert np.array_equal(traj.values[0], np.zeros(4))
     assert np.array_equal(traj.values[1], zeta)
 
@@ -92,7 +90,7 @@ def test_explicit_rejects_wrong_exponent():
     )
     cfg = SchemeConfig(kind="explicit", n=4, m=4, l=1)
     with pytest.raises(ValueError):
-        run_explicit(space, bad, cfg, _bundle(6, 4))
+        run_scheme(space, bad, cfg, _bundle(6, 4))
 
 
 def test_explicit_rejects_large_lambda():
@@ -100,7 +98,7 @@ def test_explicit_rejects_large_lambda():
     triple = heat_jump(space, MARKS, lambda_const=1.5)
     cfg = SchemeConfig(kind="explicit", n=4, m=4, l=1)
     with pytest.raises(ValueError):
-        run_explicit(space, triple, cfg, _bundle(6, 4))
+        run_scheme(space, triple, cfg, _bundle(6, 4))
 
 
 def test_explicit_blowup_marker():
@@ -108,7 +106,7 @@ def test_explicit_blowup_marker():
     # the trajectory records the first non-finite step instead of raising
     space = build_sine_space(32)
     cfg = SchemeConfig(kind="explicit", n=32, m=256, l=1, initial=np.full(32, 10.0))
-    traj = run_explicit(space, _quiet_heat(space), cfg, _bundle(7, 256))
+    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(7, 256))
     assert traj.blow_up_step is not None
     assert np.isnan(traj.values[-1]).all()
     assert np.isfinite(traj.values[traj.blow_up_step - 1]).all()
@@ -120,7 +118,7 @@ def test_explicit_mode_growth_boundary():
     m = 256
     zeta = np.full(12, 1.0)
     cfg = SchemeConfig(kind="explicit", n=12, m=m, l=1, initial=zeta)
-    traj = run_explicit(space, _quiet_heat(space), cfg, _bundle(8, m))
+    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(8, m))
     delta = 1.0 / m
     for k in range(1, 13):
         grew = abs(traj.values[m][k - 1]) > abs(traj.values[1][k - 1])
@@ -184,12 +182,12 @@ def test_implicit_matches_mode_recursion():
     zeta = smooth_profile(8)
     m = 256
     cfg = SchemeConfig(kind="implicit_projected", n=8, m=m, l=2, initial=zeta)
-    traj = run_implicit(space, _quiet_heat(space), cfg, _bundle(9, m))
+    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(9, m))
     oracle = implicit_mode_recursion(zeta, m, 8)
     assert np.abs(traj.values - oracle).max() < 1e-10
     # unconditional decay even at coarse steps
     coarse = SchemeConfig(kind="implicit_projected", n=8, m=4, l=2, initial=zeta)
-    traj_c = run_implicit(space, _quiet_heat(space), coarse, _bundle(9, 4))
+    traj_c = run_scheme(space, _quiet_heat(space), coarse, _bundle(9, 4))
     norms = np.linalg.norm(traj_c.values, axis=1)
     assert (np.diff(norms) < 0).all()
 
@@ -199,7 +197,7 @@ def test_implicit_constant_for_zero_triple():
     triple = zero_triple(space, MARKS)
     zeta = np.array([1.0, -2.0, 0.5])
     cfg = SchemeConfig(kind="implicit", n=3, m=6, l=1, initial=zeta)
-    traj = run_implicit(space, triple, cfg, _bundle(11, 6))
+    traj = run_scheme(space, triple, cfg, _bundle(11, 6))
     for row in traj.values:
         assert np.array_equal(row, zeta)
 
@@ -210,10 +208,10 @@ def test_projected_equals_unprojected_at_ambient_dim():
     zeta = smooth_profile(6)
     bundle = _bundle(12, 64, modes=1, level=2)
     base = dict(n=6, m=64, l=2, initial=zeta)
-    plain = run_implicit(
+    plain = run_scheme(
         space, triple, SchemeConfig(kind="implicit", **base), bundle
     )
-    projected = run_implicit(
+    projected = run_scheme(
         space, triple, SchemeConfig(kind="implicit_projected", **base), bundle
     )
     assert np.array_equal(plain.values, projected.values)
@@ -223,7 +221,7 @@ def test_implicit_residual_contract():
     space = build_sine_space(8)
     triple = heat_jump(space, MARKS)
     cfg = SchemeConfig(kind="implicit_projected", n=8, m=32, l=2)
-    traj = run_implicit(space, triple, cfg, _bundle(13, 32))
+    traj = run_scheme(space, triple, cfg, _bundle(13, 32))
     for i, resid in enumerate(traj.solver_residuals, start=1):
         y_norm = np.linalg.norm(traj.values[i - 1])
         assert resid <= 1e-10 * (1 + y_norm) + 1e-12
@@ -240,7 +238,7 @@ def test_direct_solve_does_not_evaluate_the_drift(monkeypatch):
     space = build_sine_space(4)
     triple = heat_jump(space, MARKS)
     cfg = SchemeConfig(kind="implicit_projected", n=4, m=16, l=2)
-    traj = run_implicit(space, triple, cfg, _bundle(19, 16))
+    traj = run_scheme(space, triple, cfg, _bundle(19, 16))
     assert traj.solver_iterations == [0] * 16
     assert max(traj.solver_residuals) <= 1e-14
 
@@ -252,7 +250,7 @@ def test_adaptedness_prefix():
     m = 16
     bundle = _bundle(14, m, modes=1, level=2)
     cfg = SchemeConfig(kind="explicit", n=6, m=m, l=2)
-    full = run_explicit(space, triple, cfg, bundle)
+    full = run_scheme(space, triple, cfg, bundle)
     cut = 10
     t_cut = cut / m
     keep = bundle.jump_times <= t_cut
@@ -269,7 +267,7 @@ def test_adaptedness_prefix():
         jump_marks=bundle.jump_marks[keep],
         marks=bundle.marks,
     )
-    prefix = run_explicit(space, triple, cfg, truncated)
+    prefix = run_scheme(space, triple, cfg, truncated)
     assert np.array_equal(full.values[: cut + 1], prefix.values[: cut + 1])
 
 
@@ -300,7 +298,7 @@ def test_explicit_reads_only_lagged_coefficients():
         triple = dataclasses.replace(
             base, eval_A=PiecewiseDrift(jump), linear_A=None, autonomous=False
         )
-        runs.append(run_explicit(space, triple, cfg, bundle))
+        runs.append(run_scheme(space, triple, cfg, bundle))
     assert np.array_equal(
         runs[0].values[: cut_index + 1], runs[1].values[: cut_index + 1]
     )
@@ -347,12 +345,16 @@ def test_energy_bound_dominates_quiet_run():
     zeta = smooth_profile(8)
     m = 512
     cfg = SchemeConfig(kind="explicit", n=8, m=m, l=2, initial=zeta)
-    traj = run_explicit(space, triple, cfg, _bundle(16, m))
+    traj = run_scheme(space, triple, cfg, _bundle(16, m))
     bound = step_energy_bound(triple.constants, space, TimeGrid(1.0, m), 1.0)
     assert (np.linalg.norm(traj.values, axis=1) ** 2 <= bound).all()
 
 
-def test_solver_failure_advises_more_steps():
+def test_solver_failure_advises_more_steps(monkeypatch):
+    from spdesim import schemes
+
+    # 200 iterations solve this step; 25 do not
+    monkeypatch.setattr(schemes, "SOLVER_MAX_ITER", 25)
     space = build_sine_space(4)
 
     class StiffDrift:
@@ -365,9 +367,7 @@ def test_solver_failure_advises_more_steps():
     )
     grid = TimeGrid(1.0, 2)
     with pytest.raises(ImplicitStepError, match="increase"):
-        solve_implicit_step(
-            triple, grid, 1, np.full(4, 3.0), max_iter=25
-        )
+        solve_implicit_step(triple, grid, 1, np.full(4, 3.0))
 
 
 def test_scheme_config_validation():
@@ -383,7 +383,7 @@ def test_trajectory_export_roundtrip():
     space = build_sine_space(3)
     triple = zero_triple(space, MARKS)
     cfg = SchemeConfig(kind="explicit", n=3, m=4, l=1, initial=np.ones(3))
-    traj = run_explicit(space, triple, cfg, _bundle(17, 4))
+    traj = run_scheme(space, triple, cfg, _bundle(17, 4))
     payload = json.loads(traj.to_json())
     assert payload["kind"] == "explicit"
     assert payload["n"] == 3 and payload["m"] == 4
@@ -487,7 +487,7 @@ def test_explicit_blowup_leaves_the_other_paths_unchanged():
     others = [0, 1, 3, 4]
     assert got.final[others].tobytes() == want.final[others].tobytes()
     assert got.energies[:, others].tobytes() == want.energies[:, others].tobytes()
-    assert run_explicit(space, triple, cfg, loud[2]).blow_up_step == step
+    assert run_scheme(space, triple, cfg, loud[2]).blow_up_step == step
 
 
 class QuietOrLoud:
@@ -497,13 +497,16 @@ class QuietOrLoud:
         return smooth_profile(4) * (1.0 if rng.random() < 0.3 else 1e-13)
 
 
-def test_solver_failure_leaves_the_other_paths_unchanged():
+def test_solver_failure_leaves_the_other_paths_unchanged(monkeypatch):
     # one damped iteration solves the step equation only for states so small
     # that the residual starts below the tolerance; an order-one state fails
+    from spdesim import schemes
+
+    monkeypatch.setattr(schemes, "SOLVER_MAX_ITER", 1)
     space = build_sine_space(4)
     triple = semilinear(space, MARKS)
     initial = QuietOrLoud()
-    cfg = SchemeConfig(kind="implicit_projected", n=4, m=8, l=1, initial=initial, max_iter=1)
+    cfg = SchemeConfig(kind="implicit_projected", n=4, m=8, l=1, initial=initial)
 
     def loud(seed):
         return initial(make_generator(derive_key(seed, TAG_INITIAL)))[0] > 1e-6
@@ -525,7 +528,7 @@ def test_solver_failure_leaves_the_other_paths_unchanged():
     assert got.energies[:, others].tobytes() == want.energies[:, others].tobytes()
     assert (got.solver_iterations[:, others] == want.solver_iterations[:, others]).all()
     with pytest.raises(ImplicitStepError, match="step 1: implicit step did not converge"):
-        run_implicit(space, triple, cfg, mixed[2])
+        run_scheme(space, triple, cfg, mixed[2])
 
 
 def test_block_rejects_mismatched_bundles():
@@ -574,3 +577,46 @@ def test_block_solve_marks_rows_without_a_finite_solution(direct):
         np.testing.assert_allclose(x[p], alone, rtol=1e-14, atol=1e-15)
     with pytest.raises(ImplicitStepError, match="no finite solution"):
         solve_implicit_step(triple, grid, 2, rows[1])
+
+
+# the mark of the hand-placed jump at knot t_j of a 16-step grid
+KNOT_JUMP_MARKS = {2: 0.25, 5: 1.0, 11: 0.5, 16: 1.0}
+
+
+def _knot_jump_bundle(knots):
+    """A 64-step bundle without Wiener noise whose jumps sit exactly on the
+    knots t_j of a 16-step grid, j in `knots` (t_16 = T)."""
+    return NoiseBundle(
+        T=1.0,
+        m=64,
+        l_modes=1,
+        l_level=3,
+        master_seed=5,
+        wiener=np.zeros((1, 64)),
+        jump_times=TimeGrid(1.0, 16).knots[list(knots)],
+        jump_marks=np.array([KNOT_JUMP_MARKS[j] for j in knots], dtype=float),
+        marks=ATOMS,
+    )
+
+
+@pytest.mark.parametrize("m", [16, 64])
+@pytest.mark.parametrize("kind", ["explicit", "implicit"])
+def test_jumps_on_knots(kind, m):
+    # sampled jump times never land on a knot, so these are placed by hand;
+    # a jump at t_i lies in the window (t_{i-1}, t_i] and enters step i,
+    # through the factorized jump path and the generic cell path alike
+    space = build_sine_space(4)
+    triple = heat_jump(space, ATOMS)
+    generic = dataclasses.replace(triple, jump_profile=None)
+    cfg = SchemeConfig(kind=kind, n=4, m=m, l=3, initial=smooth_profile(4))
+    bundle = _knot_jump_bundle(KNOT_JUMP_MARKS)
+    # atom marks and no Wiener noise: both paths do the same dyadic arithmetic
+    want = run_scheme(space, triple, cfg, bundle).values
+    assert run_scheme(space, generic, cfg, bundle).values.tobytes() == want.tobytes()
+    for path in (triple, generic):
+        quiet = run_scheme(space, path, cfg, _knot_jump_bundle([])).values
+        for j in KNOT_JUMP_MARKS:
+            i = j * m // 16
+            got = run_scheme(space, path, cfg, _knot_jump_bundle([j])).values
+            assert got[:i].tobytes() == quiet[:i].tobytes()
+            assert not np.array_equal(got[i], quiet[i])

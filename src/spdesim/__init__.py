@@ -1,6 +1,6 @@
 """Galerkin time stepping for stochastic evolution equations with jumps."""
 
-from .averaging import QuadratureSpec, impl_A, tilde_F
+from .averaging import impl_A, tilde_F
 from .coefficients import (
     BoxSampler,
     CoefficientTriple,

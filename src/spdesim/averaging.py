@@ -7,34 +7,23 @@ first two knots); the implicit stepping averages the drift over the
 additionally averaged over each partition cell against the intensity
 measure, with the convention 0/0 = 0 on massless cells.
 
-Time means use Gauss-Legendre nodes per window, exact for autonomous
-coefficients (evaluated once at the window midpoint) and for polynomial
-time dependence up to degree 2·points − 1.  Mark-cell integrals use the
-closed-form weight masses whenever the triple declares the factorized
-form F = weight(ξ)·profile(t, x), and per-cell quadrature against the
-density otherwise.
+Time means use TIME_POINTS Gauss-Legendre nodes per window, exact for
+autonomous coefficients (evaluated once at the window midpoint) and for
+polynomial time dependence up to degree 2·TIME_POINTS − 1.  Mark-cell
+integrals use the closed-form weight masses whenever the triple declares
+the factorized form F = weight(ξ)·profile(t, x), and per-cell quadrature
+against the density otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre nodes per time subinterval."""
-
-    points_per_step: int = 4
-
-    def __post_init__(self):
-        if self.points_per_step < 1:
-            raise ValueError("need at least one quadrature point per step")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Gauss-Legendre nodes per time window of a non-autonomous coefficient;
+# `time_mean` reads it at call time.
+TIME_POINTS = 4
 
 
 @lru_cache(maxsize=16)
@@ -43,7 +32,7 @@ def _unit_rule(points):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def time_mean(fn, x, t0, t1, autonomous, quad=DEFAULT_QUADRATURE):
+def time_mean(fn, x, t0, t1, autonomous):
     """Average of t ↦ fn(t, x) over [t0, t1]; a single evaluation when autonomous.
 
     The state is passed through rather than closed over so that callers
@@ -52,7 +41,7 @@ def time_mean(fn, x, t0, t1, autonomous, quad=DEFAULT_QUADRATURE):
     """
     if autonomous:
         return np.asarray(fn(0.5 * (t0 + t1), x), dtype=float)
-    nodes, weights = _unit_rule(quad.points_per_step)
+    nodes, weights = _unit_rule(TIME_POINTS)
     ts = t0 + (t1 - t0) * nodes
     acc = weights[0] * np.asarray(fn(ts[0], x), dtype=float)
     for w, t in zip(weights[1:], ts[1:]):
@@ -75,7 +64,7 @@ def cell_weight_means(partition):
     return ratio, wmass
 
 
-def tilde_F(triple, grid, partition, i, x, rule, quad=DEFAULT_QUADRATURE):
+def tilde_F(triple, grid, partition, i, x, rule):
     """Jump coefficient averaged in time and over each partition cell.
 
     Returns a (..., dim, cells) array for states of shape (..., dim) whose
@@ -98,12 +87,12 @@ def tilde_F(triple, grid, partition, i, x, rule, quad=DEFAULT_QUADRATURE):
         return np.einsum("...dcq,cq->...dc", vals, weights)
 
     t0, t1 = float(grid.knots[i - 2]), float(grid.knots[i - 1])
-    integrals = time_mean(cell_integrals, x, t0, t1, triple.autonomous, quad)
+    integrals = time_mean(cell_integrals, x, t0, t1, triple.autonomous)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(partition.nu > 0, integrals / partition.nu, 0.0)
 
 
-def impl_A(triple, grid, i, x, quad=DEFAULT_QUADRATURE):
+def impl_A(triple, grid, i, x):
     """Drift averaged over the current subinterval; zero at the origin knot.
 
     `x` is one state (dim,) or a batch (..., dim).
@@ -114,4 +103,4 @@ def impl_A(triple, grid, i, x, quad=DEFAULT_QUADRATURE):
         return np.zeros(x.shape)
     knots = grid.knots
     t0, t1 = float(knots[i - 1]), float(knots[i])
-    return time_mean(triple.eval_A, x, t0, t1, triple.autonomous, quad)
+    return time_mean(triple.eval_A, x, t0, t1, triple.autonomous)

@@ -49,12 +49,11 @@ def _load(args):
 
 
 def _vnorm_weighted(traj, space, constants, grid):
-    """δ·Σ_i λ(t_i)·‖u(t_i)‖_V^p over the knots before any blow-up."""
+    """δ·λ·Σ_i ‖u(t_i)‖_V^p over the knots before any blow-up."""
     last = traj.m if traj.blow_up_step is None else traj.blow_up_step - 1
     vals = traj.values[: last + 1]
     vsq = ((vals @ restrict(space, traj.n).v_gram) * vals).sum(1)
-    lam = np.array([constants.lambda_fn(t) for t in traj.knots[: last + 1]])
-    return float(np.sum(grid.delta * lam * vsq ** (constants.p / 2.0)))
+    return float(np.sum(grid.delta * constants.lam * vsq ** (constants.p / 2.0)))
 
 
 def _cmd_simulate(args):
@@ -69,7 +68,7 @@ def _cmd_simulate(args):
         settings.getint("noise", "l_level", fallback=scheme_config.l), scheme_config.l
     )
     bundle = sample_bundle(seed, grid, modes, marks, level)
-    traj = run_scheme(space, triple, scheme_config, bundle, cfg.quadrature_spec(settings))
+    traj = run_scheme(space, triple, scheme_config, bundle)
     payload = traj.to_json(
         vnorm_weighted=_vnorm_weighted(traj, space, triple.constants, grid)
     )
@@ -92,15 +91,7 @@ def _cmd_converge(args):
     ladder = cfg.parse_ladder(settings)
     workers = args.workers or settings.getint("run", "workers", fallback=1)
     started = time.perf_counter()
-    report = convergence_study(
-        space,
-        triple,
-        marks,
-        ladder,
-        scheme_config,
-        workers,
-        cfg.quadrature_spec(settings),
-    )
+    report = convergence_study(space, triple, marks, ladder, scheme_config, workers)
     elapsed = time.perf_counter() - started
     timing = settings.getboolean("run", "timing", fallback=False)
     text = report.to_csv(timing=timing)

@@ -29,8 +29,9 @@ re-keyed generator (`rng.keyed_generators`), so its draws are those of
 as one array: times of shape (P,), states of shape (P, n), the norms and
 pairings of `space` row by row, and mark integrals of (P, n, k) values
 through `MarkIntegral.integral_sq`.  Autonomous coefficients are called
-once per chunk; the others row by row at each trial's time.  Witnesses and
-verdicts do not depend on the chunk size.
+once per chunk; the others row by row at each trial's time.  The condition
+constants are numbers, the same at every time.  Witnesses and verdicts do
+not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.integrate
 
 from .noise import build_partition
 from .rng import TAG_TRIAL, derive_key, keyed_generators
@@ -54,44 +54,21 @@ SCAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
-class ConstantFn:
-    """Constant function of time; picklable so triples cross process pools."""
-
-    value: float
-
-    def __call__(self, t):
-        return self.value
-
-
-@dataclass(frozen=True)
-class ScaledFn:
-    factor: float
-    fn: object
-
-    def __call__(self, t):
-        return self.factor * self.fn(t)
-
-
-def _as_time_fn(f):
-    return ConstantFn(float(f)) if np.isscalar(f) else f
-
-
-@dataclass(frozen=True)
 class ConditionConstants:
-    """Exponents and integrable weight functions entering the conditions.
+    """Exponents and allowances entering the conditions, all numbers.
 
-    `lambda_fn` is the coercivity weight (strictly positive; must stay <= 1
-    for the explicit scheme), `k1_fn` the additive coercivity allowance,
-    `k1bar_fn` the H-norm growth allowance, `k2_fn` the drift growth
-    allowance.  `horizon` is the time interval the functions live on.
+    `lam` is the coercivity weight (strictly positive; must stay <= 1 for
+    the explicit scheme), `k1` the additive coercivity allowance, `k1bar`
+    the H-norm growth allowance, `k2` the drift growth allowance.
+    `horizon` is the end of the time interval [0, horizon] they hold on.
     """
 
     p: float
     alpha: float
-    lambda_fn: object
-    k1_fn: object
-    k1bar_fn: object
-    k2_fn: object
+    lam: float
+    k1: float
+    k1bar: float
+    k2: float
     horizon: float = 1.0
 
     def __post_init__(self):
@@ -101,20 +78,17 @@ class ConditionConstants:
             raise ValueError("growth constant must be >= 1")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        for name in ("lambda_fn", "k1_fn", "k1bar_fn", "k2_fn"):
-            object.__setattr__(self, name, _as_time_fn(getattr(self, name)))
+        for name in ("lam", "k1", "k1bar", "k2"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def q(self):
         return self.p / (self.p - 1.0)
 
-    def k3_fn(self, t):
+    @property
+    def k3(self):
         """Combined allowance (2/q)·K2 + K1 from the noise-bound estimates."""
-        return (2.0 / self.q) * self.k2_fn(t) + self.k1_fn(t)
-
-    def lambda_max(self, probe=33):
-        ts = np.linspace(0.0, self.horizon, probe)
-        return max(float(self.lambda_fn(t)) for t in ts)
+        return (2.0 / self.q) * self.k2 + self.k1
 
 
 @dataclass(frozen=True)
@@ -280,11 +254,6 @@ def _on_chunk(triple, t):
     )
 
 
-def _at_times(fn, t):
-    """A scalar function of time at every trial time, shape (P,)."""
-    return np.array([fn(s) for s in t], dtype=float)
-
-
 def _sq_sum(b):
     """Squared Hilbert-Schmidt norm of each (n, modes) matrix in a batch."""
     return np.sum(b**2, axis=(-2, -1))
@@ -323,8 +292,8 @@ def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
         lhs = 2.0 * pairing(x, on(triple.eval_A, x))
         lhs += _sq_sum(on(triple.eval_B, x))
         lhs += mark_quadrature.integral_sq(lambda xi: on(triple.eval_F, x, xi))
-        lhs += _at_times(c.lambda_fn, t) * v**c.p
-        return lhs - _at_times(c.k1_fn, t) - _at_times(c.k1bar_fn, t) * pairing(x, x)
+        lhs += c.lam * v**c.p
+        return lhs - c.k1 - c.k1bar * pairing(x, x)
 
     return _scan("C2", trials, seed, sampler.point, evaluate)
 
@@ -341,12 +310,7 @@ def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
     def evaluate(t, x):
         _, v, _ = norms(space, x)
         _, _, dual = norms(space, _on_chunk(triple, t)(triple.eval_A, x))
-        lam = _at_times(c.lambda_fn, t)
-        return (
-            dual**c.q
-            - c.alpha * lam**c.q * v**c.p
-            - _at_times(c.k2_fn, t) * lam ** (c.q - 1.0)
-        )
+        return dual**c.q - c.alpha * c.lam**c.q * v**c.p - c.k2 * c.lam ** (c.q - 1.0)
 
     return _scan("C3", trials, seed, sampler.point, evaluate)
 
@@ -383,9 +347,9 @@ def probe_hemicontinuity(triple, x, y, z, t, epsilons=None):
 def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
     """Worst sampled violation of the two derived bounds on (B, F).
 
-    The difference bound uses the constant (3α + 2/p)·λ(t) against
-    ‖x‖_V^p + ‖y‖_V^p plus (4/q)·K2(t); the absolute bound uses
-    2α·λ(t)‖x‖_V^p + K̄1(t)‖x‖_H² + K3(t).
+    The difference bound uses the constant (3α + 2/p)·λ against
+    ‖x‖_V^p + ‖y‖_V^p plus (4/q)·K2; the absolute bound uses
+    2α·λ‖x‖_V^p + K̄1‖x‖_H² + K3.
     """
     c = triple.constants
 
@@ -393,125 +357,76 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
         on = _on_chunk(triple, t)
         _, vx, _ = norms(space, x)
         _, vy, _ = norms(space, y)
-        lam = _at_times(c.lambda_fn, t)
         bx = on(triple.eval_B, x)
         by = on(triple.eval_B, y)
         diff_lhs = _sq_sum(bx - by) + mark_quadrature.integral_sq(
             lambda xi: on(triple.eval_F, x, xi) - on(triple.eval_F, y, xi)
         )
-        diff_rhs = (3.0 * c.alpha + 2.0 / c.p) * lam * (
-            vx**c.p + vy**c.p
-        ) + (4.0 / c.q) * _at_times(c.k2_fn, t)
+        diff_rhs = (
+            (3.0 * c.alpha + 2.0 / c.p) * c.lam * (vx**c.p + vy**c.p)
+            + (4.0 / c.q) * c.k2
+        )
         abs_lhs = _sq_sum(bx) + mark_quadrature.integral_sq(
             lambda xi: on(triple.eval_F, x, xi)
         )
-        abs_rhs = (
-            2.0 * c.alpha * lam * vx**c.p
-            + _at_times(c.k1bar_fn, t) * pairing(x, x)
-            + _at_times(c.k3_fn, t)
-        )
+        abs_rhs = 2.0 * c.alpha * c.lam * vx**c.p + c.k1bar * pairing(x, x) + c.k3
         return np.maximum(diff_lhs - diff_rhs, abs_lhs - abs_rhs)
 
     return _scan("PropBF", trials, seed, sampler.pair, evaluate)
 
 
-# Values of γ kept per transformed triple: every quadrature node of a
-# 4096-step reference run and its rungs, so the paths of a ladder share them,
-# while condition-suite trials at random times cannot grow the cache further.
-GAMMA_CACHE_SIZE = 1 << 15
-
-
-class _GammaEvaluator:
-    """exp(−½∫₀ᵗ K) with adaptive quadrature and a bounded per-time cache.
-
-    The cache is a plain dict (oldest entry evicted first) so that
-    transformed triples still pickle for worker processes.
-    """
-
-    def __init__(self, k_fn):
-        self.k_fn = k_fn
-        self._cache = {}
-
-    def _k(self, s):
-        value = float(self.k_fn(s))
-        if value < 0:
-            raise ValueError(f"rate function is negative at t={s}: {value}")
-        return value
-
-    def __call__(self, t):
-        got = self._cache.get(t)
-        if got is None:
-            integral, _ = scipy.integrate.quad(
-                self._k, 0.0, t, epsabs=0.0, epsrel=1e-10, limit=200
-            )
-            got = math.exp(-0.5 * integral)
-            if len(self._cache) >= GAMMA_CACHE_SIZE:
-                del self._cache[next(iter(self._cache))]
-            self._cache[t] = got
-        return got
-
-
-@dataclass(frozen=True)
-class _TransformedA:
-    base: object
-    k_fn: object
-    gamma: _GammaEvaluator
-
-    def __call__(self, t, x):
-        g = self.gamma(t)
-        return np.asarray(self.base(t, g * np.asarray(x))) / g - (
-            0.5 * self.k_fn(t)
-        ) * np.asarray(x)
-
-
 @dataclass(frozen=True)
 class _Transformed:
-    """γ⁻¹·base(t, γx, *marks) for B, F and the jump profile."""
+    """γ⁻¹·base(t, γx, *marks) for B, F and the jump profile, with
+    γ_t = exp(−rate·t/2)."""
 
     base: object
-    gamma: _GammaEvaluator
+    rate: float
+
+    def gamma(self, t):
+        return math.exp(-0.5 * self.rate * t)
 
     def __call__(self, t, x, *marks):
         g = self.gamma(t)
         return np.asarray(self.base(t, g * np.asarray(x), *marks)) / g
 
 
-def exponential_transform(triple, k_fn):
-    """Absorb a relaxed-dissipativity rate K into the coefficients.
+@dataclass(frozen=True)
+class _TransformedA(_Transformed):
+    """γ⁻¹·A(t, γx) − ½·rate·x."""
+
+    def __call__(self, t, x):
+        return super().__call__(t, x) - (0.5 * self.rate) * np.asarray(x)
+
+
+def exponential_transform(triple, rate):
+    """Absorb a relaxed-dissipativity rate K = `rate` into the coefficients.
 
     Returns the triple (Ā, B̄, F̄) with Ā(x) = γ⁻¹A(γx) − ½Kx,
-    B̄(x) = γ⁻¹B(γx), F̄(x, ξ) = γ⁻¹F(γx, ξ) and γ_t = exp(−½∫₀ᵗK): a
+    B̄(x) = γ⁻¹B(γx), F̄(x, ξ) = γ⁻¹F(γx, ξ) and γ_t = exp(−½Kt): a
     triple satisfying the relaxed one-sided bound with rate K is turned
-    into one satisfying the strict dissipativity inequality.
+    into one satisfying the strict dissipativity inequality.  The rate
+    must be a finite number >= 0.
     """
-    k_fn = _as_time_fn(k_fn)
-    horizon = triple.constants.horizon
-    probe = np.linspace(0.0, horizon, 33)
-    k_vals = np.array([float(k_fn(t)) for t in probe])
-    if (k_vals < 0).any():
-        bad = probe[int(np.argmin(k_vals))]
-        raise ValueError(f"rate function is negative at t={bad}")
-    if (k_vals == 0).all():
+    rate = float(rate)
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be a finite number >= 0, got {rate}")
+    if rate == 0:
         return replace(triple)
-    gamma = _GammaEvaluator(k_fn)
-    inflate = gamma(horizon) ** -2
-    constants = replace(
-        triple.constants,
-        k1_fn=ScaledFn(inflate, triple.constants.k1_fn),
-        k2_fn=ScaledFn(inflate, triple.constants.k2_fn),
-    )
+    c = triple.constants
+    inflate = math.exp(-0.5 * rate * c.horizon) ** -2
     profile = (
-        _Transformed(triple.jump_profile, gamma)
+        _Transformed(triple.jump_profile, rate)
         if triple.jump_profile is not None
         else None
     )
     return replace(
         triple,
-        eval_A=_TransformedA(triple.eval_A, k_fn, gamma),
-        eval_B=_Transformed(triple.eval_B, gamma),
-        eval_F=_Transformed(triple.eval_F, gamma),
+        eval_A=_TransformedA(triple.eval_A, rate),
+        eval_B=_Transformed(triple.eval_B, rate),
+        eval_F=_Transformed(triple.eval_F, rate),
         jump_profile=profile,
-        constants=constants,
+        constants=replace(c, k1=inflate * c.k1, k2=inflate * c.k2),
         autonomous=False,
         linear_A=None,
     )

@@ -1,9 +1,10 @@
 """Flat sectioned key=value configuration for the CLI.
 
-The file format is INI-style sections of key = value pairs.  Unknown keys
-are rejected early so typos surface as errors rather than silently falling
-back to defaults.  The environment variable SPDE_SEED, when set, overrides
-the configured master seed.
+The file format is INI-style sections of key = value pairs; a `#` at the
+start of a line, or after whitespace in a value, starts a comment.  Unknown
+keys are rejected early so typos surface as errors rather than silently
+falling back to defaults.  The environment variable SPDE_SEED, when set,
+overrides the configured master seed.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ _KNOWN_KEYS = {
     "ladder": {"rungs": _rungs, "reference": _rung, "strict_gate": _boolean},
     "stability": {"n_values": _int_list, "m_values": _int_list, "gamma": float,
                   "alpha": float},
-    "quadrature": {"points_per_step": int},
 }
 
 
@@ -87,7 +87,9 @@ def load_settings(path):
     A value that does not parse, or an SPDE_SEED that is not an integer,
     raises a ConfigError naming its `[section] key` or the variable.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=("#",)
+    )
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -212,10 +214,3 @@ def suite_config(settings):
         seed=master_seed(settings),
     )
 
-
-def quadrature_spec(settings):
-    from .averaging import QuadratureSpec
-
-    return QuadratureSpec(
-        points_per_step=settings.getint("quadrature", "points_per_step", fallback=4)
-    )

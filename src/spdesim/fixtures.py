@@ -199,10 +199,10 @@ def heat_jump(
         constants=ConditionConstants(
             p=2.0,
             alpha=float(alpha),
-            lambda_fn=lam,
-            k1_fn=float(k1),
-            k1bar_fn=float(k1bar),
-            k2_fn=float(k2),
+            lam=lam,
+            k1=float(k1),
+            k1bar=float(k1bar),
+            k2=float(k2),
             horizon=horizon,
         ),
         autonomous=True,
@@ -239,10 +239,10 @@ def additive_multimode(
         constants=ConditionConstants(
             p=2.0,
             alpha=float(alpha),
-            lambda_fn=float(lambda_const),
-            k1_fn=float(k1),
-            k1bar_fn=float(k1bar),
-            k2_fn=float(k2),
+            lam=float(lambda_const),
+            k1=float(k1),
+            k1bar=float(k1bar),
+            k2=float(k2),
             horizon=horizon,
         ),
         autonomous=True,
@@ -281,10 +281,10 @@ def semilinear(
         constants=ConditionConstants(
             p=2.0,
             alpha=float(alpha),
-            lambda_fn=float(lambda_const),
-            k1_fn=float(k1),
-            k1bar_fn=float(k1bar),
-            k2_fn=float(k2),
+            lam=float(lambda_const),
+            k1=float(k1),
+            k1bar=float(k1bar),
+            k2=float(k2),
             horizon=horizon,
         ),
         autonomous=True,
@@ -307,10 +307,10 @@ def zero_triple(space, marks=None, horizon=1.0):
         constants=ConditionConstants(
             p=2.0,
             alpha=1.0,
-            lambda_fn=1e-6,
-            k1_fn=0.0,
-            k1bar_fn=0.0,
-            k2_fn=0.0,
+            lam=1e-6,
+            k1=0.0,
+            k1bar=0.0,
+            k2=0.0,
             horizon=horizon,
         ),
         autonomous=True,

@@ -28,7 +28,6 @@ from functools import partial
 
 import numpy as np
 
-from .averaging import DEFAULT_QUADRATURE
 from .coefficients import (
     BoxSampler,
     MarkIntegral,
@@ -47,17 +46,23 @@ Z95 = 1.959963984540054
 
 
 def neumaier_sum(values):
-    """Compensated (Neumaier) summation over the leading axis."""
+    """Compensated (Neumaier) summation over the leading axis.
+
+    Where the plain sum is not finite (an infinite summand, or an
+    overflow) it is returned as is: the compensation would turn it into
+    NaN through inf − inf.
+    """
     values = np.asarray(values, dtype=float)
     total = np.zeros(values.shape[1:]) if values.ndim > 1 else 0.0
     comp = np.zeros_like(total)
-    for row in values:
-        t = total + row
-        big = np.where(np.abs(total) >= np.abs(row), total, row)
-        small = np.where(np.abs(total) >= np.abs(row), row, total)
-        comp = comp + ((big - t) + small)
-        total = t
-    return total + comp
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in values:
+            t = total + row
+            big = np.where(np.abs(total) >= np.abs(row), total, row)
+            small = np.where(np.abs(total) >= np.abs(row), row, total)
+            comp = comp + ((big - t) + small)
+            total = t
+        return np.where(np.isfinite(total), total + comp, total)[()]
 
 
 @dataclass
@@ -93,7 +98,7 @@ def _outcomes(run):
     return np.where(blown, BLOWN_UP, np.where(failed, FAILED, COMPLETED))
 
 
-def _run_paths(space, triple, configs, marks, master_seed, quad, reduce, block):
+def _run_paths(space, triple, configs, marks, master_seed, reduce, block):
     """Outcome and value columns of one block of path indices, and run
     seconds per config.
 
@@ -115,7 +120,7 @@ def _run_paths(space, triple, configs, marks, master_seed, quad, reduce, block):
     runs = []
     for k, config in enumerate(configs):
         started = time.perf_counter()
-        runs.append(run_block(space, triple, config, bundles, quad))
+        runs.append(run_block(space, triple, config, bundles))
         seconds[k] = time.perf_counter() - started
     return (*reduce(runs), seconds)
 
@@ -140,7 +145,7 @@ def _terminal_gaps(runs):
     return outcomes, np.vecdot(diffs, diffs)
 
 
-def _path_study(space, triple, configs, marks, paths, master_seed, workers, quad, reduce):
+def _path_study(space, triple, configs, marks, paths, master_seed, workers, reduce):
     """Outcome and value columns over all paths in path order, and run
     seconds per config.
 
@@ -153,9 +158,7 @@ def _path_study(space, triple, configs, marks, paths, master_seed, workers, quad
         range(start, min(start + BLOCK_PATHS, paths))
         for start in range(0, paths, BLOCK_PATHS)
     ]
-    run = partial(
-        _run_paths, space, triple, tuple(configs), marks, master_seed, quad, reduce
-    )
+    run = partial(_run_paths, space, triple, tuple(configs), marks, master_seed, reduce)
     workers = min(workers, len(blocks))
     if workers <= 1:
         parts = [run(block) for block in blocks]
@@ -179,24 +182,24 @@ def _completed(outcomes, values):
 
 def _mean_var(values):
     """Compensated mean and sample variance over the leading axis; the
-    variance is None for a single value."""
+    variance is None for a single value.  Values that overflow give an
+    infinite mean or variance (NaN where inf − inf), without warnings."""
     count = values.shape[0]
     mean = neumaier_sum(values) / count
     if count < 2:
         return mean, None
-    return mean, neumaier_sum((values - mean) ** 2) / (count - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mean, neumaier_sum((values - mean) ** 2) / (count - 1)
 
 
-def monte_carlo(
-    space, triple, config, marks, paths, master_seed, workers=1, quad=DEFAULT_QUADRATURE
-):
+def monte_carlo(space, triple, config, marks, paths, master_seed, workers=1):
     """Path statistics of one scheme configuration.
 
     Blown-up paths and paths whose implicit solver failed are counted and
     excluded from the moment aggregation.
     """
     outcomes, values, _ = _path_study(
-        space, triple, [config], marks, paths, master_seed, workers, quad, _knot_energies
+        space, triple, [config], marks, paths, master_seed, workers, _knot_energies
     )
     ok, blowups, failures = _completed(outcomes[0], values[0])
     if ok.size == 0:
@@ -323,9 +326,7 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def convergence_study(
-    space, triple, marks, ladder, config_template, workers=1, quad=DEFAULT_QUADRATURE
-):
+def convergence_study(space, triple, marks, ladder, config_template, workers=1):
     """Coupled strong-error ladder against the reference resolution.
 
     Every path runs each rung and the reference once on one bundle.  The
@@ -345,7 +346,6 @@ def convergence_study(
         ladder.paths,
         ladder.master_seed,
         workers,
-        quad,
         _terminal_gaps,
     )
     rows = []
@@ -387,6 +387,10 @@ class SuiteConfig:
 
     trials: int = 10_000
     seed: int = 2024
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("condition suite needs at least one trial")
 
 
 def run_condition_suite(triple, space, marks, config=SuiteConfig()):

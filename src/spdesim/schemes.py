@@ -29,10 +29,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
-from .averaging import DEFAULT_QUADRATURE, cell_weight_means, impl_A, tilde_F, time_mean
+from .averaging import cell_weight_means, impl_A, tilde_F, time_mean
 from .noise import TimeGrid, build_partition, coarsen_wiener, compensated_cell_increments
 from .rng import TAG_INITIAL, derive_key, make_generator
 from .space import c_b, project, restrict, smooth_profile
@@ -137,13 +136,12 @@ def step_energy_bound(constants, space, grid, zeta_sq):
     """A-priori bound on sup_i E‖u(t_i)‖_H² inside the stability region.
 
     Follows the coercivity convention: the H-quadratic allowance K̄1 drives
-    the exponential, the additive allowances K1 and δ·C_B·K2 the constant.
+    the exponential, the additive allowances K1 and δ·C_B·K2 the constant:
+    (ζ² + T·(K1 + δ·C_B·K2))·exp(T·K̄1).
     """
-    k1, _ = scipy.integrate.quad(constants.k1_fn, 0.0, grid.T, limit=200)
-    k1bar, _ = scipy.integrate.quad(constants.k1bar_fn, 0.0, grid.T, limit=200)
-    k2, _ = scipy.integrate.quad(constants.k2_fn, 0.0, grid.T, limit=200)
-    base = zeta_sq + k1 + grid.delta * c_b(space) * k2
-    return base * np.exp(k1bar)
+    c = constants
+    base = zeta_sq + grid.T * (c.k1 + grid.delta * c_b(space) * c.k2)
+    return base * np.exp(grid.T * c.k1bar)
 
 
 def _resolve_initial(config, space, master_seed):
@@ -259,23 +257,23 @@ class BlockRun:
     solver_residuals: np.ndarray
 
 
-def run_block(space, triple, config, bundles, quad=DEFAULT_QUADRATURE):
+def run_block(space, triple, config, bundles):
     """Step one block of paths together, path p driven by ``bundles[p]``.
 
     Returns a `BlockRun`.  A block's arithmetic is batched, so its rows may
     differ from one-path runs (`run_scheme`) in the last bits; a block of
     one equals `run_scheme` bit for bit.
     """
-    return _run_steps(space, triple, config, bundles, quad)[0]
+    return _run_steps(space, triple, config, bundles)[0]
 
 
-def run_scheme(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
+def run_scheme(space, triple, config, bundle):
     """One path as a block of one, keeping the value at every knot.
 
     Returns a `Trajectory`; an implicit step that cannot be solved raises
     ImplicitStepError.
     """
-    run, values = _run_steps(space, triple, config, [bundle], quad, keep_values=True)
+    run, values = _run_steps(space, triple, config, [bundle], keep_values=True)
     if run.failures[0] is not None:
         raise ImplicitStepError(run.failures[0])
     return Trajectory(
@@ -291,7 +289,7 @@ def run_scheme(space, triple, config, bundle, quad=DEFAULT_QUADRATURE):
     )
 
 
-def _run_steps(space, triple, config, bundles, quad, keep_values=False):
+def _run_steps(space, triple, config, bundles, keep_values=False):
     """The stepping loop shared by every scheme kind and every block size.
 
     Row p of the state steps path p.  Step i adds to the previous value,
@@ -313,7 +311,7 @@ def _run_steps(space, triple, config, bundles, quad, keep_values=False):
     explicit = config.kind == EXPLICIT
     if explicit and triple.constants.p != 2.0:
         raise ValueError("the explicit scheme requires p = 2")
-    if explicit and triple.constants.lambda_max() > 1.0 + 1e-12:
+    if explicit and triple.constants.lam > 1.0 + 1e-12:
         raise ValueError("the explicit scheme requires the coercivity weight <= 1")
     n, m, l = config.n, config.m, config.l
     paths = len(bundles)
@@ -360,27 +358,23 @@ def _run_steps(space, triple, config, bundles, quad, keep_values=False):
             if i >= 2:
                 t0, t1 = knots[i - 2], knots[i - 1]
                 if explicit:
-                    drift = time_mean(triple.eval_A, x, t0, t1, autonomous, quad)
+                    drift = time_mean(triple.eval_A, x, t0, t1, autonomous)
                     new = x + delta * drift
                 if modes:
-                    bmat = time_mean(triple.eval_B, x, t0, t1, autonomous, quad)
+                    bmat = time_mean(triple.eval_B, x, t0, t1, autonomous)
                     new = new + np.matmul(bmat[..., :modes], dw[..., None])[..., 0]
                 if factorized:
-                    profile = time_mean(
-                        triple.jump_profile, x, t0, t1, autonomous, quad
-                    )
+                    profile = time_mean(triple.jump_profile, x, t0, t1, autonomous)
                     new = new + jump[:, None] * profile
                 else:
-                    cols = tilde_F(triple, grid, partition, i, x, rule, quad)
+                    cols = tilde_F(triple, grid, partition, i, x, rule)
                     new = new + np.matmul(cols, jump[..., None])[..., 0]
             if explicit:
                 lost = live & ~np.isfinite(new).all(axis=1)
                 new[lost] = np.nan
                 blow_up[lost] = i
             else:
-                new, report = solve_implicit_step(
-                    triple, grid, i, new, quad=quad, _direct=direct
-                )
+                new, report = solve_implicit_step(triple, grid, i, new, _direct=direct)
                 iterations[i - 1] = report.iterations
                 residuals[i - 1] = report.residual
                 lost = live & ~report.converged
@@ -403,9 +397,7 @@ def _run_steps(space, triple, config, bundles, quad, keep_values=False):
     return run, values
 
 
-def solve_implicit_step(
-    triple, grid, i, y, x0=None, quad=DEFAULT_QUADRATURE, _direct=None
-):
+def solve_implicit_step(triple, grid, i, y, x0=None, _direct=None):
     """Solve x − δ·(Π_n)A^m_i(x) = y for the implicit step.
 
     `y` is one right-hand side (n,) or a block of them (P, n).  Affine
@@ -426,7 +418,7 @@ def solve_implicit_step(
         x, report = _solve_direct(triple, grid, block, _direct)
     else:
         start = None if x0 is None else np.broadcast_to(x0, block.shape)
-        x, report = _solve_iterative(triple, grid, i, block, start, quad)
+        x, report = _solve_iterative(triple, grid, i, block, start)
     if y.ndim == 2:
         return x, report
     if not report.converged[0]:
@@ -462,14 +454,14 @@ def _solve_direct(triple, grid, y, direct):
     return x, SolveReport(np.zeros(len(y), dtype=int), residual, solved, reasons)
 
 
-def _solve_iterative(triple, grid, i, y, x0, quad):
+def _solve_iterative(triple, grid, i, y, x0):
     """Damped residual iteration with a Newton fallback, row by row."""
     max_iter = SOLVER_MAX_ITER
     delta = grid.delta
     rows, n = y.shape
 
     def residual_vec(x):
-        return x - delta * impl_A(triple, grid, i, x, quad) - y
+        return x - delta * impl_A(triple, grid, i, x) - y
 
     target = SOLVER_TOL * (1.0 + _row_norms(y))
     x = y.copy() if x0 is None else np.array(x0, dtype=float)
@@ -494,12 +486,12 @@ def _solve_iterative(triple, grid, i, y, x0, quad):
             # finite-difference Newton on the residual map
             jac = np.broadcast_to(np.eye(n), (rows, n, n)).copy()
             h = 1e-7 * (1.0 + np.abs(x))
-            base = delta * impl_A(triple, grid, i, x, quad)
+            base = delta * impl_A(triple, grid, i, x)
             for k in range(n):
                 xk = x.copy()
                 xk[:, k] += h[:, k]
                 jac[:, :, k] -= (
-                    delta * impl_A(triple, grid, i, xk, quad) - base
+                    delta * impl_A(triple, grid, i, xk) - base
                 ) / h[:, k, None]
             dx = np.zeros_like(x)
             for p in np.flatnonzero(newton):

@@ -1,11 +1,9 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
 from spdesim.averaging import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
+    TIME_POINTS,
     cell_weight_means,
     impl_A,
     tilde_F,
@@ -23,7 +21,7 @@ SPACE = build_sine_space(4)
 
 def _constants():
     return ConditionConstants(
-        p=2.0, alpha=1.0, lambda_fn=0.5, k1_fn=1.0, k1bar_fn=0.0, k2_fn=1.0
+        p=2.0, alpha=1.0, lam=0.5, k1=1.0, k1bar=0.0, k2=1.0
     )
 
 
@@ -92,7 +90,7 @@ def test_tilde_A_zero_at_first_two_knots():
     m = 8
     drift = RecordingDrift()
     traj = _run(_time_scaled_triple(drift), "explicit", m, _bundle(m))
-    assert len(drift.queries) == DEFAULT_QUADRATURE.points_per_step * (m - 1)
+    assert len(drift.queries) == TIME_POINTS * (m - 1)
     assert np.array_equal(traj.values[0], np.zeros(4))
     assert np.array_equal(traj.values[1], np.ones(4))
 
@@ -132,9 +130,8 @@ def test_window_discipline_lagged():
     drift = RecordingDrift()
     triple = _time_scaled_triple(drift)
     _run(triple, "explicit", m, _bundle(m))
-    points = DEFAULT_QUADRATURE.points_per_step
     for fn in (drift, triple.eval_B):
-        steps = np.reshape(fn.queries, (m - 1, points))
+        steps = np.reshape(fn.queries, (m - 1, TIME_POINTS))
         for i, queries in enumerate(steps, start=2):
             assert (grid.knots[i - 2] <= queries).all()
             assert (queries <= grid.knots[i - 1]).all()
@@ -255,11 +252,6 @@ def test_tilde_F_cell_constant_fixed_point():
         _rule(part, 6),
     )
     assert np.allclose(again, once, rtol=1e-9, atol=1e-12)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(points_per_step=0)
 
 
 def test_tilde_F_massless_cell_column_is_zero():

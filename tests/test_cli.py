@@ -16,11 +16,15 @@ from spdesim.config import (
     FIXTURES,
     ConfigError,
     build_marks,
+    build_scheme_config,
     build_space,
     build_triple,
     load_settings,
     master_seed,
+    parse_ladder,
+    suite_config,
 )
+from spdesim.harness import SuiteConfig
 from spdesim.noise import PowerLawMarks
 from spdesim.space import build_sine_space
 
@@ -110,6 +114,42 @@ def test_errors_exit_with_one_line(tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_conditions_rejects_fewer_than_one_trial(tmp_path, capsys, trials):
+    path = tmp_path / "c.cfg"
+    path.write_text(BASE_CONFIG + f"[run]\ntrials = {trials}\n")
+    assert main(["check-conditions", "--config", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "spdesim: error: condition suite needs at least one trial\n"
+    )
+
+
+def test_readme_config_example_loads(tmp_path, monkeypatch):
+    # the README's [ini] block, inline comments included, builds every
+    # object a command reads from a config
+    monkeypatch.delenv("SPDE_SEED", raising=False)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("\n```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block + "\n")
+    settings = load_settings(path)
+    marks = build_marks(settings)
+    space = build_space(settings)
+    triple = build_triple(settings, space, marks)
+    assert isinstance(marks, PowerLawMarks) and marks.beta == 1.5
+    assert space.dim == 32
+    assert triple.eval_B.theta == 0.5 and triple.jump_profile.amplitude == 0.1
+    scheme = build_scheme_config(settings)
+    assert (scheme.kind, scheme.n, scheme.m, scheme.l) == ("explicit", 8, 2048, 3)
+    ladder = parse_ladder(settings)
+    assert ladder.rungs == ((4, 64, 2), (8, 256, 3), (16, 1024, 4))
+    assert (ladder.reference, ladder.paths, ladder.master_seed) == (
+        (32, 4096, 5), 200, 20240501
+    )
+    assert not ladder.strict_gate
+    assert suite_config(settings) == SuiteConfig(trials=10_000, seed=20240501)
+
+
 @pytest.mark.parametrize(
     "command, text, seed, where",
     [
@@ -170,14 +210,14 @@ def test_simulate_writes_trajectory(config_file, tmp_path, capsys):
         "kind", "n", "m", "l", "knots", "values", "blow_up_step",
         "solver_iterations", "solver_residuals", "vnorm_weighted",
     ]
-    # delta * sum_i lambda(t_i) * ||u(t_i)||_V^p over the knots
+    # delta * lambda * sum_i ||u(t_i)||_V^p over the knots
     settings = load_settings(config_file)
     space = build_space(settings)
     constants = build_triple(settings, space, build_marks(settings)).constants
     n, vals = payload["n"], np.asarray(payload["values"])
     want = sum(
-        constants.lambda_fn(t) * (v @ space.v_gram[:n, :n] @ v) ** (constants.p / 2)
-        for t, v in zip(payload["knots"], vals)
+        constants.lam * (v @ space.v_gram[:n, :n] @ v) ** (constants.p / 2)
+        for v in vals
     ) * (payload["knots"][-1] / payload["m"])
     assert payload["vnorm_weighted"] == pytest.approx(want, rel=1e-12)
     lines = final.read_text().splitlines()
@@ -261,16 +301,11 @@ def test_converge_reproducible_across_workers(tmp_path):
 
 
 def test_converge_passes_quadrature_and_reports_failures(tmp_path, monkeypatch, capsys):
-    import inspect
-
+    # the time rule is the constant averaging.TIME_POINTS: a [quadrature]
+    # section is an unknown section, and converge reports per-rung failures
     from spdesim import cli, harness
-    from spdesim.averaging import QuadratureSpec
-
-    seen = {}
 
     def fake(*args, **kwargs):
-        bound = inspect.signature(harness.convergence_study).bind(*args, **kwargs)
-        seen.update(bound.arguments)
         row = harness.ConvergenceRow(
             n=2, m=16, l=1, cb_over_m=1.0, estimate=0.5, half_width=0.25,
             blowups=1, failures=2, seconds=0.0,
@@ -281,9 +316,14 @@ def test_converge_passes_quadrature_and_reports_failures(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "convergence_study", fake)
     path = tmp_path / "quad.cfg"
+    argv = ["converge", "--config", str(path), "--out", str(tmp_path / "q.csv")]
     path.write_text(BASE_CONFIG + LADDER_SECTION + "\n[quadrature]\npoints_per_step = 1\n")
-    assert main(["converge", "--config", str(path), "--out", str(tmp_path / "q.csv")]) == 0
-    assert seen.get("quad") == QuadratureSpec(1)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "spdesim: error: unknown config section [quadrature]\n"
+    )
+    path.write_text(BASE_CONFIG + LADDER_SECTION)
+    assert main(argv) == 0
     assert "blowups 1 failures 2" in capsys.readouterr().err
 
 
@@ -293,15 +333,15 @@ def test_converge_passes_quadrature_and_reports_failures(tmp_path, monkeypatch, 
         (
             "additive_multimode",
             "k1 = 5.0\nlambda_const = 0.9\nmodes = 3",
-            lambda tr: (tr.constants.k1_fn(0) == 5.0
-                        and tr.constants.lambda_fn(0) == 0.9
+            lambda tr: (tr.constants.k1 == 5.0
+                        and tr.constants.lam == 0.9
                         and tr.wiener_modes == 3),
             "theta",
         ),
         (
             "semilinear",
             "amplitude = 0.25\nk2 = 3.0",
-            lambda tr: tr.eval_A.amplitude == 0.25 and tr.constants.k2_fn(0) == 3.0,
+            lambda tr: tr.eval_A.amplitude == 0.25 and tr.constants.k2 == 3.0,
             "theta",
         ),
         ("zero", "horizon = 2.0", lambda tr: tr.constants.horizon == 2.0, "k1"),
@@ -367,11 +407,7 @@ def test_build_triple_equals_a_direct_fixture_call(tmp_path_factory, case):
     want = FIXTURES[name](space, marks, **kwargs)
 
     assert (got.dim, got.wiener_modes) == (want.dim, want.wiener_modes)
-    for attr in ("p", "alpha", "horizon"):
-        assert getattr(got.constants, attr) == getattr(want.constants, attr)
-    for t in (0.0, 0.2, 1.0):
-        for fn in ("lambda_fn", "k1_fn", "k1bar_fn", "k2_fn"):
-            assert getattr(got.constants, fn)(t) == getattr(want.constants, fn)(t)
+    assert got.constants == want.constants
     t, x, xi = 0.2, np.array([0.5, -1.0, 0.25, 2.0]), np.array([0.1, 0.7])
     np.testing.assert_array_equal(got.eval_A(t, x), want.eval_A(t, x))
     np.testing.assert_array_equal(got.eval_B(t, x), want.eval_B(t, x))

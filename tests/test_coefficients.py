@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from spdesim import coefficients
 from spdesim.coefficients import (
     BoxSampler,
     ConditionConstants,
-    ConstantFn,
     MarkIntegral,
     check_bf_bounds,
     check_coercivity,
@@ -184,13 +184,13 @@ def test_coercivity_zero_input_margin(base, quadrature):
     # for fixtures with F(0) = 0
     c = base.constants
     lhs = quadrature.integral_sq(lambda xi: base.eval_F(0.0, np.zeros(8), xi))
-    assert lhs - c.k1_fn(0.0) <= 0
+    assert lhs - c.k1 <= 0
 
 
 def test_coercivity_fails_with_inflated_weight(base, quadrature):
     c = base.constants
     inflated = dataclasses.replace(
-        base, constants=dataclasses.replace(c, lambda_fn=ConstantFn(10 * 0.375))
+        base, constants=dataclasses.replace(c, lam=10 * 0.375)
     )
     report = check_coercivity(inflated, SPACE, SAMPLER, TRIALS, quadrature, seed=4)
     assert not report.passed
@@ -233,7 +233,7 @@ def test_growth_fails_for_affine_offset_without_allowance(quadrature):
         base,
         eval_A=AffineDrift(),
         linear_A=None,
-        constants=dataclasses.replace(base.constants, k2_fn=ConstantFn(0.0)),
+        constants=dataclasses.replace(base.constants, k2=0.0),
     )
     report = check_growth(affine, SPACE, SAMPLER, TRIALS, quadrature, seed=8)
     assert not report.passed
@@ -291,22 +291,24 @@ def test_bf_bounds_zero_pair(base, quadrature):
     diff = np.sum(
         (np.asarray(base.eval_B(0.0, zeros)) - np.asarray(base.eval_B(0.0, zeros))) ** 2
     )
-    assert diff <= (4.0 / c.q) * c.k2_fn(0.0)
+    assert diff <= (4.0 / c.q) * c.k2
 
 
 def test_k3_combination():
-    c = ConditionConstants(
-        p=2.0, alpha=1.0, lambda_fn=0.5, k1_fn=0.3, k1bar_fn=0.0, k2_fn=0.7
-    )
-    for t in np.linspace(0, 1, 11):
-        assert c.k3_fn(t) == pytest.approx((2.0 / c.q) * 0.7 + 0.3, rel=1e-15)
+    c = ConditionConstants(p=2.0, alpha=1.0, lam=0.5, k1=0.3, k1bar=0.0, k2=0.7)
+    assert c.k3 == pytest.approx((2.0 / c.q) * 0.7 + 0.3, rel=1e-15)
 
 
 def test_constants_validation():
     with pytest.raises(ValueError):
-        ConditionConstants(p=1.5, alpha=1.0, lambda_fn=1.0, k1_fn=0.0, k1bar_fn=0.0, k2_fn=0.0)
+        ConditionConstants(p=1.5, alpha=1.0, lam=1.0, k1=0.0, k1bar=0.0, k2=0.0)
     with pytest.raises(ValueError):
-        ConditionConstants(p=2.0, alpha=0.5, lambda_fn=1.0, k1_fn=0.0, k1bar_fn=0.0, k2_fn=0.0)
+        ConditionConstants(p=2.0, alpha=0.5, lam=1.0, k1=0.0, k1bar=0.0, k2=0.0)
+    # the constants are numbers, stored as floats; a function of time is refused
+    c = ConditionConstants(p=2.0, alpha=1.0, lam=1, k1=0, k1bar=0, k2=np.float64(2))
+    assert [type(v) for v in (c.lam, c.k1, c.k1bar, c.k2)] == [float] * 4
+    with pytest.raises(TypeError):
+        ConditionConstants(p=2.0, alpha=1.0, lam=lambda t: 1.0, k1=0, k1bar=0, k2=0)
 
 
 def test_transform_identity_for_zero_rate(base):
@@ -326,19 +328,23 @@ def test_transform_gamma_closed_form(base):
     assert np.allclose(np.asarray(moved.eval_A(0.5, x)), want, rtol=1e-9)
 
 
-def test_transform_gamma_cache_is_bounded(base, monkeypatch):
-    times = np.linspace(0.0, 1.0, 25)
-    unbounded = exponential_transform(base, 2.0).eval_A.gamma
-    want = [unbounded(t) for t in times]
-    # constant rate K = 2: gamma_t = exp(-t)
-    assert np.allclose(want, np.exp(-times), rtol=1e-12)
-    monkeypatch.setattr(coefficients, "GAMMA_CACHE_SIZE", 8)
-    gamma = exponential_transform(base, 2.0).eval_A.gamma
-    assert [gamma(t) for t in times] == want
-    assert len(gamma._cache) == 8
-    # evicted times are recomputed to the same values
-    assert [gamma(t) for t in times] == want
-    assert len(gamma._cache) == 8
+def test_transform_scales_by_closed_form_gamma(base):
+    # rate K = 2: gamma_t = exp(-t), the same for every evaluator, and the
+    # evaluators are gamma^-1 base(t, gamma x) with the constants K1, K2
+    # inflated by gamma_T^-2
+    moved = exponential_transform(base, 2.0)
+    t, x, xi = 0.3, np.linspace(-1.0, 1.0, 8), np.array([0.2, 0.9])
+    g = math.exp(-t)
+    for fn in (moved.eval_A, moved.eval_B, moved.eval_F, moved.jump_profile):
+        assert fn.gamma(t) == g
+    assert np.array_equal(moved.eval_B(t, x), base.eval_B(t, g * x) / g)
+    assert np.array_equal(moved.eval_F(t, x, xi), base.eval_F(t, g * x, xi) / g)
+    assert np.array_equal(moved.jump_profile(t, x), base.jump_profile(t, g * x) / g)
+    assert np.array_equal(moved.eval_A(t, x), base.eval_A(t, g * x) / g - x)
+    inflate = math.exp(-1.0) ** -2
+    c, b = moved.constants, base.constants
+    assert (c.k1, c.k2) == (inflate * b.k1, inflate * b.k2)
+    assert (c.lam, c.k1bar) == (b.lam, b.k1bar)
 
 
 def test_transform_restores_monotonicity(quadrature):
@@ -360,8 +366,9 @@ def test_transform_fixes_strong_reaction(quadrature):
 
 
 def test_transform_rejects_negative_rate(base):
-    with pytest.raises(ValueError):
-        exponential_transform(base, -1.0)
+    for rate in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rate"):
+            exponential_transform(base, rate)
 
 
 def test_additive_and_semilinear_pass_all(quadrature):

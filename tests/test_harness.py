@@ -1,12 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdesim import harness
-from spdesim.averaging import QuadratureSpec
+from spdesim import averaging, harness
 from spdesim.coefficients import BoxSampler, exponential_transform, probe_hemicontinuity
 from spdesim.fixtures import additive_multimode, heat_jump, semilinear, zero_triple
 from spdesim.harness import (
@@ -53,6 +53,49 @@ def test_neumaier_matches_fsum():
     rng = np.random.default_rng(0)
     data = rng.normal(size=500) * 10.0 ** rng.integers(-8, 8, 500)
     assert neumaier_sum(data) == pytest.approx(math.fsum(data), rel=1e-15)
+
+
+def test_neumaier_returns_the_plain_sum_where_it_is_not_finite():
+    # the compensation would be inf - inf = NaN; no RuntimeWarning either
+    inf = float("inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert neumaier_sum([1.0, inf]) == inf
+        assert neumaier_sum([1e308, 1e308]) == inf
+        assert neumaier_sum([-1e308, 2.0, -1e308]) == -inf
+        assert np.isnan(neumaier_sum([inf, -inf]))
+        cols = neumaier_sum(np.array([[1.0, inf, 1e308], [2.0, 1.0, 1e308]]))
+    assert cols.tolist() == [3.0, inf, inf]
+
+
+def test_overflowing_gaps_give_an_infinite_half_width():
+    # the (4, 16) rung is far outside the explicit stability region: its
+    # squared gaps stay finite but their squared deviations overflow
+    ladder = LadderSpec(
+        rungs=((4, 16, 1), (8, 64, 2)), reference=(16, 256, 3), paths=70, master_seed=7
+    )
+    template = SchemeConfig(kind="explicit", n=8, m=64, l=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = convergence_study(
+            SPACE, heat_jump(SPACE, MARKS), MARKS, ladder, template
+        )
+    for row in report.rows:
+        assert np.isfinite(row.estimate) and row.half_width == float("inf")
+        assert (row.blowups, row.failures) == (0, 0)
+
+
+def test_overflowing_energies_give_an_infinite_mean():
+    # the state stays finite but its squared norm overflows at every knot
+    space = restrict(SPACE, 8)
+    cfg = SchemeConfig(
+        kind="implicit_projected", n=8, m=16, l=2, initial=np.full(8, 1e160)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = monte_carlo(space, semilinear(space, MARKS), cfg, MARKS, 6, 5)
+    assert (stats.knot_mean == float("inf")).all()
+    assert stats.final_mean == float("inf")
 
 
 def test_monte_carlo_zero_triple_degenerate():
@@ -242,6 +285,12 @@ def test_hemicontinuity_probe_has_its_own_stream(monkeypatch):
     assert not np.allclose(probed[0], first_direction(derive_key(2024, TAG_TRIAL, 3)))
 
 
+def test_suite_config_needs_a_trial():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="at least one trial"):
+            SuiteConfig(trials=trials)
+
+
 def test_condition_suite_shapes():
     triple = heat_jump(SPACE, MARKS)
     reports = run_condition_suite(
@@ -305,13 +354,15 @@ def test_blowup_outranks_solver_failure_in_a_ladder_row():
         assert np.isnan(est) and np.isnan(half)
 
 
-def test_convergence_study_honours_quadrature():
+def test_convergence_study_honours_quadrature(monkeypatch):
     # a time-dependent triple, so the rule per window changes the means
     triple = exponential_transform(heat_jump(SPACE, MARKS), 2.0)
     ladder = LadderSpec(
         rungs=((2, 16, 1),), reference=(4, 64, 2), paths=3, master_seed=29
     )
-    quad = QuadratureSpec(1)
+    default = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE)
+    # three paths are one block, run in this process, so the patch holds
+    monkeypatch.setattr(averaging, "TIME_POINTS", 1)
     rung, ref = _rung_configs(ladder)
     grid = TimeGrid(1.0, ref.m)
     modes = min(ref.l, triple.wiener_modes)
@@ -319,15 +370,14 @@ def test_convergence_study_honours_quadrature():
         sample_bundle(derive_key(29, TAG_PATH, j), grid, modes, MARKS, ref.l)
         for j in range(ladder.paths)
     ]
-    coarse = run_block(SPACE, triple, rung, bundles, quad)
-    fine = run_block(SPACE, triple, ref, bundles, quad)
+    coarse = run_block(SPACE, triple, rung, bundles)
+    fine = run_block(SPACE, triple, ref, bundles)
     gaps = []
     for coarse_final, fine_final in zip(coarse.final, fine.final):
         diff = np.concatenate([coarse_final, np.zeros(2)]) - fine_final
         gaps.append(float(diff @ diff))
     want = float(neumaier_sum(np.asarray(gaps)) / len(gaps))
-    got = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE, quad=quad)
-    default = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE)
+    got = convergence_study(SPACE, triple, MARKS, ladder, TEMPLATE)
     assert got.rows[0].estimate == want
     assert default.rows[0].estimate != want
 
@@ -360,6 +410,19 @@ def test_ladder_rows_equal_standalone_coupled_errors():
     for row, rung in zip(report.rows, rungs):
         alone = _one_rung(triple, rung, ref, 6, 71)
         assert (row.estimate, row.half_width, row.blowups, row.failures) == alone
+
+
+def test_transformed_monte_carlo_worker_invariant():
+    # 65 paths are two blocks, so the two-worker run sends the transformed
+    # (time-dependent) triple through a worker pool
+    triple = exponential_transform(heat_jump(SPACE, MARKS, reaction=0.3), 0.6)
+    cfg = _cfg(n=4, m=16, l=2)
+    one = monte_carlo(SPACE, triple, cfg, MARKS, 65, 61, workers=1)
+    two = monte_carlo(SPACE, triple, cfg, MARKS, 65, 61, workers=2)
+    assert one.knot_mean.tobytes() == two.knot_mean.tobytes()
+    assert one.knot_var.tobytes() == two.knot_var.tobytes()
+    counts = [(r.paths, r.blowups, r.failures) for r in (one, two)]
+    assert counts[0] == counts[1]
 
 
 def test_implicit_ladder_csv_worker_invariant():

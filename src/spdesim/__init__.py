@@ -53,7 +53,6 @@ from .space import (
     GalerkinSpace,
     build_sine_space,
     c_b,
-    embed,
     norms,
     pairing,
     project,

@@ -23,8 +23,10 @@ hemicontinuity, and the derived bounds on the noise coefficients) quantify
 over the whole space, so the checkers here are statistical: they sample
 random inputs, evaluate the defining inequality, and report the worst
 violation with a witness.  Trial j of a check with seed s draws its sample
-from the Philox stream keyed derive_key(s, TAG_TRIAL, j), read through one
-re-keyed generator (`rng.keyed_generators`), so its draws are those of
+from the Philox stream keyed derive_key(s, TAG_TRIAL, j).  A check draws all
+its trials as arrays from one pass of raw outputs (`rng.philox_raw`), mapped
+the way numpy's ``Generator`` maps them, so each trial's sample is bit for
+bit the one `BoxSampler.point` or `BoxSampler.pair` draws from
 ``make_generator`` for that key.  Trials are evaluated SCAN_CHUNK at a time
 as one array: times of shape (P,), states of shape (P, n), the norms and
 pairings of `space` row by row, and mark integrals of (P, n, k) values
@@ -42,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import build_partition
-from .rng import TAG_TRIAL, derive_key, keyed_generators
+from .rng import TAG_TRIAL, derive_key, make_generator, philox_raw
 from .space import norms, pairing
 
 DEFAULT_TOLERANCE = 1e-8
@@ -51,6 +53,11 @@ SAMPLE_BOX = 5.0
 # Trials a sampled check draws and evaluates as one array; with at most a
 # few hundred mark nodes this bounds the (P, n, k) jump values near 1 MB.
 SCAN_CHUNK = 256
+
+
+def _uniform(raw, low, high):
+    """numpy's ``uniform(low, high)`` of raw outputs: low + (high−low)·(raw>>11)·2⁻⁵³."""
+    return low + (high - low) * ((raw >> np.uint64(11)) * 2.0**-53)
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,10 @@ class BoxSampler:
     Pair draws mix independent box samples with single-mode bumps of one
     argument: conditions that fail only along individual basis directions
     would otherwise be invisible at desk-scale trial counts.
+
+    `point` and `pair` draw one trial from a generator and define the
+    samples; `points` and `pairs` draw trial j of a check for each key j as
+    column arrays, equal bit for bit to the former on ``make_generator``.
     """
 
     dim: int
@@ -145,6 +156,43 @@ class BoxSampler:
         y = x.copy()
         mode = int(rng.integers(self.dim))
         y[mode] += rng.uniform(-2.0 * SAMPLE_BOX, 2.0 * SAMPLE_BOX)
+        return t, x, y
+
+    def points(self, keys):
+        """`point` for trials 0, 1, ... keyed `keys`: t (P,) and x (P, n).
+
+        Row 0 is trial 0, so x[0] is the origin.
+        """
+        raw = philox_raw(keys, 1 + self.dim)
+        x = _uniform(raw[:, 1:], -SAMPLE_BOX, SAMPLE_BOX)
+        x[:1] = 0.0
+        return _uniform(raw[:, 0], 0.0, self.horizon), x
+
+    def pairs(self, keys):
+        """`pair` for trials 0, 1, ... keyed `keys`: t (P,), x and y (P, n).
+
+        The trial's stream is t, x, the branch uniform, then either y or
+        the mode and the bump.  The mode is Lemire's bounded integer on the
+        low 32 bits of its raw output (none is consumed for one mode); a
+        row where that method would reject and redraw is drawn by `pair`.
+        """
+        n = self.dim
+        raw = philox_raw(keys, 2 * n + 2)
+        t = _uniform(raw[:, 0], 0.0, self.horizon)
+        x = _uniform(raw[:, 1 : n + 1], -SAMPLE_BOX, SAMPLE_BOX)
+        fresh = _uniform(raw[:, n + 1], 0.0, 1.0) < 0.5
+        y = np.where(
+            fresh[:, None], _uniform(raw[:, n + 2 :], -SAMPLE_BOX, SAMPLE_BOX), x
+        )
+        # for n = 1 this gives mode 0 and never rejects, as `integers(1)` does
+        product = (raw[:, n + 2] & np.uint64(0xFFFFFFFF)) * np.uint64(n)
+        mode = (product >> np.uint64(32)).astype(np.intp)
+        reject = (product & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
+        bump = _uniform(raw[:, n + 2 + (n > 1)], -2.0 * SAMPLE_BOX, 2.0 * SAMPLE_BOX)
+        rows = np.flatnonzero(~fresh)
+        y[rows, mode[rows]] += bump[rows]
+        for j in np.flatnonzero(~fresh & reject):
+            t[j], x[j], y[j] = self.pair(make_generator(keys[j]), j)
         return t, x, y
 
 
@@ -205,32 +253,29 @@ class ConditionReport:
 def _scan(condition_id, trials, seed, draw, evaluate):
     """Worst of `evaluate` over keyed per-trial draws, SCAN_CHUNK trials at once.
 
-    Trial j draws `draw(rng, j)` from its own keyed stream.  A chunk's
-    samples are stacked column by column (times (P,), states (P, n)) and
-    `evaluate` returns their P values.  The witness is the first trial that
-    reaches the largest value, and a non-finite value raises with the
-    sample of the first such trial.
+    `draw` maps the keys of all trials to their samples as column arrays
+    (times (P,), states (P, n)), and `evaluate` returns the P values of a
+    chunk of them.  The witness is the first trial that reaches the largest
+    value, and a non-finite value raises with the sample of the first such
+    trial.
     """
-    rngs = keyed_generators(derive_key(seed, TAG_TRIAL, np.arange(trials)))
+    columns = draw(derive_key(seed, TAG_TRIAL, np.arange(trials)))
     worst = -math.inf
     witness = {}
     for lo in range(0, trials, SCAN_CHUNK):
-        chunk = range(lo, min(lo + SCAN_CHUNK, trials))
-        samples = [draw(rng, trial) for trial, rng in zip(chunk, rngs)]
-        values = np.asarray(evaluate(*map(np.array, zip(*samples))), dtype=float)
+        chunk = [c[lo : lo + SCAN_CHUNK] for c in columns]
+        values = np.asarray(evaluate(*chunk), dtype=float)
         finite = np.isfinite(values)
         if not finite.all():
+            first = int(np.argmin(finite))
             raise ValueError(
                 f"{condition_id}: non-finite evaluation at witness "
-                f"{[np.asarray(s).tolist() for s in samples[int(np.argmin(finite))]]}"
+                f"{[c[first].tolist() for c in chunk]}"
             )
         best = int(np.argmax(values))
         if values[best] > worst:
             worst = float(values[best])
-            witness = {
-                "trial": lo + best,
-                "sample": [np.asarray(s).tolist() for s in samples[best]],
-            }
+            witness = {"trial": lo + best, "sample": [c[best].tolist() for c in chunk]}
     return ConditionReport(
         condition_id=condition_id,
         trials=trials,
@@ -276,7 +321,7 @@ def check_monotonicity(triple, space, sampler, trials, mark_quadrature, seed=0):
         )
         return drift + noise + jump
 
-    return _scan("C1", trials, seed, sampler.pair, evaluate)
+    return _scan("C1", trials, seed, sampler.pairs, evaluate)
 
 
 def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
@@ -295,7 +340,7 @@ def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
         lhs += c.lam * v**c.p
         return lhs - c.k1 - c.k1bar * pairing(x, x)
 
-    return _scan("C2", trials, seed, sampler.point, evaluate)
+    return _scan("C2", trials, seed, sampler.points, evaluate)
 
 
 def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
@@ -312,7 +357,7 @@ def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
         _, _, dual = norms(space, _on_chunk(triple, t)(triple.eval_A, x))
         return dual**c.q - c.alpha * c.lam**c.q * v**c.p - c.k2 * c.lam ** (c.q - 1.0)
 
-    return _scan("C3", trials, seed, sampler.point, evaluate)
+    return _scan("C3", trials, seed, sampler.points, evaluate)
 
 
 def probe_hemicontinuity(triple, x, y, z, t, epsilons=None):
@@ -372,7 +417,7 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
         abs_rhs = 2.0 * c.alpha * c.lam * vx**c.p + c.k1bar * pairing(x, x) + c.k3
         return np.maximum(diff_lhs - diff_rhs, abs_lhs - abs_rhs)
 
-    return _scan("PropBF", trials, seed, sampler.pair, evaluate)
+    return _scan("PropBF", trials, seed, sampler.pairs, evaluate)
 
 
 @dataclass(frozen=True)

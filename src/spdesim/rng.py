@@ -7,12 +7,13 @@ so paths, modes and steps can be produced in parallel and still match a
 serial run bit for bit.  The mixing function below is the fixed,
 documented construction; changing it breaks stored-seed reproducibility.
 
-Generators are Philox, a counter-based bit generator (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11): its whole state is a
-key, a counter and an output buffer, so re-keying one generator with key k,
-a zero counter and an empty buffer gives draw for draw the stream of a fresh
-``Philox(key=k)``.  ``keyed_generators`` does that for a run of keys and
-saves building (and seeding) a generator per key.
+Generators are Philox4x64-10, a counter-based bit generator (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): output block b
+of key k is ten keyed rounds applied to the counter (b, 0, 0, 0), so the
+stream of every key can be computed at once.  ``philox_raw`` does that in
+numpy for an array of keys and returns, bit for bit, the raw outputs that
+``make_generator(k)`` would draw from; callers map them to uniforms and
+bounded integers the way numpy's ``Generator`` does.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from scipy.special import ndtri
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al.).
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
 
 # Stream tags for the independent noise components (arbitrary fixed values).
 TAG_WIENER = 0x57
@@ -76,23 +84,35 @@ def make_generator(key):
     return np.random.Generator(np.random.Philox(key=int(key)))
 
 
-def keyed_generators(keys):
-    """One Generator re-keyed before each yield: ``make_generator(k)`` per key.
+def _mulhilo(m, x):
+    """High and low 64-bit halves of m·x for uint64 arrays, via 32-bit halves."""
+    m_lo, m_hi = m & _LO32, m >> _HALF
+    x_lo, x_hi = x & _LO32, x >> _HALF
+    lh = m_lo * x_hi
+    hl = m_hi * x_lo
+    mid = ((m_lo * x_lo) >> _HALF) + (lh & _LO32) + (hl & _LO32)
+    return m_hi * x_hi + (lh >> _HALF) + (hl >> _HALF) + (mid >> _HALF), m * x
 
-    Before yielding for key k the Philox state is set to key [k, 0], counter
-    0, an empty buffer (``buffer_pos`` 4) and no stored 32-bit half, which is
-    exactly the state ``Philox(key=k)`` starts in.  The same object is
-    yielded each time, so draw from it before advancing the iterator.
+
+def philox_raw(keys, count):
+    """First `count` raw outputs of ``Philox(key=k)`` per key, shape (K, count).
+
+    Philox4x64-10 with key (k, 0): output 4(b−1) + i is word i of the ten
+    rounds applied to the counter (b, 0, 0, 0), the counter starting at 1
+    as in numpy.  Row j equals ``np.random.Philox(key=keys[j]).random_raw(count)``.
     """
-    bitgen = np.random.Philox(0)
-    generator = np.random.Generator(bitgen)
-    state = bitgen.state
-    state["state"]["counter"][:] = 0
-    state["buffer"][:] = 0
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    key = state["state"]["key"]
-    key[1] = 0
-    for k in np.asarray(keys, dtype=np.uint64).ravel():
-        key[0] = k
-        bitgen.state = state
-        yield generator
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
+    blocks = -(-int(count) // 4)
+    k0, k1 = keys, np.zeros_like(keys)
+    counters = np.arange(1, blocks + 1, dtype=np.uint64)
+    c0 = np.broadcast_to(counters, (keys.size, blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    raw = np.stack((c0, c1, c2, c3), axis=-1).reshape(keys.size, 4 * blocks)
+    return raw[:, :count]

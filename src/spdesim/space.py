@@ -86,31 +86,16 @@ def _as_vector(x):
     return x
 
 
-def project(space, x, source=None):
+def project(space, x):
     """First space.dim coordinates of x.
 
     Because the basis is H-orthonormal this single formula is both the
     orthogonal H-projection and its continuous extension to functionals.
     """
     x = _as_vector(x)
-    if source is not None and source.basis_id != space.basis_id:
-        raise ValueError(
-            f"cannot project across basis families "
-            f"({source.basis_id!r} -> {space.basis_id!r})"
-        )
     if x.size < space.dim:
         raise ValueError(f"source dimension {x.size} < target {space.dim}")
     return x[: space.dim].copy()
-
-
-def embed(x, dim):
-    """Zero-pad coordinates into a larger space of the same family."""
-    x = _as_vector(x)
-    if x.size > dim:
-        raise ValueError(f"cannot embed dim-{x.size} vector into dim {dim}")
-    out = np.zeros(dim)
-    out[: x.size] = x
-    return out
 
 
 def c_b(space):

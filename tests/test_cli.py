@@ -498,7 +498,7 @@ def test_benchmark_tracer_counts_a_condition_suite(tmp_path):
     # the 20 trials are one chunk: one integral in C1 and C2, none in C3 and
     # two in PropBF per chunk
     assert spans["coefficients.integral_sq"] == 4
-    # each sampled check re-keys one generator per trial; only the probe
-    # builds its own
-    assert spans["rng.keyed_generators"] == 4
+    # each sampled check draws its trials from one raw Philox pass; only the
+    # probe builds a generator
+    assert spans["rng.philox_raw"] == 4
     assert tracing.exact_counts(tracer, 0)["rng.make_generator.calls"] == 1

@@ -18,7 +18,9 @@ from spdesim.noise import (
     compensated_cell_increments,
     sample_bundle,
 )
-from spdesim.rng import derive_key, keyed_generators, make_generator
+from spdesim import coefficients
+from spdesim.coefficients import BoxSampler
+from spdesim.rng import derive_key, make_generator, philox_raw
 
 MARKS = PowerLawMarks()
 ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
@@ -182,30 +184,57 @@ def test_derive_key_over_an_index_array_equals_scalar_calls(seed, tag, indices, 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
-    patterns=st.lists(
-        st.sampled_from(["uniform", "uniform-vector", "random", "integers"]),
-        min_size=1,
-        max_size=12,
-    ),
+    keys=st.lists(st.integers(0, 2**64 - 1), max_size=6),
+    dim=st.sampled_from([1, 2, 3, 5, 7, 8, 32]),
+    count=st.integers(1, 70),
 )
-def test_keyed_generators_draw_as_fresh_generators(keys, patterns):
-    # the draw calls of BoxSampler.point and pair, in any order and number
-    def draws(rng):
-        out = []
-        for pattern in patterns:
-            if pattern == "uniform":
-                out.append(rng.uniform(0.0, 1.0))
-            elif pattern == "uniform-vector":
-                out.extend(rng.uniform(-5.0, 5.0, 7))
-            elif pattern == "random":
-                out.append(rng.random())
-            else:
-                out.append(int(rng.integers(9)))
-        return np.array(out, dtype=float).tobytes()
+def test_philox_draws_equal_fresh_generators(keys, dim, count):
+    # the array draws of a check against the scalar definition, one fresh
+    # generator per key; eight fixed keys make both pair branches likely
+    keys = np.array([0, 2**64 - 1, *range(1, 9), *keys], dtype=np.uint64)
+    want = [np.random.Philox(key=int(k)).random_raw(count) for k in keys]
+    assert philox_raw(keys, count).tobytes() == np.array(want).tobytes()
+    assert philox_raw(keys[:0], count).shape == (0, count)
+    sampler = BoxSampler(dim=dim, horizon=1.5)
+    for draw, draws in ((sampler.point, sampler.points), (sampler.pair, sampler.pairs)):
+        got = draws(keys)
+        states = [(keys.size, dim)] * (len(got) - 1)
+        assert [c.shape for c in got] == [(keys.size,), *states]
+        for j, k in enumerate(keys):
+            scalar = [np.float64(v).tobytes() for v in draw(make_generator(k), j)]
+            assert scalar == [c[j].tobytes() for c in got]
+    assert not sampler.points(keys)[1][0].any()  # trial 0 is the origin
 
-    got = [draws(rng) for rng in keyed_generators(np.array(keys, dtype=np.uint64))]
-    assert got == [draws(make_generator(k)) for k in keys]
+
+def test_rejected_bounded_draw_falls_back_to_the_scalar_pair(monkeypatch):
+    # dim 3 rejects the mode draw when the low 32 bits of its raw output are
+    # 0, since (2**32 - 3) % 3 == 1; row 4 is forced onto that branch
+    dim, row = 3, 4
+    keys = derive_key(11, np.arange(8))
+    sampler = BoxSampler(dim=dim)
+    unpatched = sampler.pairs(keys)
+
+    def forced(keys, count):
+        raw = philox_raw(keys, count)
+        raw[row, dim + 1] = 2**64 - 1  # random() >= 0.5: bump one mode
+        raw[row, dim + 2] &= np.uint64(0xFFFFFFFF00000000)
+        return raw
+
+    built = []
+
+    def generator(key):
+        built.append(int(key))
+        return make_generator(key)
+
+    monkeypatch.setattr(coefficients, "philox_raw", forced)
+    monkeypatch.setattr(coefficients, "make_generator", generator)
+    got = sampler.pairs(keys)
+    assert built == [int(keys[row])]
+    scalar = sampler.pair(make_generator(keys[row]), row)
+    assert [np.float64(v).tobytes() for v in scalar] == [c[row].tobytes() for c in got]
+    others = np.arange(len(keys)) != row
+    for g, u in zip(got, unpatched):
+        assert g[others].tobytes() == u[others].tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -316,10 +316,6 @@ class NoiseBundle:
         if self.jump_times.size and not (np.diff(self.jump_times) >= 0).all():
             raise ValueError("jump times must be sorted")
 
-    @property
-    def grid(self):
-        return TimeGrid(self.T, self.m)
-
 
 def sample_bundle(master_seed, grid, l_modes, marks, l_level):
     """Draw one noise realization, fully determined by master_seed.
@@ -424,28 +420,43 @@ def bundle_to_json(bundle):
 
 
 def bundle_from_json(text):
-    """Inverse of `bundle_to_json`; a malformed field raises ValueError naming it."""
+    """Inverse of `bundle_to_json`; a missing or malformed field raises
+    ValueError naming it, as do jump times outside (0, T] and marks outside
+    E^l_level."""
     payload = json.loads(text)
+
+    def field(name):
+        if name not in payload:
+            raise ValueError(f"bundle field {name}: missing")
+        return payload[name]
+
     family = payload.get("marks_family")
     if family == PowerLawMarks.support_id:
-        marks = PowerLawMarks(beta=payload["beta"])
+        marks = PowerLawMarks(beta=field("beta"))
     elif family == AtomMarks.support_id:
         marks = AtomMarks(
-            positions=tuple(payload["atom_positions"]),
-            weights=tuple(payload["atom_weights"]),
+            positions=tuple(field("atom_positions")),
+            weights=tuple(field("atom_weights")),
         )
     else:
         raise ValueError(f"bundle field marks_family: unknown mark family {family!r}")
+    for name, low in (("m", 2), ("l_modes", 0), ("l_level", 1), ("master_seed", 0)):
+        value = field(name)
+        if type(value) is not int or value < low:
+            raise ValueError(f"bundle field {name}: {value!r} is not an integer >= {low}")
+    T = field("T")
+    if type(T) not in (int, float) or not 0 < T < np.inf:
+        raise ValueError(f"bundle field T: {T!r} is not a positive finite horizon")
     shape = (payload["l_modes"], payload["m"])
-    raw = base64.b64decode(payload["wiener_b64"])
+    raw = base64.b64decode(field("wiener_b64"))
     if len(raw) != 8 * shape[0] * shape[1]:
         raise ValueError(
             f"bundle field wiener_b64: {len(raw)} bytes do not hold "
             f"{shape[0]} x {shape[1]} float64 increments"
         )
     wiener = np.frombuffer(raw, dtype=np.float64).reshape(shape)
-    jump_times = np.asarray(payload["jump_times"], dtype=float)
-    jump_marks = np.asarray(payload["jump_marks"], dtype=float)
+    jump_times = np.asarray(field("jump_times"), dtype=float)
+    jump_marks = np.asarray(field("jump_marks"), dtype=float)
     if jump_times.ndim != 1:
         raise ValueError("bundle field jump_times: not a flat list of times")
     if jump_marks.shape != jump_times.shape:
@@ -453,15 +464,16 @@ def bundle_from_json(text):
             f"bundle field jump_marks: {jump_marks.size} marks for "
             f"{jump_times.size} jump times"
         )
-    for name, values in (
-        ("wiener_b64", wiener),
-        ("jump_times", jump_times),
-        ("jump_marks", jump_marks),
-    ):
-        if not np.isfinite(values).all():
-            raise ValueError(f"bundle field {name}: non-finite values")
+    if not np.isfinite(wiener).all():
+        raise ValueError("bundle field wiener_b64: non-finite values")
+    # the range checks below also reject non-finite times and marks
+    if not ((jump_times > 0) & (jump_times <= T)).all():
+        raise ValueError(f"bundle field jump_times: times outside (0, T = {T}]")
+    level = payload["l_level"]
+    if not (build_partition(marks, level).locate(jump_marks) >= 0).all():
+        raise ValueError(f"bundle field jump_marks: marks outside E^{level}")
     return NoiseBundle(
-        T=payload["T"],
+        T=T,
         m=payload["m"],
         l_modes=payload["l_modes"],
         l_level=payload["l_level"],

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .averaging import cell_weight_means, impl_A, tilde_F, time_mean
-from .noise import TimeGrid, build_partition, coarsen_wiener, compensated_cell_increments
+from .noise import TimeGrid, build_partition, coarsen_wiener
 from .rng import TAG_INITIAL, derive_key, make_generator
 from .space import c_b, project, restrict, smooth_profile
 
@@ -165,57 +165,47 @@ NOISE_CHUNK = 512
 
 
 def _jump_events(grid, partition, bundles):
-    """The jumps of a block as they enter a factorized jump coefficient.
+    """The (step, path, cell) of every jump of a block with a mark in a cell.
 
-    The compensated integral against a factorized F collapses to
-    profile(x) times (the sum of the per-cell weight means at the observed
-    jumps minus δ times the total weight mass of the level set).  Returns
-    the (step, path, weight mean) of every jump with a mark in a cell,
-    sorted by step and, within a path, by time, and the compensator
-    δ·Σ weight mass.
+    A jump at t enters the step i with t in (t_{i−1}, t_i].  The events are
+    stably sorted by step, so within a path they stay in time order.
     """
-    ratio, wmass = cell_weight_means(partition)
-    steps, paths, values = [], [], []
-    for p, bundle in enumerate(bundles):
-        cells = np.asarray(partition.locate(bundle.jump_marks))
-        valid = cells >= 0
-        steps.append(np.searchsorted(grid.knots, bundle.jump_times[valid], side="left"))
-        paths.append(np.full(steps[-1].size, p))
-        values.append(ratio[cells[valid]])
-    steps = np.concatenate(steps)
-    order = np.argsort(steps, kind="stable")
-    events = (steps[order], np.concatenate(paths)[order], np.concatenate(values)[order])
-    return events, grid.delta * float(wmass.sum())
+    times = [bundle.jump_times for bundle in bundles]
+    rows = np.repeat(np.arange(len(bundles)), [t.size for t in times])
+    steps = np.searchsorted(grid.knots, np.concatenate(times), side="left")
+    cells = partition.locate(np.concatenate([b.jump_marks for b in bundles]))
+    keep = np.flatnonzero(cells >= 0)
+    keep = keep[np.argsort(steps[keep], kind="stable")]
+    return steps[keep], rows[keep], cells[keep]
 
 
-def _noise_rows(bundles, grid, partition, modes, jumps, start):
+def _noise_rows(bundles, grid, partition, modes, factorized, start):
     """The per-path noise of steps start..m of a block, step by step.
 
-    Yields the (paths, modes) coarsened Wiener increments of each step and
-    its jump data: with `jumps`, the `_jump_events` of a factorized jump
-    coefficient, the (paths,) jump scalars, otherwise the (paths, cells)
-    compensated cell increments.  Rows are built NOISE_CHUNK steps at a
-    time.
+    Yields each step's (paths, modes) Wiener increments and its jump data,
+    read from the block's `_jump_events`: for a `factorized` F the (paths,)
+    sums of the cell weight means of its jumps minus δ·Σ weight mass, else
+    the (paths, cells) compensated cell increments, jump counts minus δ·ν.
     """
-    m = grid.m
+    m, paths = grid.m, len(bundles)
+    steps, rows, cells = _jump_events(grid, partition, bundles)
+    ratio, wmass = cell_weight_means(partition)
     for lo in range(start - 1, m, NOISE_CHUNK):
         hi = min(lo + NOISE_CHUNK, m)
-        dw = np.empty((hi - lo, len(bundles), modes))
+        dw = np.empty((hi - lo, paths, modes))
         for p, bundle in enumerate(bundles):
             dw[:, p] = coarsen_wiener(bundle, m, modes, lo, hi).T
-        if jumps is None:
-            for i in range(lo + 1, hi + 1):
-                increments = [
-                    compensated_cell_increments(b, partition, grid, i) for b in bundles
-                ]
-                yield dw[i - lo - 1], np.stack(increments)
+        edges = np.searchsorted(steps, np.arange(lo + 1, hi + 2))
+        if factorized:
+            here = slice(edges[0], edges[-1])
+            scalars = np.zeros((hi - lo, paths))
+            np.add.at(scalars, (steps[here] - lo - 1, rows[here]), ratio[cells[here]])
+            yield from zip(dw, scalars - grid.delta * float(wmass.sum()))
             continue
-        (steps, paths, values), compensator = jumps
-        here = slice(*np.searchsorted(steps, [lo + 1, hi + 1]))
-        scalars = np.zeros((hi - lo, len(bundles)))
-        np.add.at(scalars, (steps[here] - lo - 1, paths[here]), values[here])
-        scalars -= compensator
-        yield from zip(dw, scalars)
+        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            counts = np.zeros((paths, partition.size))
+            np.add.at(counts, (rows[a:b], cells[a:b]), 1.0)
+            yield dw[k], counts - grid.delta * partition.nu
 
 
 def _check_bundles(config, bundles):
@@ -297,8 +287,8 @@ def _run_steps(space, triple, config, bundles, keep_values=False):
     Wiener term and the compensated jump term; the implicit schemes then
     solve the step equation with the result as right-hand side.  The
     explicit scheme starts at knot 1, the implicit ones at knot 0, and the
-    noise terms vanish before knot 2.  Grid, partition, jump cell data and
-    LU factor are built once for the block.
+    noise terms vanish before knot 2.  Grid, partition, jump events and LU
+    factor are built once for the block.
 
     A row that leaves double-precision range (explicit) or whose step
     equation cannot be solved (implicit) becomes NaN and is recorded; the
@@ -321,10 +311,7 @@ def _run_steps(space, triple, config, bundles, keep_values=False):
     modes = min(l, triple.wiener_modes)
     partition = build_partition(bundles[0].marks, l)
     factorized = triple.jump_profile is not None
-    if factorized:
-        jumps = _jump_events(grid, partition, bundles)
-    else:
-        jumps = None
+    if not factorized:
         rule = partition.marks.cell_rule(partition.lo, partition.hi, 4)
     direct = None
     if not explicit and triple.linear_A is not None and triple.autonomous:
@@ -352,7 +339,7 @@ def _run_steps(space, triple, config, bundles, keep_values=False):
     autonomous = triple.autonomous
     # explicit overflow is reported through the blow-up marker, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        noise = _noise_rows(bundles, grid, partition, modes, jumps, first + 1)
+        noise = _noise_rows(bundles, grid, partition, modes, factorized, first + 1)
         for i, (dw, jump) in zip(range(first + 1, m + 1), noise):
             new = x
             if i >= 2:

@@ -404,6 +404,33 @@ def _bundle_payload(marks=ATOMS):
     return payload
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("T", None),  # None: the field is left out
+        ("beta", None),
+        ("T", -1.0),
+        ("l_level", 0),
+        ("master_seed", 1.5),
+        ("jump_times", -0.5),
+        ("jump_times", 2.0),
+        ("jump_marks", 5.0),
+        ("jump_marks", 0.01),
+    ],
+)
+def test_bundle_json_rejects_missing_and_out_of_range_fields(name, value):
+    # power-law marks at level 2 on T = 1: E^2 is [1/16, 1]
+    payload = _bundle_payload(MARKS)
+    if value is None:
+        del payload[name]
+    elif name.startswith("jump_"):
+        payload[name][0] = value
+    else:
+        payload[name] = value
+    with pytest.raises(ValueError, match=f"bundle field {name}"):
+        bundle_from_json(json.dumps(payload))
+
+
 def test_bundle_json_rejects_unknown_mark_family():
     payload = _bundle_payload()
     payload["marks_family"] = "gaussian"

@@ -559,6 +559,56 @@ def test_noise_chunks_do_not_change_a_block(monkeypatch, kind, generic):
     assert chunked.energies.tobytes() == whole.energies.tobytes()
 
 
+@pytest.mark.parametrize("start", [1, 2])
+def test_noise_rows_match_the_per_step_reference(monkeypatch, start):
+    # one event list serves both jump forms, across chunks of 5 steps, for
+    # marks outside E^2, a bundle without jumps and jumps placed on knots
+    from spdesim import schemes
+    from spdesim.averaging import cell_weight_means
+    from spdesim.noise import build_partition, compensated_cell_increments
+
+    monkeypatch.setattr(schemes, "NOISE_CHUNK", 5)
+    grid = TimeGrid(1.0, 16)
+    part = build_partition(MARKS, 2)
+
+    def by_hand(knots, marks):
+        return NoiseBundle(
+            T=1.0,
+            m=64,
+            l_modes=1,
+            l_level=3,
+            master_seed=0,
+            wiener=np.zeros((1, 64)),
+            jump_times=grid.knots[knots],
+            jump_marks=np.array(marks, dtype=float),
+            marks=MARKS,
+        )
+
+    # t_1, both sides of the chunk edges of either start, a mark outside
+    # E^2 (0.03) and t_16 = T
+    on_knots = by_hand(
+        [1, 5, 5, 6, 10, 11, 11, 16], [0.5, 0.1, 1.0, 0.3, 0.7, 0.2, 0.03, 1.0]
+    )
+    sampled = [_bundle(seed, 64, level=3) for seed in (7, 8)]
+    assert any((part.locate(b.jump_marks) < 0).any() for b in sampled)
+    bundles = sampled + [by_hand([], []), on_knots]
+    ratio, wmass = cell_weight_means(part)
+    general = list(schemes._noise_rows(bundles, grid, part, 1, False, start))
+    factorized = list(schemes._noise_rows(bundles, grid, part, 1, True, start))
+    assert len(general) == len(factorized) == grid.m - start + 1
+    knot_counts = []
+    for i, ((_, rows), (_, scalars)) in enumerate(zip(general, factorized), start=start):
+        for p, bundle in enumerate(bundles):
+            want = compensated_cell_increments(bundle, part, grid, i)
+            assert rows[p].tobytes() == want.tobytes()
+        counts = np.rint(rows + grid.delta * part.nu)
+        want = counts @ ratio - grid.delta * wmass.sum()
+        np.testing.assert_allclose(scalars, want, rtol=0.0, atol=1e-12)
+        knot_counts.append(counts[3].sum())
+    expected = {1: 1, 5: 2, 6: 1, 10: 1, 11: 1, 16: 1}
+    assert knot_counts == [expected.get(i, 0) for i in range(start, grid.m + 1)]
+
+
 @pytest.mark.parametrize("direct", [True, False])
 def test_block_solve_marks_rows_without_a_finite_solution(direct):
     space = build_sine_space(4)

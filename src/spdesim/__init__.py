@@ -38,13 +38,13 @@ from .noise import (
     sample_bundle,
 )
 from .schemes import (
+    ENERGIES,
+    STATES,
     BlockRun,
     ImplicitStepError,
     SchemeConfig,
     SolveReport,
-    Trajectory,
     run_block,
-    run_scheme,
     solve_implicit_step,
     stability_margin,
     step_energy_bound,

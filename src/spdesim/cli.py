@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``simulate`` - run one scheme configuration and write the trajectory as
-  JSON (plus optionally the terminal value as CSV).
+* ``simulate`` - run one scheme configuration on one path, a block of one
+  that keeps its states, and write the trajectory as JSON (plus optionally
+  the terminal value as CSV).
 * ``converge`` - run the configured resolution ladder and write the CSV
   report.  The CSV is deterministic for a fixed config and seed; measured
   per-rung run times go to stderr and enter the CSV only with
@@ -24,6 +25,7 @@ All numeric output is printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -32,7 +34,7 @@ import numpy as np
 from . import config as cfg
 from .harness import convergence_study, run_condition_suite
 from .noise import TimeGrid, sample_bundle
-from .schemes import ImplicitStepError, run_scheme, stability_margin
+from .schemes import STATES, ImplicitStepError, run_block, stability_margin
 from .space import c_b, restrict
 
 
@@ -48,11 +50,10 @@ def _load(args):
     return settings, marks, space, triple
 
 
-def _vnorm_weighted(traj, space, constants, grid):
+def _vnorm_weighted(values, blow_up_step, space, constants, grid):
     """δ·λ·Σ_i ‖u(t_i)‖_V^p over the knots before any blow-up."""
-    last = traj.m if traj.blow_up_step is None else traj.blow_up_step - 1
-    vals = traj.values[: last + 1]
-    vsq = ((vals @ restrict(space, traj.n).v_gram) * vals).sum(1)
+    vals = values if blow_up_step is None else values[:blow_up_step]
+    vsq = ((vals @ restrict(space, vals.shape[1]).v_gram) * vals).sum(1)
     return float(np.sum(grid.delta * constants.lam * vsq ** (constants.p / 2.0)))
 
 
@@ -68,9 +69,26 @@ def _cmd_simulate(args):
         settings.getint("noise", "l_level", fallback=scheme_config.l), scheme_config.l
     )
     bundle = sample_bundle(seed, grid, modes, marks, level)
-    traj = run_scheme(space, triple, scheme_config, bundle)
-    payload = traj.to_json(
-        vnorm_weighted=_vnorm_weighted(traj, space, triple.constants, grid)
+    run = run_block(space, triple, scheme_config, [bundle], keep=STATES)
+    if run.failures[0] is not None:
+        raise ImplicitStepError(run.failures[0])
+    values = run.kept[:, 0]
+    blow_up_step = run.blow_up_steps[0]
+    payload = json.dumps(
+        {
+            "kind": scheme_config.kind,
+            "n": scheme_config.n,
+            "m": scheme_config.m,
+            "l": scheme_config.l,
+            "knots": grid.knots.tolist(),
+            "values": values.tolist(),
+            "blow_up_step": blow_up_step,
+            "solver_iterations": run.solver_iterations[:, 0].tolist(),
+            "solver_residuals": run.solver_residuals[:, 0].tolist(),
+            "vnorm_weighted": _vnorm_weighted(
+                values, blow_up_step, space, triple.constants, grid
+            ),
+        }
     )
     if args.out:
         with open(args.out, "w") as fh:
@@ -79,9 +97,10 @@ def _cmd_simulate(args):
         sys.stdout.write(payload + "\n")
     if args.final_csv:
         with open(args.final_csv, "w") as fh:
-            fh.write(traj.final_csv())
-    if traj.blow_up_step is not None:
-        print(f"blow-up at step {traj.blow_up_step}", file=sys.stderr)
+            fh.write("mode,value\n")
+            fh.writelines(f"{k},{_fmt(v)}\n" for k, v in enumerate(values[-1], start=1))
+    if blow_up_step is not None:
+        print(f"blow-up at step {blow_up_step}", file=sys.stderr)
     return 0
 
 
@@ -89,7 +108,12 @@ def _cmd_converge(args):
     settings, marks, space, triple = _load(args)
     scheme_config = cfg.build_scheme_config(settings)
     ladder = cfg.parse_ladder(settings)
-    workers = args.workers or settings.getint("run", "workers", fallback=1)
+    if args.workers is not None:
+        workers, where = args.workers, "--workers"
+    else:
+        workers, where = settings.getint("run", "workers", fallback=1), "[run] workers"
+    if workers < 1:
+        raise ValueError(f"{where}: need at least one worker, got {workers}")
     started = time.perf_counter()
     report = convergence_study(space, triple, marks, ladder, scheme_config, workers)
     elapsed = time.perf_counter() - started

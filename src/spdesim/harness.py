@@ -39,7 +39,7 @@ from .coefficients import (
 )
 from .noise import TimeGrid, sample_bundle
 from .rng import TAG_PATH, TAG_PROBE, derive_key, make_generator
-from .schemes import EXPLICIT, run_block
+from .schemes import ENERGIES, EXPLICIT, run_block
 from .space import c_b, restrict
 
 Z95 = 1.959963984540054
@@ -98,16 +98,16 @@ def _outcomes(run):
     return np.where(blown, BLOWN_UP, np.where(failed, FAILED, COMPLETED))
 
 
-def _run_paths(space, triple, configs, marks, master_seed, reduce, block):
+def _run_paths(space, triple, configs, marks, master_seed, reduce, keep, block):
     """Outcome and value columns of one block of path indices, and run
     seconds per config.
 
     Path j samples one bundle at the finest configuration (the last one),
     and every configuration steps the whole block once through
-    `run_block`.  `reduce` maps the block's runs, one `BlockRun` per
-    configuration, to the arrays ``(outcomes, values)`` of shape
-    (columns, paths) and (columns, paths, ...); a value is read only where
-    its outcome is COMPLETED.
+    `run_block`, keeping at every knot what `keep` names.  `reduce` maps
+    the block's runs, one `BlockRun` per configuration, to the arrays
+    ``(outcomes, values)`` of shape (columns, paths) and (columns, paths,
+    ...); a value is read only where its outcome is COMPLETED.
     """
     finest = configs[-1]
     grid = TimeGrid(triple.constants.horizon, finest.m)
@@ -120,7 +120,7 @@ def _run_paths(space, triple, configs, marks, master_seed, reduce, block):
     runs = []
     for k, config in enumerate(configs):
         started = time.perf_counter()
-        runs.append(run_block(space, triple, config, bundles))
+        runs.append(run_block(space, triple, config, bundles, keep))
         seconds[k] = time.perf_counter() - started
     return (*reduce(runs), seconds)
 
@@ -128,7 +128,7 @@ def _run_paths(space, triple, configs, marks, master_seed, reduce, block):
 def _knot_energies(runs):
     """Monte Carlo columns: the squared H-norm at every knot of the one run."""
     (run,) = runs
-    return _outcomes(run)[None], run.energies.T[None]
+    return _outcomes(run)[None], run.kept.T[None]
 
 
 def _terminal_gaps(runs):
@@ -145,7 +145,9 @@ def _terminal_gaps(runs):
     return outcomes, np.vecdot(diffs, diffs)
 
 
-def _path_study(space, triple, configs, marks, paths, master_seed, workers, reduce):
+def _path_study(
+    space, triple, configs, marks, paths, master_seed, workers, reduce, keep
+):
     """Outcome and value columns over all paths in path order, and run
     seconds per config.
 
@@ -158,7 +160,9 @@ def _path_study(space, triple, configs, marks, paths, master_seed, workers, redu
         range(start, min(start + BLOCK_PATHS, paths))
         for start in range(0, paths, BLOCK_PATHS)
     ]
-    run = partial(_run_paths, space, triple, tuple(configs), marks, master_seed, reduce)
+    run = partial(
+        _run_paths, space, triple, tuple(configs), marks, master_seed, reduce, keep
+    )
     workers = min(workers, len(blocks))
     if workers <= 1:
         parts = [run(block) for block in blocks]
@@ -199,7 +203,8 @@ def monte_carlo(space, triple, config, marks, paths, master_seed, workers=1):
     excluded from the moment aggregation.
     """
     outcomes, values, _ = _path_study(
-        space, triple, [config], marks, paths, master_seed, workers, _knot_energies
+        space, triple, [config], marks, paths, master_seed, workers,
+        _knot_energies, ENERGIES,
     )
     ok, blowups, failures = _completed(outcomes[0], values[0])
     if ok.size == 0:
@@ -347,6 +352,7 @@ def convergence_study(space, triple, marks, ladder, config_template, workers=1):
         ladder.master_seed,
         workers,
         _terminal_gaps,
+        None,
     )
     rows = []
     for k, config in enumerate(configs[:-1]):

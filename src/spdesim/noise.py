@@ -422,21 +422,29 @@ def bundle_to_json(bundle):
 def bundle_from_json(text):
     """Inverse of `bundle_to_json`; a missing or malformed field raises
     ValueError naming it, as do jump times outside (0, T] and marks outside
-    E^l_level."""
+    E^l_level, and so does a payload that is not a JSON object."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"bundle JSON: a {type(payload).__name__}, not an object")
 
-    def field(name):
+    def field(name, convert=lambda value: value):
         if name not in payload:
             raise ValueError(f"bundle field {name}: missing")
-        return payload[name]
+        try:
+            return convert(payload[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bundle field {name}: {exc}") from None
+
+    def floats(values):
+        return np.asarray(values, dtype=float)
 
     family = payload.get("marks_family")
     if family == PowerLawMarks.support_id:
-        marks = PowerLawMarks(beta=field("beta"))
+        marks = field("beta", lambda beta: PowerLawMarks(beta=float(beta)))
     elif family == AtomMarks.support_id:
         marks = AtomMarks(
-            positions=tuple(field("atom_positions")),
-            weights=tuple(field("atom_weights")),
+            positions=field("atom_positions", floats),
+            weights=field("atom_weights", floats),
         )
     else:
         raise ValueError(f"bundle field marks_family: unknown mark family {family!r}")
@@ -448,15 +456,15 @@ def bundle_from_json(text):
     if type(T) not in (int, float) or not 0 < T < np.inf:
         raise ValueError(f"bundle field T: {T!r} is not a positive finite horizon")
     shape = (payload["l_modes"], payload["m"])
-    raw = base64.b64decode(field("wiener_b64"))
+    raw = field("wiener_b64", base64.b64decode)
     if len(raw) != 8 * shape[0] * shape[1]:
         raise ValueError(
             f"bundle field wiener_b64: {len(raw)} bytes do not hold "
             f"{shape[0]} x {shape[1]} float64 increments"
         )
     wiener = np.frombuffer(raw, dtype=np.float64).reshape(shape)
-    jump_times = np.asarray(field("jump_times"), dtype=float)
-    jump_marks = np.asarray(field("jump_marks"), dtype=float)
+    jump_times = field("jump_times", floats)
+    jump_marks = field("jump_marks", floats)
     if jump_times.ndim != 1:
         raise ValueError("bundle field jump_times: not a flat list of times")
     if jump_marks.shape != jump_times.shape:

@@ -1,32 +1,33 @@
 """Explicit and implicit Galerkin time-stepping schemes.
 
-All three scheme kinds run through one stepping loop and differ only in
-the drift update.  The loop steps a block of paths together: the state is
-a (paths, n) array, row p driven by its own noise bundle, and each
-coefficient is evaluated once per step for the whole block (`run_block`);
-a one-path run (`run_scheme`) is a block of one.  The explicit scheme
-starts from zero, injects the projected initial condition at the first
-knot, and adds δ times the lagged-window drift mean; its stability is
-governed by the product of the step size with the basis constant of the
-space.  The implicit schemes start from the (projected) initial condition
-and solve a monotone step equation in which the drift is averaged over
-the current window.  In every kind the noise coefficients are averaged
-over the lagged window.  "Unprojected" runs are realized at the ambient
-resolution of the experiment: a truly infinite-dimensional state is not
-representable, so the plain and projected implicit kinds are one code
-path and differ only through the projection dimension.
+All three scheme kinds run through one stepping loop, `run_block`, and
+differ only in the drift update.  The loop steps a block of paths
+together: the state is a (paths, n) array, row p driven by its own noise
+bundle, and each coefficient is evaluated once per step for the whole
+block; a one-path run is a block of one.  A block keeps at every knot only
+what its caller reads: nothing, the squared H-norms or the states.  The
+explicit scheme starts from zero, injects the projected initial condition
+at the first knot, and adds δ times the lagged-window drift mean; its
+stability is governed by the product of the step size with the basis
+constant of the space.  The implicit schemes start from the (projected)
+initial condition and solve a monotone step equation in which the drift is
+averaged over the current window.  In every kind the noise coefficients
+are averaged over the lagged window.  "Unprojected" runs are realized at
+the ambient resolution of the experiment: a truly infinite-dimensional
+state is not representable, so the plain and projected implicit kinds are
+one code path and differ only through the projection dimension.
 
-Explicit trajectories that leave double-precision range record the first
-non-finite step and stop instead of raising: instability outside the
-stability region is a legitimate, reportable outcome.  In a block such a
-path, like an implicit path whose step equation cannot be solved, is
-marked and set to NaN while the other paths go on.
+One rule loses a path in every kind: it blows up at the first knot whose
+squared H-norm is not finite, instead of raising, since instability
+outside the stability region is a legitimate, reportable outcome.  An
+implicit path whose step equation cannot be solved fails at that step
+instead.  A lost path is marked and set to NaN while the other paths of
+its block go on.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -44,10 +45,14 @@ SCHEME_KINDS = (EXPLICIT, IMPLICIT, IMPLICIT_PROJECTED)
 # SOLVER_MAX_ITER iterations.
 SOLVER_TOL = 1e-10
 SOLVER_MAX_ITER = 200
+# What a block keeps at every knot besides its final states (`run_block`).
+ENERGIES = "energies"
+STATES = "states"
 
 
 class ImplicitStepError(RuntimeError):
-    """Raised when the monotone step equation cannot be solved."""
+    """Raised when the monotone step equation of a one-path run cannot be
+    solved."""
 
 
 @dataclass(frozen=True)
@@ -75,55 +80,14 @@ class SchemeConfig:
 
 @dataclass
 class SolveReport:
-    """Implicit-step outcome: scalars for one right-hand side, arrays over
-    the rows of a block, where `reasons` gives each failed row's cause."""
+    """Implicit-step outcome per row of a block: iterations, residual norm
+    and convergence as (P,) arrays, and each failed row's cause in
+    `reasons` (None where the row converged)."""
 
-    iterations: int
-    residual: float
-    converged: bool
-    reasons: list | None = None
-
-
-@dataclass
-class Trajectory:
-    """Grid values of one scheme run plus per-step diagnostics."""
-
-    kind: str
-    n: int
-    m: int
-    l: int
-    knots: np.ndarray
-    values: np.ndarray
-    blow_up_step: int | None = None
-    solver_iterations: list = field(default_factory=list)
-    solver_residuals: list = field(default_factory=list)
-
-    @property
-    def final(self):
-        return self.values[self.m]
-
-    def to_json(self, **extra):
-        """The trajectory as one JSON object; `extra` keys follow its own."""
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "n": self.n,
-                "m": self.m,
-                "l": self.l,
-                "knots": self.knots.tolist(),
-                "values": self.values.tolist(),
-                "blow_up_step": self.blow_up_step,
-                "solver_iterations": list(self.solver_iterations),
-                "solver_residuals": list(self.solver_residuals),
-                **extra,
-            }
-        )
-
-    def final_csv(self):
-        lines = ["mode,value"]
-        for k, value in enumerate(self.final, start=1):
-            lines.append(f"{k},{value:.17g}")
-        return "\n".join(lines) + "\n"
+    iterations: np.ndarray
+    residual: np.ndarray
+    converged: np.ndarray
+    reasons: list
 
 
 def stability_margin(alpha, grid, space, gamma=0.5):
@@ -230,57 +194,31 @@ def _row_norms(x):
 class BlockRun:
     """What a study reads of one block of P paths stepped together.
 
-    `final` holds the terminal states (P, n) and `energies` the squared
-    H-norms at every knot (m+1, P); a path's entries are NaN from the step
-    at which it blew up or its solver failed.  Per path, `blow_up_steps`
-    gives the first non-finite explicit step and `failures` the implicit
-    solver failure as "step i: reason", None where there is none.
+    `final` holds the terminal states (P, n) and `kept` what `run_block`
+    was asked to keep at every knot: None, the squared H-norms (m+1, P) or
+    the states (m+1, P, n).  A path's entries are NaN from the knot at
+    which it was lost.  Per path, `blow_up_steps` gives the first knot
+    whose squared H-norm is not finite and `failures` the implicit solver
+    failure as "step i: reason", None where there is none.
     `solver_iterations` and `solver_residuals` are (m, P) for the implicit
     kinds and empty for the explicit one.
     """
 
     final: np.ndarray
-    energies: np.ndarray
+    kept: np.ndarray | None
     blow_up_steps: list
     failures: list
     solver_iterations: np.ndarray
     solver_residuals: np.ndarray
 
 
-def run_block(space, triple, config, bundles):
+def run_block(space, triple, config, bundles, keep=None):
     """Step one block of paths together, path p driven by ``bundles[p]``.
 
-    Returns a `BlockRun`.  A block's arithmetic is batched, so its rows may
-    differ from one-path runs (`run_scheme`) in the last bits; a block of
-    one equals `run_scheme` bit for bit.
-    """
-    return _run_steps(space, triple, config, bundles)[0]
-
-
-def run_scheme(space, triple, config, bundle):
-    """One path as a block of one, keeping the value at every knot.
-
-    Returns a `Trajectory`; an implicit step that cannot be solved raises
-    ImplicitStepError.
-    """
-    run, values = _run_steps(space, triple, config, [bundle], keep_values=True)
-    if run.failures[0] is not None:
-        raise ImplicitStepError(run.failures[0])
-    return Trajectory(
-        kind=config.kind,
-        n=config.n,
-        m=config.m,
-        l=config.l,
-        knots=TimeGrid(bundle.T, config.m).knots,
-        values=values[:, 0],
-        blow_up_step=run.blow_up_steps[0],
-        solver_iterations=run.solver_iterations[:, 0].tolist(),
-        solver_residuals=run.solver_residuals[:, 0].tolist(),
-    )
-
-
-def _run_steps(space, triple, config, bundles, keep_values=False):
-    """The stepping loop shared by every scheme kind and every block size.
+    Returns a `BlockRun` that keeps at every knot what `keep` names: None
+    for nothing (a ladder reads only the final states), ENERGIES for the
+    squared H-norms (`monte_carlo`) or STATES for the states (`simulate`).
+    What is kept changes no bit of the run.
 
     Row p of the state steps path p.  Step i adds to the previous value,
     in this order, δ times the lagged drift mean (explicit only), the
@@ -290,13 +228,16 @@ def _run_steps(space, triple, config, bundles, keep_values=False):
     noise terms vanish before knot 2.  Grid, partition, jump events and LU
     factor are built once for the block.
 
-    A row that leaves double-precision range (explicit) or whose step
-    equation cannot be solved (implicit) becomes NaN and is recorded; the
-    other rows go on, and the loop stops once none is left.  Every row is
-    evaluated at every step, so no row's arithmetic depends on the values
-    of the others.  Returns the `BlockRun` and, with `keep_values`, the
-    (m+1, P, n) knot values.
+    A row whose step equation cannot be solved fails at that step; any
+    other row whose squared H-norm at a knot, the initial one included, is
+    not finite blows up there.  A lost row becomes NaN and the other rows
+    go on; the loop stops once none is left.  Every row is evaluated at
+    every step, so no row's arithmetic depends on the values of the
+    others, and a block's rows may differ from blocks of one in the last
+    bits only.
     """
+    if keep not in (None, ENERGIES, STATES):
+        raise ValueError(f"keep must be None, ENERGIES or STATES, not {keep!r}")
     _check_bundles(config, bundles)
     explicit = config.kind == EXPLICIT
     if explicit and triple.constants.p != 2.0:
@@ -318,29 +259,43 @@ def _run_steps(space, triple, config, bundles, keep_values=False):
         direct = _factor(triple, n, delta)
     first = 1 if explicit else 0
     x = np.array([_resolve_initial(config, space, b.master_seed) for b in bundles])
-    energies = np.full((m + 1, paths), np.nan)
-    values = np.full((m + 1, paths, n), np.nan) if keep_values else None
-
-    def record(i, state):
-        energies[i] = np.einsum("pj,pj->p", state, state)
-        if keep_values:
-            values[i] = state
-
-    if explicit:
-        record(0, np.zeros((paths, n)))
-    record(first, x)
-    blow_up = np.zeros(paths, dtype=int)
+    kept = None
+    if keep == ENERGIES:
+        kept = np.full((m + 1, paths), np.nan)
+    elif keep == STATES:
+        kept = np.full((m + 1, paths, n), np.nan)
+    blow_up = np.full(paths, -1)
     failures = [None] * paths
     solver_steps = 0 if explicit else m
     iterations = np.zeros((solver_steps, paths), dtype=int)
     residuals = np.full((solver_steps, paths), np.nan)
     live = np.ones(paths, dtype=bool)
+
+    def settle(i, state):
+        """Blow up the live rows of knot i whose squared H-norm is not
+        finite, and keep what was asked for."""
+        energy = np.einsum("pj,pj->p", state, state)
+        lost = live & ~np.isfinite(energy)
+        if lost.any():
+            state[lost] = energy[lost] = np.nan
+            blow_up[lost] = i
+            live[lost] = False
+        if keep == ENERGIES:
+            kept[i] = energy
+        elif keep == STATES:
+            kept[i] = state
+
     knots = grid.knots.tolist()
     autonomous = triple.autonomous
-    # explicit overflow is reported through the blow-up marker, not warnings
+    # overflow is reported through the blow-up marker, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        if explicit:
+            settle(0, np.zeros((paths, n)))
+        settle(first, x)
         noise = _noise_rows(bundles, grid, partition, modes, factorized, first + 1)
         for i, (dw, jump) in zip(range(first + 1, m + 1), noise):
+            if not live.any():
+                break
             new = x
             if i >= 2:
                 t0, t1 = knots[i - 2], knots[i - 1]
@@ -356,65 +311,44 @@ def _run_steps(space, triple, config, bundles, keep_values=False):
                 else:
                     cols = tilde_F(triple, grid, partition, i, x, rule)
                     new = new + np.matmul(cols, jump[..., None])[..., 0]
-            if explicit:
-                lost = live & ~np.isfinite(new).all(axis=1)
-                new[lost] = np.nan
-                blow_up[lost] = i
-            else:
+            if not explicit:
                 new, report = solve_implicit_step(triple, grid, i, new, _direct=direct)
                 iterations[i - 1] = report.iterations
                 residuals[i - 1] = report.residual
-                lost = live & ~report.converged
-                if lost.any():
-                    for p in np.flatnonzero(lost):
-                        failures[p] = f"step {i}: {report.reasons[p]}"
-            live &= ~lost
-            record(i, new)
+                failed = live & ~report.converged
+                for p in np.flatnonzero(failed):
+                    failures[p] = f"step {i}: {report.reasons[p]}"
+                live &= ~failed
+            settle(i, new)
             x = new
-            if not live.any():
-                break
-    run = BlockRun(
+    return BlockRun(
         final=x,
-        energies=energies,
-        blow_up_steps=[int(step) if step else None for step in blow_up],
+        kept=kept,
+        blow_up_steps=[int(step) if step >= 0 else None for step in blow_up],
         failures=failures,
         solver_iterations=iterations,
         solver_residuals=residuals,
     )
-    return run, values
 
 
-def solve_implicit_step(triple, grid, i, y, x0=None, _direct=None):
-    """Solve x − δ·(Π_n)A^m_i(x) = y for the implicit step.
+def solve_implicit_step(triple, grid, i, y, _direct=None):
+    """Solve x − δ·(Π_n)A^m_i(x) = y for every row of a (P, n) block `y`.
 
-    `y` is one right-hand side (n,) or a block of them (P, n).  Affine
-    autonomous drifts are solved directly through the LU factor of I − δA
-    (`_direct` passes the matrix and its factor in, built once per run),
-    one solve for the whole block; otherwise a damped residual iteration
-    runs first and a finite-difference Newton step takes over when it
-    stalls, with damping, stall count and convergence kept per row.
-    Non-convergence signals that the step equation has left the strongly
-    monotone regime, i.e. the time step is too large.  One right-hand side
-    that cannot be solved raises ImplicitStepError; in a block the row is
-    marked instead (NaN in x, False in ``report.converged``, its cause in
-    ``report.reasons``) and the other rows are solved regardless.
+    Affine autonomous drifts are solved directly through the LU factor of
+    I − δA (`_direct` passes the matrix and its factor in, built once per
+    block), one solve for the whole block; otherwise a damped residual
+    iteration starts from `y` and a finite-difference Newton step takes
+    over when it stalls, with damping, stall count and convergence kept
+    per row.  Non-convergence signals that the step equation has left the
+    strongly monotone regime, i.e. the time step is too large.  A row that
+    cannot be solved is marked (NaN in x, False in ``report.converged``,
+    its cause in ``report.reasons``) and the other rows are solved
+    regardless.  Returns x and a `SolveReport`.
     """
     y = np.asarray(y, dtype=float)
-    block = np.atleast_2d(y)
     if triple.linear_A is not None and triple.autonomous:
-        x, report = _solve_direct(triple, grid, block, _direct)
-    else:
-        start = None if x0 is None else np.broadcast_to(x0, block.shape)
-        x, report = _solve_iterative(triple, grid, i, block, start)
-    if y.ndim == 2:
-        return x, report
-    if not report.converged[0]:
-        raise ImplicitStepError(report.reasons[0])
-    return x[0], SolveReport(
-        iterations=int(report.iterations[0]),
-        residual=float(report.residual[0]),
-        converged=True,
-    )
+        return _solve_direct(triple, grid, y, _direct)
+    return _solve_iterative(triple, grid, i, y)
 
 
 NO_FINITE_SOLUTION = (
@@ -441,7 +375,7 @@ def _solve_direct(triple, grid, y, direct):
     return x, SolveReport(np.zeros(len(y), dtype=int), residual, solved, reasons)
 
 
-def _solve_iterative(triple, grid, i, y, x0):
+def _solve_iterative(triple, grid, i, y):
     """Damped residual iteration with a Newton fallback, row by row."""
     max_iter = SOLVER_MAX_ITER
     delta = grid.delta
@@ -451,7 +385,7 @@ def _solve_iterative(triple, grid, i, y, x0):
         return x - delta * impl_A(triple, grid, i, x) - y
 
     target = SOLVER_TOL * (1.0 + _row_norms(y))
-    x = y.copy() if x0 is None else np.array(x0, dtype=float)
+    x = y.copy()
     r = residual_vec(x)
     rn = _row_norms(r)
     omega = np.ones(rows)

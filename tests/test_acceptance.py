@@ -27,8 +27,9 @@ from spdesim.noise import (
     sample_bundle,
 )
 from spdesim.schemes import (
+    STATES,
     SchemeConfig,
-    run_scheme,
+    run_block,
     solve_implicit_step,
     stability_margin,
 )
@@ -137,21 +138,23 @@ def test_criterion_04_implicit_step_oracle():
                 m = round(1.0 / delta)
                 grid = TimeGrid(1.0, m)
                 for _ in range(25):
-                    y = rng.uniform(-5, 5, n)
+                    y = rng.uniform(-5, 5, (1, n))
                     x, report = solve_implicit_step(triple, grid, 1, y)
                     want = y / (1.0 + delta * (k * np.pi) ** 2 / 2.0)
                     assert np.abs(x - want).max() <= 1e-10
-                    assert report.converged
+                    assert report.converged.all()
         space = build_sine_space(8)
         sem = semilinear(space, MARKS)
         grid = TimeGrid(1.0, 10)
-        for trial in range(10):
-            y = rng.uniform(-2, 2, 8)
-            xa, ra = solve_implicit_step(sem, grid, 2, y, x0=np.zeros(8))
-            xb, rb = solve_implicit_step(sem, grid, 2, y, x0=y)
+        # the ten right-hand sides solved as one block and one by one: the
+        # root does not depend on the rows it is solved with
+        ys = rng.uniform(-2, 2, (10, 8))
+        xa, ra = solve_implicit_step(sem, grid, 2, ys)
+        for trial, y in enumerate(ys):
+            xb, rb = solve_implicit_step(sem, grid, 2, y[None])
             bound = 1e-10 * (1 + np.linalg.norm(y))
-            assert ra.residual <= bound and rb.residual <= bound
-            assert np.abs(xa - xb).max() <= 1e-8
+            assert ra.residual[trial] <= bound and rb.residual[0] <= bound
+            assert np.abs(xa[trial] - xb[0]).max() <= 1e-8
 
 
 def test_criterion_05_zero_noise_scheme_oracles():
@@ -168,20 +171,20 @@ def test_criterion_05_zero_noise_scheme_oracles():
         imp_factor = 1.0 / (1.0 + grid.delta * (k * np.pi) ** 2 / 2.0)
 
         cfg_e = SchemeConfig(kind="explicit", n=n, m=m, l=2, initial=zeta)
-        traj_e = run_scheme(space, triple, cfg_e, bundle)
+        traj_e = run_block(space, triple, cfg_e, [bundle], keep=STATES).kept[:, 0]
         cfg_i = SchemeConfig(kind="implicit_projected", n=n, m=m, l=2, initial=zeta)
-        traj_i = run_scheme(space, triple, cfg_i, bundle)
+        traj_i = run_block(space, triple, cfg_i, [bundle], keep=STATES).kept[:, 0]
         for i in range(1, m + 1):
             want_e = zeta * exp_factor ** (i - 1)
             want_i = zeta * imp_factor**i
             # 1e-10 absolutely, relative on modes the recursion amplifies
             tol_e = 1e-10 * np.maximum(1.0, np.abs(want_e))
-            assert (np.abs(traj_e.values[i] - want_e) <= tol_e).all()
-            assert np.abs(traj_i.values[i] - want_i).max() <= 1e-10
+            assert (np.abs(traj_e[i] - want_e) <= tol_e).all()
+            assert np.abs(traj_i[i] - want_i).max() <= 1e-10
         # blow-up boundary: growth exactly when delta > 4/(k pi)^2
         for k_mode in range(1, n + 1):
             unstable = grid.delta > 4.0 / (k_mode * np.pi) ** 2
-            grew = abs(traj_e.values[m][k_mode - 1]) > abs(traj_e.values[1][k_mode - 1])
+            grew = abs(traj_e[m][k_mode - 1]) > abs(traj_e[1][k_mode - 1])
             assert grew == unstable
         assert any(
             grid.delta > 4.0 / (k_mode * np.pi) ** 2 for k_mode in range(1, n + 1)

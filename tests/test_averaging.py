@@ -12,7 +12,7 @@ from spdesim.averaging import (
 from spdesim.coefficients import CoefficientTriple, ConditionConstants
 from spdesim.fixtures import additive_multimode, heat_jump
 from spdesim.noise import PowerLawMarks, TimeGrid, build_partition, sample_bundle
-from spdesim.schemes import SchemeConfig, run_scheme
+from spdesim.schemes import STATES, SchemeConfig, run_block
 from spdesim.space import build_sine_space
 
 MARKS = PowerLawMarks()
@@ -77,8 +77,9 @@ def _time_scaled_triple(drift):
 
 
 def _run(triple, kind, m, bundle, l=2):
+    """The (m+1, 4) knot states of one path."""
     cfg = SchemeConfig(kind=kind, n=4, m=m, l=l, initial=np.ones(4))
-    return run_scheme(SPACE, triple, cfg, bundle)
+    return run_block(SPACE, triple, cfg, [bundle], keep=STATES).kept[:, 0]
 
 
 def _bundle(m, modes=1, level=2):
@@ -89,10 +90,10 @@ def test_tilde_A_zero_at_first_two_knots():
     # the explicit scheme queries the lagged drift mean from step 2 on only
     m = 8
     drift = RecordingDrift()
-    traj = _run(_time_scaled_triple(drift), "explicit", m, _bundle(m))
+    values = _run(_time_scaled_triple(drift), "explicit", m, _bundle(m))
     assert len(drift.queries) == TIME_POINTS * (m - 1)
-    assert np.array_equal(traj.values[0], np.zeros(4))
-    assert np.array_equal(traj.values[1], np.ones(4))
+    assert np.array_equal(values[0], np.zeros(4))
+    assert np.array_equal(values[1], np.ones(4))
 
 
 def test_time_mean_linear_integrand_exact():
@@ -178,18 +179,18 @@ def test_tilde_B_zero_convention_and_truncation():
     for kind in ("explicit", "implicit_projected"):
         loud = _run(_time_scaled_triple(RecordingDrift()), kind, m, bundle)
         calm = _run(_time_scaled_triple(RecordingDrift()), kind, m, quiet)
-        assert np.array_equal(loud.values[:2], calm.values[:2])
-        assert not np.array_equal(loud.values[2], calm.values[2])
+        assert np.array_equal(loud[:2], calm[:2])
+        assert not np.array_equal(loud[2], calm[2])
     # only the first min(l, wiener_modes) increment rows move the trajectory
     triple = additive_multimode(SPACE, MARKS, modes=2)
     bundle = _bundle(16, modes=3, level=3)
     for l, used in ((1, 1), (3, 2)):
-        base = _run(triple, "explicit", 16, bundle, l).values
+        base = _run(triple, "explicit", 16, bundle, l)
         for k in range(3):
             wiener = bundle.wiener.copy()
             wiener[k] *= 2.0
             moved = dataclasses.replace(bundle, wiener=wiener)
-            got = _run(triple, "explicit", 16, moved, l).values
+            got = _run(triple, "explicit", 16, moved, l)
             assert np.array_equal(got, base) == (k >= used)
 
 

@@ -107,7 +107,7 @@ def test_errors_exit_with_one_line(tmp_path, capsys, monkeypatch):
     def unsolvable(*args, **kwargs):
         raise ImplicitStepError("implicit step did not converge")
 
-    monkeypatch.setattr(cli, "run_scheme", unsolvable)
+    monkeypatch.setattr(cli, "run_block", unsolvable)
     assert main(["simulate", "--config", str(config)]) == 2
     assert capsys.readouterr().err == (
         "spdesim: error: implicit step did not converge\n"
@@ -122,6 +122,25 @@ def test_check_conditions_rejects_fewer_than_one_trial(tmp_path, capsys, trials)
     assert capsys.readouterr() == (
         "", "spdesim: error: condition suite needs at least one trial\n"
     )
+
+
+@pytest.mark.parametrize(
+    "flag, configured, message",
+    [
+        (["--workers", "-3"], "1", "--workers: need at least one worker, got -3"),
+        (["--workers", "0"], "1", "--workers: need at least one worker, got 0"),
+        ([], "0", "[run] workers: need at least one worker, got 0"),
+    ],
+)
+def test_converge_rejects_fewer_than_one_worker(
+    tmp_path, capsys, flag, configured, message
+):
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        BASE_CONFIG + LADDER_SECTION.replace("workers = 1", f"workers = {configured}")
+    )
+    assert main(["converge", "--config", str(path), *flag]) == 2
+    assert capsys.readouterr() == ("", f"spdesim: error: {message}\n")
 
 
 def test_readme_config_example_loads(tmp_path, monkeypatch):

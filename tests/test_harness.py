@@ -20,7 +20,7 @@ from spdesim.harness import (
 )
 from spdesim.noise import PowerLawMarks, TimeGrid, sample_bundle
 from spdesim.rng import TAG_PATH, TAG_PROBE, TAG_TRIAL, derive_key, make_generator
-from spdesim.schemes import BlockRun, SchemeConfig, run_block, run_scheme
+from spdesim.schemes import STATES, BlockRun, SchemeConfig, run_block
 from spdesim.space import build_sine_space, restrict, smooth_profile
 
 MARKS = PowerLawMarks()
@@ -85,17 +85,24 @@ def test_overflowing_gaps_give_an_infinite_half_width():
         assert (row.blowups, row.failures) == (0, 0)
 
 
-def test_overflowing_energies_give_an_infinite_mean():
-    # the state stays finite but its squared norm overflows at every knot
+def test_overflowing_energies_are_blow_ups_at_knot_0():
+    # the state stays finite but its squared norm overflows at knot 0, so
+    # every path blows up there and no path is left to average
     space = restrict(SPACE, 8)
     cfg = SchemeConfig(
         kind="implicit_projected", n=8, m=16, l=2, initial=np.full(8, 1e160)
     )
+    triple = semilinear(space, MARKS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stats = monte_carlo(space, semilinear(space, MARKS), cfg, MARKS, 6, 5)
-    assert (stats.knot_mean == float("inf")).all()
-    assert stats.final_mean == float("inf")
+        stats = monte_carlo(space, triple, cfg, MARKS, 6, 5)
+    assert (stats.blowups, stats.failures) == (6, 0)
+    assert np.isnan(stats.knot_mean).all() and np.isnan(stats.final_mean)
+    grid = TimeGrid(1.0, 16)
+    bundles = [
+        sample_bundle(derive_key(5, TAG_PATH, j), grid, 0, MARKS, 2) for j in range(6)
+    ]
+    assert run_block(space, triple, cfg, bundles).blow_up_steps == [0] * 6
 
 
 def test_monte_carlo_zero_triple_degenerate():
@@ -158,10 +165,10 @@ def test_coupled_coarse_run_is_bitwise_standalone():
     bundle = sample_bundle(
         derive_key(seed, TAG_PATH, 0), TimeGrid(1.0, 64), 1, MARKS, 2
     )
-    alone = run_scheme(SPACE, triple, coarse, bundle)
+    alone = run_block(SPACE, triple, coarse, [bundle], keep=STATES)
     est, _, _, _ = _one_rung(triple, coarse, fine, 1, seed)
-    fine_run = run_scheme(SPACE, triple, fine, bundle)
-    gap = np.concatenate([alone.final, np.zeros(4)]) - fine_run.final
+    fine_run = run_block(SPACE, triple, fine, [bundle], keep=STATES)
+    gap = np.concatenate([alone.kept[-1, 0], np.zeros(4)]) - fine_run.kept[-1, 0]
     assert est == float(gap @ gap)
 
 
@@ -334,7 +341,7 @@ def test_solver_failures_are_counted_per_path(monkeypatch):
 def _one_path_run(blow_up_step=None, failure=None):
     return BlockRun(
         final=np.full((1, 2), np.nan),
-        energies=np.full((3, 1), np.nan),
+        kept=None,
         blow_up_steps=[blow_up_step],
         failures=[failure],
         solver_iterations=np.zeros((0, 1), dtype=int),

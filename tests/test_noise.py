@@ -416,18 +416,27 @@ def _bundle_payload(marks=ATOMS):
         ("jump_times", 2.0),
         ("jump_marks", 5.0),
         ("jump_marks", 0.01),
+        ("beta", "x"),
+        ("beta", 5.0),
+        ("wiener_b64", 5),
+        ("jump_times", "abc"),
+        ("atom_positions", "ab"),
+        ("bundle", []),  # the whole payload is replaced
     ],
 )
 def test_bundle_json_rejects_missing_and_out_of_range_fields(name, value):
     # power-law marks at level 2 on T = 1: E^2 is [1/16, 1]
-    payload = _bundle_payload(MARKS)
-    if value is None:
+    payload = _bundle_payload(ATOMS if name.startswith("atom_") else MARKS)
+    match = f"bundle field {name}"
+    if name == "bundle":
+        payload, match = value, "bundle JSON"
+    elif value is None:
         del payload[name]
-    elif name.startswith("jump_"):
+    elif name.startswith("jump_") and isinstance(value, float):
         payload[name][0] = value
     else:
         payload[name] = value
-    with pytest.raises(ValueError, match=f"bundle field {name}"):
+    with pytest.raises(ValueError, match=match):
         bundle_from_json(json.dumps(payload))
 
 

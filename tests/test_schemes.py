@@ -8,11 +8,11 @@ from spdesim.fixtures import additive_multimode, heat_jump, semilinear, zero_tri
 from spdesim.noise import AtomMarks, NoiseBundle, PowerLawMarks, TimeGrid, sample_bundle
 from spdesim.rng import TAG_INITIAL, derive_key, make_generator
 from spdesim.schemes import (
+    ENERGIES,
     SOLVER_TOL,
-    ImplicitStepError,
+    STATES,
     SchemeConfig,
     run_block,
-    run_scheme,
     solve_implicit_step,
     stability_margin,
     step_energy_bound,
@@ -24,6 +24,16 @@ MARKS = PowerLawMarks()
 
 def _bundle(seed, m, modes=1, level=2, T=1.0):
     return sample_bundle(seed, TimeGrid(T, m), modes, MARKS, level)
+
+
+def _path(space, triple, cfg, bundle):
+    """One path as `simulate` runs it: a block of one that keeps its states."""
+    return run_block(space, triple, cfg, [bundle], keep=STATES)
+
+
+def _values(space, triple, cfg, bundle):
+    """The (m+1, n) knot states of one path."""
+    return _path(space, triple, cfg, bundle).kept[:, 0]
 
 
 def _quiet_heat(space):
@@ -57,10 +67,10 @@ def test_explicit_zero_triple_transports_initial():
     triple = zero_triple(space, MARKS)
     e1 = np.array([1.0, 0.0, 0.0])
     cfg = SchemeConfig(kind="explicit", n=3, m=8, l=1, initial=e1)
-    traj = run_scheme(space, triple, cfg, _bundle(3, 8))
-    assert np.array_equal(traj.values[0], np.zeros(3))
+    values = _values(space, triple, cfg, _bundle(3, 8))
+    assert np.array_equal(values[0], np.zeros(3))
     for i in range(1, 9):
-        assert np.array_equal(traj.values[i], e1)
+        assert np.array_equal(values[i], e1)
 
 
 def test_explicit_matches_mode_recursion():
@@ -68,18 +78,18 @@ def test_explicit_matches_mode_recursion():
     zeta = smooth_profile(8)
     m = 256
     cfg = SchemeConfig(kind="explicit", n=8, m=m, l=2, initial=zeta)
-    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(4, m))
+    values = _values(space, _quiet_heat(space), cfg, _bundle(4, m))
     oracle = explicit_mode_recursion(zeta, m, 8)
-    assert np.abs(traj.values - oracle).max() < 1e-10
+    assert np.abs(values - oracle).max() < 1e-10
 
 
 def test_explicit_initial_convention():
     space = build_sine_space(4)
     zeta = np.array([1.0, 2.0, 3.0, 4.0])
     cfg = SchemeConfig(kind="explicit", n=4, m=4, l=1, initial=zeta)
-    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(5, 4))
-    assert np.array_equal(traj.values[0], np.zeros(4))
-    assert np.array_equal(traj.values[1], zeta)
+    values = _values(space, _quiet_heat(space), cfg, _bundle(5, 4))
+    assert np.array_equal(values[0], np.zeros(4))
+    assert np.array_equal(values[1], zeta)
 
 
 def test_explicit_rejects_wrong_exponent():
@@ -90,7 +100,7 @@ def test_explicit_rejects_wrong_exponent():
     )
     cfg = SchemeConfig(kind="explicit", n=4, m=4, l=1)
     with pytest.raises(ValueError):
-        run_scheme(space, bad, cfg, _bundle(6, 4))
+        run_block(space, bad, cfg, [_bundle(6, 4)])
 
 
 def test_explicit_rejects_large_lambda():
@@ -98,18 +108,35 @@ def test_explicit_rejects_large_lambda():
     triple = heat_jump(space, MARKS, lambda_const=1.5)
     cfg = SchemeConfig(kind="explicit", n=4, m=4, l=1)
     with pytest.raises(ValueError):
-        run_scheme(space, triple, cfg, _bundle(6, 4))
+        run_block(space, triple, cfg, [_bundle(6, 4)])
 
 
 def test_explicit_blowup_marker():
     # far outside the drift stability region the iteration overflows and
-    # the trajectory records the first non-finite step instead of raising
+    # the run records the first knot whose squared H-norm is not finite
+    # instead of raising; the state there is still finite
     space = build_sine_space(32)
     cfg = SchemeConfig(kind="explicit", n=32, m=256, l=1, initial=np.full(32, 10.0))
-    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(7, 256))
-    assert traj.blow_up_step is not None
-    assert np.isnan(traj.values[-1]).all()
-    assert np.isfinite(traj.values[traj.blow_up_step - 1]).all()
+    triple, bundle = _quiet_heat(space), _bundle(7, 256)
+    run = _path(space, triple, cfg, bundle)
+    step = run.blow_up_steps[0]
+    assert step is not None
+    values = run.kept[:, 0]
+    assert np.isnan(values[step:]).all()
+    assert np.isfinite(values[step - 1]).all()
+    energies = run_block(space, triple, cfg, [bundle], keep=ENERGIES).kept[:, 0]
+    assert np.isnan(energies[step:]).all() and np.isfinite(energies[:step]).all()
+    # the same iteration by hand, mode by mode: its energy first overflows
+    # at the marked knot, where every coordinate is still finite
+    x = np.full(32, 10.0)
+    factor = 1.0 - (1 / 256) * np.arange(1, 33) ** 2 * np.pi**2 / 2.0
+    with np.errstate(over="ignore"):
+        energy = [float(x @ x)]
+        for _ in range(step - 1):
+            x = x * factor
+            energy.append(float(x @ x))
+    assert np.isfinite(energy[:-1]).all() and energy[-1] == np.inf
+    assert np.isfinite(x).all()
 
 
 def test_explicit_mode_growth_boundary():
@@ -118,10 +145,10 @@ def test_explicit_mode_growth_boundary():
     m = 256
     zeta = np.full(12, 1.0)
     cfg = SchemeConfig(kind="explicit", n=12, m=m, l=1, initial=zeta)
-    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(8, m))
+    values = _values(space, _quiet_heat(space), cfg, _bundle(8, m))
     delta = 1.0 / m
     for k in range(1, 13):
-        grew = abs(traj.values[m][k - 1]) > abs(traj.values[1][k - 1])
+        grew = abs(values[m][k - 1]) > abs(values[1][k - 1])
         assert grew == (delta > 4.0 / (k * np.pi) ** 2)
 
 
@@ -134,18 +161,18 @@ def test_implicit_step_affine_closed_form(n, delta):
     rng = np.random.default_rng(10 + n)
     k = np.arange(1, n + 1)
     for _ in range(20):
-        y = rng.uniform(-5, 5, n)
+        y = rng.uniform(-5, 5, (1, n))
         x, report = solve_implicit_step(triple, grid, 1, y)
         want = y / (1.0 + delta * k**2 * np.pi**2 / 2.0)
         assert np.abs(x - want).max() < 1e-10
-        assert report.converged
+        assert report.converged.all()
 
 
 def test_implicit_step_documented_example():
     space = build_sine_space(2)
     triple = _quiet_heat(space)
     grid = TimeGrid(0.2, 2)  # delta = 0.1
-    x, _ = solve_implicit_step(triple, grid, 1, np.array([1.0, 1.0]))
+    (x,), _ = solve_implicit_step(triple, grid, 1, np.array([[1.0, 1.0]]))
     assert x[0] == pytest.approx(1.0 / (1.0 + 0.1 * np.pi**2 / 2.0), abs=1e-4)
     assert x[1] == pytest.approx(1.0 / (1.0 + 0.1 * 4 * np.pi**2 / 2.0), abs=1e-4)
     assert x[0] == pytest.approx(0.6696, abs=2e-4)
@@ -156,10 +183,10 @@ def test_implicit_step_zero_drift_is_identity():
     space = build_sine_space(3)
     triple = zero_triple(space, MARKS)
     grid = TimeGrid(1.0, 4)
-    y = np.array([0.5, -1.0, 2.0])
+    y = np.array([[0.5, -1.0, 2.0]])
     x, report = solve_implicit_step(triple, grid, 2, y)
     assert np.allclose(x, y, atol=1e-14)
-    assert report.converged
+    assert report.converged.all()
 
 
 def test_implicit_step_semilinear_unique_root():
@@ -167,14 +194,10 @@ def test_implicit_step_semilinear_unique_root():
     triple = semilinear(space, MARKS)
     grid = TimeGrid(1.0, 10)
     rng = np.random.default_rng(21)
-    y = rng.uniform(-2, 2, 6)
-    x_from_zero, rep0 = solve_implicit_step(
-        triple, grid, 3, y, x0=np.zeros(6)
-    )
-    x_from_y, rep1 = solve_implicit_step(triple, grid, 3, y, x0=y)
-    assert rep0.converged and rep1.converged
-    assert rep0.residual <= 1e-10 * (1 + np.linalg.norm(y))
-    assert np.abs(x_from_zero - x_from_y).max() < 1e-8
+    y = rng.uniform(-2, 2, (1, 6))
+    x, report = solve_implicit_step(triple, grid, 3, y)
+    assert report.converged.all()
+    assert report.residual[0] <= 1e-10 * (1 + np.linalg.norm(y))
 
 
 def test_implicit_matches_mode_recursion():
@@ -182,13 +205,13 @@ def test_implicit_matches_mode_recursion():
     zeta = smooth_profile(8)
     m = 256
     cfg = SchemeConfig(kind="implicit_projected", n=8, m=m, l=2, initial=zeta)
-    traj = run_scheme(space, _quiet_heat(space), cfg, _bundle(9, m))
+    values = _values(space, _quiet_heat(space), cfg, _bundle(9, m))
     oracle = implicit_mode_recursion(zeta, m, 8)
-    assert np.abs(traj.values - oracle).max() < 1e-10
+    assert np.abs(values - oracle).max() < 1e-10
     # unconditional decay even at coarse steps
     coarse = SchemeConfig(kind="implicit_projected", n=8, m=4, l=2, initial=zeta)
-    traj_c = run_scheme(space, _quiet_heat(space), coarse, _bundle(9, 4))
-    norms = np.linalg.norm(traj_c.values, axis=1)
+    values_c = _values(space, _quiet_heat(space), coarse, _bundle(9, 4))
+    norms = np.linalg.norm(values_c, axis=1)
     assert (np.diff(norms) < 0).all()
 
 
@@ -197,8 +220,7 @@ def test_implicit_constant_for_zero_triple():
     triple = zero_triple(space, MARKS)
     zeta = np.array([1.0, -2.0, 0.5])
     cfg = SchemeConfig(kind="implicit", n=3, m=6, l=1, initial=zeta)
-    traj = run_scheme(space, triple, cfg, _bundle(11, 6))
-    for row in traj.values:
+    for row in _values(space, triple, cfg, _bundle(11, 6)):
         assert np.array_equal(row, zeta)
 
 
@@ -208,22 +230,20 @@ def test_projected_equals_unprojected_at_ambient_dim():
     zeta = smooth_profile(6)
     bundle = _bundle(12, 64, modes=1, level=2)
     base = dict(n=6, m=64, l=2, initial=zeta)
-    plain = run_scheme(
-        space, triple, SchemeConfig(kind="implicit", **base), bundle
-    )
-    projected = run_scheme(
+    plain = _values(space, triple, SchemeConfig(kind="implicit", **base), bundle)
+    projected = _values(
         space, triple, SchemeConfig(kind="implicit_projected", **base), bundle
     )
-    assert np.array_equal(plain.values, projected.values)
+    assert np.array_equal(plain, projected)
 
 
 def test_implicit_residual_contract():
     space = build_sine_space(8)
     triple = heat_jump(space, MARKS)
     cfg = SchemeConfig(kind="implicit_projected", n=8, m=32, l=2)
-    traj = run_scheme(space, triple, cfg, _bundle(13, 32))
-    for i, resid in enumerate(traj.solver_residuals, start=1):
-        y_norm = np.linalg.norm(traj.values[i - 1])
+    run = _path(space, triple, cfg, _bundle(13, 32))
+    for i, resid in enumerate(run.solver_residuals[:, 0], start=1):
+        y_norm = np.linalg.norm(run.kept[i - 1, 0])
         assert resid <= 1e-10 * (1 + y_norm) + 1e-12
 
 
@@ -238,9 +258,9 @@ def test_direct_solve_does_not_evaluate_the_drift(monkeypatch):
     space = build_sine_space(4)
     triple = heat_jump(space, MARKS)
     cfg = SchemeConfig(kind="implicit_projected", n=4, m=16, l=2)
-    traj = run_scheme(space, triple, cfg, _bundle(19, 16))
-    assert traj.solver_iterations == [0] * 16
-    assert max(traj.solver_residuals) <= 1e-14
+    run = _path(space, triple, cfg, _bundle(19, 16))
+    assert run.solver_iterations[:, 0].tolist() == [0] * 16
+    assert run.solver_residuals.max() <= 1e-14
 
 
 def test_adaptedness_prefix():
@@ -250,7 +270,7 @@ def test_adaptedness_prefix():
     m = 16
     bundle = _bundle(14, m, modes=1, level=2)
     cfg = SchemeConfig(kind="explicit", n=6, m=m, l=2)
-    full = run_scheme(space, triple, cfg, bundle)
+    full = _values(space, triple, cfg, bundle)
     cut = 10
     t_cut = cut / m
     keep = bundle.jump_times <= t_cut
@@ -267,8 +287,8 @@ def test_adaptedness_prefix():
         jump_marks=bundle.jump_marks[keep],
         marks=bundle.marks,
     )
-    prefix = run_scheme(space, triple, cfg, truncated)
-    assert np.array_equal(full.values[: cut + 1], prefix.values[: cut + 1])
+    prefix = _values(space, triple, cfg, truncated)
+    assert np.array_equal(full[: cut + 1], prefix[: cut + 1])
 
 
 def test_explicit_reads_only_lagged_coefficients():
@@ -298,11 +318,9 @@ def test_explicit_reads_only_lagged_coefficients():
         triple = dataclasses.replace(
             base, eval_A=PiecewiseDrift(jump), linear_A=None, autonomous=False
         )
-        runs.append(run_scheme(space, triple, cfg, bundle))
-    assert np.array_equal(
-        runs[0].values[: cut_index + 1], runs[1].values[: cut_index + 1]
-    )
-    assert not np.array_equal(runs[0].values[m], runs[1].values[m])
+        runs.append(_values(space, triple, cfg, bundle))
+    assert np.array_equal(runs[0][: cut_index + 1], runs[1][: cut_index + 1])
+    assert not np.array_equal(runs[0][m], runs[1][m])
 
 
 @pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])
@@ -315,14 +333,14 @@ def test_generic_and_non_autonomous_triples_match_fast_paths(kind):
     triple = heat_jump(space, marks)
     bundle = sample_bundle(18, TimeGrid(1.0, 256), 1, marks, 3)
     cfg = SchemeConfig(kind=kind, n=4, m=256, l=3)
-    base = run_scheme(space, triple, cfg, bundle).values
+    base = _values(space, triple, cfg, bundle)
     scale = np.abs(base).max()
     assert bundle.jump_times.size and scale > 0
     generic = dataclasses.replace(triple, jump_profile=None)
-    got = run_scheme(space, generic, cfg, bundle).values
+    got = _values(space, generic, cfg, bundle)
     assert np.abs(got - base).max() <= 1e-12 * scale
     non_autonomous = dataclasses.replace(triple, linear_A=None, autonomous=False)
-    got = run_scheme(space, non_autonomous, cfg, bundle).values
+    got = _values(space, non_autonomous, cfg, bundle)
     assert np.abs(got - base).max() <= 1e-8 * scale
 
 
@@ -345,9 +363,9 @@ def test_energy_bound_dominates_quiet_run():
     zeta = smooth_profile(8)
     m = 512
     cfg = SchemeConfig(kind="explicit", n=8, m=m, l=2, initial=zeta)
-    traj = run_scheme(space, triple, cfg, _bundle(16, m))
+    values = _values(space, triple, cfg, _bundle(16, m))
     bound = step_energy_bound(triple.constants, space, TimeGrid(1.0, m), 1.0)
-    assert (np.linalg.norm(traj.values, axis=1) ** 2 <= bound).all()
+    assert (np.linalg.norm(values, axis=1) ** 2 <= bound).all()
 
 
 def test_solver_failure_advises_more_steps(monkeypatch):
@@ -366,8 +384,9 @@ def test_solver_failure_advises_more_steps(monkeypatch):
         semilinear(space, MARKS), eval_A=StiffDrift(), linear_A=None
     )
     grid = TimeGrid(1.0, 2)
-    with pytest.raises(ImplicitStepError, match="increase"):
-        solve_implicit_step(triple, grid, 1, np.full(4, 3.0))
+    x, report = solve_implicit_step(triple, grid, 1, np.full((1, 4), 3.0))
+    assert not report.converged[0] and np.isnan(x).all()
+    assert "increase" in report.reasons[0]
 
 
 def test_scheme_config_validation():
@@ -375,22 +394,6 @@ def test_scheme_config_validation():
         SchemeConfig(kind="unknown", n=2, m=4, l=1)
     with pytest.raises(ValueError):
         SchemeConfig(kind="explicit", n=0, m=4, l=1)
-
-
-def test_trajectory_export_roundtrip():
-    import json
-
-    space = build_sine_space(3)
-    triple = zero_triple(space, MARKS)
-    cfg = SchemeConfig(kind="explicit", n=3, m=4, l=1, initial=np.ones(3))
-    traj = run_scheme(space, triple, cfg, _bundle(17, 4))
-    payload = json.loads(traj.to_json())
-    assert payload["kind"] == "explicit"
-    assert payload["n"] == 3 and payload["m"] == 4
-    assert np.array_equal(np.asarray(payload["values"]), traj.values)
-    csv = traj.final_csv()
-    assert csv.splitlines()[0] == "mode,value"
-    assert len(csv.splitlines()) == 4
 
 
 ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
@@ -435,17 +438,37 @@ def _config(kind):
 
 @pytest.mark.parametrize("space, triple, marks, kind", _block_cases())
 def test_block_of_one_equals_run_scheme_bitwise(space, triple, marks, kind):
+    # a block of one as a ladder (nothing kept) and as `monte_carlo`
+    # (energies kept) runs it equals the one-path run of `simulate` (states
+    # kept) bit for bit, and the kept energies are those of the kept states
     cfg = _config(kind)
     for bundle in _bundles(2, marks):
-        traj = run_scheme(space, triple, cfg, bundle)
-        run = run_block(space, triple, cfg, [bundle])
-        assert run.final.tobytes() == traj.final.tobytes()
-        energies = np.einsum("ij,ij->i", traj.values, traj.values)
-        assert run.energies[:, 0].tobytes() == energies.tobytes()
-        assert run.blow_up_steps == [traj.blow_up_step]
-        assert run.failures == [None]
-        assert run.solver_iterations[:, 0].tolist() == traj.solver_iterations
-        assert run.solver_residuals[:, 0].tolist() == traj.solver_residuals
+        path = _path(space, triple, cfg, bundle)
+        states = path.kept[:, 0]
+        assert path.final[0].tobytes() == states[-1].tobytes()
+        energies = np.einsum("ij,ij->i", states, states)
+        for keep in (None, ENERGIES):
+            run = run_block(space, triple, cfg, [bundle], keep=keep)
+            assert run.final.tobytes() == path.final.tobytes()
+            assert run.blow_up_steps == path.blow_up_steps == [None]
+            assert run.failures == path.failures == [None]
+            for name in ("solver_iterations", "solver_residuals"):
+                got, want = getattr(run, name), getattr(path, name)
+                assert got.tobytes() == want.tobytes()
+        assert run.kept[:, 0].tobytes() == energies.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])
+def test_a_block_keeps_only_what_it_is_asked_for(kind):
+    space = build_sine_space(6)
+    cfg = _config(kind)
+    bundles = _bundles(3)
+    shapes = {None: None, ENERGIES: (cfg.m + 1, 3), STATES: (cfg.m + 1, 3, cfg.n)}
+    for keep, shape in shapes.items():
+        run = run_block(space, heat_jump(space, MARKS), cfg, bundles, keep=keep)
+        assert (run.kept is None) if shape is None else (run.kept.shape == shape)
+    with pytest.raises(ValueError, match="keep"):
+        run_block(space, heat_jump(space, MARKS), cfg, bundles, keep="final")
 
 
 @pytest.mark.parametrize("space, triple, marks, kind", _block_cases())
@@ -457,15 +480,15 @@ def test_block_rows_match_one_path_runs(space, triple, marks, kind):
     iterative = kind != "explicit" and (triple.linear_A is None or not triple.autonomous)
     rtol = cfg.m * SOLVER_TOL if iterative else 1e-12
     bundles = _bundles(5, marks)
-    run = run_block(space, triple, cfg, bundles)
+    run = run_block(space, triple, cfg, bundles, keep=ENERGIES)
     assert run.final.shape == (5, cfg.n)
-    assert run.energies.shape == (cfg.m + 1, 5)
+    assert run.kept.shape == (cfg.m + 1, 5)
     for p, bundle in enumerate(bundles):
-        traj = run_scheme(space, triple, cfg, bundle)
-        scale = np.abs(traj.final).max()
-        assert np.abs(run.final[p] - traj.final).max() <= rtol * scale
-        energies = np.einsum("ij,ij->i", traj.values, traj.values)
-        assert np.abs(run.energies[:, p] - energies).max() <= rtol * energies.max()
+        alone = run_block(space, triple, cfg, [bundle], keep=ENERGIES)
+        scale = np.abs(alone.final).max()
+        assert np.abs(run.final[p] - alone.final[0]).max() <= rtol * scale
+        energies = alone.kept[:, 0]
+        assert np.abs(run.kept[:, p] - energies).max() <= rtol * energies.max()
 
 
 def test_explicit_blowup_leaves_the_other_paths_unchanged():
@@ -476,18 +499,18 @@ def test_explicit_blowup_leaves_the_other_paths_unchanged():
     loud = list(calm)
     # one path's Wiener increments overflow the noise term
     loud[2] = dataclasses.replace(calm[2], wiener=calm[2].wiener * 1e305)
-    want = run_block(space, triple, cfg, calm)
-    got = run_block(space, triple, cfg, loud)
+    want = run_block(space, triple, cfg, calm, keep=ENERGIES)
+    got = run_block(space, triple, cfg, loud, keep=ENERGIES)
     assert want.blow_up_steps == [None] * 5
     step = got.blow_up_steps[2]
     assert step is not None
     assert got.blow_up_steps == [None, None, step, None, None]
-    assert np.isnan(got.final[2]).all() and np.isnan(got.energies[step:, 2]).all()
-    assert not np.isnan(got.energies[:step, 2]).any()
+    assert np.isnan(got.final[2]).all() and np.isnan(got.kept[step:, 2]).all()
+    assert not np.isnan(got.kept[:step, 2]).any()
     others = [0, 1, 3, 4]
     assert got.final[others].tobytes() == want.final[others].tobytes()
-    assert got.energies[:, others].tobytes() == want.energies[:, others].tobytes()
-    assert run_scheme(space, triple, cfg, loud[2]).blow_up_step == step
+    assert got.kept[:, others].tobytes() == want.kept[:, others].tobytes()
+    assert _path(space, triple, cfg, loud[2]).blow_up_steps == [step]
 
 
 class QuietOrLoud:
@@ -517,18 +540,56 @@ def test_solver_failure_leaves_the_other_paths_unchanged(monkeypatch):
     grid = TimeGrid(1.0, 8)
     calm = [sample_bundle(s, grid, 0, MARKS, 1) for s in quiet]
     mixed = calm[:2] + [sample_bundle(noisy, grid, 0, MARKS, 1)] + calm[3:]
-    want = run_block(space, triple, cfg, calm)
-    got = run_block(space, triple, cfg, mixed)
+    want = run_block(space, triple, cfg, calm, keep=ENERGIES)
+    got = run_block(space, triple, cfg, mixed, keep=ENERGIES)
     assert want.failures == [None] * 5
     assert got.failures[2].startswith("step 1: implicit step did not converge")
     assert [f is None for f in got.failures] == [True, True, False, True, True]
-    assert np.isnan(got.final[2]).all() and np.isnan(got.energies[1:, 2]).all()
+    assert got.blow_up_steps == [None] * 5
+    assert np.isnan(got.final[2]).all() and np.isnan(got.kept[1:, 2]).all()
     others = [0, 1, 3, 4]
     assert got.final[others].tobytes() == want.final[others].tobytes()
-    assert got.energies[:, others].tobytes() == want.energies[:, others].tobytes()
+    assert got.kept[:, others].tobytes() == want.kept[:, others].tobytes()
     assert (got.solver_iterations[:, others] == want.solver_iterations[:, others]).all()
-    with pytest.raises(ImplicitStepError, match="step 1: implicit step did not converge"):
-        run_scheme(space, triple, cfg, mixed[2])
+    alone = _path(space, triple, cfg, mixed[2])
+    assert alone.failures == [got.failures[2]]
+
+
+class FiniteOrHuge:
+    """Initial data of order one on most paths and of order 1e160 on the
+    rest: each coordinate is finite, the squared H-norm overflows."""
+
+    def __call__(self, rng):
+        return smooth_profile(4) * (1e160 if rng.random() < 0.3 else 1.0)
+
+
+def test_overflowing_energy_is_a_blow_up_not_a_failure():
+    # an implicit row whose state stays finite but whose squared H-norm
+    # overflows is lost like an explicit one: a blow-up at that knot
+    space = build_sine_space(4)
+    triple = semilinear(space, MARKS)
+    initial = FiniteOrHuge()
+    cfg = SchemeConfig(kind="implicit", n=4, m=8, l=1, initial=initial)
+
+    def huge(seed):
+        return initial(make_generator(derive_key(seed, TAG_INITIAL)))[0] > 1.0
+
+    seeds = range(300, 360)
+    grid = TimeGrid(1.0, 8)
+    calm = [sample_bundle(s, grid, 0, MARKS, 1) for s in seeds if not huge(s)][:5]
+    loud = sample_bundle(next(s for s in seeds if huge(s)), grid, 0, MARKS, 1)
+    mixed = calm[:2] + [loud] + calm[3:]
+    want = run_block(space, triple, cfg, calm, keep=ENERGIES)
+    got = run_block(space, triple, cfg, mixed, keep=ENERGIES)
+    assert got.blow_up_steps == [None, None, 0, None, None]
+    assert got.failures == want.failures == [None] * 5
+    assert np.isnan(got.final[2]).all() and np.isnan(got.kept[:, 2]).all()
+    others = [0, 1, 3, 4]
+    assert got.final[others].tobytes() == want.final[others].tobytes()
+    assert got.kept[:, others].tobytes() == want.kept[:, others].tobytes()
+    for name in ("solver_iterations", "solver_residuals"):
+        got_rows, want_rows = getattr(got, name), getattr(want, name)
+        assert got_rows[:, others].tobytes() == want_rows[:, others].tobytes()
 
 
 def test_block_rejects_mismatched_bundles():
@@ -552,11 +613,11 @@ def test_noise_chunks_do_not_change_a_block(monkeypatch, kind, generic):
         triple = dataclasses.replace(triple, jump_profile=None)
     cfg = _config(kind)
     bundles = _bundles(3)
-    whole = run_block(space, triple, cfg, bundles)
+    whole = run_block(space, triple, cfg, bundles, keep=ENERGIES)
     monkeypatch.setattr(schemes, "NOISE_CHUNK", 5)
-    chunked = run_block(space, triple, cfg, bundles)
+    chunked = run_block(space, triple, cfg, bundles, keep=ENERGIES)
     assert chunked.final.tobytes() == whole.final.tobytes()
-    assert chunked.energies.tobytes() == whole.energies.tobytes()
+    assert chunked.kept.tobytes() == whole.kept.tobytes()
 
 
 @pytest.mark.parametrize("start", [1, 2])
@@ -623,10 +684,10 @@ def test_block_solve_marks_rows_without_a_finite_solution(direct):
     assert report.reasons[1].startswith("implicit step has no finite solution")
     assert np.isnan(x[1]).all()
     for p in (0, 2):
-        alone, _ = solve_implicit_step(triple, grid, 2, rows[p])
-        np.testing.assert_allclose(x[p], alone, rtol=1e-14, atol=1e-15)
-    with pytest.raises(ImplicitStepError, match="no finite solution"):
-        solve_implicit_step(triple, grid, 2, rows[1])
+        alone, _ = solve_implicit_step(triple, grid, 2, rows[p : p + 1])
+        np.testing.assert_allclose(x[p], alone[0], rtol=1e-14, atol=1e-15)
+    _, alone = solve_implicit_step(triple, grid, 2, rows[1:2])
+    assert alone.reasons[0].startswith("implicit step has no finite solution")
 
 
 # the mark of the hand-placed jump at knot t_j of a 16-step grid
@@ -661,12 +722,12 @@ def test_jumps_on_knots(kind, m):
     cfg = SchemeConfig(kind=kind, n=4, m=m, l=3, initial=smooth_profile(4))
     bundle = _knot_jump_bundle(KNOT_JUMP_MARKS)
     # atom marks and no Wiener noise: both paths do the same dyadic arithmetic
-    want = run_scheme(space, triple, cfg, bundle).values
-    assert run_scheme(space, generic, cfg, bundle).values.tobytes() == want.tobytes()
+    want = _values(space, triple, cfg, bundle)
+    assert _values(space, generic, cfg, bundle).tobytes() == want.tobytes()
     for path in (triple, generic):
-        quiet = run_scheme(space, path, cfg, _knot_jump_bundle([])).values
+        quiet = _values(space, path, cfg, _knot_jump_bundle([]))
         for j in KNOT_JUMP_MARKS:
             i = j * m // 16
-            got = run_scheme(space, path, cfg, _knot_jump_bundle([j])).values
+            got = _values(space, path, cfg, _knot_jump_bundle([j]))
             assert got[:i].tobytes() == quiet[:i].tobytes()
             assert not np.array_equal(got[i], quiet[i])

@@ -51,10 +51,14 @@ def _load(args):
 
 
 def _vnorm_weighted(values, blow_up_step, space, constants, grid):
-    """δ·λ·Σ_i ‖u(t_i)‖_V^p over the knots before any blow-up."""
+    """δ·λ·Σ_i ‖u(t_i)‖_V^p over the knots before any blow-up.
+
+    The V-norm may overflow before the H-norm does; the sum is then inf.
+    """
     vals = values if blow_up_step is None else values[:blow_up_step]
-    vsq = ((vals @ restrict(space, vals.shape[1]).v_gram) * vals).sum(1)
-    return float(np.sum(grid.delta * constants.lam * vsq ** (constants.p / 2.0)))
+    with np.errstate(over="ignore"):
+        vsq = ((vals @ restrict(space, vals.shape[1]).v_gram) * vals).sum(1)
+        return float(np.sum(grid.delta * constants.lam * vsq ** (constants.p / 2.0)))
 
 
 def _cmd_simulate(args):

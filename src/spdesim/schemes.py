@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .averaging import cell_weight_means, impl_A, tilde_F, time_mean
 from .noise import TimeGrid, build_partition, coarsen_wiener
@@ -225,8 +224,9 @@ def run_block(space, triple, config, bundles, keep=None):
     Wiener term and the compensated jump term; the implicit schemes then
     solve the step equation with the result as right-hand side.  The
     explicit scheme starts at knot 1, the implicit ones at knot 0, and the
-    noise terms vanish before knot 2.  Grid, partition, jump events and LU
-    factor are built once for the block.
+    noise terms vanish before knot 2.  Grid, partition, jump events and,
+    for an affine autonomous implicit drift, the inverse of I − δA are
+    built once for the block.
 
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
@@ -316,9 +316,10 @@ def run_block(space, triple, config, bundles, keep=None):
                 iterations[i - 1] = report.iterations
                 residuals[i - 1] = report.residual
                 failed = live & ~report.converged
-                for p in np.flatnonzero(failed):
-                    failures[p] = f"step {i}: {report.reasons[p]}"
-                live &= ~failed
+                if failed.any():
+                    for p in np.flatnonzero(failed):
+                        failures[p] = f"step {i}: {report.reasons[p]}"
+                    live &= ~failed
             settle(i, new)
             x = new
     return BlockRun(
@@ -334,9 +335,9 @@ def run_block(space, triple, config, bundles, keep=None):
 def solve_implicit_step(triple, grid, i, y, _direct=None):
     """Solve x − δ·(Π_n)A^m_i(x) = y for every row of a (P, n) block `y`.
 
-    Affine autonomous drifts are solved directly through the LU factor of
-    I − δA (`_direct` passes the matrix and its factor in, built once per
-    block), one solve for the whole block; otherwise a damped residual
+    Affine autonomous drifts are solved directly as one product of the block
+    with the inverse of I − δA (`_direct` passes the matrix and its
+    transposed inverse in, built once per block); otherwise a damped residual
     iteration starts from `y` and a finite-difference Newton step takes
     over when it stalls, with damping, stall count and convergence kept
     per row.  Non-convergence signals that the step equation has left the
@@ -357,21 +358,35 @@ NO_FINITE_SOLUTION = (
 
 
 def _factor(triple, n, delta):
-    """The matrix I − δA of an affine autonomous drift and its LU factor."""
+    """The matrix I − δA of an affine autonomous drift and its transposed
+    inverse, so that x = y @ inv_t solves (I − δA)x = y row by row.
+
+    A singular I − δA gets a NaN inverse: every row it is applied to then
+    has no finite solution, as with any other non-finite one.
+    """
     mat = np.eye(n) - delta * triple.linear_A[:n, :n]
-    return mat, scipy.linalg.lu_factor(mat)
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        inv = np.full((n, n), np.nan)
+    return mat, inv.T
 
 
 def _solve_direct(triple, grid, y, direct):
-    """All rows through the LU factor of I − δA, one solve with P right-hand sides."""
-    mat, lu = _factor(triple, y.shape[1], grid.delta) if direct is None else direct
-    x = scipy.linalg.lu_solve(lu, y.T, check_finite=False).T
+    """All rows as one product with the transposed inverse of I − δA.
+
+    The residual is ‖(I − δA)x − y‖ per row, read off the matrix without
+    evaluating the drift.
+    """
+    mat, inv_t = _factor(triple, y.shape[1], grid.delta) if direct is None else direct
+    x = y @ inv_t
     residual = _row_norms(x @ mat.T - y)
     solved = np.isfinite(x).all(axis=1)
-    x[~solved] = np.nan
     reasons = [None] * len(y)
-    for p in np.flatnonzero(~solved):
-        reasons[p] = NO_FINITE_SOLUTION
+    if not solved.all():
+        x[~solved] = np.nan
+        for p in np.flatnonzero(~solved):
+            reasons[p] = NO_FINITE_SOLUTION
     return x, SolveReport(np.zeros(len(y), dtype=int), residual, solved, reasons)
 
 

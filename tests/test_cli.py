@@ -257,6 +257,33 @@ def test_simulate_deterministic_under_env_seed(config_file, tmp_path, monkeypatc
     assert out1.read_bytes() != out3.read_bytes()
 
 
+def test_simulate_reports_an_overflowing_v_norm_only_as_its_blow_up(tmp_path):
+    # on the README config at n = 32, m = 128 the V-norm of the knots before
+    # the blow-up overflows while their H-norm does not: stderr carries the
+    # blow-up line and no numpy warning, and the weighted sum reads inf
+    import subprocess
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("\n```", 1)[0]
+    scheme = block.split("[scheme]\n", 1)[1]
+    stiff = scheme.replace("n = 8\nm = 2048", "n = 32\nm = 128", 1)
+    assert stiff != scheme
+    path = tmp_path / "stiff.cfg"
+    path.write_text(block.replace(scheme, stiff) + "\n")
+    out = tmp_path / "traj.json"
+    env = {k: v for k, v in os.environ.items() if k != "SPDE_SEED"}
+    done = subprocess.run(
+        [sys.executable, "-m", "spdesim.cli", "simulate", "--config", str(path),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0
+    assert done.stderr == "blow-up at step 101\n"
+    payload = json.loads(out.read_text())
+    assert payload["blow_up_step"] == 101
+    assert payload["vnorm_weighted"] == float("inf")
+
+
 def test_check_conditions_exit_codes(tmp_path):
     good = tmp_path / "good.cfg"
     good.write_text(BASE_CONFIG + "[run]\ntrials = 300\n")
@@ -491,8 +518,8 @@ def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, evals):
         assert counts["schemes.steps"] == 0
         assert counts["fixtures.evals_per_step"] == 0.0
         # per block, whatever its path count: m - 1 explicit steps of 3
-        # evaluations each, or m implicit solves with the drift taken by LU
-        # and two noise evaluations from knot 2 on
+        # evaluations each, or m implicit solves that take the drift through
+        # the inverse of I − δA and two noise evaluations from knot 2 on
         assert sum(spans[f"fixtures.{e}"] for e in tracing.EVALUATORS) == evals
         # one mark partition per configuration per block
         assert counts["noise.build_partition.calls"] == 3

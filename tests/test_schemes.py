@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from spdesim.noise import AtomMarks, NoiseBundle, PowerLawMarks, TimeGrid, sampl
 from spdesim.rng import TAG_INITIAL, derive_key, make_generator
 from spdesim.schemes import (
     ENERGIES,
+    NO_FINITE_SOLUTION,
     SOLVER_TOL,
     STATES,
     SchemeConfig,
@@ -248,7 +250,7 @@ def test_implicit_residual_contract():
 
 
 def test_direct_solve_does_not_evaluate_the_drift(monkeypatch):
-    # the LU path reads its residual off the factorized matrix
+    # the direct path reads its residual off the matrix I − δA
     from spdesim import schemes
 
     def forbidden(*args, **kwargs):
@@ -261,6 +263,50 @@ def test_direct_solve_does_not_evaluate_the_drift(monkeypatch):
     run = _path(space, triple, cfg, _bundle(19, 16))
     assert run.solver_iterations[:, 0].tolist() == [0] * 16
     assert run.solver_residuals.max() <= 1e-14
+
+
+def test_singular_step_matrix_fails_every_row_without_a_warning():
+    space = build_sine_space(4)
+    grid = TimeGrid(1.0, 16)
+    # δ = 1/16, so I − δ·(I/δ) is exactly zero
+    triple = dataclasses.replace(_quiet_heat(space), linear_A=np.eye(4) / grid.delta)
+    rows = np.random.default_rng(4).uniform(-2.0, 2.0, (3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, report = solve_implicit_step(triple, grid, 1, rows)
+        cfg = SchemeConfig(kind="implicit_projected", n=4, m=16, l=2)
+        run = run_block(space, triple, cfg, _bundles(3), keep=ENERGIES)
+    assert np.isnan(x).all()
+    assert report.converged.tolist() == [False] * 3
+    assert report.reasons == [NO_FINITE_SOLUTION] * 3
+    assert run.failures == [f"step 1: {NO_FINITE_SOLUTION}"] * 3
+    assert run.blow_up_steps == [None] * 3
+    assert np.isnan(run.final).all() and np.isnan(run.kept[1:]).all()
+
+
+def test_direct_solve_of_a_stiff_non_normal_drift():
+    # A = −S + K with S symmetric positive definite (eigenvalues 1 to 3000)
+    # and K skew: dissipative, not diagonal, not symmetric, and δ‖A‖ ≥ 100
+    n = 32
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    skew = rng.standard_normal((n, n))
+    linear_A = -(q * np.geomspace(1.0, 3000.0, n)) @ q.T + 50.0 * (skew - skew.T)
+    space = build_sine_space(n)
+    triple = dataclasses.replace(_quiet_heat(space), linear_A=linear_A)
+    grid = TimeGrid(1.0, 16)
+    assert grid.delta * np.linalg.norm(linear_A, 2) >= 100.0
+    y = rng.uniform(-5.0, 5.0, (64, n))
+    x, report = solve_implicit_step(triple, grid, 1, y)
+    mat = np.eye(n) - grid.delta * linear_A
+    want = np.linalg.solve(mat, y.T).T
+    # row-wise relative error: single small coordinates carry the absolute
+    # rounding of the whole row
+    error = np.linalg.norm(x - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert error.max() <= 1e-12
+    assert report.converged.all()
+    bound = SOLVER_TOL * (1.0 + np.linalg.norm(y, axis=1))
+    assert (report.residual <= bound).all()
 
 
 def test_adaptedness_prefix():

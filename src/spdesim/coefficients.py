@@ -29,11 +29,13 @@ the way numpy's ``Generator`` maps them, so each trial's sample is bit for
 bit the one `BoxSampler.point` or `BoxSampler.pair` draws from
 ``make_generator`` for that key.  Trials are evaluated SCAN_CHUNK at a time
 as one array: times of shape (P,), states of shape (P, n), the norms and
-pairings of `space` row by row, and mark integrals of (P, n, k) values
-through `MarkIntegral.integral_sq`.  Autonomous coefficients are called
-once per chunk; the others row by row at each trial's time.  The condition
-constants are numbers, the same at every time.  Witnesses and verdicts do
-not depend on the chunk size.
+pairings of `space` row by row, and mark integrals through
+`MarkIntegral.integral_sq`.  A triple that declares `jump_profile` has its
+jump integrals in closed form from the (P, n) profile values; only an
+undeclared F is evaluated as (P, n, k) values at the quadrature marks.
+Autonomous coefficients are called once per chunk; the others row by row at
+each trial's time.  The condition constants are numbers, the same at every
+time.  Witnesses and verdicts do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ from .space import norms, pairing
 DEFAULT_TOLERANCE = 1e-8
 # Half-width of the coordinate box the statistical checks sample states from.
 SAMPLE_BOX = 5.0
-# Trials a sampled check draws and evaluates as one array; with at most a
-# few hundred mark nodes this bounds the (P, n, k) jump values near 1 MB.
+# Trials a sampled check draws and evaluates as one array; for an F without
+# a declared profile, with at most a few hundred mark nodes, this bounds its
+# (P, n, k) values at the quadrature marks near 1 MB.
 SCAN_CHUNK = 256
 
 
@@ -105,8 +108,9 @@ class CoefficientTriple:
     `linear_A`, when set, is the matrix of an autonomous linear drift and
     unlocks direct implicit solves.  `jump_profile`, when set, declares the
     factorization F(t, x, ξ) = weight(ξ) · jump_profile(t, x) against the
-    owning mark space's weight, which the averaged operators exploit with
-    closed-form cell masses.
+    owning mark space's weight.  The schemes then take their jump cell
+    means from closed-form cell masses, and the condition checks integrate
+    ∫‖F‖² ν in closed form, without evaluating F at any mark.
     """
 
     dim: int
@@ -197,13 +201,16 @@ class BoxSampler:
 
 
 class MarkIntegral:
-    """Quadrature for ∫ ‖G(ξ)‖² ν(dξ) over the full mark space.
+    """∫ ‖G(ξ)‖² ν(dξ) over the full mark space.
 
-    Integrates over the level-l exhaustion set cell by cell, 4 points per
-    cell, and adds the analytic tail mass, extrapolated through the
-    family's mark weight: the tail term is exact whenever G(ξ) = weight(ξ)·v,
-    which covers the shipped coefficient families; otherwise it is the
-    declared truncation estimate.
+    A factorized G(ξ) = weight(ξ)·p, with weight the mark space's, is
+    integrated in closed form: ‖p‖² times the constant `weight_sq`, the
+    integral of weight² over the marks.  Any other G goes through the
+    quadrature: the level-l exhaustion set cell by cell, 4 points per cell,
+    plus the analytic tail mass, extrapolated through the family's mark
+    weight.  That tail term is exact whenever G is factorized, which covers
+    the shipped coefficient families; otherwise it is the declared
+    truncation estimate.  `weight_sq` uses the same nodes and tail.
     """
 
     def __init__(self, marks, level=2):
@@ -217,13 +224,21 @@ class MarkIntegral:
         self.ref_mark = float(partition.hi[-1])
         ref_w = float(np.asarray(marks.weight(self.ref_mark)))
         self.ref_scale = self.tail_sq / ref_w**2 if self.tail_sq > 0 else 0.0
+        node_w = np.asarray(marks.weight(self.nodes), dtype=float)
+        self.weight_sq = float(self.weights @ node_w**2) + self.tail_sq
 
-    def integral_sq(self, g):
+    def integral_sq(self, g=None, profile=None):
         """∫ ‖g(ξ)‖² ν(dξ); g maps a vector of k marks to a (..., dim, k) array.
 
-        Leading axes are a batch with one integral each, returned as an
-        array of that shape; a single (dim, k) value gives a Python float.
+        For a factorized integrand weight(ξ)·p pass the (..., dim) values of
+        p as `profile` instead of g: the integral is then `weight_sq`·‖p‖²,
+        with no mark evaluated.  Leading axes are a batch with one integral
+        each, returned as an array of that shape; a single value gives a
+        Python float.
         """
+        if profile is not None:
+            total = self.weight_sq * np.sum(np.asarray(profile, dtype=float) ** 2, -1)
+            return float(total) if total.ndim == 0 else total
         vals = np.atleast_2d(np.asarray(g(self.nodes), dtype=float))
         total = np.einsum("...ik,k->...", vals**2, self.weights)
         if self.ref_scale:
@@ -304,6 +319,26 @@ def _sq_sum(b):
     return np.sum(b**2, axis=(-2, -1))
 
 
+def _jump_at(triple, on, x):
+    """F of `triple` at a chunk of states, as `_jump_sq` takes it.
+
+    These are the (P, n) values of a declared jump profile, else a map
+    from a vector of marks to F's (P, n, k) values.
+    """
+    if triple.jump_profile is not None:
+        return on(triple.jump_profile, x)
+    return lambda xi: on(triple.eval_F, x, xi)
+
+
+def _jump_sq(mark_quadrature, fx, fy=None):
+    """∫‖F(x, ξ)‖² ν(dξ), or ∫‖F(x, ξ) − F(y, ξ)‖² ν(dξ) given fy, per row;
+    `fx` and `fy` come from `_jump_at`."""
+    if callable(fx):
+        g = fx if fy is None else (lambda xi: fx(xi) - fy(xi))
+        return mark_quadrature.integral_sq(g)
+    return mark_quadrature.integral_sq(profile=fx if fy is None else fx - fy)
+
+
 def check_monotonicity(triple, space, sampler, trials, mark_quadrature, seed=0):
     """Worst sampled value of the one-sided dissipativity inequality.
 
@@ -316,8 +351,8 @@ def check_monotonicity(triple, space, sampler, trials, mark_quadrature, seed=0):
         on = _on_chunk(triple, t)
         drift = 2.0 * pairing(x - y, on(triple.eval_A, x) - on(triple.eval_A, y))
         noise = _sq_sum(on(triple.eval_B, x) - on(triple.eval_B, y))
-        jump = mark_quadrature.integral_sq(
-            lambda xi: on(triple.eval_F, x, xi) - on(triple.eval_F, y, xi)
+        jump = _jump_sq(
+            mark_quadrature, _jump_at(triple, on, x), _jump_at(triple, on, y)
         )
         return drift + noise + jump
 
@@ -336,7 +371,7 @@ def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
         _, v, _ = norms(space, x)
         lhs = 2.0 * pairing(x, on(triple.eval_A, x))
         lhs += _sq_sum(on(triple.eval_B, x))
-        lhs += mark_quadrature.integral_sq(lambda xi: on(triple.eval_F, x, xi))
+        lhs += _jump_sq(mark_quadrature, _jump_at(triple, on, x))
         lhs += c.lam * v**c.p
         return lhs - c.k1 - c.k1bar * pairing(x, x)
 
@@ -404,16 +439,15 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
         _, vy, _ = norms(space, y)
         bx = on(triple.eval_B, x)
         by = on(triple.eval_B, y)
-        diff_lhs = _sq_sum(bx - by) + mark_quadrature.integral_sq(
-            lambda xi: on(triple.eval_F, x, xi) - on(triple.eval_F, y, xi)
+        fx = _jump_at(triple, on, x)
+        diff_lhs = _sq_sum(bx - by) + _jump_sq(
+            mark_quadrature, fx, _jump_at(triple, on, y)
         )
         diff_rhs = (
             (3.0 * c.alpha + 2.0 / c.p) * c.lam * (vx**c.p + vy**c.p)
             + (4.0 / c.q) * c.k2
         )
-        abs_lhs = _sq_sum(bx) + mark_quadrature.integral_sq(
-            lambda xi: on(triple.eval_F, x, xi)
-        )
+        abs_lhs = _sq_sum(bx) + _jump_sq(mark_quadrature, fx)
         abs_rhs = 2.0 * c.alpha * c.lam * vx**c.p + c.k1bar * pairing(x, x) + c.k3
         return np.maximum(diff_lhs - diff_rhs, abs_lhs - abs_rhs)
 

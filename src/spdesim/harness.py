@@ -402,9 +402,11 @@ class SuiteConfig:
 def run_condition_suite(triple, space, marks, config=SuiteConfig()):
     """All structural checks on one triple; returns the five reports.
 
-    States are sampled from the box of half-width SAMPLE_BOX, mark integrals
-    use the level-2 partition with 4 points per cell, and a check passes
-    when its worst violation is at most DEFAULT_TOLERANCE.
+    States are sampled from the box of half-width SAMPLE_BOX.  Mark
+    integrals of a triple that declares `jump_profile` are taken in closed
+    form; those of any other F use the level-2 partition with 4 points per
+    cell.  A check passes when its worst violation is at most
+    DEFAULT_TOLERANCE.
     """
     sampler = BoxSampler(dim=space.dim, horizon=triple.constants.horizon)
     quadrature = MarkIntegral(marks)

@@ -23,6 +23,7 @@ from spdesim.fixtures import (
     additive_multimode,
     heat_jump,
     semilinear,
+    zero_triple,
 )
 from spdesim.harness import SuiteConfig, run_condition_suite
 from spdesim.noise import AtomMarks, PowerLawMarks
@@ -75,6 +76,66 @@ def test_batched_mark_integral_rows_equal_single_calls(shape, atoms, seed):
         single = mq.integral_sq(lambda xi: triple.eval_F(0.3, x[idx], xi))
         assert type(single) is float
         assert batched[idx] == pytest.approx(single, rel=1e-13)
+
+
+ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(3.0, 2.0, 1.0))
+FACTORIZED = {
+    "heat_jump": heat_jump,
+    "additive_multimode": additive_multimode,
+    "semilinear": semilinear,
+    "zero_triple": zero_triple,
+    "transformed": lambda space, marks: exponential_transform(
+        heat_jump(space, marks, reaction=5.0), 0.7
+    ),
+}
+
+
+@pytest.mark.parametrize("marks", [MARKS, ATOMS], ids=["power-law", "atoms"])
+@pytest.mark.parametrize("name", sorted(FACTORIZED))
+def test_declared_profile_is_the_jump_coefficient(name, marks):
+    """F(t, x, ξ) = weight(ξ) · jump_profile(t, x), the factorization that
+    the schemes and the condition checks rely on."""
+    triple = FACTORIZED[name](SPACE, marks)
+    rng = np.random.default_rng(5)
+    mq = MarkIntegral(marks)
+    xi = np.concatenate([mq.nodes, [mq.ref_mark]])
+    weight = np.asarray(marks.weight(xi), dtype=float)
+    for t in (0.0, 0.37, 1.0):
+        for shape in ((8,), (5, 8), (2, 3, 8)):
+            x = rng.uniform(-5.0, 5.0, shape)
+            want = weight * np.asarray(triple.jump_profile(t, x))[..., None]
+            got = np.asarray(triple.eval_F(t, x, xi))
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("marks", [MARKS, ATOMS], ids=["power-law", "atoms"])
+def test_factorized_mark_integral_matches_the_quadrature(marks):
+    mq = MarkIntegral(marks)
+    p = np.random.default_rng(6).uniform(-3.0, 3.0, (4, 8))
+    quadrature = mq.integral_sq(lambda xi: np.multiply.outer(p, marks.weight(xi)))
+    closed = mq.integral_sq(profile=p)
+    assert closed.shape == (4,)
+    np.testing.assert_allclose(closed, quadrature, rtol=1e-14, atol=0.0)
+    single = mq.integral_sq(profile=p[1])
+    assert type(single) is float and single == closed[1]
+
+
+@pytest.mark.parametrize("marks", [MARKS, ATOMS], ids=["power-law", "atoms"])
+@pytest.mark.parametrize("name", sorted(FACTORIZED))
+def test_closed_form_jump_integrals_match_the_quadrature(name, marks):
+    """A declared profile gives the reports the general quadrature gives."""
+    triple = FACTORIZED[name](SPACE, marks)
+    general = dataclasses.replace(triple, jump_profile=None)
+    config = SuiteConfig(trials=2000, seed=17)
+    closed = run_condition_suite(triple, SPACE, marks, config)
+    quadrature = run_condition_suite(general, SPACE, marks, config)
+    for got, want in zip(closed, quadrature):
+        assert (got.condition_id, got.trials, got.passed) == (
+            want.condition_id, want.trials, want.passed
+        )
+        assert got.witness == want.witness
+        move = abs(got.worst_violation - want.worst_violation)
+        assert move <= 1e-12 * abs(want.worst_violation)
 
 
 def _suite_triples():

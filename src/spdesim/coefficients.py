@@ -323,11 +323,21 @@ def _jump_at(triple, on, x):
     """F of `triple` at a chunk of states, as `_jump_sq` takes it.
 
     These are the (P, n) values of a declared jump profile, else a map
-    from a vector of marks to F's (P, n, k) values.
+    from a vector of marks to F's (P, n, k) values that evaluates F once
+    per distinct vector, so that a check integrating F(x, ·) twice (PropBF)
+    evaluates it once.
     """
     if triple.jump_profile is not None:
         return on(triple.jump_profile, x)
-    return lambda xi: on(triple.eval_F, x, xi)
+    values = {}
+
+    def at(xi):
+        key = xi.tobytes()
+        if key not in values:
+            values[key] = on(triple.eval_F, x, xi)
+        return values[key]
+
+    return at
 
 
 def _jump_sq(mark_quadrature, fx, fy=None):

@@ -19,11 +19,11 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .rng import TAG_JUMP, TAG_WIENER, derive_key, make_generator, normals_from_keys
+from .rng import TAG_JUMP, TAG_WIENER, derive_key, normals_from_keys, rekeyed_generator
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,9 @@ class NoiseBundle:
     """One realized driving path at the finest resolution.
 
     wiener[k−1, i−1] holds the increment of Wiener mode k over the i-th
-    finest step; jumps are sorted by time with marks inside E^l_level.
+    finest step; jumps are sorted by time with marks inside E^l_level.  The
+    constructor checks the shape of `wiener`; `sample_bundle` sorts the
+    jumps itself, and `bundle_from_json` checks their order.
     """
 
     T: float
@@ -313,8 +315,12 @@ class NoiseBundle:
     def __post_init__(self):
         if self.wiener.shape != (self.l_modes, self.m):
             raise ValueError("wiener increment matrix has wrong shape")
-        if self.jump_times.size and not (np.diff(self.jump_times) >= 0).all():
-            raise ValueError("jump times must be sorted")
+
+
+@lru_cache(maxsize=32)
+def _total_mass(marks, level):
+    """ν(E^level), cached: every path of a study samples on the same marks."""
+    return marks.total_mass(level)
 
 
 def sample_bundle(master_seed, grid, l_modes, marks, l_level):
@@ -327,7 +333,7 @@ def sample_bundle(master_seed, grid, l_modes, marks, l_level):
     """
     if l_modes < 0 or l_level < 1:
         raise ValueError("need l_modes >= 0 and l_level >= 1")
-    nu_total = marks.total_mass(l_level)
+    nu_total = _total_mass(marks, l_level)
     if not np.isfinite(nu_total) or nu_total <= 0:
         raise ValueError(f"invalid mark-space mass {nu_total} at level {l_level}")
     if l_modes > 0:
@@ -337,7 +343,7 @@ def sample_bundle(master_seed, grid, l_modes, marks, l_level):
         wiener = normals_from_keys(keys) * np.sqrt(grid.delta)
     else:
         wiener = np.zeros((0, grid.m))
-    gen = make_generator(derive_key(master_seed, TAG_JUMP))
+    gen = rekeyed_generator(derive_key(master_seed, TAG_JUMP))
     count = int(gen.poisson(grid.T * nu_total))
     times = grid.T * (1.0 - gen.random(count))
     xi = marks.sample(gen.random(count), l_level)
@@ -477,6 +483,8 @@ def bundle_from_json(text):
     # the range checks below also reject non-finite times and marks
     if not ((jump_times > 0) & (jump_times <= T)).all():
         raise ValueError(f"bundle field jump_times: times outside (0, T = {T}]")
+    if (np.diff(jump_times) < 0).any():
+        raise ValueError("bundle field jump_times: times not sorted")
     level = payload["l_level"]
     if not (build_partition(marks, level).locate(jump_marks) >= 0).all():
         raise ValueError(f"bundle field jump_marks: marks outside E^{level}")

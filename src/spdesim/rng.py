@@ -18,12 +18,19 @@ bounded integers the way numpy's ``Generator`` does.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from scipy.special import ndtri
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# SplitMix64 constants, as Python ints for one key and as uint64 for arrays.
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_GAMMA = np.uint64(_GAMMA_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al.).
 _PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
 _PHILOX_M1 = np.uint64(0xCA5A826395121157)
@@ -52,13 +59,29 @@ def splitmix64(x):
     return x
 
 
+def _splitmix64_int(x):
+    """`splitmix64` of one Python int in [0, 2^64), in Python arithmetic."""
+    x = (x + _GAMMA_INT) & _MASK
+    x = ((x ^ (x >> 30)) * _MIX1_INT) & _MASK
+    x = ((x ^ (x >> 27)) * _MIX2_INT) & _MASK
+    return x ^ (x >> 31)
+
+
 def derive_key(master_seed, *parts):
     """Mix a master seed with integer parts into a child key.
 
     Parts may be scalars or broadcastable integer arrays; the result
-    broadcasts accordingly.  Scalars return a plain int.
+    broadcasts accordingly.  Scalars return a plain int; when every part
+    is a Python int in [0, 2^64) the key is computed in Python arithmetic,
+    with the same bits as the uint64 array arithmetic.
     """
-    acc = splitmix64(np.uint64(int(master_seed) & 0xFFFFFFFFFFFFFFFF))
+    seed = int(master_seed) & _MASK
+    if all(type(part) is int and 0 <= part <= _MASK for part in parts):
+        acc = _splitmix64_int(seed)
+        for part in parts:
+            acc = _splitmix64_int(acc ^ ((part * _GAMMA_INT) & _MASK))
+        return acc
+    acc = splitmix64(np.uint64(seed))
     for part in parts:
         p = np.asarray(part, dtype=np.uint64)
         with np.errstate(over="ignore"):
@@ -82,6 +105,28 @@ def normals_from_keys(keys):
 def make_generator(key):
     """Counter-based numpy Generator for a derived key (Poisson, uniforms)."""
     return np.random.Generator(np.random.Philox(key=int(key)))
+
+
+# One Philox Generator per thread for `rekeyed_generator`, with the state
+# dict of a fresh stream whose key is overwritten per call.
+_REKEYED = threading.local()
+
+
+def rekeyed_generator(key):
+    """A Generator at the start of the stream of `key`, drawing bit for bit
+    what ``make_generator(key)`` draws.
+
+    Building a Philox draws operating-system entropy that a given key then
+    discards; this re-keys one Generator per thread instead.  It is valid
+    until the next call in the same thread, so a caller must not let it
+    escape.
+    """
+    if not hasattr(_REKEYED, "generator"):
+        _REKEYED.generator = make_generator(0)
+        _REKEYED.state = _REKEYED.generator.bit_generator.state
+    _REKEYED.state["state"]["key"][0] = int(key)
+    _REKEYED.generator.bit_generator.state = _REKEYED.state
+    return _REKEYED.generator
 
 
 def _mulhilo(m, x):

@@ -199,8 +199,11 @@ class BlockRun:
     which it was lost.  Per path, `blow_up_steps` gives the first knot
     whose squared H-norm is not finite and `failures` the implicit solver
     failure as "step i: reason", None where there is none.
-    `solver_iterations` and `solver_residuals` are (m, P) for the implicit
-    kinds and empty for the explicit one.
+    `solver_iterations` is (m, P) for the implicit kinds and empty for the
+    explicit one.  `solver_residuals` is (m, P) for the implicit kinds when
+    the states are kept, the only case a caller (`simulate`) reads it, and
+    empty, (0, P), otherwise: a block that keeps no states computes no
+    residual.
     """
 
     final: np.ndarray
@@ -217,12 +220,16 @@ def run_block(space, triple, config, bundles, keep=None):
     Returns a `BlockRun` that keeps at every knot what `keep` names: None
     for nothing (a ladder reads only the final states), ENERGIES for the
     squared H-norms (`monte_carlo`) or STATES for the states (`simulate`).
-    What is kept changes no bit of the run.
+    What is kept changes no bit of the run; only a block that keeps the
+    states records the implicit solver's residuals, and the others leave
+    `solver_residuals` empty.
 
     Row p of the state steps path p.  Step i adds to the previous value,
     in this order, δ times the lagged drift mean (explicit only), the
     Wiener term and the compensated jump term; the implicit schemes then
-    solve the step equation with the result as right-hand side.  The
+    solve the step equation with the result as right-hand side.  With one
+    Wiener mode the Wiener term is the broadcast product of the noise
+    column with the increment, else a batched matrix product.  The
     explicit scheme starts at knot 1, the implicit ones at knot 0, and the
     noise terms vanish before knot 2.  Grid, partition, jump events and,
     for an affine autonomous implicit drift, the inverse of I − δA are
@@ -268,15 +275,15 @@ def run_block(space, triple, config, bundles, keep=None):
     failures = [None] * paths
     solver_steps = 0 if explicit else m
     iterations = np.zeros((solver_steps, paths), dtype=int)
-    residuals = np.full((solver_steps, paths), np.nan)
+    residuals = np.full((solver_steps if keep == STATES else 0, paths), np.nan)
     live = np.ones(paths, dtype=bool)
 
     def settle(i, state):
         """Blow up the live rows of knot i whose squared H-norm is not
         finite, and keep what was asked for."""
         energy = np.einsum("pj,pj->p", state, state)
-        lost = live & ~np.isfinite(energy)
-        if lost.any():
+        if not np.isfinite(energy).all():
+            lost = live & ~np.isfinite(energy)
             state[lost] = energy[lost] = np.nan
             blow_up[lost] = i
             live[lost] = False
@@ -304,7 +311,10 @@ def run_block(space, triple, config, bundles, keep=None):
                     new = x + delta * drift
                 if modes:
                     bmat = time_mean(triple.eval_B, x, t0, t1, autonomous)
-                    new = new + np.matmul(bmat[..., :modes], dw[..., None])[..., 0]
+                    if modes == 1:
+                        new = new + bmat[..., 0] * dw
+                    else:
+                        new = new + np.matmul(bmat[..., :modes], dw[..., None])[..., 0]
                 if factorized:
                     profile = time_mean(triple.jump_profile, x, t0, t1, autonomous)
                     new = new + jump[:, None] * profile
@@ -312,13 +322,21 @@ def run_block(space, triple, config, bundles, keep=None):
                     cols = tilde_F(triple, grid, partition, i, x, rule)
                     new = new + np.matmul(cols, jump[..., None])[..., 0]
             if not explicit:
-                new, report = solve_implicit_step(triple, grid, i, new, _direct=direct)
-                iterations[i - 1] = report.iterations
-                residuals[i - 1] = report.residual
-                failed = live & ~report.converged
-                if failed.any():
+                if direct is not None:
+                    new, residual, solved = _solve_direct(new, *direct, keep == STATES)
+                    reasons = None
+                else:
+                    new, report = _solve_iterative(triple, grid, i, new)
+                    iterations[i - 1] = report.iterations
+                    residual, solved = report.residual, report.converged
+                    reasons = report.reasons
+                if keep == STATES:
+                    residuals[i - 1] = residual
+                if solved is not None:
+                    failed = live & ~solved
                     for p in np.flatnonzero(failed):
-                        failures[p] = f"step {i}: {report.reasons[p]}"
+                        reason = NO_FINITE_SOLUTION if reasons is None else reasons[p]
+                        failures[p] = f"step {i}: {reason}"
                     live &= ~failed
             settle(i, new)
             x = new
@@ -332,24 +350,30 @@ def run_block(space, triple, config, bundles, keep=None):
     )
 
 
-def solve_implicit_step(triple, grid, i, y, _direct=None):
+def solve_implicit_step(triple, grid, i, y):
     """Solve x − δ·(Π_n)A^m_i(x) = y for every row of a (P, n) block `y`.
 
     Affine autonomous drifts are solved directly as one product of the block
-    with the inverse of I − δA (`_direct` passes the matrix and its
-    transposed inverse in, built once per block); otherwise a damped residual
-    iteration starts from `y` and a finite-difference Newton step takes
-    over when it stalls, with damping, stall count and convergence kept
-    per row.  Non-convergence signals that the step equation has left the
+    with the inverse of I − δA (`_solve_direct`), with zero iterations and
+    the residual ‖(I − δA)x − y‖ in the report.  (`run_block` calls the
+    direct path itself and computes that residual only in a block that
+    keeps the states.)  Otherwise a damped residual iteration starts from
+    `y` and a finite-difference Newton step takes over when it stalls,
+    with damping, stall count and convergence kept per row.  Non-convergence signals that the step equation has left the
     strongly monotone regime, i.e. the time step is too large.  A row that
     cannot be solved is marked (NaN in x, False in ``report.converged``,
     its cause in ``report.reasons``) and the other rows are solved
     regardless.  Returns x and a `SolveReport`.
     """
     y = np.asarray(y, dtype=float)
-    if triple.linear_A is not None and triple.autonomous:
-        return _solve_direct(triple, grid, y, _direct)
-    return _solve_iterative(triple, grid, i, y)
+    if triple.linear_A is None or not triple.autonomous:
+        return _solve_iterative(triple, grid, i, y)
+    mat, inv_t = _factor(triple, y.shape[1], grid.delta)
+    x, residual, solved = _solve_direct(y, mat, inv_t, True)
+    if solved is None:
+        solved = np.ones(len(y), dtype=bool)
+    reasons = [None if ok else NO_FINITE_SOLUTION for ok in solved]
+    return x, SolveReport(np.zeros(len(y), dtype=int), residual, solved, reasons)
 
 
 NO_FINITE_SOLUTION = (
@@ -372,22 +396,23 @@ def _factor(triple, n, delta):
     return mat, inv.T
 
 
-def _solve_direct(triple, grid, y, direct):
+def _solve_direct(y, mat, inv_t, residual):
     """All rows as one product with the transposed inverse of I − δA.
 
-    The residual is ‖(I − δA)x − y‖ per row, read off the matrix without
-    evaluating the drift.
+    Returns x; the residual ‖(I − δA)x − y‖ per row, read off the matrix
+    without evaluating the drift, or None when `residual` is false (a block
+    that keeps no states asks for none); and the (P,) mask of rows with a
+    finite solution, or None when every row has one.  One finiteness test
+    covers the block; rows are tested one by one only when it fails, and a
+    row without a finite solution is NaN.
     """
-    mat, inv_t = _factor(triple, y.shape[1], grid.delta) if direct is None else direct
     x = y @ inv_t
-    residual = _row_norms(x @ mat.T - y)
+    norms = _row_norms(x @ mat.T - y) if residual else None
+    if np.isfinite(x).all():
+        return x, norms, None
     solved = np.isfinite(x).all(axis=1)
-    reasons = [None] * len(y)
-    if not solved.all():
-        x[~solved] = np.nan
-        for p in np.flatnonzero(~solved):
-            reasons[p] = NO_FINITE_SOLUTION
-    return x, SolveReport(np.zeros(len(y), dtype=int), residual, solved, reasons)
+    x[~solved] = np.nan
+    return x, norms, solved
 
 
 def _solve_iterative(triple, grid, i, y):

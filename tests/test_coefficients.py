@@ -346,6 +346,22 @@ def test_bf_bounds_pass_on_base(base, quadrature):
     assert report.passed
 
 
+def test_bf_bounds_evaluate_an_undeclared_F_once_per_chunk(base, quadrature):
+    # F at x enters both the difference and the absolute bound; one chunk
+    # evaluates F at x and at y once each at the quadrature nodes, then
+    # once each at the reference mark
+    sizes = []
+
+    def recording(t, x, xi):
+        sizes.append(np.size(xi))
+        return base.eval_F(t, x, xi)
+
+    triple = dataclasses.replace(base, jump_profile=None, eval_F=recording)
+    check_bf_bounds(triple, SPACE, SAMPLER, coefficients.SCAN_CHUNK, quadrature)
+    nodes = quadrature.nodes.size
+    assert sizes == [nodes, nodes, 1, 1]
+
+
 def test_bf_bounds_zero_pair(base, quadrature):
     c = base.constants
     zeros = np.zeros(8)

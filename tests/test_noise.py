@@ -20,7 +20,7 @@ from spdesim.noise import (
 )
 from spdesim import coefficients
 from spdesim.coefficients import BoxSampler
-from spdesim.rng import derive_key, make_generator, philox_raw
+from spdesim.rng import derive_key, make_generator, philox_raw, rekeyed_generator
 
 MARKS = PowerLawMarks()
 ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
@@ -180,6 +180,38 @@ def test_derive_key_over_an_index_array_equals_scalar_calls(seed, tag, indices, 
     order = data.draw(st.permutations(range(len(indices))))
     permuted = derive_key(seed, tag, np.array(indices, dtype=np.uint64)[order])
     assert np.array_equal(permuted, keys[order])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(-(2**64), 2**65),
+    parts=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+)
+def test_derive_key_of_python_ints_equals_the_uint64_arithmetic(seed, parts):
+    # Python int parts take the Python-arithmetic path, uint64 scalars the
+    # array path; both give the same key
+    want = derive_key(seed, *(np.uint64(p) for p in parts))
+    got = derive_key(seed, *parts)
+    assert type(got) is int and got == want
+    with pytest.raises(OverflowError):
+        derive_key(seed, *parts, -1)
+    with pytest.raises(OverflowError):
+        derive_key(seed, 2**64, *parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+def test_rekeyed_generator_draws_what_a_fresh_generator_draws(keys):
+    # each stream starts fresh, whatever the previous key's stream left in
+    # the bit generator's buffer and its cached 32-bit half
+    for k in keys:
+        gen = rekeyed_generator(k)
+        got = (gen.poisson(24.0), gen.random(3), gen.integers(0, 9, 3, dtype=np.uint32))
+        fresh = make_generator(k)
+        want = (fresh.poisson(24.0), fresh.random(3), fresh.integers(0, 9, 3, dtype=np.uint32))
+        assert [np.asarray(v).tobytes() for v in got] == [
+            np.asarray(v).tobytes() for v in want
+        ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,6 +491,13 @@ def test_bundle_json_rejects_wrong_wiener_length():
     raw = base64.b64decode(payload["wiener_b64"])
     payload["wiener_b64"] = base64.b64encode(raw[:-8]).decode("ascii")
     with pytest.raises(ValueError, match="wiener_b64"):
+        bundle_from_json(json.dumps(payload))
+
+
+def test_bundle_json_rejects_unsorted_times():
+    payload = _bundle_payload()
+    payload["jump_times"] = payload["jump_times"][::-1]
+    with pytest.raises(ValueError, match="jump_times: times not sorted"):
         bundle_from_json(json.dumps(payload))
 
 

@@ -486,22 +486,60 @@ def _config(kind):
 def test_block_of_one_equals_run_scheme_bitwise(space, triple, marks, kind):
     # a block of one as a ladder (nothing kept) and as `monte_carlo`
     # (energies kept) runs it equals the one-path run of `simulate` (states
-    # kept) bit for bit, and the kept energies are those of the kept states
+    # kept) bit for bit, and the kept energies are those of the kept states;
+    # only the run that keeps the states records solver residuals, the
+    # others hold an empty (0, 1) placeholder
     cfg = _config(kind)
+    steps = 0 if kind == "explicit" else cfg.m
     for bundle in _bundles(2, marks):
         path = _path(space, triple, cfg, bundle)
         states = path.kept[:, 0]
         assert path.final[0].tobytes() == states[-1].tobytes()
+        assert path.solver_residuals.shape == (steps, 1)
         energies = np.einsum("ij,ij->i", states, states)
         for keep in (None, ENERGIES):
             run = run_block(space, triple, cfg, [bundle], keep=keep)
             assert run.final.tobytes() == path.final.tobytes()
             assert run.blow_up_steps == path.blow_up_steps == [None]
             assert run.failures == path.failures == [None]
-            for name in ("solver_iterations", "solver_residuals"):
-                got, want = getattr(run, name), getattr(path, name)
-                assert got.tobytes() == want.tobytes()
+            got, want = run.solver_iterations, path.solver_iterations
+            assert got.tobytes() == want.tobytes()
+            assert run.solver_residuals.shape == (0, 1)
         assert run.kept[:, 0].tobytes() == energies.tobytes()
+        again = _path(space, triple, cfg, bundle)
+        assert again.solver_residuals.tobytes() == path.solver_residuals.tobytes()
+
+
+def test_unread_residuals_are_not_computed(monkeypatch):
+    # the direct path computes ‖(I − δA)x − y‖ only for a block that keeps
+    # the states, the one case whose caller (`simulate`) reads it
+    from spdesim import schemes
+
+    calls = []
+    row_norms = schemes._row_norms
+
+    def counting(x):
+        calls.append(x.shape)
+        return row_norms(x)
+
+    monkeypatch.setattr(schemes, "_row_norms", counting)
+    space = build_sine_space(6)
+    triple = heat_jump(space, MARKS)
+    cfg = _config("implicit_projected")
+    bundles = _bundles(3)
+    for keep in (None, ENERGIES):
+        run = run_block(space, triple, cfg, bundles, keep=keep)
+        assert calls == []
+        assert run.solver_residuals.shape == (0, 3)
+    run = run_block(space, triple, cfg, bundles, keep=STATES)
+    assert len(calls) == cfg.m
+    assert run.solver_residuals.shape == (cfg.m, 3)
+    # step i solved (I − δA)x = y for the knot i state x, so (I − δA)x is
+    # its right-hand side y up to the residual itself
+    grid = TimeGrid(1.0, cfg.m)
+    mat = np.eye(cfg.n) - grid.delta * triple.linear_A[: cfg.n, : cfg.n]
+    y_norm = np.linalg.norm(run.kept[1:] @ mat.T, axis=-1)
+    assert (run.solver_residuals <= SOLVER_TOL * (1.0 + y_norm)).all()
 
 
 @pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])

@@ -105,12 +105,16 @@ class ConditionConstants:
 class CoefficientTriple:
     """The operators (A, B, F) with their condition constants.
 
-    `linear_A`, when set, is the matrix of an autonomous linear drift and
-    unlocks direct implicit solves.  `jump_profile`, when set, declares the
-    factorization F(t, x, ξ) = weight(ξ) · jump_profile(t, x) against the
-    owning mark space's weight.  The schemes then take their jump cell
-    means from closed-form cell masses, and the condition checks integrate
-    ∫‖F‖² ν in closed form, without evaluating F at any mark.
+    `linear_A`, when set, is the matrix of an autonomous linear drift, and
+    it must be the matrix of `eval_A`: ``eval_A(t, x) == x @
+    linear_A[:n, :n].T`` for every n, t and batch x of shape (..., n).  For
+    an autonomous triple the schemes step that drift without evaluating
+    it: explicitly as one product with I + δA, implicitly with the inverse
+    of I − δA.  `jump_profile`, when set, declares the factorization
+    F(t, x, ξ) = weight(ξ) · jump_profile(t, x) against the owning mark
+    space's weight.  The schemes then take their jump cell means from
+    closed-form cell masses, and the condition checks integrate ∫‖F‖² ν in
+    closed form, without evaluating F at any mark.
     """
 
     dim: int

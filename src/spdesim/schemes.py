@@ -11,22 +11,27 @@ at the first knot, and adds δ times the lagged-window drift mean; its
 stability is governed by the product of the step size with the basis
 constant of the space.  The implicit schemes start from the (projected)
 initial condition and solve a monotone step equation in which the drift is
-averaged over the current window.  In every kind the noise coefficients
-are averaged over the lagged window.  "Unprojected" runs are realized at
-the ambient resolution of the experiment: a truly infinite-dimensional
-state is not representable, so the plain and projected implicit kinds are
-one code path and differ only through the projection dimension.
+averaged over the current window.  An affine autonomous drift A is stepped
+as one product with a matrix formed once per block: I + δA in the
+explicit scheme, the inverse of I − δA in the implicit ones.  In every
+kind the noise coefficients are averaged over the lagged window.
+"Unprojected" runs are realized at the ambient resolution of the
+experiment: a truly infinite-dimensional state is not representable, so
+the plain and projected implicit kinds are one code path and differ only
+through the projection dimension.
 
 One rule loses a path in every kind: it blows up at the first knot whose
 squared H-norm is not finite, instead of raising, since instability
 outside the stability region is a legitimate, reportable outcome.  An
 implicit path whose step equation cannot be solved fails at that step
 instead.  A lost path is marked and set to NaN while the other paths of
-its block go on.
+its block go on.  A block that keeps no energies tests each knot with one
+scalar, its total energy, and its rows one by one only when that fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,19 +232,23 @@ def run_block(space, triple, config, bundles, keep=None):
     Row p of the state steps path p.  Step i adds to the previous value,
     in this order, δ times the lagged drift mean (explicit only), the
     Wiener term and the compensated jump term; the implicit schemes then
-    solve the step equation with the result as right-hand side.  With one
-    Wiener mode the Wiener term is the broadcast product of the noise
-    column with the increment, else a batched matrix product.  The
-    explicit scheme starts at knot 1, the implicit ones at knot 0, and the
-    noise terms vanish before knot 2.  Grid, partition, jump events and,
-    for an affine autonomous implicit drift, the inverse of I − δA are
-    built once for the block.
+    solve the step equation with the result as right-hand side.  An affine
+    autonomous explicit drift takes the first term and the previous value
+    together, as one product of the states with I + δA.  With one Wiener
+    mode the Wiener term is the broadcast product of the noise column with
+    the increment, else a batched matrix product.  The explicit scheme
+    starts at knot 1, the implicit ones at knot 0, and the noise terms
+    vanish before knot 2.  Grid, partition, jump events and, for an affine
+    autonomous drift, I + δA or the inverse of I − δA are built once for
+    the block.
 
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
-    not finite blows up there.  A lost row becomes NaN and the other rows
-    go on; the loop stops once none is left.  Every row is evaluated at
-    every step, so no row's arithmetic depends on the values of the
+    not finite blows up there.  Unless the energies are kept, one scalar,
+    the block's total energy, tests a knot, and the rows are tested one by
+    one only when it is not finite.  A lost row becomes NaN and the other
+    rows go on; the loop stops once none is left.  Every row is evaluated
+    at every step, so no row's arithmetic depends on the values of the
     others, and a block's rows may differ from blocks of one in the last
     bits only.
     """
@@ -261,9 +270,12 @@ def run_block(space, triple, config, bundles, keep=None):
     factorized = triple.jump_profile is not None
     if not factorized:
         rule = partition.marks.cell_rule(partition.lo, partition.hi, 4)
-    direct = None
-    if not explicit and triple.linear_A is not None and triple.autonomous:
-        direct = _factor(triple, n, delta)
+    product = direct = None
+    if triple.linear_A is not None and triple.autonomous:
+        if explicit:
+            product = (np.eye(n) + delta * triple.linear_A[:n, :n]).T
+        else:
+            direct = _factor(triple, n, delta)
     first = 1 if explicit else 0
     x = np.array([_resolve_initial(config, space, b.master_seed) for b in bundles])
     kept = None
@@ -280,13 +292,16 @@ def run_block(space, triple, config, bundles, keep=None):
 
     def settle(i, state):
         """Blow up the live rows of knot i whose squared H-norm is not
-        finite, and keep what was asked for."""
-        energy = np.einsum("pj,pj->p", state, state)
-        if not np.isfinite(energy).all():
-            lost = live & ~np.isfinite(energy)
-            state[lost] = energy[lost] = np.nan
-            blow_up[lost] = i
-            live[lost] = False
+        finite, and keep what was asked for.  Unless the energies are kept,
+        a finite block total clears the knot: a sum of non-negative
+        energies is finite only if each of them is."""
+        if keep == ENERGIES or not math.isfinite(np.vdot(state, state)):
+            energy = np.einsum("pj,pj->p", state, state)
+            if not np.isfinite(energy).all():
+                lost = live & ~np.isfinite(energy)
+                state[lost] = energy[lost] = np.nan
+                blow_up[lost] = i
+                live[lost] = False
         if keep == ENERGIES:
             kept[i] = energy
         elif keep == STATES:
@@ -306,7 +321,9 @@ def run_block(space, triple, config, bundles, keep=None):
             new = x
             if i >= 2:
                 t0, t1 = knots[i - 2], knots[i - 1]
-                if explicit:
+                if product is not None:
+                    new = x @ product
+                elif explicit:
                     drift = time_mean(triple.eval_A, x, t0, t1, autonomous)
                     new = x + delta * drift
                 if modes:
@@ -359,11 +376,12 @@ def solve_implicit_step(triple, grid, i, y):
     direct path itself and computes that residual only in a block that
     keeps the states.)  Otherwise a damped residual iteration starts from
     `y` and a finite-difference Newton step takes over when it stalls,
-    with damping, stall count and convergence kept per row.  Non-convergence signals that the step equation has left the
-    strongly monotone regime, i.e. the time step is too large.  A row that
-    cannot be solved is marked (NaN in x, False in ``report.converged``,
-    its cause in ``report.reasons``) and the other rows are solved
-    regardless.  Returns x and a `SolveReport`.
+    with damping, stall count and convergence kept per row.
+    Non-convergence signals that the step equation has left the strongly
+    monotone regime, i.e. the time step is too large.  A row that cannot
+    be solved is marked (NaN in x, False in ``report.converged``, its
+    cause in ``report.reasons``) and the other rows are solved regardless.
+    Returns x and a `SolveReport`.
     """
     y = np.asarray(y, dtype=float)
     if triple.linear_A is None or not triple.autonomous:

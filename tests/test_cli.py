@@ -486,7 +486,7 @@ def test_benchmark_selftest_passes(monkeypatch):
             sys.modules.pop("tracing", None)
 
 
-@pytest.mark.parametrize("kind, evals", [("explicit", 999), ("implicit_projected", 666)])
+@pytest.mark.parametrize("kind, evals", [("explicit", 666), ("implicit_projected", 666)])
 def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, evals):
     """The benchmark tracer hooks parameter and function names of the package."""
     tracing = _benchmark_tracing()
@@ -517,9 +517,10 @@ def test_benchmark_tracer_counts_a_converge_run(tmp_path, kind, evals):
         assert counts["harness.reference_runs_per_path"] == 0.0
         assert counts["schemes.steps"] == 0
         assert counts["fixtures.evals_per_step"] == 0.0
-        # per block, whatever its path count: m - 1 explicit steps of 3
-        # evaluations each, or m implicit solves that take the drift through
-        # the inverse of I − δA and two noise evaluations from knot 2 on
+        # per block, whatever its path count: the noise's two evaluations at
+        # each step from knot 2 on, which both kinds take; the explicit steps
+        # take the drift through I + δA, the implicit solves through the
+        # inverse of I − δA
         assert sum(spans[f"fixtures.{e}"] for e in tracing.EVALUATORS) == evals
         # one mark partition per configuration per block
         assert counts["noise.build_partition.calls"] == 3

@@ -597,6 +597,84 @@ def test_explicit_blowup_leaves_the_other_paths_unchanged():
     assert _path(space, triple, cfg, loud[2]).blow_up_steps == [step]
 
 
+def _declared_affine_triples(space):
+    return {
+        "heat_jump": heat_jump(space, MARKS),
+        "reaction": heat_jump(space, MARKS, reaction=5.0),
+        "additive": additive_multimode(space, MARKS),
+        "zero": zero_triple(space, MARKS),
+    }
+
+
+@pytest.mark.parametrize("name", ["heat_jump", "reaction", "additive", "zero"])
+def test_declared_linear_A_is_the_matrix_of_eval_A(name):
+    # the explicit scheme steps a declared affine drift with linear_A in
+    # place of eval_A, so every shipped fixture that declares one must
+    # evaluate to x @ linear_A[:n, :n].T exactly
+    space = build_sine_space(8)
+    triple = _declared_affine_triples(space)[name]
+    assert triple.autonomous and triple.linear_A.shape == (8, 8)
+    rng = np.random.default_rng(6)
+    for n in (1, 3, 8):
+        x = rng.uniform(-5.0, 5.0, (7, n))
+        want = x @ triple.linear_A[:n, :n].T
+        for t in (0.0, 0.3, 1.0):
+            got = np.asarray(triple.eval_A(t, x), dtype=float)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["heat_jump", "reaction", "additive"])
+def test_explicit_product_matches_the_evaluated_drift(name):
+    # x @ (I + δA).T and x + δ·eval_A(x) differ in the last bits only
+    space = build_sine_space(6)
+    triple = _declared_affine_triples(space)[name]
+    evaluated = dataclasses.replace(triple, linear_A=None)
+    cfg = _config("explicit")
+    bundles = _bundles(5)
+    want = run_block(space, evaluated, cfg, bundles, keep=ENERGIES)
+    got = run_block(space, triple, cfg, bundles, keep=ENERGIES)
+    assert got.blow_up_steps == want.blow_up_steps == [None] * 5
+    scale = np.abs(want.final).max()
+    assert np.abs(got.final - want.final).max() <= 1e-12 * scale
+    energies = want.kept
+    assert np.abs(got.kept - energies).max() <= 1e-12 * energies.max()
+    # the overflow of `test_explicit_blowup_leaves_the_other_paths_unchanged`
+    # is lost at the same knot either way
+    space = build_sine_space(8)
+    triple = _declared_affine_triples(space)[name]
+    evaluated = dataclasses.replace(triple, linear_A=None)
+    cfg = SchemeConfig(kind="explicit", n=8, m=64, l=2, initial=smooth_profile(8))
+    loud = _bundles(5)
+    loud[2] = dataclasses.replace(loud[2], wiener=loud[2].wiener * 1e305)
+    want = run_block(space, evaluated, cfg, loud)
+    got = run_block(space, triple, cfg, loud)
+    assert got.blow_up_steps == want.blow_up_steps
+    assert got.blow_up_steps[2] is not None
+
+
+@pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])
+def test_an_overflowing_block_total_loses_only_rows_that_overflow(kind):
+    # a block that keeps no energies tests each knot with its total energy
+    # first; when that overflows, the rows are tested one by one
+    space = build_sine_space(2)
+    triple = zero_triple(space, MARKS)
+    bundles = _bundles(3)
+    knot = 1 if kind == "explicit" else 0
+    for coord, lost in ((7e153, None), (2e154, knot)):
+        # each row's energy 2·coord² is finite for 7e153, the total of three
+        # rows is not; for 2e154 every row's energy overflows
+        initial = np.array([coord, coord])
+        cfg = SchemeConfig(kind=kind, n=2, m=8, l=1, initial=initial)
+        for keep in (None, ENERGIES, STATES):
+            run = run_block(space, triple, cfg, bundles, keep=keep)
+            assert run.blow_up_steps == [lost] * 3
+            assert run.failures == [None] * 3
+            if lost is None:
+                assert run.final.tobytes() == np.tile(initial, (3, 1)).tobytes()
+            else:
+                assert np.isnan(run.final).all()
+
+
 class QuietOrLoud:
     """Initial data of order one on some paths and of order 1e-13 on the rest."""
 

@@ -53,11 +53,13 @@ from .space import (
     GalerkinSpace,
     build_sine_space,
     c_b,
+    dual_norms,
     norms,
     pairing,
     project,
     restrict,
     smooth_profile,
+    v_norms,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,9 +28,11 @@ its trials as arrays from one pass of raw outputs (`rng.philox_raw`), mapped
 the way numpy's ``Generator`` maps them, so each trial's sample is bit for
 bit the one `BoxSampler.point` or `BoxSampler.pair` draws from
 ``make_generator`` for that key.  Trials are evaluated SCAN_CHUNK at a time
-as one array: times of shape (P,), states of shape (P, n), the norms and
-pairings of `space` row by row, and mark integrals through
-`MarkIntegral.integral_sq`.  A triple that declares `jump_profile` has its
+as one array: times of shape (P,), states of shape (P, n), the pairings
+of `space` row by row, and mark integrals through
+`MarkIntegral.integral_sq`.  A check computes only the norms it reads:
+C2 and PropBF the V-norms of the states (`space.v_norms`), C3 those and
+the dual norms of A(x) (`space.dual_norms`, one Cholesky solve per chunk).  A triple that declares `jump_profile` has its
 jump integrals in closed form from the (P, n) profile values; only an
 undeclared F is evaluated as (P, n, k) values at the quadrature marks.
 Autonomous coefficients are called once per chunk; the others row by row at
@@ -47,7 +49,7 @@ import numpy as np
 
 from .noise import build_partition
 from .rng import TAG_TRIAL, derive_key, make_generator, philox_raw
-from .space import norms, pairing
+from .space import dual_norms, pairing, v_norms
 
 DEFAULT_TOLERANCE = 1e-8
 # Half-width of the coordinate box the statistical checks sample states from.
@@ -382,7 +384,7 @@ def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
 
     def evaluate(t, x):
         on = _on_chunk(triple, t)
-        _, v, _ = norms(space, x)
+        v = v_norms(space, x)
         lhs = 2.0 * pairing(x, on(triple.eval_A, x))
         lhs += _sq_sum(on(triple.eval_B, x))
         lhs += _jump_sq(mark_quadrature, _jump_at(triple, on, x))
@@ -402,8 +404,8 @@ def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
     c = triple.constants
 
     def evaluate(t, x):
-        _, v, _ = norms(space, x)
-        _, _, dual = norms(space, _on_chunk(triple, t)(triple.eval_A, x))
+        v = v_norms(space, x)
+        dual = dual_norms(space, _on_chunk(triple, t)(triple.eval_A, x))
         return dual**c.q - c.alpha * c.lam**c.q * v**c.p - c.k2 * c.lam ** (c.q - 1.0)
 
     return _scan("C3", trials, seed, sampler.points, evaluate)
@@ -449,8 +451,8 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
 
     def evaluate(t, x, y):
         on = _on_chunk(triple, t)
-        _, vx, _ = norms(space, x)
-        _, vy, _ = norms(space, y)
+        vx = v_norms(space, x)
+        vy = v_norms(space, y)
         bx = on(triple.eval_B, x)
         by = on(triple.eval_B, y)
         fx = _jump_at(triple, on, x)

@@ -13,7 +13,9 @@ of key k is ten keyed rounds applied to the counter (b, 0, 0, 0), so the
 stream of every key can be computed at once.  ``philox_raw`` does that in
 numpy for an array of keys and returns, bit for bit, the raw outputs that
 ``make_generator(k)`` would draw from; callers map them to uniforms and
-bounded integers the way numpy's ``Generator`` does.
+bounded integers the way numpy's ``Generator`` does.  The first two rounds
+multiply words that depend on the key alone or on the block alone, so they
+run on (K, 1) and (1, blocks) arrays; only rounds 3-10 run on (K, blocks).
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ _GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(_MIX1_INT)
 _MIX2 = np.uint64(_MIX2_INT)
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al.).
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+# A multiplier is kept with its low and high 32-bit halves for `_mulhilo`.
+_PHILOX_M0 = tuple(map(np.uint64, (0xD2E7470EE14C6C93, 0xE14C6C93, 0xD2E7470E)))
+_PHILOX_M1 = tuple(map(np.uint64, (0xCA5A826395121157, 0x95121157, 0xCA5A8263)))
 _PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
 _PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -130,13 +133,17 @@ def rekeyed_generator(key):
 
 
 def _mulhilo(m, x):
-    """High and low 64-bit halves of m·x for uint64 arrays, via 32-bit halves."""
-    m_lo, m_hi = m & _LO32, m >> _HALF
+    """High and low 64-bit halves of m·x for a uint64 array x, where `m` is
+    a multiplier with its low and high 32-bit halves.
+
+    The high half sums 32-bit partial products with no intermediate
+    overflow (Hacker's Delight, §8-2).
+    """
+    m, m_lo, m_hi = m
     x_lo, x_hi = x & _LO32, x >> _HALF
-    lh = m_lo * x_hi
-    hl = m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _HALF) + (lh & _LO32) + (hl & _LO32)
-    return m_hi * x_hi + (lh >> _HALF) + (hl >> _HALF) + (mid >> _HALF), m * x
+    t = ((m_lo * x_lo) >> _HALF) + m_lo * x_hi
+    u = (t & _LO32) + m_hi * x_lo
+    return m_hi * x_hi + (t >> _HALF) + (u >> _HALF), m * x
 
 
 def philox_raw(keys, count):
@@ -145,17 +152,22 @@ def philox_raw(keys, count):
     Philox4x64-10 with key (k, 0): output 4(b−1) + i is word i of the ten
     rounds applied to the counter (b, 0, 0, 0), the counter starting at 1
     as in numpy.  Row j equals ``np.random.Philox(key=keys[j]).random_raw(count)``.
+    Round 1 leaves (k, 0, hi(M0·b), lo(M0·b)), so round 2 multiplies M0·k,
+    which depends on the key alone, and M1·hi(M0·b), on the block alone:
+    both rounds run on (K, 1) and (1, blocks) arrays, whose words broadcast
+    to (K, blocks) in round 3.
     """
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
     blocks = -(-int(count) // 4)
-    k0, k1 = keys, np.zeros_like(keys)
     counters = np.arange(1, blocks + 1, dtype=np.uint64)
-    c0 = np.broadcast_to(counters, (keys.size, blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
     with np.errstate(over="ignore"):
-        for r in range(10):
-            if r:
-                k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+        hi, lo = _mulhilo(_PHILOX_M0, counters)
+        k0, k1 = keys + _PHILOX_W0, _PHILOX_W1
+        hi0, lo0 = _mulhilo(_PHILOX_M0, keys)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, hi)
+        c0, c1, c2, c3 = hi1 ^ k0, lo1, hi0 ^ (lo ^ k1), lo0
+        for _ in range(8):
+            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
             hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
             hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0

@@ -245,12 +245,12 @@ def run_block(space, triple, config, bundles, keep=None):
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
     not finite blows up there.  Unless the energies are kept, one scalar,
-    the block's total energy, tests a knot, and the rows are tested one by
-    one only when it is not finite.  A lost row becomes NaN and the other
-    rows go on; the loop stops once none is left.  Every row is evaluated
-    at every step, so no row's arithmetic depends on the values of the
-    others, and a block's rows may differ from blocks of one in the last
-    bits only.
+    the total energy of the rows not yet lost, tests a knot, and the rows
+    are tested one by one only when it is not finite.  A lost row becomes
+    NaN and the other rows go on; the loop stops once none is left.  Every
+    row is evaluated at every step, so no row's arithmetic depends on the
+    values of the others, and a block's rows may differ from blocks of one
+    in the last bits only.
     """
     if keep not in (None, ENERGIES, STATES):
         raise ValueError(f"keep must be None, ENERGIES or STATES, not {keep!r}")
@@ -289,19 +289,24 @@ def run_block(space, triple, config, bundles, keep=None):
     iterations = np.zeros((solver_steps, paths), dtype=int)
     residuals = np.full((solver_steps if keep == STATES else 0, paths), np.nan)
     live = np.ones(paths, dtype=bool)
+    # set once a row is lost, so that the total is taken over the live rows
+    partial = False
 
     def settle(i, state):
         """Blow up the live rows of knot i whose squared H-norm is not
         finite, and keep what was asked for.  Unless the energies are kept,
-        a finite block total clears the knot: a sum of non-negative
-        energies is finite only if each of them is."""
-        if keep == ENERGIES or not math.isfinite(np.vdot(state, state)):
+        a finite total over the live rows clears the knot: a sum of
+        non-negative energies is finite only if each of them is."""
+        nonlocal partial
+        rows = state[live] if partial and keep != ENERGIES else state
+        if keep == ENERGIES or not math.isfinite(np.vdot(rows, rows)):
             energy = np.einsum("pj,pj->p", state, state)
             if not np.isfinite(energy).all():
                 lost = live & ~np.isfinite(energy)
                 state[lost] = energy[lost] = np.nan
                 blow_up[lost] = i
                 live[lost] = False
+                partial = True
         if keep == ENERGIES:
             kept[i] = energy
         elif keep == STATES:
@@ -354,6 +359,7 @@ def run_block(space, triple, config, bundles, keep=None):
                     for p in np.flatnonzero(failed):
                         reason = NO_FINITE_SOLUTION if reasons is None else reasons[p]
                         failures[p] = f"step {i}: {reason}"
+                        partial = True
                     live &= ~failed
             settle(i, new)
             x = new

@@ -114,15 +114,7 @@ def _scalar_or_rows(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def norms(space, x):
-    """(H-norm, V-norm, dual norm) of coordinate vectors in the space.
-
-    `x` has shape (..., dim) and each row is one vector; a single vector
-    of shape (dim,) gives Python floats, a batch gives arrays of shape (...).
-    The dual norm is the exact V*-norm of the functional restricted to the
-    subspace, i.e. the Gram-inverse quadratic form, taken for every row with
-    one Cholesky solve.
-    """
+def _checked_rows(space, x):
     x = _as_rows(x)
     if x.shape[-1] != space.dim:
         raise ValueError(
@@ -130,12 +122,38 @@ def norms(space, x):
         )
     if not np.isfinite(x).all():
         raise ValueError("non-finite coordinates")
+    return x
+
+
+def norms(space, x):
+    """(H-norm, V-norm, dual norm) of coordinate vectors in the space.
+
+    `x` has shape (..., dim) and each row is one vector; a single vector
+    of shape (dim,) gives Python floats, a batch gives arrays of shape (...).
+    The V-norm and the dual norm are those of `v_norms` and `dual_norms`.
+    """
+    x = _checked_rows(space, x)
     h = np.sqrt(np.vecdot(x, x))
-    v = np.sqrt(np.vecdot(x, x @ space.v_gram.T))
+    return _scalar_or_rows(h), v_norms(space, x), dual_norms(space, x)
+
+
+def v_norms(space, x):
+    """V-norms of coordinate vectors, shaped and checked as in `norms`."""
+    x = _checked_rows(space, x)
+    return _scalar_or_rows(np.sqrt(np.vecdot(x, x @ space.v_gram.T)))
+
+
+def dual_norms(space, x):
+    """Dual norms of coordinate vectors, shaped and checked as in `norms`.
+
+    The dual norm is the exact V*-norm of the functional restricted to the
+    subspace, i.e. the Gram-inverse quadratic form, taken for every row with
+    one Cholesky solve.
+    """
+    x = _checked_rows(space, x)
     rows = x.reshape(-1, space.dim)
     solved = scipy.linalg.cho_solve(space._v_chol, rows.T, check_finite=False)
-    dual = np.sqrt(np.vecdot(x, solved.T.reshape(x.shape)))
-    return _scalar_or_rows(h), _scalar_or_rows(v), _scalar_or_rows(dual)
+    return _scalar_or_rows(np.sqrt(np.vecdot(x, solved.T.reshape(x.shape))))
 
 
 def pairing(x, phi):

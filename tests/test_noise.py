@@ -18,7 +18,7 @@ from spdesim.noise import (
     compensated_cell_increments,
     sample_bundle,
 )
-from spdesim import coefficients
+from spdesim import coefficients, rng
 from spdesim.coefficients import BoxSampler
 from spdesim.rng import derive_key, make_generator, philox_raw, rekeyed_generator
 
@@ -236,6 +236,17 @@ def test_philox_draws_equal_fresh_generators(keys, dim, count):
             scalar = [np.float64(v).tobytes() for v in draw(make_generator(k), j)]
             assert scalar == [c[j].tobytes() for c in got]
     assert not sampler.points(keys)[1][0].any()  # trial 0 is the origin
+
+
+def test_mulhilo_is_the_exact_128_bit_product():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 2**32, 2**64 - 1]
+    random = np.random.default_rng(5).integers(0, 2**64, 1000, dtype=np.uint64)
+    x = np.concatenate([np.array(edges, dtype=np.uint64), random])
+    for m in (rng._PHILOX_M0, rng._PHILOX_M1):
+        hi, lo = rng._mulhilo(m, x)
+        want = [divmod(int(m[0]) * int(v), 2**64) for v in x]
+        assert hi.tobytes() == np.array([h for h, _ in want], dtype=np.uint64).tobytes()
+        assert lo.tobytes() == np.array([l for _, l in want], dtype=np.uint64).tobytes()
 
 
 def test_rejected_bounded_draw_falls_back_to_the_scalar_pair(monkeypatch):

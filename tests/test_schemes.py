@@ -597,6 +597,37 @@ def test_explicit_blowup_leaves_the_other_paths_unchanged():
     assert _path(space, triple, cfg, loud[2]).blow_up_steps == [step]
 
 
+@pytest.mark.parametrize("keep", [None, STATES])
+def test_a_lost_row_leaves_the_scalar_knot_test_on(keep, monkeypatch):
+    # after a row is lost, the total over the live rows still clears the
+    # later knots, so the energies are taken row by row at the loss only
+    space = build_sine_space(8)
+    triple = heat_jump(space, MARKS)
+    cfg = SchemeConfig(kind="explicit", n=8, m=64, l=2, initial=smooth_profile(8))
+    loud = _bundles(5)
+    loud[2] = dataclasses.replace(loud[2], wiener=loud[2].wiener * 1e305)
+    want = run_block(space, triple, cfg, loud, keep=keep)
+    einsum = np.einsum
+    calls = []
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "pj,pj->p":
+            calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    got = run_block(space, triple, cfg, loud, keep=keep)
+    monkeypatch.undo()
+    assert got.blow_up_steps[2] is not None
+    assert len(calls) == 1
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
 def _declared_affine_triples(space):
     return {
         "heat_jump": heat_jump(space, MARKS),

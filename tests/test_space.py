@@ -8,12 +8,14 @@ from spdesim.space import (
     GalerkinSpace,
     build_sine_space,
     c_b,
+    dual_norms,
     norms,
     pairing,
     project,
     restrict,
     sine_basis_matrix,
     smooth_profile,
+    v_norms,
 )
 
 
@@ -186,6 +188,28 @@ def test_batched_norms_and_pairing_rows_equal_single_calls(n, shape, seed):
     assert rows.shape == shape
     with pytest.raises(ValueError, match="non-finite"):
         norms(space, np.where(np.arange(n) == n - 1, np.nan, x))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_v_and_dual_norms_are_those_of_norms(n, lead):
+    rng = np.random.default_rng(n)
+    root = rng.normal(size=(n, n))
+    gram = root @ root.T + n * np.eye(n)
+    space = GalerkinSpace(dim=n, v_gram=(gram + gram.T) / 2, basis_id="x")
+    x = rng.uniform(-5, 5, lead + (n,))
+    _, v, dual = norms(space, x)
+    for got, want in ((v_norms(space, x), v), (dual_norms(space, x), dual)):
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    bad = np.where(np.arange(n) == n - 1, np.inf, x)
+    for wrong in (bad, x[..., :-1] if n > 1 else np.ones(lead + (2,))):
+        with pytest.raises(ValueError) as want:
+            norms(space, wrong)
+        for split in (v_norms, dual_norms):
+            with pytest.raises(ValueError) as got:
+                split(space, wrong)
+            assert str(got.value) == str(want.value)
 
 
 def test_norm_inequalities_random():

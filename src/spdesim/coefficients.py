@@ -27,14 +27,27 @@ from the Philox stream keyed derive_key(s, TAG_TRIAL, j).  A check draws all
 its trials as arrays from one pass of raw outputs (`rng.philox_raw`), mapped
 the way numpy's ``Generator`` maps them, so each trial's sample is bit for
 bit the one `BoxSampler.point` or `BoxSampler.pair` draws from
-``make_generator`` for that key.  Trials are evaluated SCAN_CHUNK at a time
-as one array: times of shape (P,), states of shape (P, n), the pairings
-of `space` row by row, and mark integrals through
-`MarkIntegral.integral_sq`.  A check computes only the norms it reads:
-C2 and PropBF the V-norms of the states (`space.v_norms`), C3 those and
-the dual norms of A(x) (`space.dual_norms`, one Cholesky solve per chunk).  A triple that declares `jump_profile` has its
-jump integrals in closed form from the (P, n) profile values; only an
-undeclared F is evaluated as (P, n, k) values at the quadrature marks.
+``make_generator`` for that key.
+
+These draws depend on the sampler, the draw kind ("points" or "pairs"),
+the seed and the trial count alone, not on the triple, so they are drawn
+once and shared: checks with the same four inputs, such as one suite
+config run on several triples, reuse the arrays.  Only the last four
+draws are kept, one suite's sampled checks (about 4 MB at 10,000 trials
+and n = 8), and they are read-only: an evaluator that writes into the
+states it is given, which evaluators must not do, raises ValueError
+instead of changing later checks.  A process that runs one suite, as
+``spdesim check-conditions`` does, draws as much as without sharing.
+
+Trials are evaluated SCAN_CHUNK at a time as one array: times of shape
+(P,), states of shape (P, n), the pairings of `space` row by row, and
+mark integrals through `MarkIntegral.integral_sq`.  A check computes only
+the norms it reads: C2 and PropBF the V-norms of the states
+(`space.v_norms`), C3 those and the dual norms of A(x)
+(`space.dual_norms`, one Cholesky solve per chunk).  A triple that
+declares `jump_profile` has its jump integrals in closed form from the
+(P, n) profile values; only an undeclared F is evaluated as (P, n, k)
+values at the quadrature marks.
 Autonomous coefficients are called once per chunk; the others row by row at
 each trial's time.  The condition constants are numbers, the same at every
 time.  Witnesses and verdicts do not depend on the chunk size.
@@ -44,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -271,16 +285,33 @@ class ConditionReport:
         )
 
 
-def _scan(condition_id, trials, seed, draw, evaluate):
+# one entry per sampled check of a suite: the last suite's draws, about 4 MB
+# at 10,000 trials and n = 8
+@lru_cache(maxsize=4)
+def _trial_draws(sampler, kind, seed, trials):
+    """The columns `sampler.points` or `sampler.pairs` (`kind`) draws for
+    trials 0 .. trials−1 of a check with `seed`, set read-only.
+
+    Every trial has its own keyed stream, so the draws depend on these
+    arguments alone: the checks a suite config runs on several triples
+    draw once and share the arrays.
+    """
+    columns = getattr(sampler, kind)(derive_key(seed, TAG_TRIAL, np.arange(trials)))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _scan(condition_id, sampler, kind, trials, seed, evaluate):
     """Worst of `evaluate` over keyed per-trial draws, SCAN_CHUNK trials at once.
 
-    `draw` maps the keys of all trials to their samples as column arrays
-    (times (P,), states (P, n)), and `evaluate` returns the P values of a
-    chunk of them.  The witness is the first trial that reaches the largest
-    value, and a non-finite value raises with the sample of the first such
-    trial.
+    The samples of all trials are the column arrays (times (P,), states
+    (P, n)) that `sampler` draws by `kind` ("points" or "pairs"), and
+    `evaluate` returns the P values of a chunk of them.  The witness is the
+    first trial that reaches the largest value, and a non-finite value
+    raises with the sample of the first such trial.
     """
-    columns = draw(derive_key(seed, TAG_TRIAL, np.arange(trials)))
+    columns = _trial_draws(sampler, kind, seed, trials)
     worst = -math.inf
     witness = {}
     for lo in range(0, trials, SCAN_CHUNK):
@@ -372,7 +403,7 @@ def check_monotonicity(triple, space, sampler, trials, mark_quadrature, seed=0):
         )
         return drift + noise + jump
 
-    return _scan("C1", trials, seed, sampler.pairs, evaluate)
+    return _scan("C1", sampler, "pairs", trials, seed, evaluate)
 
 
 def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
@@ -391,7 +422,7 @@ def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
         lhs += c.lam * v**c.p
         return lhs - c.k1 - c.k1bar * pairing(x, x)
 
-    return _scan("C2", trials, seed, sampler.points, evaluate)
+    return _scan("C2", sampler, "points", trials, seed, evaluate)
 
 
 def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
@@ -408,7 +439,7 @@ def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
         dual = dual_norms(space, _on_chunk(triple, t)(triple.eval_A, x))
         return dual**c.q - c.alpha * c.lam**c.q * v**c.p - c.k2 * c.lam ** (c.q - 1.0)
 
-    return _scan("C3", trials, seed, sampler.points, evaluate)
+    return _scan("C3", sampler, "points", trials, seed, evaluate)
 
 
 def probe_hemicontinuity(triple, x, y, z, t, epsilons=None):
@@ -467,7 +498,7 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
         abs_rhs = 2.0 * c.alpha * c.lam * vx**c.p + c.k1bar * pairing(x, x) + c.k3
         return np.maximum(diff_lhs - diff_rhs, abs_lhs - abs_rhs)
 
-    return _scan("PropBF", trials, seed, sampler.pairs, evaluate)
+    return _scan("PropBF", sampler, "pairs", trials, seed, evaluate)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from spdesim import coefficients
 from spdesim.cli import main
 from spdesim.config import (
     FIXTURES,
@@ -532,14 +533,22 @@ def test_benchmark_tracer_counts_a_condition_suite(tmp_path):
     tracing = _benchmark_tracing()
     path = tmp_path / "trace.cfg"
     path.write_text(BASE_CONFIG + "\n[run]\ntrials = 20\n")
+    # the counts below are those of a cold run: no earlier test's draws
+    coefficients._trial_draws.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:
         code = main(["check-conditions", "--config", str(path)])
+        first = tracer.mark()[0]
+        again = main(["check-conditions", "--config", str(path)])
     finally:
         tracer.uninstall()
-    assert code == 0
-    spans = Counter(tracer.labels[i] for i in tracer.arrays()["name"])
+    assert code == again == 0
+    names = tracer.arrays()["name"]
+    # an identical run checks again but reuses every draw of the first
+    repeat = Counter(tracer.labels[i] for i in names[first:])
+    assert repeat["coefficients.PropBF"] == 1 and repeat["rng.philox_raw"] == 0
+    spans = Counter(tracer.labels[i] for i in names[:first])
     for check in ("C1", "C2", "C3", "C4", "PropBF"):
         assert spans[f"coefficients.{check}"] == 1
     # the 20 trials are one chunk: one integral in C1 and C2, none in C3 and
@@ -548,4 +557,4 @@ def test_benchmark_tracer_counts_a_condition_suite(tmp_path):
     # each sampled check draws its trials from one raw Philox pass; only the
     # probe builds a generator
     assert spans["rng.philox_raw"] == 4
-    assert tracing.exact_counts(tracer, 0)["rng.make_generator.calls"] == 1
+    assert tracing.exact_counts(tracer, 0, hi=first)["rng.make_generator.calls"] == 1

@@ -27,7 +27,7 @@ from spdesim.fixtures import (
 )
 from spdesim.harness import SuiteConfig, run_condition_suite
 from spdesim.noise import AtomMarks, PowerLawMarks
-from spdesim.rng import TAG_TRIAL, derive_key, make_generator
+from spdesim.rng import TAG_TRIAL, derive_key, make_generator, philox_raw
 from spdesim.space import build_sine_space
 
 MARKS = PowerLawMarks()
@@ -171,6 +171,70 @@ def test_reports_do_not_depend_on_the_scan_chunk(trials, name, seed):
         assert got.witness.get("trial") == want.witness.get("trial")
         assert got.witness.get("sample") == want.witness.get("sample")
         assert got.worst_violation == pytest.approx(want.worst_violation, rel=1e-12)
+
+
+def _fingerprint(reports):
+    return [
+        (r.condition_id, r.trials, np.float64(r.worst_violation).tobytes(),
+         r.witness, r.passed)
+        for r in reports
+    ]
+
+
+@pytest.mark.parametrize("trials", [1, 257])
+@pytest.mark.parametrize("name", sorted(_suite_triples()))
+def test_shared_draws_give_the_reports_of_a_cold_run(name, trials):
+    """A suite on triple B after one on triple A reuses A's draws and
+    reports what B reports from a cold cache, bit for bit."""
+    triples = _suite_triples()
+    config = SuiteConfig(trials=trials, seed=31)
+    coefficients._trial_draws.cache_clear()
+    cold = run_condition_suite(triples[name], SPACE, MARKS, config)
+    for other in sorted(set(triples) - {name}):
+        coefficients._trial_draws.cache_clear()
+        run_condition_suite(triples[other], SPACE, MARKS, config)
+        warm = run_condition_suite(triples[name], SPACE, MARKS, config)
+        assert _fingerprint(warm) == _fingerprint(cold)
+
+
+def test_a_repeated_suite_config_draws_no_trials(monkeypatch):
+    passes = []
+
+    def counting(keys, count):
+        passes.append(len(keys))
+        return philox_raw(keys, count)
+
+    monkeypatch.setattr(coefficients, "philox_raw", counting)
+    coefficients._trial_draws.cache_clear()
+    triples = _suite_triples()
+    config = SuiteConfig(trials=300, seed=8)
+    run_condition_suite(triples["base"], SPACE, MARKS, config)
+    assert passes == [300] * 4
+    run_condition_suite(triples["semilinear"], SPACE, MARKS, config)
+    assert passes == [300] * 4
+
+
+class WritingDrift:
+    """The base drift, which also zeroes the states it is given."""
+
+    def __init__(self, drift):
+        self.drift = drift
+
+    def __call__(self, t, x):
+        x[..., 0] = 0.0
+        return self.drift(t, x)
+
+
+def test_shared_draws_are_read_only(base, quadrature):
+    report = check_coercivity(base, SPACE, SAMPLER, 40, quadrature, seed=3)
+    t, x = coefficients._trial_draws(SAMPLER, "points", 3, 40)
+    assert report.witness["sample"][1] == x[report.witness["trial"]].tolist()
+    for column in (t, x):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    writing = dataclasses.replace(base, eval_A=WritingDrift(base.eval_A), linear_A=None)
+    with pytest.raises(ValueError, match="read-only"):
+        check_coercivity(writing, SPACE, SAMPLER, 40, quadrature, seed=3)
 
 
 class PatchyDrift:

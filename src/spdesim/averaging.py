@@ -9,10 +9,12 @@ measure, with the convention 0/0 = 0 on massless cells.
 
 Time means use TIME_POINTS Gauss-Legendre nodes per window, exact for
 autonomous coefficients (evaluated once at the window midpoint) and for
-polynomial time dependence up to degree 2·TIME_POINTS − 1.  Mark-cell
-integrals use the closed-form weight masses whenever the triple declares
-the factorized form F = weight(ξ)·profile(t, x), and per-cell quadrature
-against the density otherwise.
+polynomial time dependence up to degree 2·TIME_POINTS − 1.  A
+time-dependent coefficient is called once per window, on the states
+stacked TIME_POINTS times along a new leading axis with one node time per
+stacked copy.  Mark-cell integrals use the closed-form weight masses
+whenever the triple declares the factorized form F = weight(ξ)·profile(t, x),
+and per-cell quadrature against the density otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ def _unit_rule(points):
 def time_mean(fn, x, t0, t1, autonomous):
     """Average of t ↦ fn(t, x) over [t0, t1]; a single evaluation when autonomous.
 
+    Otherwise fn is called once, on `x` stacked TIME_POINTS times along a
+    new leading axis, with the node times shaped (TIME_POINTS, 1, ...) to
+    broadcast against it, and the node values are summed in node order.
     The state is passed through rather than closed over so that callers
     stepping a trajectory hand in a bound evaluator without building a
     closure per step.
@@ -42,10 +47,12 @@ def time_mean(fn, x, t0, t1, autonomous):
     if autonomous:
         return np.asarray(fn(0.5 * (t0 + t1), x), dtype=float)
     nodes, weights = _unit_rule(TIME_POINTS)
-    ts = t0 + (t1 - t0) * nodes
-    acc = weights[0] * np.asarray(fn(ts[0], x), dtype=float)
-    for w, t in zip(weights[1:], ts[1:]):
-        acc = acc + w * np.asarray(fn(t, x), dtype=float)
+    x = np.asarray(x, dtype=float)
+    ts = (t0 + (t1 - t0) * nodes).reshape((TIME_POINTS,) + (1,) * (x.ndim - 1))
+    vals = np.asarray(fn(ts, np.broadcast_to(x, (TIME_POINTS,) + x.shape)), dtype=float)
+    acc = weights[0] * vals[0]
+    for w, val in zip(weights[1:], vals[1:]):
+        acc = acc + w * val
     return acc
 
 

@@ -16,7 +16,12 @@ trailing axis holding the coordinates, and the value gains the same leading
 axes - A and the jump profile return (..., n), B returns (..., n, modes)
 and F returns (..., n, k) for k marks.  Each row is evaluated as if it were
 passed alone (matrices act as ``x @ M[:n, :n].T``), so a block of paths is
-stepped with one call per coefficient.
+stepped with one call per coefficient.  The time `t` is a scalar, the time
+of every row, or an array that broadcasts to x.shape[:-1], one time per
+row: the condition checks pass (P,) times, one per trial, and a time
+mean passes its quadrature times as (TIME_POINTS, 1, ...) against states
+stacked along a new leading axis.  An evaluator that does not depend on
+time ignores `t`, as the shipped ones do.
 
 The structural conditions (dissipativity, coercivity, growth,
 hemicontinuity, and the derived bounds on the noise coefficients) quantify
@@ -48,9 +53,9 @@ the norms it reads: C2 and PropBF the V-norms of the states
 declares `jump_profile` has its jump integrals in closed form from the
 (P, n) profile values; only an undeclared F is evaluated as (P, n, k)
 values at the quadrature marks.
-Autonomous coefficients are called once per chunk; the others row by row at
-each trial's time.  The condition constants are numbers, the same at every
-time.  Witnesses and verdicts do not depend on the chunk size.
+Each coefficient is called once per chunk with the chunk's (P,) times.  The
+condition constants are numbers, the same at every time.  Witnesses and
+verdicts do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -121,6 +126,8 @@ class ConditionConstants:
 class CoefficientTriple:
     """The operators (A, B, F) with their condition constants.
 
+    `autonomous` declares that every evaluator ignores `t`, so that a time
+    mean is one evaluation at the window midpoint.
     `linear_A`, when set, is the matrix of an autonomous linear drift, and
     it must be the matrix of `eval_A`: ``eval_A(t, x) == x @
     linear_A[:n, :n].T`` for every n, t and batch x of shape (..., n).  For
@@ -337,27 +344,13 @@ def _scan(condition_id, sampler, kind, trials, seed, evaluate):
     )
 
 
-def _on_chunk(triple, t):
-    """Evaluate a coefficient of `triple` on a (P, n) chunk, row p at time t[p].
-
-    An autonomous coefficient does not read the time (`time_mean` relies on
-    the same rule), so it is called once on the whole chunk; otherwise row
-    by row, because evaluators take a scalar time.
-    """
-    if triple.autonomous:
-        return lambda fn, x, *marks: np.asarray(fn(t[0], x, *marks), dtype=float)
-    return lambda fn, x, *marks: np.stack(
-        [np.asarray(fn(s, row, *marks), dtype=float) for s, row in zip(t, x)]
-    )
-
-
 def _sq_sum(b):
     """Squared Hilbert-Schmidt norm of each (n, modes) matrix in a batch."""
     return np.sum(b**2, axis=(-2, -1))
 
 
-def _jump_at(triple, on, x):
-    """F of `triple` at a chunk of states, as `_jump_sq` takes it.
+def _jump_at(triple, t, x):
+    """F of `triple` at a chunk of states and their times, as `_jump_sq` takes it.
 
     These are the (P, n) values of a declared jump profile, else a map
     from a vector of marks to F's (P, n, k) values that evaluates F once
@@ -365,13 +358,13 @@ def _jump_at(triple, on, x):
     evaluates it once.
     """
     if triple.jump_profile is not None:
-        return on(triple.jump_profile, x)
+        return triple.jump_profile(t, x)
     values = {}
 
     def at(xi):
         key = xi.tobytes()
         if key not in values:
-            values[key] = on(triple.eval_F, x, xi)
+            values[key] = triple.eval_F(t, x, xi)
         return values[key]
 
     return at
@@ -395,12 +388,9 @@ def check_monotonicity(triple, space, sampler, trials, mark_quadrature, seed=0):
     """
 
     def evaluate(t, x, y):
-        on = _on_chunk(triple, t)
-        drift = 2.0 * pairing(x - y, on(triple.eval_A, x) - on(triple.eval_A, y))
-        noise = _sq_sum(on(triple.eval_B, x) - on(triple.eval_B, y))
-        jump = _jump_sq(
-            mark_quadrature, _jump_at(triple, on, x), _jump_at(triple, on, y)
-        )
+        drift = 2.0 * pairing(x - y, triple.eval_A(t, x) - triple.eval_A(t, y))
+        noise = _sq_sum(triple.eval_B(t, x) - triple.eval_B(t, y))
+        jump = _jump_sq(mark_quadrature, _jump_at(triple, t, x), _jump_at(triple, t, y))
         return drift + noise + jump
 
     return _scan("C1", sampler, "pairs", trials, seed, evaluate)
@@ -414,11 +404,10 @@ def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
     c = triple.constants
 
     def evaluate(t, x):
-        on = _on_chunk(triple, t)
         v = v_norms(space, x)
-        lhs = 2.0 * pairing(x, on(triple.eval_A, x))
-        lhs += _sq_sum(on(triple.eval_B, x))
-        lhs += _jump_sq(mark_quadrature, _jump_at(triple, on, x))
+        lhs = 2.0 * pairing(x, triple.eval_A(t, x))
+        lhs += _sq_sum(triple.eval_B(t, x))
+        lhs += _jump_sq(mark_quadrature, _jump_at(triple, t, x))
         lhs += c.lam * v**c.p
         return lhs - c.k1 - c.k1bar * pairing(x, x)
 
@@ -436,7 +425,7 @@ def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
 
     def evaluate(t, x):
         v = v_norms(space, x)
-        dual = dual_norms(space, _on_chunk(triple, t)(triple.eval_A, x))
+        dual = dual_norms(space, triple.eval_A(t, x))
         return dual**c.q - c.alpha * c.lam**c.q * v**c.p - c.k2 * c.lam ** (c.q - 1.0)
 
     return _scan("C3", sampler, "points", trials, seed, evaluate)
@@ -481,15 +470,13 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
     c = triple.constants
 
     def evaluate(t, x, y):
-        on = _on_chunk(triple, t)
         vx = v_norms(space, x)
         vy = v_norms(space, y)
-        bx = on(triple.eval_B, x)
-        by = on(triple.eval_B, y)
-        fx = _jump_at(triple, on, x)
-        diff_lhs = _sq_sum(bx - by) + _jump_sq(
-            mark_quadrature, fx, _jump_at(triple, on, y)
-        )
+        bx = triple.eval_B(t, x)
+        by = triple.eval_B(t, y)
+        fx = _jump_at(triple, t, x)
+        fy = _jump_at(triple, t, y)
+        diff_lhs = _sq_sum(bx - by) + _jump_sq(mark_quadrature, fx, fy)
         diff_rhs = (
             (3.0 * c.alpha + 2.0 / c.p) * c.lam * (vx**c.p + vy**c.p)
             + (4.0 / c.q) * c.k2
@@ -504,17 +491,28 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
 @dataclass(frozen=True)
 class _Transformed:
     """γ⁻¹·base(t, γx, *marks) for B, F and the jump profile, with
-    γ_t = exp(−rate·t/2)."""
+    γ_t = exp(−rate·t/2).
+
+    `t` is a time or an array of times that broadcasts to x.shape[:-1];
+    γ gets one trailing axis per axis the state, or the value, has beyond
+    x.shape[:-1], so that row p is scaled by the γ of its own time.
+    """
 
     base: object
     rate: float
 
     def gamma(self, t):
-        return math.exp(-0.5 * self.rate * t)
+        """γ at each time of `t`, with t's shape, one `math.exp` per value:
+        `np.exp` may differ from it in the last bit."""
+        return np.reshape(
+            [math.exp(-0.5 * self.rate * s) for s in np.ravel(t).tolist()], np.shape(t)
+        )
 
     def __call__(self, t, x, *marks):
+        x = np.asarray(x)
         g = self.gamma(t)
-        return np.asarray(self.base(t, g * np.asarray(x), *marks)) / g
+        value = np.asarray(self.base(t, g[..., None] * x, *marks))
+        return value / g.reshape(g.shape + (1,) * (value.ndim - x.ndim + 1))
 
 
 @dataclass(frozen=True)

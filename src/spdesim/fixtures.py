@@ -19,7 +19,8 @@ process pools, and all are dimension polymorphic: called with the first n
 coordinates they return the leading-subspace projection of the operator
 value, consistently with the nested basis.  They take one state of shape
 (n,) or a batch of shape (..., n) and act row by row, so matrices apply as
-``x @ M[:n, :n].T``.
+``x @ M[:n, :n].T``.  They are autonomous and ignore the time, whether it
+is a scalar or an array of times, one per row.
 """
 
 from __future__ import annotations

@@ -26,15 +26,15 @@ def _constants():
 
 
 class RecordingDrift:
-    """Time-scaled linear drift that records every query time."""
+    """Time-scaled linear drift that records the query times of every call."""
 
     def __init__(self, scale=1.0):
         self.scale = scale
         self.queries = []
 
     def __call__(self, t, x):
-        self.queries.append(float(t))
-        return self.scale * t * np.asarray(x, dtype=float)
+        self.queries.append(np.ravel(t))
+        return self.scale * np.asarray(t)[..., None] * np.asarray(x, dtype=float)
 
 
 class TimeScaledNoise:
@@ -42,8 +42,8 @@ class TimeScaledNoise:
         self.queries = []
 
     def __call__(self, t, x):
-        self.queries.append(float(t))
-        return t * np.asarray(x, dtype=float)[:, None]
+        self.queries.append(np.ravel(t))
+        return np.asarray(t)[..., None, None] * np.asarray(x, dtype=float)[..., None]
 
 
 class CellConstantJump:
@@ -67,7 +67,7 @@ def _time_scaled_triple(drift):
         dim=4,
         eval_A=drift,
         eval_B=TimeScaledNoise(),
-        eval_F=lambda t, x, xi: t * np.multiply.outer(
+        eval_F=lambda t, x, xi: np.asarray(t)[..., None, None] * np.multiply.outer(
             np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
         ),
         constants=_constants(),
@@ -91,7 +91,7 @@ def test_tilde_A_zero_at_first_two_knots():
     m = 8
     drift = RecordingDrift()
     values = _run(_time_scaled_triple(drift), "explicit", m, _bundle(m))
-    assert len(drift.queries) == TIME_POINTS * (m - 1)
+    assert np.concatenate(drift.queries).size == TIME_POINTS * (m - 1)
     assert np.array_equal(values[0], np.zeros(4))
     assert np.array_equal(values[1], np.ones(4))
 
@@ -108,7 +108,7 @@ def test_tilde_A_autonomous_shortcut():
     drift = RecordingDrift()
     x = np.array([0.4, 0.2, -0.1, 1.0])
     time_mean(drift, x, 0.5, 0.625, autonomous=True)
-    assert drift.queries == [0.5625]
+    assert [q.tolist() for q in drift.queries] == [[0.5625]]
     eval_A = heat_jump(SPACE, MARKS).eval_A
     want = np.asarray(eval_A(0.0, x))
     assert np.allclose(time_mean(eval_A, x, 0.5, 0.625, True), want, rtol=1e-15)
@@ -125,13 +125,15 @@ def test_tilde_B_autonomous_matches_evaluator():
 
 
 def test_window_discipline_lagged():
-    # explicit step i queries the drift and the noise only on [t_{i-2}, t_{i-1}]
+    # explicit step i queries the drift and the noise only on [t_{i-2}, t_{i-1}],
+    # with one call per window that carries all its quadrature times
     m = 8
     grid = TimeGrid(1.0, m)
     drift = RecordingDrift()
     triple = _time_scaled_triple(drift)
     _run(triple, "explicit", m, _bundle(m))
     for fn in (drift, triple.eval_B):
+        assert [q.shape for q in fn.queries] == [(TIME_POINTS,)] * (m - 1)
         steps = np.reshape(fn.queries, (m - 1, TIME_POINTS))
         for i, queries in enumerate(steps, start=2):
             assert (grid.knots[i - 2] <= queries).all()
@@ -144,7 +146,7 @@ def test_window_discipline_current():
     grid = TimeGrid(1.0, 8)
     impl_A(triple, grid, 5, np.ones(4))
     t0, t1 = grid.knots[4], grid.knots[5]
-    assert all(t0 <= q <= t1 for q in drift.queries)
+    assert all(t0 <= q <= t1 for q in np.concatenate(drift.queries))
 
 
 def test_impl_A_zero_at_origin_and_first_window():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdesim import coefficients
+from spdesim.averaging import TIME_POINTS
 from spdesim.coefficients import (
     BoxSampler,
     ConditionConstants,
@@ -486,6 +487,78 @@ def test_transform_scales_by_closed_form_gamma(base):
     c, b = moved.constants, base.constants
     assert (c.k1, c.k2) == (inflate * b.k1, inflate * b.k2)
     assert (c.lam, c.k1bar) == (b.lam, b.k1bar)
+
+
+def _shipped_evaluators():
+    """Every shipped evaluator class, by name, with the marks it takes."""
+    heat = heat_jump(SPACE, MARKS)
+    additive = additive_multimode(SPACE, MARKS)
+    semi = semilinear(SPACE, MARKS)
+    xi = np.array([0.2, 0.9])
+    return {
+        "LinearDrift": (heat.eval_A, ()),
+        "MatrixNoise": (heat.eval_B, ()),
+        "ConstantNoise": (additive.eval_B, ()),
+        "SineJumpProfile": (heat.jump_profile, ()),
+        "FirstModeProfile": (additive.jump_profile, ()),
+        "ZeroProfile": (semi.jump_profile, ()),
+        "ZeroNoise": (semi.eval_B, ()),
+        "WeightedJump": (heat.eval_F, (xi,)),
+        "SemilinearDrift": (semi.eval_A, ()),
+    }
+
+
+P = 5
+# (times, states) shape pairs where the times broadcast to states.shape[:-1]
+TIME_BATCHES = [
+    ((P,), (P, 8)),
+    ((P,), (TIME_POINTS, P, 8)),
+    ((TIME_POINTS, 1), (TIME_POINTS, P, 8)),
+]
+
+
+@pytest.mark.parametrize("name", sorted(_shipped_evaluators()))
+def test_shipped_evaluators_ignore_a_batch_of_times(name):
+    """An array of times gives the value of its first time, bit for bit."""
+    fn, marks = _shipped_evaluators()[name]
+    assert type(fn).__name__ == name
+    rng = np.random.default_rng(8)
+    for t_shape, x_shape in TIME_BATCHES:
+        t = rng.uniform(0.0, 1.0, t_shape)
+        x = rng.uniform(-5.0, 5.0, x_shape)
+        want = np.asarray(fn(t.flat[0], x, *marks))
+        assert np.array_equal(np.asarray(fn(t, x, *marks)), want)
+
+
+@pytest.mark.parametrize("fixture", [heat_jump, semilinear])
+def test_transformed_evaluators_take_each_row_at_its_time(fixture):
+    """γ is taken per time value: a batch equals the per-row scalar calls."""
+    moved = exponential_transform(fixture(SPACE, MARKS), 0.9)
+    xi = np.array([0.2, 0.9])
+    rng = np.random.default_rng(9)
+    evaluators = [
+        (moved.eval_A, ()),
+        (moved.eval_B, ()),
+        (moved.eval_F, (xi,)),
+        (moved.jump_profile, ()),
+    ]
+    for t_shape, x_shape in TIME_BATCHES:
+        t = rng.uniform(0.0, 1.0, t_shape)
+        x = rng.uniform(-5.0, 5.0, x_shape)
+        times = np.broadcast_to(t, x_shape[:-1])
+        for fn, marks in evaluators:
+            got = np.asarray(fn(t, x, *marks))
+            rows = [
+                np.asarray(fn(float(times[i]), x[i], *marks))
+                for i in np.ndindex(x_shape[:-1])
+            ]
+            want = np.reshape(rows, got.shape)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    t = rng.uniform(0.0, 1.0, (3, 4))
+    gamma = moved.eval_B.gamma(t)
+    assert gamma.shape == t.shape
+    want = [[math.exp(-0.5 * 0.9 * s) for s in row] for row in t.tolist()]
+    assert gamma.tolist() == want
 
 
 def test_transform_restores_monotonicity(quadrature):

@@ -350,10 +350,9 @@ def test_explicit_reads_only_lagged_coefficients():
 
         def __call__(self, t, x):
             x = np.asarray(x, dtype=float)
+            t = np.asarray(t)[..., None]
             base = -0.05 * x * (1.0 + t)
-            if t > t_cut:
-                base = base + self.jump * x
-            return base
+            return np.where(t > t_cut, base + self.jump * x, base)
 
     marks = MARKS
     base = heat_jump(space, marks, theta=0.0, lipschitz=0.0)

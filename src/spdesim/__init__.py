@@ -36,6 +36,7 @@ from .noise import (
     coarsen_wiener,
     compensated_cell_increments,
     sample_bundle,
+    sample_bundles,
 )
 from .schemes import (
     ENERGIES,

@@ -85,12 +85,13 @@ def load_settings(path):
     """The parsed config; unknown sections and keys and bad values are rejected.
 
     A value that does not parse, or an SPDE_SEED that is not an integer,
-    raises a ConfigError naming its `[section] key` or the variable.
+    raises a ConfigError naming its `[section] key` or the variable; a file
+    that is not sectioned key = value lines raises one naming the line.
     """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",)
     )
-    read = parser.read(path)
+    read = _read(parser, path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
@@ -104,6 +105,22 @@ def load_settings(path):
     if env is not None:
         _parse("SPDE_SEED", int, env)
     return parser
+
+
+def _read(parser, path):
+    """``parser.read(path)``, with a malformed file raised as a ConfigError
+    naming the file and the line."""
+    try:
+        return parser.read(path)
+    except configparser.MissingSectionHeaderError as exc:
+        line, problem = exc.lineno, f"{exc.line.strip()!r} comes before any [section]"
+    except configparser.ParsingError as exc:
+        line, problem = exc.errors[0][0], "not a [section] header or key = value"
+    except configparser.DuplicateOptionError as exc:
+        line, problem = exc.lineno, f"[{exc.section}] {exc.option} is given twice"
+    except configparser.DuplicateSectionError as exc:
+        line, problem = exc.lineno, f"section [{exc.section}] is given twice"
+    raise ConfigError(f"{path}, line {line}: {problem}")
 
 
 def _parse(where, parse, raw):

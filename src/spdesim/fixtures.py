@@ -55,7 +55,9 @@ class MatrixNoise:
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
-        return (self.theta * (x @ self.matrix[:n, :n].T))[..., None]
+        out = x @ self.matrix[:n, :n].T
+        out *= self.theta
+        return out[..., None]
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,9 @@ class SineJumpProfile:
     amplitude: float
 
     def __call__(self, t, x):
-        return self.amplitude * np.sin(np.asarray(x, dtype=float))
+        out = np.sin(np.asarray(x, dtype=float))
+        out *= self.amplitude
+        return out
 
 
 @dataclass(frozen=True)

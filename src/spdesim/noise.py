@@ -323,42 +323,67 @@ def _total_mass(marks, level):
     return marks.total_mass(level)
 
 
+# Paths whose Wiener increments are drawn as one array by `sample_bundles`:
+# a whole block at once would hold its keys beside the draws, twice the
+# block's increments, while groups of 8 paths draw as fast.
+DRAW_PATHS = 8
+
+
 def sample_bundle(master_seed, grid, l_modes, marks, l_level):
     """Draw one noise realization, fully determined by master_seed.
 
-    Wiener increments are one N(0, δ) draw per (mode, step), each from its
-    own derived key, so generation order is immaterial.  The jump record is
-    Poisson with mean T·ν(E^level); times are uniform on (0, T], marks
-    follow ν restricted and normalized on E^level.
+    The one-path case of `sample_bundles`.
+    """
+    return sample_bundles([master_seed], grid, l_modes, marks, l_level)[0]
+
+
+def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
+    """Draw one noise realization per master seed, each fully determined by
+    its seed.
+
+    Wiener increments are one N(0, δ) draw per (path, mode, step), each
+    from its own derived key, so generation order is immaterial: they are
+    drawn DRAW_PATHS paths at a time into one (paths, modes, m) array, and
+    bundle p holds row p of it.  The jump record is Poisson with mean
+    T·ν(E^level); times are uniform on (0, T], marks follow ν restricted
+    and normalized on E^level.
     """
     if l_modes < 0 or l_level < 1:
         raise ValueError("need l_modes >= 0 and l_level >= 1")
     nu_total = _total_mass(marks, l_level)
     if not np.isfinite(nu_total) or nu_total <= 0:
         raise ValueError(f"invalid mark-space mass {nu_total} at level {l_level}")
-    if l_modes > 0:
-        mode_idx = np.arange(1, l_modes + 1, dtype=np.uint64)[:, None]
-        step_idx = np.arange(1, grid.m + 1, dtype=np.uint64)[None, :]
-        keys = derive_key(master_seed, TAG_WIENER, mode_idx, step_idx)
-        wiener = normals_from_keys(keys) * np.sqrt(grid.delta)
-    else:
-        wiener = np.zeros((0, grid.m))
-    gen = rekeyed_generator(derive_key(master_seed, TAG_JUMP))
-    count = int(gen.poisson(grid.T * nu_total))
-    times = grid.T * (1.0 - gen.random(count))
-    xi = marks.sample(gen.random(count), l_level)
-    order = np.argsort(times, kind="stable")
-    return NoiseBundle(
-        T=grid.T,
-        m=grid.m,
-        l_modes=l_modes,
-        l_level=l_level,
-        master_seed=int(master_seed),
-        wiener=wiener,
-        jump_times=times[order],
-        jump_marks=xi[order],
-        marks=marks,
-    )
+    seeds = [int(seed) for seed in master_seeds]
+    wiener = np.empty((len(seeds), l_modes, grid.m))
+    mode_idx = np.arange(1, l_modes + 1, dtype=np.uint64)[:, None]
+    step_idx = np.arange(1, grid.m + 1, dtype=np.uint64)[None, :]
+    for lo in range(0, len(seeds), DRAW_PATHS):
+        group = [seed % 2**64 for seed in seeds[lo : lo + DRAW_PATHS]]
+        group = np.array(group, dtype=np.uint64)[:, None, None]
+        keys = derive_key(group, TAG_WIENER, mode_idx, step_idx)
+        wiener[lo : lo + DRAW_PATHS] = normals_from_keys(keys)
+    wiener *= np.sqrt(grid.delta)
+    bundles = []
+    for seed, increments in zip(seeds, wiener):
+        gen = rekeyed_generator(derive_key(seed, TAG_JUMP))
+        count = int(gen.poisson(grid.T * nu_total))
+        times = grid.T * (1.0 - gen.random(count))
+        xi = marks.sample(gen.random(count), l_level)
+        order = np.argsort(times, kind="stable")
+        bundles.append(
+            NoiseBundle(
+                T=grid.T,
+                m=grid.m,
+                l_modes=l_modes,
+                l_level=l_level,
+                master_seed=seed,
+                wiener=increments,
+                jump_times=times[order],
+                jump_marks=xi[order],
+                marks=marks,
+            )
+        )
+    return bundles
 
 
 def coarsen_wiener(bundle, m_coarse, modes, start=0, stop=None):

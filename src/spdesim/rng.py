@@ -73,18 +73,22 @@ def _splitmix64_int(x):
 def derive_key(master_seed, *parts):
     """Mix a master seed with integer parts into a child key.
 
-    Parts may be scalars or broadcastable integer arrays; the result
-    broadcasts accordingly.  Scalars return a plain int; when every part
-    is a Python int in [0, 2^64) the key is computed in Python arithmetic,
-    with the same bits as the uint64 array arithmetic.
+    Parts may be scalars or broadcastable integer arrays, and so may the
+    seed, as a uint64 array; the result broadcasts accordingly.  Scalars
+    return a plain int; when the seed is an int and every part a Python int
+    in [0, 2^64) the key is computed in Python arithmetic, with the same
+    bits as the uint64 array arithmetic.
     """
-    seed = int(master_seed) & _MASK
-    if all(type(part) is int and 0 <= part <= _MASK for part in parts):
-        acc = _splitmix64_int(seed)
-        for part in parts:
-            acc = _splitmix64_int(acc ^ ((part * _GAMMA_INT) & _MASK))
-        return acc
-    acc = splitmix64(np.uint64(seed))
+    if isinstance(master_seed, np.ndarray):
+        acc = splitmix64(master_seed)
+    else:
+        seed = int(master_seed) & _MASK
+        if all(type(part) is int and 0 <= part <= _MASK for part in parts):
+            acc = _splitmix64_int(seed)
+            for part in parts:
+                acc = _splitmix64_int(acc ^ ((part * _GAMMA_INT) & _MASK))
+            return acc
+        acc = splitmix64(np.uint64(seed))
     for part in parts:
         p = np.asarray(part, dtype=np.uint64)
         with np.errstate(over="ignore"):

@@ -25,19 +25,21 @@ squared H-norm is not finite, instead of raising, since instability
 outside the stability region is a legitimate, reportable outcome.  An
 implicit path whose step equation cannot be solved fails at that step
 instead.  A lost path is marked and set to NaN while the other paths of
-its block go on.  A block that keeps no energies tests each knot with one
-scalar, its total energy, and its rows one by one only when that fails.
+its block go on.  Each knot is tested with one scalar, the total energy of
+the paths still going, which also covers the direct solve of an affine
+drift; the paths are told apart one by one only when it is not finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .averaging import cell_weight_means, impl_A, tilde_F, time_mean
-from .noise import TimeGrid, build_partition, coarsen_wiener
+from .noise import TimeGrid, build_partition
 from .rng import TAG_INITIAL, derive_key, make_generator
 from .space import c_b, project, restrict, smooth_profile
 
@@ -127,9 +129,12 @@ def _resolve_initial(config, space, master_seed):
     return project(space, zeta)
 
 
-# Steps of per-path noise built at a time, so that a block holds no
-# (m, paths) array of Wiener increments or jump data.
-NOISE_CHUNK = 512
+# Finest-grid steps of per-path noise built at a time, so that a block
+# holds no (m, paths) array of Wiener increments or jump data and no second
+# copy of its bundles' increments.  A chunk's Wiener increments pass through
+# three arrays of up to (paths, modes, NOISE_CHUNK): the copied fine
+# increments, their sums and the sums laid out step by step.
+NOISE_CHUNK = 256
 
 
 def _jump_events(grid, partition, bundles):
@@ -154,15 +159,20 @@ def _noise_rows(bundles, grid, partition, modes, factorized, start):
     read from the block's `_jump_events`: for a `factorized` F the (paths,)
     sums of the cell weight means of its jumps minus δ·Σ weight mass, else
     the (paths, cells) compensated cell increments, jump counts minus δ·ν.
+    The steps come in chunks of NOISE_CHUNK finest-grid steps, and the
+    Wiener increments of a chunk are coarsened for all paths at once, as
+    `coarsen_wiener` sums them, from a copy of that chunk's fine ones.
     """
     m, paths = grid.m, len(bundles)
+    factor = bundles[0].m // m
+    span = max(1, NOISE_CHUNK // factor)
     steps, rows, cells = _jump_events(grid, partition, bundles)
     ratio, wmass = cell_weight_means(partition)
-    for lo in range(start - 1, m, NOISE_CHUNK):
-        hi = min(lo + NOISE_CHUNK, m)
-        dw = np.empty((hi - lo, paths, modes))
-        for p, bundle in enumerate(bundles):
-            dw[:, p] = coarsen_wiener(bundle, m, modes, lo, hi).T
+    for lo in range(start - 1, m, span):
+        hi = min(lo + span, m)
+        fine = np.stack([b.wiener[:modes, lo * factor : hi * factor] for b in bundles])
+        dw = fine.reshape(paths, modes, hi - lo, factor).sum(axis=3)
+        dw = np.ascontiguousarray(dw.transpose(2, 0, 1))
         edges = np.searchsorted(steps, np.arange(lo + 1, hi + 2))
         if factorized:
             here = slice(edges[0], edges[-1])
@@ -176,7 +186,7 @@ def _noise_rows(bundles, grid, partition, modes, factorized, start):
             yield dw[k], counts - grid.delta * partition.nu
 
 
-def _check_bundles(config, bundles):
+def _check_bundles(config, bundles, modes):
     if not bundles:
         raise ValueError("a block needs at least one bundle")
     first = bundles[0]
@@ -187,6 +197,8 @@ def _check_bundles(config, bundles):
             raise ValueError(f"bundle grid {bundle.m} not divisible by m = {config.m}")
         if config.l > bundle.l_level:
             raise ValueError(f"bundle level {bundle.l_level} < requested l = {config.l}")
+        if modes > bundle.l_modes:
+            raise ValueError(f"bundle has {bundle.l_modes} modes, need {modes}")
 
 
 def _row_norms(x):
@@ -236,46 +248,48 @@ def run_block(space, triple, config, bundles, keep=None):
     autonomous explicit drift takes the first term and the previous value
     together, as one product of the states with I + δA.  With one Wiener
     mode the Wiener term is the broadcast product of the noise column with
-    the increment, else a batched matrix product.  The explicit scheme
-    starts at knot 1, the implicit ones at knot 0, and the noise terms
-    vanish before knot 2.  Grid, partition, jump events and, for an affine
-    autonomous drift, I + δA or the inverse of I − δA are built once for
-    the block.
+    the increment, else a batched matrix product.  An autonomous triple's
+    coefficients are evaluated once per step, at the midpoint of the
+    window.  The explicit scheme starts at knot 1, the implicit ones at
+    knot 0, and the noise terms vanish before knot 2.  Grid, partition,
+    jump events and, for an affine autonomous drift, I + δA or the inverse
+    of I − δA are built once for the block.
 
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
-    not finite blows up there.  Unless the energies are kept, one scalar,
-    the total energy of the rows not yet lost, tests a knot, and the rows
-    are tested one by one only when it is not finite.  A lost row becomes
-    NaN and the other rows go on; the loop stops once none is left.  Every
-    row is evaluated at every step, so no row's arithmetic depends on the
-    values of the others, and a block's rows may differ from blocks of one
-    in the last bits only.
+    not finite blows up there.  One scalar, the total energy of the rows
+    not yet lost, tests a knot; only when it is not finite are the rows
+    classified one by one.  It also covers the direct solve of an affine
+    drift: a row of that solve with a coordinate that is not finite has
+    no finite solution.  A lost row becomes NaN and the other rows go on;
+    the loop stops once none is left.  Every row is evaluated at every
+    step, so no row's arithmetic depends on the values of the others, and
+    a block's rows may differ from blocks of one in the last bits only.
     """
     if keep not in (None, ENERGIES, STATES):
         raise ValueError(f"keep must be None, ENERGIES or STATES, not {keep!r}")
-    _check_bundles(config, bundles)
     explicit = config.kind == EXPLICIT
     if explicit and triple.constants.p != 2.0:
         raise ValueError("the explicit scheme requires p = 2")
     if explicit and triple.constants.lam > 1.0 + 1e-12:
         raise ValueError("the explicit scheme requires the coercivity weight <= 1")
     n, m, l = config.n, config.m, config.l
+    modes = min(l, triple.wiener_modes)
+    _check_bundles(config, bundles, modes)
     paths = len(bundles)
     space = restrict(space, n)
     grid = TimeGrid(bundles[0].T, m)
     delta = grid.delta
-    modes = min(l, triple.wiener_modes)
     partition = build_partition(bundles[0].marks, l)
     factorized = triple.jump_profile is not None
     if not factorized:
         rule = partition.marks.cell_rule(partition.lo, partition.hi, 4)
-    product = direct = None
+    product = inv_t = None
     if triple.linear_A is not None and triple.autonomous:
         if explicit:
             product = (np.eye(n) + delta * triple.linear_A[:n, :n]).T
         else:
-            direct = _factor(triple, n, delta)
+            mat, inv_t = _factor(triple, n, delta)
     first = 1 if explicit else 0
     x = np.array([_resolve_initial(config, space, b.master_seed) for b in bundles])
     kept = None
@@ -289,31 +303,49 @@ def run_block(space, triple, config, bundles, keep=None):
     iterations = np.zeros((solver_steps, paths), dtype=int)
     residuals = np.full((solver_steps if keep == STATES else 0, paths), np.nan)
     live = np.ones(paths, dtype=bool)
-    # set once a row is lost, so that the total is taken over the live rows
-    partial = False
+    alive = paths
 
     def settle(i, state):
-        """Blow up the live rows of knot i whose squared H-norm is not
-        finite, and keep what was asked for.  Unless the energies are kept,
-        a finite total over the live rows clears the knot: a sum of
-        non-negative energies is finite only if each of them is."""
-        nonlocal partial
-        rows = state[live] if partial and keep != ENERGIES else state
-        if keep == ENERGIES or not math.isfinite(np.vdot(rows, rows)):
+        """Lose the live rows of knot i that failed or blew up, and keep
+        what was asked for.  A finite total energy over the live rows
+        clears the knot: a sum of non-negative energies is finite only if
+        each of them is."""
+        nonlocal alive
+        if keep == ENERGIES:
             energy = np.einsum("pj,pj->p", state, state)
-            if not np.isfinite(energy).all():
-                lost = live & ~np.isfinite(energy)
-                state[lost] = energy[lost] = np.nan
-                blow_up[lost] = i
-                live[lost] = False
-                partial = True
+            total = np.add.reduce(energy if alive == paths else energy[live])
+        else:
+            rows = state if alive == paths else state[live]
+            total = np.vdot(rows, rows)
+        if not math.isfinite(total):
+            if keep != ENERGIES:
+                energy = np.einsum("pj,pj->p", state, state)
+            if inv_t is not None and i > 0:
+                failed = live & ~np.isfinite(state).all(axis=1)
+                for p in np.flatnonzero(failed):
+                    failures[p] = f"step {i}: {NO_FINITE_SOLUTION}"
+                state[failed] = energy[failed] = np.nan
+                live[failed] = False
+            lost = live & ~np.isfinite(energy)
+            state[lost] = energy[lost] = np.nan
+            blow_up[lost] = i
+            live[lost] = False
+            alive = int(np.count_nonzero(live))
         if keep == ENERGIES:
             kept[i] = energy
         elif keep == STATES:
             kept[i] = state
 
+    # the coefficients of step i are averaged over the window of knots
+    # i − 2 and i − 1: an autonomous one is evaluated at its midpoint
     knots = grid.knots.tolist()
-    autonomous = triple.autonomous
+    coefficients = (triple.eval_A, triple.eval_B, triple.jump_profile)
+    if triple.autonomous:
+        windows = [0.5 * (t0 + t1) for t0, t1 in zip(knots, knots[1:])]
+        mean_A, mean_B, mean_profile = coefficients
+    else:
+        windows = list(zip(knots, knots[1:]))
+        mean_A, mean_B, mean_profile = (partial(_window_mean, f) for f in coefficients)
     # overflow is reported through the blow-up marker, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if explicit:
@@ -321,46 +353,45 @@ def run_block(space, triple, config, bundles, keep=None):
         settle(first, x)
         noise = _noise_rows(bundles, grid, partition, modes, factorized, first + 1)
         for i, (dw, jump) in zip(range(first + 1, m + 1), noise):
-            if not live.any():
+            if not alive:
                 break
             new = x
             if i >= 2:
-                t0, t1 = knots[i - 2], knots[i - 1]
+                window = windows[i - 2]
                 if product is not None:
                     new = x @ product
                 elif explicit:
-                    drift = time_mean(triple.eval_A, x, t0, t1, autonomous)
-                    new = x + delta * drift
+                    new = x + delta * mean_A(window, x)
+                # each noise term is added into a fresh array, the drift
+                # part or the term itself, never into x or a coefficient
                 if modes:
-                    bmat = time_mean(triple.eval_B, x, t0, t1, autonomous)
+                    bmat = mean_B(window, x)
                     if modes == 1:
-                        new = new + bmat[..., 0] * dw
+                        term = bmat[..., 0] * dw
                     else:
-                        new = new + np.matmul(bmat[..., :modes], dw[..., None])[..., 0]
+                        term = np.matmul(bmat[..., :modes], dw[..., None])[..., 0]
+                    new = np.add(new, term, out=term if new is x else new)
                 if factorized:
-                    profile = time_mean(triple.jump_profile, x, t0, t1, autonomous)
-                    new = new + jump[:, None] * profile
+                    term = jump[:, None] * mean_profile(window, x)
                 else:
                     cols = tilde_F(triple, grid, partition, i, x, rule)
-                    new = new + np.matmul(cols, jump[..., None])[..., 0]
-            if not explicit:
-                if direct is not None:
-                    new, residual, solved = _solve_direct(new, *direct, keep == STATES)
-                    reasons = None
-                else:
-                    new, report = _solve_iterative(triple, grid, i, new)
-                    iterations[i - 1] = report.iterations
-                    residual, solved = report.residual, report.converged
-                    reasons = report.reasons
+                    term = np.matmul(cols, jump[..., None])[..., 0]
+                new = np.add(new, term, out=term if new is x else new)
+            if inv_t is not None:
+                y, new = new, new @ inv_t
                 if keep == STATES:
-                    residuals[i - 1] = residual
-                if solved is not None:
-                    failed = live & ~solved
+                    residuals[i - 1] = _row_norms(new @ mat.T - y)
+            elif not explicit:
+                new, report = _solve_iterative(triple, grid, i, new)
+                iterations[i - 1] = report.iterations
+                if keep == STATES:
+                    residuals[i - 1] = report.residual
+                failed = live & ~report.converged
+                if failed.any():
                     for p in np.flatnonzero(failed):
-                        reason = NO_FINITE_SOLUTION if reasons is None else reasons[p]
-                        failures[p] = f"step {i}: {reason}"
-                        partial = True
+                        failures[p] = f"step {i}: {report.reasons[p]}"
                     live &= ~failed
+                    alive = int(np.count_nonzero(live))
             settle(i, new)
             x = new
     return BlockRun(
@@ -373,29 +404,36 @@ def run_block(space, triple, config, bundles, keep=None):
     )
 
 
+def _window_mean(fn, window, x):
+    """Time mean of a non-autonomous coefficient over a window (t0, t1)."""
+    return time_mean(fn, x, *window, False)
+
+
 def solve_implicit_step(triple, grid, i, y):
     """Solve x − δ·(Π_n)A^m_i(x) = y for every row of a (P, n) block `y`.
 
     Affine autonomous drifts are solved directly as one product of the block
-    with the inverse of I − δA (`_solve_direct`), with zero iterations and
-    the residual ‖(I − δA)x − y‖ in the report.  (`run_block` calls the
-    direct path itself and computes that residual only in a block that
-    keeps the states.)  Otherwise a damped residual iteration starts from
-    `y` and a finite-difference Newton step takes over when it stalls,
-    with damping, stall count and convergence kept per row.
-    Non-convergence signals that the step equation has left the strongly
-    monotone regime, i.e. the time step is too large.  A row that cannot
-    be solved is marked (NaN in x, False in ``report.converged``, its
-    cause in ``report.reasons``) and the other rows are solved regardless.
-    Returns x and a `SolveReport`.
+    with the inverse of I − δA, with zero iterations and the residual
+    ‖(I − δA)x − y‖, read off the matrix without evaluating the drift, in
+    the report.  (`run_block` makes the same product itself, computes that
+    residual only in a block that keeps the states, and finds rows without
+    a finite solution through its knot test.)  Otherwise a damped residual
+    iteration starts from `y` and a finite-difference Newton step takes
+    over when it stalls, with damping, stall count and convergence kept per
+    row.  Non-convergence signals that the step equation has left the
+    strongly monotone regime, i.e. the time step is too large.  A row that
+    cannot be solved is marked (NaN in x, False in ``report.converged``,
+    its cause in ``report.reasons``) and the other rows are solved
+    regardless.  Returns x and a `SolveReport`.
     """
     y = np.asarray(y, dtype=float)
     if triple.linear_A is None or not triple.autonomous:
         return _solve_iterative(triple, grid, i, y)
     mat, inv_t = _factor(triple, y.shape[1], grid.delta)
-    x, residual, solved = _solve_direct(y, mat, inv_t, True)
-    if solved is None:
-        solved = np.ones(len(y), dtype=bool)
+    x = y @ inv_t
+    residual = _row_norms(x @ mat.T - y)
+    solved = np.isfinite(x).all(axis=1)
+    x[~solved] = np.nan
     reasons = [None if ok else NO_FINITE_SOLUTION for ok in solved]
     return x, SolveReport(np.zeros(len(y), dtype=int), residual, solved, reasons)
 
@@ -418,25 +456,6 @@ def _factor(triple, n, delta):
     except np.linalg.LinAlgError:
         inv = np.full((n, n), np.nan)
     return mat, inv.T
-
-
-def _solve_direct(y, mat, inv_t, residual):
-    """All rows as one product with the transposed inverse of I − δA.
-
-    Returns x; the residual ‖(I − δA)x − y‖ per row, read off the matrix
-    without evaluating the drift, or None when `residual` is false (a block
-    that keeps no states asks for none); and the (P,) mask of rows with a
-    finite solution, or None when every row has one.  One finiteness test
-    covers the block; rows are tested one by one only when it fails, and a
-    row without a finite solution is NaN.
-    """
-    x = y @ inv_t
-    norms = _row_norms(x @ mat.T - y) if residual else None
-    if np.isfinite(x).all():
-        return x, norms, None
-    solved = np.isfinite(x).all(axis=1)
-    x[~solved] = np.nan
-    return x, norms, solved
 
 
 def _solve_iterative(triple, grid, i, y):

@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -113,6 +114,27 @@ def test_errors_exit_with_one_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "spdesim: error: implicit step did not converge\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n = 8\n[scheme]\nm = 32\n", "line 1: 'n = 8' comes before any [section]"),
+        ("[scheme]\nn = 8\nn = 4\n", "line 3: [scheme] n is given twice"),
+        ("[scheme]\nn 8\n", "line 2: not a [section] header or key = value"),
+    ],
+    ids=["key-before-section", "key-twice", "line-without-equals"],
+)
+def test_malformed_config_exits_2_naming_its_line(tmp_path, capsys, text, message):
+    # exit status 1 means a failed check to check-conditions, so a file
+    # that does not parse must end as one error line with status 2
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_settings(path)
+    for command in ("simulate", "converge", "check-conditions", "stability"):
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"spdesim: error: {path}, {message}\n")
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

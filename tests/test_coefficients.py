@@ -530,6 +530,39 @@ def test_shipped_evaluators_ignore_a_batch_of_times(name):
         assert np.array_equal(np.asarray(fn(t, x, *marks)), want)
 
 
+def test_scaling_evaluators_return_fresh_arrays_of_the_plain_expression():
+    """`MatrixNoise` and `SineJumpProfile` scale the array they compute in
+    place: each value is a fresh writable array with the bits of the plain
+    expression, θ·(x @ Dᵀ) and a·sin(x), and the state is left as it was;
+    `LinearDrift` returns its product as it is."""
+    triple = heat_jump(SPACE, MARKS, theta=0.3, lipschitz=0.7)
+    assert type(triple.eval_B).__name__ == "MatrixNoise"
+    assert type(triple.jump_profile).__name__ == "SineJumpProfile"
+    assert type(triple.eval_A).__name__ == "LinearDrift"
+    D, A = triple.eval_B.matrix, triple.linear_A
+    rng = np.random.default_rng(13)
+    for shape in [(8,), (5, 8), (4, 6), (3, 5, 7)]:
+        n = shape[-1]
+        x = rng.uniform(-5.0, 5.0, shape)
+        stacked = np.broadcast_to(x, (TIME_POINTS,) + shape)
+        x.flags.writeable = False
+        before = x.copy()
+        for state in (x, stacked):
+            cases = [
+                (triple.eval_B, (0.3 * (state @ D[:n, :n].T))[..., None]),
+                (triple.jump_profile, 0.7 * np.sin(state)),
+                (triple.eval_A, state @ A[:n, :n].T),
+            ]
+            for fn, want in cases:
+                got = fn(0.5, state)
+                assert isinstance(got, np.ndarray) and got.flags.writeable
+                assert not np.shares_memory(got, x)
+                assert not np.shares_memory(got, fn(0.5, state))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("fixture", [heat_jump, semilinear])
 def test_transformed_evaluators_take_each_row_at_its_time(fixture):
     """γ is taken per time value: a batch equals the per-row scalar calls."""

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdesim.noise import (
+    DRAW_PATHS,
     AtomMarks,
     NoiseBundle,
     PowerLawMarks,
@@ -17,10 +19,19 @@ from spdesim.noise import (
     coarsen_wiener,
     compensated_cell_increments,
     sample_bundle,
+    sample_bundles,
 )
 from spdesim import coefficients, rng
 from spdesim.coefficients import BoxSampler
-from spdesim.rng import derive_key, make_generator, philox_raw, rekeyed_generator
+from spdesim.rng import (
+    TAG_PATH,
+    TAG_WIENER,
+    derive_key,
+    make_generator,
+    normals_from_keys,
+    philox_raw,
+    rekeyed_generator,
+)
 
 MARKS = PowerLawMarks()
 ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
@@ -104,6 +115,33 @@ def test_bundle_determinism_and_shape():
     assert np.array_equal(a.jump_marks, b.jump_marks)
     assert (a.jump_marks >= MARKS.epsilon(2)).all()
     assert ((a.jump_times > 0) & (a.jump_times <= 1.0)).all()
+
+
+def test_block_drawn_bundles_are_the_one_path_bundles():
+    # 19 paths fill two draw groups and part of a third; the seeds include
+    # a negative one and keys of 2^63 and above
+    grid = TimeGrid(1.0, 64)
+    seeds = [derive_key(3, TAG_PATH, j) for j in range(17)] + [-5, 2**64 - 1]
+    assert len(seeds) > 2 * DRAW_PATHS and len(seeds) % DRAW_PATHS
+    assert any(seed >= 2**63 for seed in seeds)
+    for modes in (0, 1, 3):
+        block = sample_bundles(seeds, grid, modes, MARKS, 2)
+        assert len(block) == len(seeds)
+        mode_idx = np.arange(1, modes + 1, dtype=np.uint64)[:, None]
+        step_idx = np.arange(1, grid.m + 1, dtype=np.uint64)[None, :]
+        for seed, bundle in zip(seeds, block):
+            alone = sample_bundle(seed, grid, modes, MARKS, 2)
+            for field in dataclasses.fields(NoiseBundle):
+                got, want = getattr(bundle, field.name), getattr(alone, field.name)
+                if isinstance(got, np.ndarray):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert got == want
+            # every increment is the draw of its own key, as one path takes it
+            keys = derive_key(seed, TAG_WIENER, mode_idx, step_idx)
+            want = normals_from_keys(keys) * np.sqrt(grid.delta)
+            assert bundle.wiener.tobytes() == want.tobytes()
 
 
 def test_bundle_rejects_empty_mass():

@@ -265,7 +265,8 @@ def test_direct_solve_does_not_evaluate_the_drift(monkeypatch):
     assert run.solver_residuals.max() <= 1e-14
 
 
-def test_singular_step_matrix_fails_every_row_without_a_warning():
+@pytest.mark.parametrize("keep", [None, ENERGIES, STATES])
+def test_singular_step_matrix_fails_every_row_without_a_warning(keep):
     space = build_sine_space(4)
     grid = TimeGrid(1.0, 16)
     # δ = 1/16, so I − δ·(I/δ) is exactly zero
@@ -275,13 +276,45 @@ def test_singular_step_matrix_fails_every_row_without_a_warning():
         warnings.simplefilter("error")
         x, report = solve_implicit_step(triple, grid, 1, rows)
         cfg = SchemeConfig(kind="implicit_projected", n=4, m=16, l=2)
-        run = run_block(space, triple, cfg, _bundles(3), keep=ENERGIES)
+        run = run_block(space, triple, cfg, _bundles(3), keep=keep)
     assert np.isnan(x).all()
     assert report.converged.tolist() == [False] * 3
     assert report.reasons == [NO_FINITE_SOLUTION] * 3
     assert run.failures == [f"step 1: {NO_FINITE_SOLUTION}"] * 3
     assert run.blow_up_steps == [None] * 3
-    assert np.isnan(run.final).all() and np.isnan(run.kept[1:]).all()
+    assert np.isnan(run.final).all()
+    if keep is not None:
+        assert np.isnan(run.kept[1:]).all() and not np.isnan(run.kept[0]).any()
+
+
+@pytest.mark.parametrize("keep", [None, ENERGIES, STATES])
+def test_an_overflowing_right_hand_side_fails_at_its_step(keep):
+    # the knot test of a direct solve tells the rows apart only when the
+    # total energy is not finite: a row whose right-hand side overflows at
+    # step 6 has no finite solution there, so it fails instead of blowing up
+    space = build_sine_space(8)
+    triple = heat_jump(space, MARKS)
+    cfg = SchemeConfig(kind="implicit_projected", n=8, m=16, l=2)
+    calm = [_bundle(seed, 64) for seed in range(40, 45)]
+    wiener = calm[2].wiener.copy()
+    # the fine increments of coarse step 6, whose sum overflows
+    wiener[:, 20:24] = 1e308
+    loud = calm[:2] + [dataclasses.replace(calm[2], wiener=wiener)] + calm[3:]
+    want = run_block(space, triple, cfg, calm, keep=keep)
+    got = run_block(space, triple, cfg, loud, keep=keep)
+    assert want.failures == [None] * 5
+    assert got.failures == [None, None, f"step 6: {NO_FINITE_SOLUTION}", None, None]
+    assert got.blow_up_steps == want.blow_up_steps == [None] * 5
+    assert np.isnan(got.final[2]).all()
+    if keep is not None:
+        assert np.isnan(got.kept[6:, 2]).all() and not np.isnan(got.kept[:6, 2]).any()
+    others = [0, 1, 3, 4]
+    assert got.final[others].tobytes() == want.final[others].tobytes()
+    for name in ("solver_iterations", "solver_residuals"):
+        got_rows, want_rows = getattr(got, name), getattr(want, name)
+        assert got_rows[:, others].tobytes() == want_rows[:, others].tobytes()
+    if keep is not None:
+        assert got.kept[:, others].tobytes() == want.kept[:, others].tobytes()
 
 
 def test_direct_solve_of_a_stiff_non_normal_drift():
@@ -792,6 +825,10 @@ def test_block_rejects_mismatched_bundles():
         run_block(space, triple, cfg, [])
     with pytest.raises(ValueError, match="share"):
         run_block(space, triple, cfg, [_bundle(1, 8), _bundle(2, 16)])
+    # three Wiener modes at l = 3 from bundles that carry one
+    cfg = SchemeConfig(kind="explicit", n=4, m=8, l=3)
+    with pytest.raises(ValueError, match="has 1 modes, need 3"):
+        run_block(space, additive_multimode(space, MARKS), cfg, [_bundle(1, 8, level=3)])
 
 
 @pytest.mark.parametrize("generic", [False, True])
@@ -814,13 +851,15 @@ def test_noise_chunks_do_not_change_a_block(monkeypatch, kind, generic):
 
 @pytest.mark.parametrize("start", [1, 2])
 def test_noise_rows_match_the_per_step_reference(monkeypatch, start):
-    # one event list serves both jump forms, across chunks of 5 steps, for
-    # marks outside E^2, a bundle without jumps and jumps placed on knots
+    # one event list serves both jump forms, across chunks of 5 steps (20
+    # steps of the bundles' grid), for marks outside E^2, a bundle without
+    # jumps and jumps placed on knots; the Wiener rows are coarsened as
+    # `coarsen_wiener` coarsens each bundle
     from spdesim import schemes
     from spdesim.averaging import cell_weight_means
-    from spdesim.noise import build_partition, compensated_cell_increments
+    from spdesim.noise import build_partition, coarsen_wiener, compensated_cell_increments
 
-    monkeypatch.setattr(schemes, "NOISE_CHUNK", 5)
+    monkeypatch.setattr(schemes, "NOISE_CHUNK", 20)
     grid = TimeGrid(1.0, 16)
     part = build_partition(MARKS, 2)
 
@@ -831,7 +870,7 @@ def test_noise_rows_match_the_per_step_reference(monkeypatch, start):
             l_modes=1,
             l_level=3,
             master_seed=0,
-            wiener=np.zeros((1, 64)),
+            wiener=np.random.default_rng(len(knots)).normal(0.0, 0.125, (1, 64)),
             jump_times=grid.knots[knots],
             jump_marks=np.array(marks, dtype=float),
             marks=MARKS,
@@ -850,10 +889,15 @@ def test_noise_rows_match_the_per_step_reference(monkeypatch, start):
     factorized = list(schemes._noise_rows(bundles, grid, part, 1, True, start))
     assert len(general) == len(factorized) == grid.m - start + 1
     knot_counts = []
-    for i, ((_, rows), (_, scalars)) in enumerate(zip(general, factorized), start=start):
+    steps = enumerate(zip(general, factorized), start=start)
+    for i, ((dw, rows), (dw_factorized, scalars)) in steps:
+        assert dw.shape == (len(bundles), 1)
+        assert dw_factorized.tobytes() == dw.tobytes()
         for p, bundle in enumerate(bundles):
             want = compensated_cell_increments(bundle, part, grid, i)
             assert rows[p].tobytes() == want.tobytes()
+            want = coarsen_wiener(bundle, grid.m, 1, i - 1, i)[:, 0]
+            assert dw[p].tobytes() == want.tobytes()
         counts = np.rint(rows + grid.delta * part.nu)
         want = counts @ ratio - grid.delta * wmass.sum()
         np.testing.assert_allclose(scalars, want, rtol=0.0, atol=1e-12)

@@ -44,15 +44,26 @@ states it is given, which evaluators must not do, raises ValueError
 instead of changing later checks.  A process that runs one suite, as
 ``spdesim check-conditions`` does, draws as much as without sharing.
 
-Trials are evaluated SCAN_CHUNK at a time as one array: times of shape
-(P,), states of shape (P, n), the pairings of `space` row by row, and
-mark integrals through `MarkIntegral.integral_sq`.  A check computes only
-the norms it reads: C2 and PropBF the V-norms of the states
-(`space.v_norms`), C3 those and the dual norms of A(x)
-(`space.dual_norms`, one Cholesky solve per chunk).  A triple that
-declares `jump_profile` has its jump integrals in closed form from the
-(P, n) profile values; only an undeclared F is evaluated as (P, n, k)
-values at the quadrature marks.
+Trials are evaluated a chunk at a time as one array: times of shape (P,),
+states of shape (P, n), the pairings of `space` row by row, and mark
+integrals through `MarkIntegral.integral_sq`.  A check computes only the
+norms it reads: C2 and PropBF the V-norms of the states (`space.v_norms`),
+C3 those and the dual norms of A(x) (one Cholesky solve per chunk).  A
+triple that declares `jump_profile` has its jump integrals in closed form
+from the (P, n) profile values; only an undeclared F is evaluated as
+(P, n, k) values at the k quadrature marks.
+A chunk holds max(1, SCAN_VALUES // width) trials.  The width is n times
+the largest of n, B's Wiener modes and, for an undeclared F only, the k
+quadrature marks (n·n for C3, which evaluates A alone): the widest array a
+trial adds to the chunk, or the n·n multiply-adds of its state's products
+with n × n matrices (the V-Gram of its norms, the Cholesky factor of its
+dual norm, an affine fixture's matrices).  So an undeclared F keeps its
+(P, n, k) values near 1 MB (204 trials at n = 8 and k = 80), and a
+declared profile at n = 8 scans 2,048 trials as one chunk.  Bounding the
+products keeps each below the size at which OpenBLAS spreads it over
+threads, which on matrices this small costs more than it saves: with two
+BLAS threads on two CPUs, a V-norm and dual-norm pass over (8192, 8)
+states took 8 ms against 0.35 ms over (4096, 8).
 Each coefficient is called once per chunk with the chunk's (P,) times.  The
 condition constants are numbers, the same at every time.  Witnesses and
 verdicts do not depend on the chunk size.
@@ -68,15 +79,16 @@ import numpy as np
 
 from .noise import build_partition
 from .rng import TAG_TRIAL, derive_key, make_generator, philox_raw
-from .space import dual_norms, pairing, v_norms
+from .space import _dual_norms, pairing, v_norms
 
 DEFAULT_TOLERANCE = 1e-8
 # Half-width of the coordinate box the statistical checks sample states from.
 SAMPLE_BOX = 5.0
-# Trials a sampled check draws and evaluates as one array; for an F without
-# a declared profile, with at most a few hundred mark nodes, this bounds its
-# (P, n, k) values at the quadrature marks near 1 MB.
-SCAN_CHUNK = 256
+# Values, 1 MB of float64, that one chunk of a sampled check may reach in
+# its widest per-trial array, and multiply-adds in each product of its
+# states with an n × n matrix: a check of width w per trial scans
+# max(1, SCAN_VALUES // w) trials as one array.
+SCAN_VALUES = 2**17
 
 
 def _uniform(raw, low, high):
@@ -309,20 +321,23 @@ def _trial_draws(sampler, kind, seed, trials):
     return columns
 
 
-def _scan(condition_id, sampler, kind, trials, seed, evaluate):
-    """Worst of `evaluate` over keyed per-trial draws, SCAN_CHUNK trials at once.
+def _scan(condition_id, sampler, kind, trials, seed, evaluate, width):
+    """Worst of `evaluate` over keyed per-trial draws, a chunk of trials at once.
 
     The samples of all trials are the column arrays (times (P,), states
     (P, n)) that `sampler` draws by `kind` ("points" or "pairs"), and
-    `evaluate` returns the P values of a chunk of them.  The witness is the
-    first trial that reaches the largest value, and a non-finite value
-    raises with the sample of the first such trial.
+    `evaluate` returns the P values of a chunk of them.  `width` is the
+    number of values per trial of the widest array `evaluate` builds; a
+    chunk holds max(1, SCAN_VALUES // width) trials, all of them when they
+    fit.  The witness is the first trial that reaches the largest value,
+    and a non-finite value raises with the sample of the first such trial.
     """
     columns = _trial_draws(sampler, kind, seed, trials)
+    rows = max(1, SCAN_VALUES // width)
     worst = -math.inf
     witness = {}
-    for lo in range(0, trials, SCAN_CHUNK):
-        chunk = [c[lo : lo + SCAN_CHUNK] for c in columns]
+    for lo in range(0, trials, rows):
+        chunk = [c[lo : lo + rows] for c in columns]
         values = np.asarray(evaluate(*chunk), dtype=float)
         finite = np.isfinite(values)
         if not finite.all():
@@ -347,6 +362,16 @@ def _scan(condition_id, sampler, kind, trials, seed, evaluate):
 def _sq_sum(b):
     """Squared Hilbert-Schmidt norm of each (n, modes) matrix in a batch."""
     return np.sum(b**2, axis=(-2, -1))
+
+
+def _coefficient_width(triple, n, mark_quadrature):
+    """Width of a check evaluating B and F: F's n·k values at the k
+    quadrature marks of an undeclared F, B's n·modes values or a state's
+    n·n products, whichever is widest."""
+    widest = max(n, triple.wiener_modes)
+    if triple.jump_profile is None:
+        widest = max(widest, mark_quadrature.nodes.size)
+    return n * widest
 
 
 def _jump_at(triple, t, x):
@@ -393,7 +418,8 @@ def check_monotonicity(triple, space, sampler, trials, mark_quadrature, seed=0):
         jump = _jump_sq(mark_quadrature, _jump_at(triple, t, x), _jump_at(triple, t, y))
         return drift + noise + jump
 
-    return _scan("C1", sampler, "pairs", trials, seed, evaluate)
+    width = _coefficient_width(triple, sampler.dim, mark_quadrature)
+    return _scan("C1", sampler, "pairs", trials, seed, evaluate, width)
 
 
 def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
@@ -411,7 +437,8 @@ def check_coercivity(triple, space, sampler, trials, mark_quadrature, seed=0):
         lhs += c.lam * v**c.p
         return lhs - c.k1 - c.k1bar * pairing(x, x)
 
-    return _scan("C2", sampler, "points", trials, seed, evaluate)
+    width = _coefficient_width(triple, sampler.dim, mark_quadrature)
+    return _scan("C2", sampler, "points", trials, seed, evaluate, width)
 
 
 def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
@@ -425,10 +452,11 @@ def check_growth(triple, space, sampler, trials, mark_quadrature, seed=0):
 
     def evaluate(t, x):
         v = v_norms(space, x)
-        dual = dual_norms(space, triple.eval_A(t, x))
+        # non-finite drift values reach `_scan`, which names the witness
+        dual = _dual_norms(space, triple.eval_A(t, x))
         return dual**c.q - c.alpha * c.lam**c.q * v**c.p - c.k2 * c.lam ** (c.q - 1.0)
 
-    return _scan("C3", sampler, "points", trials, seed, evaluate)
+    return _scan("C3", sampler, "points", trials, seed, evaluate, sampler.dim**2)
 
 
 def probe_hemicontinuity(triple, x, y, z, t, epsilons=None):
@@ -485,7 +513,8 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
         abs_rhs = 2.0 * c.alpha * c.lam * vx**c.p + c.k1bar * pairing(x, x) + c.k3
         return np.maximum(diff_lhs - diff_rhs, abs_lhs - abs_rhs)
 
-    return _scan("PropBF", sampler, "pairs", trials, seed, evaluate)
+    width = _coefficient_width(triple, sampler.dim, mark_quadrature)
+    return _scan("PropBF", sampler, "pairs", trials, seed, evaluate, width)
 
 
 @dataclass(frozen=True)

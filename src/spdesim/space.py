@@ -114,13 +114,13 @@ def _scalar_or_rows(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _checked_rows(space, x):
+def _checked_rows(space, x, finite=True):
     x = _as_rows(x)
     if x.shape[-1] != space.dim:
         raise ValueError(
             f"vector of length {x.shape[-1]} not in dim-{space.dim} space"
         )
-    if not np.isfinite(x).all():
+    if finite and not np.isfinite(x).all():
         raise ValueError("non-finite coordinates")
     return x
 
@@ -150,7 +150,13 @@ def dual_norms(space, x):
     subspace, i.e. the Gram-inverse quadratic form, taken for every row with
     one Cholesky solve.
     """
-    x = _checked_rows(space, x)
+    return _dual_norms(space, _checked_rows(space, x))
+
+
+def _dual_norms(space, x):
+    """`dual_norms` without the finiteness check: a row with a non-finite
+    coordinate gets a non-finite norm, and every other row its own."""
+    x = _checked_rows(space, x, finite=False)
     rows = x.reshape(-1, space.dim)
     solved = scipy.linalg.cho_solve(space._v_chol, rows.T, check_finite=False)
     return _scalar_or_rows(np.sqrt(np.vecdot(x, solved.T.reshape(x.shape))))

@@ -161,17 +161,66 @@ def _suite_triples():
 def test_reports_do_not_depend_on_the_scan_chunk(trials, name, seed):
     triple = _suite_triples()[name]
     config = SuiteConfig(trials=trials, seed=seed)
-    chunked = run_condition_suite(triple, SPACE, MARKS, config)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coefficients, "SCAN_CHUNK", 1)
-        one_by_one = run_condition_suite(triple, SPACE, MARKS, config)
-    for got, want in zip(chunked, one_by_one):
-        assert (got.condition_id, got.trials, got.passed) == (
-            want.condition_id, want.trials, want.passed
-        )
-        assert got.witness.get("trial") == want.witness.get("trial")
-        assert got.witness.get("sample") == want.witness.get("sample")
-        assert got.worst_violation == pytest.approx(want.worst_violation, rel=1e-12)
+    whole = run_condition_suite(triple, SPACE, MARKS, config)
+    # 1-row chunks, then chunks of 2 to 100 rows (a check is at least n·n
+    # wide), which split 257 trials unevenly
+    for values in (1, 100 * SAMPLER.dim**2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coefficients, "SCAN_VALUES", values)
+            chunked = run_condition_suite(triple, SPACE, MARKS, config)
+        for got, want in zip(whole, chunked):
+            assert (got.condition_id, got.trials, got.passed) == (
+                want.condition_id, want.trials, want.passed
+            )
+            assert got.witness.get("trial") == want.witness.get("trial")
+            assert got.witness.get("sample") == want.witness.get("sample")
+            assert got.worst_violation == pytest.approx(want.worst_violation, rel=1e-12)
+
+
+class Recording:
+    """An evaluator that records the batch shape of every call, followed by
+    the number of marks it was given, if any."""
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.batches = []
+
+    def __call__(self, t, x, *marks):
+        self.batches.append(np.shape(x)[:-1] + tuple(np.size(m) for m in marks))
+        return self.evaluate(t, x, *marks)
+
+
+@pytest.mark.parametrize("trials", [2000, 10_000])
+def test_a_declared_profile_is_scanned_in_chunks_of_its_products(base, trials):
+    # a check of heat_jump is n·n wide, so at n = 8 it scans 2,048 trials
+    # per chunk: the 2,000 of a benchmark block as one array
+    rows = coefficients.SCAN_VALUES // SAMPLER.dim**2
+    assert rows == 2048
+    names = ("eval_A", "eval_B", "jump_profile")
+    recorded = {name: Recording(getattr(base, name)) for name in names}
+    triple = dataclasses.replace(base, **recorded)
+    run_condition_suite(triple, SPACE, MARKS, SuiteConfig(trials=trials, seed=5))
+    chunks = [(min(rows, trials - lo),) for lo in range(0, trials, rows)]
+    pairs = [p for chunk in chunks for p in (chunk, chunk)]
+    # C1 and PropBF evaluate at x and y, C2 at x; C3 evaluates A alone at x,
+    # and the hemicontinuity probe A at one state and 40 shifted ones
+    assert recorded["eval_A"].batches == pairs + chunks + chunks + [(), (40,)]
+    assert recorded["eval_B"].batches == pairs + chunks + pairs
+    assert recorded["jump_profile"].batches == pairs + chunks + pairs
+
+
+def test_an_undeclared_F_stays_within_the_scan_values(base, quadrature):
+    recording = Recording(base.eval_F)
+    triple = dataclasses.replace(base, jump_profile=None, eval_F=recording)
+    trials, n, k = 2000, SAMPLER.dim, quadrature.nodes.size
+    rows = coefficients.SCAN_VALUES // (n * k)
+    assert (k, rows) == (80, 204)
+    run_condition_suite(triple, SPACE, MARKS, SuiteConfig(trials=trials, seed=6))
+    at_nodes = [p for p, marks in recording.batches if marks == k]
+    assert max(at_nodes) * n * k <= coefficients.SCAN_VALUES
+    # C1 and PropBF evaluate F at x and y, C2 at x, each once per chunk
+    assert len(at_nodes) == 5 * math.ceil(trials / rows)
+    assert sum(at_nodes) == 5 * trials
 
 
 def _fingerprint(reports):
@@ -250,9 +299,15 @@ class PatchyDrift:
 
 
 @pytest.mark.parametrize(
-    "check, draw", [(check_monotonicity, "pair"), (check_coercivity, "point")]
+    "check, draw",
+    [(check_monotonicity, "pair"), (check_coercivity, "point"), (check_growth, "point")],
 )
-def test_first_non_finite_trial_is_the_witness(base, quadrature, check, draw):
+def test_first_non_finite_trial_is_the_witness(
+    base, quadrature, check, draw, monkeypatch
+):
+    # base has one Wiener mode and a declared profile: every check is n·n
+    # wide and scans 256 trials at a time
+    monkeypatch.setattr(coefficients, "SCAN_VALUES", 256 * SAMPLER.dim**2)
     patchy = dataclasses.replace(base, eval_A=PatchyDrift(base.eval_A), linear_A=None)
     trials, seed = 600, 21
     # the same draws, one fresh generator per trial
@@ -261,7 +316,7 @@ def test_first_non_finite_trial_is_the_witness(base, quadrature, check, draw):
         for j in range(trials)
     ]
     bad = [j for j, sample in enumerate(samples) if any(s[0] > 4.0 for s in sample[1:])]
-    assert bad and bad[-1] >= coefficients.SCAN_CHUNK  # a later chunk has one too
+    assert bad and bad[-1] >= 256  # a later chunk has one too
     witness = [np.asarray(s).tolist() for s in samples[bad[0]]]
     with pytest.raises(ValueError) as err:
         check(patchy, SPACE, SAMPLER, trials, quadrature, seed=seed)
@@ -422,7 +477,9 @@ def test_bf_bounds_evaluate_an_undeclared_F_once_per_chunk(base, quadrature):
         return base.eval_F(t, x, xi)
 
     triple = dataclasses.replace(base, jump_profile=None, eval_F=recording)
-    check_bf_bounds(triple, SPACE, SAMPLER, coefficients.SCAN_CHUNK, quadrature)
+    # the trials of one chunk: F's (P, n, k) values fill SCAN_VALUES
+    rows = coefficients.SCAN_VALUES // (SAMPLER.dim * quadrature.nodes.size)
+    check_bf_bounds(triple, SPACE, SAMPLER, rows, quadrature)
     nodes = quadrature.nodes.size
     assert sizes == [nodes, nodes, 1, 1]
 

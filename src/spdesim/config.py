@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import inspect
+import math
 import os
 
 import numpy as np
@@ -29,7 +30,8 @@ FIXTURES = {
 }
 
 # The [coefficients] keys of a fixture are its keyword parameters after
-# (space, marks); `modes` is read as an int and every other key as a float.
+# (space, marks); `modes` is read as an int and every other key as a finite
+# float.
 _FIXTURE_KEYS = {
     name: tuple(inspect.signature(fn).parameters)[2:] for name, fn in FIXTURES.items()
 }
@@ -37,6 +39,17 @@ _FIXTURE_KEYS = {
 
 def _float_list(raw):
     return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _finite_list(raw):
+    return [_finite(tok) for tok in raw.replace(",", " ").split()]
 
 
 def _int_list(raw):
@@ -61,13 +74,13 @@ def _rungs(raw):
 _KNOWN_KEYS = {
     "space": {"family": str, "n": int},
     "coefficients": {"fixture": str} | {
-        key: int if key == "modes" else float
+        key: int if key == "modes" else _finite
         for keys in _FIXTURE_KEYS.values()
         for key in keys
     },
     "noise": {"family": str, "beta": float, "l_modes": int, "l_level": int,
-              "master_seed": int, "atom_positions": _float_list,
-              "atom_weights": _float_list},
+              "master_seed": int, "atom_positions": _finite_list,
+              "atom_weights": _finite_list},
     "scheme": {"kind": str, "n": int, "m": int, "l": int,
                "initial": lambda raw: raw in ("smooth", "zero") or _float_list(raw)},
     "run": {"paths": int, "workers": int, "timing": _boolean, "trials": int},
@@ -84,7 +97,8 @@ class ConfigError(ValueError):
 def load_settings(path):
     """The parsed config; unknown sections and keys and bad values are rejected.
 
-    A value that does not parse, or an SPDE_SEED that is not an integer,
+    A value that does not parse, a [coefficients] number or atom position
+    or weight that is not finite, or an SPDE_SEED that is not an integer,
     raises a ConfigError naming its `[section] key` or the variable; a file
     that is not sectioned key = value lines raises one naming the line.
     """
@@ -142,10 +156,10 @@ def build_marks(settings):
     if family == "unit-interval-power-law":
         return PowerLawMarks(beta=settings.getfloat("noise", "beta", fallback=1.5))
     if family == "finite-atoms":
-        positions = _float_list(
+        positions = _finite_list(
             settings.get("noise", "atom_positions", fallback="0.25, 0.5, 1.0")
         )
-        weights = _float_list(
+        weights = _finite_list(
             settings.get("noise", "atom_weights", fallback="1.0, 1.0, 1.0")
         )
         return AtomMarks(positions=tuple(positions), weights=tuple(weights))

@@ -420,10 +420,15 @@ def run_condition_suite(triple, space, marks, config=SuiteConfig()):
     The four sampled checks draw their trials once per (sampler, draw
     kind, seed, trials), and a later call with the same space dimension,
     horizon and `config` reuses those read-only arrays: only the last
-    suite's draws are kept, about 4 MB at 10,000 trials and n = 8.  The
-    mark quadrature is built once per mark space.  Reports are the same
-    bit for bit whether the draws are shared or not; a process that runs
-    one suite gains nothing.  A check scans its trials in chunks sized by
+    suite's draws are kept, about 4 MB at 10,000 trials and n = 8.  A
+    declared, hashable jump profile is evaluated at those draws once per
+    check, state and chunk and shared with the later calls whose triple's
+    profile compares equal: only the last suite's C1, C2 and PropBF values
+    are kept, read-only, about 0.64 MB at 2,000 trials and n = 8 and
+    3.2 MB at 10,000.  The mark quadrature is built once per mark space.
+    Reports are the same bit for bit whether draws and values are shared
+    or not; a process that runs one suite gains nothing.  A check scans
+    its trials in chunks sized by
     `coefficients.SCAN_VALUES`: 204 trials per chunk for an undeclared F
     at n = 8 on power-law marks, and 2,048 for a declared profile at
     n = 8.

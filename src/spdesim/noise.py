@@ -172,6 +172,8 @@ class AtomMarks(MarkSpace):
             raise ValueError("atoms need matching non-empty position/weight lists")
         if (w < 0).any() or not np.isfinite(w).all():
             raise ValueError("atom weights must be finite and non-negative")
+        if not np.isfinite(pos).all():
+            raise ValueError("atom positions must be finite")
         if not (np.diff(pos) > 0).all():
             raise ValueError("atom positions must be strictly increasing")
         object.__setattr__(self, "positions", tuple(float(p) for p in pos))

@@ -13,7 +13,9 @@ constant of the space.  The implicit schemes start from the (projected)
 initial condition and solve a monotone step equation in which the drift is
 averaged over the current window.  An affine autonomous drift A is stepped
 as one product with a matrix formed once per block: I + δA in the
-explicit scheme, the inverse of I − δA in the implicit ones.  In every
+explicit scheme, the inverse of I − δA in the implicit ones.  A diagonal
+matrix, as every shipped fixture's, is kept as the vector of its diagonal
+and the product is a column-wise scaling with the same bits.  In every
 kind the noise coefficients are averaged over the lagged window.
 "Unprojected" runs are realized at the ambient resolution of the
 experiment: a truly infinite-dimensional state is not representable, so
@@ -287,9 +289,9 @@ def run_block(space, triple, config, bundles, keep=None):
     product = inv_t = None
     if triple.linear_A is not None and triple.autonomous:
         if explicit:
-            product = (np.eye(n) + delta * triple.linear_A[:n, :n]).T
+            product = _operator((np.eye(n) + delta * triple.linear_A[:n, :n]).T)
         else:
-            mat, inv_t = _factor(triple, n, delta)
+            mat_t, inv_t = _factor(triple, n, delta)
     first = 1 if explicit else 0
     x = np.array([_resolve_initial(config, space, b.master_seed) for b in bundles])
     kept = None
@@ -359,7 +361,7 @@ def run_block(space, triple, config, bundles, keep=None):
             if i >= 2:
                 window = windows[i - 2]
                 if product is not None:
-                    new = x @ product
+                    new = _apply(x, product)
                 elif explicit:
                     new = x + delta * mean_A(window, x)
                 # each noise term is added into a fresh array, the drift
@@ -378,9 +380,9 @@ def run_block(space, triple, config, bundles, keep=None):
                     term = np.matmul(cols, jump[..., None])[..., 0]
                 new = np.add(new, term, out=term if new is x else new)
             if inv_t is not None:
-                y, new = new, new @ inv_t
+                y, new = new, _apply(new, inv_t)
                 if keep == STATES:
-                    residuals[i - 1] = _row_norms(new @ mat.T - y)
+                    residuals[i - 1] = _row_norms(_apply(new, mat_t) - y)
             elif not explicit:
                 new, report = _solve_iterative(triple, grid, i, new)
                 iterations[i - 1] = report.iterations
@@ -429,9 +431,9 @@ def solve_implicit_step(triple, grid, i, y):
     y = np.asarray(y, dtype=float)
     if triple.linear_A is None or not triple.autonomous:
         return _solve_iterative(triple, grid, i, y)
-    mat, inv_t = _factor(triple, y.shape[1], grid.delta)
-    x = y @ inv_t
-    residual = _row_norms(x @ mat.T - y)
+    mat_t, inv_t = _factor(triple, y.shape[1], grid.delta)
+    x = _apply(y, inv_t)
+    residual = _row_norms(_apply(x, mat_t) - y)
     solved = np.isfinite(x).all(axis=1)
     x[~solved] = np.nan
     reasons = [None if ok else NO_FINITE_SOLUTION for ok in solved]
@@ -444,8 +446,9 @@ NO_FINITE_SOLUTION = (
 
 
 def _factor(triple, n, delta):
-    """The matrix I − δA of an affine autonomous drift and its transposed
-    inverse, so that x = y @ inv_t solves (I − δA)x = y row by row.
+    """The transposed matrix I − δA of an affine autonomous drift and its
+    transposed inverse, as `_operator`s: x = _apply(y, inv_t) solves
+    (I − δA)x = y row by row, and _apply(x, mat_t) − y is its residual.
 
     A singular I − δA gets a NaN inverse: every row it is applied to then
     has no finite solution, as with any other non-finite one.
@@ -455,7 +458,33 @@ def _factor(triple, n, delta):
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
         inv = np.full((n, n), np.nan)
-    return mat, inv.T
+    return _operator(mat.T), _operator(inv.T)
+
+
+def _operator(matrix):
+    """What `_apply` takes for the product with `matrix`: the vector of its
+    diagonal when every other entry is zero, else the matrix itself."""
+    diagonal = np.diagonal(matrix)
+    if np.count_nonzero(matrix - np.diag(diagonal)):
+        return matrix
+    return diagonal.copy()
+
+
+def _apply(x, operator):
+    """``x @ matrix`` for an `_operator` of the matrix, row by row.
+
+    A diagonal scales each column: every other term of the product is an
+    exact zero, so the finite values agree bit for bit, and the added +0
+    turns the −0 of a zero coordinate into the +0 the product gives.  A
+    row that is not finite may differ in its other coordinates (the
+    product spreads inf·0 = NaN over the row); the knot test loses such a
+    row either way.
+    """
+    if operator.ndim == 2:
+        return x @ operator
+    out = x * operator
+    out += 0.0
+    return out
 
 
 def _solve_iterative(triple, grid, i, y):

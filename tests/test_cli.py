@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from spdesim import coefficients
 from spdesim.cli import main
 from spdesim.config import (
+    _FIXTURE_KEYS,
     FIXTURES,
     ConfigError,
     build_marks,
@@ -135,6 +136,43 @@ def test_malformed_config_exits_2_naming_its_line(tmp_path, capsys, text, messag
     for command in ("simulate", "converge", "check-conditions", "stability"):
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr() == ("", f"spdesim: error: {path}, {message}\n")
+
+
+_FLOAT_COEFFICIENTS = sorted(
+    {key for keys in _FIXTURE_KEYS.values() for key in keys} - {"modes"}
+)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize(
+    "section, key",
+    [("coefficients", key) for key in _FLOAT_COEFFICIENTS]
+    + [("noise", "atom_positions"), ("noise", "atom_weights")],
+)
+def test_a_value_that_is_not_finite_exits_2_naming_its_key(
+    tmp_path, capsys, section, key, value
+):
+    # a NaN Lipschitz constant or an atom at inf used to run to exit 0 with
+    # every path blown up and NaN estimates
+    if section == "coefficients":
+        text = re.sub(rf"(?m)^{key} = .*\n", "", BASE_CONFIG).replace(
+            "fixture = heat_jump", f"fixture = heat_jump\n{key} = {value}"
+        )
+    else:
+        atoms = {"atom_positions": "0.5", "atom_weights": "1.0"} | {key: value}
+        text = BASE_CONFIG.replace(
+            "family = unit-interval-power-law",
+            "family = finite-atoms\n"
+            + "".join(f"{name} = {raw}\n" for name, raw in atoms.items()),
+        )
+    path = tmp_path / "c.cfg"
+    path.write_text(text + LADDER_SECTION)
+    where = f"[{section}] {key}: not a finite number: {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_settings(path)
+    for command in ("simulate", "converge", "check-conditions", "stability"):
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"spdesim: error: {where}\n")
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

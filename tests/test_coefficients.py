@@ -21,6 +21,7 @@ from spdesim.coefficients import (
 )
 from spdesim.fixtures import (
     LinearDrift,
+    SineJumpProfile,
     additive_multimode,
     heat_jump,
     semilinear,
@@ -231,17 +232,25 @@ def _fingerprint(reports):
     ]
 
 
-@pytest.mark.parametrize("trials", [1, 257])
+def _clear_shared():
+    """Empty both module caches of the condition checks: draws and profile
+    values."""
+    coefficients._trial_draws.cache_clear()
+    coefficients._profile_values.cache_clear()
+
+
+@pytest.mark.parametrize("trials", [1, 257, 2000])
 @pytest.mark.parametrize("name", sorted(_suite_triples()))
 def test_shared_draws_give_the_reports_of_a_cold_run(name, trials):
-    """A suite on triple B after one on triple A reuses A's draws and
-    reports what B reports from a cold cache, bit for bit."""
+    """A suite on triple B after one on triple A reuses A's draws, and A's
+    profile values where the profiles are equal, and reports what B
+    reports from cold caches, bit for bit."""
     triples = _suite_triples()
     config = SuiteConfig(trials=trials, seed=31)
-    coefficients._trial_draws.cache_clear()
+    _clear_shared()
     cold = run_condition_suite(triples[name], SPACE, MARKS, config)
     for other in sorted(set(triples) - {name}):
-        coefficients._trial_draws.cache_clear()
+        _clear_shared()
         run_condition_suite(triples[other], SPACE, MARKS, config)
         warm = run_condition_suite(triples[name], SPACE, MARKS, config)
         assert _fingerprint(warm) == _fingerprint(cold)
@@ -285,6 +294,90 @@ def test_shared_draws_are_read_only(base, quadrature):
     writing = dataclasses.replace(base, eval_A=WritingDrift(base.eval_A), linear_A=None)
     with pytest.raises(ValueError, match="read-only"):
         check_coercivity(writing, SPACE, SAMPLER, 40, quadrature, seed=3)
+
+
+def _profile_triples():
+    """``heat_jump`` and the four mutations the condition benchmark checks,
+    all five with the jump profile SineJumpProfile(0.1)."""
+    base = heat_jump(SPACE, MARKS)
+    return {
+        "base": base,
+        "theta": heat_jump(SPACE, MARKS, theta=1.2, lambda_const=0.375),
+        "alpha": heat_jump(SPACE, MARKS, alpha=1.0),
+        "anti": dataclasses.replace(
+            base, eval_A=LinearDrift(-base.linear_A), linear_A=-base.linear_A
+        ),
+        "reaction": heat_jump(SPACE, MARKS, reaction=5.0),
+    }
+
+
+@pytest.mark.parametrize("trials", [2000, 10_000])
+def test_equal_profiles_are_evaluated_once_per_check_state_and_chunk(
+    trials, monkeypatch
+):
+    batches = []
+    call = SineJumpProfile.__call__
+
+    def recording(self, t, x):
+        batches.append(len(x))
+        return call(self, t, x)
+
+    monkeypatch.setattr(SineJumpProfile, "__call__", recording)
+    coefficients._profile_values.cache_clear()
+    triples = _profile_triples()
+    assert len({triple.jump_profile for triple in triples.values()}) == 1
+    rows = coefficients.SCAN_VALUES // SAMPLER.dim**2
+    chunks = [min(rows, trials - lo) for lo in range(0, trials, rows)]
+    pairs = [p for chunk in chunks for p in (chunk, chunk)]
+    config = SuiteConfig(trials=trials, seed=9)
+    for triple in triples.values():
+        run_condition_suite(triple, SPACE, MARKS, config)
+        # C1 and PropBF at x and y, C2 at x, chunk by chunk, for the first
+        # triple only
+        assert batches == pairs + chunks + pairs
+
+
+def test_shared_profile_values_are_read_only(base, quadrature):
+    coefficients._profile_values.cache_clear()
+    check_monotonicity(base, SPACE, SAMPLER, 40, quadrature, seed=3)
+    rows = coefficients.SCAN_VALUES // SAMPLER.dim**2
+    (chunk,) = coefficients._profile_values(
+        base.jump_profile, SAMPLER, "pairs", 3, 40, rows
+    )
+    assert coefficients._profile_values.cache_info().hits == 1
+    t, x, y = coefficients._trial_draws(SAMPLER, "pairs", 3, 40)
+    for state, values in zip((x, y), chunk):
+        assert values.tobytes() == base.jump_profile(t, state).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
+@dataclasses.dataclass(frozen=True)
+class ScaledSine:
+    """x -> amplitude · sin(x) coordinate by coordinate; the ndarray field
+    makes it unhashable."""
+
+    amplitude: np.ndarray
+
+    def __call__(self, t, x):
+        out = np.sin(np.asarray(x, dtype=float))
+        out *= self.amplitude[: np.shape(x)[-1]]
+        return out
+
+
+def test_an_unhashable_profile_is_scanned_without_sharing(base):
+    profile = ScaledSine(np.full(SPACE.dim, 0.1))
+    with pytest.raises(TypeError):
+        hash(profile)
+    triple = dataclasses.replace(base, jump_profile=profile)
+    config = SuiteConfig(trials=257, seed=12)
+    coefficients._profile_values.cache_clear()
+    got = run_condition_suite(triple, SPACE, MARKS, config)
+    assert coefficients._profile_values.cache_info().currsize == 0
+    # the same values as the base triple's SineJumpProfile(0.1)
+    assert _fingerprint(got) == _fingerprint(
+        run_condition_suite(base, SPACE, MARKS, config)
+    )
 
 
 class PatchyDrift:

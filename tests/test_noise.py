@@ -151,6 +151,17 @@ def test_bundle_rejects_empty_mass():
         sample_bundle(1, grid, 1, empty, 1)
 
 
+@pytest.mark.parametrize("position", [float("inf"), float("-inf"), float("nan")])
+def test_atoms_reject_a_position_that_is_not_finite(position):
+    # one atom passes the increasing-positions check whatever its position
+    with pytest.raises(ValueError, match="atom positions must be finite"):
+        AtomMarks(positions=(position,), weights=(1.0,))
+    payload = _bundle_payload(ATOMS)
+    payload["atom_positions"][-1] = position
+    with pytest.raises(ValueError, match="atom positions must be finite"):
+        bundle_from_json(json.dumps(payload))
+
+
 def test_wiener_moments():
     grid = TimeGrid(1.0, 8)
     rows = []

@@ -342,6 +342,76 @@ def test_direct_solve_of_a_stiff_non_normal_drift():
     assert (report.residual <= bound).all()
 
 
+def _run_bits(run):
+    return (
+        run.final.tobytes(),
+        None if run.kept is None else run.kept.tobytes(),
+        run.blow_up_steps,
+        run.failures,
+        run.solver_iterations.tobytes(),
+        run.solver_residuals.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("keep", [None, ENERGIES, STATES])
+@pytest.mark.parametrize("kind", ["explicit", "implicit", "implicit_projected"])
+def test_a_diagonal_drift_steps_with_the_bits_of_its_matrix_product(
+    kind, keep, monkeypatch
+):
+    from spdesim import schemes
+
+    # −0.0 initial coordinates, which x·d keeps and the product turns into
+    # +0, and the zero triple, whose I + δA and inverse are the identity
+    n, m = 6, 32
+    space = build_sine_space(n)
+    signed = np.array([-0.0, 1.5, -0.0, -2.0, 0.0, 0.25])
+    bundles = [_bundle(seed, m, modes=n, level=3) for seed in range(4)]
+    cases = [
+        (heat_jump(space, MARKS), None),
+        (heat_jump(space, MARKS), signed),
+        (additive_multimode(space, MARKS), signed),
+        (zero_triple(space, MARKS), np.zeros(n)),
+        (zero_triple(space, MARKS), signed),
+    ]
+    grid = TimeGrid(1.0, m)
+    y = np.array([signed, -signed, np.zeros(n), [-0.0] * n])
+    for triple, initial in cases:
+        cfg = SchemeConfig(kind=kind, n=n, m=m, l=3, initial=initial)
+        diagonal = _run_bits(run_block(space, triple, cfg, bundles, keep=keep))
+        solved = solve_implicit_step(triple, grid, 2, y)
+        with monkeypatch.context() as patch:
+            patch.setattr(schemes, "_operator", lambda matrix: matrix)
+            product = _run_bits(run_block(space, triple, cfg, bundles, keep=keep))
+            want = solve_implicit_step(triple, grid, 2, y)
+        assert diagonal == product
+        assert solved[0].tobytes() == want[0].tobytes()
+        assert solved[1].residual.tobytes() == want[1].residual.tobytes()
+
+
+def test_only_a_diagonal_drift_steps_as_a_vector(monkeypatch):
+    from spdesim import schemes
+
+    d = np.array([1.0, -0.5, 2.0])
+    assert np.array_equal(schemes._operator(np.diag(d)), d)
+    for matrix in (np.diag(d) + np.eye(3, k=1), np.diag([1.0, np.nan, 2.0])):
+        assert schemes._operator(matrix) is matrix
+    # a non-diagonal affine drift keeps the matrix product in every kind
+    space = build_sine_space(4)
+    triple = _quiet_heat(space)
+    triple = dataclasses.replace(triple, linear_A=triple.linear_A + np.eye(4, k=-1))
+    applied = []
+
+    def recording(x, operator):
+        applied.append(operator.ndim)
+        return x @ operator if operator.ndim == 2 else x * operator
+
+    monkeypatch.setattr(schemes, "_apply", recording)
+    for kind in ("explicit", "implicit", "implicit_projected"):
+        cfg = SchemeConfig(kind=kind, n=4, m=16, l=2)
+        run_block(space, triple, cfg, [_bundle(1, 16)], keep=STATES)
+    assert applied and set(applied) == {2}
+
+
 def test_adaptedness_prefix():
     # zeroing all bundle data after t_i leaves the trajectory prefix intact
     space = build_sine_space(6)

@@ -27,12 +27,14 @@ The structural conditions (dissipativity, coercivity, growth,
 hemicontinuity, and the derived bounds on the noise coefficients) quantify
 over the whole space, so the checkers here are statistical: they sample
 random inputs, evaluate the defining inequality, and report the worst
-violation with a witness.  Trial j of a check with seed s draws its sample
-from the Philox stream keyed derive_key(s, TAG_TRIAL, j).  A check draws all
-its trials as arrays from one pass of raw outputs (`rng.philox_raw`), mapped
-the way numpy's ``Generator`` maps them, so each trial's sample is bit for
-bit the one `BoxSampler.point` or `BoxSampler.pair` draws from
-``make_generator`` for that key.
+violation with a witness.  A check with seed s draws all its trials from
+the one Philox stream keyed derive_key(s, TAG_TRIAL), in one C call
+(`rng.philox_raw`): trial j is row j of its raw outputs laid out w to a
+row, where w, a multiple of 4, is fixed by the draw kind and n.  Trial j
+is therefore the counter blocks j·w/4 to (j+1)·w/4 − 1 of that stream:
+it depends on the seed and j alone, and can be drawn by itself with
+``Philox.advance``.  `BoxSampler.points` and `BoxSampler.pairs` map the
+rows to samples.
 
 These draws depend on the sampler, the draw kind ("points" or "pairs"),
 the seed and the trial count alone, not on the triple, so they are drawn
@@ -87,7 +89,7 @@ from functools import lru_cache
 import numpy as np
 
 from .noise import build_partition
-from .rng import TAG_TRIAL, derive_key, make_generator, philox_raw
+from .rng import TAG_TRIAL, derive_key, philox_raw
 from .space import _dual_norms, pairing, v_norms
 
 DEFAULT_TOLERANCE = 1e-8
@@ -184,9 +186,11 @@ class BoxSampler:
     argument: conditions that fail only along individual basis directions
     would otherwise be invisible at desk-scale trial counts.
 
-    `point` and `pair` draw one trial from a generator and define the
-    samples; `points` and `pairs` draw trial j of a check for each key j as
-    column arrays, equal bit for bit to the former on ``make_generator``.
+    `points` and `pairs` draw the trials of a check from the Philox stream
+    of one key: trial j is row j of the stream's raw outputs, w to a row
+    for w the kind's output count rounded up to a multiple of 4, and each
+    output is mapped as numpy's ``Generator.uniform`` maps it.  `draw_t`
+    and `draw_x` draw one time and one state from a generator.
     """
 
     dim: int
@@ -198,58 +202,43 @@ class BoxSampler:
     def draw_x(self, rng):
         return rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, self.dim)
 
-    def point(self, rng, trial):
-        """(t, x) with x the origin at trial 0 and a box sample after it."""
-        t = self.draw_t(rng)
-        return t, np.zeros(self.dim) if trial == 0 else self.draw_x(rng)
-
-    def pair(self, rng, trial):
-        """(t, x, y) with y an independent box sample or x bumped in one mode."""
-        t = self.draw_t(rng)
-        x = self.draw_x(rng)
-        if rng.random() < 0.5:
-            return t, x, self.draw_x(rng)
-        y = x.copy()
-        mode = int(rng.integers(self.dim))
-        y[mode] += rng.uniform(-2.0 * SAMPLE_BOX, 2.0 * SAMPLE_BOX)
-        return t, x, y
-
-    def points(self, keys):
-        """`point` for trials 0, 1, ... keyed `keys`: t (P,) and x (P, n).
-
-        Row 0 is trial 0, so x[0] is the origin.
-        """
-        raw = philox_raw(keys, 1 + self.dim)
-        x = _uniform(raw[:, 1:], -SAMPLE_BOX, SAMPLE_BOX)
+    def points(self, key, trials):
+        """t (P,) and x (P, n) of `trials` trials: a row's outputs are t,
+        then x.  Trial 0 is the origin, whatever its outputs."""
+        raw = _rows(key, trials, 1 + self.dim)
+        x = _uniform(raw[:, 1 : self.dim + 1], -SAMPLE_BOX, SAMPLE_BOX)
         x[:1] = 0.0
         return _uniform(raw[:, 0], 0.0, self.horizon), x
 
-    def pairs(self, keys):
-        """`pair` for trials 0, 1, ... keyed `keys`: t (P,), x and y (P, n).
+    def pairs(self, key, trials):
+        """t (P,), x and y (P, n) of `trials` trials, y an independent box
+        sample or x bumped in one mode.
 
-        The trial's stream is t, x, the branch uniform, then either y or
-        the mode and the bump.  The mode is Lemire's bounded integer on the
-        low 32 bits of its raw output (none is consumed for one mode); a
-        row where that method would reject and redraw is drawn by `pair`.
+        A row's outputs are t, x, the branch uniform, then either y or the
+        mode and the bump.  The mode is ((raw >> 32)·n) >> 32, the high 32
+        bits of its output scaled to [0, n), which never rejects; for one
+        mode no output is spent on it.
         """
         n = self.dim
-        raw = philox_raw(keys, 2 * n + 2)
+        raw = _rows(key, trials, 2 * n + 2)
         t = _uniform(raw[:, 0], 0.0, self.horizon)
         x = _uniform(raw[:, 1 : n + 1], -SAMPLE_BOX, SAMPLE_BOX)
         fresh = _uniform(raw[:, n + 1], 0.0, 1.0) < 0.5
-        y = np.where(
-            fresh[:, None], _uniform(raw[:, n + 2 :], -SAMPLE_BOX, SAMPLE_BOX), x
-        )
-        # for n = 1 this gives mode 0 and never rejects, as `integers(1)` does
-        product = (raw[:, n + 2] & np.uint64(0xFFFFFFFF)) * np.uint64(n)
-        mode = (product >> np.uint64(32)).astype(np.intp)
-        reject = (product & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
+        other = _uniform(raw[:, n + 2 : 2 * n + 2], -SAMPLE_BOX, SAMPLE_BOX)
+        y = np.where(fresh[:, None], other, x)
+        mode = ((raw[:, n + 2] >> np.uint64(32)) * np.uint64(n)) >> np.uint64(32)
         bump = _uniform(raw[:, n + 2 + (n > 1)], -2.0 * SAMPLE_BOX, 2.0 * SAMPLE_BOX)
         rows = np.flatnonzero(~fresh)
-        y[rows, mode[rows]] += bump[rows]
-        for j in np.flatnonzero(~fresh & reject):
-            t[j], x[j], y[j] = self.pair(make_generator(keys[j]), j)
+        y[rows, mode[rows].astype(np.intp)] += bump[rows]
         return t, x, y
+
+
+def _rows(key, trials, count):
+    """The raw outputs of `trials` trials of `count` outputs each, from the
+    stream of `key`: (trials, w) with w `count` rounded up to a multiple of
+    4, so that each row is whole counter blocks."""
+    width = -(-count // 4) * 4
+    return philox_raw(key, trials * width).reshape(trials, width)
 
 
 class MarkIntegral:
@@ -324,11 +313,11 @@ def _trial_draws(sampler, kind, seed, trials):
     """The columns `sampler.points` or `sampler.pairs` (`kind`) draws for
     trials 0 .. trials−1 of a check with `seed`, set read-only.
 
-    Every trial has its own keyed stream, so the draws depend on these
+    The check's stream is keyed by `seed`, so the draws depend on these
     arguments alone: the checks a suite config runs on several triples
     draw once and share the arrays.
     """
-    columns = getattr(sampler, kind)(derive_key(seed, TAG_TRIAL, np.arange(trials)))
+    columns = getattr(sampler, kind)(derive_key(seed, TAG_TRIAL), trials)
     for column in columns:
         column.flags.writeable = False
     return columns
@@ -374,7 +363,7 @@ def _shared_profile(triple, sampler, kind, seed, trials, rows):
 
 
 def _scan(condition_id, sampler, kind, trials, seed, evaluate, width, triple=None):
-    """Worst of `evaluate` over keyed per-trial draws, a chunk of trials at once.
+    """Worst of `evaluate` over a check's trial draws, a chunk of trials at once.
 
     The samples of all trials are the column arrays (times (P,), states
     (P, n)) that `sampler` draws by `kind` ("points" or "pairs"), and

@@ -37,10 +37,6 @@ _FIXTURE_KEYS = {
 }
 
 
-def _float_list(raw):
-    return [float(tok) for tok in raw.replace(",", " ").split()]
-
-
 def _finite(raw):
     value = float(raw)
     if not math.isfinite(value):
@@ -82,11 +78,11 @@ _KNOWN_KEYS = {
               "master_seed": int, "atom_positions": _finite_list,
               "atom_weights": _finite_list},
     "scheme": {"kind": str, "n": int, "m": int, "l": int,
-               "initial": lambda raw: raw in ("smooth", "zero") or _float_list(raw)},
+               "initial": lambda raw: raw in ("smooth", "zero") or _finite_list(raw)},
     "run": {"paths": int, "workers": int, "timing": _boolean, "trials": int},
     "ladder": {"rungs": _rungs, "reference": _rung, "strict_gate": _boolean},
-    "stability": {"n_values": _int_list, "m_values": _int_list, "gamma": float,
-                  "alpha": float},
+    "stability": {"n_values": _int_list, "m_values": _int_list, "gamma": _finite,
+                  "alpha": _finite},
 }
 
 
@@ -97,10 +93,11 @@ class ConfigError(ValueError):
 def load_settings(path):
     """The parsed config; unknown sections and keys and bad values are rejected.
 
-    A value that does not parse, a [coefficients] number or atom position
-    or weight that is not finite, or an SPDE_SEED that is not an integer,
-    raises a ConfigError naming its `[section] key` or the variable; a file
-    that is not sectioned key = value lines raises one naming the line.
+    A value that does not parse, a number that is not finite (a
+    [coefficients] or [stability] number, an atom position or weight, or an
+    initial coordinate), or an SPDE_SEED that is not an integer, raises a
+    ConfigError naming its `[section] key` or the variable; a file that is
+    not sectioned key = value lines raises one naming the line.
     """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",)
@@ -213,7 +210,7 @@ def build_scheme_config(settings):
     elif initial_raw == "zero":
         initial = np.zeros(n)
     else:
-        initial = np.asarray(_float_list(initial_raw))
+        initial = np.asarray(_finite_list(initial_raw))
     return SchemeConfig(
         kind=settings.get("scheme", "kind", fallback="explicit"),
         n=n,

@@ -475,10 +475,15 @@ def bundle_from_json(text):
     if family == PowerLawMarks.support_id:
         marks = field("beta", lambda beta: PowerLawMarks(beta=float(beta)))
     elif family == AtomMarks.support_id:
-        marks = AtomMarks(
-            positions=field("atom_positions", floats),
-            weights=field("atom_weights", floats),
-        )
+        positions = field("atom_positions", floats)
+
+        def atoms(weights):
+            return AtomMarks(positions=positions, weights=floats(weights))
+
+        # the positions are checked first, against unit weights, so that an
+        # error names the list at fault
+        field("atom_positions", lambda _: atoms(np.ones_like(positions)))
+        marks = field("atom_weights", atoms)
     else:
         raise ValueError(f"bundle field marks_family: unknown mark family {family!r}")
     for name, low in (("m", 2), ("l_modes", 0), ("l_level", 1), ("master_seed", 0)):

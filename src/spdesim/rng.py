@@ -9,13 +9,12 @@ documented construction; changing it breaks stored-seed reproducibility.
 
 Generators are Philox4x64-10, a counter-based bit generator (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): output block b
-of key k is ten keyed rounds applied to the counter (b, 0, 0, 0), so the
-stream of every key can be computed at once.  ``philox_raw`` does that in
-numpy for an array of keys and returns, bit for bit, the raw outputs that
-``make_generator(k)`` would draw from; callers map them to uniforms and
-bounded integers the way numpy's ``Generator`` does.  The first two rounds
-multiply words that depend on the key alone or on the block alone, so they
-run on (K, 1) and (1, blocks) arrays; only rounds 3-10 run on (K, blocks).
+of key k is ten keyed rounds applied to a counter that depends on b
+alone, so any block of a stream can be computed without the blocks before
+it.  ``philox_raw`` reads the first outputs of one key's stream in a
+single C call; a caller that lays its draws out at fixed offsets of that
+stream, as the condition checks do with one row of outputs per trial, can
+still draw any one of them alone with ``Philox.advance``.
 """
 
 from __future__ import annotations
@@ -33,14 +32,6 @@ _MIX2_INT = 0x94D049BB133111EB
 _GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(_MIX1_INT)
 _MIX2 = np.uint64(_MIX2_INT)
-# Philox4x64 round multipliers and Weyl key increments (Salmon et al.).
-# A multiplier is kept with its low and high 32-bit halves for `_mulhilo`.
-_PHILOX_M0 = tuple(map(np.uint64, (0xD2E7470EE14C6C93, 0xE14C6C93, 0xD2E7470E)))
-_PHILOX_M1 = tuple(map(np.uint64, (0xCA5A826395121157, 0x95121157, 0xCA5A8263)))
-_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
-_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
 
 # Stream tags for the independent noise components (arbitrary fixed values).
 TAG_WIENER = 0x57
@@ -136,44 +127,10 @@ def rekeyed_generator(key):
     return _REKEYED.generator
 
 
-def _mulhilo(m, x):
-    """High and low 64-bit halves of m·x for a uint64 array x, where `m` is
-    a multiplier with its low and high 32-bit halves.
-
-    The high half sums 32-bit partial products with no intermediate
-    overflow (Hacker's Delight, §8-2).
+def philox_raw(key, count):
+    """The first `count` raw outputs of the Philox stream of `key`:
+    ``np.random.Philox(key=key).random_raw(count)``, one C call.  Outputs
+    4b to 4b + 3 are block b, the first that ``Philox(key=key).advance(b)``
+    draws.
     """
-    m, m_lo, m_hi = m
-    x_lo, x_hi = x & _LO32, x >> _HALF
-    t = ((m_lo * x_lo) >> _HALF) + m_lo * x_hi
-    u = (t & _LO32) + m_hi * x_lo
-    return m_hi * x_hi + (t >> _HALF) + (u >> _HALF), m * x
-
-
-def philox_raw(keys, count):
-    """First `count` raw outputs of ``Philox(key=k)`` per key, shape (K, count).
-
-    Philox4x64-10 with key (k, 0): output 4(b−1) + i is word i of the ten
-    rounds applied to the counter (b, 0, 0, 0), the counter starting at 1
-    as in numpy.  Row j equals ``np.random.Philox(key=keys[j]).random_raw(count)``.
-    Round 1 leaves (k, 0, hi(M0·b), lo(M0·b)), so round 2 multiplies M0·k,
-    which depends on the key alone, and M1·hi(M0·b), on the block alone:
-    both rounds run on (K, 1) and (1, blocks) arrays, whose words broadcast
-    to (K, blocks) in round 3.
-    """
-    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
-    blocks = -(-int(count) // 4)
-    counters = np.arange(1, blocks + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        hi, lo = _mulhilo(_PHILOX_M0, counters)
-        k0, k1 = keys + _PHILOX_W0, _PHILOX_W1
-        hi0, lo0 = _mulhilo(_PHILOX_M0, keys)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, hi)
-        c0, c1, c2, c3 = hi1 ^ k0, lo1, hi0 ^ (lo ^ k1), lo0
-        for _ in range(8):
-            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
-            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    raw = np.stack((c0, c1, c2, c3), axis=-1).reshape(keys.size, 4 * blocks)
-    return raw[:, :count]
+    return np.random.Philox(key=int(key)).random_raw(count)

@@ -147,17 +147,23 @@ _FLOAT_COEFFICIENTS = sorted(
 @pytest.mark.parametrize(
     "section, key",
     [("coefficients", key) for key in _FLOAT_COEFFICIENTS]
-    + [("noise", "atom_positions"), ("noise", "atom_weights")],
+    + [("noise", "atom_positions"), ("noise", "atom_weights")]
+    + [("scheme", "initial"), ("stability", "gamma"), ("stability", "alpha")],
 )
 def test_a_value_that_is_not_finite_exits_2_naming_its_key(
     tmp_path, capsys, section, key, value
 ):
     # a NaN Lipschitz constant or an atom at inf used to run to exit 0 with
-    # every path blown up and NaN estimates
+    # every path blown up and NaN estimates, a NaN initial coordinate to a
+    # NaN `simulate` and a NaN gamma to a NaN `stability` rho
     if section == "coefficients":
         text = re.sub(rf"(?m)^{key} = .*\n", "", BASE_CONFIG).replace(
             "fixture = heat_jump", f"fixture = heat_jump\n{key} = {value}"
         )
+    elif section == "scheme":
+        text = BASE_CONFIG.replace("initial = smooth", f"initial = 1, {value}, 1, 1")
+    elif section == "stability":
+        text = BASE_CONFIG + f"\n[stability]\n{key} = {value}\n"
     else:
         atoms = {"atom_positions": "0.5", "atom_weights": "1.0"} | {key: value}
         text = BASE_CONFIG.replace(

@@ -29,7 +29,7 @@ from spdesim.fixtures import (
 )
 from spdesim.harness import SuiteConfig, run_condition_suite
 from spdesim.noise import AtomMarks, PowerLawMarks
-from spdesim.rng import TAG_TRIAL, derive_key, make_generator, philox_raw
+from spdesim.rng import TAG_TRIAL, derive_key, philox_raw
 from spdesim.space import build_sine_space
 
 MARKS = PowerLawMarks()
@@ -257,20 +257,22 @@ def test_shared_draws_give_the_reports_of_a_cold_run(name, trials):
 
 
 def test_a_repeated_suite_config_draws_no_trials(monkeypatch):
-    passes = []
+    counts = []
 
-    def counting(keys, count):
-        passes.append(len(keys))
-        return philox_raw(keys, count)
+    def counting(key, count):
+        counts.append(count)
+        return philox_raw(key, count)
 
     monkeypatch.setattr(coefficients, "philox_raw", counting)
     coefficients._trial_draws.cache_clear()
     triples = _suite_triples()
     config = SuiteConfig(trials=300, seed=8)
     run_condition_suite(triples["base"], SPACE, MARKS, config)
-    assert passes == [300] * 4
+    # one call per sampled check: at n = 8 a pair row is 18 outputs padded
+    # to 20, a point row 9 padded to 12
+    assert counts == [300 * 20, 300 * 12, 300 * 12, 300 * 20]
     run_condition_suite(triples["semilinear"], SPACE, MARKS, config)
-    assert passes == [300] * 4
+    assert len(counts) == 4
 
 
 class WritingDrift:
@@ -403,17 +405,122 @@ def test_first_non_finite_trial_is_the_witness(
     monkeypatch.setattr(coefficients, "SCAN_VALUES", 256 * SAMPLER.dim**2)
     patchy = dataclasses.replace(base, eval_A=PatchyDrift(base.eval_A), linear_A=None)
     trials, seed = 600, 21
-    # the same draws, one fresh generator per trial
-    samples = [
-        getattr(SAMPLER, draw)(make_generator(derive_key(seed, TAG_TRIAL, j)), j)
-        for j in range(trials)
-    ]
+    # the rows of the check's stream, drawn outside the check
+    columns = getattr(SAMPLER, draw + "s")(derive_key(seed, TAG_TRIAL), trials)
+    samples = list(zip(*columns))
     bad = [j for j, sample in enumerate(samples) if any(s[0] > 4.0 for s in sample[1:])]
     assert bad and bad[-1] >= 256  # a later chunk has one too
     witness = [np.asarray(s).tolist() for s in samples[bad[0]]]
     with pytest.raises(ValueError) as err:
         check(patchy, SPACE, SAMPLER, trials, quadrature, seed=seed)
     assert str(err.value).endswith(f"non-finite evaluation at witness {witness}")
+
+
+# The first two rows of each draw kind from the trial stream of seed 3 at
+# horizon 1.5, column by column as little-endian float64 bytes.  Row 0 of
+# the pairs takes the bump at n = 1 and a fresh y at n = 8, row 1 the other.
+_PINNED_ROWS = {
+    (1, "points"): (
+        "7badb81a11c7d93ff0e448cd4591af3f",
+        "00000000000000006099b0e92201f03f",
+    ),
+    (1, "pairs"): (
+        "7badb81a11c7d93ff0e448cd4591af3f",
+        "8e729933b3d304406099b0e92201f03f",
+        "4069e0d73967db3feb44a581588313c0",
+    ),
+    (8, "points"): (
+        "7badb81a11c7d93fc360dc479f33d53f",
+        (
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "fc9acc50e7bb06c030c06f47fea10840786452a58ad010c0732e3c1f881411c0"
+            "90bfa6e665badcbff208fe15a1d511c078923bc135a9e1bfd0843e1e5b7f12c0"
+        ),
+    ),
+    (8, "pairs"): (
+        "7badb81a11c7d93f70701c882ad9ac3f",
+        (
+            "8e729933b3d30440082efa56328de83f66659df8cb66f1bf1434a4b2195b12c0"
+            "6099b0e92201f03fb440883d34a0f7bfeb44a581588313c0240a5af096741340"
+            "74f4befcad5210c03896146d4de50c40373a5f21516d08c0002fc3ddabffad3f"
+            "c014093206af134040ab2da44548cc3f2a855f9ce0b2134040f3fff13464e53f"
+        ),
+        (
+            "443ca05a2a3f0840f88d8161d84cef3f5eaf1d44fb5406c0fc9acc50e7bb06c0"
+            "30c06f47fea10840786452a58ad010c0732e3c1f881411c090bfa6e665badcbf"
+            "74f4befcad5210c03896146d4de50c40373a5f21516d08c0002fc3ddabffad3f"
+            "c014093206af134042c09e64a81c0ec02a855f9ce0b2134040f3fff13464e53f"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("dim, kind", sorted(_PINNED_ROWS))
+def test_first_rows_of_a_trial_stream_are_pinned(dim, kind):
+    # numpy keeps the raw Philox stream stable: a change in it, or in how a
+    # row maps to a sample, changes every condition report
+    sampler = BoxSampler(dim=dim, horizon=1.5)
+    columns = getattr(sampler, kind)(derive_key(3, TAG_TRIAL), 2)
+    got = [np.asarray(c, "<f8").tobytes().hex() for c in columns]
+    assert got == list(_PINNED_ROWS[dim, kind])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    dim=st.sampled_from([1, 2, 3, 5, 8, 32]),
+    data=st.data(),
+)
+def test_a_trial_is_the_map_of_its_own_counter_blocks(seed, dim, data):
+    # trial j of w raw outputs is blocks j·w/4 .. (j+1)·w/4 − 1 of the
+    # check's stream, drawn here alone; repeating that row for every trial
+    # maps it at position j, where trial 0 alone is the origin of `points`
+    trials = data.draw(st.integers(1, 40))
+    j = data.draw(st.integers(0, trials - 1))
+    key = derive_key(seed, TAG_TRIAL)
+    sampler = BoxSampler(dim=dim, horizon=1.5)
+    for kind, count in (("points", 1 + dim), ("pairs", 2 * dim + 2)):
+        width = -(-count // 4) * 4
+        row = np.random.Philox(key=key).advance(j * width // 4).random_raw(width)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                coefficients, "philox_raw", lambda _, count: np.tile(row, count // width)
+            )
+            alone = getattr(sampler, kind)(key, trials)
+        drawn = getattr(sampler, kind)(key, trials)
+        assert [c[j].tobytes() for c in drawn] == [c[j].tobytes() for c in alone]
+
+
+def test_fewer_trials_draw_the_first_rows_of_more():
+    key = derive_key(17, TAG_TRIAL)
+    for kind in ("points", "pairs"):
+        few = getattr(SAMPLER, kind)(key, 2_000)
+        many = getattr(SAMPLER, kind)(key, 10_000)
+        assert [c.tobytes() for c in few] == [c[:2_000].tobytes() for c in many]
+
+
+def test_verdicts_hold_for_forty_seeds():
+    """heat_jump passes every check, and each mutation of criterion 09
+    fails the check it targets, at 2,000 trials for seeds 0 to 39."""
+    base = heat_jump(SPACE, MARKS)
+    anti = dataclasses.replace(
+        base, eval_A=LinearDrift(-base.linear_A), linear_A=-base.linear_A
+    )
+    mutations = [
+        ("C2", heat_jump(SPACE, MARKS, theta=1.2, lambda_const=0.375)),
+        ("C3", heat_jump(SPACE, MARKS, alpha=1.0)),
+        ("C1", anti),
+        ("C1", heat_jump(SPACE, MARKS, reaction=5.0)),
+    ]
+    for seed in range(40):
+        config = SuiteConfig(trials=2_000, seed=seed)
+        reports = run_condition_suite(base, SPACE, MARKS, config)
+        assert all(r.passed for r in reports), (seed, [str(r) for r in reports])
+        for target, triple in mutations:
+            reports = run_condition_suite(triple, SPACE, MARKS, config)
+            passed = {r.condition_id: r.passed for r in reports}
+            assert not passed[target], (seed, target)
 
 
 def test_monotonicity_passes_on_base(base, quadrature):

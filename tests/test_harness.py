@@ -271,7 +271,7 @@ def test_monte_carlo_moment_bound():
 
 def test_hemicontinuity_probe_has_its_own_stream(monkeypatch):
     # the probe's directions come from the TAG_PROBE stream, not from the
-    # stream of any sampled trial (here trial 3 of the first check)
+    # trial stream of a sampled check (here the first check's)
     probed = []
 
     def recording(triple, x, y, z, t, eps):
@@ -289,7 +289,7 @@ def test_hemicontinuity_probe_has_its_own_stream(monkeypatch):
         return v / np.linalg.norm(v)
 
     assert np.array_equal(probed[0], first_direction(derive_key(2024, TAG_PROBE)))
-    assert not np.allclose(probed[0], first_direction(derive_key(2024, TAG_TRIAL, 3)))
+    assert not np.allclose(probed[0], first_direction(derive_key(2024, TAG_TRIAL)))
 
 
 def test_suite_config_needs_a_trial():

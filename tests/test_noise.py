@@ -21,15 +21,12 @@ from spdesim.noise import (
     sample_bundle,
     sample_bundles,
 )
-from spdesim import coefficients, rng
-from spdesim.coefficients import BoxSampler
 from spdesim.rng import (
     TAG_PATH,
     TAG_WIENER,
     derive_key,
     make_generator,
     normals_from_keys,
-    philox_raw,
     rekeyed_generator,
 )
 
@@ -158,7 +155,26 @@ def test_atoms_reject_a_position_that_is_not_finite(position):
         AtomMarks(positions=(position,), weights=(1.0,))
     payload = _bundle_payload(ATOMS)
     payload["atom_positions"][-1] = position
-    with pytest.raises(ValueError, match="atom positions must be finite"):
+    with pytest.raises(
+        ValueError, match="bundle field atom_positions: atom positions must be finite"
+    ):
+        bundle_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "name, values, message",
+    [
+        ("atom_positions", [0.5, 0.25, 1.0], "atom positions must be strictly increasing"),
+        ("atom_positions", [], "atoms need matching non-empty position/weight lists"),
+        ("atom_weights", [1.0, -2.0, 0.5], "atom weights must be finite and non-negative"),
+        ("atom_weights", [1.0, 2.0], "atoms need matching non-empty position/weight lists"),
+    ],
+    ids=["unsorted-positions", "no-positions", "negative-weight", "short-weights"],
+)
+def test_bundle_json_names_the_atom_list_the_atoms_reject(name, values, message):
+    payload = _bundle_payload(ATOMS)
+    payload[name] = values
+    with pytest.raises(ValueError, match=f"bundle field {name}: {message}"):
         bundle_from_json(json.dumps(payload))
 
 
@@ -261,72 +277,6 @@ def test_rekeyed_generator_draws_what_a_fresh_generator_draws(keys):
         assert [np.asarray(v).tobytes() for v in got] == [
             np.asarray(v).tobytes() for v in want
         ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    keys=st.lists(st.integers(0, 2**64 - 1), max_size=6),
-    dim=st.sampled_from([1, 2, 3, 5, 7, 8, 32]),
-    count=st.integers(1, 70),
-)
-def test_philox_draws_equal_fresh_generators(keys, dim, count):
-    # the array draws of a check against the scalar definition, one fresh
-    # generator per key; eight fixed keys make both pair branches likely
-    keys = np.array([0, 2**64 - 1, *range(1, 9), *keys], dtype=np.uint64)
-    want = [np.random.Philox(key=int(k)).random_raw(count) for k in keys]
-    assert philox_raw(keys, count).tobytes() == np.array(want).tobytes()
-    assert philox_raw(keys[:0], count).shape == (0, count)
-    sampler = BoxSampler(dim=dim, horizon=1.5)
-    for draw, draws in ((sampler.point, sampler.points), (sampler.pair, sampler.pairs)):
-        got = draws(keys)
-        states = [(keys.size, dim)] * (len(got) - 1)
-        assert [c.shape for c in got] == [(keys.size,), *states]
-        for j, k in enumerate(keys):
-            scalar = [np.float64(v).tobytes() for v in draw(make_generator(k), j)]
-            assert scalar == [c[j].tobytes() for c in got]
-    assert not sampler.points(keys)[1][0].any()  # trial 0 is the origin
-
-
-def test_mulhilo_is_the_exact_128_bit_product():
-    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 2**32, 2**64 - 1]
-    random = np.random.default_rng(5).integers(0, 2**64, 1000, dtype=np.uint64)
-    x = np.concatenate([np.array(edges, dtype=np.uint64), random])
-    for m in (rng._PHILOX_M0, rng._PHILOX_M1):
-        hi, lo = rng._mulhilo(m, x)
-        want = [divmod(int(m[0]) * int(v), 2**64) for v in x]
-        assert hi.tobytes() == np.array([h for h, _ in want], dtype=np.uint64).tobytes()
-        assert lo.tobytes() == np.array([l for _, l in want], dtype=np.uint64).tobytes()
-
-
-def test_rejected_bounded_draw_falls_back_to_the_scalar_pair(monkeypatch):
-    # dim 3 rejects the mode draw when the low 32 bits of its raw output are
-    # 0, since (2**32 - 3) % 3 == 1; row 4 is forced onto that branch
-    dim, row = 3, 4
-    keys = derive_key(11, np.arange(8))
-    sampler = BoxSampler(dim=dim)
-    unpatched = sampler.pairs(keys)
-
-    def forced(keys, count):
-        raw = philox_raw(keys, count)
-        raw[row, dim + 1] = 2**64 - 1  # random() >= 0.5: bump one mode
-        raw[row, dim + 2] &= np.uint64(0xFFFFFFFF00000000)
-        return raw
-
-    built = []
-
-    def generator(key):
-        built.append(int(key))
-        return make_generator(key)
-
-    monkeypatch.setattr(coefficients, "philox_raw", forced)
-    monkeypatch.setattr(coefficients, "make_generator", generator)
-    got = sampler.pairs(keys)
-    assert built == [int(keys[row])]
-    scalar = sampler.pair(make_generator(keys[row]), row)
-    assert [np.float64(v).tobytes() for v in scalar] == [c[row].tobytes() for c in got]
-    others = np.arange(len(keys)) != row
-    for g, u in zip(got, unpatched):
-        assert g[others].tobytes() == u[others].tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -59,17 +59,18 @@ Trials are evaluated a chunk at a time as one array: times of shape (P,),
 states of shape (P, n), the pairings of `space` row by row, and mark
 integrals through `MarkIntegral.integral_sq`.  A check computes only the
 norms it reads: C2 and PropBF the V-norms of the states (`space.v_norms`),
-C3 those and the dual norms of A(x) (one Cholesky solve per chunk).  A
-triple that declares `jump_profile` has its jump integrals in closed form
-from the (P, n) profile values; only an undeclared F is evaluated as
+C3 those and the dual norms of A(x) (two products with the inverse
+Cholesky factor of the V-Gram per chunk).  A triple that declares
+`jump_profile` has its jump integrals in closed form from the (P, n)
+profile values; only an undeclared F is evaluated as
 (P, n, k) values at the k quadrature marks.
 A chunk holds max(1, SCAN_VALUES // width) trials.  The width is n times
 the largest of n, B's Wiener modes and, for an undeclared F only, the k
 quadrature marks (n·n for C3, which evaluates A alone): the widest array a
 trial adds to the chunk, or the n·n multiply-adds of its state's products
-with n × n matrices (the V-Gram of its norms, the Cholesky factor of its
-dual norm, an affine fixture's matrices).  So an undeclared F keeps its
-(P, n, k) values near 1 MB (204 trials at n = 8 and k = 80), and a
+with n × n matrices (the V-Gram of its norms, the inverse Cholesky
+factor of its dual norm, an affine fixture's matrices).  So an undeclared
+F keeps its (P, n, k) values near 1 MB (204 trials at n = 8 and k = 80), and a
 declared profile at n = 8 scans 2,048 trials as one chunk.  Bounding the
 products keeps each below the size at which OpenBLAS spreads it over
 threads, which on matrices this small costs more than it saves: with two

@@ -3,8 +3,9 @@
 A space is described by a basis family whose members are orthonormal in H,
 so coordinate vectors *are* H-inner products and the H-Gram matrix is the
 identity by construction.  The V-geometry enters through an explicit Gram
-matrix, and dual norms are evaluated with its inverse, i.e. as the norm of
-a functional restricted to the subspace.  Vectors are plain float arrays:
+matrix G, and dual norms are evaluated with its inverse, i.e. as the norm
+of a functional restricted to the subspace: with the Cholesky factor
+G = L Lᵀ and W = L⁻¹, G⁻¹ = Wᵀ W.  Vectors are plain float arrays:
 an "H vector" holds coordinates against the basis, a "dual vector" holds
 the actions of a functional on the basis; both coincide numerically for
 functionals represented by H elements.
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 SINE_FAMILY = "sine-dirichlet-(0,1)"
 
@@ -42,11 +42,12 @@ class GalerkinSpace:
         object.__setattr__(self, "v_gram", gram)
 
     @cached_property
-    def _v_chol(self):
-        # Also certifies positive definiteness on first use.
+    def _v_chol_inv(self):
+        """W = L⁻¹ for the Cholesky factor L of v_gram, so that
+        v_gram⁻¹ = Wᵀ W; also certifies positive definiteness on first use."""
         try:
-            return scipy.linalg.cho_factor(self.v_gram, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            return np.linalg.inv(np.linalg.cholesky(self.v_gram))
+        except np.linalg.LinAlgError as exc:
             raise ValueError("v_gram is not positive definite") from exc
 
 
@@ -147,8 +148,8 @@ def dual_norms(space, x):
     """Dual norms of coordinate vectors, shaped and checked as in `norms`.
 
     The dual norm is the exact V*-norm of the functional restricted to the
-    subspace, i.e. the Gram-inverse quadratic form, taken for every row with
-    one Cholesky solve.
+    subspace, i.e. the Gram-inverse quadratic form xᵀ Wᵀ W x, taken for
+    every row with two products by the cached inverse Cholesky factor W.
     """
     return _dual_norms(space, _checked_rows(space, x))
 
@@ -157,9 +158,8 @@ def _dual_norms(space, x):
     """`dual_norms` without the finiteness check: a row with a non-finite
     coordinate gets a non-finite norm, and every other row its own."""
     x = _checked_rows(space, x, finite=False)
-    rows = x.reshape(-1, space.dim)
-    solved = scipy.linalg.cho_solve(space._v_chol, rows.T, check_finite=False)
-    return _scalar_or_rows(np.sqrt(np.vecdot(x, solved.T.reshape(x.shape))))
+    w = space._v_chol_inv
+    return _scalar_or_rows(np.sqrt(np.vecdot(x, (x @ w.T) @ w)))
 
 
 def pairing(x, phi):

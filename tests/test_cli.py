@@ -398,6 +398,36 @@ def test_console_script_entry_point():
     assert "simulate" in out.stdout and "converge" in out.stdout
 
 
+def test_product_runs_without_loading_scipy(tmp_path):
+    # scipy is a test-only reference: a fresh process that imports the
+    # package and runs converge and check-conditions must not load it
+    import subprocess
+
+    config = tmp_path / "tiny.cfg"
+    config.write_text(
+        BASE_CONFIG
+        + LADDER_SECTION.replace("paths = 30", "paths = 4").replace(
+            "workers = 1", "workers = 1\ntrials = 200"
+        )
+    )
+    script = f"""
+import sys
+scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import spdesim
+from spdesim.cli import main
+assert scipy_modules() == [], scipy_modules()
+assert main(["converge", "--config", {str(config)!r}, "--out", {str(tmp_path / "c.csv")!r}]) == 0
+assert main(["check-conditions", "--config", {str(config)!r}]) == 0
+assert scipy_modules() == [], scipy_modules()
+"""
+    env = {k: v for k, v in os.environ.items() if k != "SPDE_SEED"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "c.csv").read_text().count("\n") == 3
+
+
 def test_converge_reproducible_across_workers(tmp_path):
     # 65 paths are two blocks, so the 8-worker run starts worker processes
     config = tmp_path / "ladder.cfg"

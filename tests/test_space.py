@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdesim.space import (
     GalerkinSpace,
+    _dual_norms,
     build_sine_space,
     c_b,
     dual_norms,
@@ -251,6 +253,47 @@ def test_space_rejects_indefinite_gram():
     bad = GalerkinSpace(dim=2, v_gram=np.array([[1.0, 0.0], [0.0, -1.0]]), basis_id="x")
     with pytest.raises(ValueError):
         norms(bad, np.ones(2))
+
+
+def test_indefinite_symmetric_gram_fails_at_its_first_dual_norm():
+    gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    space = GalerkinSpace(dim=2, v_gram=gram, basis_id="x")
+    with pytest.raises(ValueError, match="^v_gram is not positive definite$"):
+        dual_norms(space, np.ones(2))
+    with pytest.raises(ValueError, match="^v_gram is not positive definite$"):
+        _dual_norms(space, np.ones((3, 2)))
+
+
+def _cho_solve_dual_norms(space, x):
+    """Dual norms by a Cholesky factorization and solve in scipy."""
+    factor = scipy.linalg.cho_factor(space.v_gram, lower=True)
+    rows = x.reshape(-1, space.dim)
+    solved = scipy.linalg.cho_solve(factor, rows.T, check_finite=False)
+    return np.sqrt(np.vecdot(x, solved.T.reshape(x.shape)))
+
+
+def test_dual_norms_equal_cho_solve_on_sine_spaces():
+    # a diagonal Gram makes both routes one multiplication by 1/L_kk per
+    # factor, so they agree bit for bit
+    rng = np.random.default_rng(5)
+    for n in range(1, 65):
+        space = build_sine_space(n)
+        for lead in ((2000,), (), (3, 4)):
+            x = rng.normal(size=lead + (n,)) * rng.lognormal(0.0, 3.0, lead + (n,))
+            got = np.asarray(_dual_norms(space, x))
+            want = _cho_solve_dual_norms(space, x)
+            assert got.tobytes() == want.tobytes(), (n, lead)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
+def test_dual_norms_match_cho_solve_on_dense_grams(n):
+    rng = np.random.default_rng(n)
+    root = rng.normal(size=(n, n))
+    space = GalerkinSpace(dim=n, v_gram=root @ root.T + n * np.eye(n), basis_id="x")
+    x = rng.normal(size=(2000, n))
+    got = _dual_norms(space, x)
+    want = _cho_solve_dual_norms(space, x)
+    assert np.max(np.abs(got - want) / want) <= 1e-15
 
 
 def test_space_rejects_asymmetric_gram():

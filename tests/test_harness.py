@@ -269,6 +269,75 @@ def test_monte_carlo_moment_bound():
     assert peak <= bound + 4.0 * np.sqrt(stats.knot_var[idx] / 200)
 
 
+def _exact_knot_energies(kind, n, m, l, A, wiener, profile, zeta):
+    """E‖x_i‖² = tr S_i of a linear scheme with independent noise.
+
+    With a linear drift A, a Wiener term whose covariance map S ↦
+    E[B(x) B(x)ᵀ] is `wiener` and a constant jump profile p, step i ≥ 2
+    adds δ·wiener(S) + v_J·p pᵀ to S = S_{i−1}, where v_J = δ Σ_c ν_c ·
+    ratio_c² is the variance of the compensated jump scalar.  The explicit
+    scheme then applies P = I + δA to the previous state and the sum,
+    S_i = P S Pᵀ + δ·wiener(S) + v_J·p pᵀ, from S_1 = ζζᵀ (S_0 = 0); the
+    implicit one solves with Q = (I − δA)⁻¹, S_i = Q(S + δ·wiener(S) +
+    v_J·p pᵀ)Qᵀ, from S_0 = ζζᵀ with no noise at step 1.
+    """
+    from spdesim.averaging import cell_weight_means
+    from spdesim.noise import build_partition
+
+    delta = 1.0 / m
+    partition = build_partition(MARKS, l)
+    ratio, _ = cell_weight_means(partition)
+    v_jump = delta * float(np.sum(partition.nu * ratio**2))
+    S = np.zeros((m + 1, n, n))
+    if kind == "explicit":
+        P, first = np.eye(n) + delta * A, 1
+    else:
+        P, first = np.linalg.inv(np.eye(n) - delta * A), 0
+    S[first] = np.outer(zeta, zeta)
+    for i in range(first + 1, m + 1):
+        prev = S[i - 1]
+        noise = delta * wiener(prev) + v_jump * np.outer(profile, profile)
+        if i < 2:
+            noise = 0.0
+        S[i] = P @ prev @ P.T + noise if kind == "explicit" else P @ (prev + noise) @ P.T
+    return np.trace(S, axis1=1, axis2=2)
+
+
+@pytest.mark.parametrize("kind, m", [("explicit", 64), ("implicit_projected", 32)])
+@pytest.mark.parametrize("fixture", ["heat_jump", "additive_multimode"])
+def test_knot_energies_match_the_exact_second_moments(fixture, kind, m):
+    # seeds, paths, knots and the |z| bound were fixed before the first
+    # run: |z| <= 4 at each of up to 63 knots with 4,000 paths; the jump
+    # marks are heavy-tailed, so a single knot's z wanders more than a
+    # Gaussian one would
+    n, l, paths, seed = 4, 3, 4000, 26
+    space = build_sine_space(n)
+    k = np.arange(1, n + 1, dtype=float)
+    A = np.diag(-0.5 * (k * np.pi) ** 2)
+    if fixture == "heat_jump":
+        # multiplicative gradient noise θ·D x against one mode, no jumps
+        theta = 0.5
+        triple = heat_jump(space, MARKS, theta=theta, lipschitz=0.0)
+        j = k[:, None]
+        odd = (j + k) % 2 == 1
+        D = np.where(odd, 4.0 * j * k / np.where(odd, j**2 - k**2, 1.0), 0.0)
+        wiener = lambda S: theta**2 * D @ S @ D.T  # noqa: E731
+        profile, zeta = np.zeros(n), smooth_profile(n)
+    else:
+        # additive noise on l modes, mode k scaled k^{-3/2}, and a jump
+        # along the first mode, from the zero state
+        triple = additive_multimode(space, MARKS)
+        b = np.diag(k ** -1.5)[:, :l]
+        wiener = lambda S: b @ b.T  # noqa: E731
+        profile, zeta = np.eye(n)[0], np.zeros(n)
+    cfg = SchemeConfig(kind=kind, n=n, m=m, l=l, initial=zeta)
+    stats = monte_carlo(space, triple, cfg, MARKS, paths, seed)
+    assert stats.blowups == stats.failures == 0
+    want = _exact_knot_energies(kind, n, m, l, A, wiener, profile, zeta)
+    z = (stats.knot_mean[2:] - want[2:]) / np.sqrt(stats.knot_var[2:] / paths)
+    assert np.abs(z).max() <= 4.0, z
+
+
 def test_hemicontinuity_probe_has_its_own_stream(monkeypatch):
     # the probe's directions come from the TAG_PROBE stream, not from the
     # trial stream of a sampled check (here the first check's)

@@ -27,9 +27,12 @@ squared H-norm is not finite, instead of raising, since instability
 outside the stability region is a legitimate, reportable outcome.  An
 implicit path whose step equation cannot be solved fails at that step
 instead.  A lost path is marked and set to NaN while the other paths of
-its block go on.  Each knot is tested with one scalar, the total energy of
-the paths still going, which also covers the direct solve of an affine
-drift; the paths are told apart one by one only when it is not finite.
+its block go on.  A block writes the states of KNOT_CHUNK knots into one
+buffer and tests them with one scalar, the total energy of the paths still
+going, which also covers the direct solve of an affine drift; the knots
+are scanned and the paths told apart one by one only when it is not
+finite, and the loop stops after the first chunk that leaves no path.  A
+block whose implicit steps are solved iteratively tests each knot alone.
 """
 
 from __future__ import annotations
@@ -137,6 +140,10 @@ def _resolve_initial(config, space, master_seed):
 # three arrays of up to (paths, modes, NOISE_CHUNK): the copied fine
 # increments, their sums and the sums laid out step by step.
 NOISE_CHUNK = 256
+# Knots a block steps between two knot tests (`run_block`): their states
+# fill one (KNOT_CHUNK, paths, n) buffer, about 0.5 MB at 64 paths and
+# n = 32, which one finiteness test and one energy pass then read.
+KNOT_CHUNK = 32
 
 
 def _jump_events(grid, partition, bundles):
@@ -250,23 +257,31 @@ def run_block(space, triple, config, bundles, keep=None):
     autonomous explicit drift takes the first term and the previous value
     together, as one product of the states with I + δA.  With one Wiener
     mode the Wiener term is the broadcast product of the noise column with
-    the increment, else a batched matrix product.  An autonomous triple's
-    coefficients are evaluated once per step, at the midpoint of the
-    window.  The explicit scheme starts at knot 1, the implicit ones at
-    knot 0, and the noise terms vanish before knot 2.  Grid, partition,
-    jump events and, for an affine autonomous drift, I + δA or the inverse
-    of I − δA are built once for the block.
+    the increment, else a batched matrix product.  The two noise terms are
+    formed in two scratch arrays of the block, never in the state or in a
+    coefficient's value.  An autonomous triple's coefficients are evaluated
+    once per step, at the midpoint of the window.  The explicit scheme
+    starts at knot 1, the implicit ones at knot 0, and the noise terms
+    vanish before knot 2.  Grid, partition, jump events, a path-independent
+    initial condition and, for an affine autonomous drift, I + δA or the
+    inverse of I − δA are built once for the block.
 
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
-    not finite blows up there.  One scalar, the total energy of the rows
-    not yet lost, tests a knot; only when it is not finite are the rows
-    classified one by one.  It also covers the direct solve of an affine
-    drift: a row of that solve with a coordinate that is not finite has
-    no finite solution.  A lost row becomes NaN and the other rows go on;
-    the loop stops once none is left.  Every row is evaluated at every
-    step, so no row's arithmetic depends on the values of the others, and
-    a block's rows may differ from blocks of one in the last bits only.
+    not finite blows up there.  The states of up to KNOT_CHUNK knots are
+    written into one buffer and tested together by one scalar, the total
+    energy of the rows not yet lost; only when it is not finite are the
+    knots scanned in order and the rows classified one by one.  It also
+    covers the direct solve of an affine drift: a row of that solve with a
+    coordinate that is not finite has no finite solution.  A lost row is
+    NaN from its loss knot on, in its states, energies and later solver
+    residuals, and the other rows go on; the loop stops at the end of the
+    first chunk that leaves none.  A block whose implicit steps are solved
+    iteratively tests every knot, since its solver would otherwise record
+    a failure for a row that blew up earlier in the chunk.  Every row is
+    evaluated at every step, so no row's arithmetic depends on the values
+    of the others, the chunk length changes no bit, and a block's rows may
+    differ from blocks of one in the last bits only.
     """
     if keep not in (None, ENERGIES, STATES):
         raise ValueError(f"keep must be None, ENERGIES or STATES, not {keep!r}")
@@ -286,14 +301,25 @@ def run_block(space, triple, config, bundles, keep=None):
     factorized = triple.jump_profile is not None
     if not factorized:
         rule = partition.marks.cell_rule(partition.lo, partition.hi, 4)
-    product = inv_t = None
+    drift = solve = None
     if triple.linear_A is not None and triple.autonomous:
         if explicit:
-            product = _operator((np.eye(n) + delta * triple.linear_A[:n, :n]).T)
+            matrix = np.eye(n) + delta * triple.linear_A[:n, :n]
+            drift = _writer(_operator(matrix.T), paths)
         else:
             mat_t, inv_t = _factor(triple, n, delta)
+            solve = _writer(inv_t, paths)
+    iterative = not explicit and solve is None
     first = 1 if explicit else 0
-    x = np.array([_resolve_initial(config, space, b.master_seed) for b in bundles])
+    # states[0] holds the knot before a chunk and states[1 + j] its knot j
+    chunk = 1 if iterative else KNOT_CHUNK
+    states = np.empty((chunk + 1, paths, n))
+    if callable(config.initial):
+        states[0] = [_resolve_initial(config, space, b.master_seed) for b in bundles]
+    else:
+        states[0] = _resolve_initial(config, space, None)
+    wiener, jumps = np.empty((paths, n)), np.empty((paths, n))
+    rhs = None if explicit else np.empty((paths, n))
     kept = None
     if keep == ENERGIES:
         kept = np.full((m + 1, paths), np.nan)
@@ -307,36 +333,46 @@ def run_block(space, triple, config, bundles, keep=None):
     live = np.ones(paths, dtype=bool)
     alive = paths
 
-    def settle(i, state):
-        """Lose the live rows of knot i that failed or blew up, and keep
-        what was asked for.  A finite total energy over the live rows
-        clears the knot: a sum of non-negative energies is finite only if
-        each of them is."""
+    def settle(lo, block):
+        """Lose the live rows of knots lo, lo + 1, ... (``block[j]`` holds
+        knot lo + j) that failed or blew up, and keep what was asked for.
+        A finite total energy over the live rows clears the chunk: a sum of
+        non-negative energies is finite only if each of them is."""
         nonlocal alive
+        k = len(block)
+        flat = block.reshape(k * paths, n)
+        energy = None
         if keep == ENERGIES:
-            energy = np.einsum("pj,pj->p", state, state)
-            total = np.add.reduce(energy if alive == paths else energy[live])
+            energy = np.einsum("pj,pj->p", flat, flat).reshape(k, paths)
+            total = np.add.reduce(energy if alive == paths else energy[:, live], None)
         else:
-            rows = state if alive == paths else state[live]
+            rows = block if alive == paths else block[:, live]
             total = np.vdot(rows, rows)
         if not math.isfinite(total):
-            if keep != ENERGIES:
-                energy = np.einsum("pj,pj->p", state, state)
-            if inv_t is not None and i > 0:
-                failed = live & ~np.isfinite(state).all(axis=1)
-                for p in np.flatnonzero(failed):
-                    failures[p] = f"step {i}: {NO_FINITE_SOLUTION}"
-                state[failed] = energy[failed] = np.nan
-                live[failed] = False
-            lost = live & ~np.isfinite(energy)
-            state[lost] = energy[lost] = np.nan
-            blow_up[lost] = i
-            live[lost] = False
+            if energy is None:
+                energy = np.einsum("pj,pj->p", flat, flat).reshape(k, paths)
+            for j in range(k):
+                i = lo + j
+                lost = live & ~np.isfinite(energy[j])
+                if not lost.any():
+                    continue
+                blown = lost
+                if solve is not None and i > 0:
+                    failed = lost & ~np.isfinite(block[j]).all(axis=1)
+                    for p in np.flatnonzero(failed):
+                        failures[p] = f"step {i}: {NO_FINITE_SOLUTION}"
+                    blown = lost & ~failed
+                blow_up[blown] = i
+                live[lost] = False
+                # rows lost at knot i stepped on inside the chunk: their
+                # states, energies and residuals from there are NaN
+                block[j:, lost] = energy[j:, lost] = np.nan
+                residuals[i : lo + k - 1, lost] = np.nan
             alive = int(np.count_nonzero(live))
         if keep == ENERGIES:
-            kept[i] = energy
+            kept[lo : lo + k] = energy
         elif keep == STATES:
-            kept[i] = state
+            kept[lo : lo + k] = block
 
     # the coefficients of step i are averaged over the window of knots
     # i − 2 and i − 1: an autonomous one is evaluated at its midpoint
@@ -351,53 +387,67 @@ def run_block(space, triple, config, bundles, keep=None):
     # overflow is reported through the blow-up marker, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if explicit:
-            settle(0, np.zeros((paths, n)))
-        settle(first, x)
+            settle(0, np.zeros((1, paths, n)))
+        settle(first, states[:1])
         noise = _noise_rows(bundles, grid, partition, modes, factorized, first + 1)
-        for i, (dw, jump) in zip(range(first + 1, m + 1), noise):
+        for lo in range(first + 1, m + 1, chunk):
             if not alive:
                 break
-            new = x
-            if i >= 2:
-                window = windows[i - 2]
-                if product is not None:
-                    new = _apply(x, product)
-                elif explicit:
-                    new = x + delta * mean_A(window, x)
-                # each noise term is added into a fresh array, the drift
-                # part or the term itself, never into x or a coefficient
-                if modes:
-                    bmat = mean_B(window, x)
-                    if modes == 1:
-                        term = bmat[..., 0] * dw
+            k = min(chunk, m + 1 - lo)
+            for j, (dw, jump) in zip(range(k), noise):
+                i = lo + j
+                x, new = states[j], states[j + 1]
+                # y takes the sum of the terms: the new state if explicit,
+                # else the right-hand side of the step equation
+                y = new if explicit else rhs
+                if i >= 2:
+                    window = windows[i - 2]
+                    if modes:
+                        bmat = mean_B(window, x)
+                        if modes == 1:
+                            np.multiply(bmat[..., 0], dw, out=wiener)
+                        else:
+                            column = wiener[..., None]
+                            np.matmul(bmat[..., :modes], dw[..., None], out=column)
+                    if factorized:
+                        np.multiply(jump[:, None], mean_profile(window, x), out=jumps)
                     else:
-                        term = np.matmul(bmat[..., :modes], dw[..., None])[..., 0]
-                    new = np.add(new, term, out=term if new is x else new)
-                if factorized:
-                    term = jump[:, None] * mean_profile(window, x)
+                        cols = tilde_F(triple, grid, partition, i, x, rule)
+                        np.matmul(cols, jump[..., None], out=jumps[..., None])
+                    base = x
+                    if drift is not None:
+                        drift(x, new)
+                        base = new
+                    elif explicit:
+                        np.multiply(mean_A(window, x), delta, out=new)
+                        new += x
+                        base = new
+                    if modes:
+                        np.add(base, wiener, out=y)
+                        base = y
+                    np.add(base, jumps, out=y)
                 else:
-                    cols = tilde_F(triple, grid, partition, i, x, rule)
-                    term = np.matmul(cols, jump[..., None])[..., 0]
-                new = np.add(new, term, out=term if new is x else new)
-            if inv_t is not None:
-                y, new = new, _apply(new, inv_t)
-                if keep == STATES:
-                    residuals[i - 1] = _row_norms(_apply(new, mat_t) - y)
-            elif not explicit:
-                new, report = _solve_iterative(triple, grid, i, new)
-                iterations[i - 1] = report.iterations
-                if keep == STATES:
-                    residuals[i - 1] = report.residual
-                failed = live & ~report.converged
-                if failed.any():
-                    for p in np.flatnonzero(failed):
-                        failures[p] = f"step {i}: {report.reasons[p]}"
-                    live &= ~failed
-                    alive = int(np.count_nonzero(live))
-            settle(i, new)
-            x = new
+                    y = x
+                if solve is not None:
+                    solve(y, new)
+                    if keep == STATES:
+                        residuals[i - 1] = _row_norms(_apply(new, mat_t) - y)
+                elif iterative:
+                    solved, report = _solve_iterative(triple, grid, i, y)
+                    new[...] = solved
+                    iterations[i - 1] = report.iterations
+                    if keep == STATES:
+                        residuals[i - 1] = report.residual
+                    failed = live & ~report.converged
+                    if failed.any():
+                        for p in np.flatnonzero(failed):
+                            failures[p] = f"step {i}: {report.reasons[p]}"
+                        live &= ~failed
+                        alive = int(np.count_nonzero(live))
+            settle(lo, states[1 : k + 1])
+            states[0] = states[k]
     return BlockRun(
-        final=x,
+        final=states[0].copy(),
         kept=kept,
         blow_up_steps=[int(step) if step >= 0 else None for step in blow_up],
         failures=failures,
@@ -468,6 +518,21 @@ def _operator(matrix):
     if np.count_nonzero(matrix - np.diag(diagonal)):
         return matrix
     return diagonal.copy()
+
+
+def _writer(operator, paths):
+    """`_apply` of an `_operator` as a function (x, out) that writes into
+    out, with the same bits: a diagonal multiplies a (paths, n) copy of
+    itself, so that no operand is broadcast."""
+    if operator.ndim == 2:
+        return lambda x, out: np.matmul(x, operator, out=out)
+    scale = np.tile(operator, (paths, 1))
+
+    def scaled(x, out):
+        np.multiply(x, scale, out=out)
+        out += 0.0
+
+    return scaled
 
 
 def _apply(x, operator):

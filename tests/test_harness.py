@@ -296,10 +296,13 @@ def _exact_knot_energies(kind, n, m, l, A, wiener, profile, zeta):
     S[first] = np.outer(zeta, zeta)
     for i in range(first + 1, m + 1):
         prev = S[i - 1]
-        noise = delta * wiener(prev) + v_jump * np.outer(profile, profile)
-        if i < 2:
-            noise = 0.0
-        S[i] = P @ prev @ P.T + noise if kind == "explicit" else P @ (prev + noise) @ P.T
+        noise = 0.0
+        if i >= 2:
+            noise = delta * wiener(prev) + v_jump * np.outer(profile, profile)
+        if kind == "explicit":
+            S[i] = P @ prev @ P.T + noise
+        else:
+            S[i] = P @ (prev + noise) @ P.T
     return np.trace(S, axis1=1, axis2=2)
 
 

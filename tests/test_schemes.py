@@ -405,7 +405,14 @@ def test_only_a_diagonal_drift_steps_as_a_vector(monkeypatch):
         applied.append(operator.ndim)
         return x @ operator if operator.ndim == 2 else x * operator
 
+    writer = schemes._writer
+
+    def recording_writer(operator, paths):
+        applied.append(operator.ndim)
+        return writer(operator, paths)
+
     monkeypatch.setattr(schemes, "_apply", recording)
+    monkeypatch.setattr(schemes, "_writer", recording_writer)
     for kind in ("explicit", "implicit", "implicit_projected"):
         cfg = SchemeConfig(kind=kind, n=4, m=16, l=2)
         run_block(space, triple, cfg, [_bundle(1, 16)], keep=STATES)
@@ -702,7 +709,10 @@ def test_explicit_blowup_leaves_the_other_paths_unchanged():
 @pytest.mark.parametrize("keep", [None, STATES])
 def test_a_lost_row_leaves_the_scalar_knot_test_on(keep, monkeypatch):
     # after a row is lost, the total over the live rows still clears the
-    # later knots, so the energies are taken row by row at the loss only
+    # later chunks, so the energies are taken row by row only in the chunk
+    # with the loss, in one pass over its knots
+    from spdesim import schemes
+
     space = build_sine_space(8)
     triple = heat_jump(space, MARKS)
     cfg = SchemeConfig(kind="explicit", n=8, m=64, l=2, initial=smooth_profile(8))
@@ -710,24 +720,96 @@ def test_a_lost_row_leaves_the_scalar_knot_test_on(keep, monkeypatch):
     loud[2] = dataclasses.replace(loud[2], wiener=loud[2].wiener * 1e305)
     want = run_block(space, triple, cfg, loud, keep=keep)
     einsum = np.einsum
-    calls = []
+    rows = []
 
     def spy(subscripts, *operands, **kwargs):
         if subscripts == "pj,pj->p":
-            calls.append(subscripts)
+            rows.append(len(operands[0]))
         return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", spy)
     got = run_block(space, triple, cfg, loud, keep=keep)
     monkeypatch.undo()
-    assert got.blow_up_steps[2] is not None
-    assert len(calls) == 1
-    for field in dataclasses.fields(got):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(a, np.ndarray):
-            assert a.tobytes() == b.tobytes()
+    step = got.blow_up_steps[2]
+    assert step is not None
+    # the explicit chunks hold knots 2..33 and 34..64
+    chunk = schemes.KNOT_CHUNK
+    lo = 2 + (step - 2) // chunk * chunk
+    assert rows == [5 * min(chunk, cfg.m + 1 - lo)]
+    assert _run_bits(got) == _run_bits(want)
+
+
+def _lose_at(bundle, m, knot, scale):
+    """`bundle` with the increments of step `knot` of an m-step grid
+    scaled: 1e305 overflows a state's energy there, inf a coordinate."""
+    factor = bundle.m // m
+    wiener = bundle.wiener.copy()
+    wiener[:, (knot - 1) * factor : knot * factor] *= scale
+    return dataclasses.replace(bundle, wiener=wiener)
+
+
+# (path, knot, scale) of each loss: on, just before and just after an edge
+# of the chunks of 3 knots and of KNOT_CHUNK = 32 knots; path 5 is lost at
+# knot 31 and would be lost again at knot 32, in the same chunk
+CHUNK_LOSSES = {
+    "explicit": [(0, 4, 1e305), (1, 5, np.inf), (2, 32, 1e305), (3, 33, np.inf),
+                 (4, 34, 1e305), (5, 31, np.inf), (5, 32, 1e305)],
+    "implicit_projected": [(0, 3, 1e305), (1, 4, np.inf), (2, 31, np.inf),
+                           (3, 32, 1e305), (4, 33, np.inf), (5, 30, 1e305),
+                           (5, 31, np.inf)],
+}
+
+
+def _chunk_case(kind):
+    """A block of 8 paths, 6 of them lost at the knots of CHUNK_LOSSES."""
+    space = build_sine_space(6)
+    triple = heat_jump(space, MARKS)
+    if kind == "semilinear":
+        # a drift solved iteratively, with heat_jump's multiplicative noise
+        triple = dataclasses.replace(
+            semilinear(space, MARKS), eval_B=triple.eval_B, wiener_modes=1
+        )
+    losses = CHUNK_LOSSES["implicit_projected" if kind == "semilinear" else kind]
+    kind = "implicit_projected" if kind == "semilinear" else kind
+    cfg = SchemeConfig(kind=kind, n=6, m=64, l=2, initial=smooth_profile(6))
+    bundles = [_bundle(seed, 128) for seed in range(40, 48)]
+    for path, knot, scale in losses:
+        bundles[path] = _lose_at(bundles[path], cfg.m, knot, scale)
+    return space, triple, cfg, bundles, losses
+
+
+@pytest.mark.parametrize("keep", [None, ENERGIES, STATES])
+@pytest.mark.parametrize("kind", ["explicit", "implicit_projected", "semilinear"])
+def test_knot_chunks_change_no_bit(kind, keep, monkeypatch):
+    # a block tests KNOT_CHUNK knots at once and scans them one by one only
+    # when a row is lost there, so the chunk length moves no bit of any
+    # field, NaNs of lost rows and solver residuals included
+    from spdesim import schemes
+
+    space, triple, cfg, bundles, losses = _chunk_case(kind)
+    runs = []
+    for chunk in (1, 3, schemes.KNOT_CHUNK):
+        monkeypatch.setattr(schemes, "KNOT_CHUNK", chunk)
+        runs.append(_run_bits(run_block(space, triple, cfg, bundles, keep=keep)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    # each path is lost at its first scaled knot: an explicit row always
+    # blows up, an implicit one fails where a coordinate is not finite
+    # and its solver residual is the one computed at that step (inf or a
+    # number where it blew up), NaN after it
+    _, _, blow_up_steps, failures, _, _ = runs[0]
+    residuals = run_block(space, triple, cfg, bundles, keep=keep).solver_residuals
+    for path in range(6):
+        knot, scale = min((k, s) for p, k, s in losses if p == path)
+        if kind == "explicit" or scale != np.inf:
+            assert blow_up_steps[path] == knot and failures[path] is None
+            if keep == STATES and kind != "explicit":
+                assert not np.isnan(residuals[knot - 1, path])
         else:
-            assert a == b
+            assert blow_up_steps[path] is None
+            assert failures[path].startswith(f"step {knot}: ")
+        if keep == STATES and kind != "explicit":
+            assert np.isnan(residuals[knot:, path]).all()
+    assert blow_up_steps[6:] == failures[6:] == [None, None]
 
 
 def _declared_affine_triples(space):

@@ -359,7 +359,8 @@ def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
     wiener = np.empty((len(seeds), l_modes, grid.m))
     mode_idx = np.arange(1, l_modes + 1, dtype=np.uint64)[:, None]
     step_idx = np.arange(1, grid.m + 1, dtype=np.uint64)[None, :]
-    for lo in range(0, len(seeds), DRAW_PATHS):
+    # without modes there is nothing to draw
+    for lo in range(0, len(seeds) if l_modes else 0, DRAW_PATHS):
         group = [seed % 2**64 for seed in seeds[lo : lo + DRAW_PATHS]]
         group = np.array(group, dtype=np.uint64)[:, None, None]
         keys = derive_key(group, TAG_WIENER, mode_idx, step_idx)

@@ -123,15 +123,13 @@ _Q2 = (
 )
 
 
-def splitmix64(x):
-    """One SplitMix64 output round, vectorized over uint64 arrays."""
-    x = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = x + _GAMMA
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-        x = x ^ (x >> np.uint64(31))
-    return x
+def _splitmix64(x):
+    """One SplitMix64 output round, vectorized over uint64 arrays; the
+    caller ignores the overflow of the wrapping arithmetic."""
+    x = x + _GAMMA
+    x = (x ^ (x >> np.uint64(30))) * _MIX1
+    x = (x ^ (x >> np.uint64(27))) * _MIX2
+    return x ^ (x >> np.uint64(31))
 
 
 def _splitmix64_int(x):
@@ -152,7 +150,7 @@ def derive_key(master_seed, *parts):
     bits as the uint64 array arithmetic.
     """
     if isinstance(master_seed, np.ndarray):
-        acc = splitmix64(master_seed)
+        acc = np.asarray(master_seed, dtype=np.uint64)
     else:
         seed = int(master_seed) & _MASK
         if all(type(part) is int and 0 <= part <= _MASK for part in parts):
@@ -160,11 +158,11 @@ def derive_key(master_seed, *parts):
             for part in parts:
                 acc = _splitmix64_int(acc ^ ((part * _GAMMA_INT) & _MASK))
             return acc
-        acc = splitmix64(np.uint64(seed))
-    for part in parts:
-        p = np.asarray(part, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            acc = splitmix64(acc ^ (p * _GAMMA))
+        acc = np.asarray(seed, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        acc = _splitmix64(acc)
+        for part in parts:
+            acc = _splitmix64(acc ^ (np.asarray(part, dtype=np.uint64) * _GAMMA))
     if acc.ndim == 0:
         return int(acc)
     return acc

@@ -18,9 +18,11 @@ Evaluator classes are module level and stateless so triples can cross
 process pools, and all are dimension polymorphic: called with the first n
 coordinates they return the leading-subspace projection of the operator
 value, consistently with the nested basis.  They take one state of shape
-(n,) or a batch of shape (..., n) and act row by row, so matrices apply as
-``x @ M[:n, :n].T``.  They are autonomous and ignore the time, whether it
-is a scalar or an array of times, one per row.
+(n,) or a batch of shape (..., n) and act row by row, so a matrix M
+applies as ``x @ M[:n, :n].T``; `MatrixNoise` instead multiplies by the
+leading block of a C-contiguous (θ·D)ᵀ that it forms once, so that the
+product has no transposed operand.  They are autonomous and ignore the
+time, whether it is a scalar or an array of times, one per row.
 """
 
 from __future__ import annotations
@@ -47,17 +49,24 @@ class LinearDrift:
 
 @dataclass(frozen=True)
 class MatrixNoise:
-    """B(x) = theta · D x against a single Wiener mode."""
+    """B(x) = theta · D x against a single Wiener mode.
+
+    The value is one product ``x @ S[:n, :n]`` with S the C-contiguous
+    (theta · D)ᵀ, formed once per instance, so that no operand of the
+    product is transposed.  It is within a few ulp of theta · (x @ Dᵀ).
+    """
 
     matrix: np.ndarray
     theta: float
 
+    def __post_init__(self):
+        scaled_t = np.ascontiguousarray((self.theta * self.matrix).T)
+        object.__setattr__(self, "_scaled_t", scaled_t)
+
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
-        out = x @ self.matrix[:n, :n].T
-        out *= self.theta
-        return out[..., None]
+        return (x @ self._scaled_t[:n, :n])[..., None]
 
 
 @dataclass(frozen=True)

@@ -788,15 +788,18 @@ def test_shipped_evaluators_ignore_a_batch_of_times(name):
 
 
 def test_scaling_evaluators_return_fresh_arrays_of_the_plain_expression():
-    """`MatrixNoise` and `SineJumpProfile` scale the array they compute in
-    place: each value is a fresh writable array with the bits of the plain
-    expression, θ·(x @ Dᵀ) and a·sin(x), and the state is left as it was;
-    `LinearDrift` returns its product as it is."""
-    triple = heat_jump(SPACE, MARKS, theta=0.3, lipschitz=0.7)
+    """`MatrixNoise`, `SineJumpProfile` and `LinearDrift` return fresh
+    writable arrays with the bits of their plain expressions, x @ Sᵀ[:n, :n]
+    with S = θ·D taken once, a·sin(x) and x @ Aᵀ, and leave the state as it
+    was.  The noise value is within the rounding of both products of
+    θ·(x @ Dᵀ): one dot product of n terms each, and the two scalings."""
+    theta = 0.3
+    triple = heat_jump(SPACE, MARKS, theta=theta, lipschitz=0.7)
     assert type(triple.eval_B).__name__ == "MatrixNoise"
     assert type(triple.jump_profile).__name__ == "SineJumpProfile"
     assert type(triple.eval_A).__name__ == "LinearDrift"
     D, A = triple.eval_B.matrix, triple.linear_A
+    scaled_t = np.ascontiguousarray((theta * D).T)
     rng = np.random.default_rng(13)
     for shape in [(8,), (5, 8), (4, 6), (3, 5, 7)]:
         n = shape[-1]
@@ -806,7 +809,7 @@ def test_scaling_evaluators_return_fresh_arrays_of_the_plain_expression():
         before = x.copy()
         for state in (x, stacked):
             cases = [
-                (triple.eval_B, (0.3 * (state @ D[:n, :n].T))[..., None]),
+                (triple.eval_B, (state @ scaled_t[:n, :n])[..., None]),
                 (triple.jump_profile, 0.7 * np.sin(state)),
                 (triple.eval_A, state @ A[:n, :n].T),
             ]
@@ -817,6 +820,10 @@ def test_scaling_evaluators_return_fresh_arrays_of_the_plain_expression():
                 assert not np.shares_memory(got, fn(0.5, state))
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+            plain = theta * (state @ D[:n, :n].T)
+            scale = theta * (np.abs(state) @ np.abs(D[:n, :n]).T)
+            gap = np.abs(triple.eval_B(0.5, state)[..., 0] - plain)
+            assert (gap <= (n + 1) * np.finfo(float).eps * scale).all()
         assert x.tobytes() == before.tobytes()
 
 

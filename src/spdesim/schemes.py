@@ -344,7 +344,8 @@ def run_block(space, triple, config, bundles, keep=None):
         energy = None
         if keep == ENERGIES:
             energy = np.einsum("pj,pj->p", flat, flat).reshape(k, paths)
-            total = np.add.reduce(energy if alive == paths else energy[:, live], None)
+            rows = energy if alive == paths else energy[:, live]
+            total = np.add.reduce(rows, axis=None)
         else:
             rows = block if alive == paths else block[:, live]
             total = np.vdot(rows, rows)

@@ -45,7 +45,11 @@ class TimeGrid:
 
     @cached_property
     def knots(self):
-        return np.arange(self.m + 1) * (self.T / self.m)
+        """t_0 .. t_m; t_m is T itself, since m·(T/m) can round below T
+        (T = 1, m = 49) and a jump at T must still enter step m."""
+        knots = np.arange(self.m + 1) * (self.T / self.m)
+        knots[-1] = self.T
+        return knots
 
 
 class MarkSpace:

@@ -134,15 +134,11 @@ def _resolve_initial(config, space, master_seed):
     return project(space, zeta)
 
 
-# Finest-grid steps of per-path noise built at a time, so that a block
-# holds no (m, paths) array of Wiener increments or jump data and no second
-# copy of its bundles' increments.  A chunk's Wiener increments pass through
-# three arrays of up to (paths, modes, NOISE_CHUNK): the copied fine
-# increments, their sums and the sums laid out step by step.
-NOISE_CHUNK = 256
 # Knots a block steps between two knot tests (`run_block`): their states
 # fill one (KNOT_CHUNK, paths, n) buffer, about 0.5 MB at 64 paths and
-# n = 32, which one finiteness test and one energy pass then read.
+# n = 32, which one finiteness test and one energy pass then read.  The
+# noise of a chunk's steps is built at once (`_block_noise`), a one-mode
+# Wiener increment and a factorized jump scalar as one more such plane each.
 KNOT_CHUNK = 32
 
 
@@ -161,38 +157,77 @@ def _jump_events(grid, partition, bundles):
     return steps[keep], rows[keep], cells[keep]
 
 
-def _noise_rows(bundles, grid, partition, modes, factorized, start):
-    """The per-path noise of steps start..m of a block, step by step.
+def _fine_wiener(bundles):
+    """The block's (paths, modes, M) finest-grid Wiener increments: a view of
+    the array `sample_bundles` filled when the bundles are its rows in
+    order, else one stack of the bundles' increments."""
+    rows = [bundle.wiener for bundle in bundles]
+    base = rows[0].base
+    if base is not None and base.shape == (len(rows), *rows[0].shape):
+        start, stride = base.__array_interface__["data"][0], base.strides[0]
+        if all(
+            row.base is base
+            and row.strides == base.strides[1:]
+            and row.__array_interface__["data"][0] == start + p * stride
+            for p, row in enumerate(rows)
+        ):
+            return base
+    return np.stack(rows)
 
-    Yields each step's (paths, modes) Wiener increments and its jump data,
-    read from the block's `_jump_events`: for a `factorized` F the (paths,)
-    sums of the cell weight means of its jumps minus δ·Σ weight mass, else
-    the (paths, cells) compensated cell increments, jump counts minus δ·ν.
-    The steps come in chunks of NOISE_CHUNK finest-grid steps, and the
-    Wiener increments of a chunk are coarsened for all paths at once, as
-    `coarsen_wiener` sums them, from a copy of that chunk's fine ones.
+
+def _block_noise(bundles, grid, partition, modes, factorized, n, chunk):
+    """The per-path noise of a block, built up to `chunk` steps at a time,
+    so that the block holds no (m, paths) array of increments or jump data.
+
+    Returns ``noise(lo, k)``, which gives the Wiener increments and the
+    jump data of steps lo .. lo + k − 1 as two arrays whose row j belongs
+    to step lo + j.  The Wiener increments are summed from `_fine_wiener`
+    as `coarsen_wiener` sums them; with one mode each path's increment is
+    repeated along a (k, paths, n) plane, else they are (k, paths, modes).
+    The jump data are read from the block's `_jump_events` with one
+    `np.bincount`: for a `factorized` F the sum of the cell weight means of
+    a path's jumps minus δ·Σ weight mass, repeated along a (k, paths, n)
+    plane, else the (k, paths, cells) compensated cell increments, jump
+    counts minus δ·ν.  The two planes are scratch arrays of the block,
+    overwritten by the next call.
     """
-    m, paths = grid.m, len(bundles)
-    factor = bundles[0].m // m
-    span = max(1, NOISE_CHUNK // factor)
+    paths = len(bundles)
+    factor = bundles[0].m // grid.m
+    fine = _fine_wiener(bundles)[:, :modes] if modes else None
+    wiener_plane = np.empty((chunk, paths, n)) if modes == 1 else None
     steps, rows, cells = _jump_events(grid, partition, bundles)
-    ratio, wmass = cell_weight_means(partition)
-    for lo in range(start - 1, m, span):
-        hi = min(lo + span, m)
-        fine = np.stack([b.wiener[:modes, lo * factor : hi * factor] for b in bundles])
-        dw = fine.reshape(paths, modes, hi - lo, factor).sum(axis=3)
-        dw = np.ascontiguousarray(dw.transpose(2, 0, 1))
-        edges = np.searchsorted(steps, np.arange(lo + 1, hi + 2))
+    if factorized:
+        ratio, wmass = cell_weight_means(partition)
+        bins, weights = rows, ratio[cells]
+        compensator = grid.delta * float(wmass.sum())
+        width, jump_plane = paths, np.empty((chunk, paths, n))
+    else:
+        bins, weights = rows * partition.size + cells, np.ones(cells.size)
+        compensator = grid.delta * partition.nu
+        width = paths * partition.size
+
+    def noise(lo, k):
+        dw = None
+        if modes:
+            span = fine[:, :, (lo - 1) * factor : (lo - 1 + k) * factor]
+            dw = span.reshape(paths, modes, k, factor).sum(axis=3)
+            if modes == 1:
+                plane = wiener_plane[:k]
+                plane[...] = dw[:, 0].T[..., None]
+                dw = plane
+            else:
+                dw = np.ascontiguousarray(dw.transpose(2, 0, 1))
+        a, b = np.searchsorted(steps, (lo, lo + k))
+        here = (steps[a:b] - lo) * width + bins[a:b]
+        counts = np.bincount(here, weights[a:b], minlength=k * width)
         if factorized:
-            here = slice(edges[0], edges[-1])
-            scalars = np.zeros((hi - lo, paths))
-            np.add.at(scalars, (steps[here] - lo - 1, rows[here]), ratio[cells[here]])
-            yield from zip(dw, scalars - grid.delta * float(wmass.sum()))
-            continue
-        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            counts = np.zeros((paths, partition.size))
-            np.add.at(counts, (rows[a:b], cells[a:b]), 1.0)
-            yield dw[k], counts - grid.delta * partition.nu
+            jump = jump_plane[:k]
+            jump[...] = (counts - compensator).reshape(k, paths, 1)
+        else:
+            jump = counts.reshape(k, paths, partition.size) - compensator
+        return dw, jump
+
+    return noise
 
 
 def _check_bundles(config, bundles, modes):
@@ -255,16 +290,23 @@ def run_block(space, triple, config, bundles, keep=None):
     Wiener term and the compensated jump term; the implicit schemes then
     solve the step equation with the result as right-hand side.  An affine
     autonomous explicit drift takes the first term and the previous value
-    together, as one product of the states with I + δA.  With one Wiener
-    mode the Wiener term is the broadcast product of the noise column with
-    the increment, else a batched matrix product.  The two noise terms are
-    formed in two scratch arrays of the block, never in the state or in a
-    coefficient's value.  An autonomous triple's coefficients are evaluated
-    once per step, at the midpoint of the window.  The explicit scheme
-    starts at knot 1, the implicit ones at knot 0, and the noise terms
-    vanish before knot 2.  Grid, partition, jump events, a path-independent
-    initial condition and, for an affine autonomous drift, I + δA or the
-    inverse of I − δA are built once for the block.
+    together, as one product of the states with I + δA.  The noise of a
+    chunk's steps is built before the chunk is stepped (`_block_noise`),
+    from the bundles' fine Wiener increments (a view of the array that
+    `sample_bundles` filled, or one stack of replayed bundles) and one
+    list of jump events.  With one Wiener mode the Wiener term is the
+    product of the noise column with a plane that repeats each path's
+    increment along the state, else a batched matrix product; a factorized
+    jump term is the product of the profile with a plane of each path's
+    jump scalar, a general one a batched matrix product with the cell
+    increments.  The two noise terms are formed in two scratch arrays of
+    the block, never in the state or in a coefficient's value.  An
+    autonomous triple's coefficients are evaluated once per step, at the
+    midpoint of the window.  The explicit scheme starts at knot 1, the
+    implicit ones at knot 0, and the noise terms vanish before knot 2.
+    Grid, partition, jump events, a path-independent initial condition
+    and, for an affine autonomous drift, I + δA or the inverse of I − δA
+    are built once for the block.
 
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
@@ -390,13 +432,19 @@ def run_block(space, triple, config, bundles, keep=None):
         if explicit:
             settle(0, np.zeros((1, paths, n)))
         settle(first, states[:1])
-        noise = _noise_rows(bundles, grid, partition, modes, factorized, first + 1)
+        noise = _block_noise(bundles, grid, partition, modes, factorized, n, KNOT_CHUNK)
         for lo in range(first + 1, m + 1, chunk):
             if not alive:
                 break
             k = min(chunk, m + 1 - lo)
-            for j, (dw, jump) in zip(range(k), noise):
+            # noise comes KNOT_CHUNK steps at a time, also where the knots
+            # are tested one by one
+            if (lo - first - 1) % KNOT_CHUNK == 0:
+                dws, jump_rows = noise(lo, min(KNOT_CHUNK, m + 1 - lo))
+                noise_lo = lo
+            for j in range(k):
                 i = lo + j
+                row = i - noise_lo
                 x, new = states[j], states[j + 1]
                 # y takes the sum of the terms: the new state if explicit,
                 # else the right-hand side of the step equation
@@ -406,15 +454,15 @@ def run_block(space, triple, config, bundles, keep=None):
                     if modes:
                         bmat = mean_B(window, x)
                         if modes == 1:
-                            np.multiply(bmat[..., 0], dw, out=wiener)
+                            np.multiply(bmat[..., 0], dws[row], out=wiener)
                         else:
-                            column = wiener[..., None]
-                            np.matmul(bmat[..., :modes], dw[..., None], out=column)
+                            column, dw = wiener[..., None], dws[row, ..., None]
+                            np.matmul(bmat[..., :modes], dw, out=column)
                     if factorized:
-                        np.multiply(jump[:, None], mean_profile(window, x), out=jumps)
+                        np.multiply(jump_rows[row], mean_profile(window, x), out=jumps)
                     else:
                         cols = tilde_F(triple, grid, partition, i, x, rule)
-                        np.matmul(cols, jump[..., None], out=jumps[..., None])
+                        np.matmul(cols, jump_rows[row, ..., None], out=jumps[..., None])
                     base = x
                     if drift is not None:
                         drift(x, new)

@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -66,6 +68,55 @@ def test_neumaier_returns_the_plain_sum_where_it_is_not_finite():
         assert np.isnan(neumaier_sum([inf, -inf]))
         cols = neumaier_sum(np.array([[1.0, inf, 1e308], [2.0, 1.0, 1e308]]))
     assert cols.tolist() == [3.0, inf, inf]
+
+
+def test_neumaier_sums_a_column_in_floats_as_the_array_path_does():
+    # the 1-d path makes the array path's additions, comparisons and final
+    # choice on Python floats: each column of a 2-d sum has the same bits
+    inf, nan = float("inf"), float("nan")
+    columns = np.array(
+        [
+            [1.0, inf, -inf, nan, 1e308, -1e308, 0.0, -0.0, -0.0, inf],
+            [2.0, 1.0, 3.0, 1.0, 1e308, -1e308, -0.0, -0.0, 0.0, -inf],
+            [1e-17, -2.0, inf, 2.0, -1e308, 1.0, 0.0, -0.0, -0.0, 1.0],
+        ]
+    )
+    rng = np.random.default_rng(5)
+    wide = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-20, 20, (40, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in (columns, columns[:1], wide, wide[:1]):
+            sums = neumaier_sum(block)
+            for j in range(block.shape[1]):
+                got = neumaier_sum(block[:, j])
+                assert type(got) is np.float64
+                assert got.tobytes() == sums[j].tobytes()
+
+
+def test_spawned_workers_get_one_blas_thread(monkeypatch):
+    # each cap the caller left unset is 1 in the workers and unset again
+    # afterwards; a value the caller set is kept
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    triple = heat_jump(SPACE, MARKS)
+    outcomes, caps, _ = harness._path_study(
+        SPACE, triple, [_cfg(n=2, m=8, l=1)], MARKS, 65, 3, 2, _thread_caps, None
+    )
+    assert (outcomes == 0).all()
+    assert caps.tolist() == [[1] * 65, [1] * 65, [3] * 65]
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert os.environ["MKL_NUM_THREADS"] == "3"
+
+
+def _thread_caps(runs):
+    """Reduce of a block that reads its process's thread caps, one column
+    per cap and 0 where one is unset."""
+    assert multiprocessing.parent_process() is not None
+    paths = len(runs[0].final)
+    caps = [int(os.environ.get(name, 0)) for name in harness.WORKER_THREAD_CAPS]
+    return np.zeros((3, paths), dtype=int), np.repeat([caps], paths, axis=0).T
 
 
 def test_overflowing_gaps_give_an_infinite_half_width():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -986,6 +987,7 @@ def test_block_rejects_mismatched_bundles():
 @pytest.mark.parametrize("generic", [False, True])
 @pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])
 def test_noise_chunks_do_not_change_a_block(monkeypatch, kind, generic):
+    # the noise of a block is built KNOT_CHUNK steps at a time
     from spdesim import schemes
 
     space = build_sine_space(6)
@@ -995,67 +997,126 @@ def test_noise_chunks_do_not_change_a_block(monkeypatch, kind, generic):
     cfg = _config(kind)
     bundles = _bundles(3)
     whole = run_block(space, triple, cfg, bundles, keep=ENERGIES)
-    monkeypatch.setattr(schemes, "NOISE_CHUNK", 5)
+    monkeypatch.setattr(schemes, "KNOT_CHUNK", 5)
     chunked = run_block(space, triple, cfg, bundles, keep=ENERGIES)
     assert chunked.final.tobytes() == whole.final.tobytes()
     assert chunked.kept.tobytes() == whole.kept.tobytes()
 
 
+def _hand_bundle(grid, knots, marks, m=64, seed=None):
+    """A bundle of an m-step grid with one Wiener mode (zero unless a
+    seed is given) and jumps on the knots of `grid`."""
+    wiener = np.zeros((1, m))
+    if seed is not None:
+        wiener = np.random.default_rng(seed).normal(0.0, m**-0.5, (1, m))
+    return NoiseBundle(
+        T=grid.T,
+        m=m,
+        l_modes=1,
+        l_level=3,
+        master_seed=0,
+        wiener=wiener,
+        jump_times=grid.knots[list(knots)],
+        jump_marks=np.array(marks, dtype=float),
+        marks=MARKS,
+    )
+
+
 @pytest.mark.parametrize("start", [1, 2])
-def test_noise_rows_match_the_per_step_reference(monkeypatch, start):
+def test_noise_rows_match_the_per_step_reference(start):
     # one event list serves both jump forms, across chunks of 5 steps (20
     # steps of the bundles' grid), for marks outside E^2, a bundle without
     # jumps and jumps placed on knots; the Wiener rows are coarsened as
-    # `coarsen_wiener` coarsens each bundle
+    # `coarsen_wiener` coarsens each bundle, and a one-mode increment and
+    # a factorized jump scalar fill every column of their (k, paths, n)
+    # planes
     from spdesim import schemes
     from spdesim.averaging import cell_weight_means
     from spdesim.noise import build_partition, coarsen_wiener, compensated_cell_increments
 
-    monkeypatch.setattr(schemes, "NOISE_CHUNK", 20)
     grid = TimeGrid(1.0, 16)
     part = build_partition(MARKS, 2)
-
-    def by_hand(knots, marks):
-        return NoiseBundle(
-            T=1.0,
-            m=64,
-            l_modes=1,
-            l_level=3,
-            master_seed=0,
-            wiener=np.random.default_rng(len(knots)).normal(0.0, 0.125, (1, 64)),
-            jump_times=grid.knots[knots],
-            jump_marks=np.array(marks, dtype=float),
-            marks=MARKS,
-        )
-
+    n, chunk = 3, 5
     # t_1, both sides of the chunk edges of either start, a mark outside
     # E^2 (0.03) and t_16 = T
-    on_knots = by_hand(
-        [1, 5, 5, 6, 10, 11, 11, 16], [0.5, 0.1, 1.0, 0.3, 0.7, 0.2, 0.03, 1.0]
-    )
+    knots = [1, 5, 5, 6, 10, 11, 11, 16]
+    marks = [0.5, 0.1, 1.0, 0.3, 0.7, 0.2, 0.03, 1.0]
+    on_knots = _hand_bundle(grid, knots, marks, seed=8)
     sampled = [_bundle(seed, 64, level=3) for seed in (7, 8)]
     assert any((part.locate(b.jump_marks) < 0).any() for b in sampled)
-    bundles = sampled + [by_hand([], []), on_knots]
+    bundles = sampled + [_hand_bundle(grid, [], [], seed=0), on_knots]
     ratio, wmass = cell_weight_means(part)
-    general = list(schemes._noise_rows(bundles, grid, part, 1, False, start))
-    factorized = list(schemes._noise_rows(bundles, grid, part, 1, True, start))
+
+    def per_step(factorized):
+        noise = schemes._block_noise(bundles, grid, part, 1, factorized, n, chunk)
+        for lo in range(start, grid.m + 1, chunk):
+            dw, jump = noise(lo, min(chunk, grid.m + 1 - lo))
+            # the planes are overwritten by the next call
+            yield from zip(dw.copy(), jump.copy())
+
+    general = list(per_step(False))
+    factorized = list(per_step(True))
     assert len(general) == len(factorized) == grid.m - start + 1
     knot_counts = []
     steps = enumerate(zip(general, factorized), start=start)
     for i, ((dw, rows), (dw_factorized, scalars)) in steps:
-        assert dw.shape == (len(bundles), 1)
+        assert dw.shape == (len(bundles), n)
         assert dw_factorized.tobytes() == dw.tobytes()
+        assert scalars.shape == (len(bundles), n)
         for p, bundle in enumerate(bundles):
             want = compensated_cell_increments(bundle, part, grid, i)
             assert rows[p].tobytes() == want.tobytes()
             want = coarsen_wiener(bundle, grid.m, 1, i - 1, i)[:, 0]
-            assert dw[p].tobytes() == want.tobytes()
+            assert dw[p].tobytes() == np.repeat(want, n).tobytes()
+            assert scalars[p].tobytes() == np.repeat(scalars[p, 0], n).tobytes()
         counts = np.rint(rows + grid.delta * part.nu)
         want = counts @ ratio - grid.delta * wmass.sum()
-        np.testing.assert_allclose(scalars, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(scalars[:, 0], want, rtol=0.0, atol=1e-12)
         knot_counts.append(counts[3].sum())
     expected = {1: 1, 5: 2, 6: 1, 10: 1, 11: 1, 16: 1}
     assert knot_counts == [expected.get(i, 0) for i in range(start, grid.m + 1)]
+    # a chunk without any jump in the block holds only the compensators
+    quiet = [_hand_bundle(grid, [], [])]
+    compensators = {True: -grid.delta * wmass.sum(), False: -grid.delta * part.nu}
+    for factorized, want in compensators.items():
+        noise = schemes._block_noise(quiet, grid, part, 1, factorized, n, chunk)
+        dw, jump = noise(start, chunk)
+        assert not dw.any()
+        assert jump.tobytes() == np.broadcast_to(want, jump.shape).tobytes()
+
+
+@pytest.mark.parametrize("name", ["heat_jump", "general", "additive"])
+def test_sampled_rows_and_replayed_bundles_step_alike(name):
+    # bundles that are the rows of one `sample_bundles` array are read
+    # through a view of it, separate arrays (replays) through one stack;
+    # both give every field of a block the same bits, on a rung coarser
+    # than the bundles and whatever is kept
+    from spdesim import schemes
+    from spdesim.noise import bundle_from_json, bundle_to_json, sample_bundles
+
+    space = build_sine_space(6)
+    triple = heat_jump(space, MARKS)
+    if name == "general":
+        triple = dataclasses.replace(triple, jump_profile=None)
+    elif name == "additive":
+        triple = additive_multimode(space, MARKS)
+    sampled = sample_bundles(range(300, 310), TimeGrid(1.0, 128), 3, MARKS, 3)
+    replayed = [bundle_from_json(bundle_to_json(bundle)) for bundle in sampled]
+    fine = schemes._fine_wiener(sampled)
+    assert fine is sampled[0].wiener.base
+    stacked = schemes._fine_wiener(replayed)
+    assert not np.shares_memory(stacked, fine)
+    assert stacked.tobytes() == fine.tobytes()
+    # a reordered or partial list of the rows is stacked too
+    for order in (sampled[::-1], sampled[2:5]):
+        got = schemes._fine_wiener(order)
+        assert not np.shares_memory(got, fine)
+        assert got.tobytes() == np.stack([b.wiener for b in order]).tobytes()
+    for kind in ("explicit", "implicit_projected"):
+        cfg = SchemeConfig(kind=kind, n=6, m=32, l=3, initial=smooth_profile(6))
+        for keep in (None, ENERGIES, STATES):
+            want = _run_bits(run_block(space, triple, cfg, replayed, keep=keep))
+            assert _run_bits(run_block(space, triple, cfg, sampled, keep=keep)) == want
 
 
 @pytest.mark.parametrize("direct", [True, False])
@@ -1119,3 +1180,40 @@ def test_jumps_on_knots(kind, m):
             got = _values(space, path, cfg, _knot_jump_bundle([j]))
             assert got[:i].tobytes() == quiet[:i].tobytes()
             assert not np.array_equal(got[i], quiet[i])
+
+
+@pytest.mark.parametrize("kind", ["explicit", "implicit"])
+def test_a_jump_at_the_horizon_enters_the_last_step(kind):
+    # 49·(1/49) rounds below 1, so the last knot is T itself: a replayed
+    # jump at t = T enters step 49 of a block and of the per-step counts,
+    # in the factorized and the general jump form alike
+    from spdesim.noise import (
+        bundle_from_json,
+        bundle_to_json,
+        build_partition,
+        compensated_cell_increments,
+    )
+
+    m = 49
+    assert m * (1.0 / m) < 1.0
+    grid = TimeGrid(1.0, m)
+    assert grid.knots[-1] == 1.0 and (np.diff(grid.knots) > 0).all()
+    quiet = sample_bundle(3, grid, 1, MARKS, 2)
+    payload = json.loads(bundle_to_json(quiet))
+    payload["jump_times"].append(1.0)
+    payload["jump_marks"].append(0.5)
+    at_T = bundle_from_json(json.dumps(payload))
+    part = build_partition(MARKS, 2)
+    extra = compensated_cell_increments(at_T, part, grid, m)
+    extra -= compensated_cell_increments(quiet, part, grid, m)
+    cell = part.locate([0.5])[0]
+    assert np.rint(extra).tolist() == (np.arange(part.size) == cell).tolist()
+    space = build_sine_space(4)
+    triple = heat_jump(space, MARKS)
+    cfg = SchemeConfig(kind=kind, n=4, m=m, l=2, initial=smooth_profile(4))
+    for jumps in (triple, dataclasses.replace(triple, jump_profile=None)):
+        want = _values(space, jumps, cfg, quiet)
+        got = _values(space, jumps, cfg, at_T)
+        assert np.isfinite(got).all() and np.isfinite(want).all()
+        assert got[:m].tobytes() == want[:m].tobytes()
+        assert not np.array_equal(got[m], want[m])

@@ -35,7 +35,6 @@ from .noise import (
     bundle_to_json,
     coarsen_wiener,
     compensated_cell_increments,
-    sample_bundle,
     sample_bundles,
 )
 from .schemes import (

@@ -6,7 +6,12 @@ time grid and the complete record of jump (time, mark) points on
 [0, T] × E^L.  Every coarser resolution is obtained from the same bundle
 by exact aggregation - summing fine Wiener increments and re-binning the
 same jump points - which is what makes coupled multi-resolution runs
-meaningful pathwise.
+meaningful pathwise.  This module is the one place that reads a block of
+bundles at a resolution: `fine_wiener` gives the block's fine increments
+as one array, `coarsen` sums them to a coarser grid, and `jump_events`
+bins every jump of the block into its step and mark cell.
+`schemes.run_block`, `coarsen_wiener` and `compensated_cell_increments`
+compose these.
 
 Mark spaces ship in two families: a power-law density on (0, 1] exhausted
 by the compacts [4^-l, 1], and finite atom lists.  Partitions of the
@@ -19,7 +24,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -304,8 +309,9 @@ class NoiseBundle:
 
     wiener[k−1, i−1] holds the increment of Wiener mode k over the i-th
     finest step; jumps are sorted by time with marks inside E^l_level.  The
-    constructor checks the shape of `wiener`; `sample_bundle` sorts the
-    jumps itself, and `bundle_from_json` checks their order.
+    constructor checks the shape of `wiener` and that the jump times and
+    marks are flat lists of equal length; `sample_bundles` sorts the jumps
+    itself, and `bundle_from_json` checks their order.
     """
 
     T: float
@@ -321,12 +327,9 @@ class NoiseBundle:
     def __post_init__(self):
         if self.wiener.shape != (self.l_modes, self.m):
             raise ValueError("wiener increment matrix has wrong shape")
-
-
-@lru_cache(maxsize=32)
-def _total_mass(marks, level):
-    """ν(E^level), cached: every path of a study samples on the same marks."""
-    return marks.total_mass(level)
+        times, marks = np.shape(self.jump_times), np.shape(self.jump_marks)
+        if len(times) != 1 or marks != times:
+            raise ValueError("jump times and marks must be flat lists of equal length")
 
 
 # Paths whose Wiener increments are drawn as one array by `sample_bundles`:
@@ -335,28 +338,21 @@ def _total_mass(marks, level):
 DRAW_PATHS = 8
 
 
-def sample_bundle(master_seed, grid, l_modes, marks, l_level):
-    """Draw one noise realization, fully determined by master_seed.
-
-    The one-path case of `sample_bundles`.
-    """
-    return sample_bundles([master_seed], grid, l_modes, marks, l_level)[0]
-
-
 def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
     """Draw one noise realization per master seed, each fully determined by
-    its seed.
+    its seed; one path is the block of one seed.
 
     Wiener increments are one N(0, δ) draw per (path, mode, step), each
     from its own derived key, so generation order is immaterial: they are
     drawn DRAW_PATHS paths at a time into one (paths, modes, m) array, and
-    bundle p holds row p of it.  The jump record is Poisson with mean
-    T·ν(E^level); times are uniform on (0, T], marks follow ν restricted
-    and normalized on E^level.
+    bundle p holds row p of it (`fine_wiener` reads the array back).  The
+    jump record is Poisson with mean T·ν(E^level), the mass asked for once
+    per call; times are uniform on (0, T], marks follow ν restricted and
+    normalized on E^level.
     """
     if l_modes < 0 or l_level < 1:
         raise ValueError("need l_modes >= 0 and l_level >= 1")
-    nu_total = _total_mass(marks, l_level)
+    nu_total = marks.total_mass(l_level)
     if not np.isfinite(nu_total) or nu_total <= 0:
         raise ValueError(f"invalid mark-space mass {nu_total} at level {l_level}")
     seeds = [int(seed) for seed in master_seeds]
@@ -393,45 +389,78 @@ def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
     return bundles
 
 
-def coarsen_wiener(bundle, m_coarse, modes, start=0, stop=None):
-    """Increments on a coarser grid as exact sums of fine increments.
+def fine_wiener(bundles):
+    """The block's (paths, modes, M) finest-grid Wiener increments: a view of
+    the array `sample_bundles` filled when the bundles are its rows in
+    order, else one stack of the bundles' increments."""
+    rows = [bundle.wiener for bundle in bundles]
+    base = rows[0].base
+    if base is not None and base.shape == (len(rows), *rows[0].shape):
+        start, stride = base.__array_interface__["data"][0], base.strides[0]
+        if all(
+            row.base is base
+            and row.strides == base.strides[1:]
+            and row.__array_interface__["data"][0] == start + p * stride
+            for p, row in enumerate(rows)
+        ):
+            return base
+    return np.stack(rows)
 
-    Returns the (modes, stop − start) increments of coarse steps
-    start + 1 .. stop, by default all m_coarse of them.
-    """
+
+def coarsen(fine, factor):
+    """Increments of a grid `factor` times coarser, along the last axis of
+    `fine`: each is the sum of the `factor` fine increments it spans."""
+    *lead, steps = fine.shape
+    return fine.reshape(*lead, steps // factor, factor).sum(axis=-1)
+
+
+def coarsen_wiener(bundle, m_coarse, modes):
+    """The bundle's (modes, m_coarse) increments on a coarser grid, as exact
+    sums of fine increments (`coarsen`)."""
     if modes > bundle.l_modes:
         raise ValueError(f"bundle has {bundle.l_modes} modes, need {modes}")
     if m_coarse < 1 or bundle.m % m_coarse != 0:
         raise ValueError(f"{m_coarse} does not divide finest m = {bundle.m}")
-    stop = m_coarse if stop is None else stop
-    if not 0 <= start <= stop <= m_coarse:
-        raise ValueError(f"coarse steps {start}..{stop} outside 0..{m_coarse}")
-    factor = bundle.m // m_coarse
-    fine = bundle.wiener[:modes, start * factor : stop * factor]
-    return fine.reshape(modes, stop - start, factor).sum(axis=2)
+    return coarsen(bundle.wiener[:modes], bundle.m // m_coarse)
 
 
-def compensated_cell_increments(bundle, partition, grid, i):
-    """Ñ((t_{i−1}, t_i] × cell_j) for every cell of the partition.
+def jump_events(grid, partition, bundles):
+    """The (step, path, cell) of every jump of a block with a mark in a cell.
 
-    Component j counts the bundle's jumps falling in the time window with a
-    mark in cell j, minus the compensator δ·ν(cell_j).
+    A jump at t enters the step i with t in (t_{i−1}, t_i].  The events are
+    stably sorted by step, so within a path they stay in time order.
     """
-    if partition.level > bundle.l_level:
-        raise ValueError(
-            f"partition level {partition.level} exceeds bundle level {bundle.l_level}"
-        )
+    times = [bundle.jump_times for bundle in bundles]
+    rows = np.repeat(np.arange(len(bundles)), [t.size for t in times])
+    steps = np.searchsorted(grid.knots, np.concatenate(times), side="left")
+    cells = partition.locate(np.concatenate([b.jump_marks for b in bundles]))
+    keep = np.flatnonzero(cells >= 0)
+    keep = keep[np.argsort(steps[keep], kind="stable")]
+    return steps[keep], rows[keep], cells[keep]
+
+
+def compensated_cell_increments(bundles, partition, grid, i):
+    """Ñ((t_{i−1}, t_i] × cell_j) for every bundle and every cell of the
+    partition, as a (bundles, cells) array.
+
+    Component (p, j) counts the jumps of bundle p falling in the time
+    window with a mark in cell j (`jump_events`), minus the compensator
+    δ·ν(cell_j).
+    """
+    for bundle in bundles:
+        if partition.level > bundle.l_level:
+            raise ValueError(
+                f"partition level {partition.level} exceeds bundle level {bundle.l_level}"
+            )
+        if abs(grid.T - bundle.T) > 1e-12 * max(grid.T, bundle.T):
+            raise ValueError("grid horizon does not match bundle horizon")
     if not 1 <= i <= grid.m:
         raise ValueError(f"step index {i} outside 1..{grid.m}")
-    if abs(grid.T - bundle.T) > 1e-12 * max(grid.T, bundle.T):
-        raise ValueError("grid horizon does not match bundle horizon")
-    knots = grid.knots
-    a = np.searchsorted(bundle.jump_times, knots[i - 1], side="right")
-    b = np.searchsorted(bundle.jump_times, knots[i], side="right")
-    cells = partition.locate(bundle.jump_marks[a:b])
-    cells = cells[cells >= 0]
-    counts = np.bincount(cells, minlength=partition.size).astype(float)
-    return counts - grid.delta * partition.nu
+    steps, rows, cells = jump_events(grid, partition, bundles)
+    a, b = np.searchsorted(steps, (i, i + 1))
+    width = partition.size
+    counts = np.bincount(rows[a:b] * width + cells[a:b], minlength=len(bundles) * width)
+    return counts.reshape(len(bundles), width) - grid.delta * partition.nu
 
 
 def bundle_to_json(bundle):

@@ -44,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from .averaging import cell_weight_means, impl_A, tilde_F, time_mean
-from .noise import TimeGrid, build_partition
+from .noise import TimeGrid, build_partition, coarsen, fine_wiener, jump_events
 from .rng import TAG_INITIAL, derive_key, make_generator
 from .space import c_b, project, restrict, smooth_profile
 
@@ -142,49 +142,16 @@ def _resolve_initial(config, space, master_seed):
 KNOT_CHUNK = 32
 
 
-def _jump_events(grid, partition, bundles):
-    """The (step, path, cell) of every jump of a block with a mark in a cell.
-
-    A jump at t enters the step i with t in (t_{i−1}, t_i].  The events are
-    stably sorted by step, so within a path they stay in time order.
-    """
-    times = [bundle.jump_times for bundle in bundles]
-    rows = np.repeat(np.arange(len(bundles)), [t.size for t in times])
-    steps = np.searchsorted(grid.knots, np.concatenate(times), side="left")
-    cells = partition.locate(np.concatenate([b.jump_marks for b in bundles]))
-    keep = np.flatnonzero(cells >= 0)
-    keep = keep[np.argsort(steps[keep], kind="stable")]
-    return steps[keep], rows[keep], cells[keep]
-
-
-def _fine_wiener(bundles):
-    """The block's (paths, modes, M) finest-grid Wiener increments: a view of
-    the array `sample_bundles` filled when the bundles are its rows in
-    order, else one stack of the bundles' increments."""
-    rows = [bundle.wiener for bundle in bundles]
-    base = rows[0].base
-    if base is not None and base.shape == (len(rows), *rows[0].shape):
-        start, stride = base.__array_interface__["data"][0], base.strides[0]
-        if all(
-            row.base is base
-            and row.strides == base.strides[1:]
-            and row.__array_interface__["data"][0] == start + p * stride
-            for p, row in enumerate(rows)
-        ):
-            return base
-    return np.stack(rows)
-
-
 def _block_noise(bundles, grid, partition, modes, factorized, n, chunk):
     """The per-path noise of a block, built up to `chunk` steps at a time,
     so that the block holds no (m, paths) array of increments or jump data.
 
     Returns ``noise(lo, k)``, which gives the Wiener increments and the
     jump data of steps lo .. lo + k − 1 as two arrays whose row j belongs
-    to step lo + j.  The Wiener increments are summed from `_fine_wiener`
-    as `coarsen_wiener` sums them; with one mode each path's increment is
-    repeated along a (k, paths, n) plane, else they are (k, paths, modes).
-    The jump data are read from the block's `_jump_events` with one
+    to step lo + j.  The Wiener increments are the block's `fine_wiener`
+    summed by `coarsen`; with one mode each path's increment is repeated
+    along a (k, paths, n) plane, else they are (k, paths, modes).  The jump
+    data are read from the block's `jump_events` with one
     `np.bincount`: for a `factorized` F the sum of the cell weight means of
     a path's jumps minus δ·Σ weight mass, repeated along a (k, paths, n)
     plane, else the (k, paths, cells) compensated cell increments, jump
@@ -193,9 +160,9 @@ def _block_noise(bundles, grid, partition, modes, factorized, n, chunk):
     """
     paths = len(bundles)
     factor = bundles[0].m // grid.m
-    fine = _fine_wiener(bundles)[:, :modes] if modes else None
+    fine = fine_wiener(bundles)[:, :modes] if modes else None
     wiener_plane = np.empty((chunk, paths, n)) if modes == 1 else None
-    steps, rows, cells = _jump_events(grid, partition, bundles)
+    steps, rows, cells = jump_events(grid, partition, bundles)
     if factorized:
         ratio, wmass = cell_weight_means(partition)
         bins, weights = rows, ratio[cells]
@@ -209,8 +176,7 @@ def _block_noise(bundles, grid, partition, modes, factorized, n, chunk):
     def noise(lo, k):
         dw = None
         if modes:
-            span = fine[:, :, (lo - 1) * factor : (lo - 1 + k) * factor]
-            dw = span.reshape(paths, modes, k, factor).sum(axis=3)
+            dw = coarsen(fine[:, :, (lo - 1) * factor : (lo - 1 + k) * factor], factor)
             if modes == 1:
                 plane = wiener_plane[:k]
                 plane[...] = dw[:, 0].T[..., None]
@@ -292,9 +258,9 @@ def run_block(space, triple, config, bundles, keep=None):
     autonomous explicit drift takes the first term and the previous value
     together, as one product of the states with I + δA.  The noise of a
     chunk's steps is built before the chunk is stepped (`_block_noise`),
-    from the bundles' fine Wiener increments (a view of the array that
-    `sample_bundles` filled, or one stack of replayed bundles) and one
-    list of jump events.  With one Wiener mode the Wiener term is the
+    from what `noise` reads of the block: its fine Wiener increments
+    (`fine_wiener`), summed to the rung (`coarsen`), and one list of jump
+    events (`jump_events`).  With one Wiener mode the Wiener term is the
     product of the noise column with a plane that repeats each path's
     increment along the state, else a batched matrix product; a factorized
     jump term is the product of the profile with a plane of each path's

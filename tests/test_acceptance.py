@@ -24,7 +24,7 @@ from spdesim.noise import (
     TimeGrid,
     build_partition,
     compensated_cell_increments,
-    sample_bundle,
+    sample_bundles,
 )
 from spdesim.schemes import (
     STATES,
@@ -103,11 +103,12 @@ def test_criterion_03_compensator_statistics():
         bundles = 100_000
         total = np.zeros(part.size)
         total_sq = np.zeros(part.size)
-        for seed in range(bundles):
-            bundle = sample_bundle(seed, grid, 0, MARKS, 2)
-            inc = compensated_cell_increments(bundle, part, grid, 1)
-            total += inc
-            total_sq += inc**2
+        # seeds 0 .. 99,999 in blocks of 1,000, summed row by row in seed order
+        for lo in range(0, bundles, 1000):
+            block = sample_bundles(range(lo, lo + 1000), grid, 0, MARKS, 2)
+            for inc in compensated_cell_increments(block, part, grid, 1):
+                total += inc
+                total_sq += inc**2
         mean = total / bundles
         var = (total_sq - bundles * mean**2) / (bundles - 1)
         sigma = np.sqrt(grid.delta * part.nu)
@@ -115,10 +116,10 @@ def test_criterion_03_compensator_statistics():
         assert (np.abs(var - grid.delta * part.nu) <= 0.05 * grid.delta * part.nu).all()
         # cross-level aggregation: integer counts, additive compensators
         fine = build_partition(MARKS, 3)
-        for seed in range(100):
-            bundle = sample_bundle(seed, grid, 0, MARKS, 3)
-            inc_f = compensated_cell_increments(bundle, fine, grid, 1)
-            inc_c = compensated_cell_increments(bundle, part, grid, 1)
+        block = sample_bundles(range(100), grid, 0, MARKS, 3)
+        rows_f = compensated_cell_increments(block, fine, grid, 1)
+        rows_c = compensated_cell_increments(block, part, grid, 1)
+        for inc_f, inc_c in zip(rows_f, rows_c):
             counts_f = np.rint(inc_f + grid.delta * fine.nu).astype(int)
             counts_c = np.rint(inc_c + grid.delta * part.nu).astype(int)
             for p in range(part.size):
@@ -165,7 +166,7 @@ def test_criterion_05_zero_noise_scheme_oracles():
         triple = heat_jump(space, MARKS, theta=0.0, lipschitz=0.0, lambda_const=0.5)
         zeta = np.ones(n)
         grid = TimeGrid(1.0, m)
-        bundle = sample_bundle(55, grid, 1, MARKS, 2)
+        bundle = sample_bundles([55], grid, 1, MARKS, 2)[0]
         k = np.arange(1, n + 1, dtype=float)
         exp_factor = 1.0 - grid.delta * (k * np.pi) ** 2 / 2.0
         imp_factor = 1.0 / (1.0 + grid.delta * (k * np.pi) ** 2 / 2.0)

@@ -11,7 +11,7 @@ from spdesim.averaging import (
 )
 from spdesim.coefficients import CoefficientTriple, ConditionConstants
 from spdesim.fixtures import additive_multimode, heat_jump
-from spdesim.noise import PowerLawMarks, TimeGrid, build_partition, sample_bundle
+from spdesim.noise import PowerLawMarks, TimeGrid, build_partition, sample_bundles
 from spdesim.schemes import STATES, SchemeConfig, run_block
 from spdesim.space import build_sine_space
 
@@ -83,7 +83,7 @@ def _run(triple, kind, m, bundle, l=2):
 
 
 def _bundle(m, modes=1, level=2):
-    return sample_bundle(21, TimeGrid(1.0, m), modes, MARKS, level)
+    return sample_bundles([21], TimeGrid(1.0, m), modes, MARKS, level)[0]
 
 
 def test_tilde_A_zero_at_first_two_knots():

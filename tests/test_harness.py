@@ -20,7 +20,7 @@ from spdesim.harness import (
     run_condition_suite,
     validate_ladder,
 )
-from spdesim.noise import PowerLawMarks, TimeGrid, sample_bundle
+from spdesim.noise import PowerLawMarks, TimeGrid, sample_bundles
 from spdesim.rng import TAG_PATH, TAG_PROBE, TAG_TRIAL, derive_key, make_generator
 from spdesim.schemes import STATES, BlockRun, SchemeConfig, run_block
 from spdesim.space import build_sine_space, restrict, smooth_profile
@@ -150,9 +150,8 @@ def test_overflowing_energies_are_blow_ups_at_knot_0():
     assert (stats.blowups, stats.failures) == (6, 0)
     assert np.isnan(stats.knot_mean).all() and np.isnan(stats.final_mean)
     grid = TimeGrid(1.0, 16)
-    bundles = [
-        sample_bundle(derive_key(5, TAG_PATH, j), grid, 0, MARKS, 2) for j in range(6)
-    ]
+    seeds = [derive_key(5, TAG_PATH, j) for j in range(6)]
+    bundles = sample_bundles(seeds, grid, 0, MARKS, 2)
     assert run_block(space, triple, cfg, bundles).blow_up_steps == [0] * 6
 
 
@@ -213,9 +212,8 @@ def test_coupled_coarse_run_is_bitwise_standalone():
     coarse = _cfg(n=4, m=16, l=1)
     fine = _cfg(n=8, m=64, l=2)
     seed = 31
-    bundle = sample_bundle(
-        derive_key(seed, TAG_PATH, 0), TimeGrid(1.0, 64), 1, MARKS, 2
-    )
+    path_seed = derive_key(seed, TAG_PATH, 0)
+    bundle = sample_bundles([path_seed], TimeGrid(1.0, 64), 1, MARKS, 2)[0]
     alone = run_block(SPACE, triple, coarse, [bundle], keep=STATES)
     est, _, _, _ = _one_rung(triple, coarse, fine, 1, seed)
     fine_run = run_block(SPACE, triple, fine, [bundle], keep=STATES)
@@ -497,7 +495,7 @@ def test_convergence_study_honours_quadrature(monkeypatch):
     grid = TimeGrid(1.0, ref.m)
     modes = min(ref.l, triple.wiener_modes)
     bundles = [
-        sample_bundle(derive_key(29, TAG_PATH, j), grid, modes, MARKS, ref.l)
+        sample_bundles([derive_key(29, TAG_PATH, j)], grid, modes, MARKS, ref.l)[0]
         for j in range(ladder.paths)
     ]
     coarse = run_block(SPACE, triple, rung, bundles)

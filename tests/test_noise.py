@@ -18,7 +18,6 @@ from spdesim.noise import (
     bundle_to_json,
     coarsen_wiener,
     compensated_cell_increments,
-    sample_bundle,
     sample_bundles,
 )
 from spdesim.rng import (
@@ -104,8 +103,8 @@ def test_atom_partition():
 
 def test_bundle_determinism_and_shape():
     grid = TimeGrid(1.0, 16)
-    a = sample_bundle(12345, grid, 3, MARKS, 2)
-    b = sample_bundle(12345, grid, 3, MARKS, 2)
+    a = sample_bundles([12345], grid, 3, MARKS, 2)[0]
+    b = sample_bundles([12345], grid, 3, MARKS, 2)[0]
     assert a.wiener.shape == (3, 16)
     assert np.array_equal(a.wiener, b.wiener)
     assert np.array_equal(a.jump_times, b.jump_times)
@@ -127,7 +126,7 @@ def test_block_drawn_bundles_are_the_one_path_bundles():
         mode_idx = np.arange(1, modes + 1, dtype=np.uint64)[:, None]
         step_idx = np.arange(1, grid.m + 1, dtype=np.uint64)[None, :]
         for seed, bundle in zip(seeds, block):
-            alone = sample_bundle(seed, grid, modes, MARKS, 2)
+            alone = sample_bundles([seed], grid, modes, MARKS, 2)[0]
             for field in dataclasses.fields(NoiseBundle):
                 got, want = getattr(bundle, field.name), getattr(alone, field.name)
                 if isinstance(got, np.ndarray):
@@ -145,7 +144,7 @@ def test_bundle_rejects_empty_mass():
     grid = TimeGrid(1.0, 4)
     empty = AtomMarks(positions=(0.5,), weights=(0.0,))
     with pytest.raises(ValueError):
-        sample_bundle(1, grid, 1, empty, 1)
+        sample_bundles([1], grid, 1, empty, 1)
 
 
 @pytest.mark.parametrize("position", [float("inf"), float("-inf"), float("nan")])
@@ -180,10 +179,7 @@ def test_bundle_json_names_the_atom_list_the_atoms_reject(name, values, message)
 
 def test_wiener_moments():
     grid = TimeGrid(1.0, 8)
-    rows = []
-    for seed in range(2000):
-        rows.append(sample_bundle(seed, grid, 2, MARKS, 1).wiener)
-    data = np.asarray(rows)
+    data = np.stack([b.wiener for b in sample_bundles(range(2000), grid, 2, MARKS, 1)])
     var = data.var(axis=0)
     assert np.abs(data.mean()) < 4 * np.sqrt(grid.delta / data.size)
     assert np.allclose(var, grid.delta, rtol=0.15)
@@ -194,9 +190,8 @@ def test_wiener_moments():
 
 def test_jump_count_mean():
     grid = TimeGrid(1.0, 4)
-    counts = [
-        sample_bundle(seed, grid, 1, MARKS, 2).jump_times.size for seed in range(4000)
-    ]
+    bundles = sample_bundles(range(4000), grid, 1, MARKS, 2)
+    counts = [bundle.jump_times.size for bundle in bundles]
     mean = np.mean(counts)
     # Poisson(6): 4 sigma band at this sample size
     assert abs(mean - 6.0) < 4 * np.sqrt(6.0 / len(counts))
@@ -204,7 +199,7 @@ def test_jump_count_mean():
 
 def test_coarsen_telescopes_exactly():
     grid = TimeGrid(1.0, 4)
-    bundle = sample_bundle(5, grid, 2, MARKS, 1)
+    bundle = sample_bundles([5], grid, 2, MARKS, 1)[0]
     coarse = coarsen_wiener(bundle, 2, 2)
     fine = bundle.wiener
     assert coarse[0, 0] == fine[0, 0] + fine[0, 1]
@@ -213,23 +208,11 @@ def test_coarsen_telescopes_exactly():
 
 
 def test_coarsen_rejects_non_divisor():
-    bundle = sample_bundle(5, TimeGrid(1.0, 4), 1, MARKS, 1)
+    bundle = sample_bundles([5], TimeGrid(1.0, 4), 1, MARKS, 1)[0]
     with pytest.raises(ValueError):
         coarsen_wiener(bundle, 3, 1)
     with pytest.raises(ValueError):
         coarsen_wiener(bundle, 2, 5)
-
-
-def test_coarsen_a_step_range_is_a_slice_of_the_whole():
-    bundle = sample_bundle(5, TimeGrid(1.0, 64), 2, MARKS, 1)
-    whole = coarsen_wiener(bundle, 16, 2)
-    for start, stop in ((0, 16), (0, 5), (5, 16), (7, 7)):
-        part = coarsen_wiener(bundle, 16, 2, start, stop)
-        assert part.tobytes() == whole[:, start:stop].tobytes()
-    with pytest.raises(ValueError, match="outside"):
-        coarsen_wiener(bundle, 16, 2, 4, 17)
-    with pytest.raises(ValueError, match="outside"):
-        coarsen_wiener(bundle, 16, 2, 5, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,7 +269,7 @@ def test_rekeyed_generator_draws_what_a_fresh_generator_draws(keys):
     modes=st.integers(1, 2),
 )
 def test_coarse_increments_are_bit_exact_sums_of_fine_ones(seed, m_coarse, modes):
-    bundle = sample_bundle(seed, TimeGrid(1.0, 4096), 2, MARKS, 1)
+    bundle = sample_bundles([seed], TimeGrid(1.0, 4096), 2, MARKS, 1)[0]
     factor = 4096 // m_coarse
     want = [
         [bundle.wiener[j, i * factor : (i + 1) * factor].sum() for i in range(m_coarse)]
@@ -304,7 +287,7 @@ def test_coarse_increments_are_bit_exact_sums_of_fine_ones(seed, m_coarse, modes
 )
 def test_cell_counts_aggregate_through_parent(seed, level, marks):
     # a bundle large enough to put jumps in most cells
-    bundle = sample_bundle(seed, TimeGrid(8.0, 2), 0, marks, level)
+    bundle = sample_bundles([seed], TimeGrid(8.0, 2), 0, marks, level)[0]
     fine = build_partition(marks, level)
     coarse = build_partition(marks, level - 1)
     fine_counts = np.bincount(fine.locate(bundle.jump_marks), minlength=fine.size)
@@ -320,8 +303,8 @@ def test_cell_counts_aggregate_through_parent(seed, level, marks):
 def test_coarse_increment_variance():
     grid = TimeGrid(1.0, 8)
     vals = [
-        coarsen_wiener(sample_bundle(seed, grid, 1, MARKS, 1), 2, 1)[0, 0]
-        for seed in range(4000)
+        coarsen_wiener(bundle, 2, 1)[0, 0]
+        for bundle in sample_bundles(range(4000), grid, 1, MARKS, 1)
     ]
     assert np.var(vals) == pytest.approx(0.5, rel=0.1)
 
@@ -347,7 +330,7 @@ def test_compensated_increment_single_jump():
     part = build_partition(MARKS, 1)
     grid = TimeGrid(1.0, 4)
     bundle = _manual_bundle([0.1], [0.3], level=1)
-    inc = compensated_cell_increments(bundle, part, grid, 1)
+    inc = compensated_cell_increments([bundle], part, grid, 1)[0]
     j = int(part.locate(np.array([0.3]))[0])
     expect = -grid.delta * part.nu
     expect[j] += 1.0
@@ -358,7 +341,7 @@ def test_compensated_increment_no_jumps():
     part = build_partition(MARKS, 2)
     grid = TimeGrid(1.0, 4)
     bundle = _manual_bundle([], [])
-    inc = compensated_cell_increments(bundle, part, grid, 2)
+    inc = compensated_cell_increments([bundle], part, grid, 2)[0]
     assert np.allclose(inc, -grid.delta * part.nu, atol=1e-16)
 
 
@@ -367,8 +350,8 @@ def test_compensated_increment_window_is_left_open():
     grid = TimeGrid(1.0, 4)
     # jump exactly at a knot belongs to the window ending there
     bundle = _manual_bundle([0.25, 0.5], [0.5, 0.5], level=1)
-    inc1 = compensated_cell_increments(bundle, part, grid, 1)
-    inc2 = compensated_cell_increments(bundle, part, grid, 2)
+    inc1 = compensated_cell_increments([bundle], part, grid, 1)[0]
+    inc2 = compensated_cell_increments([bundle], part, grid, 2)[0]
     j = int(part.locate(np.array([0.5]))[0])
     assert inc1[j] == pytest.approx(1.0 - grid.delta * part.nu[j])
     assert inc2[j] == pytest.approx(1.0 - grid.delta * part.nu[j])
@@ -379,9 +362,9 @@ def test_cross_level_aggregation_exact():
     coarse = build_partition(MARKS, 2)
     grid = TimeGrid(1.0, 4)
     for seed in range(50):
-        bundle = sample_bundle(seed, grid, 0, MARKS, 3)
-        inc_f = compensated_cell_increments(bundle, fine, grid, 2)
-        inc_c = compensated_cell_increments(bundle, coarse, grid, 2)
+        bundle = sample_bundles([seed], grid, 0, MARKS, 3)[0]
+        inc_f = compensated_cell_increments([bundle], fine, grid, 2)[0]
+        inc_c = compensated_cell_increments([bundle], coarse, grid, 2)[0]
         counts_f = inc_f + grid.delta * fine.nu
         counts_c = inc_c + grid.delta * coarse.nu
         for p in range(coarse.size):
@@ -399,8 +382,8 @@ def test_level_restriction_commutes_with_increments():
     bundle = _manual_bundle([0.2, 0.6, 0.9], [0.3, 0.1, 0.8], level=2)
     shallow = _manual_bundle([0.2, 0.9], [0.3, 0.8], level=1)
     for i in (1, 2, 3, 4):
-        got = compensated_cell_increments(bundle, part, grid, i)
-        want = compensated_cell_increments(shallow, part, grid, i)
+        got = compensated_cell_increments([bundle], part, grid, i)[0]
+        want = compensated_cell_increments([shallow], part, grid, i)[0]
         assert np.array_equal(got, want)
 
 
@@ -408,12 +391,93 @@ def test_increment_level_guard():
     part = build_partition(MARKS, 3)
     bundle = _manual_bundle([0.2], [0.5], level=2)
     with pytest.raises(ValueError):
-        compensated_cell_increments(bundle, part, TimeGrid(1.0, 4), 1)
+        compensated_cell_increments([bundle], part, TimeGrid(1.0, 4), 1)
+
+
+def _mixed_block(grid):
+    """Sampled bundles at level 3, some with marks outside E^2, a bundle
+    without jumps, a bundle with jumps on knots (one of them outside E^2)
+    and one with a jump at T."""
+    sampled = sample_bundles(range(40, 44), grid, 0, MARKS, 3)
+    part = build_partition(MARKS, 2)
+    assert any((part.locate(b.jump_marks) < 0).any() for b in sampled)
+    on_knots = _manual_bundle(
+        grid.knots[[1, 7, 7, 30, grid.m]], [0.5, 0.1, 1.0, 0.03, 0.5], level=3, m=grid.m
+    )
+    empty = _manual_bundle([], [], m=grid.m)
+    at_T = _manual_bundle([grid.T], [0.5], m=grid.m)
+    return sampled[:2] + [empty, on_knots] + sampled[2:] + [at_T]
+
+
+def test_block_increments_are_the_one_bundle_increments():
+    # 49·(1/49) rounds below 1, so the last knot is T itself
+    grid = TimeGrid(1.0, 49)
+    part = build_partition(MARKS, 2)
+    block = _mixed_block(grid)
+    counts = np.zeros((len(block), part.size))
+    for i in range(1, grid.m + 1):
+        rows = compensated_cell_increments(block, part, grid, i)
+        assert rows.shape == (len(block), part.size)
+        for p, bundle in enumerate(block):
+            alone = compensated_cell_increments([bundle], part, grid, i)
+            assert alone.shape == (1, part.size)
+            assert rows[p].tobytes() == alone[0].tobytes()
+        step_counts = np.rint(rows + grid.delta * part.nu)
+        counts += step_counts
+        # the jumps on knots enter the steps ending there; 0.03 is outside E^2
+        want = {1: 1, 7: 2, grid.m: 1}.get(i, 0)
+        assert step_counts[3].sum() == want
+        assert step_counts[-1].sum() == (i == grid.m)
+    assert not counts[2].any()
+    # over all steps, every jump with a mark in E^2 is counted once
+    for p, bundle in enumerate(block):
+        cells = part.locate(bundle.jump_marks)
+        want = np.bincount(cells[cells >= 0], minlength=part.size)
+        assert counts[p].tolist() == want.tolist()
+
+
+def test_block_increments_guard_every_bundle():
+    grid = TimeGrid(1.0, 49)
+    part = build_partition(MARKS, 2)
+    block = _mixed_block(grid)
+    shallow = _manual_bundle([0.2], [0.5], level=1, m=grid.m)
+    elsewhere = _manual_bundle([0.2], [0.5], m=grid.m, T=2.0)
+    for p in (0, 3, len(block)):
+        for bad, match in ((shallow, "exceeds bundle level 1"), (elsewhere, "horizon")):
+            with pytest.raises(ValueError, match=match):
+                compensated_cell_increments(block[:p] + [bad] + block[p:], part, grid, 1)
+    for i in (0, grid.m + 1):
+        with pytest.raises(ValueError, match=f"step index {i} outside 1..49"):
+            compensated_cell_increments(block, part, grid, i)
+
+
+@pytest.mark.parametrize(
+    "times, marks_vals",
+    [([0.3, 0.5, 0.7], [0.5, 0.9]), ([0.3, 0.5], [0.9, 0.5, 0.7]), ([[0.3]], [[0.5]])],
+    ids=["more-times", "more-marks", "nested"],
+)
+def test_bundle_rejects_jump_lists_that_are_not_flat_and_of_equal_length(
+    times, marks_vals
+):
+    # unequal lists would hand one path's marks to the next path's jumps in
+    # a block's jump events
+    with pytest.raises(ValueError, match="jump times and marks must be flat lists"):
+        NoiseBundle(
+            T=1.0,
+            m=4,
+            l_modes=0,
+            l_level=2,
+            master_seed=0,
+            wiener=np.zeros((0, 4)),
+            jump_times=np.array(times),
+            jump_marks=np.array(marks_vals),
+            marks=MARKS,
+        )
 
 
 def test_bundle_json_roundtrip():
     grid = TimeGrid(1.0, 8)
-    bundle = sample_bundle(77, grid, 2, MARKS, 2)
+    bundle = sample_bundles([77], grid, 2, MARKS, 2)[0]
     clone = bundle_from_json(bundle_to_json(bundle))
     assert np.array_equal(clone.wiener, bundle.wiener)
     assert np.array_equal(clone.jump_times, bundle.jump_times)
@@ -430,7 +494,7 @@ def test_bundle_json_roundtrip():
     marks=st.sampled_from([MARKS, PowerLawMarks(beta=1.2), ATOMS]),
 )
 def test_bundle_json_roundtrip_is_bit_exact(seed, m, modes, level, marks):
-    bundle = sample_bundle(seed, TimeGrid(1.5, m), modes, marks, level)
+    bundle = sample_bundles([seed], TimeGrid(1.5, m), modes, marks, level)[0]
     clone = bundle_from_json(bundle_to_json(bundle))
     for name in ("wiener", "jump_times", "jump_marks"):
         got, want = getattr(clone, name), getattr(bundle, name)
@@ -440,7 +504,7 @@ def test_bundle_json_roundtrip_is_bit_exact(seed, m, modes, level, marks):
 
 
 def _bundle_payload(marks=ATOMS):
-    bundle = sample_bundle(5, TimeGrid(1.0, 8), 2, marks, 2)
+    bundle = sample_bundles([5], TimeGrid(1.0, 8), 2, marks, 2)[0]
     payload = json.loads(bundle_to_json(bundle))
     assert len(payload["jump_times"]) >= 2
     return payload

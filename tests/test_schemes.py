@@ -7,7 +7,13 @@ import pytest
 
 from spdesim.coefficients import exponential_transform
 from spdesim.fixtures import additive_multimode, heat_jump, semilinear, zero_triple
-from spdesim.noise import AtomMarks, NoiseBundle, PowerLawMarks, TimeGrid, sample_bundle
+from spdesim.noise import (
+    AtomMarks,
+    NoiseBundle,
+    PowerLawMarks,
+    TimeGrid,
+    sample_bundles,
+)
 from spdesim.rng import TAG_INITIAL, derive_key, make_generator
 from spdesim.schemes import (
     ENERGIES,
@@ -26,7 +32,7 @@ MARKS = PowerLawMarks()
 
 
 def _bundle(seed, m, modes=1, level=2, T=1.0):
-    return sample_bundle(seed, TimeGrid(T, m), modes, MARKS, level)
+    return sample_bundles([seed], TimeGrid(T, m), modes, MARKS, level)[0]
 
 
 def _path(space, triple, cfg, bundle):
@@ -487,7 +493,7 @@ def test_generic_and_non_autonomous_triples_match_fast_paths(kind):
     marks = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(1.0, 2.0, 0.5))
     space = build_sine_space(4)
     triple = heat_jump(space, marks)
-    bundle = sample_bundle(18, TimeGrid(1.0, 256), 1, marks, 3)
+    bundle = sample_bundles([18], TimeGrid(1.0, 256), 1, marks, 3)[0]
     cfg = SchemeConfig(kind=kind, n=4, m=256, l=3)
     base = _values(space, triple, cfg, bundle)
     scale = np.abs(base).max()
@@ -584,7 +590,7 @@ def _block_cases():
 
 
 def _bundles(count, marks=MARKS, seed=100):
-    return [sample_bundle(seed + j, TimeGrid(1.0, 64), 3, marks, 3) for j in range(count)]
+    return sample_bundles(range(seed, seed + count), TimeGrid(1.0, 64), 3, marks, 3)
 
 
 def _config(kind):
@@ -916,8 +922,8 @@ def test_solver_failure_leaves_the_other_paths_unchanged(monkeypatch):
     quiet = [s for s in seeds if not loud(s)][:5]
     noisy = next(s for s in seeds if loud(s))
     grid = TimeGrid(1.0, 8)
-    calm = [sample_bundle(s, grid, 0, MARKS, 1) for s in quiet]
-    mixed = calm[:2] + [sample_bundle(noisy, grid, 0, MARKS, 1)] + calm[3:]
+    calm = sample_bundles(quiet, grid, 0, MARKS, 1)
+    mixed = calm[:2] + sample_bundles([noisy], grid, 0, MARKS, 1) + calm[3:]
     want = run_block(space, triple, cfg, calm, keep=ENERGIES)
     got = run_block(space, triple, cfg, mixed, keep=ENERGIES)
     assert want.failures == [None] * 5
@@ -954,8 +960,8 @@ def test_overflowing_energy_is_a_blow_up_not_a_failure():
 
     seeds = range(300, 360)
     grid = TimeGrid(1.0, 8)
-    calm = [sample_bundle(s, grid, 0, MARKS, 1) for s in seeds if not huge(s)][:5]
-    loud = sample_bundle(next(s for s in seeds if huge(s)), grid, 0, MARKS, 1)
+    calm = sample_bundles([s for s in seeds if not huge(s)][:5], grid, 0, MARKS, 1)
+    loud = sample_bundles([next(s for s in seeds if huge(s))], grid, 0, MARKS, 1)[0]
     mixed = calm[:2] + [loud] + calm[3:]
     want = run_block(space, triple, cfg, calm, keep=ENERGIES)
     got = run_block(space, triple, cfg, mixed, keep=ENERGIES)
@@ -1026,13 +1032,14 @@ def _hand_bundle(grid, knots, marks, m=64, seed=None):
 def test_noise_rows_match_the_per_step_reference(start):
     # one event list serves both jump forms, across chunks of 5 steps (20
     # steps of the bundles' grid), for marks outside E^2, a bundle without
-    # jumps and jumps placed on knots; the Wiener rows are coarsened as
-    # `coarsen_wiener` coarsens each bundle, and a one-mode increment and
-    # a factorized jump scalar fill every column of their (k, paths, n)
-    # planes
+    # jumps and jumps placed on knots.  The references are taken per bundle
+    # and per step: the jumps with times in (t_{i-1}, t_i], binned by cell,
+    # and the sum of the 4 fine Wiener increments of the step.  A one-mode
+    # increment and a factorized jump scalar fill every column of their
+    # (k, paths, n) planes
     from spdesim import schemes
     from spdesim.averaging import cell_weight_means
-    from spdesim.noise import build_partition, coarsen_wiener, compensated_cell_increments
+    from spdesim.noise import build_partition
 
     grid = TimeGrid(1.0, 16)
     part = build_partition(MARKS, 2)
@@ -1064,9 +1071,14 @@ def test_noise_rows_match_the_per_step_reference(start):
         assert dw_factorized.tobytes() == dw.tobytes()
         assert scalars.shape == (len(bundles), n)
         for p, bundle in enumerate(bundles):
-            want = compensated_cell_increments(bundle, part, grid, i)
+            window = grid.knots[i - 1 : i + 1]
+            a, b = np.searchsorted(bundle.jump_times, window, side="right")
+            cells = part.locate(bundle.jump_marks[a:b])
+            want = np.bincount(cells[cells >= 0], minlength=part.size)
+            want = want - grid.delta * part.nu
             assert rows[p].tobytes() == want.tobytes()
-            want = coarsen_wiener(bundle, grid.m, 1, i - 1, i)[:, 0]
+            factor = bundle.m // grid.m
+            want = bundle.wiener[0, (i - 1) * factor : i * factor].sum()
             assert dw[p].tobytes() == np.repeat(want, n).tobytes()
             assert scalars[p].tobytes() == np.repeat(scalars[p, 0], n).tobytes()
         counts = np.rint(rows + grid.delta * part.nu)
@@ -1091,8 +1103,7 @@ def test_sampled_rows_and_replayed_bundles_step_alike(name):
     # through a view of it, separate arrays (replays) through one stack;
     # both give every field of a block the same bits, on a rung coarser
     # than the bundles and whatever is kept
-    from spdesim import schemes
-    from spdesim.noise import bundle_from_json, bundle_to_json, sample_bundles
+    from spdesim.noise import bundle_from_json, bundle_to_json, fine_wiener
 
     space = build_sine_space(6)
     triple = heat_jump(space, MARKS)
@@ -1102,14 +1113,14 @@ def test_sampled_rows_and_replayed_bundles_step_alike(name):
         triple = additive_multimode(space, MARKS)
     sampled = sample_bundles(range(300, 310), TimeGrid(1.0, 128), 3, MARKS, 3)
     replayed = [bundle_from_json(bundle_to_json(bundle)) for bundle in sampled]
-    fine = schemes._fine_wiener(sampled)
+    fine = fine_wiener(sampled)
     assert fine is sampled[0].wiener.base
-    stacked = schemes._fine_wiener(replayed)
+    stacked = fine_wiener(replayed)
     assert not np.shares_memory(stacked, fine)
     assert stacked.tobytes() == fine.tobytes()
     # a reordered or partial list of the rows is stacked too
     for order in (sampled[::-1], sampled[2:5]):
-        got = schemes._fine_wiener(order)
+        got = fine_wiener(order)
         assert not np.shares_memory(got, fine)
         assert got.tobytes() == np.stack([b.wiener for b in order]).tobytes()
     for kind in ("explicit", "implicit_projected"):
@@ -1185,8 +1196,9 @@ def test_jumps_on_knots(kind, m):
 @pytest.mark.parametrize("kind", ["explicit", "implicit"])
 def test_a_jump_at_the_horizon_enters_the_last_step(kind):
     # 49·(1/49) rounds below 1, so the last knot is T itself: a replayed
-    # jump at t = T enters step 49 of a block and of the per-step counts,
-    # in the factorized and the general jump form alike
+    # jump at t = T enters step 49 of a block and of the block's
+    # compensated increments, in the factorized and the general jump form
+    # alike
     from spdesim.noise import (
         bundle_from_json,
         bundle_to_json,
@@ -1198,14 +1210,14 @@ def test_a_jump_at_the_horizon_enters_the_last_step(kind):
     assert m * (1.0 / m) < 1.0
     grid = TimeGrid(1.0, m)
     assert grid.knots[-1] == 1.0 and (np.diff(grid.knots) > 0).all()
-    quiet = sample_bundle(3, grid, 1, MARKS, 2)
+    quiet = sample_bundles([3], grid, 1, MARKS, 2)[0]
     payload = json.loads(bundle_to_json(quiet))
     payload["jump_times"].append(1.0)
     payload["jump_marks"].append(0.5)
     at_T = bundle_from_json(json.dumps(payload))
     part = build_partition(MARKS, 2)
-    extra = compensated_cell_increments(at_T, part, grid, m)
-    extra -= compensated_cell_increments(quiet, part, grid, m)
+    at_T_row, quiet_row = compensated_cell_increments([at_T, quiet], part, grid, m)
+    extra = at_T_row - quiet_row
     cell = part.locate([0.5])[0]
     assert np.rint(extra).tolist() == (np.arange(part.size) == cell).tolist()
     space = build_sine_space(4)

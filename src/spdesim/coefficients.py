@@ -187,21 +187,15 @@ class BoxSampler:
     argument: conditions that fail only along individual basis directions
     would otherwise be invisible at desk-scale trial counts.
 
-    `points` and `pairs` draw the trials of a check from the Philox stream
-    of one key: trial j is row j of the stream's raw outputs, w to a row
-    for w the kind's output count rounded up to a multiple of 4, and each
-    output is mapped as numpy's ``Generator.uniform`` maps it.  `draw_t`
-    and `draw_x` draw one time and one state from a generator.
+    `points` and `pairs` draw the trials of a check, and `points` the
+    hemicontinuity probe's time and directions, from the Philox stream of
+    one key: trial j is row j of the stream's raw outputs, w to a row for w
+    the kind's output count rounded up to a multiple of 4, and each output
+    is mapped as numpy's ``Generator.uniform`` maps it.
     """
 
     dim: int
     horizon: float = 1.0
-
-    def draw_t(self, rng):
-        return float(rng.uniform(0.0, self.horizon))
-
-    def draw_x(self, rng):
-        return rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, self.dim)
 
     def points(self, key, trials):
         """t (P,) and x (P, n) of `trials` trials: a row's outputs are t,

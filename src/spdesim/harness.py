@@ -41,7 +41,7 @@ from .coefficients import (
     probe_hemicontinuity,
 )
 from .noise import TimeGrid, sample_bundles
-from .rng import TAG_PATH, TAG_PROBE, derive_key, make_generator
+from .rng import TAG_PATH, TAG_PROBE, derive_key
 from .schemes import ENERGIES, EXPLICIT, run_block
 from .space import c_b, restrict
 
@@ -450,7 +450,10 @@ def run_condition_suite(triple, space, marks, config=SuiteConfig()):
     integrals of a triple that declares `jump_profile` are taken in closed
     form; those of any other F use the level-2 partition with 4 points per
     cell.  A check passes when its worst violation is at most
-    DEFAULT_TOLERANCE.
+    DEFAULT_TOLERANCE.  The hemicontinuity probe (C4) reads its own keyed
+    stream, `BoxSampler.points` of (config.seed, TAG_PROBE): trials 1 to 3,
+    normalised, are its directions and trial 1's t its time (trial 0 is the
+    origin), drawn afresh on every call.
 
     The four sampled checks draw their trials once per (sampler, draw
     kind, seed, trials), and a later call with the same space dimension,
@@ -476,14 +479,10 @@ def run_condition_suite(triple, space, marks, config=SuiteConfig()):
         check(triple, space, sampler, config.trials, quadrature, seed=config.seed + k)
         for k, check in enumerate(checks)
     ]
-    probe_rng = make_generator(derive_key(config.seed, TAG_PROBE))
-    directions = [sampler.draw_x(probe_rng) for _ in range(3)]
-    x, y, z = (v / np.linalg.norm(v) for v in directions)
-    reports.append(
-        probe_hemicontinuity(
-            triple, x, y, z, sampler.draw_t(probe_rng), 2.0 ** -np.arange(1, 41)
-        )
-    )
+    # trial 0 of `points` is the origin: the probe reads trials 1 to 3
+    t, directions = sampler.points(derive_key(config.seed, TAG_PROBE), 4)
+    x, y, z = (v / np.linalg.norm(v) for v in directions[1:])
+    reports.append(probe_hemicontinuity(triple, x, y, z, t[1], 2.0 ** -np.arange(1, 41)))
     reports.append(
         check_bf_bounds(
             triple, space, sampler, config.trials, quadrature, seed=config.seed + 4

@@ -14,9 +14,13 @@ bins every jump of the block into its step and mark cell.
 compose these.
 
 Mark spaces ship in two families: a power-law density on (0, 1] exhausted
-by the compacts [4^-l, 1], and finite atom lists.  Partitions of the
-exhaustion sets are built nested across levels so that cell counts at a
-finer level aggregate exactly to cell counts at a coarser one.
+by the compacts [4^-l, 1], and finite atom lists.  Both give the mark
+weight, its cell and tail integrals, the total mass, inverse-CDF sampling
+and a per-cell quadrature rule; code that needs the family itself tests
+``isinstance(marks, AtomMarks)``.  Partitions of the exhaustion sets are
+built nested across levels so that cell counts at a finer level aggregate
+exactly to cell counts at a coarser one: from the power-law family's cell
+edges and masses, and from the atoms' positions and weights directly.
 """
 
 from __future__ import annotations
@@ -57,48 +61,8 @@ class TimeGrid:
         return knots
 
 
-class MarkSpace:
-    """Common interface of the shipped jump-mark families."""
-
-    support_id = "abstract"
-
-    def epsilon(self, level):
-        """Diameter bound (and inner cutoff, for intervals) at a level."""
-        return 4.0 ** (-level)
-
-    def mass(self, lo, hi):
-        raise NotImplementedError
-
-    def weight(self, xi):
-        """Mark weight h(ξ): the jump amplitude carried by mark ξ."""
-        raise NotImplementedError
-
-    def weight_mass(self, lo, hi):
-        """Closed form of ∫ h(ξ) ν(dξ) over [lo, hi)."""
-        raise NotImplementedError
-
-    def total_mass(self, level):
-        raise NotImplementedError
-
-    def tail_mass_sq(self, level):
-        """Closed form of ∫ h(ξ)² ν(dξ) over E \\ E^level."""
-        raise NotImplementedError
-
-    def sample(self, u, level):
-        """Marks on E^level from uniforms via the inverse CDF."""
-        raise NotImplementedError
-
-    def cell_edges(self, level):
-        """Ascending cell boundaries covering E^level (interval families)."""
-        raise NotImplementedError
-
-    def cell_rule(self, lo, hi, points):
-        """Quadrature nodes/weights for ∫ · ν(dξ) over each cell [lo, hi)."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerLawMarks(MarkSpace):
+class PowerLawMarks:
     """ν(dξ) = ξ^(−beta) dξ on (0, 1], exhausted by E^l = [4^−l, 1].
 
     The mark weight is h(ξ) = ξ.  beta in (1, 3) keeps ν sigma-finite with
@@ -113,16 +77,23 @@ class PowerLawMarks(MarkSpace):
         if not 1.0 < self.beta < 3.0:
             raise ValueError("power-law exponent must lie in (1, 3)")
 
+    def epsilon(self, level):
+        """Diameter bound and inner cutoff of E^level: 4^−level."""
+        return 4.0 ** (-level)
+
     def mass(self, lo, hi):
+        """ν([lo, hi)) per cell."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         e = 1.0 - self.beta
         return (hi**e - lo**e) / e
 
     def weight(self, xi):
+        """Mark weight h(ξ): the jump amplitude carried by mark ξ."""
         return np.asarray(xi, dtype=float)
 
     def weight_mass(self, lo, hi):
+        """Closed form of ∫ h(ξ) ν(dξ) over [lo, hi) per cell."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         e = 2.0 - self.beta
@@ -134,16 +105,19 @@ class PowerLawMarks(MarkSpace):
         return float(self.mass(self.epsilon(level), 1.0))
 
     def tail_mass_sq(self, level):
+        """Closed form of ∫ h(ξ)² ν(dξ) over E \\ E^level."""
         e = 3.0 - self.beta
         return float(self.epsilon(level) ** e / e)
 
     def sample(self, u, level):
+        """Marks on E^level from uniforms via the inverse CDF."""
         u = np.asarray(u, dtype=float)
         e = 1.0 - self.beta
         a = self.epsilon(level) ** e
         return (a + u * (1.0 - a)) ** (1.0 / e)
 
     def cell_edges(self, level):
+        """Ascending cell boundaries covering E^level."""
         # Shell k = [eps_k, eps_{k-1}) carries 4^(level-k+1) equal cells,
         # i.e. each shell is born with 4 cells and refined 4x per level;
         # widths are (3/4)·4^(−level) < eps_level, strictly.
@@ -155,6 +129,8 @@ class PowerLawMarks(MarkSpace):
         return np.concatenate(edges)
 
     def cell_rule(self, lo, hi, points):
+        """Quadrature nodes and weights for ∫ · ν(dξ) over each cell
+        [lo, hi), `points` Gauss–Legendre nodes per cell."""
         nodes01, w01 = np.polynomial.legendre.leggauss(points)
         nodes01 = 0.5 * (nodes01 + 1.0)
         w01 = 0.5 * w01
@@ -166,7 +142,7 @@ class PowerLawMarks(MarkSpace):
 
 
 @dataclass(frozen=True)
-class AtomMarks(MarkSpace):
+class AtomMarks:
     """Finite measure ν = Σ w_i δ_{ξ_i}; every exhaustion level is all of E."""
 
     positions: tuple
@@ -203,10 +179,6 @@ class AtomMarks(MarkSpace):
         point = (hi == lo) & (pos[None, :] == lo)
         return half_open | point
 
-    def mass(self, lo, hi):
-        out = self._inside(lo, hi) @ self._w()
-        return out if np.ndim(lo) else float(out[0])
-
     def weight(self, xi):
         return np.asarray(xi, dtype=float)
 
@@ -226,10 +198,8 @@ class AtomMarks(MarkSpace):
         idx = np.searchsorted(cdf, np.asarray(u, dtype=float), side="left")
         return self._pos()[np.minimum(idx, w.size - 1)]
 
-    def cell_edges(self, level):
-        raise NotImplementedError("atom cells are points, not intervals")
-
     def cell_rule(self, lo, hi, points):
+        """Each point cell's atom as its one node, with the atom's weight."""
         nodes = np.asarray(lo, dtype=float)[:, None]
         weights = self._w()[:, None]
         return nodes, weights
@@ -246,7 +216,7 @@ class MarkPartition:
     lo: np.ndarray
     hi: np.ndarray
     nu: np.ndarray
-    marks: MarkSpace
+    marks: PowerLawMarks | AtomMarks
 
     @property
     def size(self):
@@ -322,7 +292,7 @@ class NoiseBundle:
     wiener: np.ndarray
     jump_times: np.ndarray
     jump_marks: np.ndarray
-    marks: MarkSpace
+    marks: PowerLawMarks | AtomMarks
 
     def __post_init__(self):
         if self.wiener.shape != (self.l_modes, self.m):

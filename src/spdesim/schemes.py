@@ -29,10 +29,10 @@ implicit path whose step equation cannot be solved fails at that step
 instead.  A lost path is marked and set to NaN while the other paths of
 its block go on.  A block writes the states of KNOT_CHUNK knots into one
 buffer and tests them with one scalar, the total energy of the paths still
-going, which also covers the direct solve of an affine drift; the knots
-are scanned and the paths told apart one by one only when it is not
-finite, and the loop stops after the first chunk that leaves no path.  A
-block whose implicit steps are solved iteratively tests each knot alone.
+going, which also covers both implicit solvers, since each leaves a path
+it cannot solve not finite; the knots are scanned and the paths told
+apart one by one only when it is not finite, and the loop stops after the
+first chunk that leaves no path.
 """
 
 from __future__ import annotations
@@ -200,9 +200,12 @@ def _check_bundles(config, bundles, modes):
     if not bundles:
         raise ValueError("a block needs at least one bundle")
     first = bundles[0]
+    shared = (first.T, first.m, first.l_modes, first.marks)
     for bundle in bundles:
-        if (bundle.T, bundle.m, bundle.marks) != (first.T, first.m, first.marks):
-            raise ValueError("a block's bundles must share horizon, grid and marks")
+        if (bundle.T, bundle.m, bundle.l_modes, bundle.marks) != shared:
+            raise ValueError(
+                "a block's bundles must share horizon, grid, Wiener modes and marks"
+            )
         if bundle.m % config.m != 0:
             raise ValueError(f"bundle grid {bundle.m} not divisible by m = {config.m}")
         if config.l > bundle.l_level:
@@ -279,17 +282,20 @@ def run_block(space, triple, config, bundles, keep=None):
     not finite blows up there.  The states of up to KNOT_CHUNK knots are
     written into one buffer and tested together by one scalar, the total
     energy of the rows not yet lost; only when it is not finite are the
-    knots scanned in order and the rows classified one by one.  It also
-    covers the direct solve of an affine drift: a row of that solve with a
-    coordinate that is not finite has no finite solution.  A lost row is
-    NaN from its loss knot on, in its states, energies and later solver
-    residuals, and the other rows go on; the loop stops at the end of the
-    first chunk that leaves none.  A block whose implicit steps are solved
-    iteratively tests every knot, since its solver would otherwise record
-    a failure for a row that blew up earlier in the chunk.  Every row is
-    evaluated at every step, so no row's arithmetic depends on the values
-    of the others, the chunk length changes no bit, and a block's rows may
-    differ from blocks of one in the last bits only.
+    knots scanned in order and the rows classified one by one.  That one
+    test serves both solvers: an implicit row lost at a knot after the
+    first failed there if a coordinate is not finite, which the direct
+    solve gives a row without a finite solution and the iterative one a
+    row it cannot solve, and blew up otherwise.  The failure names
+    NO_FINITE_SOLUTION for the direct solve and the solver's reason at
+    that knot for the iterative one.  A lost row is NaN from its loss knot
+    on, in its states, energies and later solver residuals, and its later
+    iteration counts are SOLVER_MAX_ITER, those of a solve of NaN; the
+    other rows go on, and the loop stops at the end of the first chunk
+    that leaves none.  Every row is evaluated at every step, so no row's
+    arithmetic depends on the values of the others, the chunk length
+    changes no bit, and a block's rows may differ from blocks of one in
+    the last bits only.
     """
     if keep not in (None, ENERGIES, STATES):
         raise ValueError(f"keep must be None, ENERGIES or STATES, not {keep!r}")
@@ -320,7 +326,7 @@ def run_block(space, triple, config, bundles, keep=None):
     iterative = not explicit and solve is None
     first = 1 if explicit else 0
     # states[0] holds the knot before a chunk and states[1 + j] its knot j
-    chunk = 1 if iterative else KNOT_CHUNK
+    chunk = KNOT_CHUNK
     states = np.empty((chunk + 1, paths, n))
     if callable(config.initial):
         states[0] = [_resolve_initial(config, space, b.master_seed) for b in bundles]
@@ -338,6 +344,8 @@ def run_block(space, triple, config, bundles, keep=None):
     solver_steps = 0 if explicit else m
     iterations = np.zeros((solver_steps, paths), dtype=int)
     residuals = np.full((solver_steps if keep == STATES else 0, paths), np.nan)
+    # the iterative solver's failure reasons per row at knot j of a chunk
+    reasons = [None] * chunk
     live = np.ones(paths, dtype=bool)
     alive = paths
 
@@ -366,17 +374,22 @@ def run_block(space, triple, config, bundles, keep=None):
                 if not lost.any():
                     continue
                 blown = lost
-                if solve is not None and i > 0:
+                if not explicit and i > 0:
+                    # either solver leaves a row it cannot solve not finite
                     failed = lost & ~np.isfinite(block[j]).all(axis=1)
                     for p in np.flatnonzero(failed):
-                        failures[p] = f"step {i}: {NO_FINITE_SOLUTION}"
+                        reason = reasons[j][p] if iterative else NO_FINITE_SOLUTION
+                        failures[p] = f"step {i}: {reason}"
                     blown = lost & ~failed
                 blow_up[blown] = i
                 live[lost] = False
                 # rows lost at knot i stepped on inside the chunk: their
-                # states, energies and residuals from there are NaN
+                # states, energies and residuals from there are NaN, and
+                # their iteration counts those of a solve of NaN
                 block[j:, lost] = energy[j:, lost] = np.nan
-                residuals[i : lo + k - 1, lost] = np.nan
+                residuals[i:, lost] = np.nan
+                if iterative:
+                    iterations[i:, lost] = SOLVER_MAX_ITER
             alive = int(np.count_nonzero(live))
         if keep == ENERGIES:
             kept[lo : lo + k] = energy
@@ -398,19 +411,14 @@ def run_block(space, triple, config, bundles, keep=None):
         if explicit:
             settle(0, np.zeros((1, paths, n)))
         settle(first, states[:1])
-        noise = _block_noise(bundles, grid, partition, modes, factorized, n, KNOT_CHUNK)
+        noise = _block_noise(bundles, grid, partition, modes, factorized, n, chunk)
         for lo in range(first + 1, m + 1, chunk):
             if not alive:
                 break
             k = min(chunk, m + 1 - lo)
-            # noise comes KNOT_CHUNK steps at a time, also where the knots
-            # are tested one by one
-            if (lo - first - 1) % KNOT_CHUNK == 0:
-                dws, jump_rows = noise(lo, min(KNOT_CHUNK, m + 1 - lo))
-                noise_lo = lo
+            dws, jump_rows = noise(lo, k)
             for j in range(k):
                 i = lo + j
-                row = i - noise_lo
                 x, new = states[j], states[j + 1]
                 # y takes the sum of the terms: the new state if explicit,
                 # else the right-hand side of the step equation
@@ -420,15 +428,15 @@ def run_block(space, triple, config, bundles, keep=None):
                     if modes:
                         bmat = mean_B(window, x)
                         if modes == 1:
-                            np.multiply(bmat[..., 0], dws[row], out=wiener)
+                            np.multiply(bmat[..., 0], dws[j], out=wiener)
                         else:
-                            column, dw = wiener[..., None], dws[row, ..., None]
+                            column, dw = wiener[..., None], dws[j, ..., None]
                             np.matmul(bmat[..., :modes], dw, out=column)
                     if factorized:
-                        np.multiply(jump_rows[row], mean_profile(window, x), out=jumps)
+                        np.multiply(jump_rows[j], mean_profile(window, x), out=jumps)
                     else:
                         cols = tilde_F(triple, grid, partition, i, x, rule)
-                        np.matmul(cols, jump_rows[row, ..., None], out=jumps[..., None])
+                        np.matmul(cols, jump_rows[j, ..., None], out=jumps[..., None])
                     base = x
                     if drift is not None:
                         drift(x, new)
@@ -448,17 +456,11 @@ def run_block(space, triple, config, bundles, keep=None):
                     if keep == STATES:
                         residuals[i - 1] = _row_norms(_apply(new, mat_t) - y)
                 elif iterative:
-                    solved, report = _solve_iterative(triple, grid, i, y)
-                    new[...] = solved
+                    new[...], report = _solve_iterative(triple, grid, i, y)
                     iterations[i - 1] = report.iterations
                     if keep == STATES:
                         residuals[i - 1] = report.residual
-                    failed = live & ~report.converged
-                    if failed.any():
-                        for p in np.flatnonzero(failed):
-                            failures[p] = f"step {i}: {report.reasons[p]}"
-                        live &= ~failed
-                        alive = int(np.count_nonzero(live))
+                    reasons[j] = report.reasons
             settle(lo, states[1 : k + 1])
             states[0] = states[k]
     return BlockRun(

@@ -28,7 +28,7 @@ from spdesim.config import (
     suite_config,
 )
 from spdesim.harness import SuiteConfig
-from spdesim.noise import PowerLawMarks
+from spdesim.noise import AtomMarks, PowerLawMarks
 from spdesim.space import build_sine_space
 
 BASE_CONFIG = """
@@ -264,6 +264,54 @@ def test_unparsable_value_exits_2_naming_its_key(
     err = capsys.readouterr().err
     assert err.startswith("spdesim: error: ") and err.count("\n") == 1
     assert where in err
+
+
+@pytest.mark.parametrize(
+    "lines, positions, weights",
+    [
+        ("", (0.25, 0.5, 1.0), (1.0, 1.0, 1.0)),
+        ("atom_positions = 0.125, 0.75\natom_weights = 2.0, 0.5\n", (0.125, 0.75),
+         (2.0, 0.5)),
+    ],
+    ids=["defaults", "listed"],
+)
+def test_finite_atoms_marks_come_from_the_config(tmp_path, lines, positions, weights):
+    # the README's other mark family: its atoms default to three of unit
+    # weight, and a simulate run steps on them
+    power_law = "family = unit-interval-power-law\nbeta = 1.5\n"
+    text = BASE_CONFIG.replace(power_law, "family = finite-atoms\n" + lines)
+    path = tmp_path / "atoms.cfg"
+    path.write_text(text)
+    marks = build_marks(load_settings(path))
+    assert marks == AtomMarks(positions=positions, weights=weights)
+    out = tmp_path / "atoms.json"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["blow_up_step"] is None
+    assert np.isfinite(payload["values"]).all()
+
+
+@pytest.mark.parametrize(
+    "initial, coords",
+    [("zero", [0.0] * 4), ("1.5, -0.25, 0.5, 2.0, 7.0", [1.5, -0.25, 0.5, 2.0, 7.0])],
+    ids=["zero", "coordinates"],
+)
+@pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])
+def test_configured_initial_is_the_first_knot_of_simulate(tmp_path, initial, coords, kind):
+    # the explicit scheme starts from zero and injects the initial condition
+    # at knot 1, the implicit ones start from it at knot 0; coordinates past
+    # the scheme's n = 4 are dropped
+    text = BASE_CONFIG.replace("initial = smooth", f"initial = {initial}")
+    path = tmp_path / "initial.cfg"
+    path.write_text(text.replace("kind = explicit", f"kind = {kind}"))
+    assert build_scheme_config(load_settings(path)).initial.tolist() == coords
+    out = tmp_path / "initial.json"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    values = json.loads(out.read_text())["values"]
+    if kind == "explicit":
+        assert values[0] == [0.0] * 4 and values[1] == coords[:4]
+    else:
+        assert values[0] == coords[:4]
 
 
 def test_env_seed_override(config_file, monkeypatch):
@@ -641,16 +689,17 @@ def test_benchmark_tracer_counts_a_condition_suite(tmp_path):
         tracer.uninstall()
     assert code == again == 0
     names = tracer.arrays()["name"]
-    # an identical run checks again but reuses every draw of the first
+    # an identical run checks again and reuses every trial draw of the
+    # first; only the hemicontinuity probe draws its rows again
     repeat = Counter(tracer.labels[i] for i in names[first:])
-    assert repeat["coefficients.PropBF"] == 1 and repeat["rng.philox_raw"] == 0
+    assert repeat["coefficients.PropBF"] == 1 and repeat["rng.philox_raw"] == 1
     spans = Counter(tracer.labels[i] for i in names[:first])
     for check in ("C1", "C2", "C3", "C4", "PropBF"):
         assert spans[f"coefficients.{check}"] == 1
     # the 20 trials are one chunk: one integral in C1 and C2, none in C3 and
     # two in PropBF per chunk
     assert spans["coefficients.integral_sq"] == 4
-    # each sampled check draws its trials from one raw Philox pass; only the
-    # probe builds a generator
-    assert spans["rng.philox_raw"] == 4
-    assert tracing.exact_counts(tracer, 0, hi=first)["rng.make_generator.calls"] == 1
+    # each sampled check draws its trials from one raw Philox pass, and the
+    # probe its rows from one more; nothing builds a generator
+    assert spans["rng.philox_raw"] == 5
+    assert tracing.exact_counts(tracer, 0, hi=first)["rng.make_generator.calls"] == 0

@@ -268,11 +268,13 @@ def test_a_repeated_suite_config_draws_no_trials(monkeypatch):
     triples = _suite_triples()
     config = SuiteConfig(trials=300, seed=8)
     run_condition_suite(triples["base"], SPACE, MARKS, config)
-    # one call per sampled check: at n = 8 a pair row is 18 outputs padded
-    # to 20, a point row 9 padded to 12
-    assert counts == [300 * 20, 300 * 12, 300 * 12, 300 * 20]
+    # one call per sampled check and one for the hemicontinuity probe's 4
+    # rows: at n = 8 a pair row is 18 outputs padded to 20, a point row 9
+    # padded to 12
+    assert counts == [300 * 20, 300 * 12, 300 * 12, 4 * 12, 300 * 20]
+    # a repeated config draws no trial again, only the probe's rows
     run_condition_suite(triples["semilinear"], SPACE, MARKS, config)
-    assert len(counts) == 4
+    assert counts[5:] == [4 * 12]
 
 
 class WritingDrift:

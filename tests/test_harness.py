@@ -21,7 +21,7 @@ from spdesim.harness import (
     validate_ladder,
 )
 from spdesim.noise import PowerLawMarks, TimeGrid, sample_bundles
-from spdesim.rng import TAG_PATH, TAG_PROBE, TAG_TRIAL, derive_key, make_generator
+from spdesim.rng import TAG_PATH, TAG_PROBE, TAG_TRIAL, derive_key
 from spdesim.schemes import STATES, BlockRun, SchemeConfig, run_block
 from spdesim.space import build_sine_space, restrict, smooth_profile
 
@@ -391,12 +391,13 @@ def test_knot_energies_match_the_exact_second_moments(fixture, kind, m):
 
 
 def test_hemicontinuity_probe_has_its_own_stream(monkeypatch):
-    # the probe's directions come from the TAG_PROBE stream, not from the
+    # the probe's time and three directions are trials 1 to 3 of the
+    # TAG_PROBE stream, normalised (trial 0 is the origin), not rows of the
     # trial stream of a sampled check (here the first check's)
     probed = []
 
     def recording(triple, x, y, z, t, eps):
-        probed.append(x)
+        probed.append((t, x, y, z))
         return probe_hemicontinuity(triple, x, y, z, t, eps)
 
     monkeypatch.setattr(harness, "probe_hemicontinuity", recording)
@@ -405,12 +406,16 @@ def test_hemicontinuity_probe_has_its_own_stream(monkeypatch):
     run_condition_suite(heat_jump(SPACE, MARKS), space, MARKS, config)
     sampler = BoxSampler(dim=8, horizon=heat_jump(SPACE, MARKS).constants.horizon)
 
-    def first_direction(key):
-        v = sampler.draw_x(make_generator(key))
-        return v / np.linalg.norm(v)
+    def directions(key):
+        t, x = sampler.points(key, 4)
+        return t[1], [v / np.linalg.norm(v) for v in x[1:]]
 
-    assert np.array_equal(probed[0], first_direction(derive_key(2024, TAG_PROBE)))
-    assert not np.allclose(probed[0], first_direction(derive_key(2024, TAG_TRIAL)))
+    t, want = directions(derive_key(2024, TAG_PROBE))
+    assert len(probed) == 1 and probed[0][0] == t
+    for got, direction in zip(probed[0][1:], want):
+        assert got.tobytes() == direction.tobytes()
+    _, trial = directions(derive_key(2024, TAG_TRIAL))
+    assert not np.allclose(probed[0][1], trial[0])
 
 
 def test_suite_config_needs_a_trial():

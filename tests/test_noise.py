@@ -53,6 +53,20 @@ def test_power_law_level_masses(level, mass):
     assert MARKS.total_mass(level) == pytest.approx(mass, rel=1e-12)
 
 
+def test_weight_mass_at_beta_two_is_the_log_of_the_cell_ratio():
+    # at beta = 2 the closed form of ∫ ξ ν(dξ) = ∫ dξ/ξ is log(hi/lo), the
+    # branch the exponent 2 − beta = 0 takes; 8 Gauss–Legendre nodes of
+    # `cell_rule` per cell agree, and the cells of E^3 add up to log 4^3
+    marks = PowerLawMarks(beta=2.0)
+    edges = marks.cell_edges(3)
+    lo, hi = edges[:-1], edges[1:]
+    got = marks.weight_mass(lo, hi)
+    assert got.tobytes() == np.log(hi / lo).tobytes()
+    nodes, weights = marks.cell_rule(lo, hi, 8)
+    np.testing.assert_allclose(got, (weights * nodes).sum(axis=1), rtol=1e-12)
+    assert got.sum() == pytest.approx(3.0 * np.log(4.0), rel=1e-14)
+
+
 def test_power_law_tail_mass():
     # closed form of the squared-weight tail below the level cutoff
     for level in (1, 2, 3):

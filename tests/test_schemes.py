@@ -984,6 +984,10 @@ def test_block_rejects_mismatched_bundles():
         run_block(space, triple, cfg, [])
     with pytest.raises(ValueError, match="share"):
         run_block(space, triple, cfg, [_bundle(1, 8), _bundle(2, 16)])
+    # heat_jump reads one mode, which both bundles carry, but their
+    # increments cannot be stacked into one array
+    with pytest.raises(ValueError, match="must share .*Wiener modes"):
+        run_block(space, triple, cfg, [_bundle(1, 8), _bundle(2, 8, modes=2)])
     # three Wiener modes at l = 3 from bundles that carry one
     cfg = SchemeConfig(kind="explicit", n=4, m=8, l=3)
     with pytest.raises(ValueError, match="has 1 modes, need 3"):
@@ -1148,6 +1152,94 @@ def test_block_solve_marks_rows_without_a_finite_solution(direct):
         np.testing.assert_allclose(x[p], alone[0], rtol=1e-14, atol=1e-15)
     _, alone = solve_implicit_step(triple, grid, 2, rows[1:2])
     assert alone.reasons[0].startswith("implicit step has no finite solution")
+
+
+class StallFrom:
+    """A drift with δ·A(t, x) = x exactly, for δ = 1/16, at times after
+    `start` on rows whose first coordinate is positive, and zero elsewhere.
+
+    Where δ·A(x) = x the step residual x − δ·A(x) − y is −y whatever x: the
+    damped iteration stalls and Newton's finite-difference Jacobian
+    I − δ·A'(x) is zero up to rounding.  It is exactly zero when every
+    coordinate of the state plus its difference step is exact, as for
+    (2^-33, 0, 0, 0), so the linearization is singular; for (1, 1.5, 0.75,
+    0.3) rounding leaves it regular and tiny, and no Newton step reduces
+    the residual.
+    """
+
+    def __init__(self, start):
+        self.start = start
+
+    def __call__(self, t, x):
+        stall = (x[..., :1] > 0.0) & (t > self.start)
+        return np.where(stall, 16.0 * x, 0.0)
+
+
+SOLVER_FAILURES = {
+    "singular": (
+        [2.0**-33, 0.0, 0.0, 0.0],
+        "implicit step linearization is singular; increase m",
+    ),
+    "no descent": (
+        [1.0, 1.5, 0.75, 0.3],
+        "implicit step iteration cannot reduce the residual; increase m",
+    ),
+}
+SOLVABLE = [-1.0, 0.5, 0.25, 0.125]
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_FAILURES))
+def test_solver_failures_mark_only_their_row(name):
+    stalling, reason = SOLVER_FAILURES[name]
+    space = build_sine_space(4)
+    triple = dataclasses.replace(_quiet_heat(space), eval_A=StallFrom(0.0), linear_A=None)
+    grid = TimeGrid(1.0, 16)
+    rows = np.array([SOLVABLE, stalling, SOLVABLE])
+    x, report = solve_implicit_step(triple, grid, 3, rows)
+    assert report.converged.tolist() == [True, False, True]
+    assert report.reasons == [None, reason, None]
+    assert np.isnan(x[1]).all()
+    assert x[[0, 2]].tobytes() == rows[[0, 2]].tobytes()
+
+
+class TwoStates:
+    """Initial data `stalling` on about half of the paths, SOLVABLE on the
+    rest."""
+
+    def __init__(self, stalling):
+        self.stalling = stalling
+
+    def __call__(self, rng):
+        return np.array(self.stalling if rng.random() < 0.5 else SOLVABLE)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_FAILURES))
+def test_a_block_records_the_solver_failure_at_its_step(name):
+    # the drift stalls the solver from step 5 on (its window's midpoint
+    # passes t = 1/4), where the block loses the stalling rows as failures
+    # with the solver's reason, not as blow-ups
+    from spdesim.schemes import SOLVER_MAX_ITER
+
+    stalling, reason = SOLVER_FAILURES[name]
+    space = build_sine_space(4)
+    triple = dataclasses.replace(_quiet_heat(space), eval_A=StallFrom(0.25), linear_A=None)
+    initial = TwoStates(stalling)
+    cfg = SchemeConfig(kind="implicit_projected", n=4, m=16, l=1, initial=initial)
+    seeds = range(500, 506)
+    bundles = sample_bundles(seeds, TimeGrid(1.0, 16), 1, MARKS, 1)
+    stalls = [initial(make_generator(derive_key(s, TAG_INITIAL)))[0] > 0 for s in seeds]
+    assert any(stalls) and not all(stalls)
+    run = run_block(space, triple, cfg, bundles, keep=STATES)
+    assert run.blow_up_steps == [None] * 6
+    for p, stall in enumerate(stalls):
+        states = run.kept[:, p]
+        if stall:
+            assert run.failures[p] == f"step 5: {reason}"
+            assert not np.isnan(states[:5]).any() and np.isnan(states[5:]).all()
+            assert (run.solver_iterations[5:, p] == SOLVER_MAX_ITER).all()
+        else:
+            assert run.failures[p] is None
+            assert states.tobytes() == np.tile(SOLVABLE, (17, 1)).tobytes()
 
 
 # the mark of the hand-placed jump at knot t_j of a 16-step grid

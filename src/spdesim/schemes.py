@@ -91,14 +91,18 @@ class SchemeConfig:
 
 @dataclass
 class SolveReport:
-    """Implicit-step outcome per row of a block: iterations, residual norm
-    and convergence as (P,) arrays, and each failed row's cause in
-    `reasons` (None where the row converged)."""
+    """Implicit-step outcome per row of a block: iterations and residual
+    norm as (P,) arrays, and each failed row's cause in `reasons` (None
+    where the row converged)."""
 
     iterations: np.ndarray
     residual: np.ndarray
-    converged: np.ndarray
     reasons: list
+
+    @property
+    def converged(self):
+        """(P,) bools, True where a row's reason is None."""
+        return np.array([reason is None for reason in self.reasons], dtype=bool)
 
 
 def stability_margin(alpha, grid, space, gamma=0.5):
@@ -275,7 +279,8 @@ def run_block(space, triple, config, bundles, keep=None):
     implicit ones at knot 0, and the noise terms vanish before knot 2.
     Grid, partition, jump events, a path-independent initial condition
     and, for an affine autonomous drift, I + δA or the inverse of I − δA
-    are built once for the block.
+    are built once for the block; so is the chord matrix of any other
+    implicit drift (`_chord_matrix`), which `_solve_iterative` reads.
 
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
@@ -322,8 +327,10 @@ def run_block(space, triple, config, bundles, keep=None):
             drift = _writer(_operator(matrix.T), paths)
         else:
             mat_t, inv_t = _factor(triple, n, delta)
-            solve = _writer(inv_t, paths)
+            solve, residual_of = _writer(inv_t, paths), _writer(mat_t, paths)
+            product = np.empty((paths, n))
     iterative = not explicit and solve is None
+    chord = _chord_matrix(triple, grid, n) if iterative else None
     first = 1 if explicit else 0
     # states[0] holds the knot before a chunk and states[1 + j] its knot j
     chunk = KNOT_CHUNK
@@ -454,9 +461,9 @@ def run_block(space, triple, config, bundles, keep=None):
                 if solve is not None:
                     solve(y, new)
                     if keep == STATES:
-                        residuals[i - 1] = _row_norms(_apply(new, mat_t) - y)
+                        residuals[i - 1] = _row_norms(residual_of(new, product) - y)
                 elif iterative:
-                    new[...], report = _solve_iterative(triple, grid, i, y)
+                    new[...], report = _solve_iterative(triple, grid, i, y, chord)
                     iterations[i - 1] = report.iterations
                     if keep == STATES:
                         residuals[i - 1] = report.residual
@@ -486,25 +493,27 @@ def solve_implicit_step(triple, grid, i, y):
     ‖(I − δA)x − y‖, read off the matrix without evaluating the drift, in
     the report.  (`run_block` makes the same product itself, computes that
     residual only in a block that keeps the states, and finds rows without
-    a finite solution through its knot test.)  Otherwise a damped residual
-    iteration starts from `y` and a finite-difference Newton step takes
-    over when it stalls, with damping, stall count and convergence kept per
-    row.  Non-convergence signals that the step equation has left the
-    strongly monotone regime, i.e. the time step is too large.  A row that
-    cannot be solved is marked (NaN in x, False in ``report.converged``,
-    its cause in ``report.reasons``) and the other rows are solved
-    regardless.  Returns x and a `SolveReport`.
+    a finite solution through its knot test.)  Otherwise every row is
+    solved by chord steps from `y`, with M = (I − δJ₀)⁻ᵀ formed once for
+    the call from the drift's Jacobian J₀ at the origin at step 1, and by
+    finite-difference Newton steps from the first chord step that does not
+    halve its residual (`_solve_iterative`).  Non-convergence signals that
+    the step equation has left the strongly monotone regime, i.e. the time
+    step is too large.  A row that cannot be solved is marked (NaN in x,
+    its cause in ``report.reasons``, so False in ``report.converged``) and
+    the other rows are solved regardless.  Returns x and a `SolveReport`.
     """
     y = np.asarray(y, dtype=float)
+    rows, n = y.shape
     if triple.linear_A is None or not triple.autonomous:
-        return _solve_iterative(triple, grid, i, y)
-    mat_t, inv_t = _factor(triple, y.shape[1], grid.delta)
-    x = _apply(y, inv_t)
-    residual = _row_norms(_apply(x, mat_t) - y)
+        return _solve_iterative(triple, grid, i, y, _chord_matrix(triple, grid, n))
+    mat_t, inv_t = _factor(triple, n, grid.delta)
+    x = _writer(inv_t, rows)(y, np.empty_like(y))
+    residual = _row_norms(_writer(mat_t, rows)(x, np.empty_like(y)) - y)
     solved = np.isfinite(x).all(axis=1)
     x[~solved] = np.nan
     reasons = [None if ok else NO_FINITE_SOLUTION for ok in solved]
-    return x, SolveReport(np.zeros(len(y), dtype=int), residual, solved, reasons)
+    return x, SolveReport(np.zeros(rows, dtype=int), residual, reasons)
 
 
 NO_FINITE_SOLUTION = (
@@ -514,8 +523,9 @@ NO_FINITE_SOLUTION = (
 
 def _factor(triple, n, delta):
     """The transposed matrix I − δA of an affine autonomous drift and its
-    transposed inverse, as `_operator`s: x = _apply(y, inv_t) solves
-    (I − δA)x = y row by row, and _apply(x, mat_t) − y is its residual.
+    transposed inverse, as `_operator`s: `_writer(inv_t, P)` writes the
+    solution x of (I − δA)x = y for every row of a (P, n) block y, and
+    `_writer(mat_t, P)` of x minus y is its residual.
 
     A singular I − δA gets a NaN inverse: every row it is applied to then
     has no finite solution, as with any other non-finite one.
@@ -529,7 +539,7 @@ def _factor(triple, n, delta):
 
 
 def _operator(matrix):
-    """What `_apply` takes for the product with `matrix`: the vector of its
+    """What `_writer` takes for the product with `matrix`: the vector of its
     diagonal when every other entry is zero, else the matrix itself."""
     diagonal = np.diagonal(matrix)
     if np.count_nonzero(matrix - np.diag(diagonal)):
@@ -538,24 +548,12 @@ def _operator(matrix):
 
 
 def _writer(operator, paths):
-    """`_apply` of an `_operator` as a function (x, out) that writes into
-    out, with the same bits: a diagonal multiplies a (paths, n) copy of
-    itself, so that no operand is broadcast."""
-    if operator.ndim == 2:
-        return lambda x, out: np.matmul(x, operator, out=out)
-    scale = np.tile(operator, (paths, 1))
+    """``x @ matrix`` for an `_operator` of the matrix, as a function
+    (x, out) that writes it into out, and returns out, for a (paths, n)
+    block x.
 
-    def scaled(x, out):
-        np.multiply(x, scale, out=out)
-        out += 0.0
-
-    return scaled
-
-
-def _apply(x, operator):
-    """``x @ matrix`` for an `_operator` of the matrix, row by row.
-
-    A diagonal scales each column: every other term of the product is an
+    A diagonal scales each column, multiplying a (paths, n) copy of itself
+    so that no operand is broadcast: every other term of the product is an
     exact zero, so the finite values agree bit for bit, and the added +0
     turns the −0 of a zero coordinate into the +0 the product gives.  A
     row that is not finite may differ in its other coordinates (the
@@ -563,92 +561,116 @@ def _apply(x, operator):
     row either way.
     """
     if operator.ndim == 2:
-        return x @ operator
-    out = x * operator
-    out += 0.0
-    return out
+        return lambda x, out: np.matmul(x, operator, out=out)
+    scale = np.tile(operator, (paths, 1))
+
+    def scaled(x, out):
+        np.multiply(x, scale, out=out)
+        out += 0.0
+        return out
+
+    return scaled
 
 
-def _solve_iterative(triple, grid, i, y):
-    """Damped residual iteration with a Newton fallback, row by row."""
-    max_iter = SOLVER_MAX_ITER
-    delta = grid.delta
-    rows, n = y.shape
+def _jacobians(triple, grid, i, x):
+    """I − δ·A'(x) of the step residual at every row of a (P, n) block `x`,
+    by forward differences with steps h = 1e-7·(1 + |x|), from one drift
+    call on each row stacked with its n perturbed copies."""
+    n = x.shape[1]
+    h = 1e-7 * (1.0 + np.abs(x))
+    stack = np.repeat(x[:, None, :], n + 1, axis=1)
+    diagonal = np.arange(n)
+    stack[:, diagonal + 1, diagonal] += h
+    values = grid.delta * impl_A(triple, grid, i, stack)
+    slopes = (values[:, 1:] - values[:, :1]) / h[:, :, None]
+    return np.eye(n) - slopes.transpose(0, 2, 1)
 
-    def residual_vec(x):
-        return x - delta * impl_A(triple, grid, i, x) - y
+
+def _chord_matrix(triple, grid, n):
+    """The chord step's M = (I − δJ₀)⁻ᵀ, with J₀ the finite-difference
+    Jacobian of the drift at the origin at step 1, or None where I − δJ₀
+    is singular."""
+    try:
+        inverse = np.linalg.inv(_jacobians(triple, grid, 1, np.zeros((1, n)))[0])
+    except np.linalg.LinAlgError:
+        return None
+    return np.ascontiguousarray(inverse.T)
+
+
+def _solve_iterative(triple, grid, i, y, chord):
+    """Chord iteration with a per-row Newton fallback, row by row.
+
+    Every row starts from `y` and takes one step per iteration.  A chord
+    step is x ← x − r(x)·M, with r(x) = x − δA(x) − y and M = `chord`
+    (`_chord_matrix`); it is kept where it lowers the residual.  A row
+    whose residual a chord step does not at least halve, and every row
+    where `chord` is None, takes finite-difference Newton steps from then
+    on, each with a halving line search.  The residual and Newton's
+    Jacobians are evaluated at every row, so that no row's arithmetic
+    depends on which rows need them.  A row converges at a residual of
+    SOLVER_TOL·(1 + ‖y‖) and fails where its Newton linearization is
+    singular, where no Newton step lowers its residual or after
+    SOLVER_MAX_ITER iterations.
+    """
+    rows = len(y)
+
+    def residual_of(x):
+        return x - grid.delta * impl_A(triple, grid, i, x) - y
 
     target = SOLVER_TOL * (1.0 + _row_norms(y))
     x = y.copy()
-    r = residual_vec(x)
+    r = residual_of(x)
     rn = _row_norms(r)
-    omega = np.ones(rows)
-    stall = np.zeros(rows, dtype=int)
-    iterations = np.full(rows, max_iter)
-    reasons = [None] * rows
+    iterations = np.full(rows, SOLVER_MAX_ITER)
     live = np.isfinite(y).all(axis=1)
-    for p in np.flatnonzero(~live):
-        reasons[p] = NO_FINITE_SOLUTION
-    for iteration in range(1, max_iter + 1):
+    reasons = [None if ok else NO_FINITE_SOLUTION for ok in live]
+    newton = np.full(rows, chord is None)
+    for iteration in range(1, SOLVER_MAX_ITER + 1):
         done = live & (rn <= target)
         iterations[done] = iteration - 1
         live &= ~done
         if not live.any():
             break
-        newton = live & ((stall >= 3) | (omega < 1e-3))
-        damped = live & ~newton
-        if newton.any():
-            # finite-difference Newton on the residual map
-            jac = np.broadcast_to(np.eye(n), (rows, n, n)).copy()
-            h = 1e-7 * (1.0 + np.abs(x))
-            base = delta * impl_A(triple, grid, i, x)
-            for k in range(n):
-                xk = x.copy()
-                xk[:, k] += h[:, k]
-                jac[:, :, k] -= (
-                    delta * impl_A(triple, grid, i, xk) - base
-                ) / h[:, k, None]
+        solving = live & newton
+        chording = live & ~newton
+        if chording.any():
+            xn = x - r @ chord
+            r_new = residual_of(xn)
+            rn_new = _row_norms(r_new)
+            newton |= chording & ~(rn_new <= 0.5 * rn)
+            better = chording & (rn_new < rn)
+            x[better], r[better], rn[better] = xn[better], r_new[better], rn_new[better]
+        if solving.any():
+            jac = _jacobians(triple, grid, i, x)
             dx = np.zeros_like(x)
-            for p in np.flatnonzero(newton):
+            for p in np.flatnonzero(solving):
                 try:
                     dx[p] = np.linalg.solve(jac[p], r[p])
                 except np.linalg.LinAlgError:
-                    newton[p] = live[p] = False
+                    solving[p] = live[p] = False
                     reasons[p] = "implicit step linearization is singular; increase m"
             step = np.ones(rows)
             for _ in range(30):
-                if not newton.any():
+                if not solving.any():
                     break
                 xn = x - step[:, None] * dx
-                r_new = residual_vec(xn)
+                r_new = residual_of(xn)
                 rn_new = _row_norms(r_new)
-                better = newton & (rn_new < rn)
-                x[better], r[better] = xn[better], r_new[better]
-                rn[better], omega[better], stall[better] = rn_new[better], 1.0, 0
-                newton &= ~better
-                step[newton] *= 0.5
-            for p in np.flatnonzero(newton):
+                better = solving & (rn_new < rn)
+                x[better], r[better], rn[better] = xn[better], r_new[better], rn_new[better]
+                solving &= ~better
+                step[solving] *= 0.5
+            for p in np.flatnonzero(solving):
                 live[p] = False
                 reasons[p] = (
                     "implicit step iteration cannot reduce the residual; increase m"
                 )
-        if damped.any():
-            xn = x - omega[:, None] * r
-            r_new = residual_vec(xn)
-            rn_new = _row_norms(r_new)
-            better = damped & (rn_new < rn)
-            worse = damped & ~better
-            stall += better & (rn_new > 0.5 * rn)
-            x[better], r[better], rn[better] = xn[better], r_new[better], rn_new[better]
-            omega[better] = np.minimum(1.0, omega[better] * 1.5)
-            omega[worse] *= 0.5
-            stall += worse
     for p in np.flatnonzero(live & ~(rn <= target)):
         reasons[p] = (
-            f"implicit step did not converge within {max_iter} iterations "
+            f"implicit step did not converge within {SOLVER_MAX_ITER} iterations "
             f"(residual {rn[p]:.3e} > {target[p]:.3e}); "
             "increase the number of time steps m"
         )
-    solved = np.array([reason is None for reason in reasons])
-    x[~solved] = np.nan
-    return x, SolveReport(iterations, rn, solved, reasons)
+    report = SolveReport(iterations, rn, reasons)
+    x[~report.converged] = np.nan
+    return x, report

@@ -448,7 +448,8 @@ def test_console_script_entry_point():
 
 def test_product_runs_without_loading_scipy(tmp_path):
     # scipy is a test-only reference: a fresh process that imports the
-    # package and runs converge and check-conditions must not load it
+    # package and runs converge, check-conditions, stability and an
+    # iteratively solved implicit simulate must not load it
     import subprocess
 
     config = tmp_path / "tiny.cfg"
@@ -458,6 +459,13 @@ def test_product_runs_without_loading_scipy(tmp_path):
             "workers = 1", "workers = 1\ntrials = 200"
         )
     )
+    # the semilinear drift has no `linear_A`: its implicit steps take the
+    # chord step and, where it does not halve the residual, Newton's
+    semilinear = tmp_path / "semilinear.cfg"
+    semilinear.write_text(
+        re.sub(r"\[coefficients\][^[]*", "[coefficients]\nfixture = semilinear\n\n", BASE_CONFIG)
+        .replace("kind = explicit", "kind = implicit_projected")
+    )
     script = f"""
 import sys
 scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -466,6 +474,8 @@ from spdesim.cli import main
 assert scipy_modules() == [], scipy_modules()
 assert main(["converge", "--config", {str(config)!r}, "--out", {str(tmp_path / "c.csv")!r}]) == 0
 assert main(["check-conditions", "--config", {str(config)!r}]) == 0
+assert main(["stability", "--config", {str(config)!r}]) == 0
+assert main(["simulate", "--config", {str(semilinear)!r}, "--out", {str(tmp_path / "s.json")!r}]) == 0
 assert scipy_modules() == [], scipy_modules()
 """
     env = {k: v for k, v in os.environ.items() if k != "SPDE_SEED"}
@@ -474,6 +484,9 @@ assert scipy_modules() == [], scipy_modules()
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "c.csv").read_text().count("\n") == 3
+    trajectory = json.loads((tmp_path / "s.json").read_text())
+    assert trajectory["kind"] == "implicit_projected"
+    assert min(trajectory["solver_iterations"]) >= 1
 
 
 def test_converge_reproducible_across_workers(tmp_path):

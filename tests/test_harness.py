@@ -355,13 +355,17 @@ def _exact_knot_energies(kind, n, m, l, A, wiener, profile, zeta):
     return np.trace(S, axis1=1, axis2=2)
 
 
-@pytest.mark.parametrize("kind, m", [("explicit", 64), ("implicit_projected", 32)])
+@pytest.mark.parametrize(
+    "kind, m", [("explicit", 64), ("implicit_projected", 32), ("iterative", 32)]
+)
 @pytest.mark.parametrize("fixture", ["heat_jump", "additive_multimode"])
 def test_knot_energies_match_the_exact_second_moments(fixture, kind, m):
     # seeds, paths, knots and the |z| bound were fixed before the first
     # run: |z| <= 4 at each of up to 63 knots with 4,000 paths; the jump
     # marks are heavy-tailed, so a single knot's z wanders more than a
-    # Gaussian one would
+    # Gaussian one would.  "iterative" is implicit_projected with the
+    # drift's `linear_A` dropped, so that the iterative solver, not the
+    # direct product, solves each step
     n, l, paths, seed = 4, 3, 4000, 26
     space = build_sine_space(n)
     k = np.arange(1, n + 1, dtype=float)
@@ -382,6 +386,8 @@ def test_knot_energies_match_the_exact_second_moments(fixture, kind, m):
         b = np.diag(k ** -1.5)[:, :l]
         wiener = lambda S: b @ b.T  # noqa: E731
         profile, zeta = np.eye(n)[0], np.zeros(n)
+    if kind == "iterative":
+        kind, triple = "implicit_projected", dataclasses.replace(triple, linear_A=None)
     cfg = SchemeConfig(kind=kind, n=n, m=m, l=l, initial=zeta)
     stats = monte_carlo(space, triple, cfg, MARKS, paths, seed)
     assert stats.blowups == stats.failures == 0
@@ -441,7 +447,7 @@ def _rung_configs(ladder, template=TEMPLATE):
 
 
 def test_solver_failures_are_counted_per_path(monkeypatch):
-    # one damped iteration cannot solve the nonlinear step equation, so
+    # one chord step cannot solve the nonlinear step equation, so
     # every path fails; the study reports that instead of raising
     from spdesim import schemes
 

@@ -349,6 +349,45 @@ def test_direct_solve_of_a_stiff_non_normal_drift():
     assert (report.residual <= bound).all()
 
 
+class CountingDrift:
+    """x ↦ x·Aᵀ for a matrix A, recording how many rows each call takes."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.rows = []
+
+    def __call__(self, t, x):
+        self.rows.append(int(np.prod(np.shape(x)[:-1])))
+        return x @ self.matrix.T
+
+
+def test_a_non_normal_affine_drift_is_solved_by_chord_steps_alone():
+    # A = −S + K with S symmetric positive definite and K skew, given
+    # without `linear_A`: J₀ is A up to rounding, so one chord step with
+    # M = (I − δA)⁻ᵀ solves every step and no Newton Jacobian follows J₀.
+    # The drift sees J₀'s n + 1 rows once, then per step the residual of
+    # y and of the chord step, P rows each.  M not transposed fails here:
+    # for a non-normal A, (I − δA)⁻¹ is not (I − δA)⁻ᵀ, unlike a diagonal
+    n, m, paths = 6, 16, 5
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    skew = rng.standard_normal((n, n))
+    linear_A = -(q * np.geomspace(1.0, 50.0, n)) @ q.T + 10.0 * (skew - skew.T)
+    space = build_sine_space(n)
+    drift = CountingDrift(linear_A)
+    triple = dataclasses.replace(_quiet_heat(space), eval_A=drift, linear_A=None)
+    cfg = SchemeConfig(kind="implicit_projected", n=n, m=m, l=1, initial=smooth_profile(n))
+    bundles = sample_bundles(range(70, 70 + paths), TimeGrid(1.0, m), 1, MARKS, 1)
+    run = run_block(space, triple, cfg, bundles, keep=STATES)
+    assert drift.rows == [n + 1] + [paths] * (2 * m)
+    assert run.failures == [None] * paths
+    assert (run.solver_iterations == 1).all()
+    direct = dataclasses.replace(triple, linear_A=linear_A)
+    want = run_block(space, direct, cfg, bundles, keep=STATES).kept
+    scale = 1.0 + np.linalg.norm(want, axis=-1)
+    assert (np.abs(run.kept - want).max(axis=-1) <= m * SOLVER_TOL * scale).all()
+
+
 def _run_bits(run):
     return (
         run.final.tobytes(),
@@ -407,18 +446,12 @@ def test_only_a_diagonal_drift_steps_as_a_vector(monkeypatch):
     triple = _quiet_heat(space)
     triple = dataclasses.replace(triple, linear_A=triple.linear_A + np.eye(4, k=-1))
     applied = []
-
-    def recording(x, operator):
-        applied.append(operator.ndim)
-        return x @ operator if operator.ndim == 2 else x * operator
-
     writer = schemes._writer
 
     def recording_writer(operator, paths):
         applied.append(operator.ndim)
         return writer(operator, paths)
 
-    monkeypatch.setattr(schemes, "_apply", recording)
     monkeypatch.setattr(schemes, "_writer", recording_writer)
     for kind in ("explicit", "implicit", "implicit_projected"):
         cfg = SchemeConfig(kind=kind, n=4, m=16, l=2)
@@ -533,8 +566,9 @@ def test_energy_bound_dominates_quiet_run():
 def test_solver_failure_advises_more_steps(monkeypatch):
     from spdesim import schemes
 
-    # 200 iterations solve this step; 25 do not
-    monkeypatch.setattr(schemes, "SOLVER_MAX_ITER", 25)
+    # the chord and Newton steps solve this step in 17 iterations; one
+    # iteration, a chord step that does not lower the residual, does not
+    monkeypatch.setattr(schemes, "SOLVER_MAX_ITER", 1)
     space = build_sine_space(4)
 
     class StiffDrift:
@@ -905,7 +939,7 @@ class QuietOrLoud:
 
 
 def test_solver_failure_leaves_the_other_paths_unchanged(monkeypatch):
-    # one damped iteration solves the step equation only for states so small
+    # one chord step solves the step equation only for states so small
     # that the residual starts below the tolerance; an order-one state fails
     from spdesim import schemes
 
@@ -1158,8 +1192,8 @@ class StallFrom:
     """A drift with δ·A(t, x) = x exactly, for δ = 1/16, at times after
     `start` on rows whose first coordinate is positive, and zero elsewhere.
 
-    Where δ·A(x) = x the step residual x − δ·A(x) − y is −y whatever x: the
-    damped iteration stalls and Newton's finite-difference Jacobian
+    Where δ·A(x) = x the step residual x − δ·A(x) − y is −y whatever x: no
+    chord step lowers it, and Newton's finite-difference Jacobian
     I − δ·A'(x) is zero up to rounding.  It is exactly zero when every
     coordinate of the state plus its difference step is exact, as for
     (2^-33, 0, 0, 0), so the linearization is singular; for (1, 1.5, 0.75,

@@ -26,6 +26,7 @@ from .harness import (
 )
 from .noise import (
     AtomMarks,
+    BlockNoise,
     MarkPartition,
     NoiseBundle,
     PowerLawMarks,
@@ -33,8 +34,7 @@ from .noise import (
     build_partition,
     bundle_from_json,
     bundle_to_json,
-    coarsen_wiener,
-    compensated_cell_increments,
+    read_block,
     sample_bundles,
 )
 from .schemes import (

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import config as cfg
 from .harness import convergence_study, run_condition_suite
-from .noise import TimeGrid, sample_bundles
+from .noise import TimeGrid, read_block, sample_bundles
 from .schemes import STATES, ImplicitStepError, run_block, stability_margin
 from .space import c_b, restrict
 
@@ -72,8 +72,8 @@ def _cmd_simulate(args):
     level = max(
         settings.getint("noise", "l_level", fallback=scheme_config.l), scheme_config.l
     )
-    bundles = sample_bundles([seed], grid, modes, marks, level)
-    run = run_block(space, triple, scheme_config, bundles, keep=STATES)
+    noise = read_block(sample_bundles([seed], grid, modes, marks, level))
+    run = run_block(space, triple, scheme_config, noise, keep=STATES)
     if run.failures[0] is not None:
         raise ImplicitStepError(run.failures[0])
     values = run.kept[:, 0]

@@ -40,7 +40,7 @@ from .coefficients import (
     check_monotonicity,
     probe_hemicontinuity,
 )
-from .noise import TimeGrid, sample_bundles
+from .noise import TimeGrid, read_block, sample_bundles
 from .rng import TAG_PATH, TAG_PROBE, derive_key
 from .schemes import ENERGIES, EXPLICIT, run_block
 from .space import c_b, restrict
@@ -118,23 +118,24 @@ def _run_paths(space, triple, configs, marks, master_seed, reduce, keep, block):
     seconds per config.
 
     Path j samples one bundle at the finest configuration (the last one),
-    all through one `sample_bundles` call, and every configuration steps
-    the whole block once through `run_block`, keeping at every knot what
-    `keep` names.  `reduce` maps the block's runs, one `BlockRun` per
-    configuration, to the arrays ``(outcomes, values)`` of shape (columns,
-    paths) and (columns, paths, ...); a value is read only where its
-    outcome is COMPLETED.
+    all through one `sample_bundles` call; the block's noise is read once
+    (`read_block`), and every configuration steps the whole block on it
+    once through `run_block`, keeping at every knot what `keep` names.
+    `reduce` maps the block's runs, one `BlockRun` per configuration, to
+    the arrays ``(outcomes, values)`` of shape (columns, paths) and
+    (columns, paths, ...); a value is read only where its outcome is
+    COMPLETED.
     """
     finest = configs[-1]
     grid = TimeGrid(triple.constants.horizon, finest.m)
     modes = min(finest.l, triple.wiener_modes)
     seeds = [_path_seed(master_seed, j) for j in block]
-    bundles = sample_bundles(seeds, grid, modes, marks, finest.l)
+    noise = read_block(sample_bundles(seeds, grid, modes, marks, finest.l))
     seconds = np.zeros(len(configs))
     runs = []
     for k, config in enumerate(configs):
         started = time.perf_counter()
-        runs.append(run_block(space, triple, config, bundles, keep))
+        runs.append(run_block(space, triple, config, noise, keep))
         seconds[k] = time.perf_counter() - started
     return (*reduce(runs), seconds)
 

@@ -7,11 +7,12 @@ time grid and the complete record of jump (time, mark) points on
 by exact aggregation - summing fine Wiener increments and re-binning the
 same jump points - which is what makes coupled multi-resolution runs
 meaningful pathwise.  This module is the one place that reads a block of
-bundles at a resolution: `fine_wiener` gives the block's fine increments
-as one array, `coarsen` sums them to a coarser grid, and `jump_events`
-bins every jump of the block into its step and mark cell.
-`schemes.run_block`, `coarsen_wiener` and `compensated_cell_increments`
-compose these.
+bundles: `read_block` checks the block once and reads it into a
+`BlockNoise`, its fine Wiener increments as one array and its jumps as one
+flat list, and `BlockNoise.knot_chunks` gives one configuration of the
+block, at its grid and mark partition, the Wiener increments (summed by
+`coarsen`) and the jump data of its steps, a chunk of steps at a time.
+`schemes.run_block` steps a block on a `BlockNoise`.
 
 Mark spaces ship in two families: a power-law density on (0, 1] exhausted
 by the compacts [4^-l, 1], and finite atom lists.  Both give the mark
@@ -32,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .averaging import cell_weight_means
 from .rng import TAG_JUMP, TAG_WIENER, derive_key, normals_from_keys, rekeyed_generator
 
 
@@ -315,7 +317,7 @@ def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
     Wiener increments are one N(0, δ) draw per (path, mode, step), each
     from its own derived key, so generation order is immaterial: they are
     drawn DRAW_PATHS paths at a time into one (paths, modes, m) array, and
-    bundle p holds row p of it (`fine_wiener` reads the array back).  The
+    bundle p holds row p of it (`read_block` reads the array back).  The
     jump record is Poisson with mean T·ν(E^level), the mass asked for once
     per call; times are uniform on (0, T], marks follow ν restricted and
     normalized on E^level.
@@ -359,24 +361,6 @@ def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
     return bundles
 
 
-def fine_wiener(bundles):
-    """The block's (paths, modes, M) finest-grid Wiener increments: a view of
-    the array `sample_bundles` filled when the bundles are its rows in
-    order, else one stack of the bundles' increments."""
-    rows = [bundle.wiener for bundle in bundles]
-    base = rows[0].base
-    if base is not None and base.shape == (len(rows), *rows[0].shape):
-        start, stride = base.__array_interface__["data"][0], base.strides[0]
-        if all(
-            row.base is base
-            and row.strides == base.strides[1:]
-            and row.__array_interface__["data"][0] == start + p * stride
-            for p, row in enumerate(rows)
-        ):
-            return base
-    return np.stack(rows)
-
-
 def coarsen(fine, factor):
     """Increments of a grid `factor` times coarser, along the last axis of
     `fine`: each is the sum of the `factor` fine increments it spans."""
@@ -384,53 +368,144 @@ def coarsen(fine, factor):
     return fine.reshape(*lead, steps // factor, factor).sum(axis=-1)
 
 
-def coarsen_wiener(bundle, m_coarse, modes):
-    """The bundle's (modes, m_coarse) increments on a coarser grid, as exact
-    sums of fine increments (`coarsen`)."""
-    if modes > bundle.l_modes:
-        raise ValueError(f"bundle has {bundle.l_modes} modes, need {modes}")
-    if m_coarse < 1 or bundle.m % m_coarse != 0:
-        raise ValueError(f"{m_coarse} does not divide finest m = {bundle.m}")
-    return coarsen(bundle.wiener[:modes], bundle.m // m_coarse)
+@dataclass(frozen=True)
+class BlockNoise:
+    """The noise of a block of paths, read once from its bundles by
+    `read_block`, that every configuration stepping the block shares.
 
-
-def jump_events(grid, partition, bundles):
-    """The (step, path, cell) of every jump of a block with a mark in a cell.
-
-    A jump at t enters the step i with t in (t_{i−1}, t_i].  The events are
-    stably sorted by step, so within a path they stay in time order.
+    `fine_wiener` holds the (paths, l_modes, m) finest-grid Wiener
+    increments, row p those of path p.  The jumps of all paths are one flat
+    list in path-then-time order: `jump_times`, `jump_marks` and in
+    `jump_rows` the path of each.  `l_level` is the lowest level of the
+    bundles, the one every path reaches.
     """
+
+    master_seeds: tuple
+    T: float
+    m: int
+    l_modes: int
+    l_level: int
+    marks: PowerLawMarks | AtomMarks
+    fine_wiener: np.ndarray
+    jump_times: np.ndarray
+    jump_marks: np.ndarray
+    jump_rows: np.ndarray
+
+    def knot_chunks(self, m, level, modes, factorized, n, chunk):
+        """The noise of a configuration that steps the block on an m-step
+        grid of its horizon with the mark partition of E^level, built up to
+        `chunk` steps at a time, so that it holds no (m, paths) array of
+        increments or jump data.
+
+        Returns ``noise(lo, k)``, which gives the Wiener increments and the
+        jump data of steps lo .. lo + k − 1, k ≤ chunk, as two arrays whose
+        row j belongs to step lo + j.  The Wiener increments of the first
+        `modes` modes are `fine_wiener` summed by `coarsen`; with one mode
+        each path's increment is repeated along a (k, paths, n) plane, else
+        they are (k, paths, modes).  The jumps are binned once for the
+        configuration: a jump at t enters the step i with t in
+        (t_{i−1}, t_i] (``np.searchsorted`` on the knots), its mark the
+        cell that `MarkPartition.locate` gives in the partition of E^level,
+        and jumps outside E^level are dropped; the events are stably sorted by step,
+        so within a path they stay in time order.  A chunk's jump data are
+        one ``np.bincount`` of its events: for a `factorized` F the sum of
+        the cell weight means of a path's jumps minus δ·Σ weight mass,
+        repeated along a (k, paths, n) plane, else the (k, paths, cells)
+        compensated cell increments, jump counts minus δ·ν.  The two planes
+        are scratch arrays, overwritten by the next call.
+
+        An m that does not divide the block's, a level above the block's,
+        more modes than the block carries and steps outside 1..m are a
+        ValueError.
+        """
+        grid = TimeGrid(self.T, m)
+        if self.m % m != 0:
+            raise ValueError(f"bundle grid {self.m} not divisible by m = {m}")
+        if level > self.l_level:
+            raise ValueError(f"bundle level {self.l_level} < requested l = {level}")
+        if modes > self.l_modes:
+            raise ValueError(f"bundle has {self.l_modes} modes, need {modes}")
+        partition = build_partition(self.marks, level)
+        paths, factor = len(self.master_seeds), self.m // m
+        fine = self.fine_wiener[:, :modes] if modes else None
+        wiener_plane = np.empty((chunk, paths, n)) if modes == 1 else None
+        steps = np.searchsorted(grid.knots, self.jump_times, side="left")
+        cells = partition.locate(self.jump_marks)
+        keep = np.flatnonzero(cells >= 0)
+        keep = keep[np.argsort(steps[keep], kind="stable")]
+        steps, rows, cells = steps[keep], self.jump_rows[keep], cells[keep]
+        if factorized:
+            ratio, wmass = cell_weight_means(partition)
+            bins, weights = rows, ratio[cells]
+            compensator = grid.delta * float(wmass.sum())
+            width, jump_plane = paths, np.empty((chunk, paths, n))
+        else:
+            bins, weights = rows * partition.size + cells, np.ones(cells.size)
+            compensator = grid.delta * partition.nu
+            width = paths * partition.size
+
+        def noise(lo, k):
+            if lo < 1 or lo + k - 1 > grid.m:
+                raise ValueError(f"steps {lo}..{lo + k - 1} outside 1..{grid.m}")
+            dw = None
+            if modes:
+                dw = coarsen(fine[:, :, (lo - 1) * factor : (lo - 1 + k) * factor], factor)
+                if modes == 1:
+                    plane = wiener_plane[:k]
+                    plane[...] = dw[:, 0].T[..., None]
+                    dw = plane
+                else:
+                    dw = np.ascontiguousarray(dw.transpose(2, 0, 1))
+            a, b = np.searchsorted(steps, (lo, lo + k))
+            here = (steps[a:b] - lo) * width + bins[a:b]
+            counts = np.bincount(here, weights[a:b], minlength=k * width)
+            if factorized:
+                jump = jump_plane[:k]
+                jump[...] = (counts - compensator).reshape(k, paths, 1)
+            else:
+                jump = counts.reshape(k, paths, partition.size) - compensator
+            return dw, jump
+
+        return noise
+
+
+def read_block(bundles):
+    """The `BlockNoise` of a block, path p driven by ``bundles[p]``.
+
+    The block needs at least one bundle, and its bundles must share their
+    horizon, grid, Wiener modes and marks; anything else is a ValueError.
+    `fine_wiener` is a view of the array `sample_bundles` filled when the
+    bundles are its rows in order, else one stack of their increments.
+    """
+    if not bundles:
+        raise ValueError("a block needs at least one bundle")
+    first = bundles[0]
+    shared = (first.T, first.m, first.l_modes, first.marks)
+    if any((b.T, b.m, b.l_modes, b.marks) != shared for b in bundles):
+        raise ValueError(
+            "a block's bundles must share horizon, grid, Wiener modes and marks"
+        )
+    rows = [bundle.wiener for bundle in bundles]
+    wiener = rows[0].base
+    # row p is wiener[p] when it has wiener[p]'s address, shape and strides
+    if wiener is None or wiener.shape != (len(rows), *rows[0].shape) or any(
+        row.__array_interface__ != wiener[p].__array_interface__
+        for p, row in enumerate(rows)
+    ):
+        wiener = np.stack(rows)
     times = [bundle.jump_times for bundle in bundles]
-    rows = np.repeat(np.arange(len(bundles)), [t.size for t in times])
-    steps = np.searchsorted(grid.knots, np.concatenate(times), side="left")
-    cells = partition.locate(np.concatenate([b.jump_marks for b in bundles]))
-    keep = np.flatnonzero(cells >= 0)
-    keep = keep[np.argsort(steps[keep], kind="stable")]
-    return steps[keep], rows[keep], cells[keep]
-
-
-def compensated_cell_increments(bundles, partition, grid, i):
-    """Ñ((t_{i−1}, t_i] × cell_j) for every bundle and every cell of the
-    partition, as a (bundles, cells) array.
-
-    Component (p, j) counts the jumps of bundle p falling in the time
-    window with a mark in cell j (`jump_events`), minus the compensator
-    δ·ν(cell_j).
-    """
-    for bundle in bundles:
-        if partition.level > bundle.l_level:
-            raise ValueError(
-                f"partition level {partition.level} exceeds bundle level {bundle.l_level}"
-            )
-        if abs(grid.T - bundle.T) > 1e-12 * max(grid.T, bundle.T):
-            raise ValueError("grid horizon does not match bundle horizon")
-    if not 1 <= i <= grid.m:
-        raise ValueError(f"step index {i} outside 1..{grid.m}")
-    steps, rows, cells = jump_events(grid, partition, bundles)
-    a, b = np.searchsorted(steps, (i, i + 1))
-    width = partition.size
-    counts = np.bincount(rows[a:b] * width + cells[a:b], minlength=len(bundles) * width)
-    return counts.reshape(len(bundles), width) - grid.delta * partition.nu
+    return BlockNoise(
+        master_seeds=tuple(bundle.master_seed for bundle in bundles),
+        T=first.T,
+        m=first.m,
+        l_modes=first.l_modes,
+        l_level=min(bundle.l_level for bundle in bundles),
+        marks=first.marks,
+        fine_wiener=wiener,
+        jump_times=np.concatenate(times),
+        jump_marks=np.concatenate([bundle.jump_marks for bundle in bundles]),
+        jump_rows=np.repeat(np.arange(len(bundles)), [t.size for t in times]),
+    )
 
 
 def bundle_to_json(bundle):

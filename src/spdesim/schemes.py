@@ -2,21 +2,21 @@
 
 All three scheme kinds run through one stepping loop, `run_block`, and
 differ only in the drift update.  The loop steps a block of paths
-together: the state is a (paths, n) array, row p driven by its own noise
-bundle, and each coefficient is evaluated once per step for the whole
-block; a one-path run is a block of one.  A block keeps at every knot only
-what its caller reads: nothing, the squared H-norms or the states.  The
-explicit scheme starts from zero, injects the projected initial condition
-at the first knot, and adds δ times the lagged-window drift mean; its
-stability is governed by the product of the step size with the basis
-constant of the space.  The implicit schemes start from the (projected)
-initial condition and solve a monotone step equation in which the drift is
-averaged over the current window.  An affine autonomous drift A is stepped
-as one product with a matrix formed once per block: I + δA in the
-explicit scheme, the inverse of I − δA in the implicit ones.  A diagonal
-matrix, as every shipped fixture's, is kept as the vector of its diagonal
-and the product is a column-wise scaling with the same bits.  In every
-kind the noise coefficients are averaged over the lagged window.
+together: the state is a (paths, n) array, row p driven by path p of the
+block's `BlockNoise`, and each coefficient is evaluated once per step for
+the whole block; a one-path run is a block of one.  A block keeps at every
+knot only what its caller reads: nothing, the squared H-norms or the
+states.  The explicit scheme starts from zero, injects the projected
+initial condition at the first knot, and adds δ times the lagged-window
+drift mean; its stability is governed by the product of the step size with
+the basis constant of the space.  The implicit schemes start from the
+(projected) initial condition and solve a monotone step equation in which
+the drift is averaged over the current window.  An affine autonomous drift
+A is stepped as one product with a matrix formed once per block: I + δA in
+the explicit scheme, the inverse of I − δA in the implicit ones.  A
+diagonal matrix, as every shipped fixture's, is kept as the vector of its
+diagonal and the product is a column-wise scaling with the same bits.  In
+every kind the noise coefficients are averaged over the lagged window.
 "Unprojected" runs are realized at the ambient resolution of the
 experiment: a truly infinite-dimensional state is not representable, so
 the plain and projected implicit kinds are one code path and differ only
@@ -43,8 +43,8 @@ from functools import partial
 
 import numpy as np
 
-from .averaging import cell_weight_means, impl_A, tilde_F, time_mean
-from .noise import TimeGrid, build_partition, coarsen, fine_wiener, jump_events
+from .averaging import impl_A, tilde_F, time_mean
+from .noise import TimeGrid, build_partition
 from .rng import TAG_INITIAL, derive_key, make_generator
 from .space import c_b, project, restrict, smooth_profile
 
@@ -141,81 +141,10 @@ def _resolve_initial(config, space, master_seed):
 # Knots a block steps between two knot tests (`run_block`): their states
 # fill one (KNOT_CHUNK, paths, n) buffer, about 0.5 MB at 64 paths and
 # n = 32, which one finiteness test and one energy pass then read.  The
-# noise of a chunk's steps is built at once (`_block_noise`), a one-mode
-# Wiener increment and a factorized jump scalar as one more such plane each.
+# noise of a chunk's steps is built at once (`BlockNoise.knot_chunks`), a
+# one-mode Wiener increment and a factorized jump scalar as one more such
+# plane each.
 KNOT_CHUNK = 32
-
-
-def _block_noise(bundles, grid, partition, modes, factorized, n, chunk):
-    """The per-path noise of a block, built up to `chunk` steps at a time,
-    so that the block holds no (m, paths) array of increments or jump data.
-
-    Returns ``noise(lo, k)``, which gives the Wiener increments and the
-    jump data of steps lo .. lo + k − 1 as two arrays whose row j belongs
-    to step lo + j.  The Wiener increments are the block's `fine_wiener`
-    summed by `coarsen`; with one mode each path's increment is repeated
-    along a (k, paths, n) plane, else they are (k, paths, modes).  The jump
-    data are read from the block's `jump_events` with one
-    `np.bincount`: for a `factorized` F the sum of the cell weight means of
-    a path's jumps minus δ·Σ weight mass, repeated along a (k, paths, n)
-    plane, else the (k, paths, cells) compensated cell increments, jump
-    counts minus δ·ν.  The two planes are scratch arrays of the block,
-    overwritten by the next call.
-    """
-    paths = len(bundles)
-    factor = bundles[0].m // grid.m
-    fine = fine_wiener(bundles)[:, :modes] if modes else None
-    wiener_plane = np.empty((chunk, paths, n)) if modes == 1 else None
-    steps, rows, cells = jump_events(grid, partition, bundles)
-    if factorized:
-        ratio, wmass = cell_weight_means(partition)
-        bins, weights = rows, ratio[cells]
-        compensator = grid.delta * float(wmass.sum())
-        width, jump_plane = paths, np.empty((chunk, paths, n))
-    else:
-        bins, weights = rows * partition.size + cells, np.ones(cells.size)
-        compensator = grid.delta * partition.nu
-        width = paths * partition.size
-
-    def noise(lo, k):
-        dw = None
-        if modes:
-            dw = coarsen(fine[:, :, (lo - 1) * factor : (lo - 1 + k) * factor], factor)
-            if modes == 1:
-                plane = wiener_plane[:k]
-                plane[...] = dw[:, 0].T[..., None]
-                dw = plane
-            else:
-                dw = np.ascontiguousarray(dw.transpose(2, 0, 1))
-        a, b = np.searchsorted(steps, (lo, lo + k))
-        here = (steps[a:b] - lo) * width + bins[a:b]
-        counts = np.bincount(here, weights[a:b], minlength=k * width)
-        if factorized:
-            jump = jump_plane[:k]
-            jump[...] = (counts - compensator).reshape(k, paths, 1)
-        else:
-            jump = counts.reshape(k, paths, partition.size) - compensator
-        return dw, jump
-
-    return noise
-
-
-def _check_bundles(config, bundles, modes):
-    if not bundles:
-        raise ValueError("a block needs at least one bundle")
-    first = bundles[0]
-    shared = (first.T, first.m, first.l_modes, first.marks)
-    for bundle in bundles:
-        if (bundle.T, bundle.m, bundle.l_modes, bundle.marks) != shared:
-            raise ValueError(
-                "a block's bundles must share horizon, grid, Wiener modes and marks"
-            )
-        if bundle.m % config.m != 0:
-            raise ValueError(f"bundle grid {bundle.m} not divisible by m = {config.m}")
-        if config.l > bundle.l_level:
-            raise ValueError(f"bundle level {bundle.l_level} < requested l = {config.l}")
-        if modes > bundle.l_modes:
-            raise ValueError(f"bundle has {bundle.l_modes} modes, need {modes}")
 
 
 def _row_norms(x):
@@ -248,15 +177,19 @@ class BlockRun:
     solver_residuals: np.ndarray
 
 
-def run_block(space, triple, config, bundles, keep=None):
-    """Step one block of paths together, path p driven by ``bundles[p]``.
+def run_block(space, triple, config, noise, keep=None):
+    """Step one block of paths together, row p driven by path p of `noise`,
+    the `BlockNoise` that `read_block` reads from the block's bundles.
 
-    Returns a `BlockRun` that keeps at every knot what `keep` names: None
-    for nothing (a ladder reads only the final states), ENERGIES for the
-    squared H-norms (`monte_carlo`) or STATES for the states (`simulate`).
-    What is kept changes no bit of the run; only a block that keeps the
-    states records the implicit solver's residuals, and the others leave
-    `solver_residuals` empty.
+    The block must drive the configuration: its grid divisible by m, its
+    level at least l and the Wiener modes the triple reads at l among its
+    own; `noise.knot_chunks` rejects any other with a ValueError before the
+    block is stepped.  Returns a `BlockRun` that keeps at every knot what
+    `keep` names: None for nothing (a ladder reads only the final states),
+    ENERGIES for the squared H-norms (`monte_carlo`) or STATES for the
+    states (`simulate`).  What is kept changes no bit of the run; only a
+    block that keeps the states records the implicit solver's residuals,
+    and the others leave `solver_residuals` empty.
 
     Row p of the state steps path p.  Step i adds to the previous value,
     in this order, δ times the lagged drift mean (explicit only), the
@@ -264,23 +197,24 @@ def run_block(space, triple, config, bundles, keep=None):
     solve the step equation with the result as right-hand side.  An affine
     autonomous explicit drift takes the first term and the previous value
     together, as one product of the states with I + δA.  The noise of a
-    chunk's steps is built before the chunk is stepped (`_block_noise`),
-    from what `noise` reads of the block: its fine Wiener increments
-    (`fine_wiener`), summed to the rung (`coarsen`), and one list of jump
-    events (`jump_events`).  With one Wiener mode the Wiener term is the
-    product of the noise column with a plane that repeats each path's
-    increment along the state, else a batched matrix product; a factorized
-    jump term is the product of the profile with a plane of each path's
-    jump scalar, a general one a batched matrix product with the cell
-    increments.  The two noise terms are formed in two scratch arrays of
-    the block, never in the state or in a coefficient's value.  An
-    autonomous triple's coefficients are evaluated once per step, at the
-    midpoint of the window.  The explicit scheme starts at knot 1, the
-    implicit ones at knot 0, and the noise terms vanish before knot 2.
-    Grid, partition, jump events, a path-independent initial condition
-    and, for an affine autonomous drift, I + δA or the inverse of I − δA
-    are built once for the block; so is the chord matrix of any other
-    implicit drift (`_chord_matrix`), which `_solve_iterative` reads.
+    chunk's steps is built before the chunk is stepped, by the reader that
+    `noise.knot_chunks` gives the configuration: the block's fine Wiener
+    increments summed to the rung, and the jump data of the block's jump
+    list binned once at the rung's grid and partition.  With one Wiener
+    mode the Wiener term is the product of the noise column with a plane
+    that repeats each path's increment along the state, else a batched
+    matrix product; a factorized jump term is the product of the profile
+    with a plane of each path's jump scalar, a general one a batched
+    matrix product with the cell increments.  The two noise terms are
+    formed in two scratch arrays of the block, never in the state or in a
+    coefficient's value.  An autonomous triple's coefficients are
+    evaluated once per step, at the midpoint of the window.  The explicit
+    scheme starts at knot 1, the implicit ones at knot 0, and the noise
+    terms vanish before knot 2.  Grid, partition, the binned jumps, a
+    path-independent initial condition and, for an affine autonomous
+    drift, I + δA or the inverse of I − δA are built once for the block;
+    so is the chord matrix of any other implicit drift (`_chord_matrix`),
+    which `_solve_iterative` reads.
 
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
@@ -311,14 +245,16 @@ def run_block(space, triple, config, bundles, keep=None):
         raise ValueError("the explicit scheme requires the coercivity weight <= 1")
     n, m, l = config.n, config.m, config.l
     modes = min(l, triple.wiener_modes)
-    _check_bundles(config, bundles, modes)
-    paths = len(bundles)
-    space = restrict(space, n)
-    grid = TimeGrid(bundles[0].T, m)
-    delta = grid.delta
-    partition = build_partition(bundles[0].marks, l)
     factorized = triple.jump_profile is not None
+    # the reader rejects a configuration that the block cannot drive
+    chunk = KNOT_CHUNK
+    chunks = noise.knot_chunks(m, l, modes, factorized, n, chunk)
+    paths = len(noise.master_seeds)
+    space = restrict(space, n)
+    grid = TimeGrid(noise.T, m)
+    delta = grid.delta
     if not factorized:
+        partition = build_partition(noise.marks, l)
         rule = partition.marks.cell_rule(partition.lo, partition.hi, 4)
     drift = solve = None
     if triple.linear_A is not None and triple.autonomous:
@@ -333,12 +269,10 @@ def run_block(space, triple, config, bundles, keep=None):
     chord = _chord_matrix(triple, grid, n) if iterative else None
     first = 1 if explicit else 0
     # states[0] holds the knot before a chunk and states[1 + j] its knot j
-    chunk = KNOT_CHUNK
     states = np.empty((chunk + 1, paths, n))
-    if callable(config.initial):
-        states[0] = [_resolve_initial(config, space, b.master_seed) for b in bundles]
-    else:
-        states[0] = _resolve_initial(config, space, None)
+    # a random initial condition is drawn per path, any other once
+    seeds = noise.master_seeds if callable(config.initial) else [None]
+    states[0] = [_resolve_initial(config, space, seed) for seed in seeds]
     wiener, jumps = np.empty((paths, n)), np.empty((paths, n))
     rhs = None if explicit else np.empty((paths, n))
     kept = None
@@ -418,12 +352,11 @@ def run_block(space, triple, config, bundles, keep=None):
         if explicit:
             settle(0, np.zeros((1, paths, n)))
         settle(first, states[:1])
-        noise = _block_noise(bundles, grid, partition, modes, factorized, n, chunk)
         for lo in range(first + 1, m + 1, chunk):
             if not alive:
                 break
             k = min(chunk, m + 1 - lo)
-            dws, jump_rows = noise(lo, k)
+            dws, jump_rows = chunks(lo, k)
             for j in range(k):
                 i = lo + j
                 x, new = states[j], states[j + 1]
@@ -501,15 +434,25 @@ def solve_implicit_step(triple, grid, i, y):
     the step equation has left the strongly monotone regime, i.e. the time
     step is too large.  A row that cannot be solved is marked (NaN in x,
     its cause in ``report.reasons``, so False in ``report.converged``) and
-    the other rows are solved regardless.  Returns x and a `SolveReport`.
+    the other rows are solved regardless, without a warning, as in
+    `run_block`.  Returns x and a `SolveReport`.
+
+    A `y` that is not a (P, n) block with n at most the triple's dimension
+    and a step index `i` outside 1..m, the steps a scheme solves, are a
+    ValueError.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[1] > triple.dim:
+        raise ValueError(f"y must be (P, n) with n <= {triple.dim}, not {y.shape}")
+    if not 1 <= i <= grid.m:
+        raise ValueError(f"step index i = {i} outside 1..{grid.m}")
     rows, n = y.shape
-    if triple.linear_A is None or not triple.autonomous:
-        return _solve_iterative(triple, grid, i, y, _chord_matrix(triple, grid, n))
-    mat_t, inv_t = _factor(triple, n, grid.delta)
-    x = _writer(inv_t, rows)(y, np.empty_like(y))
-    residual = _row_norms(_writer(mat_t, rows)(x, np.empty_like(y)) - y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if triple.linear_A is None or not triple.autonomous:
+            return _solve_iterative(triple, grid, i, y, _chord_matrix(triple, grid, n))
+        mat_t, inv_t = _factor(triple, n, grid.delta)
+        x = _writer(inv_t, rows)(y, np.empty_like(y))
+        residual = _row_norms(_writer(mat_t, rows)(x, np.empty_like(y)) - y)
     solved = np.isfinite(x).all(axis=1)
     x[~solved] = np.nan
     reasons = [None if ok else NO_FINITE_SOLUTION for ok in solved]

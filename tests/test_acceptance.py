@@ -23,7 +23,7 @@ from spdesim.noise import (
     PowerLawMarks,
     TimeGrid,
     build_partition,
-    compensated_cell_increments,
+    read_block,
     sample_bundles,
 )
 from spdesim.schemes import (
@@ -95,6 +95,12 @@ def test_criterion_02_basis_constant_and_stability_gate():
             assert inside_at and not inside_below
 
 
+def _step_increments(bundles, partition, grid):
+    """The (bundles, cells) compensated cell increments of step 1."""
+    noise = read_block(bundles).knot_chunks(grid.m, partition.level, 0, False, 1, 1)
+    return noise(1, 1)[1][0]
+
+
 def test_criterion_03_compensator_statistics():
     with criterion(3, "compensated-increment moments and aggregation"):
         assert MARKS.total_mass(2) == pytest.approx(6.0, rel=1e-12)
@@ -106,7 +112,7 @@ def test_criterion_03_compensator_statistics():
         # seeds 0 .. 99,999 in blocks of 1,000, summed row by row in seed order
         for lo in range(0, bundles, 1000):
             block = sample_bundles(range(lo, lo + 1000), grid, 0, MARKS, 2)
-            for inc in compensated_cell_increments(block, part, grid, 1):
+            for inc in _step_increments(block, part, grid):
                 total += inc
                 total_sq += inc**2
         mean = total / bundles
@@ -117,8 +123,8 @@ def test_criterion_03_compensator_statistics():
         # cross-level aggregation: integer counts, additive compensators
         fine = build_partition(MARKS, 3)
         block = sample_bundles(range(100), grid, 0, MARKS, 3)
-        rows_f = compensated_cell_increments(block, fine, grid, 1)
-        rows_c = compensated_cell_increments(block, part, grid, 1)
+        rows_f = _step_increments(block, fine, grid)
+        rows_c = _step_increments(block, part, grid)
         for inc_f, inc_c in zip(rows_f, rows_c):
             counts_f = np.rint(inc_f + grid.delta * fine.nu).astype(int)
             counts_c = np.rint(inc_c + grid.delta * part.nu).astype(int)
@@ -172,9 +178,9 @@ def test_criterion_05_zero_noise_scheme_oracles():
         imp_factor = 1.0 / (1.0 + grid.delta * (k * np.pi) ** 2 / 2.0)
 
         cfg_e = SchemeConfig(kind="explicit", n=n, m=m, l=2, initial=zeta)
-        traj_e = run_block(space, triple, cfg_e, [bundle], keep=STATES).kept[:, 0]
+        traj_e = run_block(space, triple, cfg_e, read_block([bundle]), keep=STATES).kept[:, 0]
         cfg_i = SchemeConfig(kind="implicit_projected", n=n, m=m, l=2, initial=zeta)
-        traj_i = run_block(space, triple, cfg_i, [bundle], keep=STATES).kept[:, 0]
+        traj_i = run_block(space, triple, cfg_i, read_block([bundle]), keep=STATES).kept[:, 0]
         for i in range(1, m + 1):
             want_e = zeta * exp_factor ** (i - 1)
             want_i = zeta * imp_factor**i

@@ -11,7 +11,13 @@ from spdesim.averaging import (
 )
 from spdesim.coefficients import CoefficientTriple, ConditionConstants
 from spdesim.fixtures import additive_multimode, heat_jump
-from spdesim.noise import PowerLawMarks, TimeGrid, build_partition, sample_bundles
+from spdesim.noise import (
+    PowerLawMarks,
+    TimeGrid,
+    build_partition,
+    read_block,
+    sample_bundles,
+)
 from spdesim.schemes import STATES, SchemeConfig, run_block
 from spdesim.space import build_sine_space
 
@@ -79,7 +85,7 @@ def _time_scaled_triple(drift):
 def _run(triple, kind, m, bundle, l=2):
     """The (m+1, 4) knot states of one path."""
     cfg = SchemeConfig(kind=kind, n=4, m=m, l=l, initial=np.ones(4))
-    return run_block(SPACE, triple, cfg, [bundle], keep=STATES).kept[:, 0]
+    return run_block(SPACE, triple, cfg, read_block([bundle]), keep=STATES).kept[:, 0]
 
 
 def _bundle(m, modes=1, level=2):

@@ -20,7 +20,7 @@ from spdesim.harness import (
     run_condition_suite,
     validate_ladder,
 )
-from spdesim.noise import PowerLawMarks, TimeGrid, sample_bundles
+from spdesim.noise import PowerLawMarks, TimeGrid, read_block, sample_bundles
 from spdesim.rng import TAG_PATH, TAG_PROBE, TAG_TRIAL, derive_key
 from spdesim.schemes import STATES, BlockRun, SchemeConfig, run_block
 from spdesim.space import build_sine_space, restrict, smooth_profile
@@ -152,7 +152,7 @@ def test_overflowing_energies_are_blow_ups_at_knot_0():
     grid = TimeGrid(1.0, 16)
     seeds = [derive_key(5, TAG_PATH, j) for j in range(6)]
     bundles = sample_bundles(seeds, grid, 0, MARKS, 2)
-    assert run_block(space, triple, cfg, bundles).blow_up_steps == [0] * 6
+    assert run_block(space, triple, cfg, read_block(bundles)).blow_up_steps == [0] * 6
 
 
 def test_monte_carlo_zero_triple_degenerate():
@@ -214,9 +214,9 @@ def test_coupled_coarse_run_is_bitwise_standalone():
     seed = 31
     path_seed = derive_key(seed, TAG_PATH, 0)
     bundle = sample_bundles([path_seed], TimeGrid(1.0, 64), 1, MARKS, 2)[0]
-    alone = run_block(SPACE, triple, coarse, [bundle], keep=STATES)
+    alone = run_block(SPACE, triple, coarse, read_block([bundle]), keep=STATES)
     est, _, _, _ = _one_rung(triple, coarse, fine, 1, seed)
-    fine_run = run_block(SPACE, triple, fine, [bundle], keep=STATES)
+    fine_run = run_block(SPACE, triple, fine, read_block([bundle]), keep=STATES)
     gap = np.concatenate([alone.kept[-1, 0], np.zeros(4)]) - fine_run.kept[-1, 0]
     assert est == float(gap @ gap)
 
@@ -509,8 +509,8 @@ def test_convergence_study_honours_quadrature(monkeypatch):
         sample_bundles([derive_key(29, TAG_PATH, j)], grid, modes, MARKS, ref.l)[0]
         for j in range(ladder.paths)
     ]
-    coarse = run_block(SPACE, triple, rung, bundles)
-    fine = run_block(SPACE, triple, ref, bundles)
+    coarse = run_block(SPACE, triple, rung, read_block(bundles))
+    fine = run_block(SPACE, triple, ref, read_block(bundles))
     gaps = []
     for coarse_final, fine_final in zip(coarse.final, fine.final):
         diff = np.concatenate([coarse_final, np.zeros(2)]) - fine_final
@@ -522,14 +522,19 @@ def test_convergence_study_honours_quadrature(monkeypatch):
 
 
 def test_ladder_runs_each_config_once_per_block(monkeypatch):
-    calls = []
-    original = harness.run_block
+    calls, reads = [], []
+    original, read = harness.run_block, harness.read_block
 
-    def counting(space, triple, config, bundles, *args, **kwargs):
-        calls.append(((config.n, config.m, config.l), len(bundles)))
-        return original(space, triple, config, bundles, *args, **kwargs)
+    def counting(space, triple, config, noise, *args, **kwargs):
+        calls.append(((config.n, config.m, config.l), len(noise.master_seeds)))
+        return original(space, triple, config, noise, *args, **kwargs)
+
+    def reading(bundles):
+        reads.append(len(bundles))
+        return read(bundles)
 
     monkeypatch.setattr(harness, "run_block", counting)
+    monkeypatch.setattr(harness, "read_block", reading)
     # 65 paths are a block of 64 and a block of one
     ladder = LadderSpec(
         rungs=((2, 16, 1), (4, 64, 2)), reference=(8, 256, 3), paths=65, master_seed=7
@@ -537,6 +542,8 @@ def test_ladder_runs_each_config_once_per_block(monkeypatch):
     convergence_study(SPACE, heat_jump(SPACE, MARKS), MARKS, ladder, TEMPLATE)
     configs = ladder.rungs + (ladder.reference,)
     assert calls == [(c, 64) for c in configs] + [(c, 1) for c in configs]
+    # each block's noise is read once, for all of its configurations
+    assert reads == [64, 1]
 
 
 def test_ladder_rows_equal_standalone_coupled_errors():

@@ -16,8 +16,8 @@ from spdesim.noise import (
     build_partition,
     bundle_from_json,
     bundle_to_json,
-    coarsen_wiener,
-    compensated_cell_increments,
+    coarsen,
+    read_block,
     sample_bundles,
 )
 from spdesim.rng import (
@@ -211,22 +211,36 @@ def test_jump_count_mean():
     assert abs(mean - 6.0) < 4 * np.sqrt(6.0 / len(counts))
 
 
+def _wiener(bundles, m, modes):
+    """The (bundles, modes, m) Wiener increments of an m-step grid, read
+    through `read_block` in one chunk."""
+    dw, _ = read_block(bundles).knot_chunks(m, 1, modes, False, 1, m)(1, m)
+    return dw.transpose(1, 2, 0)
+
+
+def _increments(bundles, partition, grid, i):
+    """The (bundles, cells) compensated cell increments of step i, read
+    through `read_block` one step at a time."""
+    noise = read_block(bundles).knot_chunks(grid.m, partition.level, 0, False, 1, 1)
+    return noise(i, 1)[1][0]
+
+
 def test_coarsen_telescopes_exactly():
     grid = TimeGrid(1.0, 4)
     bundle = sample_bundles([5], grid, 2, MARKS, 1)[0]
-    coarse = coarsen_wiener(bundle, 2, 2)
+    coarse = _wiener([bundle], 2, 2)[0]
     fine = bundle.wiener
     assert coarse[0, 0] == fine[0, 0] + fine[0, 1]
     assert coarse[1, 1] == fine[1, 2] + fine[1, 3]
-    assert np.array_equal(coarsen_wiener(bundle, 4, 2), fine)
+    assert np.array_equal(_wiener([bundle], 4, 2)[0], fine)
 
 
 def test_coarsen_rejects_non_divisor():
     bundle = sample_bundles([5], TimeGrid(1.0, 4), 1, MARKS, 1)[0]
-    with pytest.raises(ValueError):
-        coarsen_wiener(bundle, 3, 1)
-    with pytest.raises(ValueError):
-        coarsen_wiener(bundle, 2, 5)
+    with pytest.raises(ValueError, match="bundle grid 4 not divisible by m = 3"):
+        _wiener([bundle], 3, 1)
+    with pytest.raises(ValueError, match="bundle has 1 modes, need 5"):
+        _wiener([bundle], 2, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,7 +303,12 @@ def test_coarse_increments_are_bit_exact_sums_of_fine_ones(seed, m_coarse, modes
         [bundle.wiener[j, i * factor : (i + 1) * factor].sum() for i in range(m_coarse)]
         for j in range(modes)
     ]
-    got = coarsen_wiener(bundle, m_coarse, modes)
+    # a grid has at least two steps: the one-step sum is `coarsen`'s alone,
+    # the summation the reader takes
+    if m_coarse == 1:
+        got = coarsen(bundle.wiener[:modes], factor)
+    else:
+        got = _wiener([bundle], m_coarse, modes)[0]
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -316,10 +335,7 @@ def test_cell_counts_aggregate_through_parent(seed, level, marks):
 
 def test_coarse_increment_variance():
     grid = TimeGrid(1.0, 8)
-    vals = [
-        coarsen_wiener(bundle, 2, 1)[0, 0]
-        for bundle in sample_bundles(range(4000), grid, 1, MARKS, 1)
-    ]
+    vals = _wiener(sample_bundles(range(4000), grid, 1, MARKS, 1), 2, 1)[:, 0, 0]
     assert np.var(vals) == pytest.approx(0.5, rel=0.1)
 
 
@@ -344,7 +360,7 @@ def test_compensated_increment_single_jump():
     part = build_partition(MARKS, 1)
     grid = TimeGrid(1.0, 4)
     bundle = _manual_bundle([0.1], [0.3], level=1)
-    inc = compensated_cell_increments([bundle], part, grid, 1)[0]
+    inc = _increments([bundle], part, grid, 1)[0]
     j = int(part.locate(np.array([0.3]))[0])
     expect = -grid.delta * part.nu
     expect[j] += 1.0
@@ -355,7 +371,7 @@ def test_compensated_increment_no_jumps():
     part = build_partition(MARKS, 2)
     grid = TimeGrid(1.0, 4)
     bundle = _manual_bundle([], [])
-    inc = compensated_cell_increments([bundle], part, grid, 2)[0]
+    inc = _increments([bundle], part, grid, 2)[0]
     assert np.allclose(inc, -grid.delta * part.nu, atol=1e-16)
 
 
@@ -364,8 +380,8 @@ def test_compensated_increment_window_is_left_open():
     grid = TimeGrid(1.0, 4)
     # jump exactly at a knot belongs to the window ending there
     bundle = _manual_bundle([0.25, 0.5], [0.5, 0.5], level=1)
-    inc1 = compensated_cell_increments([bundle], part, grid, 1)[0]
-    inc2 = compensated_cell_increments([bundle], part, grid, 2)[0]
+    inc1 = _increments([bundle], part, grid, 1)[0]
+    inc2 = _increments([bundle], part, grid, 2)[0]
     j = int(part.locate(np.array([0.5]))[0])
     assert inc1[j] == pytest.approx(1.0 - grid.delta * part.nu[j])
     assert inc2[j] == pytest.approx(1.0 - grid.delta * part.nu[j])
@@ -377,8 +393,8 @@ def test_cross_level_aggregation_exact():
     grid = TimeGrid(1.0, 4)
     for seed in range(50):
         bundle = sample_bundles([seed], grid, 0, MARKS, 3)[0]
-        inc_f = compensated_cell_increments([bundle], fine, grid, 2)[0]
-        inc_c = compensated_cell_increments([bundle], coarse, grid, 2)[0]
+        inc_f = _increments([bundle], fine, grid, 2)[0]
+        inc_c = _increments([bundle], coarse, grid, 2)[0]
         counts_f = inc_f + grid.delta * fine.nu
         counts_c = inc_c + grid.delta * coarse.nu
         for p in range(coarse.size):
@@ -396,8 +412,8 @@ def test_level_restriction_commutes_with_increments():
     bundle = _manual_bundle([0.2, 0.6, 0.9], [0.3, 0.1, 0.8], level=2)
     shallow = _manual_bundle([0.2, 0.9], [0.3, 0.8], level=1)
     for i in (1, 2, 3, 4):
-        got = compensated_cell_increments([bundle], part, grid, i)[0]
-        want = compensated_cell_increments([shallow], part, grid, i)[0]
+        got = _increments([bundle], part, grid, i)[0]
+        want = _increments([shallow], part, grid, i)[0]
         assert np.array_equal(got, want)
 
 
@@ -405,7 +421,7 @@ def test_increment_level_guard():
     part = build_partition(MARKS, 3)
     bundle = _manual_bundle([0.2], [0.5], level=2)
     with pytest.raises(ValueError):
-        compensated_cell_increments([bundle], part, TimeGrid(1.0, 4), 1)
+        _increments([bundle], part, TimeGrid(1.0, 4), 1)
 
 
 def _mixed_block(grid):
@@ -430,10 +446,10 @@ def test_block_increments_are_the_one_bundle_increments():
     block = _mixed_block(grid)
     counts = np.zeros((len(block), part.size))
     for i in range(1, grid.m + 1):
-        rows = compensated_cell_increments(block, part, grid, i)
+        rows = _increments(block, part, grid, i)
         assert rows.shape == (len(block), part.size)
         for p, bundle in enumerate(block):
-            alone = compensated_cell_increments([bundle], part, grid, i)
+            alone = _increments([bundle], part, grid, i)
             assert alone.shape == (1, part.size)
             assert rows[p].tobytes() == alone[0].tobytes()
         step_counts = np.rint(rows + grid.delta * part.nu)
@@ -457,12 +473,86 @@ def test_block_increments_guard_every_bundle():
     shallow = _manual_bundle([0.2], [0.5], level=1, m=grid.m)
     elsewhere = _manual_bundle([0.2], [0.5], m=grid.m, T=2.0)
     for p in (0, 3, len(block)):
-        for bad, match in ((shallow, "exceeds bundle level 1"), (elsewhere, "horizon")):
+        for bad, match in (
+            (shallow, "bundle level 1 < requested l = 2"),
+            (elsewhere, "horizon"),
+        ):
             with pytest.raises(ValueError, match=match):
-                compensated_cell_increments(block[:p] + [bad] + block[p:], part, grid, 1)
+                _increments(block[:p] + [bad] + block[p:], part, grid, 1)
     for i in (0, grid.m + 1):
-        with pytest.raises(ValueError, match=f"step index {i} outside 1..49"):
-            compensated_cell_increments(block, part, grid, i)
+        with pytest.raises(ValueError, match=f"steps {i}..{i} outside 1..49"):
+            _increments(block, part, grid, i)
+
+
+def _check_reader(bundles, m, level, chunk=32):
+    """The Wiener and general-form jump chunks that the reader gives the
+    configuration (m, level) of a block, against references built from each
+    bundle's raw increments and jump list: sums of `bundle.wiener`, and
+    compensated counts from ``np.searchsorted`` on the knots, then
+    `locate`, then minus δ·ν."""
+    grid = TimeGrid(bundles[0].T, m)
+    part = build_partition(bundles[0].marks, level)
+    paths, modes, factor = len(bundles), bundles[0].l_modes, bundles[0].m // m
+    noise = read_block(bundles).knot_chunks(m, level, modes, False, 1, chunk)
+    fine = np.stack([bundle.wiener for bundle in bundles])
+    wiener = fine.reshape(paths, modes, m, factor).sum(axis=-1).transpose(2, 0, 1)
+    steps, rows, cells = [], [], []
+    for p, bundle in enumerate(bundles):
+        step = np.searchsorted(grid.knots, bundle.jump_times, side="left")
+        cell = part.locate(bundle.jump_marks)
+        steps.append(step[cell >= 0])
+        rows.append(np.full(np.count_nonzero(cell >= 0), p))
+        cells.append(cell[cell >= 0])
+    steps, rows, cells = map(np.concatenate, (steps, rows, cells))
+    assert 1 <= steps.min() and steps.max() <= m
+    for lo in range(1, m + 1, chunk):
+        k = min(chunk, m + 1 - lo)
+        dw, jump = noise(lo, k)
+        assert dw.tobytes() == wiener[lo - 1 : lo - 1 + k].tobytes()
+        here = (steps >= lo) & (steps < lo + k)
+        want = np.zeros((k, paths, part.size))
+        np.add.at(want, (steps[here] - lo, rows[here], cells[here]), 1.0)
+        want -= grid.delta * part.nu
+        assert np.array_equal(jump, want)
+    return steps.size
+
+
+def test_the_reader_bins_criterion_07_paths_at_every_rung():
+    # criterion 07's first block: 64 paths at (4096, level 5), on each of
+    # its rungs and its reference
+    seeds = [derive_key(20240501, TAG_PATH, j) for j in range(64)]
+    bundles = sample_bundles(seeds, TimeGrid(1.0, 4096), 1, MARKS, 5)
+    jumps = [_check_reader(bundles, m, level) for m, level in
+             ((64, 2), (256, 3), (1024, 4), (4096, 5))]
+    # a deeper level reads every mark a shallower one reads, and more
+    assert jumps == sorted(jumps) and jumps[0] > 0 and jumps[-1] > jumps[-2]
+
+
+def test_the_reader_bins_atom_marks():
+    bundles = sample_bundles(range(20, 36), TimeGrid(2.0, 64), 2, ATOMS, 2)
+    for m, level in ((16, 1), (64, 2)):
+        assert _check_reader(bundles, m, level, chunk=5) > 0
+
+
+def test_the_reader_bins_a_grid_that_is_not_a_power_of_two():
+    # m = 49 inside M = 196, with jumps on the knots of the 49-step grid, a
+    # mark outside E^2 (0.03) and a jump at T, which the last knot is
+    grid = TimeGrid(1.0, 49)
+    on_knots = NoiseBundle(
+        T=1.0,
+        m=196,
+        l_modes=1,
+        l_level=3,
+        master_seed=0,
+        wiener=np.random.default_rng(5).normal(0.0, 196**-0.5, (1, 196)),
+        jump_times=grid.knots[[1, 7, 7, 30, 49]],
+        jump_marks=np.array([0.5, 0.1, 1.0, 0.03, 0.5]),
+        marks=MARKS,
+    )
+    bundles = sample_bundles(range(60, 66), TimeGrid(1.0, 196), 1, MARKS, 3)
+    bundles.insert(2, on_knots)
+    for m, level in ((49, 2), (98, 1), (196, 3)):
+        assert _check_reader(bundles, m, level) > 0
 
 
 @pytest.mark.parametrize(

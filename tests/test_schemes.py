@@ -12,6 +12,7 @@ from spdesim.noise import (
     NoiseBundle,
     PowerLawMarks,
     TimeGrid,
+    read_block,
     sample_bundles,
 )
 from spdesim.rng import TAG_INITIAL, derive_key, make_generator
@@ -37,7 +38,7 @@ def _bundle(seed, m, modes=1, level=2, T=1.0):
 
 def _path(space, triple, cfg, bundle):
     """One path as `simulate` runs it: a block of one that keeps its states."""
-    return run_block(space, triple, cfg, [bundle], keep=STATES)
+    return run_block(space, triple, cfg, read_block([bundle]), keep=STATES)
 
 
 def _values(space, triple, cfg, bundle):
@@ -109,7 +110,7 @@ def test_explicit_rejects_wrong_exponent():
     )
     cfg = SchemeConfig(kind="explicit", n=4, m=4, l=1)
     with pytest.raises(ValueError):
-        run_block(space, bad, cfg, [_bundle(6, 4)])
+        run_block(space, bad, cfg, read_block([_bundle(6, 4)]))
 
 
 def test_explicit_rejects_large_lambda():
@@ -117,7 +118,7 @@ def test_explicit_rejects_large_lambda():
     triple = heat_jump(space, MARKS, lambda_const=1.5)
     cfg = SchemeConfig(kind="explicit", n=4, m=4, l=1)
     with pytest.raises(ValueError):
-        run_block(space, triple, cfg, [_bundle(6, 4)])
+        run_block(space, triple, cfg, read_block([_bundle(6, 4)]))
 
 
 def test_explicit_blowup_marker():
@@ -133,7 +134,7 @@ def test_explicit_blowup_marker():
     values = run.kept[:, 0]
     assert np.isnan(values[step:]).all()
     assert np.isfinite(values[step - 1]).all()
-    energies = run_block(space, triple, cfg, [bundle], keep=ENERGIES).kept[:, 0]
+    energies = run_block(space, triple, cfg, read_block([bundle]), keep=ENERGIES).kept[:, 0]
     assert np.isnan(energies[step:]).all() and np.isfinite(energies[:step]).all()
     # the same iteration by hand, mode by mode: its energy first overflows
     # at the marked knot, where every coordinate is still finite
@@ -283,7 +284,7 @@ def test_singular_step_matrix_fails_every_row_without_a_warning(keep):
         warnings.simplefilter("error")
         x, report = solve_implicit_step(triple, grid, 1, rows)
         cfg = SchemeConfig(kind="implicit_projected", n=4, m=16, l=2)
-        run = run_block(space, triple, cfg, _bundles(3), keep=keep)
+        run = run_block(space, triple, cfg, read_block(_bundles(3)), keep=keep)
     assert np.isnan(x).all()
     assert report.converged.tolist() == [False] * 3
     assert report.reasons == [NO_FINITE_SOLUTION] * 3
@@ -307,8 +308,8 @@ def test_an_overflowing_right_hand_side_fails_at_its_step(keep):
     # the fine increments of coarse step 6, whose sum overflows
     wiener[:, 20:24] = 1e308
     loud = calm[:2] + [dataclasses.replace(calm[2], wiener=wiener)] + calm[3:]
-    want = run_block(space, triple, cfg, calm, keep=keep)
-    got = run_block(space, triple, cfg, loud, keep=keep)
+    want = run_block(space, triple, cfg, read_block(calm), keep=keep)
+    got = run_block(space, triple, cfg, read_block(loud), keep=keep)
     assert want.failures == [None] * 5
     assert got.failures == [None, None, f"step 6: {NO_FINITE_SOLUTION}", None, None]
     assert got.blow_up_steps == want.blow_up_steps == [None] * 5
@@ -378,12 +379,12 @@ def test_a_non_normal_affine_drift_is_solved_by_chord_steps_alone():
     triple = dataclasses.replace(_quiet_heat(space), eval_A=drift, linear_A=None)
     cfg = SchemeConfig(kind="implicit_projected", n=n, m=m, l=1, initial=smooth_profile(n))
     bundles = sample_bundles(range(70, 70 + paths), TimeGrid(1.0, m), 1, MARKS, 1)
-    run = run_block(space, triple, cfg, bundles, keep=STATES)
+    run = run_block(space, triple, cfg, read_block(bundles), keep=STATES)
     assert drift.rows == [n + 1] + [paths] * (2 * m)
     assert run.failures == [None] * paths
     assert (run.solver_iterations == 1).all()
     direct = dataclasses.replace(triple, linear_A=linear_A)
-    want = run_block(space, direct, cfg, bundles, keep=STATES).kept
+    want = run_block(space, direct, cfg, read_block(bundles), keep=STATES).kept
     scale = 1.0 + np.linalg.norm(want, axis=-1)
     assert (np.abs(run.kept - want).max(axis=-1) <= m * SOLVER_TOL * scale).all()
 
@@ -423,11 +424,11 @@ def test_a_diagonal_drift_steps_with_the_bits_of_its_matrix_product(
     y = np.array([signed, -signed, np.zeros(n), [-0.0] * n])
     for triple, initial in cases:
         cfg = SchemeConfig(kind=kind, n=n, m=m, l=3, initial=initial)
-        diagonal = _run_bits(run_block(space, triple, cfg, bundles, keep=keep))
+        diagonal = _run_bits(run_block(space, triple, cfg, read_block(bundles), keep=keep))
         solved = solve_implicit_step(triple, grid, 2, y)
         with monkeypatch.context() as patch:
             patch.setattr(schemes, "_operator", lambda matrix: matrix)
-            product = _run_bits(run_block(space, triple, cfg, bundles, keep=keep))
+            product = _run_bits(run_block(space, triple, cfg, read_block(bundles), keep=keep))
             want = solve_implicit_step(triple, grid, 2, y)
         assert diagonal == product
         assert solved[0].tobytes() == want[0].tobytes()
@@ -455,7 +456,7 @@ def test_only_a_diagonal_drift_steps_as_a_vector(monkeypatch):
     monkeypatch.setattr(schemes, "_writer", recording_writer)
     for kind in ("explicit", "implicit", "implicit_projected"):
         cfg = SchemeConfig(kind=kind, n=4, m=16, l=2)
-        run_block(space, triple, cfg, [_bundle(1, 16)], keep=STATES)
+        run_block(space, triple, cfg, read_block([_bundle(1, 16)]), keep=STATES)
     assert applied and set(applied) == {2}
 
 
@@ -648,7 +649,7 @@ def test_block_of_one_equals_run_scheme_bitwise(space, triple, marks, kind):
         assert path.solver_residuals.shape == (steps, 1)
         energies = np.einsum("ij,ij->i", states, states)
         for keep in (None, ENERGIES):
-            run = run_block(space, triple, cfg, [bundle], keep=keep)
+            run = run_block(space, triple, cfg, read_block([bundle]), keep=keep)
             assert run.final.tobytes() == path.final.tobytes()
             assert run.blow_up_steps == path.blow_up_steps == [None]
             assert run.failures == path.failures == [None]
@@ -678,10 +679,10 @@ def test_unread_residuals_are_not_computed(monkeypatch):
     cfg = _config("implicit_projected")
     bundles = _bundles(3)
     for keep in (None, ENERGIES):
-        run = run_block(space, triple, cfg, bundles, keep=keep)
+        run = run_block(space, triple, cfg, read_block(bundles), keep=keep)
         assert calls == []
         assert run.solver_residuals.shape == (0, 3)
-    run = run_block(space, triple, cfg, bundles, keep=STATES)
+    run = run_block(space, triple, cfg, read_block(bundles), keep=STATES)
     assert len(calls) == cfg.m
     assert run.solver_residuals.shape == (cfg.m, 3)
     # step i solved (I − δA)x = y for the knot i state x, so (I − δA)x is
@@ -699,10 +700,10 @@ def test_a_block_keeps_only_what_it_is_asked_for(kind):
     bundles = _bundles(3)
     shapes = {None: None, ENERGIES: (cfg.m + 1, 3), STATES: (cfg.m + 1, 3, cfg.n)}
     for keep, shape in shapes.items():
-        run = run_block(space, heat_jump(space, MARKS), cfg, bundles, keep=keep)
+        run = run_block(space, heat_jump(space, MARKS), cfg, read_block(bundles), keep=keep)
         assert (run.kept is None) if shape is None else (run.kept.shape == shape)
     with pytest.raises(ValueError, match="keep"):
-        run_block(space, heat_jump(space, MARKS), cfg, bundles, keep="final")
+        run_block(space, heat_jump(space, MARKS), cfg, read_block(bundles), keep="final")
 
 
 @pytest.mark.parametrize("space, triple, marks, kind", _block_cases())
@@ -714,11 +715,11 @@ def test_block_rows_match_one_path_runs(space, triple, marks, kind):
     iterative = kind != "explicit" and (triple.linear_A is None or not triple.autonomous)
     rtol = cfg.m * SOLVER_TOL if iterative else 1e-12
     bundles = _bundles(5, marks)
-    run = run_block(space, triple, cfg, bundles, keep=ENERGIES)
+    run = run_block(space, triple, cfg, read_block(bundles), keep=ENERGIES)
     assert run.final.shape == (5, cfg.n)
     assert run.kept.shape == (cfg.m + 1, 5)
     for p, bundle in enumerate(bundles):
-        alone = run_block(space, triple, cfg, [bundle], keep=ENERGIES)
+        alone = run_block(space, triple, cfg, read_block([bundle]), keep=ENERGIES)
         scale = np.abs(alone.final).max()
         assert np.abs(run.final[p] - alone.final[0]).max() <= rtol * scale
         energies = alone.kept[:, 0]
@@ -733,8 +734,8 @@ def test_explicit_blowup_leaves_the_other_paths_unchanged():
     loud = list(calm)
     # one path's Wiener increments overflow the noise term
     loud[2] = dataclasses.replace(calm[2], wiener=calm[2].wiener * 1e305)
-    want = run_block(space, triple, cfg, calm, keep=ENERGIES)
-    got = run_block(space, triple, cfg, loud, keep=ENERGIES)
+    want = run_block(space, triple, cfg, read_block(calm), keep=ENERGIES)
+    got = run_block(space, triple, cfg, read_block(loud), keep=ENERGIES)
     assert want.blow_up_steps == [None] * 5
     step = got.blow_up_steps[2]
     assert step is not None
@@ -759,7 +760,7 @@ def test_a_lost_row_leaves_the_scalar_knot_test_on(keep, monkeypatch):
     cfg = SchemeConfig(kind="explicit", n=8, m=64, l=2, initial=smooth_profile(8))
     loud = _bundles(5)
     loud[2] = dataclasses.replace(loud[2], wiener=loud[2].wiener * 1e305)
-    want = run_block(space, triple, cfg, loud, keep=keep)
+    want = run_block(space, triple, cfg, read_block(loud), keep=keep)
     einsum = np.einsum
     rows = []
 
@@ -769,7 +770,7 @@ def test_a_lost_row_leaves_the_scalar_knot_test_on(keep, monkeypatch):
         return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", spy)
-    got = run_block(space, triple, cfg, loud, keep=keep)
+    got = run_block(space, triple, cfg, read_block(loud), keep=keep)
     monkeypatch.undo()
     step = got.blow_up_steps[2]
     assert step is not None
@@ -831,14 +832,14 @@ def test_knot_chunks_change_no_bit(kind, keep, monkeypatch):
     runs = []
     for chunk in (1, 3, schemes.KNOT_CHUNK):
         monkeypatch.setattr(schemes, "KNOT_CHUNK", chunk)
-        runs.append(_run_bits(run_block(space, triple, cfg, bundles, keep=keep)))
+        runs.append(_run_bits(run_block(space, triple, cfg, read_block(bundles), keep=keep)))
     assert runs[1] == runs[0] and runs[2] == runs[0]
     # each path is lost at its first scaled knot: an explicit row always
     # blows up, an implicit one fails where a coordinate is not finite
     # and its solver residual is the one computed at that step (inf or a
     # number where it blew up), NaN after it
     _, _, blow_up_steps, failures, _, _ = runs[0]
-    residuals = run_block(space, triple, cfg, bundles, keep=keep).solver_residuals
+    residuals = run_block(space, triple, cfg, read_block(bundles), keep=keep).solver_residuals
     for path in range(6):
         knot, scale = min((k, s) for p, k, s in losses if p == path)
         if kind == "explicit" or scale != np.inf:
@@ -887,8 +888,8 @@ def test_explicit_product_matches_the_evaluated_drift(name):
     evaluated = dataclasses.replace(triple, linear_A=None)
     cfg = _config("explicit")
     bundles = _bundles(5)
-    want = run_block(space, evaluated, cfg, bundles, keep=ENERGIES)
-    got = run_block(space, triple, cfg, bundles, keep=ENERGIES)
+    want = run_block(space, evaluated, cfg, read_block(bundles), keep=ENERGIES)
+    got = run_block(space, triple, cfg, read_block(bundles), keep=ENERGIES)
     assert got.blow_up_steps == want.blow_up_steps == [None] * 5
     scale = np.abs(want.final).max()
     assert np.abs(got.final - want.final).max() <= 1e-12 * scale
@@ -902,8 +903,8 @@ def test_explicit_product_matches_the_evaluated_drift(name):
     cfg = SchemeConfig(kind="explicit", n=8, m=64, l=2, initial=smooth_profile(8))
     loud = _bundles(5)
     loud[2] = dataclasses.replace(loud[2], wiener=loud[2].wiener * 1e305)
-    want = run_block(space, evaluated, cfg, loud)
-    got = run_block(space, triple, cfg, loud)
+    want = run_block(space, evaluated, cfg, read_block(loud))
+    got = run_block(space, triple, cfg, read_block(loud))
     assert got.blow_up_steps == want.blow_up_steps
     assert got.blow_up_steps[2] is not None
 
@@ -922,7 +923,7 @@ def test_an_overflowing_block_total_loses_only_rows_that_overflow(kind):
         initial = np.array([coord, coord])
         cfg = SchemeConfig(kind=kind, n=2, m=8, l=1, initial=initial)
         for keep in (None, ENERGIES, STATES):
-            run = run_block(space, triple, cfg, bundles, keep=keep)
+            run = run_block(space, triple, cfg, read_block(bundles), keep=keep)
             assert run.blow_up_steps == [lost] * 3
             assert run.failures == [None] * 3
             if lost is None:
@@ -958,8 +959,8 @@ def test_solver_failure_leaves_the_other_paths_unchanged(monkeypatch):
     grid = TimeGrid(1.0, 8)
     calm = sample_bundles(quiet, grid, 0, MARKS, 1)
     mixed = calm[:2] + sample_bundles([noisy], grid, 0, MARKS, 1) + calm[3:]
-    want = run_block(space, triple, cfg, calm, keep=ENERGIES)
-    got = run_block(space, triple, cfg, mixed, keep=ENERGIES)
+    want = run_block(space, triple, cfg, read_block(calm), keep=ENERGIES)
+    got = run_block(space, triple, cfg, read_block(mixed), keep=ENERGIES)
     assert want.failures == [None] * 5
     assert got.failures[2].startswith("step 1: implicit step did not converge")
     assert [f is None for f in got.failures] == [True, True, False, True, True]
@@ -997,8 +998,8 @@ def test_overflowing_energy_is_a_blow_up_not_a_failure():
     calm = sample_bundles([s for s in seeds if not huge(s)][:5], grid, 0, MARKS, 1)
     loud = sample_bundles([next(s for s in seeds if huge(s))], grid, 0, MARKS, 1)[0]
     mixed = calm[:2] + [loud] + calm[3:]
-    want = run_block(space, triple, cfg, calm, keep=ENERGIES)
-    got = run_block(space, triple, cfg, mixed, keep=ENERGIES)
+    want = run_block(space, triple, cfg, read_block(calm), keep=ENERGIES)
+    got = run_block(space, triple, cfg, read_block(mixed), keep=ENERGIES)
     assert got.blow_up_steps == [None, None, 0, None, None]
     assert got.failures == want.failures == [None] * 5
     assert np.isnan(got.final[2]).all() and np.isnan(got.kept[:, 2]).all()
@@ -1011,21 +1012,33 @@ def test_overflowing_energy_is_a_blow_up_not_a_failure():
 
 
 def test_block_rejects_mismatched_bundles():
+    # `read_block` checks the block once, `run_block` each configuration
+    # against the block
     space = build_sine_space(4)
     cfg = SchemeConfig(kind="explicit", n=4, m=8, l=1)
     triple = heat_jump(space, MARKS)
     with pytest.raises(ValueError, match="at least one bundle"):
-        run_block(space, triple, cfg, [])
+        read_block([])
     with pytest.raises(ValueError, match="share"):
-        run_block(space, triple, cfg, [_bundle(1, 8), _bundle(2, 16)])
+        read_block([_bundle(1, 8), _bundle(2, 16)])
     # heat_jump reads one mode, which both bundles carry, but their
     # increments cannot be stacked into one array
     with pytest.raises(ValueError, match="must share .*Wiener modes"):
-        run_block(space, triple, cfg, [_bundle(1, 8), _bundle(2, 8, modes=2)])
+        read_block([_bundle(1, 8), _bundle(2, 8, modes=2)])
     # three Wiener modes at l = 3 from bundles that carry one
     cfg = SchemeConfig(kind="explicit", n=4, m=8, l=3)
+    block = read_block([_bundle(1, 8, level=3)])
     with pytest.raises(ValueError, match="has 1 modes, need 3"):
-        run_block(space, additive_multimode(space, MARKS), cfg, [_bundle(1, 8, level=3)])
+        run_block(space, additive_multimode(space, MARKS), cfg, block)
+    # a grid that does not divide the block's, a level beyond the lowest of
+    # the block's bundles
+    cfg = SchemeConfig(kind="explicit", n=4, m=3, l=1)
+    with pytest.raises(ValueError, match="bundle grid 8 not divisible by m = 3"):
+        run_block(space, triple, cfg, read_block([_bundle(1, 8)]))
+    cfg = SchemeConfig(kind="explicit", n=4, m=8, l=3)
+    block = read_block([_bundle(1, 8, level=3), _bundle(2, 8, level=2)])
+    with pytest.raises(ValueError, match="bundle level 2 < requested l = 3"):
+        run_block(space, triple, cfg, block)
 
 
 @pytest.mark.parametrize("generic", [False, True])
@@ -1040,9 +1053,9 @@ def test_noise_chunks_do_not_change_a_block(monkeypatch, kind, generic):
         triple = dataclasses.replace(triple, jump_profile=None)
     cfg = _config(kind)
     bundles = _bundles(3)
-    whole = run_block(space, triple, cfg, bundles, keep=ENERGIES)
+    whole = run_block(space, triple, cfg, read_block(bundles), keep=ENERGIES)
     monkeypatch.setattr(schemes, "KNOT_CHUNK", 5)
-    chunked = run_block(space, triple, cfg, bundles, keep=ENERGIES)
+    chunked = run_block(space, triple, cfg, read_block(bundles), keep=ENERGIES)
     assert chunked.final.tobytes() == whole.final.tobytes()
     assert chunked.kept.tobytes() == whole.kept.tobytes()
 
@@ -1075,7 +1088,6 @@ def test_noise_rows_match_the_per_step_reference(start):
     # and the sum of the 4 fine Wiener increments of the step.  A one-mode
     # increment and a factorized jump scalar fill every column of their
     # (k, paths, n) planes
-    from spdesim import schemes
     from spdesim.averaging import cell_weight_means
     from spdesim.noise import build_partition
 
@@ -1093,7 +1105,7 @@ def test_noise_rows_match_the_per_step_reference(start):
     ratio, wmass = cell_weight_means(part)
 
     def per_step(factorized):
-        noise = schemes._block_noise(bundles, grid, part, 1, factorized, n, chunk)
+        noise = read_block(bundles).knot_chunks(grid.m, part.level, 1, factorized, n, chunk)
         for lo in range(start, grid.m + 1, chunk):
             dw, jump = noise(lo, min(chunk, grid.m + 1 - lo))
             # the planes are overwritten by the next call
@@ -1129,7 +1141,7 @@ def test_noise_rows_match_the_per_step_reference(start):
     quiet = [_hand_bundle(grid, [], [])]
     compensators = {True: -grid.delta * wmass.sum(), False: -grid.delta * part.nu}
     for factorized, want in compensators.items():
-        noise = schemes._block_noise(quiet, grid, part, 1, factorized, n, chunk)
+        noise = read_block(quiet).knot_chunks(grid.m, part.level, 1, factorized, n, chunk)
         dw, jump = noise(start, chunk)
         assert not dw.any()
         assert jump.tobytes() == np.broadcast_to(want, jump.shape).tobytes()
@@ -1141,7 +1153,7 @@ def test_sampled_rows_and_replayed_bundles_step_alike(name):
     # through a view of it, separate arrays (replays) through one stack;
     # both give every field of a block the same bits, on a rung coarser
     # than the bundles and whatever is kept
-    from spdesim.noise import bundle_from_json, bundle_to_json, fine_wiener
+    from spdesim.noise import bundle_from_json, bundle_to_json
 
     space = build_sine_space(6)
     triple = heat_jump(space, MARKS)
@@ -1151,21 +1163,21 @@ def test_sampled_rows_and_replayed_bundles_step_alike(name):
         triple = additive_multimode(space, MARKS)
     sampled = sample_bundles(range(300, 310), TimeGrid(1.0, 128), 3, MARKS, 3)
     replayed = [bundle_from_json(bundle_to_json(bundle)) for bundle in sampled]
-    fine = fine_wiener(sampled)
+    fine = read_block(sampled).fine_wiener
     assert fine is sampled[0].wiener.base
-    stacked = fine_wiener(replayed)
+    stacked = read_block(replayed).fine_wiener
     assert not np.shares_memory(stacked, fine)
     assert stacked.tobytes() == fine.tobytes()
     # a reordered or partial list of the rows is stacked too
     for order in (sampled[::-1], sampled[2:5]):
-        got = fine_wiener(order)
+        got = read_block(order).fine_wiener
         assert not np.shares_memory(got, fine)
         assert got.tobytes() == np.stack([b.wiener for b in order]).tobytes()
     for kind in ("explicit", "implicit_projected"):
         cfg = SchemeConfig(kind=kind, n=6, m=32, l=3, initial=smooth_profile(6))
         for keep in (None, ENERGIES, STATES):
-            want = _run_bits(run_block(space, triple, cfg, replayed, keep=keep))
-            assert _run_bits(run_block(space, triple, cfg, sampled, keep=keep)) == want
+            want = _run_bits(run_block(space, triple, cfg, read_block(replayed), keep=keep))
+            assert _run_bits(run_block(space, triple, cfg, read_block(sampled), keep=keep)) == want
 
 
 @pytest.mark.parametrize("direct", [True, False])
@@ -1186,6 +1198,50 @@ def test_block_solve_marks_rows_without_a_finite_solution(direct):
         np.testing.assert_allclose(x[p], alone[0], rtol=1e-14, atol=1e-15)
     _, alone = solve_implicit_step(triple, grid, 2, rows[1:2])
     assert alone.reasons[0].startswith("implicit step has no finite solution")
+
+
+def _solve_triple(direct):
+    """heat_jump at n = 4, solved directly or, without `linear_A`, by the
+    iterative solver."""
+    triple = heat_jump(build_sine_space(4), MARKS)
+    return triple if direct else dataclasses.replace(triple, linear_A=None)
+
+
+@pytest.mark.parametrize("direct", [True, False])
+def test_solve_reports_an_infinite_row_without_a_warning(direct):
+    # inf − inf in the residual and inf·0 in the products are NaN, which
+    # numpy warns of unless the solve ignores it, as `run_block` does
+    triple, grid = _solve_triple(direct), TimeGrid(1.0, 16)
+    rows = np.array([[0.5, -1.0, 0.25, 2.0], [1.0, np.inf, 0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, report = solve_implicit_step(triple, grid, 2, rows)
+        alone, _ = solve_implicit_step(triple, grid, 2, rows[:1])
+    assert report.converged.tolist() == [True, False]
+    assert report.reasons[1] == NO_FINITE_SOLUTION
+    assert np.isnan(x[1]).all()
+    assert x[0].tobytes() == alone[0].tobytes()
+
+
+@pytest.mark.parametrize("direct", [True, False])
+def test_solve_rejects_a_y_that_is_not_a_block(direct):
+    with pytest.raises(ValueError, match=r"y must be \(P, n\) .*not \(4,\)"):
+        solve_implicit_step(_solve_triple(direct), TimeGrid(1.0, 16), 1, np.ones(4))
+
+
+@pytest.mark.parametrize("direct", [True, False])
+def test_solve_rejects_more_coordinates_than_the_triple(direct):
+    with pytest.raises(ValueError, match=r"y must be .*n <= 4, not \(2, 5\)"):
+        solve_implicit_step(_solve_triple(direct), TimeGrid(1.0, 16), 1, np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("direct", [True, False])
+@pytest.mark.parametrize("i", [0, 17])
+def test_solve_rejects_a_step_outside_the_grid(direct, i):
+    # step 0 is no step of a scheme, and the two solvers disagreed there:
+    # the direct one solved with I − δA, the iterative one returned y
+    with pytest.raises(ValueError, match=f"step index i = {i} outside 1..16"):
+        solve_implicit_step(_solve_triple(direct), TimeGrid(1.0, 16), i, np.ones((2, 4)))
 
 
 class StallFrom:
@@ -1263,7 +1319,7 @@ def test_a_block_records_the_solver_failure_at_its_step(name):
     bundles = sample_bundles(seeds, TimeGrid(1.0, 16), 1, MARKS, 1)
     stalls = [initial(make_generator(derive_key(s, TAG_INITIAL)))[0] > 0 for s in seeds]
     assert any(stalls) and not all(stalls)
-    run = run_block(space, triple, cfg, bundles, keep=STATES)
+    run = run_block(space, triple, cfg, read_block(bundles), keep=STATES)
     assert run.blow_up_steps == [None] * 6
     for p, stall in enumerate(stalls):
         states = run.kept[:, p]
@@ -1325,12 +1381,7 @@ def test_a_jump_at_the_horizon_enters_the_last_step(kind):
     # jump at t = T enters step 49 of a block and of the block's
     # compensated increments, in the factorized and the general jump form
     # alike
-    from spdesim.noise import (
-        bundle_from_json,
-        bundle_to_json,
-        build_partition,
-        compensated_cell_increments,
-    )
+    from spdesim.noise import bundle_from_json, bundle_to_json, build_partition
 
     m = 49
     assert m * (1.0 / m) < 1.0
@@ -1342,7 +1393,8 @@ def test_a_jump_at_the_horizon_enters_the_last_step(kind):
     payload["jump_marks"].append(0.5)
     at_T = bundle_from_json(json.dumps(payload))
     part = build_partition(MARKS, 2)
-    at_T_row, quiet_row = compensated_cell_increments([at_T, quiet], part, grid, m)
+    noise = read_block([at_T, quiet]).knot_chunks(m, part.level, 0, False, 4, 1)
+    at_T_row, quiet_row = noise(m, 1)[1][0]
     extra = at_T_row - quiet_row
     cell = part.locate([0.5])[0]
     assert np.rint(extra).tolist() == (np.arange(part.size) == cell).tolist()

@@ -236,6 +236,32 @@ def test_readme_config_example_loads(tmp_path, monkeypatch):
     assert suite_config(settings) == SuiteConfig(trials=10_000, seed=20240501)
 
 
+def test_a_config_of_a_ladder_alone_takes_every_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SPDE_SEED", raising=False)
+    path = tmp_path / "ladder.cfg"
+    path.write_text("[ladder]\nrungs = 2:16:1, 4:64:2\nreference = 16:1024:3\n")
+    settings = load_settings(path)
+    assert build_marks(settings) == PowerLawMarks(1.5)
+    assert build_space(settings).dim == 16
+    scheme = build_scheme_config(settings)
+    assert (scheme.kind, scheme.n, scheme.m, scheme.l, scheme.initial) == (
+        "explicit", 8, 64, 2, None
+    )
+    ladder = parse_ladder(settings)
+    assert (ladder.paths, ladder.master_seed, ladder.kind, ladder.strict_gate) == (
+        100, 20240501, "explicit", False
+    )
+    assert suite_config(settings) == SuiteConfig(trials=10_000, seed=20240501)
+    out = tmp_path / "report.csv"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.endswith(", workers 1)\n")
+    rows = out.read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["0", "0"]
+    # with no [ladder] section, the space is the larger of the two n
+    path.write_text("[space]\nn = 4\n")
+    assert build_space(load_settings(path)).dim == 8
+
+
 @pytest.mark.parametrize(
     "command, text, seed, where",
     [

@@ -66,13 +66,8 @@ def _cmd_simulate(args):
     scheme_config = cfg.build_scheme_config(settings)
     seed = cfg.master_seed(settings)
     grid = TimeGrid(triple.constants.horizon, scheme_config.m)
-    modes = settings.getint(
-        "noise", "l_modes", fallback=min(scheme_config.l, triple.wiener_modes)
-    )
-    level = max(
-        settings.getint("noise", "l_level", fallback=scheme_config.l), scheme_config.l
-    )
-    noise = read_block(sample_bundles([seed], grid, modes, marks, level))
+    modes = min(scheme_config.l, triple.wiener_modes)
+    noise = read_block(sample_bundles([seed], grid, modes, marks, scheme_config.l))
     run = run_block(space, triple, scheme_config, noise, keep=STATES)
     if run.failures[0] is not None:
         raise ImplicitStepError(run.failures[0])
@@ -115,14 +110,13 @@ def _cmd_converge(args):
     if args.workers is not None:
         workers, where = args.workers, "--workers"
     else:
-        workers, where = settings.getint("run", "workers", fallback=1), "[run] workers"
+        workers, where = settings["run"]["workers"], "[run] workers"
     if workers < 1:
         raise ValueError(f"{where}: need at least one worker, got {workers}")
     started = time.perf_counter()
     report = convergence_study(space, triple, marks, ladder, scheme_config, workers)
     elapsed = time.perf_counter() - started
-    timing = settings.getboolean("run", "timing", fallback=False)
-    text = report.to_csv(timing=timing)
+    text = report.to_csv(timing=settings["run"]["timing"])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -161,17 +155,14 @@ def _cmd_check_conditions(args):
 
 def _cmd_stability(args):
     settings, marks, space, triple = _load(args)
-    gamma = settings.getfloat("stability", "gamma", fallback=0.5)
-    alpha = settings.getfloat("stability", "alpha", fallback=triple.constants.alpha)
-    n_values = settings.get("stability", "n_values", fallback="4, 8, 16")
-    m_values = settings.get("stability", "m_values", fallback="64, 256, 1024, 4096")
-    horizon = triple.constants.horizon
+    stability = settings["stability"]
+    alpha = stability.get("alpha", triple.constants.alpha)
     print("n,m,c_b,rho,in_I_gamma")
-    for n in cfg._int_list(n_values):
-        sub = restrict(space, n) if n <= space.dim else cfg.build_space(settings, n)
-        for m in cfg._int_list(m_values):
-            grid = TimeGrid(horizon, m)
-            rho, inside = stability_margin(alpha, grid, sub, gamma)
+    for n in stability["n_values"]:
+        sub = cfg.build_space(settings, n)
+        for m in stability["m_values"]:
+            grid = TimeGrid(triple.constants.horizon, m)
+            rho, inside = stability_margin(alpha, grid, sub, stability["gamma"])
             print(f"{n},{m},{_fmt(c_b(sub))},{_fmt(rho)},{int(inside)}")
     return 0
 

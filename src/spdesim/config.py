@@ -1,10 +1,14 @@
 """Flat sectioned key=value configuration for the CLI.
 
 The file format is INI-style sections of key = value pairs; a `#` at the
-start of a line, or after whitespace in a value, starts a comment.  Unknown
-keys are rejected early so typos surface as errors rather than silently
-falling back to defaults.  The environment variable SPDE_SEED, when set,
-overrides the configured master seed.
+start of a line, or after whitespace in a value, starts a comment.  Every
+known key has one parser and, unless another value gives it, one default,
+both in the table `_KEYS`.  `load_settings` parses each key that is given
+once, rejecting unknown sections and keys so that typos surface as errors
+rather than silently falling back to defaults, and returns the parsed
+values with the defaults filled in; the build functions and the CLI read
+those values and parse nothing again.  The environment variable
+SPDE_SEED, when set, overrides the configured master seed.
 """
 
 from __future__ import annotations
@@ -45,11 +49,11 @@ def _finite(raw):
 
 
 def _finite_list(raw):
-    return [_finite(tok) for tok in raw.replace(",", " ").split()]
+    return tuple(_finite(tok) for tok in raw.replace(",", " ").split())
 
 
 def _int_list(raw):
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
 def _boolean(raw):
@@ -63,26 +67,36 @@ def _rung(token):
 
 
 def _rungs(raw):
-    return [_rung(token) for token in raw.split(",") if token.strip()]
+    return tuple(_rung(token) for token in raw.split(",") if token.strip())
 
 
-# The parser of every known key, by section.
-_KNOWN_KEYS = {
-    "space": {"family": str, "n": int},
-    "coefficients": {"fixture": str} | {
-        key: int if key == "modes" else _finite
+def _initial(raw):
+    return raw if raw in ("smooth", "zero") else _finite_list(raw)
+
+
+# The (parser, default) of every known key, by section.  A key given as
+# (parser,) alone has no default: a fixture parameter keeps the fixture's,
+# [ladder] rungs and reference are required in a [ladder] section, and
+# [stability] alpha is the triple's growth constant.
+_KEYS = {
+    "space": {"family": (str, "sine-dirichlet"), "n": (int, 8)},
+    "coefficients": {"fixture": (str, "heat_jump")} | {
+        key: (int if key == "modes" else _finite,)
         for keys in _FIXTURE_KEYS.values()
         for key in keys
     },
-    "noise": {"family": str, "beta": float, "l_modes": int, "l_level": int,
-              "master_seed": int, "atom_positions": _finite_list,
-              "atom_weights": _finite_list},
-    "scheme": {"kind": str, "n": int, "m": int, "l": int,
-               "initial": lambda raw: raw in ("smooth", "zero") or _finite_list(raw)},
-    "run": {"paths": int, "workers": int, "timing": _boolean, "trials": int},
-    "ladder": {"rungs": _rungs, "reference": _rung, "strict_gate": _boolean},
-    "stability": {"n_values": _int_list, "m_values": _int_list, "gamma": _finite,
-                  "alpha": _finite},
+    "noise": {"family": (str, "unit-interval-power-law"), "beta": (_finite, 1.5),
+              "master_seed": (int, 20240501),
+              "atom_positions": (_finite_list, (0.25, 0.5, 1.0)),
+              "atom_weights": (_finite_list, (1.0, 1.0, 1.0))},
+    "scheme": {"kind": (str, "explicit"), "n": (int, 8), "m": (int, 64), "l": (int, 2),
+               "initial": (_initial, "smooth")},
+    "run": {"paths": (int, 100), "workers": (int, 1), "timing": (_boolean, False),
+            "trials": (int, 10_000)},
+    "ladder": {"rungs": (_rungs,), "reference": (_rung,), "strict_gate": (_boolean, False)},
+    "stability": {"n_values": (_int_list, (4, 8, 16)),
+                  "m_values": (_int_list, (64, 256, 1024, 4096)),
+                  "gamma": (_finite, 0.5), "alpha": (_finite,)},
 }
 
 
@@ -91,13 +105,16 @@ class ConfigError(ValueError):
 
 
 def load_settings(path):
-    """The parsed config; unknown sections and keys and bad values are rejected.
+    """The parsed config: a dict from each section of `_KEYS` to a dict of
+    its keys' values, the given ones parsed and every other key that has a
+    default at its default.
 
-    A value that does not parse, a number that is not finite (a
-    [coefficients] or [stability] number, an atom position or weight, or an
-    initial coordinate), or an SPDE_SEED that is not an integer, raises a
-    ConfigError naming its `[section] key` or the variable; a file that is
-    not sectioned key = value lines raises one naming the line.
+    An unknown section or key, a value that does not parse, a number that
+    is not finite (a [coefficients], [stability] or [noise] beta number, an
+    atom position or weight, or an initial coordinate), a [ladder] section
+    without rungs or reference, or an SPDE_SEED that is not an integer,
+    raises a ConfigError naming its `[section] key` or the variable; a file
+    that is not sectioned key = value lines raises one naming the line.
     """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",)
@@ -105,17 +122,25 @@ def load_settings(path):
     read = _read(parser, path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    settings = {
+        section: {key: spec[1] for key, spec in keys.items() if len(spec) > 1}
+        for section, keys in _KEYS.items()
+    }
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            _parse(f"[{section}] {key}", _KNOWN_KEYS[section][key], raw)
+            settings[section][key] = _parse(f"[{section}] {key}", _KEYS[section][key][0], raw)
     env = os.environ.get("SPDE_SEED")
     if env is not None:
         _parse("SPDE_SEED", int, env)
-    return parser
+    if parser.has_section("ladder"):
+        for key in ("rungs", "reference"):
+            if key not in settings["ladder"]:
+                raise ConfigError(f"[ladder] {key}: missing")
+    return settings
 
 
 def _read(parser, path):
@@ -136,7 +161,7 @@ def _read(parser, path):
 
 def _parse(where, parse, raw):
     try:
-        parse(raw)
+        return parse(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -145,31 +170,22 @@ def master_seed(settings):
     env = os.environ.get("SPDE_SEED")
     if env is not None:
         return int(env)
-    return settings.getint("noise", "master_seed", fallback=20240501)
+    return settings["noise"]["master_seed"]
 
 
 def build_marks(settings):
-    family = settings.get("noise", "family", fallback="unit-interval-power-law")
-    if family == "unit-interval-power-law":
-        return PowerLawMarks(beta=settings.getfloat("noise", "beta", fallback=1.5))
-    if family == "finite-atoms":
-        positions = _finite_list(
-            settings.get("noise", "atom_positions", fallback="0.25, 0.5, 1.0")
-        )
-        weights = _finite_list(
-            settings.get("noise", "atom_weights", fallback="1.0, 1.0, 1.0")
-        )
-        return AtomMarks(positions=tuple(positions), weights=tuple(weights))
-    raise ConfigError(f"unknown mark family {family!r}")
+    noise = settings["noise"]
+    if noise["family"] == "unit-interval-power-law":
+        return PowerLawMarks(beta=noise["beta"])
+    if noise["family"] == "finite-atoms":
+        return AtomMarks(positions=noise["atom_positions"], weights=noise["atom_weights"])
+    raise ConfigError(f"unknown mark family {noise['family']!r}")
 
 
 def ambient_dim(settings):
     """Largest dimension any configured component needs."""
-    dims = [
-        settings.getint("space", "n", fallback=8),
-        settings.getint("scheme", "n", fallback=8),
-    ]
-    if settings.has_section("ladder"):
+    dims = [settings["space"]["n"], settings["scheme"]["n"]]
+    if "rungs" in settings["ladder"]:
         ladder = parse_ladder(settings)
         dims.append(ladder.reference[0])
         dims.extend(r[0] for r in ladder.rungs)
@@ -177,7 +193,7 @@ def ambient_dim(settings):
 
 
 def build_space(settings, dim=None):
-    family = settings.get("space", "family", fallback="sine-dirichlet")
+    family = settings["space"]["family"]
     if family not in ("sine-dirichlet", "sine-dirichlet-(0,1)"):
         raise ConfigError(f"unknown basis family {family!r}")
     return build_sine_space(dim if dim is not None else ambient_dim(settings))
@@ -185,60 +201,53 @@ def build_space(settings, dim=None):
 
 def build_triple(settings, space, marks):
     """The configured fixture, called with every [coefficients] key it takes."""
-    name = settings.get("coefficients", "fixture", fallback="heat_jump")
+    kwargs = dict(settings["coefficients"])
+    name = kwargs.pop("fixture")
     if name not in FIXTURES:
         raise ConfigError(f"unknown fixture {name!r}; choose from {sorted(FIXTURES)}")
-    kwargs = {}
-    if settings.has_section("coefficients"):
-        for key, raw in settings.items("coefficients"):
-            if key == "fixture":
-                continue
-            if key not in _FIXTURE_KEYS[name]:
-                raise ConfigError(
-                    f"[coefficients] {key} is not a parameter of fixture {name!r}; "
-                    f"it takes {', '.join(_FIXTURE_KEYS[name])}"
-                )
-            kwargs[key] = _KNOWN_KEYS["coefficients"][key](raw)
+    for key in kwargs:
+        if key not in _FIXTURE_KEYS[name]:
+            raise ConfigError(
+                f"[coefficients] {key} is not a parameter of fixture {name!r}; "
+                f"it takes {', '.join(_FIXTURE_KEYS[name])}"
+            )
     return FIXTURES[name](space, marks, **kwargs)
 
 
 def build_scheme_config(settings):
-    initial_raw = settings.get("scheme", "initial", fallback="smooth")
-    n = settings.getint("scheme", "n", fallback=8)
-    if initial_raw == "smooth":
+    scheme = settings["scheme"]
+    initial = scheme["initial"]
+    if initial == "smooth":
         initial = None
-    elif initial_raw == "zero":
-        initial = np.zeros(n)
+    elif initial == "zero":
+        initial = np.zeros(scheme["n"])
     else:
-        initial = np.asarray(_finite_list(initial_raw))
+        initial = np.asarray(initial)
     return SchemeConfig(
-        kind=settings.get("scheme", "kind", fallback="explicit"),
-        n=n,
-        m=settings.getint("scheme", "m", fallback=64),
-        l=settings.getint("scheme", "l", fallback=2),
+        kind=scheme["kind"],
+        n=scheme["n"],
+        m=scheme["m"],
+        l=scheme["l"],
         initial=initial,
     )
 
 
 def parse_ladder(settings):
-    if not settings.has_section("ladder"):
+    ladder = settings["ladder"]
+    if "rungs" not in ladder:
         raise ConfigError("config has no [ladder] section")
-    for key in ("rungs", "reference"):
-        if not settings.has_option("ladder", key):
-            raise ConfigError(f"[ladder] {key}: missing")
     return LadderSpec(
-        rungs=tuple(_rungs(settings.get("ladder", "rungs"))),
-        reference=_rung(settings.get("ladder", "reference")),
-        paths=settings.getint("run", "paths", fallback=100),
+        rungs=ladder["rungs"],
+        reference=ladder["reference"],
+        paths=settings["run"]["paths"],
         master_seed=master_seed(settings),
-        kind=settings.get("scheme", "kind", fallback="explicit"),
-        strict_gate=settings.getboolean("ladder", "strict_gate", fallback=False),
+        kind=settings["scheme"]["kind"],
+        strict_gate=ladder["strict_gate"],
     )
 
 
 def suite_config(settings):
     return SuiteConfig(
-        trials=settings.getint("run", "trials", fallback=10_000),
+        trials=settings["run"]["trials"],
         seed=master_seed(settings),
     )
-

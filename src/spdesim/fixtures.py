@@ -14,6 +14,11 @@ Three fixtures cover the regimes the schemes need to exercise:
   nonlinearity applied pointwise in space through composite quadrature;
   exercises the nonlinear implicit solver.
 
+These and ``zero_triple`` are built through one constructor, `_triple`,
+which states what all four share: they are autonomous, p = 2, a
+`LinearDrift`'s matrix is `linear_A`, and F = `WeightedJump(profile,
+weight)` with `jump_profile = profile`.
+
 Evaluator classes are module level and stateless so triples can cross
 process pools, and all are dimension polymorphic: called with the first n
 coordinates they return the leading-subspace projection of the operator
@@ -173,6 +178,27 @@ def _laplace_diag(dim):
     return -0.5 * (k * np.pi) ** 2
 
 
+def _triple(space, marks, drift, noise, profile, wiener_modes, alpha, **constants):
+    """The shape every shipped triple shares: autonomous, p = 2, the drift's
+    matrix as `linear_A` when it is a `LinearDrift`, and
+    F = `WeightedJump(profile, weight)` with `jump_profile = profile`, the
+    weight the marks' own or, without marks, the mark itself.  The growth
+    constant is cast to float here, the other `constants` (lam, k1, k1bar,
+    k2, horizon) pass to `ConditionConstants` as they are."""
+    weight = IdentityWeight() if marks is None else marks.weight
+    return CoefficientTriple(
+        dim=space.dim,
+        eval_A=drift,
+        eval_B=noise,
+        eval_F=WeightedJump(profile, weight),
+        constants=ConditionConstants(p=2.0, alpha=float(alpha), **constants),
+        autonomous=True,
+        wiener_modes=wiener_modes,
+        linear_A=drift.matrix if isinstance(drift, LinearDrift) else None,
+        jump_profile=profile,
+    )
+
+
 def heat_jump(
     space,
     marks,
@@ -203,26 +229,19 @@ def heat_jump(
     if k1bar is None:
         k1bar = 0.05 + 2.0 * max(reaction, 0.0)
     dim = space.dim
-    drift = np.diag(_laplace_diag(dim) + reaction)
-    profile = SineJumpProfile(lipschitz)
-    return CoefficientTriple(
-        dim=dim,
-        eval_A=LinearDrift(drift),
-        eval_B=MatrixNoise(sine_derivative_matrix(dim), theta),
-        eval_F=WeightedJump(profile, marks.weight),
-        constants=ConditionConstants(
-            p=2.0,
-            alpha=float(alpha),
-            lam=lam,
-            k1=float(k1),
-            k1bar=float(k1bar),
-            k2=float(k2),
-            horizon=horizon,
-        ),
-        autonomous=True,
+    return _triple(
+        space,
+        marks,
+        LinearDrift(np.diag(_laplace_diag(dim) + reaction)),
+        MatrixNoise(sine_derivative_matrix(dim), theta),
+        SineJumpProfile(lipschitz),
         wiener_modes=1,
-        linear_A=drift,
-        jump_profile=profile,
+        alpha=alpha,
+        lam=lam,
+        k1=k1,
+        k1bar=k1bar,
+        k2=k2,
+        horizon=horizon,
     )
 
 
@@ -243,26 +262,19 @@ def additive_multimode(
     sigma = np.arange(1, modes + 1, dtype=float) ** -1.5
     b = np.zeros((dim, modes))
     np.fill_diagonal(b, sigma[: min(dim, modes)])
-    profile = FirstModeProfile()
-    drift = np.diag(_laplace_diag(dim))
-    return CoefficientTriple(
-        dim=dim,
-        eval_A=LinearDrift(drift),
-        eval_B=ConstantNoise(b),
-        eval_F=WeightedJump(profile, marks.weight),
-        constants=ConditionConstants(
-            p=2.0,
-            alpha=float(alpha),
-            lam=float(lambda_const),
-            k1=float(k1),
-            k1bar=float(k1bar),
-            k2=float(k2),
-            horizon=horizon,
-        ),
-        autonomous=True,
+    return _triple(
+        space,
+        marks,
+        LinearDrift(np.diag(_laplace_diag(dim))),
+        ConstantNoise(b),
+        FirstModeProfile(),
         wiener_modes=modes,
-        linear_A=drift,
-        jump_profile=profile,
+        alpha=alpha,
+        lam=lambda_const,
+        k1=k1,
+        k1bar=k1bar,
+        k2=k2,
+        horizon=horizon,
     )
 
 
@@ -280,55 +292,41 @@ def semilinear(
     """Nonlinear dissipative drift, no driving noise; solver workout."""
     dim = space.dim
     nodes, weights = _sine_quadrature(dim)
-    profile = ZeroProfile()
-    weight = marks.weight if marks is not None else IdentityWeight()
-    return CoefficientTriple(
-        dim=dim,
-        eval_A=SemilinearDrift(
-            basis=sine_basis_matrix(dim, nodes),
-            quad_weights=weights,
-            laplace_diag=_laplace_diag(dim),
-            amplitude=float(amplitude),
-        ),
-        eval_B=ZeroNoise(),
-        eval_F=WeightedJump(profile, weight),
-        constants=ConditionConstants(
-            p=2.0,
-            alpha=float(alpha),
-            lam=float(lambda_const),
-            k1=float(k1),
-            k1bar=float(k1bar),
-            k2=float(k2),
-            horizon=horizon,
-        ),
-        autonomous=True,
+    drift = SemilinearDrift(
+        basis=sine_basis_matrix(dim, nodes),
+        quad_weights=weights,
+        laplace_diag=_laplace_diag(dim),
+        amplitude=float(amplitude),
+    )
+    return _triple(
+        space,
+        marks,
+        drift,
+        ZeroNoise(),
+        ZeroProfile(),
         wiener_modes=0,
-        linear_A=None,
-        jump_profile=profile,
+        alpha=alpha,
+        lam=lambda_const,
+        k1=k1,
+        k1bar=k1bar,
+        k2=k2,
+        horizon=horizon,
     )
 
 
 def zero_triple(space, marks=None, horizon=1.0):
     """A = B = F = 0; transports the initial condition unchanged."""
-    profile = ZeroProfile()
-    weight = marks.weight if marks is not None else IdentityWeight()
-    dim = space.dim
-    return CoefficientTriple(
-        dim=dim,
-        eval_A=LinearDrift(np.zeros((dim, dim))),
-        eval_B=ZeroNoise(),
-        eval_F=WeightedJump(profile, weight),
-        constants=ConditionConstants(
-            p=2.0,
-            alpha=1.0,
-            lam=1e-6,
-            k1=0.0,
-            k1bar=0.0,
-            k2=0.0,
-            horizon=horizon,
-        ),
-        autonomous=True,
+    return _triple(
+        space,
+        marks,
+        LinearDrift(np.zeros((space.dim, space.dim))),
+        ZeroNoise(),
+        ZeroProfile(),
         wiener_modes=0,
-        linear_A=np.zeros((dim, dim)),
-        jump_profile=profile,
+        alpha=1.0,
+        lam=1e-6,
+        k1=0.0,
+        k1bar=0.0,
+        k2=0.0,
+        horizon=horizon,
     )

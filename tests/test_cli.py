@@ -82,10 +82,15 @@ def ladder_config(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
+    # l_modes and l_level changed no `simulate` output: it samples its
+    # block at (m, min(l, the triple's Wiener modes), l)
     path = tmp_path / "bad.cfg"
-    for section, key in (("scheme", "kindd"), ("scheme", "gamma")):
-        path.write_text(f"[{section}]\n{key} = explicit\n")
-        with pytest.raises(ConfigError, match=key):
+    for section, key in (("scheme", "kindd"), ("scheme", "gamma"), ("noise", "l_modes"),
+                         ("noise", "l_level")):
+        path.write_text(f"[{section}]\n{key} = 3\n")
+        with pytest.raises(
+            ConfigError, match=re.escape(f"unknown key {key!r} in section [{section}]")
+        ):
             load_settings(path)
 
 
@@ -147,7 +152,7 @@ _FLOAT_COEFFICIENTS = sorted(
 @pytest.mark.parametrize(
     "section, key",
     [("coefficients", key) for key in _FLOAT_COEFFICIENTS]
-    + [("noise", "atom_positions"), ("noise", "atom_weights")]
+    + [("noise", "beta"), ("noise", "atom_positions"), ("noise", "atom_weights")]
     + [("scheme", "initial"), ("stability", "gamma"), ("stability", "alpha")],
 )
 def test_a_value_that_is_not_finite_exits_2_naming_its_key(
@@ -164,6 +169,8 @@ def test_a_value_that_is_not_finite_exits_2_naming_its_key(
         text = BASE_CONFIG.replace("initial = smooth", f"initial = 1, {value}, 1, 1")
     elif section == "stability":
         text = BASE_CONFIG + f"\n[stability]\n{key} = {value}\n"
+    elif key == "beta":
+        text = BASE_CONFIG.replace("beta = 1.5", f"beta = {value}")
     else:
         atoms = {"atom_positions": "0.5", "atom_weights": "1.0"} | {key: value}
         text = BASE_CONFIG.replace(

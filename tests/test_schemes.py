@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdesim.coefficients import exponential_transform
 from spdesim.fixtures import additive_multimode, heat_jump, semilinear, zero_triple
@@ -802,15 +804,21 @@ CHUNK_LOSSES = {
 }
 
 
-def _chunk_case(kind):
-    """A block of 8 paths, 6 of them lost at the knots of CHUNK_LOSSES."""
-    space = build_sine_space(6)
+def _loss_triple(space, kind):
+    """heat_jump, or for kind "semilinear" a drift solved iteratively with
+    heat_jump's multiplicative noise."""
     triple = heat_jump(space, MARKS)
     if kind == "semilinear":
-        # a drift solved iteratively, with heat_jump's multiplicative noise
         triple = dataclasses.replace(
             semilinear(space, MARKS), eval_B=triple.eval_B, wiener_modes=1
         )
+    return triple
+
+
+def _chunk_case(kind):
+    """A block of 8 paths, 6 of them lost at the knots of CHUNK_LOSSES."""
+    space = build_sine_space(6)
+    triple = _loss_triple(space, kind)
     losses = CHUNK_LOSSES["implicit_projected" if kind == "semilinear" else kind]
     kind = "implicit_projected" if kind == "semilinear" else kind
     cfg = SchemeConfig(kind=kind, n=6, m=64, l=2, initial=smooth_profile(6))
@@ -852,6 +860,77 @@ def test_knot_chunks_change_no_bit(kind, keep, monkeypatch):
         if keep == STATES and kind != "explicit":
             assert np.isnan(residuals[knot:, path]).all()
     assert blow_up_steps[6:] == failures[6:] == [None, None]
+
+
+@st.composite
+def _loss_cases(draw):
+    """A kind, a block of 1 to 5 paths with up to 2·paths losses at distinct
+    (path, knot), knots 2..32 of a 32-step grid (the noise enters at knot
+    2), KNOT_CHUNK and keep."""
+    kind = draw(st.sampled_from(["explicit", "implicit_projected", "semilinear"]))
+    paths = draw(st.integers(1, 5))
+    loss = st.tuples(st.integers(0, paths - 1), st.integers(2, 32),
+                     st.sampled_from([np.inf, 1e305]))
+    losses = draw(st.lists(loss, max_size=2 * paths, unique_by=lambda t: t[:2]))
+    chunk = draw(st.integers(1, 34))
+    keep = draw(st.sampled_from([None, ENERGIES, STATES]))
+    return kind, paths, losses, chunk, keep
+
+
+def _rows_agree(got, want, rtol):
+    """NaN at the same places and the finite values within rtol of the
+    largest of `want`."""
+    lost = np.isnan(want)
+    assert (np.isnan(got) == lost).all()
+    scale = np.abs(want[~lost]).max(initial=0.0)
+    assert np.abs(got[~lost] - want[~lost]).max(initial=0.0) <= rtol * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_loss_cases())
+def test_each_row_of_a_block_is_lost_as_it_is_alone(case):
+    # the loss rule: a row is lost at its first scaled knot, an explicit row
+    # and a row with a finite overflowing state by blowing up, an implicit
+    # row with a coordinate that is not finite by failing, and it is NaN from
+    # there while the other rows go on; so each row is lost where it is lost
+    # as a block of one, and its values differ from that run only in the
+    # last bits that `run_block` allows a block (a moved bit may cost the
+    # iterative solver one iteration, so there the bound is its tolerance
+    # summed over the steps)
+    from spdesim import schemes
+
+    kind, paths, losses, chunk, keep = case
+    space = build_sine_space(4)
+    triple = _loss_triple(space, kind)
+    kind = "implicit_projected" if kind == "semilinear" else kind
+    cfg = SchemeConfig(kind=kind, n=4, m=32, l=2, initial=smooth_profile(4))
+    rtol = cfg.m * SOLVER_TOL if triple.linear_A is None else 1e-12
+    bundles = sample_bundles(range(40, 40 + paths), TimeGrid(1.0, 64), 1, MARKS, 2)
+    for path, knot, scale in losses:
+        bundles[path] = _lose_at(bundles[path], cfg.m, knot, scale)
+    default = schemes.KNOT_CHUNK
+    schemes.KNOT_CHUNK = chunk
+    try:
+        run = run_block(space, triple, cfg, read_block(bundles), keep=keep)
+        alone = [run_block(space, triple, cfg, read_block([b]), keep=keep) for b in bundles]
+    finally:
+        schemes.KNOT_CHUNK = default
+    for path, one in enumerate(alone):
+        assert run.blow_up_steps[path] == one.blow_up_steps[0]
+        assert run.failures[path] == one.failures[0]
+        lost = [(k, s) for p, k, s in losses if p == path]
+        if not lost:
+            assert run.blow_up_steps[path] is None and run.failures[path] is None
+        else:
+            knot, scale = min(lost)
+            if kind == "explicit" or scale != np.inf:
+                assert run.blow_up_steps[path] == knot and run.failures[path] is None
+            else:
+                assert run.blow_up_steps[path] is None
+                assert run.failures[path].startswith(f"step {knot}: ")
+        _rows_agree(run.final[path], one.final[0], rtol)
+        if keep is not None:
+            _rows_agree(run.kept[:, path], one.kept[:, 0], rtol)
 
 
 def _declared_affine_triples(space):

@@ -3,7 +3,9 @@ import inspect
 import json
 import os
 import re
+import stat
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -84,9 +86,9 @@ def ladder_config(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     # l_modes and l_level changed no `simulate` output: it samples its
     # block at (m, min(l, the triple's Wiener modes), l)
-    path = tmp_path / "bad.cfg"
     for section, key in (("scheme", "kindd"), ("scheme", "gamma"), ("noise", "l_modes"),
                          ("noise", "l_level")):
+        path = tmp_path / f"{key}.cfg"
         path.write_text(f"[{section}]\n{key} = 3\n")
         with pytest.raises(
             ConfigError, match=re.escape(f"unknown key {key!r} in section [{section}]")
@@ -265,6 +267,7 @@ def test_a_config_of_a_ladder_alone_takes_every_default(tmp_path, monkeypatch, c
     rows = out.read_text().splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["0", "0"]
     # with no [ladder] section, the space is the larger of the two n
+    path = tmp_path / "space.cfg"
     path.write_text("[space]\nn = 4\n")
     assert build_space(load_settings(path)).dim == 8
 
@@ -564,6 +567,103 @@ def test_converge_passes_quadrature_and_reports_failures(tmp_path, monkeypatch, 
     assert "blowups 1 failures 2" in capsys.readouterr().err
 
 
+# the three output files: the command, its flag, and the newline that the
+# command's stdout form adds (None: there is none)
+OUTPUTS = [
+    pytest.param("converge", "--out", "", id="converge-out"),
+    pytest.param("simulate", "--out", "\n", id="simulate-out"),
+    pytest.param("simulate", "--final-csv", None, id="simulate-final-csv"),
+]
+
+
+@pytest.mark.parametrize("command, flag, end", OUTPUTS)
+def test_an_output_file_is_overwritten_in_place(
+    ladder_config, tmp_path, capsys, command, flag, end
+):
+    def run(path):
+        argv = [command, "--config", str(ladder_config)]
+        argv += [flag, str(path)] if path else []
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    fresh = tmp_path / "fresh"
+    umask = os.umask(0o027)
+    try:
+        run(fresh)
+    finally:
+        os.umask(umask)
+    want = fresh.read_bytes()
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+    if end is not None:
+        assert run(None) == want.decode() + end
+    # an existing file keeps its mode, and a link stays a link to its target
+    longer, shorter = tmp_path / "longer", tmp_path / "shorter"
+    longer.write_bytes(want * 3 + b"old tail")
+    shorter.write_bytes(want[: len(want) // 2])
+    longer.chmod(0o600)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(want * 2)
+    link.symlink_to(target)
+    for path in (longer, shorter, link):
+        run(path)
+    assert longer.read_bytes() == shorter.read_bytes() == target.read_bytes() == want
+    assert stat.S_IMODE(longer.stat().st_mode) == 0o600
+    assert link.is_symlink() and os.readlink(link) == str(target)
+
+
+@pytest.mark.parametrize("command, flag, end", OUTPUTS)
+def test_an_output_to_a_device_or_a_pipe_is_not_cut(
+    ladder_config, tmp_path, command, flag, end
+):
+    argv = [command, "--config", str(ladder_config), flag]
+    assert main(argv + [os.devnull]) == 0
+    fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+    assert main(argv + [str(fresh)]) == 0
+    os.mkfifo(fifo)
+    received = []
+    # a daemon, so that a reader still waiting for a writer cannot hang the run
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        assert main(argv + [str(fifo)]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert received == [fresh.read_bytes()]
+
+
+def test_outputs_are_opened_without_truncation(ladder_config, tmp_path, monkeypatch):
+    # truncating an existing file and writing it again makes ext4 (with its
+    # default auto_da_alloc) flush the file when it is closed
+    from spdesim import cli
+
+    outputs = [tmp_path / name for name in ("report.csv", "traj.json", "final.csv")]
+    for path in outputs:
+        path.write_text("an earlier output\n")
+    os_opened, truncating = [], []
+    real_os_open, real_open = os.open, open
+
+    def os_open(path, flags, *args, **kwargs):
+        os_opened.append(Path(path))
+        if flags & os.O_TRUNC:
+            truncating.append(("os.open O_TRUNC", path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def builtin_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and "w" in mode:
+            truncating.append((f"open mode {mode!r}", file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(cli, "open", builtin_open, raising=False)
+    report, trajectory, final = (str(path) for path in outputs)
+    assert main(["converge", "--config", str(ladder_config), "--out", report]) == 0
+    assert main(["simulate", "--config", str(ladder_config), "--out", trajectory,
+                 "--final-csv", final]) == 0
+    assert truncating == []
+    assert set(outputs) <= set(os_opened)
+
+
 @pytest.mark.parametrize(
     "fixture, keys, honoured, foreign",
     [
@@ -635,7 +735,8 @@ def _fixture_and_keywords(draw):
 @hypothesis.given(case=_fixture_and_keywords())
 def test_build_triple_equals_a_direct_fixture_call(tmp_path_factory, case):
     name, kwargs = case
-    path = tmp_path_factory.getbasetemp() / "coefficients.cfg"
+    # a fresh file per example: rewriting one file can flush it on every close
+    path = tmp_path_factory.mktemp("coefficients") / "coefficients.cfg"
     lines = [f"{key} = {value!r}" for key, value in kwargs.items()]
     path.write_text("[coefficients]\nfixture = " + "\n".join([name] + lines) + "\n")
     space = build_sine_space(4)

@@ -153,12 +153,13 @@ class CoefficientTriple:
     `autonomous` declares that every evaluator ignores `t`, so that a time
     mean is one evaluation at the window midpoint.
     `linear_A`, when set, is the matrix of an autonomous linear drift, and
-    it must be the matrix of `eval_A`: ``eval_A(t, x) == x @
-    linear_A[:n, :n].T`` for every n, t and batch x of shape (..., n).  For
-    an autonomous triple the schemes step that drift without evaluating
-    it: explicitly as one product with I + δA, implicitly with the inverse
-    of I − δA; a diagonal `linear_A`, as every shipped fixture declares,
-    makes that product a column-wise scaling with the same bits.
+    it must be the matrix of `eval_A`: ``eval_A(t, x)`` is ``x @
+    linear_A[:n, :n].T``, up to rounding, for every n, t and batch x of
+    shape (..., n).  For an autonomous triple the schemes step that drift
+    without evaluating it: explicitly as one product with I + δA,
+    implicitly with the inverse of I − δA; a diagonal `linear_A`, as every
+    shipped fixture declares, makes that product a column-wise scaling
+    with the same bits.
     `jump_profile`, when set, declares the factorization
     F(t, x, ξ) = weight(ξ) · jump_profile(t, x) against the owning mark
     space's weight.  The schemes then take their jump cell means from
@@ -273,13 +274,14 @@ class MarkIntegral:
         Python float.
         """
         if profile is not None:
-            total = self.weight_sq * np.sum(np.asarray(profile, dtype=float) ** 2, -1)
+            p = np.asarray(profile, dtype=float)
+            total = self.weight_sq * np.einsum("...i,...i->...", p, p)
             return float(total) if total.ndim == 0 else total
         vals = np.atleast_2d(np.asarray(g(self.nodes), dtype=float))
         total = np.einsum("...ik,k->...", vals**2, self.weights)
         if self.ref_scale:
             ref = np.atleast_2d(np.asarray(g(np.array([self.ref_mark])), dtype=float))
-            total = total + self.ref_scale * np.sum(ref**2, axis=(-2, -1))
+            total = total + self.ref_scale * np.einsum("...ik,...ik->...", ref, ref)
         return float(total) if total.ndim == 0 else total
 
 
@@ -409,7 +411,7 @@ def _scan(condition_id, sampler, kind, trials, seed, evaluate, width, triple=Non
 
 def _sq_sum(b):
     """Squared Hilbert-Schmidt norm of each (n, modes) matrix in a batch."""
-    return np.sum(b**2, axis=(-2, -1))
+    return np.einsum("...ij,...ij->...", b, b)
 
 
 def _coefficient_width(triple, n, mark_quadrature):

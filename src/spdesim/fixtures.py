@@ -23,11 +23,14 @@ Evaluator classes are module level and stateless so triples can cross
 process pools, and all are dimension polymorphic: called with the first n
 coordinates they return the leading-subspace projection of the operator
 value, consistently with the nested basis.  They take one state of shape
-(n,) or a batch of shape (..., n) and act row by row, so a matrix M
-applies as ``x @ M[:n, :n].T``; `MatrixNoise` instead multiplies by the
-leading block of a C-contiguous (θ·D)ᵀ that it forms once, so that the
-product has no transposed operand.  They are autonomous and ignore the
-time, whether it is a scalar or an array of times, one per row.
+(n,) or a batch of shape (..., n) and act row by row.  A matrix M
+applies as ``x @ M[:n, :n].T``, taken as the product with the leading
+block of a C-contiguous Mᵀ that the evaluator forms once, so that the
+product has no transposed operand: `LinearDrift` forms Mᵀ and
+`MatrixNoise` (θ·D)ᵀ.  The value is that of ``x @ M[:n, :n].T`` bit for
+bit for a diagonal M and within a few ulp otherwise.  They are autonomous
+and ignore the time, whether it is a scalar or an array of times, one per
+row.
 """
 
 from __future__ import annotations
@@ -42,14 +45,21 @@ from .space import sine_basis_matrix, sine_derivative_matrix
 
 @dataclass(frozen=True)
 class LinearDrift:
-    """A(x) = M x for an ambient matrix M, restricted by input length."""
+    """A(x) = M x for an ambient matrix M, restricted by input length.
+
+    The value is one product ``x @ Mᵀ[:n, :n]`` with the C-contiguous Mᵀ
+    formed once per instance.
+    """
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "_matrix_t", np.ascontiguousarray(self.matrix.T))
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
-        return x @ self.matrix[:n, :n].T
+        return x @ self._matrix_t[:n, :n]
 
 
 @dataclass(frozen=True)

@@ -483,10 +483,12 @@ def _factor(triple, n, delta):
 
 def _operator(matrix):
     """What `_writer` takes for the product with `matrix`: the vector of its
-    diagonal when every other entry is zero, else the matrix itself."""
+    diagonal when every other entry is zero, else a C-contiguous copy of the
+    matrix (the matrix itself if it is one), so that the product has no
+    transposed operand: `_factor` and `run_block` pass transposes."""
     diagonal = np.diagonal(matrix)
     if np.count_nonzero(matrix - np.diag(diagonal)):
-        return matrix
+        return np.ascontiguousarray(matrix)
     return diagonal.copy()
 
 

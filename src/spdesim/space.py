@@ -50,6 +50,12 @@ class GalerkinSpace:
         except np.linalg.LinAlgError as exc:
             raise ValueError("v_gram is not positive definite") from exc
 
+    @cached_property
+    def _v_chol_inv_t(self):
+        """C-contiguous Wᵀ, so that `_dual_norms` multiplies by no
+        transposed operand."""
+        return np.ascontiguousarray(self._v_chol_inv.T)
+
 
 def build_sine_space(n):
     """Span of sqrt(2)·sin(kπx), k = 1..n, on (0,1) with Dirichlet ends.
@@ -139,9 +145,14 @@ def norms(space, x):
 
 
 def v_norms(space, x):
-    """V-norms of coordinate vectors, shaped and checked as in `norms`."""
+    """V-norms of coordinate vectors, shaped and checked as in `norms`.
+
+    Each is the quadratic form xᵀ G x of the V-Gram G, taken as the pairing
+    of x with x @ G, which multiplies by G itself, not a transposed view:
+    xᵀ G x = xᵀ Gᵀ x.
+    """
     x = _checked_rows(space, x)
-    return _scalar_or_rows(np.sqrt(np.vecdot(x, x @ space.v_gram.T)))
+    return _scalar_or_rows(np.sqrt(np.einsum("...i,...i->...", x, x @ space.v_gram)))
 
 
 def dual_norms(space, x):
@@ -156,23 +167,29 @@ def dual_norms(space, x):
 
 def _dual_norms(space, x):
     """`dual_norms` without the finiteness check: a row with a non-finite
-    coordinate gets a non-finite norm, and every other row its own."""
+    coordinate gets a non-finite norm, and every other row its own.
+
+    Unlike `v_norms` and `pairing`, it pairs each row with `np.vecdot`,
+    not `np.einsum`: on a diagonal V-Gram, as on every sine space, that
+    gives the bits of a Cholesky solve (`scipy.linalg.cho_solve`), which
+    the tests pin it to."""
     x = _checked_rows(space, x, finite=False)
-    w = space._v_chol_inv
-    return _scalar_or_rows(np.sqrt(np.vecdot(x, (x @ w.T) @ w)))
+    w_t = space._v_chol_inv_t
+    return _scalar_or_rows(np.sqrt(np.vecdot(x, (x @ w_t) @ space._v_chol_inv)))
 
 
 def pairing(x, phi):
     """Duality pairing of coordinates with functional actions, row by row.
 
     Shapes (..., n) broadcast against each other; two single vectors give a
-    Python float.
+    Python float.  Each row is one contraction of its own, so its value does
+    not depend on how many rows the call holds.
     """
     x = _as_rows(x)
     phi = _as_rows(phi)
     if x.shape[-1] != phi.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {phi.shape[-1]}")
-    return _scalar_or_rows(np.vecdot(x, phi))
+    return _scalar_or_rows(np.einsum("...i,...i->...", x, phi))
 
 
 def sine_basis_matrix(n, points):

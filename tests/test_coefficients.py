@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -78,6 +79,31 @@ def test_batched_mark_integral_rows_equal_single_calls(shape, atoms, seed):
         single = mq.integral_sq(lambda xi: triple.eval_F(0.3, x[idx], xi))
         assert type(single) is float
         assert batched[idx] == pytest.approx(single, rel=1e-13)
+
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+def test_row_sums_equal_one_row_calls(quadrature, lead):
+    """The squared norms of B and of a jump profile are one contraction per
+    row: each row has the bits of a call on that row alone, and is within
+    the rounding of the plain sum of squares."""
+    rng = np.random.default_rng(len(lead))
+    p = rng.uniform(-5.0, 5.0, lead + (8,))
+    for b in (rng.uniform(-5.0, 5.0, lead + (8, 1)), rng.normal(size=lead + (8, 3))):
+        sq = np.asarray(coefficients._sq_sum(b))
+        assert sq.shape == lead
+        np.testing.assert_allclose(sq, np.sum(b**2, axis=(-2, -1)), rtol=1e-14)
+        for idx in np.ndindex(lead):
+            single = coefficients._sq_sum(b[idx])
+            assert sq[idx].tobytes() == np.float64(single).tobytes()
+    closed = quadrature.integral_sq(profile=p)
+    assert np.shape(closed) == lead and (lead or type(closed) is float)
+    want = quadrature.weight_sq * np.sum(p**2, axis=-1)
+    np.testing.assert_allclose(closed, want, rtol=1e-14)
+    for idx in np.ndindex(lead):
+        single = quadrature.integral_sq(profile=p[idx])
+        assert type(single) is float
+        assert np.asarray(closed)[idx].tobytes() == np.float64(single).tobytes()
 
 
 ATOMS = AtomMarks(positions=(0.25, 0.5, 1.0), weights=(3.0, 2.0, 1.0))
@@ -827,6 +853,33 @@ def test_scaling_evaluators_return_fresh_arrays_of_the_plain_expression():
             gap = np.abs(triple.eval_B(0.5, state)[..., 0] - plain)
             assert (gap <= (n + 1) * np.finfo(float).eps * scale).all()
         assert x.tobytes() == before.tobytes()
+
+
+def test_linear_drift_is_the_product_with_its_matrix():
+    """`LinearDrift(M)` at n coordinates is x @ M[:n, :n].T: bit for bit for
+    the diagonal matrices of the shipped fixtures, at every n, and within
+    1e-14 of the scale |x| @ |M|ᵀ for a dense M.  It crosses a pickle, as
+    it does to reach a spawned worker, with the same values."""
+    space = build_sine_space(12)
+    rng = np.random.default_rng(17)
+    dense = rng.normal(size=(12, 12))
+    shipped = (heat_jump, additive_multimode, zero_triple)
+    drifts = [fixture(space, MARKS).eval_A for fixture in shipped]
+    for drift in drifts + [LinearDrift(dense)]:
+        assert type(drift).__name__ == "LinearDrift"
+        matrix = drift.matrix
+        thawed = pickle.loads(pickle.dumps(drift))
+        for n in range(1, 13):
+            for x in (rng.uniform(-5.0, 5.0, (n,)), rng.uniform(-5.0, 5.0, (40, n))):
+                got = drift(0.0, x)
+                want = x @ matrix[:n, :n].T
+                assert got.shape == want.shape
+                assert thawed(0.0, x).tobytes() == got.tobytes()
+                if matrix is dense:
+                    scale = np.abs(x) @ np.abs(matrix[:n, :n]).T
+                    assert (np.abs(got - want) <= 1e-14 * scale).all()
+                else:
+                    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fixture", [heat_jump, semilinear])

@@ -444,6 +444,11 @@ def test_only_a_diagonal_drift_steps_as_a_vector(monkeypatch):
     assert np.array_equal(schemes._operator(np.diag(d)), d)
     for matrix in (np.diag(d) + np.eye(3, k=1), np.diag([1.0, np.nan, 2.0])):
         assert schemes._operator(matrix) is matrix
+        # a transposed view is copied, so that the product has no
+        # transposed operand
+        operator = schemes._operator(matrix.T)
+        assert operator.flags.c_contiguous
+        assert np.array_equal(operator, matrix.T, equal_nan=True)
     # a non-diagonal affine drift keeps the matrix product in every kind
     space = build_sine_space(4)
     triple = _quiet_heat(space)

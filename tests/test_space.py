@@ -188,6 +188,16 @@ def test_batched_norms_and_pairing_rows_equal_single_calls(n, shape, seed):
     # one vector against a batch broadcasts row by row
     rows = pairing(phi.reshape(-1, n)[0], x)
     assert rows.shape == shape
+    # on a diagonal Gram, as on every sine space, the product with the Gram
+    # is exact, so each V-norm row has the bits of a single-vector call; a
+    # dense Gram's product runs as gemv for one vector and gemm for a batch,
+    # which differ in the last bits
+    diagonal = GalerkinSpace(dim=n, v_gram=np.diag(np.diag(gram)), basis_id="x")
+    v = v_norms(diagonal, x)
+    for idx in np.ndindex(shape):
+        single = v_norms(diagonal, x[idx])
+        assert type(single) is float
+        assert v[idx].tobytes() == np.float64(single).tobytes()
     with pytest.raises(ValueError, match="non-finite"):
         norms(space, np.where(np.arange(n) == n - 1, np.nan, x))
 

@@ -1,6 +1,5 @@
 """Galerkin time stepping for stochastic evolution equations with jumps."""
 
-from .averaging import impl_A, tilde_F
 from .coefficients import (
     BoxSampler,
     CoefficientTriple,

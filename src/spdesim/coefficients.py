@@ -78,7 +78,11 @@ BLAS threads on two CPUs, a V-norm and dual-norm pass over (8192, 8)
 states took 8 ms against 0.35 ms over (4096, 8).
 Each coefficient is called once per chunk with the chunk's (P,) times.  The
 condition constants are numbers, the same at every time.  Witnesses and
-verdicts do not depend on the chunk size.
+verdicts do not depend on the chunk size on a diagonal V-Gram, as on
+every shipped sine space.  On a dense Gram a last chunk of one trial
+takes numpy's matrix-vector (gemv) path, so its norms may differ in the
+last bits from those the same trial gets as a row of a larger chunk's
+matrix product.
 """
 
 from __future__ import annotations

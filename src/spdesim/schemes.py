@@ -212,9 +212,12 @@ def run_block(space, triple, config, noise, keep=None):
     scheme starts at knot 1, the implicit ones at knot 0, and the noise
     terms vanish before knot 2.  Grid, partition, the binned jumps, a
     path-independent initial condition and, for an affine autonomous
-    drift, I + δA or the inverse of I − δA are built once for the block;
-    so is the chord matrix of any other implicit drift (`_chord_matrix`),
-    which `_solve_iterative` reads.
+    explicit drift, I + δA are built once for the block.  So is the
+    implicit solver, by `_implicit_solver`, the one set-up that
+    `solve_implicit_step` shares: the inverse of I − δA for an affine
+    autonomous drift, else the chord matrix of `_solve_iterative`.  Each
+    implicit step is one call of its solve, which computes the residuals
+    only in a block that keeps the states.
 
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
@@ -256,17 +259,12 @@ def run_block(space, triple, config, noise, keep=None):
     if not factorized:
         partition = build_partition(noise.marks, l)
         rule = partition.marks.cell_rule(partition.lo, partition.hi, 4)
-    drift = solve = None
-    if triple.linear_A is not None and triple.autonomous:
-        if explicit:
-            matrix = np.eye(n) + delta * triple.linear_A[:n, :n]
-            drift = _writer(_operator(matrix.T), paths)
-        else:
-            mat_t, inv_t = _factor(triple, n, delta)
-            solve, residual_of = _writer(inv_t, paths), _writer(mat_t, paths)
-            product = np.empty((paths, n))
-    iterative = not explicit and solve is None
-    chord = _chord_matrix(triple, grid, n) if iterative else None
+    drift, solve, iterative = None, None, False
+    if not explicit:
+        solve, iterative = _implicit_solver(triple, grid, n, paths)
+    elif triple.linear_A is not None and triple.autonomous:
+        matrix = np.eye(n) + delta * triple.linear_A[:n, :n]
+        drift = _writer(_operator(matrix.T), paths)
     first = 1 if explicit else 0
     # states[0] holds the knot before a chunk and states[1 + j] its knot j
     states = np.empty((chunk + 1, paths, n))
@@ -392,15 +390,11 @@ def run_block(space, triple, config, noise, keep=None):
                 else:
                     y = x
                 if solve is not None:
-                    solve(y, new)
+                    counts, reasons[j], residual = solve(i, y, new, keep == STATES)
+                    if iterative:
+                        iterations[i - 1] = counts
                     if keep == STATES:
-                        residuals[i - 1] = _row_norms(residual_of(new, product) - y)
-                elif iterative:
-                    new[...], report = _solve_iterative(triple, grid, i, y, chord)
-                    iterations[i - 1] = report.iterations
-                    if keep == STATES:
-                        residuals[i - 1] = report.residual
-                    reasons[j] = report.reasons
+                        residuals[i - 1] = residual
             settle(lo, states[1 : k + 1])
             states[0] = states[k]
     return BlockRun(
@@ -421,16 +415,17 @@ def _window_mean(fn, window, x):
 def solve_implicit_step(triple, grid, i, y):
     """Solve x − δ·(Π_n)A^m_i(x) = y for every row of a (P, n) block `y`.
 
-    Affine autonomous drifts are solved directly as one product of the block
-    with the inverse of I − δA, with zero iterations and the residual
+    The solver is set up by `_implicit_solver`, as `run_block` sets up
+    the solver of a block, and solves `y` in one call.  Affine autonomous
+    drifts are solved directly as one product of the block with the
+    inverse of I − δA, with zero iterations and the residual
     ‖(I − δA)x − y‖, read off the matrix without evaluating the drift, in
-    the report.  (`run_block` makes the same product itself, computes that
-    residual only in a block that keeps the states, and finds rows without
-    a finite solution through its knot test.)  Otherwise every row is
-    solved by chord steps from `y`, with M = (I − δJ₀)⁻ᵀ formed once for
-    the call from the drift's Jacobian J₀ at the origin at step 1, and by
-    finite-difference Newton steps from the first chord step that does not
-    halve its residual (`_solve_iterative`).  Non-convergence signals that
+    the report; a row that the product leaves not finite is marked here,
+    where `run_block` finds it through its knot test.  Otherwise every row
+    is solved by chord steps from `y`, with M = (I − δJ₀)⁻ᵀ from the
+    drift's Jacobian J₀ at the origin at step 1, and by finite-difference
+    Newton steps from the first chord step that does not halve its
+    residual (`_solve_iterative`).  Non-convergence signals that
     the step equation has left the strongly monotone regime, i.e. the time
     step is too large.  A row that cannot be solved is marked (NaN in x,
     its cause in ``report.reasons``, so False in ``report.converged``) and
@@ -446,17 +441,16 @@ def solve_implicit_step(triple, grid, i, y):
         raise ValueError(f"y must be (P, n) with n <= {triple.dim}, not {y.shape}")
     if not 1 <= i <= grid.m:
         raise ValueError(f"step index i = {i} outside 1..{grid.m}")
-    rows, n = y.shape
+    solve, iterative = _implicit_solver(triple, grid, y.shape[1], len(y))
+    x = np.empty_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        if triple.linear_A is None or not triple.autonomous:
-            return _solve_iterative(triple, grid, i, y, _chord_matrix(triple, grid, n))
-        mat_t, inv_t = _factor(triple, n, grid.delta)
-        x = _writer(inv_t, rows)(y, np.empty_like(y))
-        residual = _row_norms(_writer(mat_t, rows)(x, np.empty_like(y)) - y)
-    solved = np.isfinite(x).all(axis=1)
-    x[~solved] = np.nan
-    reasons = [None if ok else NO_FINITE_SOLUTION for ok in solved]
-    return x, SolveReport(np.zeros(rows, dtype=int), residual, reasons)
+        iterations, reasons, residual = solve(i, y, x, True)
+    if not iterative:
+        solved = np.isfinite(x).all(axis=1)
+        x[~solved] = np.nan
+        iterations = np.zeros(len(y), dtype=int)
+        reasons = [None if ok else NO_FINITE_SOLUTION for ok in solved]
+    return x, SolveReport(iterations, residual, reasons)
 
 
 NO_FINITE_SOLUTION = (
@@ -464,28 +458,58 @@ NO_FINITE_SOLUTION = (
 )
 
 
-def _factor(triple, n, delta):
-    """The transposed matrix I − δA of an affine autonomous drift and its
-    transposed inverse, as `_operator`s: `_writer(inv_t, P)` writes the
-    solution x of (I − δA)x = y for every row of a (P, n) block y, and
-    `_writer(mat_t, P)` of x minus y is its residual.
+def _implicit_solver(triple, grid, n, rows):
+    """The solve of every implicit step of a (rows, n) block, set up once,
+    and whether it iterates: (solve, iterative).
 
-    A singular I − δA gets a NaN inverse: every row it is applied to then
-    has no finite solution, as with any other non-finite one.
+    An affine autonomous drift is solved directly.  The set-up forms
+    I − δA and its inverse as `_writer`s; a singular I − δA gets a NaN
+    inverse, so that every row has no finite solution, as with any other
+    row the product leaves not finite.  Any other drift is solved by
+    `_solve_iterative`, with the chord matrix M = (I − δJ₀)⁻ᵀ formed here,
+    J₀ the finite-difference Jacobian of the drift at the origin at step 1,
+    or None where I − δJ₀ is singular.
+
+    ``solve(i, y, out, residuals)`` writes the solution x of step i for the
+    block `y` into `out` and returns (iterations, reasons, residual): the
+    residual norms only when `residuals` is true, else None.  The direct
+    solve takes no iteration and gives no reasons, None for both, and reads
+    its residual ‖(I − δA)x − y‖ off the matrix without evaluating the
+    drift.
     """
-    mat = np.eye(n) - delta * triple.linear_A[:n, :n]
+    if triple.linear_A is not None and triple.autonomous:
+        mat = np.eye(n) - grid.delta * triple.linear_A[:n, :n]
+        try:
+            inv = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            inv = np.full((n, n), np.nan)
+        inverse = _writer(_operator(inv.T), rows)
+        product, scratch = _writer(_operator(mat.T), rows), np.empty((rows, n))
+
+        def direct(i, y, out, residuals):
+            inverse(y, out)
+            residual = _row_norms(product(out, scratch) - y) if residuals else None
+            return None, None, residual
+
+        return direct, False
     try:
-        inv = np.linalg.inv(mat)
+        chord = np.linalg.inv(_jacobians(triple, grid, 1, np.zeros((1, n)))[0]).T.copy()
     except np.linalg.LinAlgError:
-        inv = np.full((n, n), np.nan)
-    return _operator(mat.T), _operator(inv.T)
+        chord = None
+
+    def iterative(i, y, out, residuals):
+        out[...], report = _solve_iterative(triple, grid, i, y, chord)
+        return report.iterations, report.reasons, report.residual if residuals else None
+
+    return iterative, True
 
 
 def _operator(matrix):
     """What `_writer` takes for the product with `matrix`: the vector of its
     diagonal when every other entry is zero, else a C-contiguous copy of the
     matrix (the matrix itself if it is one), so that the product has no
-    transposed operand: `_factor` and `run_block` pass transposes."""
+    transposed operand: `_implicit_solver` and `run_block` pass
+    transposes."""
     diagonal = np.diagonal(matrix)
     if np.count_nonzero(matrix - np.diag(diagonal)):
         return np.ascontiguousarray(matrix)
@@ -531,23 +555,12 @@ def _jacobians(triple, grid, i, x):
     return np.eye(n) - slopes.transpose(0, 2, 1)
 
 
-def _chord_matrix(triple, grid, n):
-    """The chord step's M = (I − δJ₀)⁻ᵀ, with J₀ the finite-difference
-    Jacobian of the drift at the origin at step 1, or None where I − δJ₀
-    is singular."""
-    try:
-        inverse = np.linalg.inv(_jacobians(triple, grid, 1, np.zeros((1, n)))[0])
-    except np.linalg.LinAlgError:
-        return None
-    return np.ascontiguousarray(inverse.T)
-
-
 def _solve_iterative(triple, grid, i, y, chord):
     """Chord iteration with a per-row Newton fallback, row by row.
 
     Every row starts from `y` and takes one step per iteration.  A chord
     step is x ← x − r(x)·M, with r(x) = x − δA(x) − y and M = `chord`
-    (`_chord_matrix`); it is kept where it lowers the residual.  A row
+    (`_implicit_solver`); it is kept where it lowers the residual.  A row
     whose residual a chord step does not at least halve, and every row
     where `chord` is None, takes finite-difference Newton steps from then
     on, each with a halving line search.  The residual and Newton's

@@ -1264,6 +1264,31 @@ def test_sampled_rows_and_replayed_bundles_step_alike(name):
             assert _run_bits(run_block(space, triple, cfg, read_block(sampled), keep=keep)) == want
 
 
+@pytest.mark.parametrize("solver", ["direct", "chord on an affine drift", "semilinear"])
+def test_a_block_and_solve_implicit_step_share_one_solver(solver):
+    # without noise the right-hand side of step i is the knot i − 1 state,
+    # bit for bit where no coordinate is zero (0 + −0 would be +0), so each
+    # step of the block is one `solve_implicit_step` of its kept states
+    space = build_sine_space(6)
+    triple = {
+        "direct": _quiet_heat(space),
+        "chord on an affine drift": dataclasses.replace(_quiet_heat(space), linear_A=None),
+        "semilinear": semilinear(space, MARKS),
+    }[solver]
+    initial = np.array([1.0, -0.5, 0.25, 2.0, -1.25, 0.75])
+    cfg = SchemeConfig(kind="implicit_projected", n=6, m=16, l=2, initial=initial)
+    run = run_block(space, triple, cfg, read_block(_bundles(3)), keep=STATES)
+    grid = TimeGrid(1.0, 16)
+    for i in range(1, 17):
+        x, report = solve_implicit_step(triple, grid, i, run.kept[i - 1])
+        assert x.tobytes() == run.kept[i].tobytes()
+        assert report.iterations.tobytes() == run.solver_iterations[i - 1].tobytes()
+        assert report.residual.tobytes() == run.solver_residuals[i - 1].tobytes()
+        assert report.reasons == [None] * 3
+    iterating = (run.solver_iterations > 0).any()
+    assert iterating == (solver != "direct")
+
+
 @pytest.mark.parametrize("direct", [True, False])
 def test_block_solve_marks_rows_without_a_finite_solution(direct):
     space = build_sine_space(4)

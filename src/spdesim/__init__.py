@@ -1,5 +1,7 @@
 """Galerkin time stepping for stochastic evolution equations with jumps."""
 
+from types import ModuleType as _ModuleType
+
 from .coefficients import (
     BoxSampler,
     CoefficientTriple,
@@ -61,5 +63,7 @@ from .space import (
     v_norms,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules that the imports above bind are not exported
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

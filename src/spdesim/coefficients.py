@@ -518,20 +518,28 @@ def probe_hemicontinuity(triple, x, y, z, t, epsilons=None):
 
     The shifted states x + εy are evaluated as one (len(ε), n) batch.
     Passes when the gap at the smallest ε is below DEFAULT_TOLERANCE and
-    the gap sequence is eventually decreasing.
+    the gap sequence is eventually decreasing: each of the last ten gaps
+    exceeds the one before it by at most 1e-6 times that gap plus 1e-15,
+    or by at most a rounding floor of 4·eps·Σᵢ|zᵢ·A(t, x)ᵢ| where that is
+    larger.  eps·Σᵢ|zᵢ·A(t, x)ᵢ| is the rounding bound of the pairing
+    ⟨A(x), z⟩, so at the smallest ε, where every gap is the rounding of
+    two such pairings, the gaps may rise and fall by about that much.
     """
     if epsilons is None:
         epsilons = 2.0 ** -np.arange(1, 21)
     epsilons = np.asarray(epsilons, dtype=float)
     if epsilons.ndim != 1 or epsilons.size < 2 or not (np.diff(epsilons) < 0).all():
         raise ValueError("epsilons must decrease strictly to 0")
-    base = pairing(z, np.asarray(triple.eval_A(t, x)))
+    drift = np.asarray(triple.eval_A(t, x))
+    base = pairing(z, drift)
     shifted = np.asarray(x) + epsilons[:, None] * np.asarray(y)
     gaps = np.abs(pairing(z, np.asarray(triple.eval_A(t, shifted))) - base)
     if not np.isfinite(gaps).all():
         raise ValueError("non-finite drift evaluation in hemicontinuity probe")
     tail = gaps[-min(10, gaps.size) :]
-    decreasing = bool(np.all(np.diff(tail) <= 1e-6 * tail[:-1] + 1e-15))
+    floor = 4.0 * np.finfo(float).eps * float(np.abs(np.asarray(z) * drift).sum())
+    allowed = np.maximum(1e-6 * tail[:-1] + 1e-15, floor)
+    decreasing = bool(np.all(np.diff(tail) <= allowed))
     worst = float(gaps[-1])
     return ConditionReport(
         condition_id="C4",

@@ -43,7 +43,7 @@ from functools import partial
 
 import numpy as np
 
-from .averaging import impl_A, tilde_F, time_mean
+from .averaging import cell_integrals, window_means
 from .noise import TimeGrid, build_partition
 from .rng import TAG_INITIAL, derive_key, make_generator
 from .space import c_b, project, restrict, smooth_profile
@@ -207,10 +207,14 @@ def run_block(space, triple, config, noise, keep=None):
     with a plane of each path's jump scalar, a general one a batched
     matrix product with the cell increments.  The two noise terms are
     formed in two scratch arrays of the block, never in the state or in a
-    coefficient's value.  An autonomous triple's coefficients are
-    evaluated once per step, at the midpoint of the window.  The explicit
-    scheme starts at knot 1, the implicit ones at knot 0, and the noise
-    terms vanish before knot 2.  Grid, partition, the binned jumps, a
+    coefficient's value.  Every coefficient mean is taken over a window of
+    `averaging.window_means`, the lagged window i − 2 but for the implicit
+    drift's current window i − 1; an autonomous triple's coefficients are
+    evaluated once per step, at the midpoint of the window.  A general F
+    takes the time mean of its `averaging.cell_integrals`, divided by the
+    cell masses afterwards, with a zero column for a massless cell.  The
+    explicit scheme starts at knot 1, the implicit ones at knot 0, and the
+    noise terms vanish before knot 2.  Grid, partition, the binned jumps, a
     path-independent initial condition and, for an affine autonomous
     explicit drift, I + δA are built once for the block.  So is the
     implicit solver, by `_implicit_solver`, the one set-up that
@@ -256,9 +260,16 @@ def run_block(space, triple, config, noise, keep=None):
     space = restrict(space, n)
     grid = TimeGrid(noise.T, m)
     delta = grid.delta
+    # the coefficients of step i are averaged over window i − 2
+    windows, mean = window_means(triple, grid)
+    coefficients = (triple.eval_A, triple.eval_B, triple.jump_profile)
+    mean_A, mean_B, mean_profile = map(mean, coefficients)
     if not factorized:
         partition = build_partition(noise.marks, l)
         rule = partition.marks.cell_rule(partition.lo, partition.hi, 4)
+        mean_F = mean(cell_integrals(triple.eval_F, rule))
+        # a massless cell keeps its zero column: 0/0 = 0
+        cols, massive = np.zeros((paths, n, partition.size)), partition.nu > 0
     drift, solve, iterative = None, None, False
     if not explicit:
         solve, iterative = _implicit_solver(triple, grid, n, paths)
@@ -335,16 +346,6 @@ def run_block(space, triple, config, noise, keep=None):
         elif keep == STATES:
             kept[lo : lo + k] = block
 
-    # the coefficients of step i are averaged over the window of knots
-    # i − 2 and i − 1: an autonomous one is evaluated at its midpoint
-    knots = grid.knots.tolist()
-    coefficients = (triple.eval_A, triple.eval_B, triple.jump_profile)
-    if triple.autonomous:
-        windows = [0.5 * (t0 + t1) for t0, t1 in zip(knots, knots[1:])]
-        mean_A, mean_B, mean_profile = coefficients
-    else:
-        windows = list(zip(knots, knots[1:]))
-        mean_A, mean_B, mean_profile = (partial(_window_mean, f) for f in coefficients)
     # overflow is reported through the blow-up marker, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if explicit:
@@ -373,7 +374,8 @@ def run_block(space, triple, config, noise, keep=None):
                     if factorized:
                         np.multiply(jump_rows[j], mean_profile(window, x), out=jumps)
                     else:
-                        cols = tilde_F(triple, grid, partition, i, x, rule)
+                        integrals = mean_F(window, x)
+                        np.divide(integrals, partition.nu, out=cols, where=massive)
                         np.matmul(cols, jump_rows[j, ..., None], out=jumps[..., None])
                     base = x
                     if drift is not None:
@@ -405,11 +407,6 @@ def run_block(space, triple, config, noise, keep=None):
         solver_iterations=iterations,
         solver_residuals=residuals,
     )
-
-
-def _window_mean(fn, window, x):
-    """Time mean of a non-autonomous coefficient over a window (t0, t1)."""
-    return time_mean(fn, x, *window, False)
 
 
 def solve_implicit_step(triple, grid, i, y):
@@ -492,13 +489,18 @@ def _implicit_solver(triple, grid, n, rows):
             return None, None, residual
 
         return direct, False
+    # the drift of step i is averaged over window i − 1
+    windows, mean = window_means(triple, grid)
+    mean_A, delta = mean(triple.eval_A), grid.delta
     try:
-        chord = np.linalg.inv(_jacobians(triple, grid, 1, np.zeros((1, n)))[0]).T.copy()
+        jacobian = _jacobians(partial(mean_A, windows[0]), delta, np.zeros((1, n)))
+        chord = np.linalg.inv(jacobian[0]).T.copy()
     except np.linalg.LinAlgError:
         chord = None
 
     def iterative(i, y, out, residuals):
-        out[...], report = _solve_iterative(triple, grid, i, y, chord)
+        drift = partial(mean_A, windows[i - 1])
+        out[...], report = _solve_iterative(drift, delta, y, chord)
         return report.iterations, report.reasons, report.residual if residuals else None
 
     return iterative, True
@@ -541,25 +543,27 @@ def _writer(operator, paths):
     return scaled
 
 
-def _jacobians(triple, grid, i, x):
+def _jacobians(drift, delta, x):
     """I − δ·A'(x) of the step residual at every row of a (P, n) block `x`,
-    by forward differences with steps h = 1e-7·(1 + |x|), from one drift
-    call on each row stacked with its n perturbed copies."""
+    for the drift mean `drift` of the step as a function of the states, by
+    forward differences with steps h = 1e-7·(1 + |x|), from one drift call
+    on each row stacked with its n perturbed copies."""
     n = x.shape[1]
     h = 1e-7 * (1.0 + np.abs(x))
     stack = np.repeat(x[:, None, :], n + 1, axis=1)
     diagonal = np.arange(n)
     stack[:, diagonal + 1, diagonal] += h
-    values = grid.delta * impl_A(triple, grid, i, stack)
+    values = delta * drift(stack)
     slopes = (values[:, 1:] - values[:, :1]) / h[:, :, None]
     return np.eye(n) - slopes.transpose(0, 2, 1)
 
 
-def _solve_iterative(triple, grid, i, y, chord):
+def _solve_iterative(drift, delta, y, chord):
     """Chord iteration with a per-row Newton fallback, row by row.
 
     Every row starts from `y` and takes one step per iteration.  A chord
-    step is x ← x − r(x)·M, with r(x) = x − δA(x) − y and M = `chord`
+    step is x ← x − r(x)·M, with r(x) = x − δA(x) − y, A the drift mean
+    `drift` of the step as a function of the states, and M = `chord`
     (`_implicit_solver`); it is kept where it lowers the residual.  A row
     whose residual a chord step does not at least halve, and every row
     where `chord` is None, takes finite-difference Newton steps from then
@@ -573,7 +577,7 @@ def _solve_iterative(triple, grid, i, y, chord):
     rows = len(y)
 
     def residual_of(x):
-        return x - grid.delta * impl_A(triple, grid, i, x) - y
+        return x - delta * drift(x) - y
 
     target = SOLVER_TOL * (1.0 + _row_norms(y))
     x = y.copy()
@@ -599,7 +603,7 @@ def _solve_iterative(triple, grid, i, y, chord):
             better = chording & (rn_new < rn)
             x[better], r[better], rn[better] = xn[better], r_new[better], rn_new[better]
         if solving.any():
-            jac = _jacobians(triple, grid, i, x)
+            jac = _jacobians(drift, delta, x)
             dx = np.zeros_like(x)
             for p in np.flatnonzero(solving):
                 try:

@@ -1,13 +1,14 @@
 import dataclasses
+import warnings
 
 import numpy as np
 
 from spdesim.averaging import (
     TIME_POINTS,
+    cell_integrals,
     cell_weight_means,
-    impl_A,
-    tilde_F,
     time_mean,
+    window_means,
 )
 from spdesim.coefficients import CoefficientTriple, ConditionConstants
 from spdesim.fixtures import additive_multimode, heat_jump
@@ -52,6 +53,18 @@ class TimeScaledNoise:
         return np.asarray(t)[..., None, None] * np.asarray(x, dtype=float)[..., None]
 
 
+class TimeScaledJump:
+    """Generic jump coefficient t·x·ξ that records its query times."""
+
+    def __init__(self):
+        self.queries = []
+
+    def __call__(self, t, x, xi):
+        self.queries.append(np.ravel(t))
+        t = np.asarray(t)[..., None, None]
+        return t * np.multiply.outer(np.asarray(x, dtype=float), xi)
+
+
 class CellConstantJump:
     """F constant on every partition cell; cell averaging must be exact."""
 
@@ -73,9 +86,7 @@ def _time_scaled_triple(drift):
         dim=4,
         eval_A=drift,
         eval_B=TimeScaledNoise(),
-        eval_F=lambda t, x, xi: np.asarray(t)[..., None, None] * np.multiply.outer(
-            np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
-        ),
+        eval_F=TimeScaledJump(),
         constants=_constants(),
         autonomous=False,
         wiener_modes=1,
@@ -105,19 +116,20 @@ def test_tilde_A_zero_at_first_two_knots():
 def test_time_mean_linear_integrand_exact():
     # mean of s*x over [0, 0.25] is 0.125*x
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    got = time_mean(RecordingDrift(), x, 0.0, 0.25, autonomous=False)
+    got = time_mean(RecordingDrift(), (0.0, 0.25), x)
     assert np.allclose(got, 0.125 * x, rtol=1e-14)
 
 
 def test_tilde_A_autonomous_shortcut():
     # the averaged drift of an autonomous coefficient is one evaluation
+    triple = heat_jump(SPACE, MARKS)
+    windows, mean = window_means(triple, TimeGrid(1.0, 8))
     drift = RecordingDrift()
     x = np.array([0.4, 0.2, -0.1, 1.0])
-    time_mean(drift, x, 0.5, 0.625, autonomous=True)
+    mean(drift)(windows[4], x)
     assert [q.tolist() for q in drift.queries] == [[0.5625]]
-    eval_A = heat_jump(SPACE, MARKS).eval_A
-    want = np.asarray(eval_A(0.0, x))
-    assert np.allclose(time_mean(eval_A, x, 0.5, 0.625, True), want, rtol=1e-15)
+    want = np.asarray(triple.eval_A(0.0, x))
+    assert np.allclose(mean(triple.eval_A)(windows[4], x), want, rtol=1e-15)
 
 
 def test_tilde_B_autonomous_matches_evaluator():
@@ -125,20 +137,22 @@ def test_tilde_B_autonomous_matches_evaluator():
     eval_B = triple.eval_B
     x = np.ones(4)
     want = np.asarray(eval_B(0.0, x))
-    got = time_mean(eval_B, x, 0.5, 0.75, autonomous=True)
+    windows, mean = window_means(triple, TimeGrid(1.0, 4))
+    got = np.asarray(mean(eval_B)(windows[2], x))
     assert got.shape == (4, triple.wiener_modes)
     assert np.allclose(got, want, rtol=1e-15)
 
 
 def test_window_discipline_lagged():
-    # explicit step i queries the drift and the noise only on [t_{i-2}, t_{i-1}],
-    # with one call per window that carries all its quadrature times
+    # explicit step i queries the drift and the noise, the general jump
+    # coefficient too, only on [t_{i-2}, t_{i-1}], with one call per window
+    # that carries all its quadrature times
     m = 8
     grid = TimeGrid(1.0, m)
     drift = RecordingDrift()
     triple = _time_scaled_triple(drift)
     _run(triple, "explicit", m, _bundle(m))
-    for fn in (drift, triple.eval_B):
+    for fn in (drift, triple.eval_B, triple.eval_F):
         assert [q.shape for q in fn.queries] == [(TIME_POINTS,)] * (m - 1)
         steps = np.reshape(fn.queries, (m - 1, TIME_POINTS))
         for i, queries in enumerate(steps, start=2):
@@ -147,31 +161,44 @@ def test_window_discipline_lagged():
 
 
 def test_window_discipline_current():
+    # step i of an iterative implicit block queries the drift only on
+    # [t_{i-1}, t_i]: the solver's set-up and then every step's chord and
+    # Newton iterations call it window by window, in step order, one call
+    # carrying all quadrature times of one window
+    m = 8
+    knots = TimeGrid(1.0, m).knots
     drift = RecordingDrift()
     triple = _time_scaled_triple(drift)
-    grid = TimeGrid(1.0, 8)
-    impl_A(triple, grid, 5, np.ones(4))
-    t0, t1 = grid.knots[4], grid.knots[5]
-    assert all(t0 <= q <= t1 for q in np.concatenate(drift.queries))
-
-
-def test_impl_A_zero_at_origin_and_first_window():
-    drift = RecordingDrift()
-    triple = _time_scaled_triple(drift)
-    grid = TimeGrid(1.0, 4)
-    x = np.ones(4)
-    assert np.array_equal(impl_A(triple, grid, 0, x), np.zeros(4))
-    got = impl_A(triple, grid, 1, x)
-    assert np.allclose(got, 0.125 * x, rtol=1e-14)
-
-
-def test_impl_A_autonomous():
-    triple = heat_jump(SPACE, MARKS)
-    grid = TimeGrid(1.0, 4)
-    x = np.array([1.0, 0.0, 0.0, 2.0])
-    assert np.allclose(
-        impl_A(triple, grid, 2, x), np.asarray(triple.eval_A(0.0, x)), rtol=1e-15
+    run = run_block(
+        SPACE, triple, SchemeConfig(kind="implicit_projected", n=4, m=m, l=2),
+        read_block([_bundle(m)]),
     )
+    assert (run.solver_iterations > 0).all()
+    windows = []
+    for queries in drift.queries:
+        assert queries.shape == (TIME_POINTS,)
+        window = int(np.searchsorted(knots, queries[0])) - 1
+        assert (knots[window] <= queries).all() and (queries <= knots[window + 1]).all()
+        windows.append(window)
+    # the set-up's Jacobian at the origin is taken on step 1's window
+    assert windows[0] == 0 and windows == sorted(windows)
+    assert sorted(set(windows)) == list(range(m))
+
+
+def test_window_means_autonomous_midpoints():
+    # an autonomous triple's windows are the midpoints of the subintervals
+    # and its means the evaluators themselves; any other triple's windows
+    # are the subintervals, its means time_mean over them
+    x = np.array([1.0, 0.0, 0.0, 2.0])
+    grid = TimeGrid(1.0, 4)
+    triple = heat_jump(SPACE, MARKS)
+    windows, mean = window_means(triple, grid)
+    assert windows == [0.125, 0.375, 0.625, 0.875]
+    assert mean(triple.eval_A) is triple.eval_A
+    drift = RecordingDrift()
+    windows, mean = window_means(_time_scaled_triple(drift), grid)
+    assert windows == [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+    assert np.array_equal(mean(drift)(windows[2], x), time_mean(drift, (0.5, 0.75), x))
 
 
 def test_tilde_B_zero_convention_and_truncation():
@@ -206,35 +233,45 @@ def _rule(part, points):
     return part.marks.cell_rule(part.lo, part.hi, points)
 
 
+def _cell_means(eval_F, part, points, x, t=0.0):
+    """Cell means of F at one time: its cell integrals over the cell masses."""
+    return cell_integrals(eval_F, _rule(part, points))(t, x) / part.nu
+
+
 def test_tilde_F_zero_at_first_two_knots():
-    triple = heat_jump(SPACE, MARKS)
-    part = build_partition(MARKS, 2)
-    grid = TimeGrid(1.0, 4)
-    cols = tilde_F(triple, grid, part, 1, np.ones(4), _rule(part, 4))
-    assert np.array_equal(cols, np.zeros((4, part.size)))
+    # both kinds query a general jump coefficient from step 2 on only, as
+    # the lagged noise terms vanish before knot 2
+    m = 8
+    for kind in ("explicit", "implicit_projected"):
+        triple = _time_scaled_triple(RecordingDrift())
+        values = _run(triple, kind, m, _bundle(m))
+        assert np.concatenate(triple.eval_F.queries).size == TIME_POINTS * (m - 1)
+        assert np.isfinite(values).all()
 
 
 def test_tilde_F_power_law_cell_average_closed_form():
     # cell means of F = xi * f(x) against the power-law density are
-    # sqrt(lo * hi) * f(x); the factorized F takes them from cell_weight_means
+    # sqrt(lo * hi) * f(x), taken by cell quadrature for a general F and
+    # from cell_weight_means for the factorized one
     triple = heat_jump(SPACE, MARKS, lipschitz=0.3)
     part = build_partition(MARKS, 2)
     x = np.array([0.7, -0.3, 0.1, 0.0])
-    profile = time_mean(triple.jump_profile, x, 0.25, 0.5, triple.autonomous)
-    cols = np.multiply.outer(profile, cell_weight_means(part)[0])
     want = np.multiply.outer(0.3 * np.sin(x), np.sqrt(part.lo * part.hi))
+    assert np.allclose(_cell_means(triple.eval_F, part, 8, x), want, rtol=1e-10)
+    profile = triple.jump_profile(0.375, x)
+    cols = np.multiply.outer(profile, cell_weight_means(part)[0])
     assert np.allclose(cols, want, rtol=1e-12)
 
 
 def test_tilde_F_generic_quadrature_matches_factorized():
     factorized = heat_jump(SPACE, MARKS, lipschitz=0.2)
     part = build_partition(MARKS, 2)
-    grid = TimeGrid(1.0, 4)
     x = np.array([2.0, 1.0, -0.5, 0.25])
-    profile = time_mean(factorized.jump_profile, x, 0.0, 0.25, True)
+    windows, mean = window_means(factorized, TimeGrid(1.0, 4))
+    profile = mean(factorized.jump_profile)(windows[0], x)
     fast = np.multiply.outer(profile, cell_weight_means(part)[0])
-    slow = tilde_F(factorized, grid, part, 2, x, _rule(part, 8))
-    assert np.allclose(fast, slow, rtol=1e-10, atol=1e-13)
+    integrals = mean(cell_integrals(factorized.eval_F, _rule(part, 8)))(windows[0], x)
+    assert np.allclose(fast, integrals / part.nu, rtol=1e-10, atol=1e-13)
 
 
 def test_tilde_F_cell_constant_fixed_point():
@@ -243,33 +280,28 @@ def test_tilde_F_cell_constant_fixed_point():
     part = build_partition(MARKS, 2)
     rng = np.random.default_rng(5)
     values = rng.normal(size=(4, part.size))
-    triple = dataclasses.replace(
-        heat_jump(SPACE, MARKS),
-        eval_F=CellConstantJump(part, values),
-        jump_profile=None,
-    )
-    grid = TimeGrid(1.0, 4)
     x = np.zeros(4)
-    once = tilde_F(triple, grid, part, 2, x, _rule(part, 6))
+    once = _cell_means(CellConstantJump(part, values), part, 6, x)
     assert np.allclose(once, values, rtol=1e-9, atol=1e-12)
-    again = tilde_F(
-        dataclasses.replace(triple, eval_F=CellConstantJump(part, once)),
-        grid,
-        part,
-        2,
-        x,
-        _rule(part, 6),
-    )
+    again = _cell_means(CellConstantJump(part, once), part, 6, x)
     assert np.allclose(again, once, rtol=1e-9, atol=1e-12)
 
 
 def test_tilde_F_massless_cell_column_is_zero():
+    # a massless cell's integral is zero, and a block takes its column as
+    # zero, 0/0 = 0, without a warning, so its paths stay finite
     from spdesim.noise import AtomMarks
 
     atoms = AtomMarks(positions=(0.25, 0.75), weights=(1.0, 0.0))
     part = build_partition(atoms, 1)
-    triple = heat_jump(SPACE, atoms)
-    grid = TimeGrid(1.0, 4)
-    cols = tilde_F(triple, grid, part, 2, np.ones(4), _rule(part, 4))
-    assert np.array_equal(cols[:, 1], np.zeros(4))
-    assert np.abs(cols[:, 0]).max() > 0
+    triple = dataclasses.replace(heat_jump(SPACE, atoms), jump_profile=None)
+    integrals = cell_integrals(triple.eval_F, _rule(part, 4))(0.0, np.ones(4))
+    assert np.array_equal(integrals[:, 1], np.zeros(4))
+    assert np.abs(integrals[:, 0]).max() > 0
+    bundles = sample_bundles([3, 4], TimeGrid(1.0, 16), 1, atoms, 1)
+    for kind in ("explicit", "implicit_projected"):
+        cfg = SchemeConfig(kind=kind, n=4, m=16, l=1, initial=np.ones(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = run_block(SPACE, triple, cfg, read_block(bundles), keep=STATES)
+        assert np.isfinite(run.kept).all() and run.blow_up_steps == [None, None]

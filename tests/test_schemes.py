@@ -259,16 +259,13 @@ def test_implicit_residual_contract():
         assert resid <= 1e-10 * (1 + y_norm) + 1e-12
 
 
-def test_direct_solve_does_not_evaluate_the_drift(monkeypatch):
+def test_direct_solve_does_not_evaluate_the_drift():
     # the direct path reads its residual off the matrix I − δA
-    from spdesim import schemes
-
     def forbidden(*args, **kwargs):
         raise AssertionError("drift evaluated on the direct path")
 
-    monkeypatch.setattr(schemes, "impl_A", forbidden)
     space = build_sine_space(4)
-    triple = heat_jump(space, MARKS)
+    triple = dataclasses.replace(heat_jump(space, MARKS), eval_A=forbidden)
     cfg = SchemeConfig(kind="implicit_projected", n=4, m=16, l=2)
     run = _path(space, triple, cfg, _bundle(19, 16))
     assert run.solver_iterations[:, 0].tolist() == [0] * 16

@@ -16,7 +16,7 @@ triple's coefficients are evaluated once, at the window midpoint, instead.
 A time-dependent coefficient is called once per window, on the states
 stacked TIME_POINTS times along a new leading axis with one node time per
 stacked copy.  Mark-cell integrals use the closed-form weight masses
-whenever the triple declares the factorized form F = weight(ξ)·profile(t, x),
+whenever the triple declares the factorized form F = ξ·profile(t, x),
 and per-cell quadrature against the density otherwise.
 """
 
@@ -33,8 +33,14 @@ TIME_POINTS = 4
 
 @lru_cache(maxsize=16)
 def _unit_rule(points):
+    """Gauss-Legendre nodes and weights of `points` points on (0, 1), set
+    read-only: one cached pair serves the time means, the power-law mark
+    cells and the semilinear fixture's spatial quadrature."""
     nodes, weights = np.polynomial.legendre.leggauss(points)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def time_mean(fn, window, x):
@@ -91,7 +97,7 @@ def cell_integrals(eval_F, rule):
 
 
 def cell_weight_means(partition):
-    """Per-cell ratio ∫ weight ν / ν for a factorized jump coefficient."""
+    """Per-cell ratio ∫ ξ ν(dξ) / ν for a factorized jump coefficient."""
     wmass = np.asarray(
         partition.marks.weight_mass(partition.lo, partition.hi), dtype=float
     )

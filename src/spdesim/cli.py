@@ -85,7 +85,7 @@ def _vnorm_weighted(values, blow_up_step, space, constants, grid):
 def _cmd_simulate(args):
     settings, marks, space, triple = _load(args)
     scheme_config = cfg.build_scheme_config(settings)
-    seed = cfg.master_seed(settings)
+    seed = settings["noise"]["master_seed"]
     grid = TimeGrid(triple.constants.horizon, scheme_config.m)
     modes = min(scheme_config.l, triple.wiener_modes)
     noise = read_block(sample_bundles([seed], grid, modes, marks, scheme_config.l))

@@ -165,8 +165,8 @@ class CoefficientTriple:
     shipped fixture declares, makes that product a column-wise scaling
     with the same bits.
     `jump_profile`, when set, declares the factorization
-    F(t, x, ξ) = weight(ξ) · jump_profile(t, x) against the owning mark
-    space's weight.  The schemes then take their jump cell means from
+    F(t, x, ξ) = ξ · jump_profile(t, x): in every mark family the mark is
+    its own jump weight.  The schemes then take their jump cell means from
     closed-form cell masses, and the condition checks integrate ∫‖F‖² ν in
     closed form, without evaluating F at any mark.  A profile must be a
     pure function of (t, x); if it is hashable, the condition checks share
@@ -244,34 +244,30 @@ def _rows(key, trials, count):
 class MarkIntegral:
     """∫ ‖G(ξ)‖² ν(dξ) over the full mark space.
 
-    A factorized G(ξ) = weight(ξ)·p, with weight the mark space's, is
-    integrated in closed form: ‖p‖² times the constant `weight_sq`, the
-    integral of weight² over the marks.  Any other G goes through the
-    quadrature: the level-l exhaustion set cell by cell, 4 points per cell,
-    plus the analytic tail mass, extrapolated through the family's mark
-    weight.  That tail term is exact whenever G is factorized, which covers
-    the shipped coefficient families; otherwise it is the declared
-    truncation estimate.  `weight_sq` uses the same nodes and tail.
+    A factorized G(ξ) = ξ·p is integrated in closed form: ‖p‖² times the
+    constant `weight_sq`, the integral of ξ² over the marks.  Any other G
+    goes through the quadrature: the level-l exhaustion set cell by cell,
+    4 points per cell, plus the analytic tail mass of ξ² times ‖G(ξ)‖²/ξ²
+    at the reference mark, the upper edge of the last cell.  That tail term
+    is exact whenever G is factorized, which covers the shipped coefficient
+    families; otherwise it is the declared truncation estimate.
+    `weight_sq` uses the same nodes and tail.
     """
 
     def __init__(self, marks, level=2):
-        self.marks = marks
-        self.level = level
         partition = build_partition(marks, level)
         nodes, weights = marks.cell_rule(partition.lo, partition.hi, 4)
         self.nodes = nodes.ravel()
         self.weights = weights.ravel()
         self.tail_sq = marks.tail_mass_sq(level)
         self.ref_mark = float(partition.hi[-1])
-        ref_w = float(np.asarray(marks.weight(self.ref_mark)))
-        self.ref_scale = self.tail_sq / ref_w**2 if self.tail_sq > 0 else 0.0
-        node_w = np.asarray(marks.weight(self.nodes), dtype=float)
-        self.weight_sq = float(self.weights @ node_w**2) + self.tail_sq
+        self.ref_scale = self.tail_sq / self.ref_mark**2 if self.tail_sq > 0 else 0.0
+        self.weight_sq = float(self.weights @ self.nodes**2) + self.tail_sq
 
     def integral_sq(self, g=None, profile=None):
         """∫ ‖g(ξ)‖² ν(dξ); g maps a vector of k marks to a (..., dim, k) array.
 
-        For a factorized integrand weight(ξ)·p pass the (..., dim) values of
+        For a factorized integrand ξ·p pass the (..., dim) values of
         p as `profile` instead of g: the integral is then `weight_sq`·‖p‖²,
         with no mark evaluated.  Leading axes are a batch with one integral
         each, returned as an array of that shape; a single value gives a

@@ -8,7 +8,8 @@ once, rejecting unknown sections and keys so that typos surface as errors
 rather than silently falling back to defaults, and returns the parsed
 values with the defaults filled in; the build functions and the CLI read
 those values and parse nothing again.  The environment variable
-SPDE_SEED, when set, overrides the configured master seed.
+SPDE_SEED, when set, overrides the configured master seed: `load_settings`
+reads it once and stores it as ``settings["noise"]["master_seed"]``.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def load_settings(path):
             settings[section][key] = _parse(f"[{section}] {key}", _KEYS[section][key][0], raw)
     env = os.environ.get("SPDE_SEED")
     if env is not None:
-        _parse("SPDE_SEED", int, env)
+        settings["noise"]["master_seed"] = _parse("SPDE_SEED", int, env)
     if parser.has_section("ladder"):
         for key in ("rungs", "reference"):
             if key not in settings["ladder"]:
@@ -164,13 +165,6 @@ def _parse(where, parse, raw):
         return parse(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-
-
-def master_seed(settings):
-    env = os.environ.get("SPDE_SEED")
-    if env is not None:
-        return int(env)
-    return settings["noise"]["master_seed"]
 
 
 def build_marks(settings):
@@ -215,12 +209,16 @@ def build_triple(settings, space, marks):
 
 
 def build_scheme_config(settings):
+    """The [scheme] config.  ``initial = zero`` is a zero vector as long as
+    the larger of [scheme] n and a [ladder]'s reference n, which bounds
+    every rung's n, so that every run starts from zero."""
     scheme = settings["scheme"]
     initial = scheme["initial"]
     if initial == "smooth":
         initial = None
     elif initial == "zero":
-        initial = np.zeros(scheme["n"])
+        reference = settings["ladder"].get("reference", (0,))
+        initial = np.zeros(max(scheme["n"], reference[0]))
     else:
         initial = np.asarray(initial)
     return SchemeConfig(
@@ -240,7 +238,7 @@ def parse_ladder(settings):
         rungs=ladder["rungs"],
         reference=ladder["reference"],
         paths=settings["run"]["paths"],
-        master_seed=master_seed(settings),
+        master_seed=settings["noise"]["master_seed"],
         kind=settings["scheme"]["kind"],
         strict_gate=ladder["strict_gate"],
     )
@@ -249,5 +247,5 @@ def parse_ladder(settings):
 def suite_config(settings):
     return SuiteConfig(
         trials=settings["run"]["trials"],
-        seed=master_seed(settings),
+        seed=settings["noise"]["master_seed"],
     )

@@ -16,8 +16,10 @@ Three fixtures cover the regimes the schemes need to exercise:
 
 These and ``zero_triple`` are built through one constructor, `_triple`,
 which states what all four share: they are autonomous, p = 2, a
-`LinearDrift`'s matrix is `linear_A`, and F = `WeightedJump(profile,
-weight)` with `jump_profile = profile`.
+`LinearDrift`'s matrix is `linear_A`, and F = `WeightedJump(profile)`,
+the mark ξ times the profile, with `jump_profile = profile`.  Each takes
+the mark space second, as `config.build_triple` passes it, and none reads
+it: in every mark family the mark is its own jump weight.
 
 Evaluator classes are module level and stateless so triples can cross
 process pools, and all are dimension polymorphic: called with the first n
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .averaging import _unit_rule
 from .coefficients import CoefficientTriple, ConditionConstants
 from .space import sine_basis_matrix, sine_derivative_matrix
 
@@ -125,21 +128,14 @@ class ZeroProfile:
 
 
 @dataclass(frozen=True)
-class IdentityWeight:
-    def __call__(self, xi):
-        return np.asarray(xi, dtype=float)
-
-
-@dataclass(frozen=True)
 class WeightedJump:
-    """F(t, x, ξ) = weight(ξ) · profile(t, x), broadcast over marks."""
+    """F(t, x, ξ) = ξ · profile(t, x), broadcast over marks."""
 
     profile: object
-    weight: object
 
     def __call__(self, t, x, xi):
-        w = np.asarray(self.weight(xi), dtype=float)
-        return np.multiply.outer(np.asarray(self.profile(t, x), dtype=float), w)
+        xi = np.asarray(xi, dtype=float)
+        return np.multiply.outer(np.asarray(self.profile(t, x), dtype=float), xi)
 
 
 @dataclass(frozen=True)
@@ -174,9 +170,7 @@ class SemilinearDrift:
 
 def _sine_quadrature(dim, points_per_halfwave=4):
     """Composite Gauss-Legendre rule on (0, 1), `dim` cells."""
-    nodes01, w01 = np.polynomial.legendre.leggauss(points_per_halfwave)
-    nodes01 = 0.5 * (nodes01 + 1.0)
-    w01 = 0.5 * w01
+    nodes01, w01 = _unit_rule(points_per_halfwave)
     offsets = np.arange(dim)[:, None] / dim
     nodes = (offsets + nodes01[None, :] / dim).ravel()
     weights = np.tile(w01 / dim, dim)
@@ -188,19 +182,18 @@ def _laplace_diag(dim):
     return -0.5 * (k * np.pi) ** 2
 
 
-def _triple(space, marks, drift, noise, profile, wiener_modes, alpha, **constants):
+def _triple(space, drift, noise, profile, wiener_modes, alpha, **constants):
     """The shape every shipped triple shares: autonomous, p = 2, the drift's
     matrix as `linear_A` when it is a `LinearDrift`, and
-    F = `WeightedJump(profile, weight)` with `jump_profile = profile`, the
-    weight the marks' own or, without marks, the mark itself.  The growth
-    constant is cast to float here, the other `constants` (lam, k1, k1bar,
-    k2, horizon) pass to `ConditionConstants` as they are."""
-    weight = IdentityWeight() if marks is None else marks.weight
+    F = `WeightedJump(profile)`, ξ·profile(t, x), with
+    `jump_profile = profile`.  The growth constant is cast to float here,
+    the other `constants` (lam, k1, k1bar, k2, horizon) pass to
+    `ConditionConstants` as they are."""
     return CoefficientTriple(
         dim=space.dim,
         eval_A=drift,
         eval_B=noise,
-        eval_F=WeightedJump(profile, weight),
+        eval_F=WeightedJump(profile),
         constants=ConditionConstants(p=2.0, alpha=float(alpha), **constants),
         autonomous=True,
         wiener_modes=wiener_modes,
@@ -241,7 +234,6 @@ def heat_jump(
     dim = space.dim
     return _triple(
         space,
-        marks,
         LinearDrift(np.diag(_laplace_diag(dim) + reaction)),
         MatrixNoise(sine_derivative_matrix(dim), theta),
         SineJumpProfile(lipschitz),
@@ -274,7 +266,6 @@ def additive_multimode(
     np.fill_diagonal(b, sigma[: min(dim, modes)])
     return _triple(
         space,
-        marks,
         LinearDrift(np.diag(_laplace_diag(dim))),
         ConstantNoise(b),
         FirstModeProfile(),
@@ -310,7 +301,6 @@ def semilinear(
     )
     return _triple(
         space,
-        marks,
         drift,
         ZeroNoise(),
         ZeroProfile(),
@@ -328,7 +318,6 @@ def zero_triple(space, marks=None, horizon=1.0):
     """A = B = F = 0; transports the initial condition unchanged."""
     return _triple(
         space,
-        marks,
         LinearDrift(np.zeros((space.dim, space.dim))),
         ZeroNoise(),
         ZeroProfile(),

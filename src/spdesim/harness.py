@@ -93,10 +93,6 @@ class MCStats:
     failures: int
 
 
-def _path_seed(master_seed, j):
-    return derive_key(master_seed, TAG_PATH, j)
-
-
 # Paths run in fixed blocks of path indices [64k, 64k + 64), whatever the
 # worker count, so every path meets the same batched arithmetic.
 BLOCK_PATHS = 64
@@ -129,7 +125,8 @@ def _run_paths(space, triple, configs, marks, master_seed, reduce, keep, block):
     finest = configs[-1]
     grid = TimeGrid(triple.constants.horizon, finest.m)
     modes = min(finest.l, triple.wiener_modes)
-    seeds = [_path_seed(master_seed, j) for j in block]
+    indices = np.arange(block.start, block.stop, dtype=np.uint64)
+    seeds = derive_key(master_seed, TAG_PATH, indices).tolist()
     noise = read_block(sample_bundles(seeds, grid, modes, marks, finest.l))
     seconds = np.zeros(len(configs))
     runs = []

@@ -15,9 +15,10 @@ block, at its grid and mark partition, the Wiener increments (summed by
 `schemes.run_block` steps a block on a `BlockNoise`.
 
 Mark spaces ship in two families: a power-law density on (0, 1] exhausted
-by the compacts [4^-l, 1], and finite atom lists.  Both give the mark
-weight, its cell and tail integrals, the total mass, inverse-CDF sampling
-and a per-cell quadrature rule; code that needs the family itself tests
+by the compacts [4^-l, 1], and finite atom lists.  In both a mark ξ is
+its own jump weight, so both give the cell integrals of ξ, the tail
+integral of ξ², the total mass, inverse-CDF sampling and a per-cell
+quadrature rule; code that needs the family itself tests
 ``isinstance(marks, AtomMarks)``.  Partitions of the exhaustion sets are
 built nested across levels so that cell counts at a finer level aggregate
 exactly to cell counts at a coarser one: from the power-law family's cell
@@ -33,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .averaging import cell_weight_means
+from .averaging import _unit_rule, cell_weight_means
 from .rng import TAG_JUMP, TAG_WIENER, derive_key, normals_from_keys, rekeyed_generator
 
 
@@ -67,8 +68,8 @@ class TimeGrid:
 class PowerLawMarks:
     """ν(dξ) = ξ^(−beta) dξ on (0, 1], exhausted by E^l = [4^−l, 1].
 
-    The mark weight is h(ξ) = ξ.  beta in (1, 3) keeps ν sigma-finite with
-    infinite total mass while ∫ ξ² ν stays finite.
+    A mark is its own jump weight.  beta in (1, 3) keeps ν sigma-finite
+    with infinite total mass while ∫ ξ² ν stays finite.
     """
 
     beta: float = 1.5
@@ -90,12 +91,8 @@ class PowerLawMarks:
         e = 1.0 - self.beta
         return (hi**e - lo**e) / e
 
-    def weight(self, xi):
-        """Mark weight h(ξ): the jump amplitude carried by mark ξ."""
-        return np.asarray(xi, dtype=float)
-
     def weight_mass(self, lo, hi):
-        """Closed form of ∫ h(ξ) ν(dξ) over [lo, hi) per cell."""
+        """Closed form of ∫ ξ ν(dξ) over [lo, hi) per cell."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         e = 2.0 - self.beta
@@ -107,7 +104,7 @@ class PowerLawMarks:
         return float(self.mass(self.epsilon(level), 1.0))
 
     def tail_mass_sq(self, level):
-        """Closed form of ∫ h(ξ)² ν(dξ) over E \\ E^level."""
+        """Closed form of ∫ ξ² ν(dξ) over E \\ E^level."""
         e = 3.0 - self.beta
         return float(self.epsilon(level) ** e / e)
 
@@ -133,9 +130,7 @@ class PowerLawMarks:
     def cell_rule(self, lo, hi, points):
         """Quadrature nodes and weights for ∫ · ν(dξ) over each cell
         [lo, hi), `points` Gauss–Legendre nodes per cell."""
-        nodes01, w01 = np.polynomial.legendre.leggauss(points)
-        nodes01 = 0.5 * (nodes01 + 1.0)
-        w01 = 0.5 * w01
+        nodes01, w01 = _unit_rule(points)
         lo = np.asarray(lo, dtype=float)[:, None]
         hi = np.asarray(hi, dtype=float)[:, None]
         nodes = lo + (hi - lo) * nodes01[None, :]
@@ -180,9 +175,6 @@ class AtomMarks:
         half_open = (pos[None, :] >= lo) & (pos[None, :] < hi)
         point = (hi == lo) & (pos[None, :] == lo)
         return half_open | point
-
-    def weight(self, xi):
-        return np.asarray(xi, dtype=float)
 
     def weight_mass(self, lo, hi):
         out = self._inside(lo, hi) @ (self._w() * self._pos())
@@ -328,19 +320,20 @@ def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
     if not np.isfinite(nu_total) or nu_total <= 0:
         raise ValueError(f"invalid mark-space mass {nu_total} at level {l_level}")
     seeds = [int(seed) for seed in master_seeds]
+    keyed = np.array([seed % 2**64 for seed in seeds], dtype=np.uint64)
     wiener = np.empty((len(seeds), l_modes, grid.m))
     mode_idx = np.arange(1, l_modes + 1, dtype=np.uint64)[:, None]
     step_idx = np.arange(1, grid.m + 1, dtype=np.uint64)[None, :]
     # without modes there is nothing to draw
     for lo in range(0, len(seeds) if l_modes else 0, DRAW_PATHS):
-        group = [seed % 2**64 for seed in seeds[lo : lo + DRAW_PATHS]]
-        group = np.array(group, dtype=np.uint64)[:, None, None]
+        group = keyed[lo : lo + DRAW_PATHS, None, None]
         keys = derive_key(group, TAG_WIENER, mode_idx, step_idx)
         wiener[lo : lo + DRAW_PATHS] = normals_from_keys(keys)
     wiener *= np.sqrt(grid.delta)
+    jump_keys = derive_key(keyed, TAG_JUMP).tolist()
     bundles = []
-    for seed, increments in zip(seeds, wiener):
-        gen = rekeyed_generator(derive_key(seed, TAG_JUMP))
+    for seed, increments, jump_key in zip(seeds, wiener, jump_keys):
+        gen = rekeyed_generator(jump_key)
         count = int(gen.poisson(grid.T * nu_total))
         times = grid.T * (1.0 - gen.random(count))
         xi = marks.sample(gen.random(count), l_level)

@@ -5,7 +5,8 @@ from (master_seed, stream tag, indices...) through iterated SplitMix64
 scrambling.  Keys depend only on their inputs, never on generation order,
 so paths, modes and steps can be produced in parallel and still match a
 serial run bit for bit.  The mixing function below is the fixed,
-documented construction; changing it breaks stored-seed reproducibility.
+documented construction, in uint64 arithmetic alone; changing it breaks
+stored-seed reproducibility, and the tests pin its keys by value.
 
 Generators are Philox4x64-10, a counter-based bit generator (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): output block b
@@ -34,14 +35,10 @@ import threading
 
 import numpy as np
 
-# SplitMix64 constants, as Python ints for one key and as uint64 for arrays.
-_MASK = 0xFFFFFFFFFFFFFFFF
-_GAMMA_INT = 0x9E3779B97F4A7C15
-_MIX1_INT = 0xBF58476D1CE4E5B9
-_MIX2_INT = 0x94D049BB133111EB
-_GAMMA = np.uint64(_GAMMA_INT)
-_MIX1 = np.uint64(_MIX1_INT)
-_MIX2 = np.uint64(_MIX2_INT)
+# SplitMix64 constants.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 # Stream tags for the independent noise components (arbitrary fixed values).
 TAG_WIENER = 0x57
@@ -132,33 +129,19 @@ def _splitmix64(x):
     return x ^ (x >> np.uint64(31))
 
 
-def _splitmix64_int(x):
-    """`splitmix64` of one Python int in [0, 2^64), in Python arithmetic."""
-    x = (x + _GAMMA_INT) & _MASK
-    x = ((x ^ (x >> 30)) * _MIX1_INT) & _MASK
-    x = ((x ^ (x >> 27)) * _MIX2_INT) & _MASK
-    return x ^ (x >> 31)
-
-
 def derive_key(master_seed, *parts):
     """Mix a master seed with integer parts into a child key.
 
-    Parts may be scalars or broadcastable integer arrays, and so may the
-    seed, as a uint64 array; the result broadcasts accordingly.  Scalars
-    return a plain int; when the seed is an int and every part a Python int
-    in [0, 2^64) the key is computed in Python arithmetic, with the same
-    bits as the uint64 array arithmetic.
+    Parts may be scalars or broadcastable integer arrays in [0, 2^64), and
+    so may the seed, as a uint64 array; an int seed is taken modulo 2^64.
+    The result broadcasts accordingly, in uint64 arithmetic; all-scalar
+    inputs return a plain int.  A caller that needs the keys of many
+    indices derives them in one call over an index array.
     """
     if isinstance(master_seed, np.ndarray):
         acc = np.asarray(master_seed, dtype=np.uint64)
     else:
-        seed = int(master_seed) & _MASK
-        if all(type(part) is int and 0 <= part <= _MASK for part in parts):
-            acc = _splitmix64_int(seed)
-            for part in parts:
-                acc = _splitmix64_int(acc ^ ((part * _GAMMA_INT) & _MASK))
-            return acc
-        acc = np.asarray(seed, dtype=np.uint64)
+        acc = np.asarray(int(master_seed) % 2**64, dtype=np.uint64)
     with np.errstate(over="ignore"):
         acc = _splitmix64(acc)
         for part in parts:

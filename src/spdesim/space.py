@@ -18,16 +18,12 @@ from functools import cached_property
 
 import numpy as np
 
-SINE_FAMILY = "sine-dirichlet-(0,1)"
-
-
 @dataclass(frozen=True)
 class GalerkinSpace:
     """Span of the first `dim` members of a nested, H-orthonormal basis."""
 
     dim: int
     v_gram: np.ndarray
-    basis_id: str
 
     def __post_init__(self):
         if self.dim < 1:
@@ -66,11 +62,7 @@ def build_sine_space(n):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     k = np.arange(1, n + 1, dtype=float)
-    return GalerkinSpace(
-        dim=int(n),
-        v_gram=np.diag((k * np.pi) ** 2),
-        basis_id=SINE_FAMILY,
-    )
+    return GalerkinSpace(dim=int(n), v_gram=np.diag((k * np.pi) ** 2))
 
 
 def restrict(space, n):
@@ -79,11 +71,7 @@ def restrict(space, n):
         raise ValueError(f"cannot restrict dim-{space.dim} space to {n}")
     if n == space.dim:
         return space
-    return GalerkinSpace(
-        dim=int(n),
-        v_gram=space.v_gram[:n, :n],
-        basis_id=space.basis_id,
-    )
+    return GalerkinSpace(dim=int(n), v_gram=space.v_gram[:n, :n])
 
 
 def _as_vector(x):

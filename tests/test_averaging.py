@@ -2,16 +2,18 @@ import dataclasses
 import warnings
 
 import numpy as np
+import pytest
 
 from spdesim.averaging import (
     TIME_POINTS,
+    _unit_rule,
     cell_integrals,
     cell_weight_means,
     time_mean,
     window_means,
 )
 from spdesim.coefficients import CoefficientTriple, ConditionConstants
-from spdesim.fixtures import additive_multimode, heat_jump
+from spdesim.fixtures import _sine_quadrature, additive_multimode, heat_jump
 from spdesim.noise import (
     PowerLawMarks,
     TimeGrid,
@@ -305,3 +307,42 @@ def test_tilde_F_massless_cell_column_is_zero():
             warnings.simplefilter("error")
             run = run_block(SPACE, triple, cfg, read_block(bundles), keep=STATES)
         assert np.isfinite(run.kept).all() and run.blow_up_steps == [None, None]
+
+
+def test_the_shared_unit_rule_is_read_only_and_keeps_the_bits_of_its_copies():
+    # one cached rule serves the time means, the power-law mark cells and
+    # the semilinear quadrature, so no caller may write into it; each of
+    # them has the bits it had when it mapped its own `leggauss` to (0, 1)
+    nodes, weights = _unit_rule(4)
+    for array in (nodes, weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    own_nodes, own_weights = np.polynomial.legendre.leggauss(4)
+    own_nodes = 0.5 * (own_nodes + 1.0)
+    own_weights = 0.5 * own_weights
+    assert nodes.tobytes() == own_nodes.tobytes()
+    assert weights.tobytes() == own_weights.tobytes()
+
+    x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+
+    def fn(t, x):
+        return np.sin(t[..., None] * x) + t[..., None] ** 3
+
+    want = own_weights[0] * fn(0.25 + 0.25 * own_nodes[:1], x[None])[0]
+    for w, node in zip(own_weights[1:], own_nodes[1:]):
+        want = want + w * fn(0.25 + 0.25 * np.array([node]), x[None])[0]
+    assert time_mean(fn, (0.25, 0.5), x).tobytes() == want.tobytes()
+
+    partition = build_partition(MARKS, 3)
+    lo, hi = partition.lo[:, None], partition.hi[:, None]
+    want_nodes = lo + (hi - lo) * own_nodes[None, :]
+    want_weights = (hi - lo) * own_weights[None, :] * want_nodes ** (-MARKS.beta)
+    got_nodes, got_weights = MARKS.cell_rule(partition.lo, partition.hi, 4)
+    assert got_nodes.tobytes() == want_nodes.tobytes()
+    assert got_weights.tobytes() == want_weights.tobytes()
+
+    dim = 8
+    offsets = np.arange(dim)[:, None] / dim
+    got_nodes, got_weights = _sine_quadrature(dim)
+    assert got_nodes.tobytes() == (offsets + own_nodes[None, :] / dim).ravel().tobytes()
+    assert got_weights.tobytes() == np.tile(own_weights / dim, dim).tobytes()

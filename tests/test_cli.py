@@ -25,7 +25,6 @@ from spdesim.config import (
     build_space,
     build_triple,
     load_settings,
-    master_seed,
     parse_ladder,
     suite_config,
 )
@@ -350,11 +349,32 @@ def test_configured_initial_is_the_first_knot_of_simulate(tmp_path, initial, coo
         assert values[0] == coords[:4]
 
 
+def test_zero_initial_is_zero_at_every_rung_of_a_ladder(tmp_path):
+    # with [scheme] n = 4 the reference and rungs need up to 8 coordinates;
+    # `initial = zero` gives them all zeros, as eight explicit zeros do
+    coefficients = BASE_CONFIG[
+        BASE_CONFIG.index("[coefficients]") : BASE_CONFIG.index("[noise]")
+    ]
+    additive = "[coefficients]\nfixture = additive_multimode\n\n"
+    text = BASE_CONFIG.replace(coefficients, additive)
+    csv = {}
+    for initial in ("zero", "0, 0, 0, 0, 0, 0, 0, 0"):
+        path = tmp_path / "zero.cfg"
+        path.write_text(
+            text.replace("initial = smooth", f"initial = {initial}")
+            + LADDER_SECTION.replace("paths = 30", "paths = 4")
+        )
+        out = tmp_path / "zero.csv"
+        assert main(["converge", "--config", str(path), "--out", str(out)]) == 0
+        csv[initial] = out.read_bytes()
+    assert csv["zero"] == csv["0, 0, 0, 0, 0, 0, 0, 0"]
+    assert len(csv["zero"].splitlines()) == 3
+
+
 def test_env_seed_override(config_file, monkeypatch):
-    settings = load_settings(config_file)
-    assert master_seed(settings) == 4242
+    assert load_settings(config_file)["noise"]["master_seed"] == 4242
     monkeypatch.setenv("SPDE_SEED", "77")
-    assert master_seed(settings) == 77
+    assert load_settings(config_file)["noise"]["master_seed"] == 77
 
 
 def test_simulate_writes_trajectory(config_file, tmp_path, capsys):

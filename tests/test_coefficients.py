@@ -121,13 +121,13 @@ FACTORIZED = {
 @pytest.mark.parametrize("marks", [MARKS, ATOMS], ids=["power-law", "atoms"])
 @pytest.mark.parametrize("name", sorted(FACTORIZED))
 def test_declared_profile_is_the_jump_coefficient(name, marks):
-    """F(t, x, ξ) = weight(ξ) · jump_profile(t, x), the factorization that
+    """F(t, x, ξ) = ξ · jump_profile(t, x), the factorization that
     the schemes and the condition checks rely on."""
     triple = FACTORIZED[name](SPACE, marks)
     rng = np.random.default_rng(5)
     mq = MarkIntegral(marks)
     xi = np.concatenate([mq.nodes, [mq.ref_mark]])
-    weight = np.asarray(marks.weight(xi), dtype=float)
+    weight = np.asarray(xi, dtype=float)
     for t in (0.0, 0.37, 1.0):
         for shape in ((8,), (5, 8), (2, 3, 8)):
             x = rng.uniform(-5.0, 5.0, shape)
@@ -140,7 +140,7 @@ def test_declared_profile_is_the_jump_coefficient(name, marks):
 def test_factorized_mark_integral_matches_the_quadrature(marks):
     mq = MarkIntegral(marks)
     p = np.random.default_rng(6).uniform(-3.0, 3.0, (4, 8))
-    quadrature = mq.integral_sq(lambda xi: np.multiply.outer(p, marks.weight(xi)))
+    quadrature = mq.integral_sq(lambda xi: np.multiply.outer(p, xi))
     closed = mq.integral_sq(profile=p)
     assert closed.shape == (4,)
     np.testing.assert_allclose(closed, quadrature, rtol=1e-14, atol=0.0)

@@ -258,21 +258,49 @@ def test_derive_key_over_an_index_array_equals_scalar_calls(seed, tag, indices, 
     assert np.array_equal(permuted, keys[order])
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(-(2**64), 2**65),
-    parts=st.lists(st.integers(0, 2**64 - 1), max_size=4),
-)
-def test_derive_key_of_python_ints_equals_the_uint64_arithmetic(seed, parts):
-    # Python int parts take the Python-arithmetic path, uint64 scalars the
-    # array path; both give the same key
-    want = derive_key(seed, *(np.uint64(p) for p in parts))
-    got = derive_key(seed, *parts)
-    assert type(got) is int and got == want
-    with pytest.raises(OverflowError):
-        derive_key(seed, *parts, -1)
-    with pytest.raises(OverflowError):
-        derive_key(seed, 2**64, *parts)
+# derive_key(seed, *PINNED_PARTS[:k]) for k = 0 .. 4, recorded from the
+# SplitMix64 construction; a change of any of these breaks every stored seed
+PINNED_PARTS = (TAG_PATH, 0, 2**64 - 1, 12345)
+PINNED_KEYS = {
+    -5: (0x16B1CBA95FC60262, 0x06D04004E0619872, 0xC1FD8B2D76642AC3,
+         0xBB537378A7911024, 0x451BA0ED72CACE1F),
+    0: (0xE220A8397B1DCDAF, 0x8D7C0E464C8D691A, 0x0FBCDBCAECD9D40A,
+        0x41ADD0B3C6F97688, 0x6AA2AE062DDAE1D4),
+    2**64 - 1: (0xE4D971771B652C20, 0x12471502C64D6F44, 0x9E32F6FDAD0944FA,
+                0x92AEB90A1506AFAF, 0x794EA4EB2BC6BBAE),
+    2**65 + 3: (0x1D0B14E4DB018FED, 0x93FAE58A000CFFBB, 0x393A087FB25F60CA,
+                0x9A4DD55ED3436440, 0xA4C14059CDA2C545),
+}
+
+
+def test_derive_key_is_pinned_by_value():
+    # an int seed is taken modulo 2^64; scalar parts give a plain int, array
+    # parts and a uint64 seed array the same keys elementwise
+    for seed, keys in PINNED_KEYS.items():
+        seed_array = np.array([seed % 2**64, seed % 2**64], dtype=np.uint64)
+        for k, want in enumerate(keys):
+            parts = PINNED_PARTS[:k]
+            got = derive_key(seed, *parts)
+            assert type(got) is int and got == want
+            arrays = [np.array([p, p], dtype=np.uint64) for p in parts]
+            if arrays:
+                assert derive_key(seed, *arrays).tolist() == [want, want]
+            assert derive_key(seed_array, *parts).tolist() == [want, want]
+            with pytest.raises(OverflowError):
+                derive_key(seed, *parts, -1)
+            with pytest.raises(OverflowError):
+                derive_key(seed, 2**64, *parts)
+
+
+def test_sample_bundles_is_pinned_by_value():
+    # the first increment of each Wiener mode and the jump count of seeds 5
+    # and -5, recorded from the keyed draws
+    grid, marks = TimeGrid(1.0, 64), PowerLawMarks()
+    bundles = sample_bundles([5, -5], grid, 2, marks, 3)
+    first = [bundle.wiener[:, 0].tobytes().hex() for bundle in bundles]
+    assert first == ["e45749fa82e8b23fc9a903fbd89fbabf",
+                     "115234fbc5c9b43fd6394d1ec602b2bf"]
+    assert [bundle.jump_times.size for bundle in bundles] == [11, 12]
 
 
 @settings(max_examples=60, deadline=None)

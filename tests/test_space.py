@@ -55,7 +55,6 @@ def test_nesting_restriction_matches_smaller_space():
     small = restrict(big, 1)
     direct = build_sine_space(1)
     assert np.array_equal(small.v_gram, direct.v_gram)
-    assert small.basis_id == direct.basis_id
 
 
 def test_project_identity_on_own_space():
@@ -173,7 +172,7 @@ def test_batched_norms_and_pairing_rows_equal_single_calls(n, shape, seed):
     rng = np.random.default_rng(seed)
     root = rng.normal(size=(n, n))
     gram = root @ root.T + n * np.eye(n)
-    space = GalerkinSpace(dim=n, v_gram=(gram + gram.T) / 2, basis_id="x")
+    space = GalerkinSpace(dim=n, v_gram=(gram + gram.T) / 2)
     x = rng.uniform(-5, 5, shape + (n,))
     phi = rng.normal(size=shape + (n,))
     batched = norms(space, x)
@@ -192,7 +191,7 @@ def test_batched_norms_and_pairing_rows_equal_single_calls(n, shape, seed):
     # is exact, so each V-norm row has the bits of a single-vector call; a
     # dense Gram's product runs as gemv for one vector and gemm for a batch,
     # which differ in the last bits
-    diagonal = GalerkinSpace(dim=n, v_gram=np.diag(np.diag(gram)), basis_id="x")
+    diagonal = GalerkinSpace(dim=n, v_gram=np.diag(np.diag(gram)))
     v = v_norms(diagonal, x)
     for idx in np.ndindex(shape):
         single = v_norms(diagonal, x[idx])
@@ -208,7 +207,7 @@ def test_v_and_dual_norms_are_those_of_norms(n, lead):
     rng = np.random.default_rng(n)
     root = rng.normal(size=(n, n))
     gram = root @ root.T + n * np.eye(n)
-    space = GalerkinSpace(dim=n, v_gram=(gram + gram.T) / 2, basis_id="x")
+    space = GalerkinSpace(dim=n, v_gram=(gram + gram.T) / 2)
     x = rng.uniform(-5, 5, lead + (n,))
     _, v, dual = norms(space, x)
     for got, want in ((v_norms(space, x), v), (dual_norms(space, x), dual)):
@@ -260,14 +259,14 @@ def test_smooth_profile_matches_quadrature_coefficients():
 def test_space_rejects_indefinite_gram():
     from spdesim.space import GalerkinSpace
 
-    bad = GalerkinSpace(dim=2, v_gram=np.array([[1.0, 0.0], [0.0, -1.0]]), basis_id="x")
+    bad = GalerkinSpace(dim=2, v_gram=np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         norms(bad, np.ones(2))
 
 
 def test_indefinite_symmetric_gram_fails_at_its_first_dual_norm():
     gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    space = GalerkinSpace(dim=2, v_gram=gram, basis_id="x")
+    space = GalerkinSpace(dim=2, v_gram=gram)
     with pytest.raises(ValueError, match="^v_gram is not positive definite$"):
         dual_norms(space, np.ones(2))
     with pytest.raises(ValueError, match="^v_gram is not positive definite$"):
@@ -299,7 +298,7 @@ def test_dual_norms_equal_cho_solve_on_sine_spaces():
 def test_dual_norms_match_cho_solve_on_dense_grams(n):
     rng = np.random.default_rng(n)
     root = rng.normal(size=(n, n))
-    space = GalerkinSpace(dim=n, v_gram=root @ root.T + n * np.eye(n), basis_id="x")
+    space = GalerkinSpace(dim=n, v_gram=root @ root.T + n * np.eye(n))
     x = rng.normal(size=(2000, n))
     got = _dual_norms(space, x)
     want = _cho_solve_dual_norms(space, x)
@@ -310,7 +309,7 @@ def test_space_rejects_asymmetric_gram():
     from spdesim.space import GalerkinSpace
 
     with pytest.raises(ValueError):
-        GalerkinSpace(dim=2, v_gram=np.array([[1.0, 0.5], [0.0, 1.0]]), basis_id="x")
+        GalerkinSpace(dim=2, v_gram=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_sine_basis_matrix_orthonormal():

@@ -155,15 +155,17 @@ class CoefficientTriple:
     """The operators (A, B, F) with their condition constants.
 
     `autonomous` declares that every evaluator ignores `t`, so that a time
-    mean is one evaluation at the window midpoint.
-    `linear_A`, when set, is the matrix of an autonomous linear drift, and
-    it must be the matrix of `eval_A`: ``eval_A(t, x)`` is ``x @
-    linear_A[:n, :n].T``, up to rounding, for every n, t and batch x of
-    shape (..., n).  For an autonomous triple the schemes step that drift
-    without evaluating it: explicitly as one product with I + δA,
-    implicitly with the inverse of I − δA; a diagonal `linear_A`, as every
-    shipped fixture declares, makes that product a column-wise scaling
-    with the same bits.
+    mean is one evaluation at the window midpoint; that is all it selects.
+    `linear_A`, when set, is the matrix of a linear drift that holds at
+    every t, and it must be the matrix of `eval_A`: ``eval_A(t, x)`` is
+    ``x @ linear_A[:n, :n].T``, up to rounding, for every n, t and batch x
+    of shape (..., n).  An `exponential_transform` keeps it, shifted by
+    −½·rate·I, up to the rounding of γ⁻¹A(γx) − ½·rate·x in its `eval_A`.
+    A declared `linear_A` alone selects the affine step, whether or not
+    the triple is autonomous: the schemes step that drift without
+    evaluating it, explicitly as one product with I + δA, implicitly with
+    the inverse of I − δA; a diagonal `linear_A`, as every shipped fixture
+    declares, makes that product a column-wise scaling with the same bits.
     `jump_profile`, when set, declares the factorization
     F(t, x, ξ) = ξ · jump_profile(t, x): in every mark family the mark is
     its own jump weight.  The schemes then take their jump cell means from
@@ -614,8 +616,11 @@ def exponential_transform(triple, rate):
     Returns the triple (Ā, B̄, F̄) with Ā(x) = γ⁻¹A(γx) − ½Kx,
     B̄(x) = γ⁻¹B(γx), F̄(x, ξ) = γ⁻¹F(γx, ξ) and γ_t = exp(−½Kt): a
     triple satisfying the relaxed one-sided bound with rate K is turned
-    into one satisfying the strict dissipativity inequality.  The rate
-    must be a finite number >= 0.
+    into one satisfying the strict dissipativity inequality.  A linear
+    drift stays linear, Ā(x) = (A − ½K·I)x, so a declared `linear_A`
+    is kept as `linear_A` − ½K·I and the transformed triple is stepped as
+    affine; `autonomous` is False, since B̄ and F̄ depend on t through γ.
+    The rate must be a finite number >= 0.
     """
     rate = float(rate)
     if not (math.isfinite(rate) and rate >= 0):
@@ -624,18 +629,16 @@ def exponential_transform(triple, rate):
         return replace(triple)
     c = triple.constants
     inflate = math.exp(-0.5 * rate * c.horizon) ** -2
-    profile = (
-        _Transformed(triple.jump_profile, rate)
-        if triple.jump_profile is not None
-        else None
-    )
+    profile, linear = triple.jump_profile, triple.linear_A
+    if linear is not None:
+        linear = linear - 0.5 * rate * np.eye(len(linear))
     return replace(
         triple,
         eval_A=_TransformedA(triple.eval_A, rate),
         eval_B=_Transformed(triple.eval_B, rate),
         eval_F=_Transformed(triple.eval_F, rate),
-        jump_profile=profile,
+        jump_profile=None if profile is None else _Transformed(profile, rate),
         constants=replace(c, k1=inflate * c.k1, k2=inflate * c.k2),
         autonomous=False,
-        linear_A=None,
+        linear_A=linear,
     )

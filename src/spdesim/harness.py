@@ -21,10 +21,8 @@ interval.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -73,8 +71,9 @@ def neumaier_sum(values):
     with np.errstate(over="ignore", invalid="ignore"):
         for row in values:
             t = total + row
-            big = np.where(np.abs(total) >= np.abs(row), total, row)
-            small = np.where(np.abs(total) >= np.abs(row), row, total)
+            larger = np.abs(total) >= np.abs(row)
+            big = np.where(larger, total, row)
+            small = np.where(larger, row, total)
             comp = comp + ((big - t) + small)
             total = t
         return np.where(np.isfinite(total), total + comp, total)[()]
@@ -199,6 +198,11 @@ def _path_study(
     if workers <= 1:
         parts = [run(block) for block in blocks]
     else:
+        # the pool is imported only here: a study on one worker, and every
+        # import of the package, goes without it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         spawn = multiprocessing.get_context("spawn")
         with _one_blas_thread(), ProcessPoolExecutor(workers, spawn) as pool:
             parts = list(pool.map(run, blocks))

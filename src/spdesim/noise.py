@@ -558,10 +558,12 @@ def bundle_from_json(text):
         marks = field("atom_weights", atoms)
     else:
         raise ValueError(f"bundle field marks_family: unknown mark family {family!r}")
-    for name, low in (("m", 2), ("l_modes", 0), ("l_level", 1), ("master_seed", 0)):
+    # any int is a seed, as `derive_key` takes it modulo 2^64
+    for name, low in (("m", 2), ("l_modes", 0), ("l_level", 1), ("master_seed", None)):
         value = field(name)
-        if type(value) is not int or value < low:
-            raise ValueError(f"bundle field {name}: {value!r} is not an integer >= {low}")
+        if type(value) is not int or low is not None and value < low:
+            at_least = "" if low is None else f" >= {low}"
+            raise ValueError(f"bundle field {name}: {value!r} is not an integer{at_least}")
     T = field("T")
     if type(T) not in (int, float) or not 0 < T < np.inf:
         raise ValueError(f"bundle field T: {T!r} is not a positive finite horizon")

@@ -11,12 +11,15 @@ initial condition at the first knot, and adds δ times the lagged-window
 drift mean; its stability is governed by the product of the step size with
 the basis constant of the space.  The implicit schemes start from the
 (projected) initial condition and solve a monotone step equation in which
-the drift is averaged over the current window.  An affine autonomous drift
-A is stepped as one product with a matrix formed once per block: I + δA in
-the explicit scheme, the inverse of I − δA in the implicit ones.  A
-diagonal matrix, as every shipped fixture's, is kept as the vector of its
-diagonal and the product is a column-wise scaling with the same bits.  In
-every kind the noise coefficients are averaged over the lagged window.
+the drift is averaged over the current window.  An affine drift, one
+whose triple declares its matrix A as `linear_A`, is stepped as one product
+with a matrix formed once per block: I + δA in the explicit scheme, the
+inverse of I − δA in the implicit ones.  `linear_A` alone selects that
+step, autonomous or not, since a declared matrix holds at every t; an
+exponential transform of an affine triple keeps it.  A diagonal matrix, as
+every shipped fixture's, is kept as the vector of its diagonal and the
+product is a column-wise scaling with the same bits.  In every kind the
+noise coefficients are averaged over the lagged window.
 "Unprojected" runs are realized at the ambient resolution of the
 experiment: a truly infinite-dimensional state is not representable, so
 the plain and projected implicit kinds are one code path and differ only
@@ -195,8 +198,9 @@ def run_block(space, triple, config, noise, keep=None):
     in this order, δ times the lagged drift mean (explicit only), the
     Wiener term and the compensated jump term; the implicit schemes then
     solve the step equation with the result as right-hand side.  An affine
-    autonomous explicit drift takes the first term and the previous value
-    together, as one product of the states with I + δA.  The noise of a
+    explicit drift, one with `linear_A`, takes the first term and the
+    previous value together, as one product of the states with I + δA,
+    whether or not the triple is autonomous.  The noise of a
     chunk's steps is built before the chunk is stepped, by the reader that
     `noise.knot_chunks` gives the configuration: the block's fine Wiener
     increments summed to the rung, and the jump data of the block's jump
@@ -215,13 +219,12 @@ def run_block(space, triple, config, noise, keep=None):
     cell masses afterwards, with a zero column for a massless cell.  The
     explicit scheme starts at knot 1, the implicit ones at knot 0, and the
     noise terms vanish before knot 2.  Grid, partition, the binned jumps, a
-    path-independent initial condition and, for an affine autonomous
-    explicit drift, I + δA are built once for the block.  So is the
-    implicit solver, by `_implicit_solver`, the one set-up that
-    `solve_implicit_step` shares: the inverse of I − δA for an affine
-    autonomous drift, else the chord matrix of `_solve_iterative`.  Each
-    implicit step is one call of its solve, which computes the residuals
-    only in a block that keeps the states.
+    path-independent initial condition and, for an affine explicit drift,
+    I + δA are built once for the block.  So is the implicit solver, by
+    `_implicit_solver`, the one set-up that `solve_implicit_step` shares:
+    the inverse of I − δA for an affine drift, else the chord matrix of
+    `_solve_iterative`.  Each implicit step is one call of its solve,
+    which computes the residuals only in a block that keeps the states.
 
     A row whose step equation cannot be solved fails at that step; any
     other row whose squared H-norm at a knot, the initial one included, is
@@ -273,7 +276,7 @@ def run_block(space, triple, config, noise, keep=None):
     drift, solve, iterative = None, None, False
     if not explicit:
         solve, iterative = _implicit_solver(triple, grid, n, paths)
-    elif triple.linear_A is not None and triple.autonomous:
+    elif triple.linear_A is not None:
         matrix = np.eye(n) + delta * triple.linear_A[:n, :n]
         drift = _writer(_operator(matrix.T), paths)
     first = 1 if explicit else 0
@@ -413,9 +416,10 @@ def solve_implicit_step(triple, grid, i, y):
     """Solve x − δ·(Π_n)A^m_i(x) = y for every row of a (P, n) block `y`.
 
     The solver is set up by `_implicit_solver`, as `run_block` sets up
-    the solver of a block, and solves `y` in one call.  Affine autonomous
-    drifts are solved directly as one product of the block with the
-    inverse of I − δA, with zero iterations and the residual
+    the solver of a block, and solves `y` in one call.  Affine drifts,
+    those whose triple declares `linear_A` (autonomous or not), are solved
+    directly as one product of the block with the inverse of I − δA, with
+    zero iterations and the residual
     ‖(I − δA)x − y‖, read off the matrix without evaluating the drift, in
     the report; a row that the product leaves not finite is marked here,
     where `run_block` finds it through its knot test.  Otherwise every row
@@ -459,7 +463,8 @@ def _implicit_solver(triple, grid, n, rows):
     """The solve of every implicit step of a (rows, n) block, set up once,
     and whether it iterates: (solve, iterative).
 
-    An affine autonomous drift is solved directly.  The set-up forms
+    An affine drift, one whose triple declares `linear_A`, is solved
+    directly, whether or not the triple is autonomous.  The set-up forms
     I − δA and its inverse as `_writer`s; a singular I − δA gets a NaN
     inverse, so that every row has no finite solution, as with any other
     row the product leaves not finite.  Any other drift is solved by
@@ -474,7 +479,7 @@ def _implicit_solver(triple, grid, n, rows):
     its residual ‖(I − δA)x − y‖ off the matrix without evaluating the
     drift.
     """
-    if triple.linear_A is not None and triple.autonomous:
+    if triple.linear_A is not None:
         mat = np.eye(n) - grid.delta * triple.linear_A[:n, :n]
         try:
             inv = np.linalg.inv(mat)

@@ -975,6 +975,26 @@ def test_transformed_evaluators_take_each_row_at_its_time(fixture):
     assert gamma.tolist() == want
 
 
+def test_transform_keeps_a_declared_linear_drift():
+    # γ⁻¹A(γx) − ½Kx = (A − ½K·I)x: the transform keeps `linear_A`, shifted
+    # by −½·rate·I, as the matrix of its evaluated drift at every t, and
+    # stays non-autonomous, since B̄ and F̄ depend on t through γ
+    space = build_sine_space(16)
+    base = heat_jump(space, MARKS, reaction=5.0)
+    moved = exponential_transform(base, 5.0)
+    assert not moved.autonomous
+    assert np.array_equal(moved.linear_A, base.linear_A - 2.5 * np.eye(16))
+    rng = np.random.default_rng(39)
+    for n in (4, 16):
+        x = rng.uniform(-5.0, 5.0, (7, n))
+        want = x @ moved.linear_A[:n, :n].T
+        for t in (0.0, 0.3, 1.0):
+            np.testing.assert_allclose(moved.eval_A(t, x), want, rtol=1e-12, atol=0.0)
+    # a triple without `linear_A` gets none
+    general = dataclasses.replace(base, linear_A=None)
+    assert exponential_transform(general, 5.0).linear_A is None
+
+
 def test_transform_restores_monotonicity(quadrature):
     # a mild reaction term keeps the relaxed bound with rate K = 2c, and
     # the transform removes it exactly for a linear drift

@@ -1,6 +1,9 @@
+import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -358,22 +361,29 @@ def _exact_knot_energies(kind, n, m, l, A, wiener, profile, zeta):
 @pytest.mark.parametrize(
     "kind, m", [("explicit", 64), ("implicit_projected", 32), ("iterative", 32)]
 )
-@pytest.mark.parametrize("fixture", ["heat_jump", "additive_multimode"])
+@pytest.mark.parametrize("fixture", ["heat_jump", "additive_multimode", "transformed"])
 def test_knot_energies_match_the_exact_second_moments(fixture, kind, m):
     # seeds, paths, knots and the |z| bound were fixed before the first
     # run: |z| <= 4 at each of up to 63 knots with 4,000 paths; the jump
     # marks are heavy-tailed, so a single knot's z wanders more than a
     # Gaussian one would.  "iterative" is implicit_projected with the
     # drift's `linear_A` dropped, so that the iterative solver, not the
-    # direct product, solves each step
+    # direct product, solves each step.  "transformed" is the heat_jump
+    # case under `exponential_transform` at rate K = 2: B̄ = B for a linear
+    # B, and the kept `linear_A` is the drift A − ½K·I, stepped as affine
+    # although the triple is not autonomous
     n, l, paths, seed = 4, 3, 4000, 26
     space = build_sine_space(n)
     k = np.arange(1, n + 1, dtype=float)
     A = np.diag(-0.5 * (k * np.pi) ** 2)
-    if fixture == "heat_jump":
+    if fixture in ("heat_jump", "transformed"):
         # multiplicative gradient noise θ·D x against one mode, no jumps
         theta = 0.5
         triple = heat_jump(space, MARKS, theta=theta, lipschitz=0.0)
+        if fixture == "transformed":
+            rate = 2.0
+            triple = exponential_transform(triple, rate)
+            A = A - 0.5 * rate * np.eye(n)
         j = k[:, None]
         odd = (j + k) % 2 == 1
         D = np.where(odd, 4.0 * j * k / np.where(odd, j**2 - k**2, 1.0), 0.0)
@@ -613,7 +623,9 @@ class RecordingPool:
     [(40, 8, []), (64, 3, []), (65, 8, [2]), (130, 2, [2]), (130, 8, [3])],
 )
 def test_workers_never_outnumber_blocks(monkeypatch, paths, workers, started):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # `_path_study` imports the pool where it starts one, so the stand-in
+    # replaces it in `concurrent.futures` itself
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "blocks", [])
     triple = heat_jump(SPACE, MARKS)
@@ -623,6 +635,19 @@ def test_workers_never_outnumber_blocks(monkeypatch, paths, workers, started):
         # whole fixed blocks of 64 path indices, whatever the worker count
         want = [range(s, min(s + 64, paths)) for s in range(0, paths, 64)]
         assert RecordingPool.blocks == want
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only a study on more than one worker imports the pool machinery; a
+    # two-worker study still spawns, as the next test's runs do
+    script = (
+        "import sys, spdesim; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -633,6 +634,27 @@ def test_bundle_json_roundtrip_is_bit_exact(seed, m, modes, level, marks):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for name in ("T", "m", "l_modes", "l_level", "master_seed", "marks"):
         assert getattr(clone, name) == getattr(bundle, name)
+
+
+def test_bundle_json_roundtrips_every_int_seed():
+    # `derive_key` takes any int seed modulo 2^64, so a negative seed, or
+    # one past 2^64, makes a bundle that its JSON gives back; a seed that
+    # is not an int is still rejected
+    bundles = sample_bundles([-5, 2**64 + 3], TimeGrid(1.0, 8), 1, PowerLawMarks(), 1)
+    for bundle in bundles:
+        clone = bundle_from_json(bundle_to_json(bundle))
+        for name in ("wiener", "jump_times", "jump_marks"):
+            got, want = getattr(clone, name), getattr(bundle, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for name in ("T", "m", "l_modes", "l_level", "master_seed", "marks"):
+            assert getattr(clone, name) == getattr(bundle, name)
+    assert [bundle.master_seed for bundle in bundles] == [-5, 2**64 + 3]
+    for seed in (1.5, True):
+        payload = json.loads(bundle_to_json(bundles[0]))
+        payload["master_seed"] = seed
+        message = f"bundle field master_seed: {seed!r} is not an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bundle_from_json(json.dumps(payload))
 
 
 def _bundle_payload(marks=ATOMS):

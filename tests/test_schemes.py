@@ -716,7 +716,7 @@ def test_block_rows_match_one_path_runs(space, triple, marks, kind):
     # equation is solved iteratively, a moved bit may cost or save one
     # iteration, so rows agree to the solver tolerance summed over the steps
     cfg = _config(kind)
-    iterative = kind != "explicit" and (triple.linear_A is None or not triple.autonomous)
+    iterative = kind != "explicit" and triple.linear_A is None
     rtol = cfg.m * SOLVER_TOL if iterative else 1e-12
     bundles = _bundles(5, marks)
     run = run_block(space, triple, cfg, read_block(bundles), keep=ENERGIES)
@@ -988,6 +988,36 @@ def test_explicit_product_matches_the_evaluated_drift(name):
     got = run_block(space, triple, cfg, read_block(loud))
     assert got.blow_up_steps == want.blow_up_steps
     assert got.blow_up_steps[2] is not None
+
+
+@pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])
+def test_a_transformed_affine_drift_is_stepped_as_affine(kind):
+    # the exponential transform keeps `linear_A`, shifted by −½·rate·I, and
+    # that alone selects the affine step, though the triple is not
+    # autonomous: implicit steps are solved directly, with no iteration.
+    # Both kinds agree with the evaluated drift, which takes the four-node
+    # time means and, implicit, the iterative solve, at the solver's scale
+    space = build_sine_space(6)
+    moved = exponential_transform(heat_jump(space, MARKS, reaction=5.0), 5.0)
+    assert not moved.autonomous and moved.linear_A is not None
+    evaluated = dataclasses.replace(moved, linear_A=None)
+    cfg = _config(kind)
+    bundles = _bundles(5)
+    got = run_block(space, moved, cfg, read_block(bundles), keep=ENERGIES)
+    want = run_block(space, evaluated, cfg, read_block(bundles), keep=ENERGIES)
+    assert got.blow_up_steps == want.blow_up_steps == [None] * 5
+    assert got.failures == want.failures == [None] * 5
+    if kind != "explicit":
+        assert got.solver_iterations.shape == (cfg.m, 5)
+        assert not got.solver_iterations.any()
+        assert (want.solver_iterations >= 1).all()
+        grid = TimeGrid(1.0, cfg.m)
+        _, report = solve_implicit_step(moved, grid, 3, got.final)
+        assert not report.iterations.any() and report.converged.all()
+    rtol = cfg.m * SOLVER_TOL
+    scale = np.abs(want.final).max()
+    assert np.abs(got.final - want.final).max() <= rtol * scale
+    assert np.abs(got.kept - want.kept).max() <= rtol * want.kept.max()
 
 
 @pytest.mark.parametrize("kind", ["explicit", "implicit_projected"])

@@ -36,6 +36,7 @@ from .noise import (
     bundle_from_json,
     bundle_to_json,
     read_block,
+    sample_block,
     sample_bundles,
 )
 from .schemes import (

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import config as cfg
 from .harness import convergence_study, run_condition_suite
-from .noise import TimeGrid, read_block, sample_bundles
+from .noise import TimeGrid, sample_block
 from .schemes import STATES, ImplicitStepError, run_block, stability_margin
 from .space import c_b, restrict
 
@@ -88,7 +88,7 @@ def _cmd_simulate(args):
     seed = settings["noise"]["master_seed"]
     grid = TimeGrid(triple.constants.horizon, scheme_config.m)
     modes = min(scheme_config.l, triple.wiener_modes)
-    noise = read_block(sample_bundles([seed], grid, modes, marks, scheme_config.l))
+    noise = sample_block([seed], grid, modes, marks, scheme_config.l)
     run = run_block(space, triple, scheme_config, noise, keep=STATES)
     if run.failures[0] is not None:
         raise ImplicitStepError(run.failures[0])

@@ -577,7 +577,7 @@ def check_bf_bounds(triple, space, sampler, trials, mark_quadrature, seed=0):
 
 @dataclass(frozen=True)
 class _Transformed:
-    """γ⁻¹·base(t, γx, *marks) for B, F and the jump profile, with
+    """γ⁻¹·coefficient(t, γx, *marks) for B, F and the jump profile, with
     γ_t = exp(−rate·t/2).
 
     `t` is a time or an array of times that broadcasts to x.shape[:-1];
@@ -585,7 +585,7 @@ class _Transformed:
     x.shape[:-1], so that row p is scaled by the γ of its own time.
     """
 
-    base: object
+    coefficient: object
     rate: float
 
     def gamma(self, t):
@@ -598,7 +598,7 @@ class _Transformed:
     def __call__(self, t, x, *marks):
         x = np.asarray(x)
         g = self.gamma(t)
-        value = np.asarray(self.base(t, g[..., None] * x, *marks))
+        value = np.asarray(self.coefficient(t, g[..., None] * x, *marks))
         return value / g.reshape(g.shape + (1,) * (value.ndim - x.ndim + 1))
 
 

@@ -80,7 +80,7 @@ def _initial(raw):
 # [ladder] rungs and reference are required in a [ladder] section, and
 # [stability] alpha is the triple's growth constant.
 _KEYS = {
-    "space": {"family": (str, "sine-dirichlet"), "n": (int, 8)},
+    "space": {"n": (int, 8)},
     "coefficients": {"fixture": (str, "heat_jump")} | {
         key: (int if key == "modes" else _finite,)
         for keys in _FIXTURE_KEYS.values()
@@ -187,9 +187,6 @@ def ambient_dim(settings):
 
 
 def build_space(settings, dim=None):
-    family = settings["space"]["family"]
-    if family not in ("sine-dirichlet", "sine-dirichlet-(0,1)"):
-        raise ConfigError(f"unknown basis family {family!r}")
     return build_sine_space(dim if dim is not None else ambient_dim(settings))
 
 

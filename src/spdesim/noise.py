@@ -6,12 +6,14 @@ time grid and the complete record of jump (time, mark) points on
 [0, T] × E^L.  Every coarser resolution is obtained from the same bundle
 by exact aggregation - summing fine Wiener increments and re-binning the
 same jump points - which is what makes coupled multi-resolution runs
-meaningful pathwise.  This module is the one place that reads a block of
-bundles: `read_block` checks the block once and reads it into a
-`BlockNoise`, its fine Wiener increments as one array and its jumps as one
-flat list, and `BlockNoise.knot_chunks` gives one configuration of the
-block, at its grid and mark partition, the Wiener increments (summed by
-`coarsen`) and the jump data of its steps, a chunk of steps at a time.
+meaningful pathwise.  A study draws its block of paths as one
+`BlockNoise` (`sample_block`): the block's fine Wiener increments as one
+array and its jumps as one flat list.  Replayed bundles are read into one
+by `read_block`, and `sample_bundles` gives the rows of a drawn block as
+bundles for replay and JSON.  `BlockNoise.knot_chunks` gives one
+configuration of the block, at its grid and mark partition, the Wiener
+increments (summed by `coarsen`) and the jump data of its steps, a chunk
+of steps at a time.
 `schemes.run_block` steps a block on a `BlockNoise`.
 
 Mark spaces ship in two families: a power-law density on (0, 1] exhausted
@@ -35,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .averaging import _unit_rule, cell_weight_means
-from .rng import TAG_JUMP, TAG_WIENER, derive_key, normals_from_keys, rekeyed_generator
+from .rng import TAG_JUMP, TAG_WIENER, derive_key, make_generator, normals_from_keys
 
 
 @dataclass(frozen=True)
@@ -302,24 +304,29 @@ class NoiseBundle:
 DRAW_PATHS = 8
 
 
-def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
-    """Draw one noise realization per master seed, each fully determined by
-    its seed; one path is the block of one seed.
+def sample_block(master_seeds, grid, l_modes, marks, l_level):
+    """The `BlockNoise` of one noise realization per master seed, path p
+    driven by ``master_seeds[p]`` and fully determined by it.
 
     Wiener increments are one N(0, δ) draw per (path, mode, step), each
     from its own derived key, so generation order is immaterial: they are
-    drawn DRAW_PATHS paths at a time into one (paths, modes, m) array, and
-    bundle p holds row p of it (`read_block` reads the array back).  The
-    jump record is Poisson with mean T·ν(E^level), the mass asked for once
-    per call; times are uniform on (0, T], marks follow ν restricted and
-    normalized on E^level.
+    drawn DRAW_PATHS paths at a time into the block's one (paths, modes, m)
+    array.  A path's jump record is Poisson with mean T·ν(E^level), the
+    mass asked for once per call; times are uniform on (0, T], marks follow
+    ν restricted and normalized on E^level.  Each path draws its jumps from
+    the stream of its own key, ``make_generator(derive_key(seed,
+    TAG_JUMP))``; the call builds one generator and re-keys its state per
+    path, since building a Philox draws operating-system entropy that a
+    given key then discards.  The block needs at least one seed.
     """
     if l_modes < 0 or l_level < 1:
         raise ValueError("need l_modes >= 0 and l_level >= 1")
+    seeds = [int(seed) for seed in master_seeds]
+    if not seeds:
+        raise ValueError("a block needs at least one seed")
     nu_total = marks.total_mass(l_level)
     if not np.isfinite(nu_total) or nu_total <= 0:
         raise ValueError(f"invalid mark-space mass {nu_total} at level {l_level}")
-    seeds = [int(seed) for seed in master_seeds]
     keyed = np.array([seed % 2**64 for seed in seeds], dtype=np.uint64)
     wiener = np.empty((len(seeds), l_modes, grid.m))
     mode_idx = np.arange(1, l_modes + 1, dtype=np.uint64)[:, None]
@@ -330,28 +337,38 @@ def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
         keys = derive_key(group, TAG_WIENER, mode_idx, step_idx)
         wiener[lo : lo + DRAW_PATHS] = normals_from_keys(keys)
     wiener *= np.sqrt(grid.delta)
-    jump_keys = derive_key(keyed, TAG_JUMP).tolist()
-    bundles = []
-    for seed, increments, jump_key in zip(seeds, wiener, jump_keys):
-        gen = rekeyed_generator(jump_key)
+    gen = make_generator(0)
+    state = gen.bit_generator.state
+    times, xis = [], []
+    for jump_key in derive_key(keyed, TAG_JUMP).tolist():
+        # a fresh stream of the key: counter, buffer and cached half reset
+        state["state"]["key"][0] = jump_key
+        gen.bit_generator.state = state
         count = int(gen.poisson(grid.T * nu_total))
-        times = grid.T * (1.0 - gen.random(count))
+        t = grid.T * (1.0 - gen.random(count))
         xi = marks.sample(gen.random(count), l_level)
-        order = np.argsort(times, kind="stable")
-        bundles.append(
-            NoiseBundle(
-                T=grid.T,
-                m=grid.m,
-                l_modes=l_modes,
-                l_level=l_level,
-                master_seed=seed,
-                wiener=increments,
-                jump_times=times[order],
-                jump_marks=xi[order],
-                marks=marks,
-            )
+        order = np.argsort(t, kind="stable")
+        times.append(t[order])
+        xis.append(xi[order])
+    return _block(seeds, grid.T, grid.m, l_modes, l_level, marks, wiener, times, xis)
+
+
+def sample_bundles(master_seeds, grid, l_modes, marks, l_level):
+    """The rows of ``sample_block(master_seeds, ...)`` as bundles, for
+    replay and JSON: bundle p holds seed p, row p of the block's Wiener
+    array (a view) and its own slice of the block's jump lists."""
+    noise = sample_block(master_seeds, grid, l_modes, marks, l_level)
+    cuts = np.searchsorted(noise.jump_rows, np.arange(1, len(noise.master_seeds)))
+    return [
+        NoiseBundle(T=grid.T, m=grid.m, l_modes=l_modes, l_level=l_level, master_seed=seed,
+                    wiener=increments, jump_times=times, jump_marks=xi, marks=marks)
+        for seed, increments, times, xi in zip(
+            noise.master_seeds,
+            noise.fine_wiener,
+            np.split(noise.jump_times, cuts),
+            np.split(noise.jump_marks, cuts),
         )
-    return bundles
+    ]
 
 
 def coarsen(fine, factor):
@@ -363,14 +380,15 @@ def coarsen(fine, factor):
 
 @dataclass(frozen=True)
 class BlockNoise:
-    """The noise of a block of paths, read once from its bundles by
-    `read_block`, that every configuration stepping the block shares.
+    """The noise of a block of paths, drawn once by `sample_block` or read
+    from replayed bundles by `read_block`, that every configuration
+    stepping the block shares.
 
     `fine_wiener` holds the (paths, l_modes, m) finest-grid Wiener
     increments, row p those of path p.  The jumps of all paths are one flat
     list in path-then-time order: `jump_times`, `jump_marks` and in
     `jump_rows` the path of each.  `l_level` is the lowest level of the
-    bundles, the one every path reaches.
+    paths, the one every path reaches.
     """
 
     master_seeds: tuple
@@ -463,12 +481,12 @@ class BlockNoise:
 
 
 def read_block(bundles):
-    """The `BlockNoise` of a block, path p driven by ``bundles[p]``.
+    """The `BlockNoise` of a block of replayed bundles, path p driven by
+    ``bundles[p]``; a study draws its block with `sample_block` instead.
 
     The block needs at least one bundle, and its bundles must share their
     horizon, grid, Wiener modes and marks; anything else is a ValueError.
-    `fine_wiener` is a view of the array `sample_bundles` filled when the
-    bundles are its rows in order, else one stack of their increments.
+    `fine_wiener` is one stack of the bundles' increments.
     """
     if not bundles:
         raise ValueError("a block needs at least one bundle")
@@ -478,26 +496,21 @@ def read_block(bundles):
         raise ValueError(
             "a block's bundles must share horizon, grid, Wiener modes and marks"
         )
-    rows = [bundle.wiener for bundle in bundles]
-    wiener = rows[0].base
-    # row p is wiener[p] when it has wiener[p]'s address, shape and strides
-    if wiener is None or wiener.shape != (len(rows), *rows[0].shape) or any(
-        row.__array_interface__ != wiener[p].__array_interface__
-        for p, row in enumerate(rows)
-    ):
-        wiener = np.stack(rows)
-    times = [bundle.jump_times for bundle in bundles]
+    return _block(
+        [bundle.master_seed for bundle in bundles], first.T, first.m, first.l_modes,
+        min(bundle.l_level for bundle in bundles), first.marks,
+        np.stack([bundle.wiener for bundle in bundles]),
+        [bundle.jump_times for bundle in bundles], [bundle.jump_marks for bundle in bundles],
+    )
+
+
+def _block(seeds, T, m, l_modes, l_level, marks, wiener, times, xis):
+    """The `BlockNoise` whose path p has master seed ``seeds[p]``, Wiener
+    increments ``wiener[p]`` and jumps ``times[p]`` with marks ``xis[p]``."""
     return BlockNoise(
-        master_seeds=tuple(bundle.master_seed for bundle in bundles),
-        T=first.T,
-        m=first.m,
-        l_modes=first.l_modes,
-        l_level=min(bundle.l_level for bundle in bundles),
-        marks=first.marks,
-        fine_wiener=wiener,
-        jump_times=np.concatenate(times),
-        jump_marks=np.concatenate([bundle.jump_marks for bundle in bundles]),
-        jump_rows=np.repeat(np.arange(len(bundles)), [t.size for t in times]),
+        tuple(seeds), T, m, l_modes, l_level, marks, wiener,
+        np.concatenate(times), np.concatenate(xis),
+        np.repeat(np.arange(len(times)), [t.size for t in times]),
     )
 
 

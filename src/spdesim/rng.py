@@ -31,8 +31,6 @@ bit-identical for every worker count and block split.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 # SplitMix64 constants.
@@ -241,28 +239,6 @@ def _ndtri_tail(u):
 def make_generator(key):
     """Counter-based numpy Generator for a derived key (Poisson, uniforms)."""
     return np.random.Generator(np.random.Philox(key=int(key)))
-
-
-# One Philox Generator per thread for `rekeyed_generator`, with the state
-# dict of a fresh stream whose key is overwritten per call.
-_REKEYED = threading.local()
-
-
-def rekeyed_generator(key):
-    """A Generator at the start of the stream of `key`, drawing bit for bit
-    what ``make_generator(key)`` draws.
-
-    Building a Philox draws operating-system entropy that a given key then
-    discards; this re-keys one Generator per thread instead.  It is valid
-    until the next call in the same thread, so a caller must not let it
-    escape.
-    """
-    if not hasattr(_REKEYED, "generator"):
-        _REKEYED.generator = make_generator(0)
-        _REKEYED.state = _REKEYED.generator.bit_generator.state
-    _REKEYED.state["state"]["key"][0] = int(key)
-    _REKEYED.generator.bit_generator.state = _REKEYED.state
-    return _REKEYED.generator
 
 
 def philox_raw(key, count):

@@ -182,7 +182,8 @@ class BlockRun:
 
 def run_block(space, triple, config, noise, keep=None):
     """Step one block of paths together, row p driven by path p of `noise`,
-    the `BlockNoise` that `read_block` reads from the block's bundles.
+    the `BlockNoise` that `sample_block` draws or `read_block` reads from
+    replayed bundles.
 
     The block must drive the configuration: its grid divisible by m, its
     level at least l and the Wiener modes the triple reads at l among its

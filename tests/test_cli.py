@@ -34,7 +34,6 @@ from spdesim.space import build_sine_space
 
 BASE_CONFIG = """
 [space]
-family = sine-dirichlet
 n = 8
 
 [coefficients]
@@ -84,9 +83,10 @@ def ladder_config(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     # l_modes and l_level changed no `simulate` output: it samples its
-    # block at (m, min(l, the triple's Wiener modes), l)
+    # block at (m, min(l, the triple's Wiener modes), l); [space] family
+    # selected nothing, there being one basis family
     for section, key in (("scheme", "kindd"), ("scheme", "gamma"), ("noise", "l_modes"),
-                         ("noise", "l_level")):
+                         ("noise", "l_level"), ("space", "family")):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"[{section}]\n{key} = 3\n")
         with pytest.raises(

@@ -14,7 +14,7 @@ PUBLIC = [
     "check_monotonicity", "convergence_study", "dual_norms",
     "exponential_transform", "heat_jump", "monte_carlo", "norms", "pairing",
     "probe_hemicontinuity", "project", "read_block", "restrict",
-    "run_block", "run_condition_suite", "sample_bundles", "semilinear",
+    "run_block", "run_condition_suite", "sample_block", "sample_bundles", "semilinear",
     "smooth_profile", "solve_implicit_step", "stability_margin",
     "step_energy_bound", "v_norms", "zero_triple",
 ]

@@ -15,6 +15,7 @@ from spdesim import averaging, harness
 from spdesim.coefficients import BoxSampler, exponential_transform, probe_hemicontinuity
 from spdesim.fixtures import additive_multimode, heat_jump, semilinear, zero_triple
 from spdesim.harness import (
+    ConvergenceReport,
     LadderSpec,
     SuiteConfig,
     convergence_study,
@@ -532,19 +533,19 @@ def test_convergence_study_honours_quadrature(monkeypatch):
 
 
 def test_ladder_runs_each_config_once_per_block(monkeypatch):
-    calls, reads = [], []
-    original, read = harness.run_block, harness.read_block
+    calls, draws = [], []
+    original, sample = harness.run_block, harness.sample_block
 
     def counting(space, triple, config, noise, *args, **kwargs):
         calls.append(((config.n, config.m, config.l), len(noise.master_seeds)))
         return original(space, triple, config, noise, *args, **kwargs)
 
-    def reading(bundles):
-        reads.append(len(bundles))
-        return read(bundles)
+    def sampling(master_seeds, *args):
+        draws.append(len(master_seeds))
+        return sample(master_seeds, *args)
 
     monkeypatch.setattr(harness, "run_block", counting)
-    monkeypatch.setattr(harness, "read_block", reading)
+    monkeypatch.setattr(harness, "sample_block", sampling)
     # 65 paths are a block of 64 and a block of one
     ladder = LadderSpec(
         rungs=((2, 16, 1), (4, 64, 2)), reference=(8, 256, 3), paths=65, master_seed=7
@@ -552,8 +553,28 @@ def test_ladder_runs_each_config_once_per_block(monkeypatch):
     convergence_study(SPACE, heat_jump(SPACE, MARKS), MARKS, ladder, TEMPLATE)
     configs = ladder.rungs + (ladder.reference,)
     assert calls == [(c, 64) for c in configs] + [(c, 1) for c in configs]
-    # each block's noise is read once, for all of its configurations
-    assert reads == [64, 1]
+    # each block's noise is drawn once, for all of its configurations
+    assert draws == [64, 1]
+
+
+def test_a_ladder_of_exact_rungs_passes():
+    # from zero, heat_jump stays at 0 on every path (multiplicative Wiener
+    # noise and jumps through sin(0)), so every rung estimate is exactly 0:
+    # neither decreasing nor separated, and still a pass
+    ladder = LadderSpec(
+        rungs=((2, 16, 1), (4, 64, 2)), reference=(8, 256, 3), paths=8, master_seed=4242
+    )
+    zero = dataclasses.replace(TEMPLATE, initial=np.zeros(16))
+    report = convergence_study(SPACE, heat_jump(SPACE, MARKS), MARKS, ladder, zero)
+    assert [row.estimate for row in report.rows] == [0.0, 0.0]
+    assert not report.monotone and not report.separated
+    assert report.verdict == "pass"
+    # a NaN or a non-zero estimate keeps the monotone-and-separated rule
+    for estimates in ([0.0, float("nan")], [0.0, 5e-324], [1e-3, 0.0], [float("nan")] * 2):
+        rows = [dataclasses.replace(row, estimate=e) for row, e in zip(report.rows, estimates)]
+        for monotone, separated in ((True, True), (True, False), (False, True)):
+            got = ConvergenceReport(rows, monotone, separated, 0.0).verdict
+            assert got == ("pass" if monotone and separated else "fail")
 
 
 def test_ladder_rows_equal_standalone_coupled_errors():

@@ -19,15 +19,16 @@ from spdesim.noise import (
     bundle_to_json,
     coarsen,
     read_block,
+    sample_block,
     sample_bundles,
 )
 from spdesim.rng import (
+    TAG_JUMP,
     TAG_PATH,
     TAG_WIENER,
     derive_key,
     make_generator,
     normals_from_keys,
-    rekeyed_generator,
 )
 
 MARKS = PowerLawMarks()
@@ -305,18 +306,46 @@ def test_sample_bundles_is_pinned_by_value():
 
 
 @settings(max_examples=60, deadline=None)
-@given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
-def test_rekeyed_generator_draws_what_a_fresh_generator_draws(keys):
-    # each stream starts fresh, whatever the previous key's stream left in
-    # the bit generator's buffer and its cached 32-bit half
-    for k in keys:
-        gen = rekeyed_generator(k)
-        got = (gen.poisson(24.0), gen.random(3), gen.integers(0, 9, 3, dtype=np.uint32))
-        fresh = make_generator(k)
-        want = (fresh.poisson(24.0), fresh.random(3), fresh.integers(0, 9, 3, dtype=np.uint32))
-        assert [np.asarray(v).tobytes() for v in got] == [
-            np.asarray(v).tobytes() for v in want
-        ]
+@given(seeds=st.lists(st.integers(-(2**63), 2**64 - 1), min_size=1, max_size=6))
+def test_each_path_draws_its_jumps_from_a_fresh_generator_of_its_key(seeds):
+    # the block re-keys one generator per path: each stream starts fresh,
+    # whatever the previous path's stream left in the bit generator's
+    # buffer
+    grid, level = TimeGrid(1.5, 8), 2
+    noise = sample_block(seeds, grid, 1, MARKS, level)
+    for p, seed in enumerate(seeds):
+        fresh = make_generator(derive_key(seed, TAG_JUMP))
+        count = int(fresh.poisson(grid.T * MARKS.total_mass(level)))
+        times = grid.T * (1.0 - fresh.random(count))
+        xi = MARKS.sample(fresh.random(count), level)
+        order = np.argsort(times, kind="stable")
+        row = noise.jump_rows == p
+        assert noise.jump_times[row].tobytes() == times[order].tobytes()
+        assert noise.jump_marks[row].tobytes() == xi[order].tobytes()
+
+
+def test_a_sampled_block_is_the_block_of_its_bundles():
+    # 19 paths fill two draw groups and part of a third, with a negative
+    # seed, one of 2^64 − 1 and paths without jumps
+    grid = TimeGrid(1.0, 64)
+    seeds = [derive_key(3, TAG_PATH, j) for j in range(17)] + [-5, 2**64 - 1]
+    assert len(seeds) > 2 * DRAW_PATHS and len(seeds) % DRAW_PATHS
+    for modes in (0, 1, 3):
+        drawn = sample_block(seeds, grid, modes, MARKS, 1)
+        read = read_block(sample_bundles(seeds, grid, modes, MARKS, 1))
+        assert set(drawn.jump_rows.tolist()) < set(range(len(seeds)))
+        for field in dataclasses.fields(drawn):
+            got, want = getattr(drawn, field.name), getattr(read, field.name)
+            if isinstance(got, np.ndarray):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want
+
+
+def test_a_block_needs_a_seed():
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample_block([], TimeGrid(1.0, 4), 1, MARKS, 1)
 
 
 @settings(max_examples=200, deadline=None)
